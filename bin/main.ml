@@ -448,9 +448,11 @@ let inspect_cmd =
          s.Poseidon.Heap.tx_commits s.Poseidon.Heap.tx_aborts
          s.Poseidon.Heap.recovery_replays;
        Printf.printf
-         "tcache: %d hits, %d misses, %d bin refills, %d bin flushes\n"
+         "tcache: %d hits, %d misses, %d bin refills, %d bin flushes, %d \
+          record-hint hits, %d hint misses\n"
          s.Poseidon.Heap.tcache_hits s.Poseidon.Heap.tcache_misses
          s.Poseidon.Heap.bin_refills s.Poseidon.Heap.bin_flushes
+         s.Poseidon.Heap.hint_hits s.Poseidon.Heap.hint_misses
      | None -> ());
     let c = Nvmm.Memdev.counters (Machine.dev mach) in
     Printf.printf

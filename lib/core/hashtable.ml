@@ -94,6 +94,23 @@ let lookup t off =
   in
   per_level 0
 
+(** Whether [rec_addr] is the record of the live block at [off]: a
+    bucket of one of the table's current levels holding a live record
+    with that offset.  Blocks tile the data region, so an offset has at
+    most one live record and a hint that passes is exactly the record
+    {!lookup} would find — one line read instead of a probe.  Stale,
+    misaligned, out-of-table or foreign addresses fail.  (With today's
+    record layout no misaligned read inside the table passes the
+    status check either; the alignment test keeps validation from
+    depending on that.) *)
+let hint_valid t ~off rec_addr =
+  let first = level_base t 0 in
+  rec_addr >= first
+  && rec_addr < level_base t (levels t)
+  && (rec_addr - first) mod Layout.record_size = 0
+  && Record.is_live t.mach rec_addr
+  && Record.get_offset t.mach rec_addr = off
+
 (** First reusable slot (empty or tombstone) in any level's window;
     returns [(level, record address)]. *)
 let find_insert_slot t off =

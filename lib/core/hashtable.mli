@@ -33,6 +33,12 @@ val lookup : t -> int -> int option
 (** Record address of the live (free or allocated) block with exactly
     this offset. *)
 
+val hint_valid : t -> off:int -> int -> bool
+(** [hint_valid t ~off rec_addr]: [rec_addr] is a bucket of a current
+    level holding the live record of offset [off] — i.e. exactly what
+    {!lookup} would return, checked with one record read and no probe.
+    False for any stale, misaligned, out-of-table or forged address. *)
+
 val find_insert_slot : t -> int -> (int * int) option
 (** First reusable slot (empty or tombstone) in any level's probe
     window for this offset, as [(level, record address)]. *)

@@ -425,7 +425,7 @@ let tc_stash h (ptr : Alloc_intf.nvmptr) =
   | Some sh ->
     with_metadata_access h (fun () ->
         Machine.Lock.with_lock sh.Subheap.lock (fun () ->
-            match Hashtable.lookup sh.Subheap.ht ptr.off with
+            match Subheap.find_record sh ptr.off with
             | None -> None
             | Some rec_addr ->
               if Record.get_status h.mach rec_addr <> Layout.st_alloc then
@@ -602,6 +602,8 @@ type stats = {
   tcache_misses : int;
   bin_refills : int;
   bin_flushes : int;
+  hint_hits : int;
+  hint_misses : int;
 }
 
 let stats h =
@@ -621,7 +623,9 @@ let stats h =
         tcache_hits = h.tc_hits;
         tcache_misses = h.tc_misses;
         bin_refills = h.tc_refills;
-        bin_flushes = h.tc_flushes }
+        bin_flushes = h.tc_flushes;
+        hint_hits = 0;
+        hint_misses = 0 }
   in
   iter_subheaps h (fun sh ->
       s :=
@@ -640,7 +644,9 @@ let stats h =
           tcache_hits = !s.tcache_hits;
           tcache_misses = !s.tcache_misses;
           bin_refills = !s.bin_refills;
-          bin_flushes = !s.bin_flushes });
+          bin_flushes = !s.bin_flushes;
+          hint_hits = !s.hint_hits + sh.Subheap.stat_hint_hits;
+          hint_misses = !s.hint_misses + sh.Subheap.stat_hint_misses });
   !s
 
 (** Pushes heap-level metrics — aggregate statistics plus per-sub-heap
@@ -667,6 +673,8 @@ let publish_metrics ?registry h =
   g scope "tcache_misses" s.tcache_misses;
   g scope "bin_refills" s.bin_refills;
   g scope "bin_flushes" s.bin_flushes;
+  g scope "hint_hits" s.hint_hits;
+  g scope "hint_misses" s.hint_misses;
   iter_subheaps h (fun sh ->
       let sscope = Printf.sprintf "%s/subheap%d" scope sh.Subheap.index in
       g sscope "live_bytes" (Subheap.live_bytes sh);

@@ -148,6 +148,13 @@ type stats = {
   tcache_misses : int; (** bin empty — refill or inner fallback *)
   bin_refills : int; (** batched {!carve} refills *)
   bin_flushes : int; (** bulk reclaims of full free bins *)
+  hint_hits : int;
+      (** magazine-cache frees (stashes and flushed blocks) whose
+          block was found through the sub-heap's DRAM record-hint
+          table — no hash probe *)
+  hint_misses : int;
+      (** magazine-cache frees that probed the hash table: no hint
+          entry, or a stale one *)
 }
 
 val stats : t -> stats

@@ -25,6 +25,9 @@ type t = {
   mutable stat_tx_commits : int;
   mutable stat_tx_aborts : int;
   mutable stat_recovery_replays : int;
+  mutable stat_hint_hits : int;
+  mutable stat_hint_misses : int;
+  hints : int; (* base of the DRAM record-hint table *)
   (* volatile free-slot stack of the thread-cache reclaim ledger,
      rebuilt lazily from the persistent area (all-zero after recovery) *)
   mutable tc_free_slots : int list;
@@ -37,6 +40,37 @@ let nil = Layout.nil_off
 
 let hdr_read mach meta_base off = Machine.read_u64 mach (meta_base + off)
 let hdr_write mach meta_base off v = Machine.write_u64 mach (meta_base + off) v
+
+(* ---------- record hints (volatile) ---------- *)
+
+(* A DRAM table from a block's offset to the address of its record,
+   one word per granule of the data region: blocks are granule-aligned
+   and tile the region, so no two live blocks share an entry.  Only
+   blocks carved for a magazine cache are entered, and only the
+   cache's frees (stash and flush) consult it: plain frees keep the
+   probe, which is cheaper than a DRAM miss on a hot index.  Each
+   sub-heap's table is a simulated DRAM region of its own at its
+   metadata address plus [hint_space], a quarter of its data size, so
+   the tables of distinct sub-heaps never overlap and every access
+   pays the machine's cache model.  An entry is only advice: a free
+   validates it against the MPK-protected records
+   ({!Hashtable.hint_valid}) and probes the hash table when it is
+   empty, stale or corrupted, so the table needs neither crash
+   consistency nor MPK protection. *)
+let hint_space = 1 lsl 56
+
+let hint_addr sh off = sh.hints + (off / Layout.min_block * Layout.word)
+
+let add_hint_region mach ~cpu ~meta_base ~data_size =
+  let base = hint_space + meta_base in
+  if not (Machine.has_region mach base) then begin
+    let cfg = Machine.cfg mach in
+    Machine.add_region mach ~base
+      ~size:(data_size / Layout.min_block * Layout.word)
+      ~kind:Nvmm.Memdev.Dram
+      ~numa:(Machine.Config.cpu_numa cfg (cpu mod cfg.Machine.Config.num_cpus))
+  end;
+  base
 
 (* ---------- construction ---------- *)
 
@@ -58,6 +92,9 @@ let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_bucket
     stat_tx_commits = 0;
     stat_tx_aborts = 0;
     stat_recovery_replays = 0;
+    stat_hint_hits = 0;
+    stat_hint_misses = 0;
+    hints = add_hint_region mach ~cpu ~meta_base ~data_size;
     tc_free_slots = [];
     tc_slots_ready = false }
 
@@ -155,7 +192,8 @@ let rec insert_record ?(attempt = 0) ctx sh ~off ~size ~status ~prev ~next =
 (* ---------- allocation ---------- *)
 
 (* One allocation attempt inside an operation. [rsize] is already
-   rounded to the granule. *)
+   rounded to the granule.  Returns the block's offset and record
+   address. *)
 let alloc_once ctx sh rsize =
   let mach = sh.mach in
   let cls = Layout.class_of_size rsize in
@@ -206,7 +244,7 @@ let alloc_once ctx sh rsize =
         (* no hash slot for the remainder: hand out the whole block *)
         ()
     end;
-    Some off
+    Some (off, rec_addr)
 
 (* ---------- defragmentation, case 1 (§5.4) ---------- *)
 
@@ -281,7 +319,7 @@ let allocate sh size =
     if rsize > sh.data_size then None
     else
       with_defrag_retries sh ~rsize (fun () ->
-          op sh (fun ctx -> alloc_once ctx sh rsize))
+          op sh (fun ctx -> Option.map fst (alloc_once ctx sh rsize)))
 
 (** Transactional allocation: like {!allocate} but the allocated
     pointer is persisted in the micro log before the undo log of the
@@ -298,7 +336,7 @@ let allocate_tx sh size =
         | None ->
           Undolog.commit ctx;
           None
-        | Some off ->
+        | Some (off, _) ->
           let ptr =
             Alloc_intf.{ heap_id = sh.heap_id; subheap = sh.index; off }
           in
@@ -314,10 +352,28 @@ let commit_tx sh = Microlog.commit sh.mach ~meta_base:sh.meta_base
 
 type free_result = Freed | Invalid_free | Double_free
 
+(** Record of the live block at [off]: the hint table's entry when it
+    validates, else the hash probe.  Counts which way it went; only the
+    magazine cache's frees come here. *)
+let find_record sh off =
+  let hint =
+    if off >= 0 && off < sh.data_size && off mod Layout.min_block = 0 then
+      Machine.read_u64 sh.mach (hint_addr sh off)
+    else 0
+  in
+  if hint <> 0 && Hashtable.hint_valid sh.ht ~off hint then begin
+    sh.stat_hint_hits <- sh.stat_hint_hits + 1;
+    Some hint
+  end
+  else begin
+    sh.stat_hint_misses <- sh.stat_hint_misses + 1;
+    Hashtable.lookup sh.ht off
+  end
+
 (* Free body shared by the single and the batched path; [ctx] is an
-   open operation of the caller. *)
-let dealloc_in ctx sh off =
-  match Hashtable.lookup sh.ht off with
+   open operation of the caller, [found] the block's record. *)
+let dealloc_in ctx sh found =
+  match found with
   | None ->
     sh.stat_invalid_free <- sh.stat_invalid_free + 1;
     Invalid_free
@@ -345,7 +401,7 @@ let deallocate sh off =
       sh.stat_double_free <- sh.stat_double_free + 1;
       Double_free
     end
-    else op sh (fun ctx -> dealloc_in ctx sh off)
+    else op sh (fun ctx -> dealloc_in ctx sh (Some rec_addr))
 
 (** Frees a whole batch under ONE undo operation: first-touch logging
     amortizes the class-list head/tail barriers across the batch, so a
@@ -358,7 +414,9 @@ let deallocate_many sh offs =
   | _ ->
     op sh (fun ctx ->
         List.fold_left
-          (fun n off -> if dealloc_in ctx sh off = Freed then n + 1 else n)
+          (fun n off ->
+            if dealloc_in ctx sh (find_record sh off) = Freed then n + 1
+            else n)
           0 offs)
 
 (* ---------- thread-cache reclaim ledger (DRAM cache support) ---------- *)
@@ -422,27 +480,25 @@ let carve sh ~rsize ~count =
                | None ->
                  tc_slot_release sh slot;
                  raise Exit
-               | Some off ->
-                 let size =
-                   match Hashtable.lookup sh.ht off with
-                   | Some r -> Record.get_size sh.mach r
-                   | None -> assert false
-                 in
-                 if size <> rsize then begin
+               | Some (off, rec_addr) ->
+                 if Record.get_size sh.mach rec_addr <> rsize then begin
                    (* remainder insert failed and the whole block was
                       handed out: unusable for an exact-size bin; park
                       it and free it after the loop (freeing now would
                       put it straight back at this class's head) *)
                    tc_slot_release sh slot;
-                   rejects := off :: !rejects
+                   rejects := rec_addr :: !rejects
                  end
                  else begin
                    Undolog.write ctx (tc_ledger_addr sh slot) (off + 1);
+                   (* the record of an allocated block stays put until
+                      the block is freed *)
+                   Machine.write_u64 sh.mach (hint_addr sh off) rec_addr;
                    acc := (off, slot) :: !acc
                  end)
            done
          with Exit -> ());
-        List.iter (fun off -> ignore (dealloc_in ctx sh off)) !rejects;
+        List.iter (fun r -> ignore (dealloc_in ctx sh (Some r))) !rejects;
         List.rev !acc)
 
 (* ---------- formatting a fresh sub-heap ---------- *)

@@ -28,6 +28,18 @@ type t = {
       (** undo-log replays, micro-log entries rolled back and
           thread-cache leases reclaimed by {!recover} over the
           sub-heap's lifetime in this process *)
+  mutable stat_hint_hits : int;
+      (** magazine-cache frees (stash, flush) whose block was found
+          through its record-hint table entry, skipping the hash
+          probe *)
+  mutable stat_hint_misses : int;
+      (** magazine-cache frees that probed the hash table: no entry,
+          or a stale one *)
+  hints : int;
+      (** base of the volatile record-hint table: a DRAM region, one
+          word per granule of the data region, mapping a block's
+          offset to its record address.  Filled by {!carve}, read and
+          validated by {!find_record}. *)
   mutable tc_free_slots : int list;
       (** volatile free-slot stack of the thread-cache reclaim ledger
           (maintained by the heap layer under the sub-heap lock) *)
@@ -73,11 +85,19 @@ val deallocate : t -> int -> free_result
 (** Validates the offset against the memblock hash table: unknown
     offsets and non-allocated statuses are rejected (§4.4, §5.5). *)
 
+val find_record : t -> int -> int option
+(** [find_record sh off]: record address of the live block at [off].
+    Tries the record-hint table first — an entry {!Hashtable.hint_valid}
+    accepts is exactly what the probe would find, for one record read —
+    and probes the hash table otherwise.  Counts into [stat_hint_hits]
+    / [stat_hint_misses].  Used by the magazine cache's frees. *)
+
 val deallocate_many : t -> int list -> int
 (** Frees a whole batch under one undo operation (a magazine flush):
     first-touch logging amortizes the persistence barriers across the
-    batch.  Returns how many offsets actually freed; invalid and
-    double frees are absorbed into the stats as in {!deallocate}. *)
+    batch, and each block is found through {!find_record}.  Returns
+    how many offsets actually freed; invalid and double frees are
+    absorbed into the stats as in {!deallocate}. *)
 
 (** {2 Thread-cache reclaim ledger}
 

@@ -399,6 +399,158 @@ let test_lockdown () =
   H.check_invariants h2;
   check_int "state preserved" 128 (H.stats h2).H.live_bytes
 
+(* ---------- record hints (magazine-cache frees) ---------- *)
+
+let subheap_of h (p : Alloc_intf.nvmptr) =
+  let r = ref None in
+  H.iter_subheaps h (fun sh ->
+      if sh.Poseidon.Subheap.index = p.Alloc_intf.subheap then r := Some sh);
+  Option.get !r
+
+(* A block's record-hint entry: a DRAM word outside the MPK window. *)
+let hint_entry h (p : Alloc_intf.nvmptr) =
+  (subheap_of h p).Poseidon.Subheap.hints + (p.Alloc_intf.off / L.min_block * L.word)
+
+let record_of h (p : Alloc_intf.nvmptr) =
+  Option.get
+    (Poseidon.Hashtable.lookup (subheap_of h p).Poseidon.Subheap.ht p.Alloc_intf.off)
+
+(* Carves [n] 64 B blocks as a magazine refill does and hands them out
+   (leases published). *)
+let carve_out h n =
+  let ops = Option.get (H.cache_ops h) in
+  let blocks = ops.Alloc_intf.cache_carve ~size:64 ~count:n in
+  ops.Alloc_intf.cache_publish blocks;
+  (ops, List.map (fun b -> b.Alloc_intf.cb_ptr) blocks)
+
+let stash ops p =
+  match ops.Alloc_intf.cache_stash p with
+  | Some (lease, size) ->
+    check_int "stashed a 64 B block" 64 size;
+    { Alloc_intf.cb_ptr = p; cb_lease = lease }
+  | None -> Alcotest.fail "stash refused a live block"
+
+let test_cached_frees_skip_probe () =
+  let _, h = mkheap () in
+  let ops, ptrs = carve_out h 8 in
+  ops.Alloc_intf.cache_reclaim (List.map (stash ops) ptrs);
+  let s = H.stats h in
+  check_int "stash and flush both took the hint" 16 s.H.hint_hits;
+  check_int "nothing probed" 0 s.H.hint_misses;
+  (* plain frees keep the probe and stay out of the hint counters *)
+  H.free h (alloc_exn h 64);
+  let s = H.stats h in
+  check_int "plain free: no hint traffic" 16 (s.H.hint_hits + s.H.hint_misses);
+  check_int "every block came back" 0 s.H.live_bytes;
+  H.check_invariants h
+
+(* The same carve/free trace with the hint table intact and with every
+   entry wiped before its free: the probe finds the same records, so
+   the heaps end block for block alike.  Plain frees of the same blocks
+   leave the same live bytes. *)
+let test_hinted_frees_match_probing () =
+  let run mode =
+    let mach, h = mkheap () in
+    let rng = Prng.create 7 in
+    let live = ref [] in
+    for _ = 1 to 30 do
+      let ops, ptrs = carve_out h (1 + Prng.int rng 8) in
+      let gone, kept = List.partition (fun _ -> Prng.bool rng) (ptrs @ !live) in
+      live := kept;
+      match mode with
+      | `Plain -> List.iter (H.free h) gone
+      | `Hinted -> ops.Alloc_intf.cache_reclaim (List.map (stash ops) gone)
+      | `Probing ->
+        List.iter (fun p -> Machine.write_u64 mach (hint_entry h p) 0) gone;
+        ops.Alloc_intf.cache_reclaim (List.map (stash ops) gone)
+    done;
+    H.check_invariants h;
+    let blocks = ref [] in
+    H.iter_subheaps h (fun sh ->
+        Poseidon.Subheap.iter_blocks sh (fun ~off ~size ~rec_addr ~status ->
+            blocks := (off, size, rec_addr, status) :: !blocks));
+    (!blocks, H.stats h)
+  in
+  let hinted, sh = run `Hinted in
+  let probing, sp = run `Probing in
+  let _, splain = run `Plain in
+  check "hinted: no probe" true (sh.H.hint_hits > 0 && sh.H.hint_misses = 0);
+  check "probing: no hint" true (sp.H.hint_hits = 0 && sp.H.hint_misses > 0);
+  check "same blocks, records and statuses" true (hinted = probing);
+  check_int "same live bytes as plain frees" splain.H.live_bytes sh.H.live_bytes;
+  check_int "no double free" 0 (sh.H.double_frees + sp.H.double_frees)
+
+(* An entry is only advice: an empty bucket, another block's record, a
+   misaligned address, record-shaped fakes in user data below and
+   above the table, and a stale record are all caught by validation
+   against the protected records — the free lands on the right block,
+   or is refused exactly as without a hint. *)
+let test_forged_hints_rejected () =
+  let mach, h = mkheap ~num_cpus:2 () in
+  (* sub-heap 0 first, so user data lies below sub-heap 1's table *)
+  let z = alloc_exn h 64 in
+  let carved = ref None in
+  let _ =
+    Machine.parallel mach ~threads:2 (fun i ->
+        if i = 1 then carved := Some (carve_out h 5))
+  in
+  let ops, ptrs = Option.get !carved in
+  let a, b, c, d, e =
+    match ptrs with [ a; b; c; d; e ] -> (a, b, c, d, e) | _ -> assert false
+  in
+  check_int "carved in sub-heap 1" 1 a.Alloc_intf.subheap;
+  check_int "first block at offset 0" 0 a.Alloc_intf.off;
+  let rec_a = record_of h a and rec_c = record_of h c and rec_e = record_of h e in
+  let forge p v = Machine.write_u64 mach (hint_entry h p) v in
+  let fake_in p ~claims =
+    let r = H.get_rawptr h p in
+    Machine.write_u64 mach (r + L.rec_off_offset) claims.Alloc_intf.off;
+    Machine.write_u64 mach (r + L.rec_off_size) 64;
+    Machine.write_u64 mach (r + L.rec_off_status) L.st_alloc;
+    r
+  in
+  let empty_bucket =
+    let ht = (subheap_of h a).Poseidon.Subheap.ht in
+    let rec find idx =
+      let r = Poseidon.Hashtable.bucket_addr ht ~level:0 ~idx in
+      if Machine.read_u64 mach (r + L.rec_off_status) = L.st_empty
+         && Machine.read_u64 mach (r + L.rec_off_offset) = a.Alloc_intf.off
+      then r
+      else find (idx + 1)
+    in
+    find 0
+  in
+  let below = fake_in z ~claims:d and above = fake_in c ~claims:e in
+  forge a empty_bucket;
+  forge b rec_c;
+  forge c (rec_c + 8);
+  forge d below;
+  forge e above;
+  let stashed = List.map (stash ops) [ a; b; c; d; e ] in
+  let s = H.stats h in
+  check_int "no forged hint accepted" 0 s.H.hint_hits;
+  check_int "every stash fell back to the probe" 5 s.H.hint_misses;
+  (* a flush misdirected the same way frees the right blocks *)
+  forge a (record_of h d);
+  forge b 0;
+  forge c 8;
+  forge e rec_e;
+  ops.Alloc_intf.cache_reclaim stashed;
+  let s = H.stats h in
+  check_int "only the true entry was taken" 1 s.H.hint_hits;
+  check_int "nothing freed twice" 0 (s.H.double_frees + s.H.invalid_frees);
+  check_int "only the sub-heap 0 block is live" 64 s.H.live_bytes;
+  H.check_invariants h;
+  (* stale: [a]'s own record now holds a free block *)
+  forge a rec_a;
+  check "stale hint: double free refused" true
+    (ops.Alloc_intf.cache_stash a = None);
+  H.free h a;
+  check_int "the double free was counted" 1 (H.stats h).H.double_frees;
+  H.free h z;
+  check_int "every block came back" 0 (H.stats h).H.live_bytes;
+  H.check_invariants h
+
 (* ---------- property: random traces ---------- *)
 
 let random_trace ~ops ~seed ~crash =
@@ -528,4 +680,11 @@ let () =
         [ Alcotest.test_case "clean attach" `Quick test_attach_clean;
           Alcotest.test_case "bad magic" `Quick test_attach_bad_magic;
           Alcotest.test_case "pkey recycling" `Quick test_many_restarts_pkey_recycling ] );
+      ( "hints",
+        [ Alcotest.test_case "cached frees skip the probe" `Quick
+            test_cached_frees_skip_probe;
+          Alcotest.test_case "hinted frees match probing ones" `Quick
+            test_hinted_frees_match_probing;
+          Alcotest.test_case "forged and stale hints rejected" `Quick
+            test_forged_hints_rejected ] );
       ("properties", qsuite) ]
