@@ -252,7 +252,8 @@ let crashcheck_cmd =
              replication with transaction records, cluster-wide crash), \
              kv-batched-put (group commit + doorbell-batched replication, \
              cluster-wide crash), kv-tcache-put (magazine-cached \
-             allocation: leases, batch publish, bulk reclaim), \
+             allocation: leases, batch publish, bulk reclaim), carve \
+             (one magazine refill split into runs, then published), \
              kv-rcache-put (DRAM read cache armed; every cached read \
              audited against the completed-prefix model), broken / \
              kv-txn-broken / kv-batched-broken / mvcc-broken / \
@@ -452,7 +453,15 @@ let inspect_cmd =
           record-hint hits, %d hint misses\n"
          s.Poseidon.Heap.tcache_hits s.Poseidon.Heap.tcache_misses
          s.Poseidon.Heap.bin_refills s.Poseidon.Heap.bin_flushes
-         s.Poseidon.Heap.hint_hits s.Poseidon.Heap.hint_misses
+         s.Poseidon.Heap.hint_hits s.Poseidon.Heap.hint_misses;
+       (* outside the simulation: these metadata reads are uncharged *)
+       print_string "hash levels (full) per subheap:";
+       Poseidon.Heap.iter_subheaps heap (fun sh ->
+           let ht = sh.Poseidon.Subheap.ht in
+           Printf.printf " %d:%d(%d)" sh.Poseidon.Subheap.index
+             (Poseidon.Hashtable.levels ht)
+             (Poseidon.Hashtable.full_levels ht));
+       print_newline ()
      | None -> ());
     let c = Nvmm.Memdev.counters (Machine.dev mach) in
     Printf.printf

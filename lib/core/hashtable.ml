@@ -76,6 +76,14 @@ let find_in_window t ~level ~off f =
   in
   go 0
 
+(** Bucket addresses of the probe window for [off] at [level], in
+    probe order. *)
+let window t ~level ~off =
+  let buckets = level_buckets t level in
+  let h = hash t ~level ~off in
+  List.init Layout.probe_window (fun i ->
+      bucket_addr t ~level ~idx:((h + i) mod buckets))
+
 (** Record address of the live block with this exact offset. *)
 let lookup t off =
   let nlevels = levels t in
@@ -111,12 +119,29 @@ let hint_valid t ~off rec_addr =
   && Record.is_live t.mach rec_addr
   && Record.get_offset t.mach rec_addr = off
 
+(** Whether every bucket of [level] holds a live record.  The level's
+    live counter is kept equal to its count of live records (checked
+    by [Subheap.check_invariants]), so a full level has no empty or
+    tombstone slot in any window. *)
+let level_full t level = level_live t level = level_buckets t level
+
+(** Levels that are exactly full. *)
+let full_levels t =
+  let n = ref 0 in
+  for level = 0 to levels t - 1 do
+    if level_full t level then incr n
+  done;
+  !n
+
 (** First reusable slot (empty or tombstone) in any level's window;
-    returns [(level, record address)]. *)
+    returns [(level, record address)].  Full levels are skipped
+    without reading their window: the slot found is the one a probe
+    of every window would find. *)
 let find_insert_slot t off =
   let nlevels = levels t in
   let rec per_level level =
     if level >= nlevels then None
+    else if level_full t level then per_level (level + 1)
     else
       match
         find_in_window t ~level ~off (fun rec_addr ->
@@ -132,14 +157,10 @@ let find_insert_slot t off =
 (** Applies [f] to every live record in the probe windows for [off]
     across all levels (used by window defragmentation). *)
 let iter_windows t off f =
-  let nlevels = levels t in
-  for level = 0 to nlevels - 1 do
-    let buckets = level_buckets t level in
-    let h = hash t ~level ~off in
-    for i = 0 to Layout.probe_window - 1 do
-      let rec_addr = bucket_addr t ~level ~idx:((h + i) mod buckets) in
-      if Record.is_live t.mach rec_addr then f rec_addr
-    done
+  for level = 0 to levels t - 1 do
+    List.iter
+      (fun rec_addr -> if Record.is_live t.mach rec_addr then f rec_addr)
+      (window t ~level ~off)
   done
 
 (** Grows the table by one level; false when [Layout.max_levels] is

@@ -27,6 +27,10 @@ val bucket_addr : t -> level:int -> idx:int -> int
 val level_of_rec : t -> int -> int
 (** Level containing the record at this address. *)
 
+val window : t -> level:int -> off:int -> int list
+(** Bucket addresses of the probe window for this offset at [level],
+    in probe order. *)
+
 (** {2 Lookup and insertion} *)
 
 val lookup : t -> int -> int option
@@ -41,7 +45,13 @@ val hint_valid : t -> off:int -> int -> bool
 
 val find_insert_slot : t -> int -> (int * int) option
 (** First reusable slot (empty or tombstone) in any level's probe
-    window for this offset, as [(level, record address)]. *)
+    window for this offset, as [(level, record address)].  Levels
+    whose live counter equals their bucket count hold no such slot
+    and are skipped unread. *)
+
+val full_levels : t -> int
+(** Number of levels whose every bucket holds a live record — the
+    levels {!find_insert_slot} skips. *)
 
 val iter_windows : t -> int -> (int -> unit) -> unit
 (** Applies the function to every live record in the offset's probe

@@ -514,7 +514,7 @@ let get_rawptr h (ptr : Alloc_intf.nvmptr) =
   if ptr.heap_id <> h.heap_id || ptr.subheap < 0 || ptr.subheap >= h.num_slots
   then invalid_arg "Heap.get_rawptr: foreign pointer";
   match h.subheaps.(ptr.subheap) with
-  | Some sh when ptr.off < sh.Subheap.data_size ->
+  | Some sh when ptr.off >= 0 && ptr.off < sh.Subheap.data_size ->
     sh.Subheap.data_base + ptr.off
   | _ -> invalid_arg "Heap.get_rawptr: no such sub-heap"
 
@@ -681,4 +681,6 @@ let publish_metrics ?registry h =
       g sscope "free_bytes" (Subheap.free_bytes sh);
       g sscope "merges" sh.Subheap.stat_merges;
       g sscope "hash_extends" sh.Subheap.stat_hash_extends;
+      g sscope "hash_levels" (Hashtable.levels sh.Subheap.ht);
+      g sscope "hash_full_levels" (Hashtable.full_levels sh.Subheap.ht);
       g sscope "recovery_replays" sh.Subheap.stat_recovery_replays)

@@ -76,7 +76,8 @@ val free : t -> Alloc_intf.nvmptr -> unit
 
 val get_rawptr : t -> Alloc_intf.nvmptr -> int
 (** Absolute simulated address; raises [Invalid_argument] on null or
-    foreign pointers. *)
+    foreign pointers and on offsets outside the sub-heap's data region
+    (a negative one would address its metadata). *)
 
 val get_nvmptr : t -> int -> Alloc_intf.nvmptr
 (** Inverse of {!get_rawptr}. *)
@@ -162,4 +163,8 @@ val stats : t -> stats
 val publish_metrics : ?registry:Obs.Metrics.t -> t -> unit
 (** Pushes aggregate heap statistics and per-sub-heap occupancy into
     the metrics registry (default {!Obs.Metrics.default}) under the
-    [heap<id>] and [heap<id>/subheap<slot>] scopes. *)
+    [heap<id>] and [heap<id>/subheap<slot>] scopes.  The sub-heap
+    gauges include [hash_levels] and [hash_full_levels] (levels whose
+    every bucket is live, which inserts skip).  Call it outside the
+    simulation: its metadata reads are then charged no simulated
+    time. *)

@@ -191,60 +191,101 @@ let rec insert_record ?(attempt = 0) ctx sh ~off ~size ~status ~prev ~next =
 
 (* ---------- allocation ---------- *)
 
-(* One allocation attempt inside an operation. [rsize] is already
-   rounded to the granule.  Returns the block's offset and record
-   address. *)
-let alloc_once ctx sh rsize =
+(* Free block to split for [rsize] bytes: the first fit in the
+   request's class, else the head of the smallest non-empty larger
+   class. *)
+let find_free sh rsize =
   let mach = sh.mach in
   let cls = Layout.class_of_size rsize in
-  let found =
-    match
-      Buddy.first_fit mach sh.meta_base cls ~min_size:rsize ~max_steps:16
-    with
-    | Some r -> Some r
-    | None ->
-      let rec scan c =
-        if c >= Layout.num_classes then None
-        else
-          let h = Buddy.head mach sh.meta_base c in
-          if h <> 0 then Some h else scan (c + 1)
-      in
-      scan (cls + 1)
-  in
-  match found with
-  | None -> None
+  match Buddy.first_fit mach sh.meta_base cls ~min_size:rsize ~max_steps:16 with
+  | Some r -> Some r
+  | None ->
+    let rec scan c =
+      if c >= Layout.num_classes then None
+      else
+        let h = Buddy.head mach sh.meta_base c in
+        if h <> 0 then Some h else scan (c + 1)
+    in
+    scan (cls + 1)
+
+(* Splits up to [count] blocks of [rsize] bytes (already rounded to the
+   granule) off the front of one free block in one pass, inside an
+   operation (§5.2).  The free block's own record becomes the first
+   block; each further block gets a fresh allocated record; only the
+   final remainder is pushed to a class list, and the right
+   neighbour's [prev] is fixed once.  When a record finds no hash
+   slot, the last placed block keeps the rest of the free block, so
+   its size exceeds [rsize].  Returns the blocks' offsets and record
+   addresses in address order; [] when no free block fits. *)
+let alloc_run ctx sh rsize ~count =
+  match find_free sh rsize with
+  | None -> []
   | Some rec_addr ->
+    let mach = sh.mach in
     let bsz = Record.get_size mach rec_addr in
     let off = Record.get_offset mach rec_addr in
+    let stop = off + bsz in
     Buddy.unlink ctx sh.meta_base (Layout.class_of_size bsz) rec_addr;
     (* Mark allocated before any further hash work so that window
        defragmentation triggered by the split cannot merge this
        block away. *)
     Record.set_status ctx rec_addr Layout.st_alloc;
-    if bsz - rsize >= Layout.min_block then begin
-      (* split: carve the request from the front, keep the remainder
-         free (§5.2) *)
-      let rem_off = off + rsize and rem_size = bsz - rsize in
+    if bsz - rsize < Layout.min_block then [ (off, rec_addr) ]
+    else begin
       let next_off = Record.get_next mach rec_addr in
-      match
-        insert_record ctx sh ~off:rem_off ~size:rem_size
-          ~status:Layout.st_free ~prev:off ~next:next_off
-      with
-      | Some rem_rec ->
-        if next_off <> nil then begin
-          match Hashtable.lookup sh.ht next_off with
-          | Some nr -> Record.set_prev ctx nr rem_off
-          | None -> assert false
-        end;
-        Record.set_next ctx rec_addr rem_off;
-        Record.set_size ctx rec_addr rsize;
-        Buddy.push_head ctx sh.meta_base
-          (Layout.class_of_size rem_size) rem_rec
-      | None ->
-        (* no hash slot for the remainder: hand out the whole block *)
-        ()
-    end;
-    Some (off, rec_addr)
+      let n = min count (bsz / rsize) in
+      (* blocks 1 .. n-1, newest first, each linked to its successor *)
+      let rec place k placed =
+        let boff = off + (k * rsize) in
+        if k >= n then placed
+        else
+          match
+            insert_record ctx sh ~off:boff ~size:rsize ~status:Layout.st_alloc
+              ~prev:(boff - rsize)
+              ~next:(if boff + rsize = stop then next_off else boff + rsize)
+          with
+          | Some r -> place (k + 1) ((boff, r) :: placed)
+          | None -> placed
+      in
+      let placed = place 1 [ (off, rec_addr) ] in
+      let last_off, last_rec = List.hd placed in
+      let run_end = last_off + rsize in
+      let rem_rec =
+        if List.length placed = n && stop - run_end >= Layout.min_block then
+          insert_record ctx sh ~off:run_end ~size:(stop - run_end)
+            ~status:Layout.st_free ~prev:last_off ~next:next_off
+        else None
+      in
+      let left_of_next = if rem_rec = None then last_off else run_end in
+      if next_off <> nil && left_of_next <> off then begin
+        match Hashtable.lookup sh.ht next_off with
+        | Some nr -> Record.set_prev ctx nr left_of_next
+        | None -> assert false
+      end;
+      if last_off <> off || rem_rec <> None then begin
+        Record.set_next ctx rec_addr (off + rsize);
+        Record.set_size ctx rec_addr rsize
+      end;
+      (match rem_rec with
+       | Some r ->
+         Buddy.push_head ctx sh.meta_base
+           (Layout.class_of_size (stop - run_end)) r
+       | None ->
+         (* no slot for the remainder or a further block: the last
+            placed block keeps the rest (the free block's own record
+            already spans it) *)
+         if last_off <> off && run_end < stop then begin
+           Record.set_size ctx last_rec (stop - last_off);
+           Record.set_next ctx last_rec next_off
+         end);
+      List.rev placed
+    end
+
+(* One allocation attempt inside an operation: the one-block run. *)
+let alloc_once ctx sh rsize =
+  match alloc_run ctx sh rsize ~count:1 with
+  | [ b ] -> Some b
+  | _ -> None
 
 (* ---------- defragmentation, case 1 (§5.4) ---------- *)
 
@@ -464,42 +505,44 @@ let tc_lease_clear_async sh slot =
     rounded) in ONE undo operation, each with a ledger lease recorded
     under the same operation — commit makes the whole batch atomic:
     either every block is allocated and covered by a lease, or the
-    rollback returns them all.  Stops early when the pool or the
-    ledger runs dry (the caller falls back to the slow path). *)
+    rollback returns them all.  Each run splits as many blocks as
+    still fit the magazine and the free ledger slots off one free
+    block.  Stops early when the pool or the ledger runs dry (the
+    caller falls back to the slow path). *)
 let carve sh ~rsize ~count =
   if count <= 0 || rsize > sh.data_size then []
   else
     op sh (fun ctx ->
-        let acc = ref [] and rejects = ref [] in
-        (try
-           for _ = 1 to count do
-             match tc_slot_acquire sh with
-             | None -> raise Exit
-             | Some slot -> (
-               match alloc_once ctx sh rsize with
-               | None ->
-                 tc_slot_release sh slot;
-                 raise Exit
-               | Some (off, rec_addr) ->
-                 if Record.get_size sh.mach rec_addr <> rsize then begin
-                   (* remainder insert failed and the whole block was
-                      handed out: unusable for an exact-size bin; park
-                      it and free it after the loop (freeing now would
-                      put it straight back at this class's head) *)
-                   tc_slot_release sh slot;
-                   rejects := rec_addr :: !rejects
-                 end
-                 else begin
-                   Undolog.write ctx (tc_ledger_addr sh slot) (off + 1);
-                   (* the record of an allocated block stays put until
-                      the block is freed *)
-                   Machine.write_u64 sh.mach (hint_addr sh off) rec_addr;
-                   acc := (off, slot) :: !acc
-                 end)
-           done
-         with Exit -> ());
-        List.iter (fun r -> ignore (dealloc_in ctx sh (Some r))) !rejects;
-        List.rev !acc)
+        tc_init_slots sh;
+        let rec fill need acc rejects =
+          let want = min need (List.length sh.tc_free_slots) in
+          match if want = 0 then [] else alloc_run ctx sh rsize ~count:want with
+          | [] -> (acc, rejects)
+          | blocks ->
+            let acc, rejects =
+              List.fold_left
+                (fun (acc, rejects) (off, rec_addr) ->
+                  if Record.get_size sh.mach rec_addr <> rsize then
+                    (* the last block kept the rest of its free block:
+                       unusable for an exact-size bin; park it and free
+                       it after the loop (freeing now would put it
+                       straight back at this class's head) *)
+                    (acc, rec_addr :: rejects)
+                  else begin
+                    let slot = Option.get (tc_slot_acquire sh) in
+                    Undolog.write ctx (tc_ledger_addr sh slot) (off + 1);
+                    (* the record of an allocated block stays put until
+                       the block is freed *)
+                    Machine.write_u64 sh.mach (hint_addr sh off) rec_addr;
+                    ((off, slot) :: acc, rejects)
+                  end)
+                (acc, rejects) blocks
+            in
+            fill (need - List.length blocks) acc rejects
+        in
+        let acc, rejects = fill count [] [] in
+        List.iter (fun r -> ignore (dealloc_in ctx sh (Some r))) rejects;
+        List.rev acc)
 
 (* ---------- formatting a fresh sub-heap ---------- *)
 

@@ -127,9 +127,10 @@ val tc_lease_clear_async : t -> int -> unit
 val carve : t -> rsize:int -> count:int -> (int * int) list
 (** Carves up to [count] blocks of exactly [rsize] bytes (pre-rounded)
     in one undo operation, each covered by a ledger lease written
-    under the same operation — the batch is crash-atomic.  Returns
-    [(off, slot)] pairs; may return fewer than [count] (pool or ledger
-    exhausted). *)
+    under the same operation — the batch is crash-atomic.  Blocks are
+    split off free blocks in runs, one pass per free block, each run
+    no longer than the free ledger slots.  Returns [(off, slot)] pairs;
+    may return fewer than [count] (pool or ledger exhausted). *)
 
 val recover : t -> unit
 (** §5.8: replays the undo log, then frees every address in the micro

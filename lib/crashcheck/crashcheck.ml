@@ -405,6 +405,58 @@ let scn_extend () =
           ignore (alloc_l env 32)
         done) }
 
+(* A magazine refill split into runs: set-up leaves a three-block
+   (192 B) hole bounded by a live right neighbour, so one carve of
+   eight 64 B blocks takes the whole hole as one run, relinking the
+   neighbour's [prev], and the rest as a second run off the
+   wilderness.  Until the publish starts the ledger allows no slack:
+   a crash anywhere in the carve must recover to the pre-carve live
+   bytes, every lease reclaimed. *)
+let scn_carve () =
+  { sname = "carve";
+    setup =
+      (fun () ->
+        let env = mk_env () in
+        let hole = alloc_l env 256 in
+        ignore (alloc_l env 64);
+        (match hole with
+         | Some p -> free_l env p ~size:256
+         | None -> failwith "carve scenario: setup allocation failed");
+        (* splits the freed block: 64 B live, a 192 B hole after it *)
+        ignore (alloc_l env 64);
+        finish_setup env);
+    op =
+      (fun env ->
+        let ops = Option.get (H.cache_ops env.heap) in
+        let blocks = ops.Alloc_intf.cache_carve ~size:64 ~count:8 in
+        (* the lease clears share one fence, so a crash may persist
+           any subset of them *)
+        let bytes = 64 * List.length blocks in
+        env.ledger.slack <- bytes;
+        ops.Alloc_intf.cache_publish blocks;
+        env.ledger.durable <- env.ledger.durable + bytes;
+        env.ledger.slack <- 0);
+    extra_oracles =
+      [ { oname = "ledger-reclaimed";
+          check =
+            (fun env ->
+              let armed = ref 0 in
+              H.iter_subheaps env.heap (fun sh ->
+                  for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
+                    let a =
+                      sh.Poseidon.Subheap.meta_base
+                      + Poseidon.Layout.sh_off_tc_ledger
+                      + (slot * Poseidon.Layout.word)
+                    in
+                    if Machine.read_u64 env.mach a <> 0 then incr armed
+                  done);
+              if !armed = 0 then Ok ()
+              else
+                Error
+                  (Printf.sprintf
+                     "%d reclaim-ledger lease(s) still armed after recovery"
+                     !armed)) } ] }
+
 let scn_broken_missing_flush () =
   let raw = ref 0 in
   let magic = 0xDEC0DE in
@@ -1371,7 +1423,7 @@ let all_scenarios () =
   [ scn_alloc (); scn_free (); scn_tx_commit (); scn_tx_abort ();
     scn_extend (); scn_kv_put (); scn_kv_delete (); scn_kv_txn ();
     scn_kv_snapshot (); scn_kv_rcache_put (); scn_kv_replicated_put ();
-    scn_kv_batched_put (); scn_kv_tcache_put () ]
+    scn_kv_batched_put (); scn_kv_tcache_put (); scn_carve () ]
 
 let scenario_by_name = function
   | "alloc" -> Some (scn_alloc ())
@@ -1392,5 +1444,6 @@ let scenario_by_name = function
   | "kv-batched-broken" -> Some (scn_kv_batched_broken ())
   | "kv-tcache-put" -> Some (scn_kv_tcache_put ())
   | "tcache-broken" -> Some (scn_kv_tcache_broken ())
+  | "carve" -> Some (scn_carve ())
   | "broken" -> Some (scn_broken_missing_flush ())
   | _ -> None

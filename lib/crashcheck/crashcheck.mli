@@ -178,6 +178,15 @@ val scn_extend : unit -> scenario
 (** Tiny allocations against a tiny hash level 0, forcing sub-heap
     hash-table extension (§5.2 growth path). *)
 
+val scn_carve : unit -> scenario
+(** One magazine refill ([cache_carve ~count:8] of 64 B blocks) and
+    its publish, on a heap whose set-up leaves a 192 B hole bounded
+    by a live right neighbour: the carve splits the hole as one
+    three-block run (relinking the neighbour) and the rest off the
+    wilderness.  A crash before the publish must recover to the
+    pre-carve live bytes; the [ledger-reclaimed] oracle demands that
+    recovery left no lease armed. *)
+
 val scn_kv_put : unit -> scenario
 (** KV puts (inserts + overwrites) through the intent protocol; the
     recovered store must equal the acked prefix of the plan, with the
@@ -299,4 +308,4 @@ val scenario_by_name : string -> scenario option
     "kv-put" | "kv-delete" | "kv-txn" | "kv-txn-broken" |
     "kv-snapshot" | "mvcc-broken" | "kv-rcache-put" | "rcache-broken" |
     "kv-replicated-put" | "kv-batched-put" | "kv-batched-broken" |
-    "kv-tcache-put" | "tcache-broken" | "broken"]. *)
+    "kv-tcache-put" | "tcache-broken" | "carve" | "broken"]. *)

@@ -113,6 +113,14 @@ fi
 step="crashcheck kv-tcache-put exhaustive sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-tcache-put \
   --seed "$CRASH_SEED" > /dev/null
+# magazine-refill sweep, EXHAUSTIVE: one carve of eight blocks split
+# into runs (a three-block hole whose live right neighbour is relinked,
+# then the wilderness) plus its publish.  A crash anywhere in the
+# carve must recover to the pre-carve live bytes, and recovery must
+# leave no reclaim lease armed.
+step="crashcheck carve exhaustive sweep"
+dune exec bin/main.exe -- crashcheck --scenario carve \
+  --seed "$CRASH_SEED" > /dev/null
 # cache mutation gate: the same sweep against a cache that recycles
 # freed blocks with no reclaim lease and no persistent free; the
 # value-census oracle MUST flag the orphaned blocks (non-zero exit),
@@ -302,4 +310,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache identity OK"
+echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache identity OK"

@@ -185,7 +185,18 @@ let test_rawptr_validation () =
     (try ignore (H.get_rawptr h Alloc_intf.null); false
      with Invalid_argument _ -> true);
   check "outside data rejected" true
-    (try ignore (H.get_nvmptr h base); false with Invalid_argument _ -> true)
+    (try ignore (H.get_nvmptr h base); false with Invalid_argument _ -> true);
+  (* a negative offset would address the sub-heap's metadata, just
+     below its data region: with protection off (ablation A3) a store
+     there corrupts a hash record *)
+  let p = alloc_exn h 64 in
+  let rejected off =
+    try ignore (H.get_rawptr h { p with Alloc_intf.off }); false
+    with Invalid_argument _ -> true
+  in
+  check "negative offset rejected" true (rejected (-64));
+  check "offset past the data rejected" true (rejected (1 lsl 20));
+  check "last granule accepted" false (rejected ((1 lsl 20) - L.min_block))
 
 let test_pack_unpack () =
   let p = { Alloc_intf.heap_id = 7; subheap = 3; off = 0xABCDE } in
@@ -551,6 +562,155 @@ let test_forged_hints_rejected () =
   check_int "every block came back" 0 (H.stats h).H.live_bytes;
   H.check_invariants h
 
+(* ---------- magazine refills: insert skips and run splits ---------- *)
+
+module Ht = Poseidon.Hashtable
+
+let blocks_of h =
+  let acc = ref [] in
+  H.iter_subheaps h (fun sh ->
+      Poseidon.Subheap.iter_blocks sh (fun ~off ~size ~rec_addr:_ ~status ->
+          acc := (off, size, status) :: !acc));
+  List.rev !acc
+
+(* Reference insert slot: every level's whole probe window, in order,
+   full levels included. *)
+let brute_insert_slot mach ht off =
+  let reusable a =
+    let st = Machine.read_u64 mach (a + L.rec_off_status) in
+    st = L.st_empty || st = L.st_tombstone
+  in
+  let rec scan level =
+    if level >= Ht.levels ht then None
+    else
+      match List.find_opt reusable (Ht.window ht ~level ~off) with
+      | Some a -> Some (level, a)
+      | None -> scan (level + 1)
+  in
+  scan 0
+
+let test_insert_skips_full_levels () =
+  let mach, h = mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) () in
+  let sh = subheap_of h (List.hd (List.init 600 (fun _ -> alloc_exn h 32))) in
+  let ht = sh.Poseidon.Subheap.ht in
+  let full level = Ht.level_live ht level = Ht.level_buckets ht level in
+  check "levels 0 and 1 exactly full" true (full 0 && full 1);
+  check "a level with room" true (Ht.full_levels ht < Ht.levels ht);
+  let offs = List.init 4096 (fun g -> g * L.min_block) in
+  let agree what =
+    List.iter
+      (fun off ->
+        if Ht.find_insert_slot ht off <> brute_insert_slot mach ht off then
+          Alcotest.failf "%s: offset %d lands elsewhere than a full scan" what off)
+      offs
+  in
+  agree "full levels";
+  (* the gauges report the level count and the skipped levels *)
+  let registry = Obs.Metrics.create () in
+  H.publish_metrics ~registry h;
+  let gauge name =
+    Obs.Metrics.get_gauge ~m:registry ~scope:"heap1/subheap0" name
+  in
+  check "hash_levels gauge" true
+    (gauge "hash_levels" = Some (float_of_int (Ht.levels ht)));
+  check "hash_full_levels gauge" true
+    (gauge "hash_full_levels" = Some (float_of_int (Ht.full_levels ht)));
+  (* one tombstone in level 1: no longer full, so it must be probed *)
+  let victim = Ht.bucket_addr ht ~level:1 ~idx:0 in
+  let ctx = Poseidon.Undolog.begin_op mach ~meta_base:sh.Poseidon.Subheap.meta_base in
+  Poseidon.Record.set_status ctx victim L.st_tombstone;
+  Ht.live_decr ctx ht 1;
+  Poseidon.Undolog.commit ctx;
+  check "level 1 has room" false (full 1);
+  agree "one tombstone";
+  check "the tombstone slot is found" true
+    (List.exists (fun off -> Ht.find_insert_slot ht off = Some (1, victim)) offs)
+
+(* Also on a 512 B data region, which the carve uses up exactly. *)
+let test_carve_matches_allocs () =
+  List.iter
+    (fun sub_data_size ->
+      let _, carved = mkheap ~sub_data_size ()
+      and _, allocated = mkheap ~sub_data_size () in
+      let ops = Option.get (H.cache_ops carved) in
+      check_int "a full magazine" 8
+        (List.length (ops.Alloc_intf.cache_carve ~size:64 ~count:8));
+      for _ = 1 to 8 do ignore (alloc_exn allocated 64) done;
+      check "same blocks, sizes and statuses" true
+        (blocks_of carved = blocks_of allocated);
+      H.check_invariants carved)
+    [ 1 lsl 20; 512 ]
+
+(* Each run takes at most as many blocks as there are free ledger
+   slots, so carving stops with every slot leased. *)
+let test_carve_ledger_bound () =
+  let _, h = mkheap () in
+  let ops = Option.get (H.cache_ops h) in
+  let rec refill acc =
+    match ops.Alloc_intf.cache_carve ~size:64 ~count:8 with
+    | [] -> acc
+    | blocks -> refill (blocks @ acc)
+  in
+  let carved = refill (ops.Alloc_intf.cache_carve ~size:64 ~count:5) in
+  check_int "one block per ledger slot" L.tc_ledger_cap (List.length carved);
+  H.check_invariants h;
+  ops.Alloc_intf.cache_reclaim carved;
+  check_int "no live bytes" 0 (H.stats h).H.live_bytes;
+  H.check_invariants h
+
+(* With one bucket in level 0 the table tops out at 4095 records, so
+   carving 64 B blocks off a 1 MiB region runs it out of slots: a
+   block whose record finds none keeps the rest of its free block and
+   is freed again, never handed to the magazine. *)
+let test_carve_hash_exhausted () =
+  let _, h = mkheap ~base_buckets:1 () in
+  let ops = Option.get (H.cache_ops h) in
+  (* published refills release their ledger slots *)
+  let rec refill acc =
+    match ops.Alloc_intf.cache_carve ~size:64 ~count:8 with
+    | [] -> acc
+    | blocks ->
+      ops.Alloc_intf.cache_publish blocks;
+      refill (List.rev_append (List.map (fun b -> b.Alloc_intf.cb_ptr) blocks) acc)
+  in
+  let carved = refill [] in
+  check "the table ran out before the pool" true
+    (List.length carved * 64 < 1 lsl 20);
+  H.check_invariants h;
+  check_int "only exact blocks are live" (64 * List.length carved)
+    (H.stats h).H.live_bytes;
+  check "free space left over" true
+    (List.exists (fun (_, size, st) -> st = L.st_free && size > 64) (blocks_of h));
+  List.iter (H.free h) carved;
+  check_int "no live bytes" 0 (H.stats h).H.live_bytes;
+  H.check_invariants h
+
+(* A 192 B hole bounded by a live right neighbour: the carve takes the
+   whole hole as one run, relinking the neighbour, then the wilderness
+   (the free space at the end of the data region). *)
+let test_carve_hole_then_wilderness () =
+  let _, h = mkheap () in
+  let freed = alloc_exn h 256 in
+  let right = alloc_exn h 64 in
+  H.free h freed;
+  let left = alloc_exn h 64 in
+  check "the hole" true
+    (List.mem (64, 192, L.st_free) (blocks_of h)
+     && List.mem (256, 64, L.st_alloc) (blocks_of h));
+  let live = (H.stats h).H.live_bytes in
+  let ops = Option.get (H.cache_ops h) in
+  let carved = ops.Alloc_intf.cache_carve ~size:64 ~count:8 in
+  Alcotest.(check (list int)) "the hole, then the wilderness"
+    [ 64; 128; 192; 320; 384; 448; 512; 576 ]
+    (List.map (fun b -> b.Alloc_intf.cb_ptr.Alloc_intf.off) carved);
+  H.check_invariants h;
+  ops.Alloc_intf.cache_reclaim carved;
+  check_int "the reclaim returns every carved block" live (H.stats h).H.live_bytes;
+  H.free h left;
+  H.free h right;
+  check_int "no live bytes" 0 (H.stats h).H.live_bytes;
+  H.check_invariants h
+
 (* ---------- property: random traces ---------- *)
 
 let random_trace ~ops ~seed ~crash =
@@ -687,4 +847,15 @@ let () =
             test_hinted_frees_match_probing;
           Alcotest.test_case "forged and stale hints rejected" `Quick
             test_forged_hints_rejected ] );
+      ( "refill",
+        [ Alcotest.test_case "inserts skip full levels" `Quick
+            test_insert_skips_full_levels;
+          Alcotest.test_case "carve matches single allocs" `Quick
+            test_carve_matches_allocs;
+          Alcotest.test_case "carve takes a hole, then the wilderness" `Quick
+            test_carve_hole_then_wilderness;
+          Alcotest.test_case "carve bounded by the ledger" `Quick
+            test_carve_ledger_bound;
+          Alcotest.test_case "carve with the hash table full" `Quick
+            test_carve_hash_exhausted ] );
       ("properties", qsuite) ]
