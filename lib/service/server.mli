@@ -42,28 +42,31 @@ type config = {
   seed : int;
   scope : string; (** obs metrics scope for this run *)
   batch_window : int;
-      (** group-commit window, ≥ 1.  At 1 (the default) every mutation
-          takes the pre-batching per-op path, byte-identically.  Above
-          1, up to this many consecutive already-queued single-key
-          mutations drain into one {!Kv.group_commit} group: one
-          covering persist chain per chunk, one replication doorbell
-          frame per chunk, one sync-mode ack wait per group.  Greedy
-          over the inbox — never waits for a batch to fill. *)
+      (** group-commit window, ≥ 1.  At 1 (the default) every request
+          takes the per-op path: a mutation runs {!Kv.put} /
+          {!Kv.delete} under its shard lock, ships one record and, in
+          sync mode, waits for its own ack.  Above 1, up to this many
+          consecutive already-queued single-key mutations drain into
+          one {!Kv.group_commit} group: one covering persist chain per
+          chunk, one replication doorbell frame per chunk, one
+          sync-mode ack wait per group.  Greedy over the inbox — never
+          waits for a batch to fill. *)
   batch_bytes : int;
       (** additional byte cap on a commit group (0 = unlimited): a
           group closes once its encoded payload would exceed this *)
   mvcc_window : int;
       (** MVCC version-chain window ({!Kv.create}'s [mvcc_window]),
-          ≥ 0.  At 0 (the default) reads take the pre-MVCC path
-          byte-identically: gets and scans queue for the shard lock.
+          ≥ 0.  At 0 (the default) the store keeps no version chains
+          and gets and scans queue for the shard lock like mutations
+          (a {!Obs.Span.Lock_wait} then a {!Obs.Span.Store} span).
           Above 0 every get/scan is a lock-free snapshot read under an
           {!Obs.Span.Snapshot} stage span, and a scan becomes a
           multi-shard merged scan consistent at one timestamp. *)
   tcache_mag : int;
       (** magazine size of the DRAM thread cache ({!Tcache.wrap})
           layered over the allocator, ≥ 0.  At 0 (the default) the
-          wrapper is bypassed entirely — the run is byte-identical to
-          the uncached servicing path.  Above 0 allocations pop
+          store allocates and frees through the allocator directly and
+          no [tcache_*] gauge is published.  Above 0 allocations pop
           volatile per-CPU bins (refilled [tcache_mag] blocks per
           carve) and frees stash and flush in bulk; allocator time is
           attributed under the {!Obs.Span.Alloc} detail stage and
@@ -72,13 +75,14 @@ type config = {
   rcache_entries : int;
       (** per-shard slot count of the DRAM read cache
           ({!Kv.create}'s [rcache_entries]), ≥ 0.  At 0 (the default)
-          every read walks the persistent tree byte-identically to the
-          pre-cache path.  Above 0 gets (and snapshot gets, when their
-          timestamp allows) answer from DRAM on a hit; probe time is
-          attributed under the {!Obs.Span.Rcache} detail stage and the
-          run surfaces [rcache_*] gauges.  {!run_replicated} arms both
-          members — the backup's cache is invalidated by the
-          replicated applies and wiped at promotion. *)
+          no cache hook is armed: every read walks the persistent tree
+          and no [rcache_*] gauge is published.  Above 0 gets (and
+          snapshot gets, when their timestamp allows) answer from DRAM
+          on a hit; probe time is attributed under the
+          {!Obs.Span.Rcache} detail stage and the run surfaces
+          [rcache_*] gauges.  {!run_replicated} arms both members —
+          the backup's cache is invalidated by the replicated applies
+          and wiped at promotion. *)
 }
 
 val default_config : config
@@ -148,15 +152,19 @@ val run :
 
 (** {2 Replicated serving}
 
-    The same traffic harness on a two-machine {!Cluster}: the primary
+    The same handler loop as {!run} on a two-machine {!Cluster}, with
+    a shipping durability sink in place of the local one: the primary
     serves clients exactly as {!run} does, and every applied mutation
-    is also shipped (per-shard sequence numbers, go-back-N) over an
-    inter-machine link to a backup machine that applies it into its
-    own persistent store.  In [Sync] mode a mutation's reply is held
-    until the backup's cumulative ack covers it — an acked write then
-    survives the loss of the whole primary, not just a cache-line
-    crash — while [Async] mode replies after the local persist and
-    bounds the backup's lag by the shipping window.
+    is also shipped (per-shard sequence numbers, go-back-N) inside its
+    shard lock over an inter-machine link to a backup machine that
+    applies it into its own persistent store — at [batch_window > 1]
+    one doorbell frame per commit-group chunk.  In [Sync] mode a
+    mutation's reply is held until the backup's cumulative ack covers
+    it — an acked write then survives the loss of the whole primary,
+    not just a cache-line crash — while [Async] mode replies after the
+    local persist and bounds the backup's lag by the shipping window.
+    Only the set-up (a cluster plus pump and applier threads) and the
+    crash epilogue (promote instead of re-attach) differ from {!run}.
 
     Crash model: at the cut the primary machine is lost outright
     ([`Strict] device wipe); instead of re-attaching it, the backup
@@ -165,7 +173,9 @@ val run :
     promote makespan is the failover RTO ([base.rto_ns]), directly
     comparable with {!run}'s replay-on-restart RTO under the same
     traffic and seed; the ledger of acked mutations is verified
-    against the {e backup}. *)
+    against the {e backup}.  The serving gauges ([mvcc_*], [rcache_*],
+    [tcache_*]) always describe the primary, the store that served
+    the traffic, as in {!run}. *)
 
 type repl_config = {
   repl_mode : Replica.mode;

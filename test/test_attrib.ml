@@ -1,8 +1,8 @@
 (* Distributed tracing + latency attribution: span-store bounds, the
    causal integrity of span trees shipped across the replication wire
-   (including under seeded drop/dup faults), the budget's coverage of
-   measured end-to-end latency, and bit-for-bit determinism of the
-   whole attribution report across same-seed runs. *)
+   (including under seeded drop/dup faults and batched shipping), the
+   budget's coverage of measured end-to-end latency, and bit-for-bit
+   determinism of the whole attribution report across same-seed runs. *)
 
 module S = Service.Server
 module Span = Obs.Span
@@ -139,6 +139,45 @@ let test_span_tree_integrity_under_faults () =
   Obs.Trace.clear ();
   Span.clear ()
 
+(* ---------- batched records keep their request's context ---------- *)
+
+(* At batch window 4 a group member's record ships with its trace and
+   store span, and a piggybacked transaction's records with its trace
+   and txn span: the backup's wire hop and apply show up as detail
+   stages, each hop hanging off the span that shipped it. *)
+let test_batched_records_traced () =
+  Span.clear ();
+  Span.start ();
+  ignore
+    (run_replicated
+       { (repl_cfg "test/attrib/batched") with
+         S.batch_window = 4;
+         txn_pct = 20;
+         read_pct = 30 });
+  let rep = Attrib.analyze () in
+  let detail stage =
+    List.exists
+      (fun (row : Attrib.stage_row) -> row.Attrib.stage = stage)
+      rep.Attrib.detail
+  in
+  check "repl_wire detail stage" true (detail Span.Repl_wire);
+  check "backup_apply detail stage" true (detail Span.Backup_apply);
+  let stage_of = Hashtbl.create 4096 in
+  Span.iter (fun ~id ~trace:_ ~parent:_ ~stage ~t0:_ ~t1:_ ~mach:_ ~tid:_ ->
+      Hashtbl.replace stage_of id stage);
+  let hops = ref 0 and stray = ref 0 in
+  Span.iter (fun ~id:_ ~trace:_ ~parent ~stage ~t0:_ ~t1:_ ~mach:_ ~tid:_ ->
+      if stage = Span.Repl_wire then begin
+        incr hops;
+        match Hashtbl.find_opt stage_of parent with
+        | Some (Span.Store | Span.Txn) -> ()
+        | _ -> incr stray
+      end);
+  check "wire hops recorded" true (!hops > 0);
+  check_int "every hop hangs off its store or txn span" 0 !stray;
+  check_int "no spans dropped" 0 rep.Attrib.span_dropped;
+  Span.clear ()
+
 (* ---------- the budget explains the measured latency ---------- *)
 
 let test_budget_covers_e2e () =
@@ -200,7 +239,9 @@ let () =
             test_span_store_bounds ] );
       ( "causality",
         [ Alcotest.test_case "span trees + flow links survive a lossy wire"
-            `Quick test_span_tree_integrity_under_faults ] );
+            `Quick test_span_tree_integrity_under_faults;
+          Alcotest.test_case "batched records keep their trace" `Quick
+            test_batched_records_traced ] );
       ( "budget",
         [ Alcotest.test_case "stages explain >= 90% of measured latency"
             `Quick test_budget_covers_e2e ] );

@@ -1,7 +1,8 @@
 (* poseidon-kv service layer: shard routing, the intent-slot
    durability protocol, the open-loop server under clean / overloaded /
-   crashing traffic, and a bounded crashcheck sweep of the KV write
-   path. *)
+   crashing traffic, the one serving loop across every durability sink,
+   batch window and crash mode (and which path each knob selects), and
+   a bounded crashcheck sweep of the KV write path. *)
 
 module S = Service.Server
 module Kv = Service.Kv
@@ -134,6 +135,135 @@ let test_backpressure_sheds () =
     (r.S.goodput < 2_000_000. /. 2.);
   check_int "shedding loses no acked write" 0 r.S.ledger.S.mismatches
 
+(* ---------- one serving loop: sink x window x crash ---------- *)
+
+type sink = Local | Async | Sync
+
+let sink_name = function Local -> "local" | Async -> "async" | Sync -> "sync"
+
+(* a run through [S.run] (Local) or [S.run_replicated]; the second
+   component is the backup ledger of a replicated run *)
+let serve_on sink cfg =
+  match sink with
+  | Local -> (serve cfg, None)
+  | Async | Sync ->
+    let r =
+      S.run_replicated
+        ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+        cfg
+        { S.default_repl_config with
+          S.repl_mode = (if sink = Sync then Replica.Sync else Replica.Async) }
+    in
+    (r.S.base, Some r.S.backup_ledger)
+
+(* [f ()] with the span store on; also returns whether each stage
+   recorded a closed span *)
+let traced f =
+  Obs.Span.clear ();
+  Obs.Span.start ();
+  let r = f () in
+  let seen = Hashtbl.create 16 in
+  Obs.Span.iter (fun ~id:_ ~trace:_ ~parent:_ ~stage ~t0:_ ~t1:_ ~mach:_ ~tid:_ ->
+      Hashtbl.replace seen stage ());
+  Obs.Span.clear ();
+  (r, Hashtbl.mem seen)
+
+let gauge ~scope name = Obs.Metrics.get_gauge ~scope name
+
+let tier_gauges =
+  [ "tcache_hits"; "tcache_misses"; "tcache_bin_refills"; "tcache_bin_flushes";
+    "rcache_hits"; "rcache_misses"; "rcache_evictions"; "rcache_invalidations" ]
+
+(* Every axis the loop branches on, with every DRAM tier armed: each
+   run keeps every acked write, and the sync group path is the only
+   one that waits on a covering flush *)
+let test_loop_table () =
+  List.iter
+    (fun sink ->
+      List.iter
+        (fun window ->
+          List.iter
+            (fun crash_at ->
+              let name =
+                Printf.sprintf "%s w%d %s" (sink_name sink) window
+                  (if crash_at = None then "clean" else "crash")
+              in
+              let scope = "test/service/loop/" ^ name in
+              let cfg =
+                { base_cfg with
+                  S.txn_pct = 10;
+                  mvcc_window = 8;
+                  tcache_mag = 4;
+                  rcache_entries = 64;
+                  batch_window = window;
+                  crash_at;
+                  scope }
+              in
+              let (r, backup), saw = traced (fun () -> serve_on sink cfg) in
+              check_int (name ^ ": no acked write lost") 0 r.S.ledger.S.mismatches;
+              check (name ^ ": mutations acked") true (r.S.acked_mutations > 0);
+              check (name ^ ": crash as configured") (crash_at <> None) r.S.crashed;
+              (match backup with
+               | Some (Some l) ->
+                 check_int (name ^ ": backup ledger clean") 0 l.S.mismatches
+               | Some None ->
+                 check (name ^ ": backup ledger on clean runs") true
+                   (crash_at <> None)
+               | None -> ());
+              check (name ^ ": flush_wait only on the sync group path")
+                (sink = Sync && window > 1)
+                (saw Obs.Span.Flush_wait);
+              check (name ^ ": snapshot reads") true (saw Obs.Span.Snapshot);
+              List.iter
+                (fun g ->
+                  check (name ^ ": publishes " ^ g) true (gauge ~scope g <> None))
+                tier_gauges)
+            [ None; Some 0.5 ])
+        [ 1; 4 ])
+    [ Local; Async; Sync ]
+
+(* the knobs' off positions select the plain paths: mvcc 0 reads under
+   the shard lock, tcache 0 and rcache 0 arm no cache and so publish
+   none of its gauges *)
+let test_tiers_off_paths () =
+  List.iter
+    (fun sink ->
+      let scope = "test/service/tiers-off/" ^ sink_name sink in
+      let cfg = { base_cfg with S.txn_pct = 10; scope } in
+      let (r, _), saw = traced (fun () -> serve_on sink cfg) in
+      check "requests completed" true (r.S.completed > 0);
+      check "reads served" true (r.S.read_latency.S.samples > 0);
+      check "mvcc 0: no snapshot span" false (saw Obs.Span.Snapshot);
+      check "mvcc 0: reads wait for the shard lock" true
+        (saw Obs.Span.Lock_wait);
+      List.iter
+        (fun g -> check ("tiers off: no " ^ g) true (gauge ~scope g = None))
+        tier_gauges)
+    [ Local; Sync ]
+
+(* A replicated crash run publishes the serving gauges of the primary,
+   the store that served the traffic, as a local crash run does — not
+   of the promoted backup, whose only reads were the ledger check. *)
+let test_repl_crash_gauges_from_primary () =
+  let scope = "test/service/repl-crash-gauges" in
+  let r, _ =
+    serve_on Sync
+      { base_cfg with
+        S.read_pct = 80;
+        scan_pct = 0;
+        mvcc_window = 8;
+        rcache_entries = 64;
+        crash_at = Some 0.5;
+        scope }
+  in
+  let gauge name = Option.value ~default:0. (gauge ~scope name) in
+  check "crashed" true r.S.crashed;
+  check "cached reads hit" true (gauge "rcache_hits" > 0.);
+  check "writes invalidated cached entries" true
+    (gauge "rcache_invalidations" > 0.);
+  check "the ledger check's reads are not counted" true
+    (gauge "rcache_misses" < float_of_int r.S.ledger.S.checked)
+
 (* ---------- crashcheck sweep of the KV write path ---------- *)
 
 let test_crashcheck_kv () =
@@ -161,7 +291,13 @@ let () =
           Alcotest.test_case "crash run: recovery + nonzero RTO" `Quick
             test_crash_run;
           Alcotest.test_case "overload sheds instead of deadlocking" `Quick
-            test_backpressure_sheds ] );
+            test_backpressure_sheds;
+          Alcotest.test_case "sink x window x crash, tiers armed" `Quick
+            test_loop_table;
+          Alcotest.test_case "tiers off select the plain paths" `Quick
+            test_tiers_off_paths;
+          Alcotest.test_case "replicated crash gauges: primary" `Quick
+            test_repl_crash_gauges_from_primary ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv scenarios: bounded sweep clean" `Quick
             test_crashcheck_kv ] ) ]
