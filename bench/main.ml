@@ -7,7 +7,12 @@
     suite finishes in a few minutes; [--full] approaches paper-scale
     parameters.  Throughput numbers are simulated-machine throughput
     (see lib/machine); the shapes, orderings and crossovers are the
-    reproduction targets, not the absolute values. *)
+    reproduction targets, not the absolute values.
+
+    [--suite NAME] runs one named suite instead (the serving tiers,
+    and a smoke run).  Every run ends by writing one
+    [BENCH_<suite>.json] snapshot ({!Obs.Bench}) holding the suite's
+    runs and declared gates, then exits 1 if any gate failed. *)
 
 module Tablefmt = Repro_util.Tablefmt
 
@@ -16,7 +21,6 @@ let full = ref false
 let figures = ref []
 let ablations = ref []
 let run_bechamel = ref false
-let smoke = ref false
 let suite = ref ""
 let json_out = ref ""
 
@@ -548,6 +552,19 @@ let bechamel_suite () =
     ols;
   print_newline ()
 
+(* ---------- BENCH runs ---------- *)
+
+module J = Obs.Json
+
+let num i = J.Num (float_of_int i)
+
+(* Every run the suite makes, newest first; the driver writes them,
+   with the suite's gates, into its BENCH_<suite>.json snapshot. *)
+let runs = ref []
+
+let add_run ?extra ~label ~config result =
+  runs := Obs.Bench.run ?extra ~label ~config result :: !runs
+
 (* ---------- smoke suite ---------- *)
 
 (* A minute-scale sanity run: the 256 B microbenchmark on every
@@ -556,21 +573,68 @@ let bechamel_suite () =
 let smoke_suite () =
   note "";
   note "### Smoke: 256 B microbenchmark, all allocators";
+  let size = 256 and total_ops = 4_000 in
   List.iter
     (fun threads ->
       List.iter
         (fun (f : Workloads.Factories.factory) ->
           let mops =
-            Workloads.Microbench.run ~factory:f ~size:256 ~threads
-              ~total_ops:4_000 ()
+            Workloads.Microbench.run ~factory:f ~size ~threads ~total_ops ()
           in
-          ignore
-            (record ~title:"smoke micro 256B" ~name:f.name ~threads
-               ~unit:"Mops/s" mops);
+          add_run
+            ~label:(Printf.sprintf "%s-%dt" f.name threads)
+            ~config:
+              (J.Obj
+                 [ ("allocator", J.Str f.name); ("threads", num threads);
+                   ("size", num size); ("total_ops", num total_ops) ])
+            (J.Obj [ ("mops", J.Num mops) ]);
           note "  %-12s %2d threads  %8.3f Mops/s" f.name threads mops)
         (factories ()))
     [ 1; 4 ];
-  print_newline ()
+  print_newline ();
+  []
+
+(* ---------- serving suites: shared scaffolding ---------- *)
+
+module S = Service.Server
+
+let make () = (Workloads.Factories.poseidon ()).Workloads.Factories.make ()
+
+let reattach mach =
+  Poseidon.instance
+    (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
+
+(* The load every serving suite starts from — 4 shards and 32 clients
+   over 4096 keys of 128 B values, 64-deep shard queues — each suite
+   overrides what it measures. *)
+let base () =
+  { S.default_config with
+    S.clients = 32;
+    duration = (if !full then 0.05 else 0.02) }
+
+(* a run's label also names its metrics scope *)
+let scope label = Printf.sprintf "bench/%s/%s" !suite label
+
+(* One serving run, recorded as a BENCH run; [extra] is called after
+   the run and adds its fields to the recorded run. *)
+let run_one ?(extra = Fun.const []) label cfg =
+  let cfg = { cfg with S.scope = scope label } in
+  let r = S.run ~make ~reattach cfg in
+  add_run ~extra:(extra ()) ~label ~config:(S.config_json cfg)
+    (S.result_json r);
+  r
+
+(* The same on a primary/backup cluster. *)
+let run_repl ?(extra = Fun.const []) label cfg rcfg =
+  let cfg = { cfg with S.scope = scope label } in
+  let rr =
+    S.run_replicated ~make:Workloads.Factories.poseidon_on cfg rcfg
+  in
+  add_run ~extra:(extra ()) ~label ~config:(S.config_json cfg)
+    (S.result_json ~repl:rr rr.S.base);
+  rr
+
+let gate = Obs.Bench.gate
 
 (* ---------- service suite: poseidon-kv end-to-end ---------- *)
 
@@ -582,30 +646,7 @@ let service_suite () =
   note "### Service: poseidon-kv under open-loop simulated traffic";
   note "(throughput vs goodput per offered rate — the top rate is past";
   note " saturation, so admission control sheds; then a crash run with RTO)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  let base rate scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      queue_capacity = 32;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
+  let base () = { (base ()) with S.queue_capacity = 32 } in
   let table =
     Tablefmt.create ~title:"poseidon-kv: offered-rate sweep (4 shards)"
       ~columns:
@@ -615,9 +656,7 @@ let service_suite () =
   List.iter
     (fun rate ->
       let r =
-        run_one
-          (Printf.sprintf "rate-%.0f" rate)
-          (base rate (Printf.sprintf "bench/service/rate%.0f" rate))
+        run_one (Printf.sprintf "rate-%.0f" rate) { (base ()) with S.rate }
       in
       Tablefmt.add_row table
         (Printf.sprintf "%.0f" rate)
@@ -629,19 +668,12 @@ let service_suite () =
           string_of_int r.S.latency.S.p999 ])
     [ 20_000.; 50_000.; 100_000.; 2_000_000. ];
   Tablefmt.print table;
-  let r =
-    run_one "crash"
-      { (base 50_000. "bench/service/crash") with S.crash_at = Some 0.5 }
-  in
+  let r = run_one "crash" { (base ()) with S.crash_at = Some 0.5 } in
   note
     "  crash run: RTO %d ns; ledger %d checked, %d ambiguous, %d mismatch(es)"
     r.S.rto_ns r.S.ledger.S.checked r.S.ledger.S.ambiguous
     r.S.ledger.S.mismatches;
-  if r.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf "bench service: LEDGER MISMATCH — acked writes lost\n";
-    exit 1
-  end;
-  List.rev !runs
+  []
 
 (* ---------- replication suite: primary/backup on two machines ---------- *)
 
@@ -657,33 +689,11 @@ let replication_suite () =
   note "### Replication: primary/backup log shipping, two-machine cluster";
   note "(sync vs async latency tax under identical zipfian traffic, then";
   note " promote-on-failover RTO vs replay-on-restart RTO, same seed)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 50_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 20;
-      queue_capacity = 32;
-      scope }
-  in
-  let make mach = Workloads.Factories.poseidon_on mach in
-  let runs = ref [] in
-  let repl label cfg rcfg =
-    let rr = S.run_replicated ~make cfg rcfg in
-    runs := (label, cfg, rr.S.base, Some rr) :: !runs;
-    rr
-  in
+  let base () = { (base ()) with S.read_pct = 20; queue_capacity = 32 } in
   let sync_rcfg = S.default_repl_config in
   let async_rcfg = { S.default_repl_config with S.repl_mode = Replica.Async } in
-  let sync_r = repl "sync-clean" (base "bench/replication/sync") sync_rcfg in
-  let async_r =
-    repl "async-clean" (base "bench/replication/async") async_rcfg
-  in
+  let sync_r = run_repl "sync-clean" (base ()) sync_rcfg in
+  let async_r = run_repl "async-clean" (base ()) async_rcfg in
   let table =
     Tablefmt.create ~title:"poseidon-kv replicated: sync vs async (4 shards)"
       ~columns:
@@ -705,42 +715,20 @@ let replication_suite () =
   note "  sync latency tax: p50 +%d ns, p99 +%d ns over async"
     (sync_r.S.base.S.latency.S.p50 - async_r.S.base.S.latency.S.p50)
     (sync_r.S.base.S.latency.S.p99 - async_r.S.base.S.latency.S.p99);
-  let failover =
-    repl "sync-failover"
-      { (base "bench/replication/failover") with S.crash_at = Some 0.5 }
-      sync_rcfg
-  in
-  let restart =
-    let cfg =
-      { (base "bench/replication/restart") with S.crash_at = Some 0.5 }
-    in
-    let r =
-      S.run
-        ~make:(fun () -> factory.Workloads.Factories.make ())
-        ~reattach:(fun mach ->
-          Poseidon.instance
-            (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ()))
-        cfg
-    in
-    runs := ("restart-replay", cfg, r, None) :: !runs;
-    r
-  in
+  let crashed = { (base ()) with S.crash_at = Some 0.5 } in
+  let failover = run_repl "sync-failover" crashed sync_rcfg in
+  let restart = run_one "restart-replay" crashed in
+  let promote_rto = failover.S.base.S.rto_ns in
   note
     "  RTO: promote backup %d ns (%d tail record(s) replayed)  vs  \
      replay-on-restart %d ns"
-    failover.S.base.S.rto_ns failover.S.tail_replayed restart.S.rto_ns;
+    promote_rto failover.S.tail_replayed restart.S.rto_ns;
   note "  failover ledger: %d checked, %d ambiguous, %d mismatch(es)"
     failover.S.base.S.ledger.S.checked failover.S.base.S.ledger.S.ambiguous
     failover.S.base.S.ledger.S.mismatches;
-  if failover.S.base.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf
-      "bench replication: LEDGER MISMATCH — sync-acked writes lost in \
-       failover\n";
-    exit 1
-  end;
-  if failover.S.base.S.rto_ns >= restart.S.rto_ns then
-    note "  WARNING: promote RTO did not beat replay-on-restart RTO";
-  List.rev !runs
+  [ gate "promote_rto_lt_replay_rto" ~value:(num promote_rto)
+      ~bound:(num restart.S.rto_ns)
+      (promote_rto < restart.S.rto_ns) ]
 
 (* ---------- batch suite: group commit + pipelined persistence ---------- *)
 
@@ -752,41 +740,18 @@ let replication_suite () =
    consecutive queued mutations — so batched sync should land within
    ~2x of async p50 at the same offered load, where unbatched sync
    drowns.  The sweep runs async and sync at identical rate/seed across
-   batch windows; the exit gate demands some window make the 2x bar. *)
+   batch windows; the gate demands some window make the 2x bar. *)
 let batch_suite () =
   note "";
   note "### Group commit: batched sync vs async at identical offered load";
   note "(one flush + one ack wait per group; window 1 = the unbatched path)";
-  let module S = Service.Server in
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 400_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 20;
-      queue_capacity = 64;
-      scope }
-  in
-  let make mach = Workloads.Factories.poseidon_on mach in
-  let runs = ref [] in
   let repl label window mode =
-    let cfg =
-      { (base ("bench/batch/" ^ label)) with S.batch_window = window }
-    in
-    let rcfg =
+    run_repl label
+      { (base ()) with
+        S.rate = 400_000.;
+        read_pct = 20;
+        batch_window = window }
       { S.default_repl_config with S.repl_mode = mode; wire_ns = 5_000 }
-    in
-    let rr = S.run_replicated ~make cfg rcfg in
-    (match rr.S.backup_ledger with
-     | Some l when l.S.mismatches > 0 ->
-       Printf.eprintf "bench batch: BACKUP MISMATCH in %s\n" label;
-       exit 1
-     | _ -> ());
-    runs := (label, window, cfg, rr) :: !runs;
-    rr
   in
   let async_r = repl "async" 1 Replica.Async in
   let windows = [ 1; 4; 8; 16; 32 ] in
@@ -826,14 +791,9 @@ let batch_suite () =
   note "  async p50 %d ns; best sync p50 %d ns at window %d (%.2fx async)"
     async_p50 best_p50 best_w
     (float_of_int best_p50 /. float_of_int (max 1 async_p50));
-  if best_p50 > 2 * async_p50 then begin
-    Printf.eprintf
-      "bench batch: GATE FAILED — best sync p50 %d ns > 2x async p50 %d ns \
-       at every batch window\n"
-      best_p50 async_p50;
-    exit 1
-  end;
-  (List.rev !runs, async_p50, best_w, best_p50)
+  [ gate "best_sync_p50_le_2x_async" ~value:(num best_p50)
+      ~bound:(num (2 * async_p50))
+      (best_p50 <= 2 * async_p50) ]
 
 (* ---------- mvcc suite: lock-free snapshot reads ---------- *)
 
@@ -850,73 +810,6 @@ let mvcc_suite () =
   note "";
   note "### MVCC: lock-free snapshot reads vs the locked read path";
   note "(same offered load across read mixes; window 0 = plain path)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  let base ~rate ~read ~scan ~window scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = read;
-      scan_pct = scan;
-      delete_pct = 0;
-      queue_capacity = 64;
-      mvcc_window = window;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench mvcc: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  (* saturating rate: the throughput comparison needs headroom to show *)
-  let hot = 2_000_000. and warm = 50_000. in
-  let write_all =
-    run_one "write-all"
-      (base ~rate:hot ~read:0 ~scan:0 ~window:8 "bench/mvcc/write-all")
-  in
-  let _ =
-    run_one "mix-50"
-      (base ~rate:hot ~read:50 ~scan:0 ~window:8 "bench/mvcc/mix-50")
-  in
-  let read95 =
-    run_one "read-95"
-      (base ~rate:hot ~read:95 ~scan:0 ~window:8 "bench/mvcc/read-95")
-  in
-  (* the overhead pair runs below saturation so read p50 measures the
-     path, not the queue *)
-  let plain_warm =
-    run_one "read-95-plain"
-      (base ~rate:warm ~read:95 ~scan:0 ~window:0 "bench/mvcc/read-95-plain")
-  in
-  let snap_warm =
-    run_one "read-95-snap"
-      (base ~rate:warm ~read:95 ~scan:0 ~window:8 "bench/mvcc/read-95-snap")
-  in
-  let _ =
-    run_one "scan-heavy"
-      (base ~rate:warm ~read:30 ~scan:50 ~window:8 "bench/mvcc/scan-heavy")
-  in
-  let crash =
-    run_one "crash"
-      { (base ~rate:warm ~read:60 ~scan:10 ~window:8 "bench/mvcc/crash") with
-        S.crash_at = Some 0.5 }
-  in
-  note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
-    crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
   let table =
     Tablefmt.create
       ~title:"poseidon-kv MVCC read path (4 shards, window 8 vs plain)"
@@ -924,16 +817,41 @@ let mvcc_suite () =
         [ "run"; "window"; "goodput"; "shed"; "read p50"; "write p50";
           "scan p50" ]
   in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result)) ->
-      Tablefmt.add_row table label
-        [ string_of_int cfg.S.mvcc_window;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.shed;
-          string_of_int r.S.read_latency.S.p50;
-          string_of_int r.S.write_latency.S.p50;
-          string_of_int r.S.scan_latency.S.p50 ])
-    (List.rev !runs);
+  let run ?crash_at label ~rate ~read ~scan ~window =
+    let r =
+      run_one label
+        { (base ()) with
+          S.rate;
+          read_pct = read;
+          scan_pct = scan;
+          delete_pct = 0;
+          mvcc_window = window;
+          crash_at }
+    in
+    Tablefmt.add_row table label
+      [ string_of_int window;
+        Printf.sprintf "%.0f" r.S.goodput;
+        string_of_int r.S.shed;
+        string_of_int r.S.read_latency.S.p50;
+        string_of_int r.S.write_latency.S.p50;
+        string_of_int r.S.scan_latency.S.p50 ];
+    r
+  in
+  (* saturating rate: the throughput comparison needs headroom to show *)
+  let hot = 2_000_000. and warm = 50_000. in
+  let write_all = run "write-all" ~rate:hot ~read:0 ~scan:0 ~window:8 in
+  let _ = run "mix-50" ~rate:hot ~read:50 ~scan:0 ~window:8 in
+  let read95 = run "read-95" ~rate:hot ~read:95 ~scan:0 ~window:8 in
+  (* the overhead pair runs below saturation so read p50 measures the
+     path, not the queue *)
+  let plain_warm = run "read-95-plain" ~rate:warm ~read:95 ~scan:0 ~window:0 in
+  let snap_warm = run "read-95-snap" ~rate:warm ~read:95 ~scan:0 ~window:8 in
+  let _ = run "scan-heavy" ~rate:warm ~read:30 ~scan:50 ~window:8 in
+  let crash =
+    run "crash" ~crash_at:0.5 ~rate:warm ~read:60 ~scan:10 ~window:8
+  in
+  note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
+    crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
   Tablefmt.print table;
   let plain_p50 = plain_warm.S.read_latency.S.p50
   and snap_p50 = snap_warm.S.read_latency.S.p50 in
@@ -942,55 +860,38 @@ let mvcc_suite () =
     (float_of_int snap_p50 /. float_of_int (max 1 plain_p50));
   note "  all-write throughput %.0f; 95%%-read throughput %.0f (shed %d vs %d)"
     write_all.S.throughput read95.S.throughput read95.S.shed write_all.S.shed;
-  if 4 * snap_p50 > 5 * plain_p50 then begin
-    Printf.eprintf
-      "bench mvcc: GATE FAILED — snapshot read p50 %d ns > 1.25x plain \
-       read p50 %d ns\n"
-      snap_p50 plain_p50;
-    exit 1
-  end;
-  if
-    read95.S.throughput <= write_all.S.throughput
-    || read95.S.shed > write_all.S.shed
-  then begin
-    Printf.eprintf
-      "bench mvcc: GATE FAILED — 95%%-read mix (%.0f req/s, shed %d) does \
-       not beat the all-write baseline (%.0f req/s, shed %d)\n"
-      read95.S.throughput read95.S.shed write_all.S.throughput
-      write_all.S.shed;
-    exit 1
-  end;
-  (List.rev !runs, plain_p50, snap_p50, write_all, read95)
+  [ gate "snapshot_read_p50_le_1.25x_plain" ~value:(num snap_p50)
+      ~bound:(J.Num (1.25 *. float_of_int plain_p50))
+      (4 * snap_p50 <= 5 * plain_p50);
+    gate "read95_throughput_gt_write_all" ~value:(J.Num read95.S.throughput)
+      ~bound:(J.Num write_all.S.throughput)
+      (read95.S.throughput > write_all.S.throughput);
+    gate "read95_shed_le_write_all" ~value:(num read95.S.shed)
+      ~bound:(num write_all.S.shed)
+      (read95.S.shed <= write_all.S.shed) ]
 
 (* ---------- rcache suite: DRAM read-cache tier ---------- *)
 
 (* With a read cache armed, a hot zipfian read mix answers most gets
    from a DRAM probe instead of walking the persistent B+-tree and
    digesting the NVMM value block.  The skew sweep (theta 0.6 / 0.9 /
-   1.1, 8192 entries/shard, warm rate) shows the hit-rate gradient;
-   the gate pair reruns the same 98%-read mix at theta 0.99 at a HOT
-   offered load, where the cheaper cached service time is the
-   difference between a shard queue that drains and one that builds —
-   cached read p50 must come in at or below 0.6x the uncached one —
-   and a crash run shows the volatile cache changes nothing about
-   recovery or the ledger. *)
+   1.1 at a warm rate) runs 1024 entries/shard, an eighth of each
+   shard's 8192 keys, so the cache must choose what to keep and the
+   hit rate has to rise with skew — a cache holding every key would
+   see only cold misses at every theta.  The gate pair reruns the same
+   98%-read mix at theta 0.99 with 8192 entries at a HOT offered load,
+   where the cheaper cached service time is the difference between a
+   shard queue that drains and one that builds — cached read p50 must
+   come in at or below 0.6x the uncached one — and a crash run shows
+   the volatile cache changes nothing about recovery or the ledger. *)
 let rcache_suite () =
   note "";
   note "### RCACHE: DRAM read-cache tier over the NVMM shards";
   note "(same 98%%-read mix across zipf skews; entries 0 = uncached path)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
   let base ?(rate = 600_000.) ?(duration = if !full then 0.08 else 0.06)
-      ~theta ~entries scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate;
+      ~theta ~entries () =
+    { (base ()) with
+      S.rate;
       duration;
       value_size = 512;
       (* every key present (absent keys return early and cache
@@ -1009,79 +910,70 @@ let rcache_suite () =
       read_pct = 98;
       scan_pct = 0;
       delete_pct = 0;
-      queue_capacity = 64;
       mvcc_window = 0;
-      rcache_entries = entries;
-      scope }
+      rcache_entries = entries }
   in
-  let hit_rate scope =
+  let hit_rate label =
     let g name =
-      match Obs.Metrics.get_gauge ~scope name with Some v -> v | None -> 0.
+      match Obs.Metrics.get_gauge ~scope:(scope label) name with
+      | Some v -> v
+      | None -> 0.
     in
     let hits = g "rcache_hits" and misses = g "rcache_misses" in
     if hits +. misses <= 0. then 0. else hits /. (hits +. misses)
   in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench rcache: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r, hit_rate cfg.S.scope) :: !runs;
+  let table =
+    Tablefmt.create
+      ~title:
+        "poseidon-kv DRAM read cache (4 shards, 98% reads, entries/shard \
+         as listed)"
+      ~columns:
+        [ "run"; "entries"; "zipf"; "goodput"; "hit rate"; "read p50";
+          "write p50" ]
+  in
+  let run label (cfg : S.config) =
+    let r =
+      run_one label cfg ~extra:(fun () ->
+          [ ("hit_rate", J.Num (hit_rate label)) ])
+    in
+    Tablefmt.add_row table label
+      [ string_of_int cfg.S.rcache_entries;
+        Printf.sprintf "%.2f" cfg.S.zipf_theta;
+        Printf.sprintf "%.0f" r.S.goodput;
+        Printf.sprintf "%.2f" (hit_rate label);
+        string_of_int r.S.read_latency.S.p50;
+        string_of_int r.S.write_latency.S.p50 ];
     r
   in
   (* the skew sweep runs below saturation so hit rate and read p50
      measure the path, not the queue *)
-  List.iter
-    (fun theta ->
-      let label = Printf.sprintf "zipf-%.1f" theta in
-      ignore
-        (run_one label
-           (base ~theta ~entries:8192
-              (Printf.sprintf "bench/rcache/%s" label))))
-    [ 0.6; 0.9; 1.1 ];
+  let sweep =
+    List.map
+      (fun theta ->
+        let label = Printf.sprintf "zipf-%.1f" theta in
+        ignore (run label (base ~theta ~entries:1024 ()));
+        hit_rate label)
+      [ 0.6; 0.9; 1.1 ]
+  in
   (* the gate pair runs HOT: at this offered load the uncached read
      path's service time backs the shard queues up, while cache hits
      keep them drained — the latency a read cache actually buys a
      loaded store *)
   let hot = 2_400_000. and hot_dur = 0.24 in
   let uncached =
-    run_one "hot-uncached"
-      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:0
-         "bench/rcache/hot-uncached")
+    run "hot-uncached"
+      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:0 ())
   in
   let cached =
-    run_one "hot-cached"
-      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:8192
-         "bench/rcache/hot-cached")
+    run "hot-cached"
+      (base ~rate:hot ~duration:hot_dur ~theta:0.99 ~entries:8192 ())
   in
   let crash =
-    run_one "crash"
-      { (base ~theta:0.99 ~entries:8192 "bench/rcache/crash") with
-        S.crash_at = Some 0.5 }
+    run "crash"
+      { (base ~theta:0.99 ~entries:8192 ()) with S.crash_at = Some 0.5 }
   in
   note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
     crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
-  let table =
-    Tablefmt.create
-      ~title:
-        "poseidon-kv DRAM read cache (4 shards, 98% reads, 8192 \
-         entries/shard vs none)"
-      ~columns:
-        [ "run"; "entries"; "zipf"; "goodput"; "hit rate"; "read p50";
-          "write p50" ]
-  in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result), hr) ->
-      Tablefmt.add_row table label
-        [ string_of_int cfg.S.rcache_entries;
-          Printf.sprintf "%.2f" cfg.S.zipf_theta;
-          Printf.sprintf "%.0f" r.S.goodput;
-          Printf.sprintf "%.2f" hr;
-          string_of_int r.S.read_latency.S.p50;
-          string_of_int r.S.write_latency.S.p50 ])
-    (List.rev !runs);
   Tablefmt.print table;
   let un_p50 = uncached.S.read_latency.S.p50
   and c_p50 = cached.S.read_latency.S.p50 in
@@ -1090,15 +982,17 @@ let rcache_suite () =
   note "  uncached read p50 %d ns; cached read p50 %d ns (%.2fx, hit rate %.2f)"
     un_p50 c_p50
     (float_of_int c_p50 /. float_of_int (max 1 un_p50))
-    (hit_rate "bench/rcache/hot-cached");
-  if 5 * c_p50 > 3 * un_p50 then begin
-    Printf.eprintf
-      "bench rcache: GATE FAILED — cached read p50 %d ns > 0.6x uncached \
-       read p50 %d ns\n"
-      c_p50 un_p50;
-    exit 1
-  end;
-  (List.rev !runs, un_p50, c_p50)
+    (hit_rate "hot-cached");
+  let rec rising = function
+    | a :: (b :: _ as rest) -> a < b && rising rest
+    | _ -> true
+  in
+  [ gate "cached_read_p50_le_0.6x_uncached" ~value:(num c_p50)
+      ~bound:(J.Num (0.6 *. float_of_int un_p50))
+      (5 * c_p50 <= 3 * un_p50);
+    gate "sweep_hit_rate_rises_with_skew"
+      ~value:(J.Arr (List.map (fun h -> J.Num h) sweep))
+      ~bound:(J.Str "strictly increasing") (rising sweep) ]
 
 (* ---------- alloc suite: DRAM magazine-cache fast path ---------- *)
 
@@ -1114,12 +1008,10 @@ let alloc_suite () =
   note "";
   note "### Allocation fast path: magazine cache vs raw allocator";
   note "(steady-state 64 B alloc/free mix, one simulated thread)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
   let mag = 8 in
   (* micro: per-op simulated ns, measured inside the simulation *)
   let micro ~cached =
-    let mach, raw = factory.Workloads.Factories.make () in
+    let mach, raw = make () in
     let inst = if cached then fst (Tcache.wrap ~mag raw) else raw in
     let n = scale 2000 in
     let window = 64 in
@@ -1151,6 +1043,17 @@ let alloc_suite () =
     let mean a =
       float_of_int (Array.fold_left ( + ) 0 a) /. float_of_int n
     in
+    let block a =
+      J.Obj
+        [ ("p50", num (p50 a)); ("mean", J.Num (mean a)); ("samples", num n) ]
+    in
+    add_run
+      ~label:(if cached then "micro-tcache" else "micro-raw")
+      ~config:
+        (J.Obj
+           [ ("tcache_mag", num (if cached then mag else 0));
+             ("size", num 64); ("ops", num n); ("live", num window) ])
+      (J.Obj [ ("alloc", block alloc_ns); ("free", block free_ns) ]);
     (p50 alloc_ns, mean alloc_ns, p50 free_ns, mean free_ns)
   in
   let raw_p50, raw_mean, raw_fp50, raw_fmean = micro ~cached:false in
@@ -1170,66 +1073,33 @@ let alloc_suite () =
   Tablefmt.print table;
   note "  alloc p50: %d ns raw -> %d ns cached (%.2fx)" raw_p50 tc_p50
     (float_of_int tc_p50 /. float_of_int (max 1 raw_p50));
-  if 4 * tc_p50 > 3 * raw_p50 then begin
-    Printf.eprintf
-      "bench alloc: GATE FAILED — cached alloc p50 %d ns is not 25%% below \
-       the raw p50 %d ns\n"
-      tc_p50 raw_p50;
-    exit 1
-  end;
   (* end-to-end: write-heavy serving, same seed, mag K vs mag 0 *)
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  let base ~tcache_mag scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 2_000_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 0;
-      scan_pct = 0;
-      delete_pct = 10;
-      queue_capacity = 64;
-      tcache_mag;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    if r.S.ledger.S.mismatches > 0 then begin
-      Printf.eprintf "bench alloc: LEDGER MISMATCH in %s\n" label;
-      exit 1
-    end;
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  let plain = run_one "serve-mag0" (base ~tcache_mag:0 "bench/alloc/mag0") in
-  let cached =
-    run_one "serve-tcache" (base ~tcache_mag:mag "bench/alloc/tcache")
-  in
-  let crash =
-    run_one "serve-tcache-crash"
-      { (base ~tcache_mag:mag "bench/alloc/crash") with
-        S.crash_at = Some 0.5 }
-  in
   let stable =
     Tablefmt.create
       ~title:"poseidon-kv write-heavy serving (4 shards, saturating)"
       ~columns:[ "run"; "mag"; "goodput"; "write p50"; "write p99" ]
   in
-  List.iter
-    (fun (label, (cfg : S.config), (r : S.result)) ->
-      Tablefmt.add_row stable label
-        [ string_of_int cfg.S.tcache_mag;
-          Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.write_latency.S.p50;
-          string_of_int r.S.write_latency.S.p99 ])
-    (List.rev !runs);
+  let run ?crash_at label ~tcache_mag =
+    let r =
+      run_one label
+        { (base ()) with
+          S.rate = 2_000_000.;
+          read_pct = 0;
+          scan_pct = 0;
+          delete_pct = 10;
+          tcache_mag;
+          crash_at }
+    in
+    Tablefmt.add_row stable label
+      [ string_of_int tcache_mag;
+        Printf.sprintf "%.0f" r.S.goodput;
+        string_of_int r.S.write_latency.S.p50;
+        string_of_int r.S.write_latency.S.p99 ];
+    r
+  in
+  let plain = run "serve-mag0" ~tcache_mag:0 in
+  let cached = run "serve-tcache" ~tcache_mag:mag in
+  let crash = run "serve-tcache-crash" ~crash_at:0.5 ~tcache_mag:mag in
   Tablefmt.print stable;
   note "  crash run: RTO %d ns; ledger %d checked, %d mismatch(es)"
     crash.S.rto_ns crash.S.ledger.S.checked crash.S.ledger.S.mismatches;
@@ -1238,14 +1108,11 @@ let alloc_suite () =
   note "  serve write p50: %d ns mag 0 -> %d ns mag %d (%.2fx)" plain_w50
     tc_w50 mag
     (float_of_int tc_w50 /. float_of_int (max 1 plain_w50));
-  if tc_w50 >= plain_w50 then begin
-    Printf.eprintf
-      "bench alloc: GATE FAILED — cached serve write p50 %d ns does not \
-       beat the mag-0 write p50 %d ns\n"
-      tc_w50 plain_w50;
-    exit 1
-  end;
-  (List.rev !runs, (raw_p50, raw_mean, tc_p50, tc_mean), (plain_w50, tc_w50))
+  [ gate "tcache_alloc_p50_le_0.75x_raw" ~value:(num tc_p50)
+      ~bound:(J.Num (0.75 *. float_of_int raw_p50))
+      (4 * tc_p50 <= 3 * raw_p50);
+    gate "tcache_write_p50_lt_mag0" ~value:(num tc_w50) ~bound:(num plain_w50)
+      (tc_w50 < plain_w50) ]
 
 (* ---------- txn suite: cross-shard 2PC transactions ---------- *)
 
@@ -1261,34 +1128,7 @@ let txn_suite () =
   note "(single-op baseline vs transactional mixes, same seed and rate:";
   note " abort rate and the commit-latency tax of the coordinator-record";
   note " protocol; then a crash run — atomicity must survive recovery)";
-  let module S = Service.Server in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 50_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      queue_capacity = 64;
-      scope }
-  in
-  let runs = ref [] in
-  let run_one label cfg =
-    let r = S.run ~make ~reattach cfg in
-    runs := (label, cfg, r) :: !runs;
-    r
-  in
-  let baseline = run_one "baseline" (base "bench/txn/baseline") in
-  let mixes =
-    [ ("txn25-2op", 25, 2); ("txn25-4op", 25, 4); ("txn100-4op", 100, 4) ]
-  in
+  let baseline = run_one "baseline" (base ()) in
   let table =
     Tablefmt.create ~title:"poseidon-kv: transactional mixes (4 shards)"
       ~columns:
@@ -1299,40 +1139,39 @@ let txn_suite () =
     [ Printf.sprintf "%.0f" baseline.S.goodput; "-"; "-"; "-";
       string_of_int baseline.S.latency.S.p50;
       string_of_int baseline.S.latency.S.p99 ];
-  List.iter
-    (fun (label, pct, ops) ->
-      let cfg = { (base ("bench/txn/" ^ label)) with S.txn_pct = pct; txn_ops = ops } in
-      let cfg =
-        if pct = 100 then
-          { cfg with S.read_pct = 0; delete_pct = 0; scan_pct = 0 }
-        else cfg
-      in
-      let r = run_one label cfg in
-      let attempts = r.S.txns_committed + r.S.txns_aborted in
-      Tablefmt.add_row table label
-        [ Printf.sprintf "%.0f" r.S.goodput;
-          string_of_int r.S.txns_committed;
-          string_of_int r.S.txns_aborted;
-          Printf.sprintf "%.1f"
-            (100.0 *. float_of_int r.S.txns_aborted
-            /. Float.max 1.0 (float_of_int attempts));
-          string_of_int r.S.txn_latency.S.p50;
-          string_of_int r.S.txn_latency.S.p99 ])
-    mixes;
+  let mixes =
+    List.map
+      (fun (label, pct, ops) ->
+        let cfg = { (base ()) with S.txn_pct = pct; txn_ops = ops } in
+        let cfg =
+          if pct = 100 then
+            { cfg with S.read_pct = 0; delete_pct = 0; scan_pct = 0 }
+          else cfg
+        in
+        let r = run_one label cfg in
+        let attempts = r.S.txns_committed + r.S.txns_aborted in
+        Tablefmt.add_row table label
+          [ Printf.sprintf "%.0f" r.S.goodput;
+            string_of_int r.S.txns_committed;
+            string_of_int r.S.txns_aborted;
+            Printf.sprintf "%.1f"
+              (100.0 *. float_of_int r.S.txns_aborted
+              /. Float.max 1.0 (float_of_int attempts));
+            string_of_int r.S.txn_latency.S.p50;
+            string_of_int r.S.txn_latency.S.p99 ];
+        (label, r))
+      [ ("txn25-2op", 25, 2); ("txn25-4op", 25, 4); ("txn100-4op", 100, 4) ]
+  in
   Tablefmt.print table;
-  (match List.assoc_opt "txn25-2op" (List.map (fun (l, _, r) -> (l, r)) !runs)
-   with
-  | Some r when r.S.txn_latency.S.samples > 0 ->
-    note "  2PC tax (25%% mix, 2 ops): txn p50 %d ns vs baseline single-op \
-          p50 %d ns"
-      r.S.txn_latency.S.p50 baseline.S.latency.S.p50
-  | _ -> ());
+  (match List.assoc_opt "txn25-2op" mixes with
+   | Some r when r.S.txn_latency.S.samples > 0 ->
+     note "  2PC tax (25%% mix, 2 ops): txn p50 %d ns vs baseline single-op \
+           p50 %d ns"
+       r.S.txn_latency.S.p50 baseline.S.latency.S.p50
+   | _ -> ());
   let crash =
     run_one "crash"
-      { (base "bench/txn/crash") with
-        S.txn_pct = 25;
-        txn_ops = 3;
-        crash_at = Some 0.5 }
+      { (base ()) with S.txn_pct = 25; txn_ops = 3; crash_at = Some 0.5 }
   in
   note
     "  crash run: %d committed / %d aborted before+after; RTO %d ns; ledger \
@@ -1340,13 +1179,7 @@ let txn_suite () =
     crash.S.txns_committed crash.S.txns_aborted crash.S.rto_ns
     crash.S.ledger.S.checked crash.S.ledger.S.ambiguous
     crash.S.ledger.S.mismatches;
-  if crash.S.ledger.S.mismatches > 0 then begin
-    Printf.eprintf
-      "bench txn: LEDGER MISMATCH — transaction atomicity violated across \
-       crash\n";
-    exit 1
-  end;
-  List.rev !runs
+  []
 
 (* ---------- attrib suite: where does the time go? ---------- *)
 
@@ -1366,28 +1199,10 @@ let attrib_suite () =
   note "### Attribution: per-stage latency budgets (where does the time go?)";
   note "(same seed and offered load, five configurations; span trees name";
   note " the dominant stage of each one's critical path)";
-  let module S = Service.Server in
   let module A = Obs.Attrib in
-  let factory = Workloads.Factories.poseidon () in
-  let make () = factory.Workloads.Factories.make () in
-  let reattach mach =
-    Poseidon.instance
-      (Poseidon.Heap.attach mach ~base:Workloads.Factories.heap_base ())
-  in
   (* below saturation: attribution should explain service time, not
      admission queueing (that regime is the service suite's job) *)
-  let base scope =
-    { S.default_config with
-      S.shards = 4;
-      clients = 32;
-      rate = 20_000.;
-      duration = (if !full then 0.05 else 0.02);
-      value_size = 128;
-      keyspace = 4096;
-      read_pct = 20;
-      queue_capacity = 64;
-      scope }
-  in
+  let base () = { (base ()) with S.rate = 20_000.; read_pct = 20 } in
   let txn cfg =
     { cfg with
       S.txn_pct = 100;
@@ -1396,50 +1211,29 @@ let attrib_suite () =
       delete_pct = 0;
       scan_pct = 0 }
   in
-  let runs = ref [] in
-  let run_one label ?repl cfg =
+  let reports = ref [] in
+  let traced ?repl label cfg =
     Obs.Span.clear ();
     Obs.Span.start ();
-    let r =
-      match repl with
-      | None -> S.run ~make ~reattach cfg
-      | Some rcfg ->
-        (S.run_replicated
-           ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
-           cfg rcfg)
-          .S.base
+    let extra () =
+      let att = A.analyze () in
+      Obs.Span.clear ();
+      reports := (label, att) :: !reports;
+      [ ("attribution", A.report_json att) ]
     in
-    let att = A.analyze () in
-    Obs.Span.clear ();
-    let mode =
-      match repl with
-      | None -> "none"
-      | Some rcfg ->
-        (match rcfg.S.repl_mode with
-         | Replica.Sync -> "sync"
-         | Replica.Async -> "async")
-    in
-    runs := (label, cfg, mode, r, att) :: !runs;
-    att
+    (match repl with
+     | None -> ignore (run_one ~extra label cfg)
+     | Some rcfg -> ignore (run_repl ~extra label cfg rcfg));
+    List.assoc label !reports
   in
   let sync_rcfg = S.default_repl_config in
   let async_rcfg = { S.default_repl_config with S.repl_mode = Replica.Async } in
-  let ua = run_one "single-unrepl" (base "bench/attrib/single-unrepl") in
-  let _ =
-    run_one "single-async" ~repl:async_rcfg (base "bench/attrib/single-async")
-  in
-  let sa =
-    run_one "single-sync" ~repl:sync_rcfg (base "bench/attrib/single-sync")
-  in
-  let ta = run_one "txn-unrepl" (txn (base "bench/attrib/txn-unrepl")) in
-  let _ =
-    run_one "txn-sync" ~repl:sync_rcfg (txn (base "bench/attrib/txn-sync"))
-  in
-  let dom (att : A.report) =
-    match A.dominant_stage att with
-    | Some row -> Obs.Span.stage_name row.A.stage
-    | None -> "-"
-  in
+  let ua = traced "single-unrepl" (base ()) in
+  let _ = traced "single-async" ~repl:async_rcfg (base ()) in
+  let sa = traced "single-sync" ~repl:sync_rcfg (base ()) in
+  let ta = traced "txn-unrepl" (txn (base ())) in
+  let _ = traced "txn-sync" ~repl:sync_rcfg (txn (base ())) in
+  let reports = List.rev !reports in
   let table =
     Tablefmt.create
       ~title:"poseidon-kv latency budgets (4 shards, same seed and load)"
@@ -1447,17 +1241,18 @@ let attrib_suite () =
         [ "run"; "e2e p50 ns"; "coverage"; "dominant stage"; "dom p50 ns" ]
   in
   List.iter
-    (fun (label, _, _, _, (att : A.report)) ->
-      let dp50 =
+    (fun (label, (att : A.report)) ->
+      let dom, dp50 =
         match A.dominant_stage att with
-        | Some row -> string_of_int row.A.p50_ns
-        | None -> "-"
+        | Some row ->
+          (Obs.Span.stage_name row.A.stage, string_of_int row.A.p50_ns)
+        | None -> ("-", "-")
       in
       Tablefmt.add_row table label
         [ string_of_int att.A.e2e_p50_ns;
           Printf.sprintf "%.1f%%" (100. *. att.A.coverage);
-          dom att; dp50 ])
-    (List.rev !runs);
+          dom; dp50 ])
+    reports;
   Tablefmt.print table;
   let mult a b = float_of_int a /. Float.max 1.0 (float_of_int b) in
   (* a tax is pinned on the budget stage whose summed time grew most
@@ -1465,7 +1260,7 @@ let attrib_suite () =
      different question (where a typical request's time goes) and can
      be carried by requests the tax never touches (e.g. reads under
      sync replication) *)
-  let tax_stage (n : A.report) (d : A.report) =
+  let tax_name (n : A.report) (d : A.report) =
     let base st =
       match
         List.find_opt (fun (r : A.stage_row) -> r.A.stage = st) d.A.budget
@@ -1480,11 +1275,7 @@ let attrib_suite () =
         | Some (_, best) when best >= delta -> acc
         | _ -> Some (row.A.stage, delta))
       None n.A.budget
-  in
-  let tax_name n d =
-    match tax_stage n d with
-    | Some (st, _) -> Obs.Span.stage_name st
-    | None -> "-"
+    |> Option.fold ~none:"-" ~some:(fun (st, _) -> Obs.Span.stage_name st)
   in
   note
     "  sync-replication tax: e2e p50 %d ns vs %d ns unreplicated (%.1fx) — \
@@ -1498,24 +1289,78 @@ let attrib_suite () =
     ta.A.e2e_p50_ns ua.A.e2e_p50_ns
     (mult ta.A.e2e_p50_ns ua.A.e2e_p50_ns)
     (tax_name ta ua);
-  List.iter
-    (fun (label, _, _, _, (att : A.report)) ->
-      if att.A.requests > 0 && att.A.coverage < 0.9 then begin
-        Printf.eprintf
-          "bench attrib: %s: budget explains only %.1f%% (< 90%%) of \
-           end-to-end time — stage taxonomy has a hole\n"
-          label (100. *. att.A.coverage);
-        exit 1
-      end)
-    !runs;
-  List.rev !runs
+  let pin name n stage =
+    let blamed = tax_name n ua in
+    gate name ~value:(J.Str blamed) ~bound:(J.Str stage) (blamed = stage)
+  in
+  pin "sync_tax_stage" sa "repl_ack"
+  :: pin "txn_tax_stage" ta "txn"
+  :: List.filter_map
+       (fun (label, (att : A.report)) ->
+         if att.A.requests = 0 then None
+         else
+           Some
+             (gate ("coverage_ge_0.9/" ^ label) ~value:(J.Num att.A.coverage)
+                ~bound:(J.Num 0.9)
+                (att.A.coverage >= 0.9)))
+       reports
 
-(* ---------- JSON output ---------- *)
+(* ---------- driver ---------- *)
 
-let rev_json () =
-  match Repro_util.Gitrev.short () with
-  | Some r -> Obs.Json.Str r
-  | None -> Obs.Json.Null
+(* The named suites: what each measures, and the suite.  A suite
+   records its runs through [add_run] and returns its declared gates;
+   the last line of [--suite]'s help lists the names for scripts. *)
+let suites =
+  [ ("service", ("poseidon-kv rate sweep + crash run", service_suite));
+    ( "replication",
+      ("sync/async latency tax + promote-vs-replay RTO", replication_suite) );
+    ("txn", ("cross-shard 2PC abort rate + commit-latency tax", txn_suite));
+    ("attrib", ("per-stage latency budgets + tax pins", attrib_suite));
+    ("batch", ("group-commit window sweep vs async p50", batch_suite));
+    ("mvcc", ("read-mix sweep + snapshot-read overhead", mvcc_suite));
+    ("alloc", ("magazine-cache alloc p50 + serve write p50", alloc_suite));
+    ("rcache", ("read-cache skew sweep + cached-read p50", rcache_suite));
+    ("smoke", ("256 B microbenchmark on every allocator", smoke_suite)) ]
+
+let figures_run () =
+  let default = !figures = [] && !ablations = [] in
+  let run_fig n = default || List.mem n !figures in
+  let run_abl s = default || List.mem s !ablations in
+  if run_fig 3 then figure3 ();
+  if run_fig 6 then figure6 ();
+  if run_fig 7 then figure7 ();
+  if run_fig 8 then figure8 ();
+  if run_fig 9 then figure9 ();
+  if run_abl "index" then ablation_index ();
+  if run_abl "capacity" then ablation_capacity ();
+  if run_abl "costs" then ablation_costs ();
+  if run_abl "subheap" then ablation_subheap_mpk ();
+  if run_abl "ycsb-abc" then extension_ycsb_abc ();
+  if run_abl "trace" then extension_trace_replay ();
+  if run_abl "remote-free" then extension_remote_free ();
+  if run_abl "exthash" then extension_exthash ();
+  if !run_bechamel then bechamel_suite ();
+  []
+
+(* Every suite's first gate: no run lost an acked write — neither the
+   serving store nor, wherever one was checked, the backup. *)
+let ledger_gate runs =
+  let count run path =
+    match
+      List.fold_left (fun v k -> Option.bind v (J.member k)) (Some run) path
+    with
+    | Some (J.Num n) -> int_of_float n
+    | _ -> 0
+  in
+  let n =
+    List.fold_left
+      (fun acc run ->
+        acc
+        + count run [ "result"; "ledger"; "mismatches" ]
+        + count run [ "result"; "replication"; "backup_ledger"; "mismatches" ])
+      0 runs
+  in
+  gate "ledger_mismatches" ~value:(num n) ~bound:(num 0) (n <= 0)
 
 let write_doc file doc =
   match open_out file with
@@ -1523,538 +1368,15 @@ let write_doc file doc =
     Printf.eprintf "bench: cannot write metrics snapshot: %s\n" msg;
     exit 1
   | oc ->
-    output_string oc (Obs.Json.to_string doc);
+    output_string oc (J.to_string doc);
     output_char oc '\n';
     close_out oc;
     note "metrics snapshot written to %s" file
 
-let write_results () =
-  let module J = Obs.Json in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench/v1");
-        ("rev", rev_json ());
-        ("suite", J.Str (if !smoke then "smoke" else "figures"));
-        ("full", J.Bool !full);
-        ( "config",
-          J.Obj
-            [ ("full", J.Bool !full);
-              ( "threads",
-                J.Arr
-                  (List.map (fun t -> J.Num (float_of_int t)) !thread_counts) );
-              ( "figures",
-                J.Arr (List.map (fun n -> J.Num (float_of_int n)) !figures) );
-              ("ablations", J.Arr (List.map (fun s -> J.Str s) !ablations)) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_results.json" else !json_out) doc
-
-let write_service_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("value_size", num cfg.S.value_size);
-              ("keyspace", num cfg.S.keyspace);
-              ("queue_capacity", num cfg.S.queue_capacity);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("admitted", num r.S.admitted);
-        ("shed", num r.S.shed); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("service", pct r.S.service);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ( "ledger",
-          J.Obj
-            [ ("checked", num r.S.ledger.S.checked);
-              ("ambiguous", num r.S.ledger.S.ambiguous);
-              ("mismatches", num r.S.ledger.S.mismatches) ] ) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-service/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_service.json" else !json_out) doc
-
-let write_replication_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let ledger (l : S.ledger_report) =
-    J.Obj
-      [ ("checked", num l.S.checked); ("ambiguous", num l.S.ambiguous);
-        ("mismatches", num l.S.mismatches) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result), repl) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct);
-              ("seed", num cfg.S.seed);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger", ledger r.S.ledger);
-        ( "replication",
-          match repl with
-          | None -> J.Null
-          | Some (rr : S.repl_result) ->
-            J.Obj
-              [ ("mode", J.Str (if rr.S.sync then "sync" else "async"));
-                ("shipped", num rr.S.shipped);
-                ("acked_records", num rr.S.acked_records);
-                ("retransmits", num rr.S.retransmits);
-                ("max_lag", num rr.S.max_lag);
-                ("backup_applied", num rr.S.backup_applied);
-                ("tail_replayed", num rr.S.tail_replayed);
-                ( "backup_ledger",
-                  match rr.S.backup_ledger with
-                  | Some l -> ledger l
-                  | None -> J.Null ) ] ) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, (r : S.result), _) -> r.S.rto_ns)
-  in
-  let rto_cmp =
-    match (find "sync-failover", find "restart-replay") with
-    | Some promote, Some replay ->
-      J.Obj
-        [ ("promote_rto_ns", num promote); ("replay_rto_ns", num replay);
-          ("promote_beats_replay", J.Bool (promote < replay)) ]
-    | _ -> J.Null
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-replication/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("rto", rto_cmp);
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_replication.json" else !json_out) doc
-
-let write_batch_results (runs, async_p50, best_window, best_p50) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, window, (cfg : S.config), (rr : S.repl_result)) =
-    let r = rr.S.base in
-    J.Obj
-      [ ("label", J.Str label);
-        ("mode", J.Str (if rr.S.sync then "sync" else "async"));
-        ("batch_window", num window);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct); ("seed", num cfg.S.seed);
-              ("batch_bytes", num cfg.S.batch_bytes) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("service", pct r.S.service);
-        ("shipped", num rr.S.shipped);
-        ("acked_records", num rr.S.acked_records);
-        ("retransmits", num rr.S.retransmits);
-        ("link_flushes", num rr.S.link_flushes);
-        ( "backup_mismatches",
-          match rr.S.backup_ledger with
-          | Some l -> num l.S.mismatches
-          | None -> J.Null ) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-batch/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("async_p50_ns", num async_p50);
-              ("best_sync_p50_ns", num best_p50);
-              ("best_window", num best_window);
-              ( "ratio",
-                J.Num
-                  (float_of_int best_p50 /. float_of_int (max 1 async_p50)) );
-              ("sync_within_2x_async", J.Bool (best_p50 <= 2 * async_p50)) ]
-        );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_batch.json" else !json_out) doc
-
-let write_mvcc_results (runs, plain_p50, snap_p50, write_all, read95) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("read_pct", num cfg.S.read_pct);
-              ("scan_pct", num cfg.S.scan_pct);
-              ("mvcc_window", num cfg.S.mvcc_window);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("read_latency", pct r.S.read_latency);
-        ("write_latency", pct r.S.write_latency);
-        ("scan_latency", pct r.S.scan_latency);
-        ( "op_mix",
-          J.Obj
-            [ ("read", num r.S.ops_read); ("write", num r.S.ops_write);
-              ("scan", num r.S.ops_scan) ] );
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-mvcc/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("plain_read_p50_ns", num plain_p50);
-              ("snapshot_read_p50_ns", num snap_p50);
-              ( "read_overhead_ratio",
-                J.Num
-                  (float_of_int snap_p50 /. float_of_int (max 1 plain_p50))
-              );
-              ( "snapshot_within_1_25x_plain",
-                J.Bool (4 * snap_p50 <= 5 * plain_p50) );
-              ("write_all_throughput", J.Num write_all.S.throughput);
-              ("read95_throughput", J.Num read95.S.throughput);
-              ("write_all_shed", num write_all.S.shed);
-              ("read95_shed", num read95.S.shed);
-              ( "read_mix_outscales_writes",
-                J.Bool
-                  (read95.S.throughput > write_all.S.throughput
-                  && read95.S.shed <= write_all.S.shed) ) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_mvcc.json" else !json_out) doc
-
-let write_rcache_results (runs, un_p50, c_p50) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result), hr) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("zipf_theta", J.Num cfg.S.zipf_theta);
-              ("read_pct", num cfg.S.read_pct);
-              ("mvcc_window", num cfg.S.mvcc_window);
-              ("rcache_entries", num cfg.S.rcache_entries);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("hit_rate", J.Num hr);
-        ("latency", pct r.S.latency);
-        ("read_latency", pct r.S.read_latency);
-        ("write_latency", pct r.S.write_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-rcache/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "gate",
-          J.Obj
-            [ ("uncached_read_p50_ns", num un_p50);
-              ("cached_read_p50_ns", num c_p50);
-              ( "read_speedup_ratio",
-                J.Num (float_of_int c_p50 /. float_of_int (max 1 un_p50)) );
-              ( "cached_read_p50_le_0_6x_uncached",
-                J.Bool (5 * c_p50 <= 3 * un_p50) );
-              ( "zero_ledger_mismatches",
-                J.Bool
-                  (List.for_all
-                     (fun (_, _, (r : S.result), _) ->
-                       r.S.ledger.S.mismatches = 0)
-                     runs) ) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_rcache.json" else !json_out) doc
-
-let write_alloc_results (runs, (raw_p50, raw_mean, tc_p50, tc_mean), (plain_w50, tc_w50)) =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("tcache_mag", num cfg.S.tcache_mag);
-              ("seed", num cfg.S.seed) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("shed", num r.S.shed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("write_latency", pct r.S.write_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ("ledger_mismatches", num r.S.ledger.S.mismatches) ]
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-alloc/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "micro",
-          J.Obj
-            [ ("raw_alloc_p50_ns", num raw_p50);
-              ("raw_alloc_mean_ns", J.Num raw_mean);
-              ("tcache_alloc_p50_ns", num tc_p50);
-              ("tcache_alloc_mean_ns", J.Num tc_mean) ] );
-        ( "gate",
-          J.Obj
-            [ ( "alloc_p50_ratio",
-                J.Num (float_of_int tc_p50 /. float_of_int (max 1 raw_p50)) );
-              ( "alloc_p50_dropped_25pct",
-                J.Bool (4 * tc_p50 <= 3 * raw_p50) );
-              ("mag0_write_p50_ns", num plain_w50);
-              ("tcache_write_p50_ns", num tc_w50);
-              ("serve_write_p50_dropped", J.Bool (tc_w50 < plain_w50)) ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_alloc.json" else !json_out) doc
-
-let write_txn_results runs =
-  let module S = Service.Server in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), (r : S.result)) =
-    let attempts = r.S.txns_committed + r.S.txns_aborted in
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("txn_pct", num cfg.S.txn_pct); ("txn_ops", num cfg.S.txn_ops);
-              ("seed", num cfg.S.seed);
-              ( "crash_at",
-                match cfg.S.crash_at with
-                | Some f -> J.Num f
-                | None -> J.Null ) ] );
-        ("offered", num r.S.offered); ("completed", num r.S.completed);
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency);
-        ("txns_committed", num r.S.txns_committed);
-        ("txns_aborted", num r.S.txns_aborted);
-        ( "abort_rate",
-          J.Num
-            (float_of_int r.S.txns_aborted
-            /. Float.max 1.0 (float_of_int attempts)) );
-        ("txn_latency", pct r.S.txn_latency);
-        ("crashed", J.Bool r.S.crashed); ("rto_ns", num r.S.rto_ns);
-        ( "ledger",
-          J.Obj
-            [ ("checked", num r.S.ledger.S.checked);
-              ("ambiguous", num r.S.ledger.S.ambiguous);
-              ("mismatches", num r.S.ledger.S.mismatches) ] ) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, r) -> r)
-  in
-  let tax =
-    match (find "baseline", find "txn25-2op") with
-    | Some b, Some t when t.S.txn_latency.S.samples > 0 ->
-      J.Obj
-        [ ("baseline_p50_ns", num b.S.latency.S.p50);
-          ("txn_p50_ns", num t.S.txn_latency.S.p50);
-          ("txn_over_single_p50",
-           J.Num
-             (float_of_int t.S.txn_latency.S.p50
-             /. Float.max 1.0 (float_of_int b.S.latency.S.p50))) ]
-    | _ -> J.Null
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-txn/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ("commit_latency_tax", tax);
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_txn.json" else !json_out) doc
-
-let write_attrib_results runs =
-  let module S = Service.Server in
-  let module A = Obs.Attrib in
-  let module J = Obs.Json in
-  let num i = J.Num (float_of_int i) in
-  let pct (p : S.percentiles) =
-    J.Obj
-      [ ("p50", num p.S.p50); ("p99", num p.S.p99); ("p999", num p.S.p999);
-        ("mean", J.Num p.S.mean); ("max", num p.S.max);
-        ("samples", num p.S.samples) ]
-  in
-  let run_json (label, (cfg : S.config), mode, (r : S.result), att) =
-    J.Obj
-      [ ("label", J.Str label);
-        ( "config",
-          J.Obj
-            [ ("shards", num cfg.S.shards); ("clients", num cfg.S.clients);
-              ("rate", J.Num cfg.S.rate); ("duration", J.Num cfg.S.duration);
-              ("txn_pct", num cfg.S.txn_pct); ("txn_ops", num cfg.S.txn_ops);
-              ("seed", num cfg.S.seed); ("replication", J.Str mode) ] );
-        ("throughput", J.Num r.S.throughput); ("goodput", J.Num r.S.goodput);
-        ("latency", pct r.S.latency); ("txn_latency", pct r.S.txn_latency);
-        ("attribution", A.report_json att) ]
-  in
-  let find label =
-    List.find_opt (fun (l, _, _, _, _) -> l = label) runs
-    |> Option.map (fun (_, _, _, _, a) -> a)
-  in
-  let dom_name (a : A.report) =
-    match A.dominant_stage a with
-    | Some row -> J.Str (Obs.Span.stage_name row.A.stage)
-    | None -> J.Null
-  in
-  (* the headline pins: each tax's latency multiple plus the budget
-     stage the span trees blame it on — the stage whose summed time
-     grew most over the same-seed baseline *)
-  let tax_stage (n : A.report) (d : A.report) =
-    let base st =
-      match
-        List.find_opt (fun (r : A.stage_row) -> r.A.stage = st) d.A.budget
-      with
-      | Some r -> r.A.total_ns
-      | None -> 0
-    in
-    List.fold_left
-      (fun acc (row : A.stage_row) ->
-        let delta = row.A.total_ns - base row.A.stage in
-        match acc with
-        | Some (_, best) when best >= delta -> acc
-        | _ -> Some (row.A.stage, delta))
-      None n.A.budget
-  in
-  let pin nom den =
-    match (find nom, find den) with
-    | Some (n : A.report), Some (d : A.report) ->
-      J.Obj
-        [ ("p50_ns", num n.A.e2e_p50_ns);
-          ("baseline_p50_ns", num d.A.e2e_p50_ns);
-          ( "multiple",
-            J.Num
-              (float_of_int n.A.e2e_p50_ns
-              /. Float.max 1.0 (float_of_int d.A.e2e_p50_ns)) );
-          ( "dominant_stage",
-            match tax_stage n d with
-            | Some (st, _) -> J.Str (Obs.Span.stage_name st)
-            | None -> J.Null );
-          ( "dominant_stage_delta_ns",
-            match tax_stage n d with
-            | Some (_, delta) -> num delta
-            | None -> J.Null );
-          ("vote_dominant_stage", dom_name n);
-          ("coverage", J.Num n.A.coverage) ]
-    | _ -> J.Null
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "poseidon-bench-attrib/v1");
-        ("rev", rev_json ());
-        ("config", J.Obj [ ("full", J.Bool !full) ]);
-        ("runs", J.Arr (List.map run_json runs));
-        ( "pins",
-          J.Obj
-            [ ("sync_replication_tax", pin "single-sync" "single-unrepl");
-              ("txn_commit_tax", pin "txn-unrepl" "single-unrepl") ] );
-        ("metrics", Obs.Metrics.snapshot ()) ]
-  in
-  write_doc (if !json_out = "" then "BENCH_attrib.json" else !json_out) doc
-
-(* ---------- driver ---------- *)
-
 let () =
   let usage =
     "bench/main.exe [--figure N]... [--ablation NAME]... [--suite NAME] \
-     [--full] [--threads LIST] [--bechamel] [--smoke] [--json-out FILE]"
+     [--full] [--threads LIST] [--bechamel] [--json-out FILE]"
   in
   let spec =
     [ ( "--figure",
@@ -2070,95 +1392,55 @@ let () =
             thread_counts := List.map int_of_string (String.split_on_char ',' s)),
         "LIST  comma-separated thread counts" );
       ("--bechamel", Arg.Set run_bechamel, " also run the wall-clock suite");
-      ("--smoke", Arg.Set smoke, " quick sanity suite only (for CI)");
       ( "--suite",
         Arg.Set_string suite,
-        "NAME  run a named suite instead of the figures ('service':\n\
-        \        poseidon-kv rate sweep + crash run -> BENCH_service.json;\n\
-        \        'replication': sync/async tax + promote-vs-replay RTO ->\n\
-        \        BENCH_replication.json; 'txn': cross-shard 2PC abort rate\n\
-        \        + commit-latency tax -> BENCH_txn.json; 'attrib': per-stage\n\
-        \        latency budgets + dominant-stage pins -> BENCH_attrib.json;\n\
-        \        'batch': group-commit window sweep, sync-vs-async p50 gate\n\
-        \        -> BENCH_batch.json; 'mvcc': read-mix sweep + snapshot-read\n\
-        \        overhead gate -> BENCH_mvcc.json; 'alloc': magazine-cache\n\
-        \        alloc p50 + serve write p50 gates -> BENCH_alloc.json;\n\
-        \        'rcache': read-cache hit-rate/skew sweep + cached-read\n\
-        \        p50 gate -> BENCH_rcache.json)" );
+        "NAME  run one named suite instead of the figures; it exits 1,\n\
+        \        after writing its snapshot, if any declared gate fails:\n"
+        ^ String.concat ""
+            (List.map
+               (fun (name, (doc, _)) ->
+                 Printf.sprintf "          %-12s %s\n" name doc)
+               suites)
+        ^ "        suites: "
+        ^ String.concat " " (List.map fst suites) );
       ( "--json-out",
         Arg.Set_string json_out,
-        "FILE  metrics snapshot destination (default BENCH_results.json, \
-         BENCH_service.json / BENCH_replication.json for the named suites)" ) ]
+        "FILE  snapshot destination (default BENCH_<suite>.json; without \
+         --suite the suite is 'figures')" ) ]
   in
   Arg.parse spec (fun _ -> ()) usage;
   note "Poseidon reproduction benchmark suite";
   note "(simulated 64-CPU, 2-NUMA-node machine with Optane-like NVMM;";
   note " see DESIGN.md and EXPERIMENTS.md for the methodology)";
-  if !suite = "service" then begin
-    let runs = service_suite () in
-    write_service_results runs;
-    exit 0
-  end
-  else if !suite = "replication" then begin
-    let runs = replication_suite () in
-    write_replication_results runs;
-    exit 0
-  end
-  else if !suite = "txn" then begin
-    let runs = txn_suite () in
-    write_txn_results runs;
-    exit 0
-  end
-  else if !suite = "attrib" then begin
-    let runs = attrib_suite () in
-    write_attrib_results runs;
-    exit 0
-  end
-  else if !suite = "batch" then begin
-    let res = batch_suite () in
-    write_batch_results res;
-    exit 0
-  end
-  else if !suite = "mvcc" then begin
-    let res = mvcc_suite () in
-    write_mvcc_results res;
-    exit 0
-  end
-  else if !suite = "alloc" then begin
-    let res = alloc_suite () in
-    write_alloc_results res;
-    exit 0
-  end
-  else if !suite = "rcache" then begin
-    let res = rcache_suite () in
-    write_rcache_results res;
-    exit 0
-  end
-  else if !suite <> "" then begin
-    Printf.eprintf
-      "bench: unknown suite %S (known: service, replication, txn, attrib, \
-       batch, mvcc, alloc, rcache)\n"
-      !suite;
-    exit 2
-  end;
-  (if !smoke then smoke_suite ()
-   else begin
-     let default = !figures = [] && !ablations = [] in
-     let run_fig n = default || List.mem n !figures in
-     let run_abl s = default || List.mem s !ablations in
-     if run_fig 3 then figure3 ();
-     if run_fig 6 then figure6 ();
-     if run_fig 7 then figure7 ();
-     if run_fig 8 then figure8 ();
-     if run_fig 9 then figure9 ();
-     if run_abl "index" then ablation_index ();
-     if run_abl "capacity" then ablation_capacity ();
-     if run_abl "costs" then ablation_costs ();
-     if run_abl "subheap" then ablation_subheap_mpk ();
-     if run_abl "ycsb-abc" then extension_ycsb_abc ();
-     if run_abl "trace" then extension_trace_replay ();
-     if run_abl "remote-free" then extension_remote_free ();
-     if run_abl "exthash" then extension_exthash ();
-     if !run_bechamel then bechamel_suite ()
-   end);
-  write_results ()
+  if !suite = "" then suite := "figures";
+  let gates =
+    match List.assoc_opt !suite suites with
+    | Some (_, run) -> run ()
+    | None when !suite = "figures" -> figures_run ()
+    | None ->
+      Printf.eprintf "bench: unknown suite %S (known: %s)\n" !suite
+        (String.concat ", " (List.map fst suites));
+      exit 2
+  in
+  let runs = List.rev !runs in
+  let gates = ledger_gate runs :: gates in
+  let config =
+    ("full", J.Bool !full)
+    ::
+    (if !suite <> "figures" then []
+     else
+       [ ("threads", J.Arr (List.map num !thread_counts));
+         ("figures", J.Arr (List.map num !figures));
+         ("ablations", J.Arr (List.map (fun s -> J.Str s) !ablations)) ])
+  in
+  write_doc
+    (if !json_out = "" then Printf.sprintf "BENCH_%s.json" !suite
+     else !json_out)
+    (Obs.Bench.doc ~suite:!suite ~config:(J.Obj config) ~runs ~gates);
+  let failed = List.filter (fun (g : Obs.Bench.gate) -> not g.pass) gates in
+  List.iter
+    (fun (g : Obs.Bench.gate) ->
+      Printf.eprintf "bench %s: GATE FAILED — %s: value %s, bound %s\n" !suite
+        g.name (J.to_string g.value) (J.to_string g.bound))
+    failed;
+  if failed <> [] then exit 1

@@ -878,101 +878,11 @@ let serve_cmd =
      | None -> ()
      | Some file ->
        let module J = Obs.Json in
-       let num i = J.Num (float_of_int i) in
-       let pct (p : S.percentiles) =
-         J.Obj
-           [ ("p50", num p.S.p50); ("p99", num p.S.p99);
-             ("p999", num p.S.p999); ("mean", J.Num p.S.mean);
-             ("max", num p.S.max); ("samples", num p.S.samples) ]
-       in
        let json =
          J.Obj
-           [ ("schema", J.Str "poseidon-serve/v1");
-             ( "rev",
-               match Repro_util.Gitrev.short () with
-               | Some r -> J.Str r
-               | None -> J.Null );
-             ( "config",
-               J.Obj
-                 [ ("shards", num shards); ("clients", num clients);
-                   ("rate", J.Num rate); ("duration", J.Num duration);
-                   ("value_size", num value_size); ("zipf_theta", J.Num zipf);
-                   ("keyspace", num keyspace);
-                   ("queue_capacity", num queue);
-                   ("read_pct", num read_pct); ("scan_pct", num scan_pct);
-                   ("txn_pct", num txn_pct); ("txn_ops", num txn_ops);
-                   ("batch_window", num batch_window);
-                   ("batch_bytes", num batch_bytes);
-                   ("mvcc_window", num mvcc_window);
-                   ("tcache_mag", num tcache_mag);
-                   ("rcache_entries", num rcache_entries);
-                   ( "crash_at",
-                     match crash_at with
-                     | Some f -> J.Num f
-                     | None -> J.Null );
-                   ("seed", num seed) ] );
-             ( "results",
-               J.Obj
-                 [ ("offered", num r.S.offered);
-                   ("admitted", num r.S.admitted); ("shed", num r.S.shed);
-                   ("completed", num r.S.completed);
-                   ("acked_mutations", num r.S.acked_mutations);
-                   ("sim_ns", num r.S.sim_ns);
-                   ("throughput", J.Num r.S.throughput);
-                   ("goodput", J.Num r.S.goodput);
-                   ("latency", pct r.S.latency);
-                   ("service", pct r.S.service);
-                   ("crashed", J.Bool r.S.crashed);
-                   ("rto_ns", num r.S.rto_ns);
-                   ( "recovery",
-                     match r.S.recovery with
-                     | Some rc ->
-                       J.Obj
-                         [ ("replayed", num rc.Service.Kv.replayed);
-                           ("rolled_back", num rc.Service.Kv.rolled_back) ]
-                     | None -> J.Null );
-                   ( "ledger",
-                     J.Obj
-                       [ ("checked", num r.S.ledger.S.checked);
-                         ("ambiguous", num r.S.ledger.S.ambiguous);
-                         ("mismatches", num r.S.ledger.S.mismatches) ] );
-                   ("in_flight_at_crash", num r.S.in_flight_at_crash);
-                   ("queue_max_depth", num r.S.queue_max_depth);
-                   ("txns_committed", num r.S.txns_committed);
-                   ("txns_aborted", num r.S.txns_aborted);
-                   ("txn_latency", pct r.S.txn_latency);
-                   ("read_latency", pct r.S.read_latency);
-                   ("write_latency", pct r.S.write_latency);
-                   ("scan_latency", pct r.S.scan_latency);
-                   ( "op_mix",
-                     J.Obj
-                       [ ("read", num r.S.ops_read);
-                         ("write", num r.S.ops_write);
-                         ("scan", num r.S.ops_scan) ] );
-                   ( "replication",
-                     match repl with
-                     | None -> J.Null
-                     | Some rr ->
-                       J.Obj
-                         [ ( "mode",
-                             J.Str (if rr.S.sync then "sync" else "async") );
-                           ("shipped", num rr.S.shipped);
-                           ("acked_records", num rr.S.acked_records);
-                           ("retransmits", num rr.S.retransmits);
-                           ("max_lag", num rr.S.max_lag);
-                           ("link_dropped", num rr.S.link_dropped);
-                           ("link_duplicated", num rr.S.link_duplicated);
-                           ("backup_applied", num rr.S.backup_applied);
-                           ("tail_replayed", num rr.S.tail_replayed);
-                           ("indoubt_aborted", num rr.S.indoubt_aborted);
-                           ( "backup_ledger",
-                             match rr.S.backup_ledger with
-                             | Some l ->
-                               J.Obj
-                                 [ ("checked", num l.S.checked);
-                                   ("ambiguous", num l.S.ambiguous);
-                                   ("mismatches", num l.S.mismatches) ]
-                             | None -> J.Null ) ] ) ] );
+           [ ("schema", J.Str "poseidon-serve/v1"); ("rev", Obs.Bench.rev ());
+             ("config", S.config_json cfg);
+             ("results", S.result_json ?repl r);
              ("attribution", Obs.Attrib.report_json att);
              ("metrics", Obs.Metrics.snapshot ()) ]
        in
@@ -1044,7 +954,13 @@ let trace_cmd =
        ~doc:"Generate a random trace and replay it on every allocator.")
     Term.(const run $ events_arg $ seed_arg)
 
-(* ---------- tracecheck ---------- *)
+(* ---------- tracecheck / benchdiff ---------- *)
+
+let read_json file =
+  try Ok (Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all))
+  with
+  | Sys_error m -> Error m
+  | Obs.Json.Parse_error m -> Error (Printf.sprintf "JSON parse error: %s" m)
 
 (* Validates an exported Chrome trace: JSON well-formedness, required
    fields per event phase, and flow-event integrity — every
@@ -1061,17 +977,7 @@ let tracecheck_cmd =
   in
   let run file =
     let module J = Obs.Json in
-    let read_all f =
-      let ic = open_in_bin f in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match
-      try Ok (J.parse (read_all file)) with
-      | Sys_error m -> Error m
-      | J.Parse_error m -> Error (Printf.sprintf "JSON parse error: %s" m)
-    with
+    match read_json file with
     | Error m ->
       Printf.eprintf "tracecheck: %s: %s\n" file m;
       1
@@ -1163,6 +1069,44 @@ let tracecheck_cmd =
           matching finish.")
     Term.(const run $ file_arg)
 
+(* The bench regression gate, run by scripts/bench_diff.sh on every
+   committed BENCH_*.json baseline against the fresh snapshot of the
+   same suite (rules in Obs.Bench.diff). *)
+let benchdiff_cmd =
+  let file_arg n docv doc =
+    Arg.(required & pos n (some string) None & info [] ~docv ~doc)
+  in
+  let run base fresh =
+    match (read_json base, read_json fresh) with
+    | Error m, _ ->
+      Printf.eprintf "benchdiff: %s: %s\n" base m;
+      1
+    | _, Error m ->
+      Printf.eprintf "benchdiff: %s: %s\n" fresh m;
+      1
+    | Ok base, Ok fresh_doc -> (
+      match Obs.Bench.diff ~base ~fresh:fresh_doc with
+      | compared, [] ->
+        Printf.printf
+          "benchdiff: %s: every gate passes; %d p50 block(s) within 25%% of \
+           the baseline\n"
+          fresh compared;
+        0
+      | _, problems ->
+        List.iter (Printf.eprintf "benchdiff: %s: %s\n" fresh) problems;
+        1)
+  in
+  Cmd.v
+    (Cmd.info "benchdiff"
+       ~doc:
+         "Compare a fresh BENCH snapshot with its baseline: fails on a failed \
+          gate, a run or gate present on one side only, or a percentile \
+          block whose p50 grew by more than 25%.")
+    Term.(
+      const run
+      $ file_arg 0 "BASE" "Baseline BENCH snapshot."
+      $ file_arg 1 "FRESH" "Fresh BENCH snapshot of the same suite.")
+
 let () =
   let info =
     Cmd.info "poseidon-repro"
@@ -1174,4 +1118,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ bench_cmd; safety_cmd; stress_cmd; crashcheck_cmd; inspect_cmd;
-            fsck_cmd; serve_cmd; trace_cmd; tracecheck_cmd ]))
+            fsck_cmd; serve_cmd; trace_cmd; tracecheck_cmd; benchdiff_cmd ]))

@@ -1087,3 +1087,84 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
     indoubt_aborted = !indoubt_aborted;
     backup_ledger;
     sync }
+
+(* ------------------------------------------------------------------ *)
+(* JSON: the serve --json-out shape, shared with the bench snapshots.  *)
+(* ------------------------------------------------------------------ *)
+
+module J = Obs.Json
+
+let num i = J.Num (float_of_int i)
+
+let config_json c =
+  J.Obj
+    [ ("shards", num c.shards); ("clients", num c.clients);
+      ("rate", J.Num c.rate); ("duration", J.Num c.duration);
+      ("value_size", num c.value_size); ("zipf_theta", J.Num c.zipf_theta);
+      ("keyspace", num c.keyspace); ("queue_capacity", num c.queue_capacity);
+      ("preload", num c.preload); ("read_pct", num c.read_pct);
+      ("delete_pct", num c.delete_pct); ("scan_pct", num c.scan_pct);
+      ("txn_pct", num c.txn_pct); ("txn_ops", num c.txn_ops);
+      ("batch_window", num c.batch_window);
+      ("batch_bytes", num c.batch_bytes);
+      ("mvcc_window", num c.mvcc_window); ("tcache_mag", num c.tcache_mag);
+      ("rcache_entries", num c.rcache_entries);
+      ("crash_at", match c.crash_at with Some f -> J.Num f | None -> J.Null);
+      ("seed", num c.seed) ]
+
+let percentiles_json p =
+  J.Obj
+    [ ("p50", num p.p50); ("p99", num p.p99); ("p999", num p.p999);
+      ("mean", J.Num p.mean); ("max", num p.max); ("samples", num p.samples) ]
+
+let ledger_json l =
+  J.Obj
+    [ ("checked", num l.checked); ("ambiguous", num l.ambiguous);
+      ("mismatches", num l.mismatches) ]
+
+let repl_json rr =
+  J.Obj
+    [ ("mode", J.Str (if rr.sync then "sync" else "async"));
+      ("shipped", num rr.shipped); ("acked_records", num rr.acked_records);
+      ("retransmits", num rr.retransmits); ("max_lag", num rr.max_lag);
+      ("link_dropped", num rr.link_dropped);
+      ("link_duplicated", num rr.link_duplicated);
+      ("link_flushes", num rr.link_flushes);
+      ("backup_applied", num rr.backup_applied);
+      ("tail_replayed", num rr.tail_replayed);
+      ("indoubt_aborted", num rr.indoubt_aborted);
+      ( "backup_ledger",
+        match rr.backup_ledger with Some l -> ledger_json l | None -> J.Null )
+    ]
+
+let result_json ?repl r =
+  J.Obj
+    [ ("offered", num r.offered); ("admitted", num r.admitted);
+      ("shed", num r.shed); ("completed", num r.completed);
+      ("acked_mutations", num r.acked_mutations); ("sim_ns", num r.sim_ns);
+      ("throughput", J.Num r.throughput); ("goodput", J.Num r.goodput);
+      ("latency", percentiles_json r.latency);
+      ("service", percentiles_json r.service);
+      ("crashed", J.Bool r.crashed); ("rto_ns", num r.rto_ns);
+      ( "recovery",
+        match r.recovery with
+        | Some rc ->
+          J.Obj
+            [ ("replayed", num rc.Kv.replayed);
+              ("rolled_back", num rc.Kv.rolled_back) ]
+        | None -> J.Null );
+      ("ledger", ledger_json r.ledger);
+      ("in_flight_at_crash", num r.in_flight_at_crash);
+      ("queue_max_depth", num r.queue_max_depth);
+      ("txns_committed", num r.txns_committed);
+      ("txns_aborted", num r.txns_aborted);
+      ("txn_latency", percentiles_json r.txn_latency);
+      ("read_latency", percentiles_json r.read_latency);
+      ("write_latency", percentiles_json r.write_latency);
+      ("scan_latency", percentiles_json r.scan_latency);
+      ( "op_mix",
+        J.Obj
+          [ ("read", num r.ops_read); ("write", num r.ops_write);
+            ("scan", num r.ops_scan) ] );
+      ("replication", match repl with Some rr -> repl_json rr | None -> J.Null)
+    ]

@@ -229,3 +229,18 @@ val run_replicated :
     [repl_retransmits], [repl_max_lag], [repl_backup_applied],
     [repl_tail_replayed], link fault counters and the [repl_lag_ns]
     histogram (ship→applied latency seen at the backup). *)
+
+(** {2 JSON}
+
+    The shapes [serve --json-out] writes and every serving run of a
+    BENCH snapshot ({!Obs.Bench}) carries. *)
+
+val config_json : config -> Obs.Json.v
+(** Every field but [scope]. *)
+
+val result_json : ?repl:repl_result -> result -> Obs.Json.v
+(** Every field of [result] (its six latency series as
+    [{p50, p99, p999, mean, max, samples}] blocks, [recovery] and
+    [replication] as [null] when absent); [repl] adds the replication
+    counters and the backup ledger of a replicated run, whose [base]
+    is [result]. *)

@@ -1,67 +1,27 @@
 #!/bin/sh
-# Bench regression gate: compare each freshly produced BENCH_*.json
-# against the baseline committed at HEAD and fail on a >25% regression
-# in any gated p50 metric (the "*_p50_ns" fields the suite writers emit
-# alongside their pass/fail gates).  The simulation clock is
-# deterministic, so any drift is a code change, not measurement noise.
-#
-# Metrics are paired by name in document order (BENCH_attrib.json emits
-# several runs under the same e2e_p50_ns name; the nth fresh occurrence
-# is compared against the nth baseline occurrence).  A snapshot whose
-# metric-name sequence changed shape -- a new suite, a renamed gate --
-# is skipped with a warning instead of failing, so intentional schema
-# changes only need the refreshed baseline committed alongside them.
+# Bench regression gate: compare every BENCH_*.json baseline committed
+# at HEAD with the fresh snapshot of the same suite that
+# scripts/bench.sh left in the working tree, via
+# `bin/main.exe benchdiff BASE FRESH`.  A suite fails when a fresh gate
+# fails, when a run or gate is present on one side only, or when a
+# percentile block's p50 grew by more than 25%.  The simulation clock
+# is deterministic, so any drift is a code change, not measurement
+# noise.
 set -eu
 cd "$(dirname "$0")/.."
-
-# Emit "name value" lines for every gated p50 in document order.
-extract() {
-  grep -o '"[a-z_0-9]*_p50_ns"[ ]*:[ ]*[0-9][0-9]*' "$1" | tr -d '"' | tr ':' ' ' || true
-}
+dune build bin/main.exe
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 fail=0
-for f in BENCH_*.json; do
-  [ -f "$f" ] || continue
-  if ! git cat-file -e "HEAD:$f" 2>/dev/null; then
-    echo "bench_diff: $f has no committed baseline, skipping"
-    continue
-  fi
+for f in $(git ls-tree --name-only HEAD | grep '^BENCH_.*\.json$'); do
   git show "HEAD:$f" >"$tmpdir/base.json"
-  extract "$tmpdir/base.json" >"$tmpdir/base.m"
-  extract "$f" >"$tmpdir/fresh.m"
-  if ! [ -s "$tmpdir/base.m" ]; then
-    echo "bench_diff: $f has no gated p50 metrics, skipping"
-    continue
-  fi
-  if [ "$(cut -d' ' -f1 "$tmpdir/base.m")" != "$(cut -d' ' -f1 "$tmpdir/fresh.m")" ]; then
-    echo "bench_diff: WARNING: $f gated-metric set changed shape;" \
-      "skipping comparison (commit the refreshed baseline)"
-    continue
-  fi
-  # base.m / fresh.m now agree line-for-line on metric names; compare values.
-  if ! paste -d' ' "$tmpdir/base.m" "$tmpdir/fresh.m" |
-    awk -v file="$f" '
-      4 * $4 > 5 * $2 {
-        printf "bench_diff: %s: %s regressed %d -> %d ns (>25%%)\n",
-          file, $1, $2, $4
-        bad = 1
-      }
-      { n++ }
-      END {
-        if (!bad)
-          printf "bench_diff: %s: %d gated p50(s) within 25%% of baseline\n",
-            file, n
-        exit bad
-      }'; then
-    fail=1
-  fi
+  ./_build/default/bin/main.exe benchdiff "$tmpdir/base.json" "$f" || fail=1
 done
 
 if [ "$fail" -ne 0 ]; then
-  echo "bench_diff: FAILED -- at least one gated p50 regressed by more than 25%"
+  echo "bench_diff: FAILED"
   exit 1
 fi
 echo "bench_diff: OK"

@@ -188,12 +188,12 @@ rm -rf "$tracedir"
 # (only the git rev line may differ).
 step="bench determinism gate"
 tmpdir="$(mktemp -d)"
-dune exec bench/main.exe -- --smoke --json-out "$tmpdir/a.json" > /dev/null
-dune exec bench/main.exe -- --smoke --json-out "$tmpdir/b.json" > /dev/null
+dune exec bench/main.exe -- --suite smoke --json-out "$tmpdir/a.json" > /dev/null
+dune exec bench/main.exe -- --suite smoke --json-out "$tmpdir/b.json" > /dev/null
 sed 's/"rev":[^,}]*//' "$tmpdir/a.json" > "$tmpdir/a.norm"
 sed 's/"rev":[^,}]*//' "$tmpdir/b.json" > "$tmpdir/b.norm"
 if ! diff -u "$tmpdir/a.norm" "$tmpdir/b.norm" > /dev/null; then
-  echo "check: bench --smoke is NOT deterministic across identical runs:" >&2
+  echo "check: bench --suite smoke is NOT deterministic across identical runs:" >&2
   diff -u "$tmpdir/a.norm" "$tmpdir/b.norm" >&2 || true
   rm -rf "$tmpdir"
   exit 1

@@ -306,6 +306,49 @@ let test_disabled_identical () =
   check "runs are deterministic" true (off1 = off2);
   check_int "no events retained when disabled" 0 (Obs.Trace.count ())
 
+(* ---------- BENCH snapshots: the regression gate ---------- *)
+
+let bench_gate pass =
+  Obs.Bench.gate "g" ~value:(Obs.Json.Num 1.) ~bound:(Obs.Json.Num 1.) pass
+
+let bench_doc ?(gates = [ bench_gate true ]) runs =
+  Obs.Bench.doc ~suite:"t" ~config:(Obs.Json.Obj []) ~runs ~gates
+
+(* a run whose result holds one percentile block, [latency] *)
+let bench_run ?(samples = 100.) label p50 =
+  let module J = Obs.Json in
+  Obs.Bench.run ~label ~config:(J.Obj [])
+    (J.Obj
+       [ ( "latency",
+           J.Obj
+             [ ("p50", J.Num p50); ("p99", J.Num (4. *. p50));
+               ("samples", J.Num samples) ] );
+         ("throughput", J.Num 1e6) ])
+
+let test_bench_diff () =
+  let passes base fresh = snd (Obs.Bench.diff ~base ~fresh) = [] in
+  let runs ?samples a = [ bench_run ?samples "a" a; bench_run "b" 2000. ] in
+  let base = bench_doc (runs 1000.) in
+  check "identical documents pass" true (passes base base);
+  check_int "both blocks compared" 2 (fst (Obs.Bench.diff ~base ~fresh:base));
+  check "a parsed copy passes" true
+    (passes base (Obs.Json.parse (Obs.Json.to_string base)));
+  check "latency.p50 x1.2 passes" true (passes base (bench_doc (runs 1200.)));
+  check "latency.p50 x1.3 fails" false (passes base (bench_doc (runs 1300.)));
+  check "a failed gate fails" false
+    (passes base (bench_doc ~gates:[ bench_gate false ] (runs 1000.)));
+  let only_a = bench_doc [ bench_run "a" 1000. ] in
+  check "run only in the baseline fails" false (passes base only_a);
+  check "run only in the fresh snapshot fails" false (passes only_a base);
+  let no_gates = bench_doc ~gates:[] (runs 1000.) in
+  check "gate only in the baseline fails" false (passes base no_gates);
+  check "gate only in the fresh snapshot fails" false (passes no_gates base);
+  let empty = bench_doc (runs ~samples:0. 1000.) in
+  check "baseline block with no samples is skipped" true
+    (passes empty (bench_doc (runs 9000.)));
+  check_int "only the sampled block compared" 1
+    (fst (Obs.Bench.diff ~base:empty ~fresh:(bench_doc (runs 9000.))))
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -333,4 +376,7 @@ let () =
             test_log_histogram_registry ] );
       ( "overhead",
         [ Alcotest.test_case "disabled tracer is inert" `Quick
-            test_disabled_identical ] ) ]
+            test_disabled_identical ] );
+      ( "bench",
+        [ Alcotest.test_case "regression gate cases" `Quick test_bench_diff ]
+      ) ]

@@ -264,6 +264,48 @@ let test_repl_crash_gauges_from_primary () =
   check "the ledger check's reads are not counted" true
     (gauge "rcache_misses" < float_of_int r.S.ledger.S.checked)
 
+(* ---------- JSON ---------- *)
+
+(* the shape serve --json-out writes and each BENCH serving run
+   carries: it parses back, every latency series is a percentile block
+   (the bench regression gate compares blocks by p50 and samples), and
+   only a replicated run carries replication counters *)
+let test_result_json () =
+  let module J = Obs.Json in
+  let parse v = J.parse (J.to_string v) in
+  let rr =
+    S.run_replicated
+      ~make:(fun mach -> Workloads.Factories.poseidon_on mach)
+      { base_cfg with S.txn_pct = 10; scope = "test/service/json" }
+      S.default_repl_config
+  in
+  let r = rr.S.base in
+  let j = parse (S.result_json ~repl:rr r) in
+  let num path =
+    let get v k = Option.bind v (J.member k) in
+    match List.fold_left get (Some j) path with
+    | Some (J.Num f) -> Some f
+    | _ -> None
+  in
+  List.iter
+    (fun (block, (p : S.percentiles)) ->
+      check (block ^ " p50") true
+        (num [ block; "p50" ] = Some (float_of_int p.S.p50));
+      check (block ^ " samples") true
+        (num [ block; "samples" ] = Some (float_of_int p.S.samples)))
+    [ ("latency", r.S.latency); ("service", r.S.service);
+      ("txn_latency", r.S.txn_latency); ("read_latency", r.S.read_latency);
+      ("write_latency", r.S.write_latency);
+      ("scan_latency", r.S.scan_latency) ];
+  check "replication counters" true
+    (num [ "replication"; "link_flushes" ]
+    = Some (float_of_int rr.S.link_flushes));
+  check "local run: replication null" true
+    (J.member "replication" (parse (S.result_json r)) = Some J.Null);
+  check "config parses back" true
+    (J.member "txn_pct" (parse (S.config_json base_cfg))
+    = Some (J.Num (float_of_int base_cfg.S.txn_pct)))
+
 (* ---------- crashcheck sweep of the KV write path ---------- *)
 
 let test_crashcheck_kv () =
@@ -298,6 +340,9 @@ let () =
             test_tiers_off_paths;
           Alcotest.test_case "replicated crash gauges: primary" `Quick
             test_repl_crash_gauges_from_primary ] );
+      ( "json",
+        [ Alcotest.test_case "result_json: six percentile blocks" `Quick
+            test_result_json ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv scenarios: bounded sweep clean" `Quick
             test_crashcheck_kv ] ) ]
