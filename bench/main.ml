@@ -681,7 +681,7 @@ let service_suite () =
    lib/replica): sync vs async clean runs expose the sync-mode latency
    tax; then the RTO experiment — one failover run (primary lost at
    50%, backup promoted) against one plain restart run (same store,
-   same traffic, same seed, crash + re-attach + intent replay).
+   same traffic, same seed, crash + re-attach + slot recovery).
    Promotion only seals the shipped log and replays the wire tail, so
    its RTO must come in under the full replay-on-restart path. *)
 let replication_suite () =

@@ -3,10 +3,11 @@
 
     Nodes are 512-byte persistent objects allocated from the
     allocator under test, so every insert exercises the allocation
-    path.  Keys are sorted within a node; inserts shift entries with a
-    per-store write-back (FAST's failure-atomic shift), and node
-    splits write the new sibling completely before publishing it
-    (FAIR-style failure atomicity).
+    path.  Keys are sorted within a node; inserts and deletes shift
+    entries with one write-back per cache line (FAST's failure-atomic
+    shift: a line is fenced before the first store into the next
+    one), and node splits write the new sibling completely, with one
+    fence, before publishing it (FAIR-style failure atomicity).
 
     Concurrency: searches traverse without locks (reads of a node are
     atomic at simulated-thread granularity); writers lock the leaf,
@@ -56,18 +57,57 @@ let read_meta mach addr = Machine.read_u64 mach (addr + meta_off)
 let count_of meta = meta lsr 1
 let is_leaf_of meta = meta land 1 = 1
 
+let meta_word ~count ~leaf = (count lsl 1) lor (if leaf then 1 else 0)
+
 let write_meta t addr ~count ~leaf =
-  Machine.write_u64 t.mach (addr + meta_off)
-    ((count lsl 1) lor (if leaf then 1 else 0));
+  Machine.write_u64 t.mach (addr + meta_off) (meta_word ~count ~leaf);
   Machine.persist t.mach (addr + meta_off) 8
 
 let key_at mach addr i = Machine.read_u64 mach (addr + entry_off i)
 let value_at mach addr i = Machine.read_u64 mach (addr + entry_off i + 8)
 
-let set_entry t addr i ~key ~value =
-  Machine.write_u64 t.mach (addr + entry_off i) key;
-  Machine.write_u64 t.mach (addr + entry_off i + 8) value;
-  Machine.persist t.mach (addr + entry_off i) 16
+(* ---------- line-ordered write-back ---------- *)
+
+(* FAST writes back per cache line, not per entry.  A writer holds at
+   most one line with unfenced stores; the first store into another
+   line first persists that one.  So at every fence exactly one line is
+   in flight and every earlier store is durable: a crash inside a shift
+   leaves one adjacent duplicate entry, never a hole or a torn order. *)
+type writer = { wt : t; mutable wline : int (* line with unfenced stores; -1 = none *) }
+
+let writer t = { wt = t; wline = -1 }
+
+let w_flush w =
+  if w.wline >= 0 then begin
+    Machine.persist w.wt.mach (w.wline lsl 6) 64;
+    w.wline <- -1
+  end
+
+let w_store w addr v =
+  let line = addr asr 6 in
+  if line <> w.wline then begin
+    w_flush w;
+    w.wline <- line
+  end;
+  Machine.write_u64 w.wt.mach addr v
+
+let w_entry w addr i ~key ~value =
+  w_store w (addr + entry_off i) key;
+  w_store w (addr + entry_off i + 8) value
+
+let w_meta w addr ~count ~leaf = w_store w (addr + meta_off) (meta_word ~count ~leaf)
+
+(* drop entry [pos] of a node holding [count]: shift the tail left,
+   lowest first, then shrink the count — the delete path, and recovery's
+   removal of a duplicate a crashed shift left behind *)
+let remove_at t addr ~count ~pos ~leaf =
+  let w = writer t in
+  for i = pos to count - 2 do
+    w_entry w addr i ~key:(key_at t.mach addr (i + 1))
+      ~value:(value_at t.mach addr (i + 1))
+  done;
+  w_meta w addr ~count:(count - 1) ~leaf;
+  w_flush w
 
 (* position of the first key >= k *)
 let lower_bound mach addr count k =
@@ -227,16 +267,6 @@ let find t k =
 
 (* ---------- insertion ---------- *)
 
-(* shift entries right by one starting at pos, FAST-style (highest
-   first, persisting each moved entry) *)
-let shift_right t addr ~count ~pos =
-  for i = count - 1 downto pos do
-    let k = key_at t.mach addr i and v = value_at t.mach addr i in
-    Machine.write_u64 t.mach (addr + entry_off (i + 1)) k;
-    Machine.write_u64 t.mach (addr + entry_off (i + 1) + 8) v;
-    Machine.persist t.mach (addr + entry_off (i + 1)) 16
-  done
-
 (* insert into a node known to have space; caller holds its lock (or
    the SMO lock for inner nodes).  Runs preemption-free so concurrent
    readers never observe a half-shifted node — the reader-safety FAST
@@ -253,26 +283,30 @@ let insert_into t addr ~leaf ~key ~value =
           Machine.write_u64 t.mach (addr + entry_off pos + 8) value;
           Machine.persist t.mach (addr + entry_off pos + 8) 8
         end
-      else if pos = count then begin
-        (* append: entry first (invisible), then the count — a crash
-           in between just makes the insert not-have-happened *)
-        set_entry t addr pos ~key ~value;
-        write_meta t addr ~count:(count + 1) ~leaf
-      end
       else begin
-        (* crash-atomic insert (FAST-style): (1) duplicate the last
-           entry into the new slot; (2) grow the count — the array is
-           sorted-with-duplicate and every committed key visible;
-           (3) shift the rest, each step preserving
-           sorted-with-duplicates; (4) overwrite the duplicate at
-           [pos] with the new entry.  A crash at any persistence
-           boundary loses no committed key. *)
-        set_entry t addr count
-          ~key:(key_at t.mach addr (count - 1))
-          ~value:(value_at t.mach addr (count - 1));
-        write_meta t addr ~count:(count + 1) ~leaf;
-        shift_right t addr ~count:(count - 1) ~pos;
-        set_entry t addr pos ~key ~value
+        (* crash-atomic insert (FAST-style), one fence per line:
+           (1) duplicate the last entry into the new slot (an append
+           writes its entry there instead); (2) grow the count — the
+           array is sorted-with-duplicate and every committed key
+           visible; (3) shift the rest right, highest first; (4)
+           overwrite the duplicate at [pos] with the new entry.  A
+           crash at any fence leaves at most one adjacent duplicate
+           and loses no committed key. *)
+        let w = writer t in
+        if pos = count then w_entry w addr pos ~key ~value
+        else
+          w_entry w addr count
+            ~key:(key_at t.mach addr (count - 1))
+            ~value:(value_at t.mach addr (count - 1));
+        w_meta w addr ~count:(count + 1) ~leaf;
+        if pos < count then begin
+          for i = count - 2 downto pos do
+            w_entry w addr (i + 1) ~key:(key_at t.mach addr i)
+              ~value:(value_at t.mach addr i)
+          done;
+          w_entry w addr pos ~key ~value
+        end;
+        w_flush w
       end)
 
 (* split [addr] into itself plus [right_ptr] (pre-allocated by the
@@ -283,20 +317,20 @@ let split_node t addr ~leaf ~right_ptr =
       let count = count_of (read_meta t.mach addr) in
       let half = count / 2 in
       let right = raw_of t right_ptr in
-      (* write the complete right node before publishing it anywhere *)
+      (* write the complete right node — entries, sibling, count — and
+         persist it with one fence: nothing points at it yet, so its
+         lines need no order among themselves.  Sibling links exist at
+         every level (FAST-FAIR): a reader that arrives at a node whose
+         keys moved right follows the sibling, so a crash between
+         sibling publication and the parent update loses nothing *)
       for i = half to count - 1 do
-        set_entry t right (i - half)
-          ~key:(key_at t.mach addr i)
-          ~value:(value_at t.mach addr i)
+        Machine.write_u64 t.mach (right + entry_off (i - half)) (key_at t.mach addr i);
+        Machine.write_u64 t.mach (right + entry_off (i - half) + 8) (value_at t.mach addr i)
       done;
-      (* sibling links exist at every level (FAST-FAIR): a reader that
-         arrives at a node whose keys moved right follows the sibling,
-         so a crash between sibling publication and the parent update
-         loses nothing *)
-      let old_sib = Machine.read_u64 t.mach (addr + sibling_off) in
-      Machine.write_u64 t.mach (right + sibling_off) old_sib;
-      Machine.persist t.mach (right + sibling_off) 8;
-      write_meta t right ~count:(count - half) ~leaf;
+      Machine.write_u64 t.mach (right + sibling_off)
+        (Machine.read_u64 t.mach (addr + sibling_off));
+      Machine.write_u64 t.mach (right + meta_off) (meta_word ~count:(count - half) ~leaf);
+      Machine.persist t.mach right (entry_off (count - half));
       (* publish: link the sibling, then shrink the left count — each
          an atomic 8-byte persisted store (FAIR) *)
       Machine.write_u64 t.mach (addr + sibling_off) (Alloc_intf.pack right_ptr);
@@ -361,11 +395,11 @@ let split_one t key =
            let new_root_ptr = alloc_node t ~leaf:false in
            let new_root = raw_of t new_root_ptr in
            Machine.critical t.mach (fun () ->
-               set_entry t new_root 0 ~key:0
-                 ~value:(Alloc_intf.pack t.root);
-               set_entry t new_root 1 ~key:sep
-                 ~value:(Alloc_intf.pack right_ptr);
-               write_meta t new_root ~count:2 ~leaf:false);
+               let w = writer t in
+               w_entry w new_root 0 ~key:0 ~value:(Alloc_intf.pack t.root);
+               w_entry w new_root 1 ~key:sep ~value:(Alloc_intf.pack right_ptr);
+               w_meta w new_root ~count:2 ~leaf:false;
+               w_flush w);
            t.root <- new_root_ptr;
            t.cell.store new_root_ptr))
 
@@ -408,17 +442,70 @@ let delete t k =
       let pos = lower_bound t.mach leaf count k in
       if pos < count && key_at t.mach leaf pos = k then begin
         Machine.critical t.mach (fun () ->
-            for i = pos to count - 2 do
-              let ky = key_at t.mach leaf (i + 1)
-              and v = value_at t.mach leaf (i + 1) in
-              Machine.write_u64 t.mach (leaf + entry_off i) ky;
-              Machine.write_u64 t.mach (leaf + entry_off i + 8) v;
-              Machine.persist t.mach (leaf + entry_off i) 16
-            done;
-            write_meta t leaf ~count:(count - 1) ~leaf:true);
+            remove_at t leaf ~count ~pos ~leaf:true);
         true
       end
       else false)
+
+(* ---------- crash repair (recovery only) ---------- *)
+
+(* A crash inside a FAST shift leaves one adjacent duplicate entry, and
+   a crash inside a FAIR split between the sibling link and the left
+   count shrink leaves the left node still holding the entries it
+   copied right.  Lookups are blind to both (the duplicate is
+   adjacent; the stale copies sit behind the sibling chase), but a
+   later delete removes one copy and frees the value the other still
+   names.  [repair t k] fixes every node on [k]'s path — each node
+   before and after each sibling chase: it trims the entries at or past
+   the sibling's first key, then drops adjacent duplicates.  Every step
+   is a count store or a line-ordered left shift, so a crash inside the
+   repair leaves a state the next repair fixes. *)
+let repair_node t addr =
+  let meta = read_meta t.mach addr in
+  let leaf = is_leaf_of meta in
+  let count = count_of meta in
+  let sib = Machine.read_u64 t.mach (addr + sibling_off) in
+  let count =
+    if sib = Alloc_intf.packed_null then count
+    else begin
+      let right = raw_of t (ptr_of_packed t sib) in
+      if count_of (read_meta t.mach right) = 0 then count
+      else begin
+        let keep = lower_bound t.mach addr count (key_at t.mach right 0) in
+        if keep < count then write_meta t addr ~count:keep ~leaf;
+        keep
+      end
+    end
+  in
+  let rec dedupe count i =
+    if i + 1 < count then
+      if key_at t.mach addr i = key_at t.mach addr (i + 1) then begin
+        remove_at t addr ~count ~pos:(i + 1) ~leaf;
+        dedupe (count - 1) i
+      end
+      else dedupe count (i + 1)
+  in
+  dedupe count 0
+
+let repair t k =
+  let rec visit addr =
+    repair_node t addr;
+    let next = chase_sibling t addr k in
+    if next <> addr then visit next
+    else begin
+      let meta = read_meta t.mach addr in
+      if not (is_leaf_of meta) then begin
+        let count = count_of meta in
+        let pos = lower_bound t.mach addr count k in
+        let child_idx =
+          if pos < count && key_at t.mach addr pos = k then pos
+          else max 0 (pos - 1)
+        in
+        visit (raw_of t (ptr_of_packed t (value_at t.mach addr child_idx)))
+      end
+    end
+  in
+  visit (raw_of t t.root)
 
 (* ---------- range scan ---------- *)
 

@@ -10,8 +10,9 @@
     Concurrency model (simulated threads): searches traverse without
     locks; writers lock the target leaf; structure modifications
     additionally take a global SMO lock.  Node updates use FAST-style
-    shifting writes and FAIR-style publication ordering, so a crash at
-    any persistence point leaves a tree that {!attach} can reopen.
+    shifting writes, written back once per cache line, and FAIR-style
+    publication ordering, so a crash at any persistence point leaves a
+    tree that {!attach} can reopen and {!repair} can clean.
     Lock-free readers ({!find}, cursors) read each node
     preemption-free (one consistent node state per step, the atomicity
     FAST's shifting writes give real-hardware readers by construction)
@@ -55,6 +56,17 @@ val find : t -> int -> int option
 val delete : t -> int -> bool
 (** Removes the key from its leaf (no rebalancing, as in FAST-FAIR);
     returns whether it was present. *)
+
+val repair : t -> int -> unit
+(** Crash repair of the path to a key, for recovery before it redoes
+    an interrupted insert or delete of that key.  A crash inside a
+    shift leaves an adjacent duplicate entry, and a crash inside a
+    split's publish leaves the left node holding copies of the entries
+    moved right; neither hides a key from {!find}, but a later
+    {!delete} would remove one copy and free the value the other still
+    names.  On every node of the path, before and after each sibling
+    chase, drops adjacent duplicates and trims entries at or past the
+    sibling's first key.  Idempotent. *)
 
 val scan : t -> from_key:int -> n:int -> (int -> int -> unit) -> unit
 (** In-order traversal of up to [n] entries with key ≥ [from_key],

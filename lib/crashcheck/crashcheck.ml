@@ -492,7 +492,7 @@ let scn_broken_missing_flush () =
                      data)
               else Ok ()) } ] }
 
-(* ---------- service scenarios: poseidon-kv intent protocol ---------- *)
+(* ---------- service scenarios: poseidon-kv commit protocol ---------- *)
 
 type kv_op =
   | Kput of int * int
@@ -526,13 +526,33 @@ let apply_kv tbl = function
           | Service.Kv.Tdel { key } -> Hashtbl.remove tbl key)
         ops
 
+(* The no-dangling rule: every value pointer in every tree (each leaf
+   entry, a duplicate or stale one included) names a live block.  A
+   pointer to a freed block still reads right until the block is
+   reused, so no value check can see it; it surfaces only here. *)
+let dangling_value env store =
+  let live = Hashtbl.create 256 in
+  H.iter_subheaps env.heap (fun sh ->
+      Poseidon.Subheap.iter_blocks sh (fun ~off ~size:_ ~rec_addr:_ ~status ->
+          if status = Poseidon.Layout.st_alloc then
+            Hashtbl.replace live (sh.Poseidon.Subheap.index, off) ()));
+  let bad = ref None in
+  Service.Kv.iter_values store (fun ~key p ->
+      if !bad = None && not (Hashtbl.mem live (p.Alloc_intf.subheap, p.Alloc_intf.off))
+      then
+        bad :=
+          Some
+            (Printf.sprintf "key %d names a freed block <%d:%#x>" key
+               p.Alloc_intf.subheap p.Alloc_intf.off));
+  !bad
+
 (* Recovery oracle shared by the local and the replicated KV sweeps:
    re-attach the *service* on [env]'s surviving heap — running the
-   intent replay/rollback — then check three things: the allocator is
-   still sane after replay mutated it, the store matches the acked
-   prefix of [plan] applied over [preload] exactly, and the one
-   in-flight operation is atomic (its key reads as either the pre- or
-   the post-state, never a torn value).
+   slot redo/rollback — then check four things: the allocator is still
+   sane after replay mutated it, no tree names a freed block, the
+   store matches the acked prefix of [plan] applied over [preload]
+   exactly, and the one in-flight operation is atomic (its key reads
+   as either the pre- or the post-state, never a torn value).
 
    [window] (default 1) generalizes the prefix rule to group commit:
    with up to [window] ops in flight beyond the acked prefix, the
@@ -561,11 +581,14 @@ let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
               let live = (H.stats env.heap).H.live_bytes
               and free = (H.stats env.heap).H.free_bytes
               and cap = H.data_capacity env.heap in
+              let dangling = dangling_value env s2 in
               if live + free <> cap then
                 Error
                   (Printf.sprintf
                      "post-replay leak: live %d + free %d <> capacity %d"
                      live free cap)
+              else if Option.is_some dangling then
+                Error ("dangling value: " ^ Option.get dangling)
               else if window > 1 then begin
                 Service.Kv.check s2;
                 let universe = Hashtbl.create 32 in
@@ -715,13 +738,14 @@ let scn_kv ?(slack = 4096) ?(wrap = fun (i : Alloc_intf.instance) -> i)
   let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
   { sname; setup; op; extra_oracles = o_kv :: extra }
 
+let kv_put_preload = [ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105); (6, 106) ]
+
+let kv_put_plan =
+  [ Kput (3, 201); Kput (9, 202); Kput (4, 203); Kput (10, 204);
+    Kput (3, 205); Kput (11, 206) ]
+
 let scn_kv_put () =
-  scn_kv ~sname:"kv-put"
-    ~preload:[ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105); (6, 106) ]
-    ~plan:
-      [ Kput (3, 201); Kput (9, 202); Kput (4, 203); Kput (10, 204);
-        Kput (3, 205); Kput (11, 206) ]
-    ()
+  scn_kv ~sname:"kv-put" ~preload:kv_put_preload ~plan:kv_put_plan ()
 
 let scn_kv_delete () =
   scn_kv ~sname:"kv-delete"
@@ -731,6 +755,73 @@ let scn_kv_delete () =
     ~plan:[ Kdel 2; Kdel 5; Kput (5, 222); Kdel 7; Kdel 99; Kdel 3; Kdel 5 ]
     ()
 
+(* Shard 0's keys (of [shards:2]) in ascending order: a plan built
+   from them lands in one tree, so its leaves fill and shift. *)
+let shard0_keys n =
+  let rec go k acc n =
+    if n = 0 then List.rev acc
+    else if Service.Kv.shard_of ~shards:2 k = 0 then go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  go 1 [] n
+
+(* After recovery, delete every key of the universe: none may survive.
+   A duplicate or stale leaf entry left by a crashed shift or split
+   reads like the real one, so the prefix oracle passes it; a delete
+   removes one copy and frees the value the other still names, so the
+   survivor shows here. *)
+let kv_delete_all_oracle ~universe () =
+  { oname = "delete-all";
+    check =
+      (fun env ->
+        match Service.Kv.attach (Poseidon.instance env.heap) with
+        | exception e ->
+          Error ("service recovery raised: " ^ Printexc.to_string e)
+        | s2, _ -> (
+          List.iter (fun k -> ignore (Service.Kv.delete s2 ~key:k)) universe;
+          match List.find_opt (fun k -> Service.Kv.get s2 ~key:k <> None) universe with
+          | Some k -> Error (Printf.sprintf "key %d still present after delete" k)
+          | None ->
+            let n = Service.Kv.count_keys s2 in
+            if n = 0 then Ok ()
+            else Error (Printf.sprintf "%d key(s) survive delete all" n))) }
+
+let universe_of ~preload ~plan =
+  List.sort_uniq compare
+    (List.map fst preload
+    @ List.concat_map
+        (function
+          | Kput (k, _) | Kdel k -> [ k ]
+          | Ktxn ops -> List.map txn_op_key ops)
+        plan)
+
+(* A FAST shift across a whole leaf: 20 keys on one shard, a put below
+   all of them (every entry shifts right) and its delete (every entry
+   shifts back).  A crash inside either shift leaves an adjacent
+   duplicate, which recovery must repair before it redoes the op. *)
+let scn_kv_shift () =
+  let keys = shard0_keys 21 in
+  let preload = List.map (fun k -> (k, 800 + k)) (List.tl keys) in
+  let k0 = List.hd keys in
+  let plan = [ Kput (k0, 901); Kdel k0 ] in
+  scn_kv ~sname:"kv-shift" ~preload ~plan
+    ~extra:[ kv_delete_all_oracle ~universe:(universe_of ~preload ~plan) () ]
+    ()
+
+(* A FAIR split: a full leaf (31 keys on one shard) and a put into its
+   middle.  A crash between the sibling link and the left count shrink
+   leaves the left leaf holding the entries it copied right. *)
+let scn_kv_split () =
+  let keys = shard0_keys 32 in
+  let mid = List.nth keys 16 in
+  let preload =
+    List.filter_map (fun k -> if k = mid then None else Some (k, 850 + k)) keys
+  in
+  let plan = [ Kput (mid, 951) ] in
+  scn_kv ~sname:"kv-split" ~preload ~plan
+    ~extra:[ kv_delete_all_oracle ~universe:(universe_of ~preload ~plan) () ]
+    ()
+
 (* Cross-shard transactions through the 2PC coordinator-record
    protocol.  Key shard map for [shards:2]: keys 2, 3, 7, 8, 9, 10 and
    99 hash to shard 0; keys 1, 4, 5, 6 and 11 to shard 1 — asserted
@@ -738,8 +829,8 @@ let scn_kv_delete () =
    crosses shards in every transaction and covers: a 2-put commit, a
    mixed delete+put commit with a two-op slot on one shard, a strict
    delete abort ([Tdel 99] — key absent, so the whole transaction must
-   vanish), interleaved with single ops so the single-op intent slots
-   and the participant slots coexist at crash points. *)
+   vanish), interleaved with single ops so the commit slots and the
+   participant slots coexist at crash points. *)
 let kv_txn_plan () =
   let s0 k = assert (Service.Kv.shard_of ~shards:2 k = 0)
   and s1 k = assert (Service.Kv.shard_of ~shards:2 k = 1) in
@@ -774,6 +865,16 @@ let scn_kv_txn_broken () =
     ~tweak:Service.Kv.txn_break_decision_persist ~preload:kv_txn_preload
     ~plan:(kv_txn_plan ()) ()
 
+(* The seeded commit-slot bug: the chunk's decided word rides its
+   slot's fence, so it is durable before the allocator commit.  A
+   crash between the two redoes a slot whose value blocks the heap's
+   replay has just freed: every value still reads right, so only the
+   no-dangling check in the prefix oracle can flag it — the mutation
+   gate in scripts/check.sh fails CI if it does not. *)
+let scn_kv_commit_broken () =
+  scn_kv ~sname:"kv-commit-broken" ~tweak:Service.Kv.txn_break_decision_persist
+    ~preload:kv_put_preload ~plan:kv_put_plan ()
+
 (* MVCC read-path sweep: the kv-put/delete/txn op mix again, but on a
    store with a version window, and after every completed operation the
    driver mints a snapshot and audits it against the completed-prefix
@@ -795,15 +896,7 @@ let scn_kv_snapshot () =
           Service.Kv.Tput { key = 7; vseed = 504 } ];
       Kput (3, 505); Kdel 5; Kput (10, 506) ]
   in
-  let universe =
-    List.sort_uniq compare
-      (List.map fst preload
-      @ List.concat_map
-          (function
-            | Kput (k, _) | Kdel k -> [ k ]
-            | Ktxn ops -> List.map txn_op_key ops)
-          plan)
-  in
+  let universe = universe_of ~preload ~plan in
   let svc = ref None in
   let acked = ref 0 in
   let violations = ref [] in
@@ -994,15 +1087,7 @@ let scn_kv_rcache ?(break = false) ~sname () =
           Service.Kv.Tput { key = 7; vseed = 704 } ];
       Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ]
   in
-  let universe =
-    List.sort_uniq compare
-      (List.map fst preload
-      @ List.concat_map
-          (function
-            | Kput (k, _) | Kdel k -> [ k ]
-            | Ktxn ops -> List.map txn_op_key ops)
-          plan)
-  in
+  let universe = universe_of ~preload ~plan in
   let svc = ref None in
   let acked = ref 0 in
   let violations = ref [] in
@@ -1341,7 +1426,7 @@ let scn_kv_batched_broken () =
 
 (* Allocator-level census for the cached-allocation sweeps: after heap
    recovery (which frees every ledger-leased block) AND service replay
-   (which resolves the in-flight intent), every live block of the
+   (which resolves the in-flight chunk), every live block of the
    value class must be referenced by exactly one present key — the
    recovered store itself is the reference model, so the oracle holds
    at every crash point regardless of where the sweep cut.  A cache
@@ -1394,15 +1479,7 @@ let tcache_plan =
     Kdel 5; Kput (11, 605); Kput (9, 606) ]
 
 let scn_kv_tcache ?(break = false) ~sname () =
-  let universe = Hashtbl.create 32 in
-  List.iter (fun (k, _) -> Hashtbl.replace universe k ()) tcache_preload;
-  List.iter
-    (function
-      | Kput (k, _) | Kdel k -> Hashtbl.replace universe k ()
-      | Ktxn ops ->
-        List.iter (fun o -> Hashtbl.replace universe (txn_op_key o) ()) ops)
-    tcache_plan;
-  let universe = Hashtbl.fold (fun k () a -> k :: a) universe [] in
+  let universe = universe_of ~preload:tcache_preload ~plan:tcache_plan in
   scn_kv ~sname ~slack:12288
     ~wrap:(fun inst ->
       let wrapped, h = Tcache.wrap ~mag:4 inst in
@@ -1421,7 +1498,8 @@ let scn_kv_tcache_broken () =
 
 let all_scenarios () =
   [ scn_alloc (); scn_free (); scn_tx_commit (); scn_tx_abort ();
-    scn_extend (); scn_kv_put (); scn_kv_delete (); scn_kv_txn ();
+    scn_extend (); scn_kv_put (); scn_kv_delete (); scn_kv_shift ();
+    scn_kv_split (); scn_kv_txn ();
     scn_kv_snapshot (); scn_kv_rcache_put (); scn_kv_replicated_put ();
     scn_kv_batched_put (); scn_kv_tcache_put (); scn_carve () ]
 
@@ -1433,6 +1511,9 @@ let scenario_by_name = function
   | "extend" -> Some (scn_extend ())
   | "kv-put" -> Some (scn_kv_put ())
   | "kv-delete" -> Some (scn_kv_delete ())
+  | "kv-shift" -> Some (scn_kv_shift ())
+  | "kv-split" -> Some (scn_kv_split ())
+  | "kv-commit-broken" -> Some (scn_kv_commit_broken ())
   | "kv-txn" -> Some (scn_kv_txn ())
   | "kv-txn-broken" -> Some (scn_kv_txn_broken ())
   | "kv-snapshot" -> Some (scn_kv_snapshot ())

@@ -159,8 +159,10 @@ val pp_report : Format.formatter -> report -> unit
     Operation paths over a deliberately small heap (one CPU, 64 KiB of
     sub-heap data) so exhaustive enumeration stays cheap, plus a
     deliberately broken protocol for mutation sanity checks.  The KV
-    scenarios drive the {!Service.Kv} intent protocol; the replicated
-    one adds a second machine and the {!Replica} shipping pipeline. *)
+    scenarios drive the {!Service.Kv} commit-slot protocol; the
+    replicated one adds a second machine and the {!Replica} shipping
+    pipeline.  Every KV scenario's acked-prefix oracle also demands
+    that no tree names a freed block (the no-dangling check). *)
 
 val scn_alloc : unit -> scenario
 (** Mixed-size singleton allocations (split paths included). *)
@@ -188,13 +190,35 @@ val scn_carve : unit -> scenario
     recovery left no lease armed. *)
 
 val scn_kv_put : unit -> scenario
-(** KV puts (inserts + overwrites) through the intent protocol; the
-    recovered store must equal the acked prefix of the plan, with the
-    one in-flight put atomic. *)
+(** KV puts (inserts + overwrites) through the commit-slot protocol;
+    the recovered store must equal the acked prefix of the plan, with
+    the one in-flight put atomic. *)
 
 val scn_kv_delete : unit -> scenario
 (** KV deletes (present, absent and re-inserted keys) under the same
     acked-prefix oracle. *)
+
+val scn_kv_shift : unit -> scenario
+(** A put below all 20 keys of one shard's leaf (every entry shifts
+    right) and its delete (every entry shifts back).  After recovery
+    the [delete-all] oracle deletes every key and none may survive: a
+    duplicate entry a crashed shift left behind, unrepaired, would
+    outlive its delete and name the freed value. *)
+
+val scn_kv_split : unit -> scenario
+(** A put into the middle of a full 31-key leaf, which splits it.  A
+    crash between the sibling link and the left count shrink leaves
+    the left leaf holding the entries it copied right; the same
+    [delete-all] oracle catches any that recovery did not trim. *)
+
+val scn_kv_commit_broken : unit -> scenario
+(** The kv-put plan with {!Service.Kv.txn_break_decision_persist}
+    armed: each chunk's decided word rides its slot's fence, ahead of
+    the allocator commit.  A crash between the two redoes a slot whose
+    blocks the heap's replay freed; only the no-dangling check sees it.
+    The checker {e must} report counterexamples — the mutation gate in
+    [scripts/check.sh] fails CI when it does not.  Excluded from
+    {!all_scenarios}. *)
 
 val scn_kv_txn : unit -> scenario
 (** Cross-shard transactions through the 2PC coordinator-record
@@ -305,7 +329,8 @@ val all_scenarios : unit -> scenario list
 
 val scenario_by_name : string -> scenario option
 (** ["alloc" | "free" | "tx-commit" | "tx-abort" | "extend" |
-    "kv-put" | "kv-delete" | "kv-txn" | "kv-txn-broken" |
+    "kv-put" | "kv-delete" | "kv-shift" | "kv-split" |
+    "kv-commit-broken" | "kv-txn" | "kv-txn-broken" |
     "kv-snapshot" | "mvcc-broken" | "kv-rcache-put" | "rcache-broken" |
     "kv-replicated-put" | "kv-batched-put" | "kv-batched-broken" |
     "kv-tcache-put" | "tcache-broken" | "carve" | "broken"]. *)

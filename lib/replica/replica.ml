@@ -286,7 +286,7 @@ module Applier = struct
 
   (* Group apply: a burst's parked records for one shard go down as a
      single [apply_group] call (the backup-side commit-group chain —
-     one covering persist per chunk instead of one intent round per
+     one commit-slot chunk per up to eight records instead of one per
      record).  Sequence numbers were advanced at park time, so the
      ordering check stays per record; the durability receipt moves
      with the apply — [flush_stash] always runs before [flush_acks],

@@ -1,8 +1,8 @@
 (** Primary/backup log shipping over a {!Cluster.Link}.
 
-    The primary frames each shard's mutations — the same
-    PUT_INTENT/PUT_COMMITTED/DEL_INTENT operations the local store
-    already makes durable — with a dense per-shard sequence number and
+    The primary frames each shard's mutations — the same puts and
+    deletes the local store has already committed on that shard's
+    commit slot — with a dense per-shard sequence number and
     ships them to a backup machine, which applies them {e in order}
     into its own persistent store through a caller-supplied callback
     (on poseidon-kv: the identical [Alloc_intf] transaction + B+-tree

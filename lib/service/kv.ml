@@ -4,42 +4,36 @@ module Sched = Simcore.Sched
 (* superroot layout (u64 words):
    +0   magic
    +8   geometry: shards lor (value_size lsl 16)
-   +64  coordinator decision record: id of the one transaction whose
-        decide→apply window may be open (0 = none).  It sits on its own
-        cache line so no neighbouring persist can flush it by accident —
-        its persist IS the transaction commit point.
+   +64  coordinator decision record: id of the one cross-shard
+        transaction whose decide→apply window may be open (0 = none).
+        It sits on its own cache line so no neighbouring persist can
+        flush it by accident — its persist IS the transaction commit
+        point.
    +128 + i*64: shard record i:
         +0  tree root (packed nvmptr)
-        +8  intent state (st_* below)
-        +16 intent key
-        +24 intent new value (packed)
-        +32 intent old value (packed)
-   +128 + nshards*64 + i*256: participant txn slot for shard i:
-        +0  txn id (0 = free)
-        +8  checksum over id/meta/entries (guards torn slot persists)
-        +16 meta: nops lor (shard lsl 8)
-        +24 + j*24: entry j: key, new value (packed; null = delete),
-                    old value (packed; null = fresh insert) *)
+        +8  decided word: id of the shard's commit-slot chunk that last
+            reached its commit point
+   +128 + nshards*64 + i*512: shard i's two slots, 256 B each:
+        +0   participant txn slot (cross-shard 2PC)
+        +256 commit slot (single-shard chunks: puts, deletes, groups)
+        each: +0  id (0 = free)
+              +8  checksum over id/meta/entries (guards torn persists)
+              +16 meta: nops lor (shard lsl 8)
+              +24 + j*24: entry j: key, new value (packed; null =
+                  delete), old value (packed; null = fresh insert) *)
 
-let magic = 0x00504F534B560004 (* "POSKV" v4 *)
+let magic = 0x00504F534B560005 (* "POSKV" v5 *)
 let hdr_size = 128
 let decision_off = 64
 let shard_stride = 64
 let slot_root = 0
-let slot_state = 8
-let slot_key = 16
-let slot_new = 24
-let slot_old = 32
+let slot_decided = 8
 
-let st_empty = 0
-let st_put_intent = 1
-let st_put_committed = 2
-let st_del_intent = 3
-
-(* participant txn slots: one per shard, owned by whoever holds that
-   shard's lock, so a slot is always free when a transaction claims it *)
+(* a shard's slots are owned by whoever holds that shard's lock, so a
+   slot is always free when a transaction or a chunk claims it *)
 let max_txn_ops = 8
 let txn_stride = 256
+let slots_stride = 2 * txn_stride
 let tslot_txn = 0
 let tslot_cksum = 8
 let tslot_meta = 16
@@ -58,10 +52,15 @@ type t = {
   shard_tbl : shard array;
   shard_locks : Machine.Lock.lock array;
   txn_lock : Machine.Lock.lock;
-      (* serializes the decide→apply window: the single decision word
-         may only describe one in-flight transaction at a time *)
+      (* serializes a cross-shard transaction's decide→apply window:
+         the single decision word may only describe one in-flight
+         transaction at a time.  Single-shard chunks never take it. *)
   mutable next_txn : int;
-  mutable break_decision_persist : bool; (* mutation-testing hook *)
+      (* next transaction / chunk id; restarts at 1 on attach, which
+         is why recovery zeroes every decided word *)
+  mutable break_decision_persist : bool;
+      (* mutation-testing hook: the commit point is not ordered after
+         what it commits *)
   mvcc : Mvcc.t;
       (* volatile per-shard version chains for lock-free snapshot
          reads; window 0 (the default) disables every hook *)
@@ -144,7 +143,7 @@ let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
   let value_size = max 8 ((value_size + 7) / 8 * 8) in
   let mach = A.instance_machine inst in
-  let size = hdr_size + (shards * shard_stride) + (shards * txn_stride) in
+  let size = hdr_size + (shards * shard_stride) + (shards * slots_stride) in
   let p =
     match A.i_alloc inst size with
     | Some p -> p
@@ -173,47 +172,7 @@ let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
     rcache = Rcache.create ~shards ~entries:rcache_entries;
     backup_decided = Hashtbl.create 8 }
 
-let set_state t sh st =
-  Machine.write_u64 t.mach (sh.base + slot_state) st;
-  Machine.persist t.mach (sh.base + slot_state) 8
-
-let recover_shard t sh acc =
-  let rd off = Machine.read_u64 t.mach (sh.base + off) in
-  let st = rd slot_state in
-  if st = st_empty then acc
-  else begin
-    let key = rd slot_key in
-    let newv = rd slot_new and oldv = rd slot_old in
-    let replayed, rolled_back = acc in
-    let acc =
-      if st = st_put_intent then begin
-        (* the value may or may not have survived (allocator tx commit
-           raced the crash); safe free absorbs both cases *)
-        if newv <> A.packed_null then
-          A.i_free t.inst (A.unpack ~heap_id:t.hid newv);
-        (replayed, rolled_back + 1)
-      end
-      else if st = st_put_committed then begin
-        (* redo the publication; insert is an idempotent overwrite and
-           the old-value free is safe if the first attempt got there *)
-        Btree.insert sh.tree ~key ~value:newv;
-        if oldv <> A.packed_null then
-          A.i_free t.inst (A.unpack ~heap_id:t.hid oldv);
-        (replayed + 1, rolled_back)
-      end
-      else if st = st_del_intent then begin
-        ignore (Btree.delete sh.tree key);
-        if oldv <> A.packed_null then
-          A.i_free t.inst (A.unpack ~heap_id:t.hid oldv);
-        (replayed + 1, rolled_back)
-      end
-      else failwith "Kv.attach: corrupt intent slot"
-    in
-    set_state t sh st_empty;
-    acc
-  end
-
-(* ---------- participant txn slots ---------- *)
+(* ---------- participant and commit slots ---------- *)
 
 type txn_op = Replica.txn_op =
   | Tput of { key : int; vseed : int }
@@ -236,20 +195,24 @@ type txn_result = {
 
 let txn_key = function Tput { key; _ } | Tdel { key } -> key
 
-let tslot_base t i = t.raw + hdr_size + (t.nshards * shard_stride) + (i * txn_stride)
+(* shard [i]'s participant slot, or with [~commit:true] its commit
+   slot — the same format at the next 256 B *)
+let tslot_base ?(commit = false) t i =
+  t.raw + hdr_size + (t.nshards * shard_stride) + (i * slots_stride)
+  + if commit then txn_stride else 0
 
 (* Entries are (key, packed new value | null = delete, packed old
    value | null).  The checksum makes a torn slot persist (an
    adversarial subset of the slot's four cache lines) detectable:
-   recovery must never redo or undo from half-written intent. *)
+   recovery must never redo or undo from a half-written slot. *)
 let tslot_checksum ~txn ~meta entries =
   List.fold_left
     (fun acc (k, nv, ov) -> mix (acc lxor mix k lxor mix nv lxor mix ov))
     (mix txn lxor mix meta)
     entries
 
-let write_tslot t i ~txn entries =
-  let base = tslot_base t i in
+let write_tslot ?commit t i ~txn entries =
+  let base = tslot_base ?commit t i in
   let nops = List.length entries in
   let meta = nops lor (i lsl 8) in
   Machine.write_u64 t.mach (base + tslot_meta) meta;
@@ -265,8 +228,8 @@ let write_tslot t i ~txn entries =
   Machine.write_u64 t.mach (base + tslot_txn) txn;
   Machine.persist t.mach base (tslot_entries + (nops * tentry_stride))
 
-let read_tslot t i =
-  let base = tslot_base t i in
+let read_tslot ?commit t i =
+  let base = tslot_base ?commit t i in
   let rd off = Machine.read_u64 t.mach (base + off) in
   let txn = rd tslot_txn in
   if txn = 0 then `Free
@@ -283,25 +246,31 @@ let read_tslot t i =
       if rd tslot_cksum <> tslot_checksum ~txn ~meta entries then `Torn
       else `Slot (txn, entries)
 
-let clear_tslot t i =
-  let base = tslot_base t i in
+let clear_tslot ?commit t i =
+  let base = tslot_base ?commit t i in
   Machine.write_u64 t.mach (base + tslot_txn) 0;
   Machine.persist t.mach (base + tslot_txn) 8
 
-(* Publish one prepared entry into shard [i]'s tree.  Insert is an
-   idempotent overwrite and free is Poseidon's safe free, so replaying
-   a half-applied slot after a crash is harmless. *)
-let publish_entry t i (key, newv, oldv) =
-  let sh = t.shard_tbl.(i) in
-  if newv = A.packed_null then ignore (Btree.delete sh.tree key)
-  else Btree.insert sh.tree ~key ~value:newv;
-  if oldv <> A.packed_null then A.i_free t.inst (A.unpack ~heap_id:t.hid oldv)
+(* Publish a prepared slot into shard [i]'s tree, free the values it
+   overwrote, and clear it.  Insert is an idempotent overwrite and free
+   is Poseidon's safe free, so replaying a half-applied slot after a
+   crash is harmless — provided no freed block was handed out again
+   before the clear.  So every free follows the last tree update: a
+   split's node allocation can never reuse a block the redo frees. *)
+let apply_tslot ?commit t i entries =
+  let tree = t.shard_tbl.(i).tree in
+  List.iter
+    (fun (key, newv, _) ->
+      if newv = A.packed_null then ignore (Btree.delete tree key)
+      else Btree.insert tree ~key ~value:newv)
+    entries;
+  List.iter
+    (fun (_, _, oldv) ->
+      if oldv <> A.packed_null then A.i_free t.inst (A.unpack ~heap_id:t.hid oldv))
+    entries;
+  clear_tslot ?commit t i
 
-let apply_tslot t i entries =
-  List.iter (publish_entry t i) entries;
-  clear_tslot t i
-
-let abort_tslot t i entries =
+let abort_tslot ?commit t i entries =
   List.iter
     (fun (_, newv, _) ->
       if newv <> A.packed_null then
@@ -309,7 +278,7 @@ let abort_tslot t i entries =
            rolled the prepare's transaction back — safe free absorbs *)
         A.i_free t.inst (A.unpack ~heap_id:t.hid newv))
     entries;
-  clear_tslot t i
+  clear_tslot ?commit t i
 
 let read_decision t = Machine.read_u64 t.mach (t.raw + decision_off)
 
@@ -317,34 +286,66 @@ let write_decision t v ~persist =
   Machine.write_u64 t.mach (t.raw + decision_off) v;
   if persist then Machine.persist t.mach (t.raw + decision_off) 8
 
-(* Recovery: the decision record names the only transaction that may
-   have been committed but not fully applied.  Its slots are redone;
-   every other occupied slot belongs to an undecided transaction whose
-   client was never answered — presumed abort. *)
-let recover_txns t =
-  let decision = read_decision t in
+let decided_addr t i = t.shard_tbl.(i).base + slot_decided
+
+(* Resolve one kind of slot on every shard: a slot whose id equals
+   [decided i] reached its commit point and is redone; every other
+   occupied slot never did — its client was never answered — and is
+   rolled back (presumed abort).  A torn slot's persist fence never
+   completed, so its allocator transaction was still open and the
+   heap's own replay already freed its blocks: nothing to undo but the
+   slot. *)
+let resolve_slots ?commit t ~decided =
   let committed = ref 0 and aborted = ref 0 in
   for i = 0 to t.nshards - 1 do
-    match read_tslot t i with
+    match read_tslot ?commit t i with
     | `Free -> ()
     | `Torn ->
-      (* the slot's persist fence never completed, so the prepare's
-         allocator transaction was still open: the micro-log replay
-         already freed its blocks.  Nothing to undo but the slot. *)
-      clear_tslot t i;
+      clear_tslot ?commit t i;
       incr aborted
-    | `Slot (txn, entries) ->
-      if txn = decision then begin
-        apply_tslot t i entries;
+    | `Slot (id, entries) ->
+      if id = decided i then begin
+        apply_tslot ?commit t i entries;
         incr committed
       end
       else begin
-        abort_tslot t i entries;
+        abort_tslot ?commit t i entries;
         incr aborted
       end
   done;
-  if decision <> 0 then write_decision t 0 ~persist:true;
   (!committed, !aborted)
+
+(* Recovery.  First the trees: a crash inside a shift or a split left
+   the paths of the armed slots' keys with a duplicate or stale entry,
+   which a redo would otherwise build on.  Then each shard's commit
+   slot is redone when its decided word names it, and the participant
+   slots when the coordinator decision names their transaction.  Ids
+   restart at 1 with the new handle, so every decided word and the
+   decision record are zeroed last: no stale word may match a new id. *)
+let recover t =
+  for i = 0 to t.nshards - 1 do
+    List.iter
+      (fun commit ->
+        match read_tslot ~commit t i with
+        | `Slot (_, entries) ->
+          List.iter (fun (key, _, _) -> Btree.repair t.shard_tbl.(i).tree key) entries
+        | `Free | `Torn -> ())
+      [ false; true ]
+  done;
+  let replayed, rolled_back =
+    resolve_slots ~commit:true t ~decided:(fun i ->
+        Machine.read_u64 t.mach (decided_addr t i))
+  in
+  let decision = read_decision t in
+  let txn_committed, txn_aborted = resolve_slots t ~decided:(fun _ -> decision) in
+  for i = 0 to t.nshards - 1 do
+    if Machine.read_u64 t.mach (decided_addr t i) <> 0 then begin
+      Machine.write_u64 t.mach (decided_addr t i) 0;
+      Machine.persist t.mach (decided_addr t i) 8
+    end
+  done;
+  if decision <> 0 then write_decision t 0 ~persist:true;
+  { replayed; rolled_back; txn_committed; txn_aborted }
 
 let attach ?(mvcc_window = 0) ?(rcache_entries = 0) inst =
   let mach = A.instance_machine inst in
@@ -372,11 +373,7 @@ let attach ?(mvcc_window = 0) ?(rcache_entries = 0) inst =
       rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
       backup_decided = Hashtbl.create 8 }
   in
-  let replayed, rolled_back =
-    Array.fold_left (fun acc sh -> recover_shard t sh acc) (0, 0) t.shard_tbl
-  in
-  let txn_committed, txn_aborted = recover_txns t in
-  (t, { replayed; rolled_back; txn_committed; txn_aborted })
+  (t, recover t)
 
 (* ---------- operations ---------- *)
 
@@ -453,44 +450,107 @@ let rcache_charge t =
     Obs.Span.note_rcache rcache_probe_ns
   end
 
+(* ---------- single-shard commit: the commit slot ---------- *)
+
+let flush_lines t a len =
+  if len > 0 then begin
+    let first = a asr 6 and last = (a + len - 1) asr 6 in
+    for l = first to last do
+      Machine.clwb t.mach (l lsl 6)
+    done
+  end
+
+let find_packed t i key =
+  match Btree.find t.shard_tbl.(i).tree key with
+  | Some v -> v
+  | None -> A.packed_null
+
+(* Commit one chunk of single-key mutations on shard [i]: distinct
+   keys, each paired with its current packed value (null = absent;
+   deletes are of present keys).  The caller holds the shard lock or is
+   the only mutator.  The order is the protocol:
+   + allocate and write the new values, clwb'd without a fence;
+   + write the shard's commit slot and fence it — the fence covers the
+     values too;
+   + commit the allocator transaction (micro-log truncate, or tcache
+     lease publish), when the chunk allocated: from here the slot owns
+     the blocks;
+   + persist the shard's decided word = the slot's id, in its own
+     fence.  That fence is the chunk's one commit point: recovery redoes
+     a slot its decided word names and rolls back any other.  It must
+     follow the allocator commit — redoing a slot whose blocks the
+     heap's replay has just freed would publish dangling values;
+   + publish the versions and kill the cached digests in one pure
+     step, then apply the entries to the tree and free the old values,
+     and clear the slot.
+   No coordinator lock and no decision record: the word is the shard's
+   own.  [Error] (heap exhausted) leaves nothing durable behind. *)
+let commit_chunk t i members =
+  Rcache.drain_pending t.rcache;
+  let failed = ref false in
+  let allocated = ref [] in
+  let entries =
+    List.map
+      (fun (o, old) ->
+        match o with
+        | Tdel { key } -> (key, A.packed_null, old)
+        | Tput { key; vseed } ->
+          if !failed then (key, A.packed_null, old)
+          else begin
+            match A.i_tx_alloc t.inst t.value_size ~is_end:false with
+            | None ->
+              failed := true;
+              (key, A.packed_null, old)
+            | Some p ->
+              allocated := p :: !allocated;
+              let vaddr = A.i_get_rawptr t.inst p in
+              for w = 0 to (t.value_size / 8) - 1 do
+                Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
+              done;
+              flush_lines t vaddr t.value_size;
+              (key, A.pack p, old)
+          end)
+      members
+  in
+  if !failed then begin
+    List.iter (fun p -> A.i_free t.inst p) !allocated;
+    A.i_tx_commit t.inst;
+    Error Txn_no_memory
+  end
+  else begin
+    let id = t.next_txn in
+    t.next_txn <- id + 1;
+    let decided = decided_addr t i in
+    if t.break_decision_persist then begin
+      (* BROKEN (mutation testing): the decided word rides the slot's
+         fence, ahead of the allocator commit *)
+      Machine.write_u64 t.mach decided id;
+      Machine.clwb t.mach decided
+    end;
+    write_tslot ~commit:true t i ~txn:id entries;
+    if !allocated <> [] then A.i_tx_commit t.inst;
+    (* pre-images from the slot's old values, before any tree entry
+       changes below *)
+    if Mvcc.enabled t.mvcc then
+      List.iter (fun (key, _, old) -> mvcc_seed ~known:old t i key) entries;
+    if not t.break_decision_persist then begin
+      Machine.write_u64 t.mach decided id;
+      Machine.persist t.mach decided 8
+    end;
+    let fin = now () in
+    if Mvcc.enabled t.mvcc then
+      Mvcc.publish t.mvcc ~shard:i ~ts:(mvcc_mint t)
+        (List.map (fun (o, _) -> op_version t o) members);
+    List.iter (fun (key, _, _) -> Rcache.invalidate t.rcache ~shard:i ~key) entries;
+    apply_tslot ~commit:true t i entries;
+    Ok fin
+  end
+
+(* put and delete are chunks of one *)
 let put t ~key ~vseed =
   if key < 1 then invalid_arg "Kv.put: keys must be >= 1";
-  Rcache.drain_pending t.rcache;
-  let si = shard_of_key t key in
-  let sh = t.shard_tbl.(si) in
-  match A.i_tx_alloc t.inst t.value_size ~is_end:false with
-  | None -> false
-  | Some p ->
-    let vaddr = A.i_get_rawptr t.inst p in
-    let words = t.value_size / 8 in
-    for w = 0 to words - 1 do
-      Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
-    done;
-    Machine.persist t.mach vaddr t.value_size;
-    let old =
-      match Btree.find sh.tree key with
-      | Some v -> v
-      | None -> A.packed_null
-    in
-    mvcc_seed ~known:old t si key;
-    (* write-ahead intent: fields first, then the state flag *)
-    Machine.write_u64 t.mach (sh.base + slot_key) key;
-    Machine.write_u64 t.mach (sh.base + slot_new) (A.pack p);
-    Machine.write_u64 t.mach (sh.base + slot_old) old;
-    Machine.persist t.mach (sh.base + slot_key) 24;
-    set_state t sh st_put_intent;
-    (* commit point: the intent now owns the block *)
-    A.i_tx_commit t.inst;
-    set_state t sh st_put_committed;
-    Btree.insert sh.tree ~key ~value:(A.pack p);
-    if old <> A.packed_null then A.i_free t.inst (A.unpack ~heap_id:t.hid old);
-    set_state t sh st_empty;
-    (* one pure OCaml step: the new version becomes visible and the
-       stale cache entry disappears together *)
-    Rcache.invalidate t.rcache ~shard:si ~key;
-    Mvcc.publish t.mvcc ~shard:si ~ts:(mvcc_mint t)
-      [ (key, Some (value_checksum t ~vseed)) ];
-    true
+  let i = shard_of_key t key in
+  Result.is_ok (commit_chunk t i [ (Tput { key; vseed }, find_packed t i key) ])
 
 let get t ~key =
   let si = shard_of_key t key in
@@ -515,24 +575,10 @@ let get t ~key =
       Some d)
 
 let delete t ~key =
-  Rcache.drain_pending t.rcache;
-  let si = shard_of_key t key in
-  let sh = t.shard_tbl.(si) in
-  match Btree.find sh.tree key with
-  | None -> false
-  | Some old ->
-    mvcc_seed ~known:old t si key;
-    Machine.write_u64 t.mach (sh.base + slot_key) key;
-    Machine.write_u64 t.mach (sh.base + slot_new) A.packed_null;
-    Machine.write_u64 t.mach (sh.base + slot_old) old;
-    Machine.persist t.mach (sh.base + slot_key) 24;
-    set_state t sh st_del_intent;
-    ignore (Btree.delete sh.tree key);
-    A.i_free t.inst (A.unpack ~heap_id:t.hid old);
-    set_state t sh st_empty;
-    Rcache.invalidate t.rcache ~shard:si ~key;
-    Mvcc.publish t.mvcc ~shard:si ~ts:(mvcc_mint t) [ (key, None) ];
-    true
+  let i = shard_of_key t key in
+  let old = find_packed t i key in
+  old <> A.packed_null
+  && Result.is_ok (commit_chunk t i [ (Tdel { key }, old) ])
 
 let scan t ~from_key ~n =
   let sh = shard t from_key in
@@ -746,6 +792,13 @@ let snapshot_scan t ~ts ~from_key ~n f =
 
 let txn_break_decision_persist t = t.break_decision_persist <- true
 
+let iter_values t f =
+  Array.iter
+    (fun sh ->
+      Btree.scan sh.tree ~from_key:1 ~n:max_int (fun key v ->
+          f ~key (A.unpack ~heap_id:t.hid v)))
+    t.shard_tbl
+
 (* participants in ascending shard order, each with its ops in
    submission order — the lock-acquisition order, so concurrent
    transactions cannot deadlock *)
@@ -932,71 +985,14 @@ let txn ?on_commit ?(trace = -1) ?(span = -1) t ops =
 (* ---------- group commit (batched single-shard mutations) ---------- *)
 
 (* A commit group is a run of consecutive single-key mutations bound
-   for ONE shard, executed as a chain of single-participant
-   transaction chunks of up to [max_txn_ops] ops each.  Per chunk the
-   persistence cost is one covering slot persist — whose fence also
-   commits the chunk's value lines, clwb'd without individual fences —
-   plus one micro-log truncate and one decision-record round, versus
-   ~5 fences per op on the legacy intent path.  Crash recovery needs
-   nothing new: a chunk is a one-participant 2PC transaction, redone
-   or presumed-aborted by [recover_txns] like any other. *)
-
-let flush_lines t a len =
-  if len > 0 then begin
-    let first = a asr 6 and last = (a + len - 1) asr 6 in
-    for l = first to last do
-      Machine.clwb t.mach (l lsl 6)
-    done
-  end
-
-(* Prepare one chunk under the caller-held shard lock: allocate and
-   write the new values, clwb them fence-free, and let the slot
-   persist's single fence cover values + slot together. *)
-let group_prepare_locked t shard ops =
-  let failed = ref false in
-  let allocated = ref [] in
-  let find k =
-    match Btree.find t.shard_tbl.(shard).tree k with
-    | Some v -> v
-    | None -> A.packed_null
-  in
-  let entries =
-    List.map
-      (fun o ->
-        match o with
-        | Tdel { key } -> (key, A.packed_null, find key)
-        | Tput { key; vseed } ->
-          if !failed then (key, A.packed_null, A.packed_null)
-          else begin
-            match A.i_tx_alloc t.inst t.value_size ~is_end:false with
-            | None ->
-              failed := true;
-              (key, A.packed_null, A.packed_null)
-            | Some p ->
-              allocated := p :: !allocated;
-              let vaddr = A.i_get_rawptr t.inst p in
-              for w = 0 to (t.value_size / 8) - 1 do
-                Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
-              done;
-              flush_lines t vaddr t.value_size;
-              (key, A.pack p, find key)
-          end)
-      ops
-  in
-  if !failed then begin
-    List.iter (fun p -> A.i_free t.inst p) !allocated;
-    A.i_tx_commit t.inst;
-    Error Txn_no_memory
-  end
-  else begin
-    let txn = t.next_txn in
-    t.next_txn <- txn + 1;
-    write_tslot t shard ~txn entries;
-    (* the covering fence: values + slot are durable together *)
-    A.i_tx_commit t.inst;
-    Ok txn
-  end
-
+   for ONE shard, executed as commit-slot chunks of up to
+   [max_txn_ops] ops each ([commit_chunk]): per chunk one covering
+   slot fence, one allocator commit and one decided-word fence.  A
+   chunk closes early when the next op's key is already in it, so every
+   op's old value — probed once, as the op joins — reflects every
+   earlier op of the group.  An absent delete never joins a chunk.
+   When the heap runs out, the chunk is retried as one-op chunks, so
+   one put that cannot allocate fails alone. *)
 let group_commit ?on_chunk t ~shard ops =
   List.iter
     (fun o ->
@@ -1005,77 +1001,46 @@ let group_commit ?on_chunk t ~shard ops =
       if shard_of_key t k <> shard then
         invalid_arg "Kv.group_commit: op key not on this shard")
     ops;
-  let n = List.length ops in
-  let oks = Array.make n false in
-  let fins = Array.make n 0 in
-  (* group-local presence, so a delete's outcome reflects every
-     earlier op of the group, applied or still buffered *)
-  let present = Hashtbl.create 16 in
-  let is_present k =
-    match Hashtbl.find_opt present k with
-    | Some b -> b
-    | None -> Btree.find t.shard_tbl.(shard).tree k <> None
+  let results = Array.make (List.length ops) (false, 0) in
+  let rec commit members =
+    match commit_chunk t shard (List.map snd members) with
+    | Ok fin ->
+      List.iter (fun (idx, _) -> results.(idx) <- (true, fin)) members;
+      Option.iter (fun f -> f ~fin (List.map (fun (_, (o, _)) -> o) members)) on_chunk
+    | Error _ -> (
+      match members with
+      | [ (idx, _) ] -> results.(idx) <- (false, now ())
+      | _ -> List.iter (fun m -> commit [ m ]) members)
   in
   Machine.Lock.acquire t.shard_locks.(shard);
   Fun.protect
     ~finally:(fun () -> Machine.Lock.release t.shard_locks.(shard))
     (fun () ->
-      (* chunk accumulator: ops in reverse, with their input indices;
-         [keys] guards against two entries for one key in a chunk
-         (publishing both would double-free its old value) *)
-      let chunk = ref [] in
-      let keys = Hashtbl.create 16 in
-      let flush_chunk () =
-        let members = List.rev !chunk in
-        chunk := [];
-        Hashtbl.reset keys;
-        if members <> [] then begin
-          let cops = List.map snd members in
-          (match group_prepare_locked t shard cops with
-          | Ok txn_id ->
-            let fin = decide_apply_locked t txn_id [ (shard, cops) ] in
-            List.iter
-              (fun (idx, _) ->
-                oks.(idx) <- true;
-                fins.(idx) <- fin)
-              members;
-            (match on_chunk with Some f -> f ~fin cops | None -> ())
-          | Error _ ->
-            (* heap exhausted mid-prepare: degrade to the legacy
-               per-op intent path for this chunk *)
-            List.iter
-              (fun (idx, o) ->
-                (match o with
-                | Tput { key; vseed } -> oks.(idx) <- put t ~key ~vseed
-                | Tdel { key } -> oks.(idx) <- delete t ~key);
-                fins.(idx) <- now ();
-                if oks.(idx) then
-                  match on_chunk with
-                  | Some f -> f ~fin:fins.(idx) [ o ]
-                  | None -> ())
-              members)
+      (* the open chunk, newest first: (input index, (op, old value)) *)
+      let chunk = ref [] and len = ref 0 in
+      let flush () =
+        if !chunk <> [] then begin
+          let members = List.rev !chunk in
+          chunk := [];
+          len := 0;
+          commit members
         end
       in
       List.iteri
         (fun idx o ->
           let k = txn_key o in
+          if !len >= max_txn_ops
+             || List.exists (fun (_, (o', _)) -> txn_key o' = k) !chunk
+          then flush ();
+          let old = find_packed t shard k in
           match o with
-          | Tdel _ when not (is_present k) ->
-            (* absent delete: a no-op, never enters a chunk *)
-            oks.(idx) <- false;
-            fins.(idx) <- now ()
+          | Tdel _ when old = A.packed_null -> results.(idx) <- (false, now ())
           | _ ->
-            if
-              Hashtbl.mem keys k
-              || List.length !chunk >= max_txn_ops
-            then flush_chunk ();
-            Hashtbl.replace keys k ();
-            chunk := (idx, o) :: !chunk;
-            Hashtbl.replace present k
-              (match o with Tput _ -> true | Tdel _ -> false))
+            chunk := (idx, (o, old)) :: !chunk;
+            incr len)
         ops;
-      flush_chunk ());
-  List.init n (fun i -> (oks.(i), fins.(i)))
+      flush ());
+  Array.to_list results
 
 (* Staged variants (no locking — recovery tests and single-threaded
    instrumentation drive the protocol one phase at a time). *)
@@ -1247,23 +1212,8 @@ let txn_backup_decide t ~txn ~shard ~commit ~nparts =
   | `Free | `Torn | `Slot _ -> ()
 
 (* Backup-side group apply: a drained burst of in-order single-key
-   records lands as commit-group chunks — one covering persist chain
-   per chunk instead of one intent round per record, mirroring the
-   primary's group commit so the backup is not the batching
-   bottleneck.  If this shard's participant slot is occupied (a 2PC
-   prepare whose decides are still arriving holds it until the whole
-   group publishes), fall back to the legacy per-record path for the
-   burst: the slot belongs to the in-flight transaction and the chunk
-   chain must not overwrite it.  On a FIFO link the fallback is
-   unreachable for single-key traffic — a put for a participant shard
-   only ships after every decide did — but a retransmitting lossy wire
-   can interleave them. *)
-let group_apply t ~shard ops =
-  match read_tslot t shard with
-  | `Free -> ignore (group_commit t ~shard ops)
-  | `Torn | `Slot _ ->
-    List.iter
-      (function
-        | Tput { key; vseed } -> ignore (put t ~key ~vseed)
-        | Tdel { key } -> ignore (delete t ~key))
-      ops
+   records lands as commit-group chunks, mirroring the primary's group
+   commit so the backup is not the batching bottleneck.  Chunks commit
+   on the shard's commit slot, so a 2PC prepare still waiting for its
+   decides in the participant slot is never in the way. *)
+let group_apply t ~shard ops = ignore (group_commit t ~shard ops)

@@ -11,40 +11,46 @@
 
     {2 Durability protocol}
 
-    Mutations are micro-log transactions combined with a per-shard
-    persistent {e intent slot} (write-ahead record in the superroot
-    object).  A put: allocates the value under an open allocator
-    transaction, persists the bytes, persists the intent
-    (key/new/old + state PUT_INTENT), commits the allocator
-    transaction, flips the slot to PUT_COMMITTED, publishes into the
-    B+-tree, frees the overwritten value, and clears the slot.
-    {!attach} replays the slot: PUT_INTENT rolls back (frees the
-    orphan value — idempotent only because the allocator detects
-    invalid/double frees, i.e. Poseidon's safe free is load-bearing
-    here), PUT_COMMITTED / DEL_INTENT redo the publication.  Every
-    crash point therefore resolves to "op fully applied" or "op never
-    happened", with no leak and no dangling pointer.
+    Every single-shard mutation commits on its shard's persistent
+    {e commit slot} (a checksummed write-ahead record in the superroot
+    object, up to {!max_txn_ops} entries of key/new/old).  {!put} and
+    {!delete} are chunks of one; {!group_commit} packs up to
+    {!max_txn_ops} ops into a chunk.  A chunk: allocates its values
+    under an open allocator transaction and clwb's them, writes the
+    slot and fences it (covering the values), commits the allocator
+    transaction (the slot now owns the blocks), then persists the
+    shard's 8-byte {e decided word} = the slot's id in its own fence —
+    the chunk's single commit point — and publishes into the B+-tree,
+    frees the overwritten values and clears the slot.  {!attach} first
+    repairs the tree paths of every armed slot's keys ({!Btree.repair}),
+    then redoes a slot its decided word names and rolls back any other
+    (frees its orphan values — idempotent only because the allocator
+    detects invalid/double frees, i.e. Poseidon's safe free is
+    load-bearing here).  Every crash point therefore resolves to
+    "chunk fully applied" or "chunk never happened", with no leak and
+    no dangling pointer.
 
     {2 Cross-shard transactions}
 
     Multi-key atomicity uses a 2PC-shaped extension of the same idea:
     each participant shard owns a persistent {e participant slot}
-    (per-(txn, shard) intent covering up to {!max_txn_ops} operations,
-    guarded by a checksum against torn persists), and the superroot
-    holds a single {e coordinator decision record} on its own cache
-    line.  Prepare persists values + one slot per participant under an
-    open allocator transaction; the decision record's persist is the
-    commit point; apply publishes each slot into its tree and clears
-    it.  {!attach} resolves in-doubt participants by reading the
-    decision record: slots naming the decided transaction are redone,
-    all others are presumed aborted (their client was never answered)
-    and rolled back.  See {!Txn} for the protocol-level API. *)
+    (per-(txn, shard) record in the commit slot's format, beside it),
+    and the superroot holds a single {e coordinator decision record} on
+    its own cache line.  Prepare persists values + one slot per
+    participant under an open allocator transaction; the decision
+    record's persist is the commit point; apply publishes each slot
+    into its tree and clears it.  {!attach} resolves in-doubt
+    participants by reading the decision record: slots naming the
+    decided transaction are redone, all others are presumed aborted
+    (their client was never answered) and rolled back.  Only these
+    transactions take the store-wide coordinator lock.  See {!Txn} for
+    the protocol-level API. *)
 
 type t
 
 type recovery = {
-  replayed : int; (** intent slots redone (op completed after restart) *)
-  rolled_back : int; (** intent slots undone (op never happened) *)
+  replayed : int; (** commit slots redone (chunk completed after restart) *)
+  rolled_back : int; (** commit slots undone (chunk never happened) *)
   txn_committed : int;
       (** participant txn slots redone — their txn's decision record
           had persisted, so the whole transaction must surface *)
@@ -61,7 +67,8 @@ val create :
   value_size:int ->
   t
 (** Allocates the superroot (magic, geometry, one 64-byte shard record
-    each holding the tree root and the intent slot), publishes it as
+    each holding the tree root and the decided word, and one participant
+    slot plus one commit slot per shard), publishes it as
     the allocator root and creates the per-shard trees.  [value_size]
     is rounded up to a multiple of 8 (min 8).  [mvcc_window] (default
     0 = off) is the number of committed versions retained per mutated
@@ -74,8 +81,9 @@ val create :
 
 val attach :
   ?mvcc_window:int -> ?rcache_entries:int -> Alloc_intf.instance -> t * recovery
-(** Reopens the store of an already-attached allocator instance and
-    replays/rolls back any in-flight intent — the restart path.  The
+(** Reopens the store of an already-attached allocator instance,
+    repairs the trees and redoes or rolls back every armed slot — the
+    restart path.  The
     version chains and the read cache restart empty (both are volatile
     by construction); the recovered trees are the floor every snapshot
     reads until keys are mutated again. *)
@@ -100,7 +108,8 @@ val shard_lock : t -> int -> Machine.Lock.lock
     acquires every participant's lock internally. *)
 
 val put : t -> key:int -> vseed:int -> bool
-(** Insert or overwrite; [false] when allocation fails (heap full). *)
+(** Insert or overwrite, as a commit-slot chunk of one; [false] when
+    allocation fails (heap full). *)
 
 val get : t -> key:int -> int option
 (** Checksum of the stored value, or [None].  A read-cache hit answers
@@ -108,7 +117,8 @@ val get : t -> key:int -> int option
     the tree and fills the cache (cacheless without [rcache_entries]). *)
 
 val delete : t -> key:int -> bool
-(** [false] when the key was absent (no state change). *)
+(** Remove, as a commit-slot chunk of one; [false] when the key was
+    absent (no state change). *)
 
 val scan : t -> from_key:int -> n:int -> int
 (** Visits up to [n] entries with key ≥ [from_key] in the owning
@@ -282,23 +292,23 @@ val group_commit :
   txn_op list ->
   (bool * int) list
 (** Group commit: execute a run of single-key mutations, all bound for
-    [shard] ({!shard_of_key}), as a chain of single-participant
-    transaction chunks of up to {!max_txn_ops} ops each — one covering
-    slot persist (whose fence also commits the chunk's fence-free
-    clwb'd values), one micro-log truncate and one decision round per
-    {e chunk} instead of ~5 fences per {e op}.  Acquires the shard
-    lock itself.  A chunk splits early when it would hold two entries
-    for one key; an absent delete is a no-op that never enters a chunk
-    (its result reflects every earlier op of the group, applied or
-    still buffered).  Returns one [(ok, fin)] per input op, in order:
+    [shard] ({!shard_of_key}), as commit-slot chunks of up to
+    {!max_txn_ops} ops each — one covering slot fence (which also
+    commits the chunk's fence-free clwb'd values), one allocator
+    commit and one decided-word fence per {e chunk}.  Acquires the
+    shard lock itself; never the coordinator lock.  A chunk closes
+    early when the next op's key is already in it; an absent delete is
+    a no-op that never enters a chunk (its result reflects every
+    earlier op of the group).  When the heap runs out mid-chunk, the
+    chunk is retried as one-op chunks, so only a put that still cannot
+    allocate fails.  Returns one [(ok, fin)] per input op, in order:
     [ok] as {!put}/{!delete} would have reported, [fin] the simulated
-    time of the covering decision persist (the op's durability point).
-    [on_chunk] runs inside the shard lock right after each chunk's
-    apply, with the chunk's ops in order — the replicated server's
-    shipping hook, mirroring {!txn}'s [on_commit].  Crash recovery is
-    unchanged: a chunk is redone or presumed-aborted by {!attach} like
-    any other transaction, so a crash loses at most the chunks (and
-    never a completed chunk) of the in-flight group. *)
+    time of the chunk's decided-word persist (the op's durability
+    point).  [on_chunk] runs inside the shard lock right after each
+    chunk's apply, with the chunk's ops in order — the replicated
+    server's shipping hook, mirroring {!txn}'s [on_commit].  A crash
+    loses at most the chunks (and never a completed chunk) of the
+    in-flight group. *)
 
 val txn_prepare : t -> txn_op list -> (int, txn_abort) result
 (** Phase 1 only (no locking — single-threaded recovery tests and
@@ -326,13 +336,10 @@ val txn_backup_prepare : t -> txn:int -> shard:int -> ops:txn_op list -> unit
 
 val group_apply : t -> shard:int -> txn_op list -> unit
 (** Backup-side group apply: run a drained burst of in-order shipped
-    single-key records through the same chunked commit chain as
-    {!group_commit} — one covering persist per chunk instead of one
-    intent round per record.  If the shard's participant slot is held
-    by an in-flight 2PC prepare (its decides still arriving), the
-    burst degrades to the legacy per-record path so the chunk chain
-    never overwrites the prepared slot.  Results are discarded: the
-    backup replays the primary's already-decided outcomes. *)
+    single-key records through {!group_commit}'s chunks.  Chunks commit
+    on the shard's commit slot, so a 2PC prepare whose decides are
+    still arriving keeps its participant slot.  Results are discarded:
+    the backup replays the primary's already-decided outcomes. *)
 
 val txn_backup_decide :
   t -> txn:int -> shard:int -> commit:bool -> nparts:int -> unit
@@ -346,7 +353,14 @@ val txn_backup_decide :
     tolerance). *)
 
 val txn_break_decision_persist : t -> unit
-(** Mutation-testing hook: every subsequent {!txn}/{!txn_decide} skips
-    the persist of the coordinator decision record — the seeded 2PC
-    bug the [kv-txn-broken] crashcheck scenario must flag.  Never call
-    this outside checker gates. *)
+(** Mutation-testing hook: from now on no commit point is ordered after
+    what it commits.  {!txn}/{!txn_decide} skip the persist of the
+    coordinator decision record, and a chunk's decided word rides its
+    slot's fence, ahead of the allocator commit — the seeded bugs the
+    [kv-txn-broken] and [kv-commit-broken] crashcheck scenarios must
+    flag.  Never call this outside checker gates. *)
+
+val iter_values : t -> (key:int -> Alloc_intf.nvmptr -> unit) -> unit
+(** Every value pointer in every shard tree, each leaf entry in leaf
+    chain order (a duplicate or stale entry included) — the crash
+    checker's no-dangling oracle. *)

@@ -200,9 +200,18 @@ let build cfg inst =
       inst ~shards:cfg.shards ~value_size:cfg.value_size,
     tch )
 
-(* a detail span under [parent]: [ns] of accumulated time ending at [t1] *)
-let detail ~trace ~parent ~t1 stage ns =
-  if ns > 0 then ignore (Span.add_span ~trace ~parent stage ~t0:(t1 - ns) ~t1)
+(* The per-layer detail of a store operation: [marks] before it, then
+   one Persist, Alloc and Rcache span under [parent], each the time
+   that layer spent since the mark, ending at [t1]. *)
+let marks () = (Span.persist_mark (), Span.alloc_mark (), Span.rcache_mark ())
+
+let details ~trace ~parent ~t1 (pmark, amark, rmark) =
+  let detail stage ns =
+    if ns > 0 then ignore (Span.add_span ~trace ~parent stage ~t0:(t1 - ns) ~t1)
+  in
+  detail Span.Persist (Span.persist_since pmark);
+  detail Span.Alloc (Span.alloc_since amark);
+  detail Span.Rcache (Span.rcache_since rmark)
 
 (* One serving run.  [mach] hosts the shard handlers, the clients and
    their network; [svc] is its store and [tch] its magazine cache, and
@@ -343,24 +352,21 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                 ~dst:(cfg.shards + client) rep)
       then incr reply_drops
     in
+    (* reads, scans and transactions; puts and deletes are commit
+       groups ([handle_group]) *)
     let handle (m : payload Net.msg) =
       match m.payload with
       | Rep _ -> ()
       | Req r ->
         let t0 = ingress m in
         let trace = m.trace in
-        (* a single-key mutation ships inside its critical section,
-           right after the local persist, so every shard's sequenced
-           stream orders exactly as the store applied the mutations *)
-        let shipped = ref (-1) in
         let txn_acked = ref true in
         let ok, mutated, fin =
           match r.kind with
           | KTxn ->
             (* Kv.txn takes every participant's shard lock itself *)
             let stx = Span.open_span ~trace ~parent:m.span Span.Txn in
-            let pmark = Span.persist_mark () in
-            let amark = Span.alloc_mark () in
+            let mk = marks () in
             let on_commit =
               match sink with
               | Local -> None
@@ -368,12 +374,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                 Some (fun res -> txn_acked := ship_txn s ~trace ~span:stx res)
             in
             let res = Kv.txn svc r.ops ~trace ~span:stx ?on_commit in
-            let pns = Span.persist_since pmark in
-            let ans = Span.alloc_since amark in
             Span.close_span stx;
-            let now = Sched.now () in
-            detail ~trace ~parent:stx ~t1:now Span.Persist pns;
-            detail ~trace ~parent:stx ~t1:now Span.Alloc ans;
+            details ~trace ~parent:stx ~t1:(Sched.now ()) mk;
             if res.Kv.committed then incr txn_commits else incr txn_aborts;
             (res.Kv.committed, res.Kv.committed, res.Kv.fin)
           | (KGet | KScan) when cfg.mvcc_window > 0 ->
@@ -382,7 +384,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                version chains (KScan becomes a multi-shard merged
                scan, ordered and consistent at one snapshot) *)
             let ssn = Span.open_span ~trace ~parent:m.span Span.Snapshot in
-            let rmark = Span.rcache_mark () in
+            let mk = marks () in
             let ts = Kv.snapshot svc in
             let ok =
               match r.kind with
@@ -393,78 +395,47 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                      (fun _ _ -> ()));
                 true
             in
-            let rns = Span.rcache_since rmark in
             let fin = Sched.now () in
             Span.close_span ssn;
-            detail ~trace ~parent:ssn ~t1:fin Span.Rcache rns;
+            details ~trace ~parent:ssn ~t1:fin mk;
             (ok, false, fin)
-          | _ ->
+          | KGet | KScan ->
             let slw = Span.open_span ~trace ~parent:m.span Span.Lock_wait in
             Machine.Lock.with_lock (Kv.shard_lock svc i) (fun () ->
                 Span.close_span slw;
                 let sst = Span.open_span ~trace ~parent:m.span Span.Store in
-                let pmark = Span.persist_mark () in
-                let amark = Span.alloc_mark () in
-                let rmark = Span.rcache_mark () in
-                let ok, mutated =
+                let mk = marks () in
+                let ok =
                   match r.kind with
-                  | KGet -> (Kv.get svc ~key:r.key <> None, false)
-                  | KPut ->
-                    let ok = Kv.put svc ~key:r.key ~vseed:r.vseed in
-                    (ok, ok)
-                  | KDel ->
-                    let ok = Kv.delete svc ~key:r.key in
-                    (ok, ok)
-                  | KScan ->
+                  | KGet -> Kv.get svc ~key:r.key <> None
+                  | _ ->
                     ignore (Kv.scan svc ~from_key:r.key ~n:16);
-                    (true, false)
-                  | KTxn -> assert false
+                    true
                 in
-                (match sink with
-                 | Ship s when mutated ->
-                   shipped :=
-                     Replica.Shipper.ship s.shipper ~trace ~span:sst ~shard:i
-                       (if r.kind = KPut then
-                          Replica.Put { key = r.key; vseed = r.vseed }
-                        else Replica.Del { key = r.key })
-                 | _ -> ());
-                let pns = Span.persist_since pmark in
-                let ans = Span.alloc_since amark in
-                let rns = Span.rcache_since rmark in
                 let fin = Sched.now () in
                 Span.close_span sst;
-                detail ~trace ~parent:sst ~t1:fin Span.Persist pns;
-                detail ~trace ~parent:sst ~t1:fin Span.Alloc ans;
-                detail ~trace ~parent:sst ~t1:fin Span.Rcache rns;
-                (ok, mutated, fin))
+                details ~trace ~parent:sst ~t1:fin mk;
+                (ok, false, fin))
+          | KPut | KDel -> assert false (* dispatched to [handle_group] *)
         in
-        (* sync mode holds the reply until the backup's cumulative ack
-           covers every shipped record: an acked mutation (single op or
-           whole transaction) must survive primary loss *)
+        (* sync mode holds a transaction's reply until the backup has
+           acked every participant's records: an acked transaction must
+           survive primary loss *)
         let acked =
           match sink with
-          | Local -> true
           | Ship s when r.kind = KTxn -> (not s.sync) || !txn_acked
-          | Ship s when (not s.sync) || !shipped < 0 -> true
-          | Ship s ->
-            let sra = Span.open_span ~trace ~parent:m.span Span.Repl_ack in
-            let acked =
-              Replica.Shipper.wait_acked s.shipper ~shard:i ~seq:!shipped
-                ~deadline:s.deadline
-            in
-            Span.close_span sra;
-            acked
+          | Local | Ship _ -> true
         in
         finish m ~t0 ~client:r.client ~acked (Rep { rid = r.rid; ok; mutated; fin })
     in
-    (* Group commit (batch_window > 1): consecutive already-queued
-       single-key mutations drain into one commit group executed by
+    (* Group commit: puts and deletes are commit groups executed by
        [Kv.group_commit] — one covering persist chain per chunk
-       instead of per op.  Collection is greedy over the inbox, no
-       timers: while one group persists, more requests queue behind
-       it, so the batch size self-tunes to the offered load.  A read
-       or transaction ends collection and is handled, in arrival
-       order, by [handle]. *)
+       instead of per op.  At window 1 a group holds one op; above it,
+       consecutive already-queued puts and deletes join it.  Collection
+       is greedy over the inbox, no timers: while one group persists,
+       more requests queue behind it, so the batch size self-tunes to
+       the offered load.  A read or transaction ends collection and is
+       handled, in arrival order, by [handle]. *)
     let is_group_member = function
       | Req r -> r.kind = KPut || r.kind = KDel
       | Rep _ -> false
@@ -489,7 +460,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       (* per-request ingress and decode; each request's store span
          opens at its own decode end and closes at the group's commit,
          so the shared group-execution interval partitions every
-         member's latency budget *)
+         member's latency budget, and the group's per-layer detail
+         lands under every member's store span *)
       let members =
         List.map
           (fun (m : payload Net.msg) ->
@@ -506,6 +478,11 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
           msgs
       in
       let ops = List.map (fun g -> g.g_op) members in
+      let mk = marks () in
+      let close_store g =
+        Span.close_span g.g_store;
+        details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk
+      in
       let reply ~acked g (ok, fin) =
         finish g.g_msg ~t0:g.g_t0 ~client:g.g_client ~acked
           (Rep { rid = g.g_rid; ok; mutated = ok; fin })
@@ -515,7 +492,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         (* each member's store span closes as its reply leaves *)
         List.iter2
           (fun g res ->
-            Span.close_span g.g_store;
+            close_store g;
             reply ~acked:true g res)
           members
           (Kv.group_commit svc ~shard:i ops)
@@ -540,19 +517,21 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                 cops;
               ignore (Replica.Shipper.flush s.shipper))
         in
-        List.iter (fun g -> Span.close_span g.g_store) members;
+        List.iter close_store members;
         (* sync mode pays ONE cumulative ack wait for the whole group —
-           each member's wait shows up as a Flush_wait span (waiting
-           for the covering flush), not as queueing behind its
-           predecessors' round trips *)
+           each member of a larger group records it as a Flush_wait span
+           (waiting for the covering flush), not as queueing behind its
+           predecessors' round trips; a group of one waits for its own
+           round trip (Repl_ack) *)
         let acked =
           (not s.sync) || !last_seq < 0
           ||
+          let stage =
+            match members with [ _ ] -> Span.Repl_ack | _ -> Span.Flush_wait
+          in
           let waits =
             List.map
-              (fun g ->
-                Span.open_span ~trace:g.g_msg.trace ~parent:g.g_msg.span
-                  Span.Flush_wait)
+              (fun g -> Span.open_span ~trace:g.g_msg.trace ~parent:g.g_msg.span stage)
               members
           in
           let acked =
@@ -564,9 +543,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         in
         List.iter2 (reply ~acked) members results
     in
-    (* window 1 keeps every request on [handle]'s per-op path *)
     let dispatch m =
-      if batched && is_group_member m.Net.payload then begin
+      if is_group_member m.Net.payload then begin
         let group, leftover = gather [ m ] 1 (op_bytes m.Net.payload) in
         handle_group group;
         Option.iter handle leftover

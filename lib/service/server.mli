@@ -42,15 +42,14 @@ type config = {
   seed : int;
   scope : string; (** obs metrics scope for this run *)
   batch_window : int;
-      (** group-commit window, ≥ 1.  At 1 (the default) every request
-          takes the per-op path: a mutation runs {!Kv.put} /
-          {!Kv.delete} under its shard lock, ships one record and, in
-          sync mode, waits for its own ack.  Above 1, up to this many
-          consecutive already-queued single-key mutations drain into
-          one {!Kv.group_commit} group: one covering persist chain per
-          chunk, one replication doorbell frame per chunk, one
-          sync-mode ack wait per group.  Greedy over the inbox — never
-          waits for a batch to fill. *)
+      (** group-commit window, ≥ 1.  Every put and delete runs as a
+          {!Kv.group_commit} group: up to this many consecutive
+          already-queued single-key mutations, one covering persist
+          chain per chunk, one replication doorbell frame per chunk,
+          one sync-mode ack wait per group.  At 1 (the default) a
+          group holds one mutation, which in sync mode waits for its
+          own ack.  Greedy over the inbox — never waits for a batch to
+          fill. *)
   batch_bytes : int;
       (** additional byte cap on a commit group (0 = unlimited): a
           group closes once its encoded payload would exceed this *)
@@ -157,8 +156,8 @@ val run :
     serves clients exactly as {!run} does, and every applied mutation
     is also shipped (per-shard sequence numbers, go-back-N) inside its
     shard lock over an inter-machine link to a backup machine that
-    applies it into its own persistent store — at [batch_window > 1]
-    one doorbell frame per commit-group chunk.  In [Sync] mode a
+    applies it into its own persistent store — one doorbell frame per
+    commit-group chunk.  In [Sync] mode a
     mutation's reply is held until the backup's cumulative ack covers
     it — an acked write then survives the loss of the whole primary,
     not just a cache-line crash — while [Async] mode replies after the

@@ -8,7 +8,7 @@
     + {b prepare} — new values are allocated and persisted under one
       open allocator transaction; each participant shard's slice is
       persisted into that shard's {e participant slot} (a
-      checksummed multi-op intent record in the superroot); the
+      checksummed multi-op write-ahead record in the superroot); the
       allocator transaction commits, transferring block ownership to
       the slots.
     + {b decide} — the coordinator {e decision record} (one u64 on its
@@ -91,6 +91,7 @@ val apply_replicated : Kv.t -> shard:int -> Replica.op -> unit
 val apply_replicated_group : Kv.t -> shard:int -> Replica.op list -> unit
 (** Batched backup-side dispatch: apply a drained burst of in-order
     single-op records as one {!Kv.group_apply} chunk chain — one
-    covering persist per chunk instead of one intent round per record.
+    commit-slot chunk per up to {!max_ops} records instead of one per
+    record.
     Raises [Invalid_argument] on a transaction record: the applier
     must handle those per record (they are group barriers). *)

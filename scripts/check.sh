@@ -48,11 +48,32 @@ if dune exec bin/main.exe -- crashcheck --scenario broken --max-points 2 \
   echo "check: crashcheck FAILED to detect the seeded missing-flush bug" >&2
   exit 1
 fi
-# service crash-point sweep: the KV write path's intent protocol,
+# service crash-point sweep: the KV write path's commit-slot protocol,
 # strided for tier-1 speed (exhaustive in test_crashcheck / manual runs).
 step="crashcheck kv-put sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-put --max-points 8 \
   --subsets 1 --seed "$CRASH_SEED" > /dev/null
+# B+-tree crash-repair sweeps, EXHAUSTIVE: a put that shifts a whole
+# leaf and its delete (kv-shift), and a put that splits a full leaf
+# (kv-split).  After recovery the oracle deletes every key and none
+# may survive: a duplicate or stale leaf entry left by a crash inside
+# the shift or the split's publish would outlive its delete.
+for scn in kv-shift kv-split; do
+  step="crashcheck $scn exhaustive sweep"
+  dune exec bin/main.exe -- crashcheck --scenario "$scn" \
+    --seed "$CRASH_SEED" > /dev/null
+done
+# commit-slot mutation gate, EXHAUSTIVE: chunks whose decided word rides
+# the slot's fence, ahead of the allocator commit; the no-dangling
+# check MUST flag the redo of a slot whose blocks the heap's replay
+# freed (non-zero exit), or the checker has lost the commit point's
+# order.
+step="crashcheck mutation gate (kv-commit-broken)"
+if dune exec bin/main.exe -- crashcheck --scenario kv-commit-broken \
+     --seed "$CRASH_SEED" > /dev/null 2>&1; then
+  echo "check: crashcheck FAILED to detect the seeded unordered commit point" >&2
+  exit 1
+fi
 # cross-shard transaction sweep, EXHAUSTIVE: every fence-to-fence crash
 # point of the 2PC coordinator-record protocol (prepare slots, decision
 # record, apply, recovery) must keep each transaction all-or-nothing.
@@ -254,4 +275,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

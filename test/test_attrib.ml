@@ -178,6 +178,63 @@ let test_batched_records_traced () =
   check_int "no spans dropped" 0 rep.Attrib.span_dropped;
   Span.clear ()
 
+(* ---------- the group path keeps its per-layer detail ---------- *)
+
+(* Puts and deletes run as commit groups at every window (a group of
+   one at window 1).  The group's persist and allocator time must land
+   under every member's Store span, as the single-op path did: a
+   traced kv-write would otherwise read alloc.share and persist.share
+   as 0 and charge all of it to the B+-tree. *)
+let test_group_detail_spans () =
+  List.iter
+    (fun (window, replicated) ->
+      let name = Printf.sprintf "w%d %s" window (if replicated then "sync" else "local") in
+      let cfg =
+        { (repl_cfg ("test/attrib/group-detail/" ^ name)) with
+          S.batch_window = window;
+          txn_pct = 0;
+          mvcc_window = 8;
+          tcache_mag = 4 }
+      in
+      Span.clear ();
+      Span.start ();
+      let acked =
+        if replicated then (run_replicated cfg).S.base.S.acked_mutations
+        else
+          let factory = Workloads.Factories.poseidon () in
+          (S.run
+             ~make:(fun () -> factory.Workloads.Factories.make ())
+             ~reattach:(fun _ -> assert false)
+             cfg)
+            .S.acked_mutations
+      in
+      (* with snapshot reads on, every Store span is a put or a delete *)
+      let stage_of = Hashtbl.create 4096 and span_of = Hashtbl.create 4096 in
+      Span.iter (fun ~id ~trace:_ ~parent:_ ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
+          Hashtbl.replace stage_of id stage;
+          Hashtbl.replace span_of id (t0, t1));
+      let with_detail = Hashtbl.create 4096 and allocs = ref 0 in
+      let nested = ref true in
+      Span.iter (fun ~id:_ ~trace:_ ~parent ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
+          if
+            Hashtbl.find_opt stage_of parent = Some Span.Store
+            && (stage = Span.Persist || stage = Span.Alloc)
+          then begin
+            (match Hashtbl.find_opt span_of parent with
+             | Some (p0, p1) -> if t0 < p0 || t1 > p1 then nested := false
+             | None -> ());
+            if stage = Span.Persist then Hashtbl.replace with_detail parent ()
+            else incr allocs
+          end);
+      Span.clear ();
+      check (name ^ ": writes acked") true (acked > 0);
+      check (name ^ ": every acked write's store span has a persist detail")
+        true
+        (Hashtbl.length with_detail >= acked);
+      check (name ^ ": alloc detail recorded") true (!allocs > 0);
+      check (name ^ ": details nest inside their store span") true !nested)
+    [ (1, false); (4, false); (1, true); (4, true) ]
+
 (* ---------- the budget explains the measured latency ---------- *)
 
 let test_budget_covers_e2e () =
@@ -244,7 +301,9 @@ let () =
             test_batched_records_traced ] );
       ( "budget",
         [ Alcotest.test_case "stages explain >= 90% of measured latency"
-            `Quick test_budget_covers_e2e ] );
+            `Quick test_budget_covers_e2e;
+          Alcotest.test_case "group path keeps per-layer detail" `Quick
+            test_group_detail_spans ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same attribution" `Quick
             test_attribution_deterministic ] ) ]

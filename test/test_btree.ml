@@ -375,6 +375,95 @@ let test_crash_at_every_split_boundary () =
       !completed
   done
 
+(* FAST writes back once per cache line: a shift fences each line
+   before its first store into the next one.  The crash checker cuts
+   only at fences, after they committed their lines, so it cannot see a
+   store issued into the next line before the previous line's fence;
+   the persistence hook can.  Every fence of a position-0 insert and
+   of its delete on a 20-entry leaf must leave no dirty line behind and
+   commit exactly the one line it closes. *)
+let test_shift_writes_back_per_line () =
+  let mach, inst = poseidon_inst () in
+  let t = Btree.create inst in
+  for k = 1 to 20 do
+    Btree.insert t ~key:(k * 10) ~value:k
+  done;
+  let dev = Machine.dev mach in
+  Nvmm.Memdev.drain dev;
+  let fences = ref [] in
+  Nvmm.Memdev.set_persistence_hook dev (Some (fun fi -> fences := fi :: !fences));
+  let fences_of f =
+    fences := [];
+    f ();
+    List.rev !fences
+  in
+  let ins = fences_of (fun () -> Btree.insert t ~key:5 ~value:0) in
+  let del = fences_of (fun () -> ignore (Btree.delete t 5)) in
+  Nvmm.Memdev.set_persistence_hook dev None;
+  (* 21 entries span at most 7 lines: one fence per line touched plus
+     the dup and count fences, where per-entry write-back took 22 *)
+  check "insert: one fence per line" true
+    (List.length ins >= 6 && List.length ins <= 9);
+  check "delete: one fence per line" true
+    (List.length del >= 5 && List.length del <= 7);
+  List.iter
+    (fun (name, fs) ->
+      List.iter
+        (fun (fi : Nvmm.Memdev.fence_info) ->
+          check_int (name ^ ": no dirty line left behind a fence") 0
+            fi.Nvmm.Memdev.dirty_residue;
+          check_int (name ^ ": one line per fence") 1
+            fi.Nvmm.Memdev.lines_committed)
+        fs)
+    [ ("insert", ins); ("delete", del) ];
+  Btree.check t;
+  check_int "all keys back" 20 (Btree.count_keys t)
+
+(* Crash at every fence of a position-0 insert on a 20-entry leaf and
+   of a middle insert into a full leaf (a split): after attach, a
+   crashed shift may leave one adjacent duplicate and a crashed split
+   stale copies in the left leaf, which [repair] must remove without
+   losing a key. *)
+let test_repair_after_crash () =
+  let exception Crash_now in
+  let scenario ~n ~key =
+    let rec go stop =
+      let mach, inst = poseidon_inst () in
+      let t = Btree.create inst in
+      for k = 1 to n do
+        Btree.insert t ~key:(k * 10) ~value:k
+      done;
+      let dev = Machine.dev mach in
+      Nvmm.Memdev.drain dev;
+      Nvmm.Memdev.reset_counters dev;
+      Nvmm.Memdev.set_fence_hook dev
+        (Some (fun f -> if f >= stop then raise Crash_now));
+      let finished =
+        try
+          Btree.insert t ~key ~value:0;
+          true
+        with Crash_now -> false
+      in
+      Nvmm.Memdev.set_fence_hook dev None;
+      Nvmm.Memdev.crash dev `Strict;
+      let t2 = Btree.attach (Poseidon.Heap.attach mach ~base () |> Poseidon.instance) in
+      Btree.repair t2 key;
+      let keys = ref [] in
+      Btree.scan t2 ~from_key:1 ~n:max_int (fun k _ -> keys := k :: !keys);
+      let keys = List.rev !keys in
+      check "no duplicate or stale entry after repair" true
+        (List.sort_uniq compare keys = keys);
+      for k = 1 to n do
+        check "committed key survives" true (Btree.find t2 (k * 10) = Some k)
+      done;
+      Btree.check t2;
+      if not finished then go (stop + 1)
+    in
+    go 1
+  in
+  scenario ~n:20 ~key:5;
+  scenario ~n:31 ~key:155
+
 let test_persistence_across_crash () =
   (* tree nodes live in NVMM; after a crash + attach of the allocator,
      the tree is reachable from the heap root *)
@@ -444,4 +533,8 @@ let () =
       ( "persistence",
         [ Alcotest.test_case "crash + attach" `Quick test_persistence_across_crash;
           Alcotest.test_case "crash at split boundaries" `Quick
-            test_crash_at_every_split_boundary ] ) ]
+            test_crash_at_every_split_boundary;
+          Alcotest.test_case "shift writes back per line" `Quick
+            test_shift_writes_back_per_line;
+          Alcotest.test_case "repair after a crashed shift or split" `Quick
+            test_repair_after_crash ] ) ]

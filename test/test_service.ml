@@ -175,8 +175,10 @@ let tier_gauges =
     "rcache_hits"; "rcache_misses"; "rcache_evictions"; "rcache_invalidations" ]
 
 (* Every axis the loop branches on, with every DRAM tier armed: each
-   run keeps every acked write, and the sync group path is the only
-   one that waits on a covering flush *)
+   run keeps every acked write.  Every put and delete is a commit
+   group, at window 1 a group of one: a sync write waits for its own
+   round trip (repl_ack) there, and only a larger group, which window
+   1 never forms, waits on a covering flush (flush_wait) *)
 let test_loop_table () =
   List.iter
     (fun sink ->
@@ -210,7 +212,7 @@ let test_loop_table () =
                  check (name ^ ": backup ledger on clean runs") true
                    (crash_at <> None)
                | None -> ());
-              check (name ^ ": flush_wait only on the sync group path")
+              check (name ^ ": flush_wait only in sync groups of several")
                 (sink = Sync && window > 1)
                 (saw Obs.Span.Flush_wait);
               check (name ^ ": snapshot reads") true (saw Obs.Span.Snapshot);
@@ -320,6 +322,34 @@ let test_crashcheck_kv () =
         (List.length r.Crashcheck.counterexamples))
     [ "kv-put"; "kv-delete" ]
 
+(* every crash point of a whole-leaf shift and of a leaf split: after
+   recovery, deleting every key leaves none behind (a duplicate or
+   stale entry a crash left would survive) *)
+let test_crashcheck_shift_split () =
+  List.iter
+    (fun name ->
+      let scn = Option.get (Crashcheck.scenario_by_name name) in
+      let r = Crashcheck.run ~subsets_per_point:1 scn in
+      check (name ^ " sweeps every fence") true (r.Crashcheck.points_explored > 20);
+      List.iter
+        (fun cx ->
+          Alcotest.failf "%s" (Format.asprintf "%a" Crashcheck.pp_counterexample cx))
+        r.Crashcheck.counterexamples)
+    [ "kv-shift"; "kv-split" ]
+
+(* the seeded commit-slot bug — the decided word rides the slot's
+   fence, ahead of the allocator commit — is flagged, and by the
+   no-dangling check: every value still reads right *)
+let test_crashcheck_commit_broken () =
+  let scn = Option.get (Crashcheck.scenario_by_name "kv-commit-broken") in
+  let r = Crashcheck.run ~subsets_per_point:1 scn in
+  check "seeded commit-order bug detected" true (r.Crashcheck.counterexamples <> []);
+  List.iter
+    (fun cx ->
+      check "flagged as a dangling value" true
+        (String.starts_with ~prefix:"dangling value" cx.Crashcheck.cx_detail))
+    r.Crashcheck.counterexamples
+
 let () =
   Alcotest.run "service"
     [ ( "kv",
@@ -345,4 +375,8 @@ let () =
             test_result_json ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv scenarios: bounded sweep clean" `Quick
-            test_crashcheck_kv ] ) ]
+            test_crashcheck_kv;
+          Alcotest.test_case "kv-shift, kv-split: exhaustive sweep clean"
+            `Quick test_crashcheck_shift_split;
+          Alcotest.test_case "kv-commit-broken: flagged as dangling" `Quick
+            test_crashcheck_commit_broken ] ) ]
