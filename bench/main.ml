@@ -744,7 +744,9 @@ let replication_suite () =
 let batch_suite () =
   note "";
   note "### Group commit: batched sync vs async at identical offered load";
-  note "(one flush + one ack wait per group; window 1 = the unbatched path)";
+  note
+    "(one flush + one ack wait per group; at window 1 the primary commits \
+     groups of one, while the backup still applies and acks each record)";
   let repl label window mode =
     run_repl label
       { (base ()) with

@@ -534,98 +534,99 @@ let fsck_cmd =
 (* ---------- serve ---------- *)
 
 let serve_cmd =
+  let module S = Service.Server in
+  let d = S.default_config and dr = S.default_repl_config in
   let shards_arg =
     Arg.(
-      value & opt int 4
+      value & opt int d.S.shards
       & info [ "shards" ] ~docv:"N" ~doc:"Server shards (one simulated CPU each).")
   in
   let clients_arg =
     Arg.(
-      value & opt int 16
+      value & opt int d.S.clients
       & info [ "clients" ] ~docv:"N" ~doc:"Open-loop client threads.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 50_000.
+      value & opt float d.S.rate
       & info [ "rate" ] ~docv:"OPS"
           ~doc:"Total offered load, requests per simulated second.")
   in
   let duration_arg =
     Arg.(
-      value & opt float 0.02
+      value & opt float d.S.duration
       & info [ "duration" ] ~docv:"SECS" ~doc:"Simulated seconds of traffic.")
   in
   let value_size_arg =
     Arg.(
-      value & opt int 128
+      value & opt int d.S.value_size
       & info [ "value-size" ] ~docv:"BYTES" ~doc:"Value object size.")
   in
   let zipf_arg =
     Arg.(
-      value & opt float 0.99
+      value & opt float d.S.zipf_theta
       & info [ "zipf" ] ~docv:"THETA"
           ~doc:"Zipfian skew of key popularity (YCSB default 0.99).")
   in
   let keyspace_arg =
     Arg.(
-      value & opt int 4096
+      value & opt int d.S.keyspace
       & info [ "keyspace" ] ~docv:"N" ~doc:"Distinct keys.")
   in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value & opt int d.S.queue_capacity
       & info [ "queue-capacity" ] ~docv:"N"
           ~doc:"Per-shard request queue bound (admission control).")
   in
   let read_pct_arg =
     Arg.(
-      value & opt int 50
+      value & opt int d.S.read_pct
       & info [ "read-pct" ] ~docv:"PCT"
-          ~doc:"Percentage of requests that are gets (default 50).")
+          ~doc:"Percentage of requests that are gets.")
   in
   let scan_pct_arg =
     Arg.(
-      value & opt int 5
+      value & opt int d.S.scan_pct
       & info [ "scan-pct" ] ~docv:"PCT"
-          ~doc:"Percentage of requests that are scans (default 5).")
+          ~doc:"Percentage of requests that are scans.")
   in
   let mvcc_window_arg =
     Arg.(
-      value & opt int 0
+      value & opt int d.S.mvcc_window
       & info [ "mvcc-window" ] ~docv:"K"
           ~doc:
             "MVCC version-chain window: retain up to K committed versions \
              per mutated key and serve every get/scan as a lock-free \
              snapshot read (scans become multi-shard, consistent at one \
-             timestamp).  0 (default) = the pre-MVCC locked read path, \
+             timestamp).  0 = the pre-MVCC locked read path, \
              byte-identically.")
   in
   let serve_tcache_mag_arg =
     Arg.(
-      value & opt int 0
+      value & opt int d.S.tcache_mag
       & info [ "tcache-mag" ] ~docv:"K"
           ~doc:
             "Magazine size of the DRAM thread cache layered over the \
              allocator: allocations pop volatile per-CPU bins (refilled K \
              blocks per carve under one allocator transaction) and frees \
-             stash and flush in bulk.  0 (default) = no cache, \
-             byte-identically the uncached path.")
+             stash and flush in bulk.  0 = no cache, byte-identically the \
+             uncached path.")
   in
   let serve_rcache_arg =
     Arg.(
-      value & opt int 0
+      value & opt int d.S.rcache_entries
       & info [ "rcache-entries" ] ~docv:"K"
           ~doc:
             "Per-shard slot count of the DRAM read cache layered in front \
              of the persistent trees: gets (and snapshot gets whose \
              timestamp allows) answer from a volatile digest cache on a \
-             hit, write-through invalidated by every mutation path.  0 \
-             (default) = no cache, byte-identically the uncached read \
-             path.")
+             hit, write-through invalidated by every mutation path.  0 = \
+             no cache, byte-identically the uncached read path.")
   in
   let txn_pct_arg =
     Arg.(
-      value & opt int 0
+      value & opt int d.S.txn_pct
       & info [ "txn-pct" ] ~docv:"PCT"
           ~doc:
             "Percentage of requests that are cross-shard atomic \
@@ -633,13 +634,13 @@ let serve_cmd =
   in
   let txn_ops_arg =
     Arg.(
-      value & opt int 3
+      value & opt int d.S.txn_ops
       & info [ "txn-ops" ] ~docv:"N"
           ~doc:"Operations per generated transaction (distinct keys).")
   in
   let crash_at_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some float) d.S.crash_at
       & info [ "crash-at" ] ~docv:"FRAC"
           ~doc:
             "Crash the machine at $(docv) x duration (in (0,1)), then \
@@ -647,7 +648,7 @@ let serve_cmd =
              against the ledger of acked writes.")
   in
   let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.")
+    Arg.(value & opt int d.S.seed & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.")
   in
   let json_out_arg =
     Arg.(
@@ -666,7 +667,9 @@ let serve_cmd =
   in
   let repl_mode_arg =
     Arg.(
-      value & opt (enum [ ("sync", `Sync); ("async", `Async) ]) `Sync
+      value
+      & opt (enum [ ("sync", Replica.Sync); ("async", Replica.Async) ])
+          dr.S.repl_mode
       & info [ "repl-mode" ] ~docv:"MODE"
           ~doc:
             "sync: hold each mutation's reply until the backup acks (acked \
@@ -675,58 +678,49 @@ let serve_cmd =
   in
   let wire_ns_arg =
     Arg.(
-      value & opt int 20_000
+      value & opt int dr.S.wire_ns
       & info [ "wire-ns" ] ~docv:"NS"
           ~doc:"One-way inter-machine link latency.")
   in
   let repl_window_arg =
     Arg.(
-      value & opt int 64
+      value & opt int dr.S.repl_window
       & info [ "repl-window" ] ~docv:"N"
           ~doc:"Max unacked records per shard (the async lag bound).")
   in
   let drop_pct_arg =
     Arg.(
-      value & opt int 0
+      value & opt int dr.S.link_drop_pct
       & info [ "drop-pct" ] ~docv:"PCT"
           ~doc:"Seeded link loss percentage (go-back-N recovers).")
   in
   let batch_window_arg =
     Arg.(
-      value & opt int 1
+      value & opt int d.S.batch_window
       & info [ "batch-window" ] ~docv:"N"
           ~doc:
             "Group-commit window: up to N consecutive queued mutations \
              persist under one covering flush and ship as one replication \
-             frame.  1 (default) = every mutation is a group of one.")
-  in
-  let batch_bytes_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "batch-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Byte cap on a commit group (0 = unlimited): a group closes \
-             once its encoded payload would exceed this.")
+             frame.  1 = every mutation is a group of one.")
   in
   let dup_pct_arg =
     Arg.(
-      value & opt int 0
+      value & opt int dr.S.link_dup_pct
       & info [ "dup-pct" ] ~docv:"PCT"
           ~doc:"Seeded duplicate-delivery percentage (applier dedups).")
   in
   let run shards clients rate duration value_size zipf keyspace queue read_pct
       scan_pct txn_pct txn_ops crash_at seed json_out replicate repl_mode
-      wire_ns repl_window drop_pct dup_pct batch_window batch_bytes mvcc_window
-      tcache_mag rcache_entries trace_out =
+      wire_ns repl_window drop_pct dup_pct batch_window mvcc_window tcache_mag
+      rcache_entries trace_out =
     with_tracing trace_out @@ fun () ->
-    let module S = Service.Server in
     (* Span store on for every serve run — attribution is part of the
        result, not an opt-in.  Cleared (not stopped) afterwards so a
        --trace-out export written by [with_tracing] still sees it. *)
     Obs.Span.clear ();
     Obs.Span.start ();
     let cfg =
-      { S.default_config with
+      { d with
         shards;
         clients;
         rate;
@@ -742,7 +736,6 @@ let serve_cmd =
         crash_at;
         seed;
         batch_window;
-        batch_bytes;
         mvcc_window;
         tcache_mag;
         rcache_entries }
@@ -751,11 +744,8 @@ let serve_cmd =
     let repl, r =
       if replicate then begin
         let rcfg =
-          { S.default_repl_config with
-            S.repl_mode =
-              (match repl_mode with
-               | `Sync -> Replica.Sync
-               | `Async -> Replica.Async);
+          { dr with
+            S.repl_mode;
             wire_ns;
             repl_window;
             link_drop_pct = drop_pct;
@@ -918,8 +908,8 @@ let serve_cmd =
       $ scan_pct_arg $ txn_pct_arg $ txn_ops_arg $ crash_at_arg $ seed_arg
       $ json_out_arg $ replicate_arg $ repl_mode_arg $ wire_ns_arg
       $ repl_window_arg $ drop_pct_arg $ dup_pct_arg $ batch_window_arg
-      $ batch_bytes_arg $ mvcc_window_arg $ serve_tcache_mag_arg
-      $ serve_rcache_arg $ trace_out_arg)
+      $ mvcc_window_arg $ serve_tcache_mag_arg $ serve_rcache_arg
+      $ trace_out_arg)
 
 (* ---------- trace ---------- *)
 

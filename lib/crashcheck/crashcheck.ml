@@ -978,8 +978,8 @@ let scn_kv_snapshot () =
   let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
   { sname = "kv-snapshot"; setup; op; extra_oracles = [ o_snap; o_kv ] }
 
-(* The seeded MVCC bug: {!Service.Kv.mvcc_break_early_publish} makes a
-   staged [txn_prepare] publish the transaction's versions before any
+(* The seeded MVCC bug: {!Service.Kv.mvcc_break_early_publish} makes
+   every prepare publish the transaction's versions before any
    decision record exists.  The driver stages prepare → observes a
    snapshot → decides → applies; the observation between prepare and
    decide reads values no committed history contains, so the
@@ -1025,7 +1025,7 @@ let scn_mvcc_broken () =
         let ops = match o with Ktxn ops -> ops | _ -> assert false in
         (match Service.Kv.txn_prepare s ops with
          | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
-         | Ok txn ->
+         | Ok prepared ->
            (* the transaction is prepared but undecided: no snapshot may
               see its writes yet — with the bug armed, it does *)
            let ts = Service.Kv.snapshot s in
@@ -1041,8 +1041,8 @@ let scn_mvcc_broken () =
                      i k
                    :: !violations)
              ops;
-           Service.Kv.txn_decide s ~txn;
-           Service.Kv.txn_apply s ~txn);
+           ignore (Service.Kv.txn_decide s prepared);
+           Service.Kv.txn_apply s prepared);
         apply_kv model o;
         incr acked;
         env.ledger.durable <- (H.stats env.heap).H.live_bytes)
@@ -1230,7 +1230,7 @@ let scn_kv_replicated_put () =
     let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
     let applier =
       Replica.Applier.create rcfg ~shards:2 ~link
-        ~apply:(fun ~shard op -> Service.Txn.apply_replicated svc_b ~shard op)
+        ~apply:(Service.Kv.apply_replicated svc_b)
     in
     state := Some (svc_p, shipper, applier, link);
     acked := 0;
@@ -1347,9 +1347,8 @@ let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
     let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
     let applier =
       Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:true
-        ~apply:(fun ~shard op -> Service.Txn.apply_replicated svc_b ~shard op)
-        ~apply_group:(fun ~shard ops ->
-          Service.Txn.apply_replicated_group svc_b ~shard ops)
+        ~apply:(Service.Kv.apply_replicated svc_b)
+        ~apply_group:(Service.Kv.apply_replicated_group svc_b)
     in
     state := Some (svc_p, shipper, applier, link);
     acked := 0;

@@ -222,7 +222,7 @@ val scn_kv_commit_broken : unit -> scenario
 
 val scn_kv_txn : unit -> scenario
 (** Cross-shard transactions through the 2PC coordinator-record
-    protocol ({!Service.Txn}), interleaved with single ops: 2-put and
+    protocol ({!Service.Kv.txn}), interleaved with single ops: 2-put and
     delete+put commits spanning both shards, a strict-delete abort.
     The acked-prefix oracle is transaction-aware — the in-flight
     operation must read all-pre or all-post across {e every} key it

@@ -110,10 +110,11 @@ module Shipper = struct
   let all_acked t =
     Array.for_all (fun q -> Queue.is_empty q) t.unacked
 
-  let ship ?(trace = -1) ?(span = -1) t ~shard op =
-    (* Window admission: bounds unacked records, i.e. the async-mode
-       replication lag.  The handler polls; acks are drained here too
-       so progress does not depend on the pump thread's schedule. *)
+  (* Window admission bounds unacked records, i.e. the async-mode
+     replication lag.  The handler polls; acks are drained here too so
+     progress does not depend on the pump thread's schedule.  Then the
+     record is sequenced, kept for go-back-N and handed to [put]. *)
+  let enqueue t ~trace ~span ~shard op put =
     while Queue.length t.unacked.(shard) >= t.cfg.window do
       drain_acks t;
       if Queue.length t.unacked.(shard) >= t.cfg.window then
@@ -126,30 +127,20 @@ module Shipper = struct
     if l > t.max_lag_ then t.max_lag_ <- l;
     t.shipped_ <- t.shipped_ + 1;
     t.last_tx.(shard) <- now_or_zero ();
-    ignore (Link.send ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op }));
+    put (Rec { shard; seq; op });
     seq
+
+  let ship ?(trace = -1) ?(span = -1) t ~shard op =
+    enqueue t ~trace ~span ~shard op (fun r ->
+        ignore (Link.send ~trace ~span t.link ~dst:backup_ep r))
 
   (* Doorbell variant: buffer the record toward the backup without
      paying a wire charge; a later [flush] ships every buffered record
-     of every shard as one framed batch.  Sequence-number assignment,
-     window admission and go-back-N bookkeeping are identical to
-     [ship] — a frame lost on the wire is recovered record-by-record
-     by [retransmit_due], exactly like individual losses. *)
+     of every shard as one framed batch.  A frame lost on the wire is
+     recovered record-by-record by [retransmit_due], exactly like
+     individual losses. *)
   let ship_buffered ?(trace = -1) ?(span = -1) t ~shard op =
-    while Queue.length t.unacked.(shard) >= t.cfg.window do
-      drain_acks t;
-      if Queue.length t.unacked.(shard) >= t.cfg.window then
-        poll_wait t.cfg
-    done;
-    let seq = t.next_seq.(shard) in
-    t.next_seq.(shard) <- seq + 1;
-    Queue.add (seq, op, trace, span) t.unacked.(shard);
-    let l = Queue.length t.unacked.(shard) in
-    if l > t.max_lag_ then t.max_lag_ <- l;
-    t.shipped_ <- t.shipped_ + 1;
-    t.last_tx.(shard) <- now_or_zero ();
-    Link.buffer ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op });
-    seq
+    enqueue t ~trace ~span ~shard op (Link.buffer ~trace ~span t.link ~dst:backup_ep)
 
   let flush t = Link.flush t.link ~dst:backup_ep
 

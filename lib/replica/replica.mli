@@ -24,7 +24,7 @@
     primary produced them, and a promotion that seals the log can tell
     a decided transaction (prepare {e and} decide delivered) from an
     in-doubt one (prepare delivered, decide lost with the primary) —
-    see {!Service.Txn}.
+    see {!Service.Kv.txn_resolve_indoubt}.
 
     This module knows nothing about the store: records carry abstract
     [(key, vseed)] payloads and application is a closure, so the
@@ -172,10 +172,10 @@ module Applier : sig
       {!Rcache} read cache) for every key they mutate, {e before}
       returning: a promotion can happen right after any ack, and the
       promoted store serves reads from exactly that state.  Driving
-      the callbacks through {!Kv.put}/{!Kv.delete}/{!Kv.group_apply}
-      (as {!Server.run_replicated} does) satisfies this for free —
-      those paths publish versions and kill cache entries in the same
-      pure step as the mutation. *)
+      the callbacks through {!Kv.apply_replicated} and
+      {!Kv.apply_replicated_group} (as {!Server.run_replicated} does)
+      satisfies this for free — those paths publish versions and kill
+      cache entries in the same pure step as the mutation. *)
 
   val pump : t -> until:(unit -> bool) -> unit
   (** Applier-thread body: receive records, apply in-sequence ones,

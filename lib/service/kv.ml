@@ -139,6 +139,25 @@ let mk_locks mach shards =
         Machine.Lock.create mach ~name:(Printf.sprintf "kv-shard-%d" i) ()),
     Machine.Lock.create mach ~name:"kv-txn-coordinator" () )
 
+(* The volatile handle over the superroot at [raw]: [open_tree] is
+   [Btree.create_in] for a new store and [Btree.attach_in] on restart. *)
+let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
+    ~value_size =
+  let mach = A.instance_machine inst in
+  let shard_tbl =
+    Array.init nshards (fun i ->
+        let base = raw + hdr_size + (i * shard_stride) in
+        { tree = open_tree inst (cell_of mach hid base); base })
+  in
+  let shard_locks, txn_lock = mk_locks mach nshards in
+  { inst; mach; hid; raw; value_size; nshards; shard_tbl;
+    shard_locks; txn_lock; next_txn = 1; break_decision_persist = false;
+    mvcc = Mvcc.create ~shards:nshards ~window:mvcc_window;
+    mvcc_seq = 0; mvcc_truncated = 0;
+    mvcc_publish_early = false;
+    rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
+    backup_decided = Hashtbl.create 8 }
+
 let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
   let value_size = max 8 ((value_size + 7) / 8 * 8) in
@@ -157,20 +176,8 @@ let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   Machine.write_u64 mach (raw + 8) (shards lor (value_size lsl 16));
   Machine.persist mach raw size;
   A.i_set_root inst p;
-  let hid = p.A.heap_id in
-  let shard_tbl =
-    Array.init shards (fun i ->
-        let base = raw + hdr_size + (i * shard_stride) in
-        { tree = Btree.create_in inst (cell_of mach hid base); base })
-  in
-  let shard_locks, txn_lock = mk_locks mach shards in
-  { inst; mach; hid; raw; value_size; nshards = shards; shard_tbl;
-    shard_locks; txn_lock; next_txn = 1; break_decision_persist = false;
-    mvcc = Mvcc.create ~shards ~window:mvcc_window;
-    mvcc_seq = 0; mvcc_truncated = 0;
-    mvcc_publish_early = false;
-    rcache = Rcache.create ~shards ~entries:rcache_entries;
-    backup_decided = Hashtbl.create 8 }
+  make ~open_tree:Btree.create_in ~mvcc_window ~rcache_entries inst
+    ~hid:p.A.heap_id ~raw ~nshards:shards ~value_size
 
 (* ---------- participant and commit slots ---------- *)
 
@@ -357,21 +364,9 @@ let attach ?(mvcc_window = 0) ?(rcache_entries = 0) inst =
   let geom = Machine.read_u64 mach (raw + 8) in
   let nshards = geom land 0xFFFF in
   let value_size = (geom lsr 16) land 0xFFFF_FFFF in
-  let hid = root.A.heap_id in
-  let shard_tbl =
-    Array.init nshards (fun i ->
-        let base = raw + hdr_size + (i * shard_stride) in
-        { tree = Btree.attach_in inst (cell_of mach hid base); base })
-  in
-  let shard_locks, txn_lock = mk_locks mach nshards in
   let t =
-    { inst; mach; hid; raw; value_size; nshards; shard_tbl;
-      shard_locks; txn_lock; next_txn = 1; break_decision_persist = false;
-      mvcc = Mvcc.create ~shards:nshards ~window:mvcc_window;
-      mvcc_seq = 0; mvcc_truncated = 0;
-      mvcc_publish_early = false;
-      rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
-      backup_decided = Hashtbl.create 8 }
+    make ~open_tree:Btree.attach_in ~mvcc_window ~rcache_entries inst
+      ~hid:root.A.heap_id ~raw ~nshards ~value_size
   in
   (t, recover t)
 
@@ -428,8 +423,8 @@ let op_version t = function
   | Tdel { key } -> (key, None)
 
 (* version list of a prepared slot's entries, digests read from the
-   already-persisted new-value blocks (the staged and backup apply
-   paths, where the originating vseeds are out of reach) *)
+   already-persisted new-value blocks (the backup's apply, where the
+   originating vseeds are out of reach) *)
 let entry_versions t entries =
   List.map
     (fun (key, newv, _) ->
@@ -465,6 +460,26 @@ let find_packed t i key =
   | Some v -> v
   | None -> A.packed_null
 
+(* Allocate a value block under the open allocator transaction and
+   write [vseed]'s words into it, unflushed; [None] when the heap is
+   exhausted. *)
+let write_value t vseed =
+  match A.i_tx_alloc t.inst t.value_size ~is_end:false with
+  | None -> None
+  | Some p ->
+    let vaddr = A.i_get_rawptr t.inst p in
+    for w = 0 to (t.value_size / 8) - 1 do
+      Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
+    done;
+    Some (p, vaddr)
+
+(* The heap ran out part-way: release what was allocated and close the
+   allocator transaction — net zero, nothing durable changed. *)
+let abandon t allocated =
+  List.iter (fun p -> A.i_free t.inst p) allocated;
+  A.i_tx_commit t.inst;
+  Error Txn_no_memory
+
 (* Commit one chunk of single-key mutations on shard [i]: distinct
    keys, each paired with its current packed value (null = absent;
    deletes are of present keys).  The caller holds the shard lock or is
@@ -487,36 +502,24 @@ let find_packed t i key =
    own.  [Error] (heap exhausted) leaves nothing durable behind. *)
 let commit_chunk t i members =
   Rcache.drain_pending t.rcache;
-  let failed = ref false in
-  let allocated = ref [] in
+  let failed = ref false and allocated = ref [] in
   let entries =
     List.map
       (fun (o, old) ->
         match o with
         | Tdel { key } -> (key, A.packed_null, old)
-        | Tput { key; vseed } ->
-          if !failed then (key, A.packed_null, old)
-          else begin
-            match A.i_tx_alloc t.inst t.value_size ~is_end:false with
-            | None ->
-              failed := true;
-              (key, A.packed_null, old)
-            | Some p ->
-              allocated := p :: !allocated;
-              let vaddr = A.i_get_rawptr t.inst p in
-              for w = 0 to (t.value_size / 8) - 1 do
-                Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
-              done;
-              flush_lines t vaddr t.value_size;
-              (key, A.pack p, old)
-          end)
+        | Tput { key; vseed } -> (
+          match if !failed then None else write_value t vseed with
+          | None ->
+            failed := true;
+            (key, A.packed_null, old)
+          | Some (p, vaddr) ->
+            allocated := p :: !allocated;
+            flush_lines t vaddr t.value_size;
+            (key, A.pack p, old)))
       members
   in
-  if !failed then begin
-    List.iter (fun p -> A.i_free t.inst p) !allocated;
-    A.i_tx_commit t.inst;
-    Error Txn_no_memory
-  end
+  if !failed then abandon t !allocated
   else begin
     let id = t.next_txn in
     t.next_txn <- id + 1;
@@ -830,120 +833,114 @@ let validate_static t ops =
       else Ok parts
   end
 
-(* Phase 1, caller holds every participant lock: allocate and persist
-   the new values under one open allocator transaction, then persist
-   one participant slot per shard.  The slots own the blocks once
-   [i_tx_commit] truncates the micro-log; before that a crash rolls
-   the whole prepare back at the allocator level. *)
-let prepare_locked t parts =
-  let missing = ref None in
-  List.iter
-    (fun (i, ops) ->
-      List.iter
-        (function
-          | Tdel { key } ->
-            if !missing = None && Btree.find t.shard_tbl.(i).tree key = None
-            then missing := Some key
-          | Tput _ -> ())
-        ops)
-    parts;
-  match !missing with
+type prepared = { txn : int; parts : (int * txn_op list) list }
+
+let seed_parts t parts =
+  if Mvcc.enabled t.mvcc then
+    List.iter (fun (i, ops) -> List.iter (fun o -> mvcc_seed t i (txn_key o)) ops) parts
+
+let op_versions t parts =
+  List.map (fun (i, ops) -> (i, List.map (op_version t) ops)) parts
+
+(* Phase 1, the caller holding every participant lock (or being the
+   only mutator): allocate and persist the new values under one open
+   allocator transaction, then persist one participant slot per shard.
+   The slots own the blocks once [i_tx_commit] truncates the micro-log;
+   before that a crash rolls the whole prepare back at the allocator
+   level. *)
+let prepare t parts =
+  let absent =
+    List.find_map
+      (fun (i, ops) ->
+        List.find_map
+          (function
+            | Tdel { key } when find_packed t i key = A.packed_null -> Some key
+            | Tdel _ | Tput _ -> None)
+          ops)
+      parts
+  in
+  match absent with
   | Some k -> Error (Txn_absent_key k)
   | None ->
-    let failed = ref false in
-    let allocated = ref [] in
+    let failed = ref false and allocated = ref [] in
     let filled =
       List.map
         (fun (i, ops) ->
-          let entries =
+          ( i,
             List.map
-              (fun o ->
-                let find k =
-                  match Btree.find t.shard_tbl.(i).tree k with
-                  | Some v -> v
-                  | None -> A.packed_null
-                in
-                match o with
-                | Tdel { key } -> (key, A.packed_null, find key)
-                | Tput { key; vseed } ->
-                  if !failed then (key, A.packed_null, A.packed_null)
-                  else begin
-                    match A.i_tx_alloc t.inst t.value_size ~is_end:false with
-                    | None ->
-                      failed := true;
-                      (key, A.packed_null, A.packed_null)
-                    | Some p ->
-                      allocated := p :: !allocated;
-                      let vaddr = A.i_get_rawptr t.inst p in
-                      for w = 0 to (t.value_size / 8) - 1 do
-                        Machine.write_u64 t.mach (vaddr + (8 * w))
-                          (val_word vseed w)
-                      done;
-                      Machine.persist t.mach vaddr t.value_size;
-                      (key, A.pack p, find key)
-                  end)
-              ops
-          in
-          (i, entries))
+              (function
+                | Tdel { key } -> (key, A.packed_null, find_packed t i key)
+                | Tput { key; vseed } -> (
+                  match if !failed then None else write_value t vseed with
+                  | None ->
+                    failed := true;
+                    (key, A.packed_null, A.packed_null)
+                  | Some (p, vaddr) ->
+                    allocated := p :: !allocated;
+                    Machine.persist t.mach vaddr t.value_size;
+                    (key, A.pack p, find_packed t i key)))
+              ops ))
         parts
     in
-    if !failed then begin
-      (* abort during prepare: release the blocks and close the
-         allocator transaction (net zero — nothing durable changed) *)
-      List.iter (fun p -> A.i_free t.inst p) !allocated;
-      A.i_tx_commit t.inst;
-      Error Txn_no_memory
-    end
+    if !failed then abandon t !allocated
     else begin
       let txn = t.next_txn in
       t.next_txn <- txn + 1;
       List.iter (fun (i, entries) -> write_tslot t i ~txn entries) filled;
       A.i_tx_commit t.inst;
-      Ok txn
+      if t.mvcc_publish_early && Mvcc.enabled t.mvcc then begin
+        (* BROKEN (mutation testing): the group goes live before any
+           decision exists — snapshot readers can observe a
+           transaction that may still abort *)
+        seed_parts t parts;
+        Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) (op_versions t parts)
+      end;
+      Ok { txn; parts }
     end
 
-(* Phase 2 under the coordinator lock: the decision record's persist
-   is THE commit point — before it a crash aborts every participant,
-   after it recovery redoes them from the slots. *)
-let decide_apply_locked t txn parts =
-  let idxs = List.map fst parts in
-  Machine.Lock.acquire t.txn_lock;
+let txn_prepare t ops = Result.bind (validate_static t ops) (prepare t)
+
+(* Phase 2: the decision record's persist is THE commit point — before
+   it a crash aborts every participant, after it recovery redoes them
+   from their slots.  Pre-images go first: once [txn_apply] publishes,
+   snapshot readers resolve every written key through its chain, so
+   the floors must be in place before any tree entry is touched. *)
+let txn_decide t { txn; parts } =
   Rcache.drain_pending t.rcache;
-  (* pre-images first: once the group publishes, snapshot readers
-     resolve every written key through its chain, so the floors must
-     be in place before any tree entry is touched below *)
-  if Mvcc.enabled t.mvcc then
-    List.iter
-      (fun (i, ops) -> List.iter (fun o -> mvcc_seed t i (txn_key o)) ops)
-      parts;
+  seed_parts t parts;
   write_decision t txn ~persist:(not t.break_decision_persist);
-  let fin = now () in
-  (* the whole group becomes visible at its decision timestamp in one
-     pure OCaml step (nothing yields between the mint and the
-     watermark advance): a snapshot minted from here on resolves the
-     written keys through their chains while the trees are still
-     being updated below *)
-  if Mvcc.enabled t.mvcc then
-    Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t)
-      (List.map (fun (i, ops) -> (i, List.map (op_version t) ops)) parts);
-  (* still the same pure step as the publication above: a lock-free
-     snapshot reader can never pair the group's watermark with a stale
-     cached digest of one of its keys *)
-  List.iter
-    (fun (i, ops) ->
-      List.iter
-        (fun o -> Rcache.invalidate t.rcache ~shard:i ~key:(txn_key o))
-        ops)
-    parts;
+  now ()
+
+(* Phase 3, from the publication on: the [versions] become visible at
+   one timestamp and the [kills] leave the read cache in one pure OCaml
+   step (nothing yields between the mint and the watermark advance), so
+   a lock-free snapshot reader resolves the written keys through their
+   chains while the trees are still being updated, and can never pair
+   the group's watermark with a stale cached digest.  Then every slot
+   among [shards] naming [txn] is published into its tree and cleared,
+   and finally the decision record. *)
+let publish_apply t ~txn ~versions ~kills shards =
+  Option.iter (fun g -> Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) g) versions;
+  List.iter (fun (i, key) -> Rcache.invalidate t.rcache ~shard:i ~key) kills;
   List.iter
     (fun i ->
       match read_tslot t i with
       | `Slot (id, entries) when id = txn -> apply_tslot t i entries
-      | _ -> failwith "Kv.txn: participant slot vanished before apply")
-    idxs;
-  write_decision t 0 ~persist:true;
-  Machine.Lock.release t.txn_lock;
-  fin
+      | `Free | `Torn | `Slot _ -> ())
+    shards;
+  write_decision t 0 ~persist:true
+
+(* the versions come from the ops' vseeds — no memory reads *)
+let txn_apply t { txn; parts } =
+  let versions =
+    if Mvcc.enabled t.mvcc && not t.mvcc_publish_early then
+      Some (op_versions t parts)
+    else None
+  in
+  let kills =
+    List.concat_map (fun (i, ops) -> List.map (fun o -> (i, txn_key o)) ops) parts
+  in
+  publish_apply t ~txn ~versions ~kills (List.map fst parts)
 
 let abort_result a parts =
   { txn_id = 0; committed = false; abort = Some a; fin = 0;
@@ -964,22 +961,24 @@ let txn ?on_commit ?(trace = -1) ?(span = -1) t ops =
         let sprep =
           Obs.Span.open_span ~trace ~parent:span Obs.Span.Txn_prepare
         in
-        match prepare_locked t parts with
-        | Error a ->
-          Obs.Span.close_span sprep;
-          abort_result a parts
-        | Ok txn_id ->
-          Obs.Span.close_span sprep;
+        let prepared = prepare t parts in
+        Obs.Span.close_span sprep;
+        match prepared with
+        | Error a -> abort_result a parts
+        | Ok p ->
           let sdec =
             Obs.Span.open_span ~trace ~parent:span Obs.Span.Txn_decide
           in
-          let fin = decide_apply_locked t txn_id parts in
+          Machine.Lock.acquire t.txn_lock;
+          let fin = txn_decide t p in
+          txn_apply t p;
+          Machine.Lock.release t.txn_lock;
           Obs.Span.close_span sdec;
           let res =
-            { txn_id; committed = true; abort = None; fin;
+            { txn_id = p.txn; committed = true; abort = None; fin;
               participants = parts }
           in
-          (match on_commit with Some f -> f res | None -> ());
+          Option.iter (fun f -> f res) on_commit;
           res)
 
 (* ---------- group commit (batched single-shard mutations) ---------- *)
@@ -1042,62 +1041,6 @@ let group_commit ?on_chunk t ~shard ops =
       flush ());
   Array.to_list results
 
-(* Staged variants (no locking — recovery tests and single-threaded
-   instrumentation drive the protocol one phase at a time). *)
-
-let txn_prepare t ops =
-  match validate_static t ops with
-  | Error a -> Error a
-  | Ok parts -> (
-    match prepare_locked t parts with
-    | Error a -> Error a
-    | Ok txn ->
-      if t.mvcc_publish_early && Mvcc.enabled t.mvcc then begin
-        (* BROKEN (mutation testing): the group goes live before any
-           decision exists — snapshot readers can observe a
-           transaction that may still abort *)
-        List.iter
-          (fun (i, ops) -> List.iter (fun o -> mvcc_seed t i (txn_key o)) ops)
-          parts;
-        Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t)
-          (List.map (fun (i, ops) -> (i, List.map (op_version t) ops)) parts)
-      end;
-      Ok txn)
-
-let txn_decide t ~txn = write_decision t txn ~persist:(not t.break_decision_persist)
-
-let txn_apply t ~txn =
-  Rcache.drain_pending t.rcache;
-  (* correct staged publication point: the decision is durable, so
-     install the versions (digests read from the prepared blocks)
-     before the trees change — unless the broken mode already
-     published them at prepare.  The slot reads and digests yield, so
-     versions AND cache-kill keys are gathered first; publication and
-     invalidation then share one pure OCaml step. *)
-  let want_mvcc = Mvcc.enabled t.mvcc && not t.mvcc_publish_early in
-  let groups = ref [] and kills = ref [] in
-  if want_mvcc || Rcache.enabled t.rcache then
-    for i = 0 to t.nshards - 1 do
-      match read_tslot t i with
-      | `Slot (id, entries) when id = txn ->
-        if want_mvcc then begin
-          List.iter (fun (key, _, _) -> mvcc_seed t i key) entries;
-          groups := (i, entry_versions t entries) :: !groups
-        end;
-        kills := List.map (fun (key, _, _) -> (i, key)) entries :: !kills
-      | _ -> ()
-    done;
-  if want_mvcc then Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) !groups;
-  List.iter
-    (List.iter (fun (i, key) -> Rcache.invalidate t.rcache ~shard:i ~key))
-    !kills;
-  for i = 0 to t.nshards - 1 do
-    match read_tslot t i with
-    | `Slot (id, entries) when id = txn -> apply_tslot t i entries
-    | _ -> ()
-  done;
-  write_decision t 0 ~persist:true
-
 let txn_resolve_indoubt t =
   Hashtbl.reset t.backup_decided;
   (* promotion: this store now serves reads itself, and the chains it
@@ -1107,20 +1050,10 @@ let txn_resolve_indoubt t =
      backup may digest values the presumed-abort pass discards. *)
   Mvcc.reset t.mvcc;
   Rcache.reset t.rcache;
-  let n = ref 0 in
-  for i = 0 to t.nshards - 1 do
-    match read_tslot t i with
-    | `Free -> ()
-    | `Torn ->
-      clear_tslot t i;
-      incr n
-    | `Slot (_, entries) ->
-      abort_tslot t i entries;
-      incr n
-  done;
-  !n
+  (* no slot has id 0: every occupied one is rolled back *)
+  snd (resolve_slots t ~decided:(fun _ -> 0))
 
-(* ---------- backup-side participant handlers ---------- *)
+(* ---------- backup side: the replication stream ---------- *)
 
 let txn_backup_prepare t ~txn ~shard ~ops =
   (match read_tslot t shard with
@@ -1128,28 +1061,37 @@ let txn_backup_prepare t ~txn ~shard ~ops =
    | `Torn | `Slot _ -> failwith "Kv.txn_backup_prepare: participant slot busy");
   let entries =
     List.map
-      (fun o ->
-        let find k =
-          match Btree.find t.shard_tbl.(shard).tree k with
-          | Some v -> v
-          | None -> A.packed_null
-        in
-        match o with
-        | Tdel { key } -> (key, A.packed_null, find key)
+      (function
+        | Tdel { key } -> (key, A.packed_null, find_packed t shard key)
         | Tput { key; vseed } -> (
-          match A.i_tx_alloc t.inst t.value_size ~is_end:false with
+          match write_value t vseed with
           | None -> failwith "Kv.txn_backup_prepare: backup heap exhausted"
-          | Some p ->
-            let vaddr = A.i_get_rawptr t.inst p in
-            for w = 0 to (t.value_size / 8) - 1 do
-              Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
-            done;
+          | Some (p, vaddr) ->
             Machine.persist t.mach vaddr t.value_size;
-            (key, A.pack p, find key)))
+            (key, A.pack p, find_packed t shard key)))
       ops
   in
   write_tslot t shard ~txn entries;
   A.i_tx_commit t.inst
+
+(* The backup's half of [txn_apply]: it has no vseeds, so each version
+   is the digest of its prepared block.  Seeds, slot reads and digests
+   yield, so they are all gathered — with the cache-kill keys — before
+   [publish_apply]'s pure step. *)
+let gather_slots t txn =
+  let groups = ref [] and kills = ref [] in
+  if Mvcc.enabled t.mvcc || Rcache.enabled t.rcache then
+    for i = 0 to t.nshards - 1 do
+      match read_tslot t i with
+      | `Slot (id, entries) when id = txn ->
+        if Mvcc.enabled t.mvcc then begin
+          List.iter (fun (key, _, _) -> mvcc_seed t i key) entries;
+          groups := (i, entry_versions t entries) :: !groups
+        end;
+        kills := List.map (fun (key, _, _) -> (i, key)) entries @ !kills
+      | `Free | `Torn | `Slot _ -> ()
+    done;
+  ((if Mvcc.enabled t.mvcc then Some !groups else None), !kills)
 
 (* Deferred group apply.  Publishing each slice as its decide arrives
    would tear the transaction: a crash (or a promotion) between two
@@ -1169,51 +1111,41 @@ let txn_backup_decide t ~txn ~shard ~commit ~nparts =
     if not commit then abort_tslot t shard entries
     else begin
       let decided =
-        (match Hashtbl.find_opt t.backup_decided txn with
-         | Some n -> n
-         | None -> 0)
-        + 1
+        1 + Option.value ~default:0 (Hashtbl.find_opt t.backup_decided txn)
       in
       if decided < nparts then Hashtbl.replace t.backup_decided txn decided
       else begin
         Hashtbl.remove t.backup_decided txn;
-        Rcache.drain_pending t.rcache;
-        (* install versions the same all-before-any-watermark way as
-           the primary, so a promoted backup's snapshots are as
-           atomic as the primary's were; cache-kill keys gathered
-           alongside so invalidation shares the publication's pure
-           step below *)
-        let groups = ref [] and kills = ref [] in
-        if Mvcc.enabled t.mvcc || Rcache.enabled t.rcache then
-          for i = 0 to t.nshards - 1 do
-            match read_tslot t i with
-            | `Slot (id, es) when id = txn ->
-              if Mvcc.enabled t.mvcc then begin
-                List.iter (fun (key, _, _) -> mvcc_seed t i key) es;
-                groups := (i, entry_versions t es) :: !groups
-              end;
-              kills := List.map (fun (key, _, _) -> (i, key)) es :: !kills
-            | _ -> ()
-          done;
-        write_decision t txn ~persist:(not t.break_decision_persist);
-        if Mvcc.enabled t.mvcc then
-          Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) !groups;
-        List.iter
-          (List.iter (fun (i, key) -> Rcache.invalidate t.rcache ~shard:i ~key))
-          !kills;
-        for i = 0 to t.nshards - 1 do
-          match read_tslot t i with
-          | `Slot (id, es) when id = txn -> apply_tslot t i es
-          | _ -> ()
-        done;
-        write_decision t 0 ~persist:true
+        let versions, kills = gather_slots t txn in
+        (* the gather seeded every pre-image: no parts left to seed *)
+        ignore (txn_decide t { txn; parts = [] });
+        publish_apply t ~txn ~versions ~kills (List.init t.nshards Fun.id)
       end
     end
   | `Free | `Torn | `Slot _ -> ()
 
-(* Backup-side group apply: a drained burst of in-order single-key
-   records lands as commit-group chunks, mirroring the primary's group
-   commit so the backup is not the batching bottleneck.  Chunks commit
-   on the shard's commit slot, so a 2PC prepare still waiting for its
-   decides in the participant slot is never in the way. *)
-let group_apply t ~shard ops = ignore (group_commit t ~shard ops)
+(* One dispatch for everything the replication stream carries, so
+   every applier (server, crashcheck, tests) resolves the [Replica.op]
+   variant in one place. *)
+let apply_replicated t ~shard (op : Replica.op) =
+  match op with
+  | Replica.Put { key; vseed } -> ignore (put t ~key ~vseed)
+  | Replica.Del { key } -> ignore (delete t ~key)
+  | Replica.Txn_prepare { txn; ops } -> txn_backup_prepare t ~txn ~shard ~ops
+  | Replica.Txn_decide { txn; commit; nparts } ->
+    txn_backup_decide t ~txn ~shard ~commit ~nparts
+
+(* Chunks commit on the shard's commit slot, so a 2PC prepare still
+   waiting for its decides in the participant slot is never in the
+   way; results are discarded — the backup replays outcomes the
+   primary already decided. *)
+let apply_replicated_group t ~shard (ops : Replica.op list) =
+  ignore
+    (group_commit t ~shard
+       (List.map
+          (function
+            | Replica.Put { key; vseed } -> Tput { key; vseed }
+            | Replica.Del { key } -> Tdel { key }
+            | Replica.Txn_prepare _ | Replica.Txn_decide _ ->
+              invalid_arg "Kv.apply_replicated_group: transaction record")
+          ops))

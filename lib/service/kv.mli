@@ -30,21 +30,8 @@
     "chunk fully applied" or "chunk never happened", with no leak and
     no dangling pointer.
 
-    {2 Cross-shard transactions}
-
-    Multi-key atomicity uses a 2PC-shaped extension of the same idea:
-    each participant shard owns a persistent {e participant slot}
-    (per-(txn, shard) record in the commit slot's format, beside it),
-    and the superroot holds a single {e coordinator decision record} on
-    its own cache line.  Prepare persists values + one slot per
-    participant under an open allocator transaction; the decision
-    record's persist is the commit point; apply publishes each slot
-    into its tree and clears it.  {!attach} resolves in-doubt
-    participants by reading the decision record: slots naming the
-    decided transaction are redone, all others are presumed aborted
-    (their client was never answered) and rolled back.  Only these
-    transactions take the store-wide coordinator lock.  See {!Txn} for
-    the protocol-level API. *)
+    Multi-key atomicity across shards is the two-phase protocol of
+    the cross-shard transactions section below. *)
 
 type t
 
@@ -192,11 +179,11 @@ val mvcc_shard_chains : t -> (int * int) array
     gauges.  All zeros when MVCC is off. *)
 
 val mvcc_break_early_publish : t -> unit
-(** Mutation-testing hook: subsequent staged {!txn_prepare} calls
-    publish the transaction's versions {e before} any decision exists,
-    so a snapshot can observe a transaction that may still abort — the
-    seeded bug the [mvcc-broken] crashcheck scenario must flag.  Never
-    call this outside checker gates. *)
+(** Mutation-testing hook: from now on every prepare ({!txn_prepare},
+    and {!txn}'s own) publishes the transaction's versions {e before}
+    any decision exists, so a snapshot can observe a transaction that
+    may still abort — the seeded bug the [mvcc-broken] crashcheck
+    scenario must flag.  Never call this outside checker gates. *)
 
 (** {2 DRAM read cache}
 
@@ -236,7 +223,41 @@ val rcache_break_late_invalidate : t -> unit
     seeded bug the [rcache-broken] crashcheck scenario must flag.
     Never call this outside checker gates. *)
 
-(** {2 Cross-shard transactions} *)
+(** {2 Cross-shard transactions}
+
+    The 2PC-style coordinator-record protocol (DESIGN §10).  A
+    transaction is a list of puts and deletes over distinct keys that
+    may land on different shards.  Each participant shard owns a
+    persistent {e participant slot} (the commit slot's format, beside
+    it), and the superroot holds one {e coordinator decision record}
+    on its own cache line.  Execution has the classic two-phase shape,
+    all inside one persistent heap — {!txn} runs it under the locks,
+    and the staged {!txn_prepare} / {!txn_decide} / {!txn_apply} are
+    its three steps:
+
+    + {b prepare} — the new values are allocated and persisted under
+      one open allocator transaction, each participant's slice is
+      persisted into its shard's slot, and the allocator transaction
+      commits, handing block ownership to the slots.
+    + {b decide} — the transaction's id is persisted in the decision
+      record.  {e This single persist is the commit point.}
+    + {b apply} — the versions are published, each slot is applied to
+      its B+-tree (idempotent inserts and deletes, safe frees of the
+      overwritten values) and cleared, and finally the decision record
+      is cleared.
+
+    Crash anywhere, and {!attach} resolves: slots naming the persisted
+    decision are redone (the transaction had committed), every other
+    occupied slot is rolled back — presumed abort, which is sound
+    because the client reply is only sent after the decision persists.
+
+    Under replication a committed transaction rides the per-shard
+    sequenced streams as one [Txn_prepare] + [Txn_decide] record pair
+    per participant ({!Replica.op}, applied by {!apply_replicated}).  A
+    promoting backup first replays the sealed log
+    ({!Replica.Applier.seal_and_replay}), then calls
+    {!txn_resolve_indoubt} to discard the prepares whose decide died on
+    the wire — none of those was ever acked. *)
 
 val max_txn_ops : int
 (** Operations one participant slot can hold — the per-shard cap on a
@@ -276,14 +297,37 @@ val txn :
 (** Executes the operations as one atomic transaction: after a crash
     at any fence, either every operation is visible or none is.
     Acquires every participant's {!shard_lock} in ascending order (so
-    concurrent transactions cannot deadlock) plus the coordinator lock
-    for the decide→apply window; [on_commit] runs {e inside} the
-    critical section right after apply — the hook the replicated
-    server uses to ship prepare/decide records in mutation order.
-    Aborts ([committed = false]) leave no durable trace.
-    [trace]/[span] (default -1 = off) attach {!Obs.Span.Txn_prepare} /
-    {!Obs.Span.Txn_decide} detail spans under the caller's transaction
-    span. *)
+    concurrent transactions cannot deadlock), prepares, then runs
+    {!txn_decide} and {!txn_apply} under the coordinator lock.
+    [on_commit] runs {e inside} the participant locks right after
+    apply — the hook the replicated server uses to ship prepare/decide
+    records in mutation order.  Aborts ([committed = false]) leave no
+    durable trace.  [trace]/[span] (default -1 = off) attach
+    {!Obs.Span.Txn_prepare} / {!Obs.Span.Txn_decide} detail spans under
+    the caller's transaction span. *)
+
+type prepared = private {
+  txn : int;  (** the claimed transaction id *)
+  parts : (int * txn_op list) list;  (** as {!txn_result}'s [participants] *)
+}
+(** A prepared transaction: what {!txn_decide} and {!txn_apply} act on. *)
+
+val txn_prepare : t -> txn_op list -> (prepared, txn_abort) result
+(** Phase 1 without locking (single-threaded tests and checkers):
+    persist the values and participant slots and commit the allocator
+    transaction.  A crash now leaves the transaction in doubt;
+    {!attach} presumed-aborts it. *)
+
+val txn_decide : t -> prepared -> int
+(** Phase 2: seed the MVCC pre-images of the written keys and persist
+    the coordinator decision record — the commit point.  Returns its
+    simulated time ({!txn_result}'s [fin]).  A crash after this redoes
+    the transaction from its slots. *)
+
+val txn_apply : t -> prepared -> unit
+(** Phase 3: publish the versions and kill the cached digests in one
+    pure step, apply and clear every participant slot, then clear the
+    decision record. *)
 
 val group_commit :
   ?on_chunk:(fin:int -> txn_op list -> unit) ->
@@ -310,36 +354,31 @@ val group_commit :
     loses at most the chunks (and never a completed chunk) of the
     in-flight group. *)
 
-val txn_prepare : t -> txn_op list -> (int, txn_abort) result
-(** Phase 1 only (no locking — single-threaded recovery tests and
-    instrumentation): persist values and participant slots, commit the
-    allocator transaction, return the claimed txn id.  A crash now
-    leaves the transaction in doubt; {!attach} presumed-aborts it. *)
-
-val txn_decide : t -> txn:int -> unit
-(** Persist the coordinator decision record: the commit point.  A
-    crash after this redoes the transaction from its slots. *)
-
-val txn_apply : t -> txn:int -> unit
-(** Publish and clear every slot naming [txn], then clear the
-    decision record. *)
-
 val txn_resolve_indoubt : t -> int
 (** Roll back every occupied participant slot — presumed abort.  The
     promoting backup calls this after {!Replica.Applier.seal_and_replay}:
     a prepare whose decide died with the primary was never acked to any
     client, so discarding it is safe.  Returns the slots resolved. *)
 
+(** {2 Backup side} *)
+
+val apply_replicated : t -> shard:int -> Replica.op -> unit
+(** Apply one shipped record: [Put]/[Del] through {!put}/{!delete},
+    [Txn_prepare] through {!txn_backup_prepare} and [Txn_decide]
+    through {!txn_backup_decide}. *)
+
+val apply_replicated_group : t -> shard:int -> Replica.op list -> unit
+(** Apply a drained burst of in-order single-op records as one
+    {!group_commit} chunk chain — one commit-slot chunk per up to
+    {!max_txn_ops} records instead of one per record.  Chunks commit on
+    the commit slot, so a prepare still waiting for its decides keeps
+    its participant slot.  Raises [Invalid_argument] on a transaction
+    record: the applier handles those per record (they are group
+    barriers). *)
+
 val txn_backup_prepare : t -> txn:int -> shard:int -> ops:txn_op list -> unit
 (** Apply a shipped [Txn_prepare] record: persist the slice's values
     and its participant slot (durable before the applier acks). *)
-
-val group_apply : t -> shard:int -> txn_op list -> unit
-(** Backup-side group apply: run a drained burst of in-order shipped
-    single-key records through {!group_commit}'s chunks.  Chunks commit
-    on the shard's commit slot, so a 2PC prepare whose decides are
-    still arriving keeps its participant slot.  Results are discarded:
-    the backup replays the primary's already-decided outcomes. *)
 
 val txn_backup_decide :
   t -> txn:int -> shard:int -> commit:bool -> nparts:int -> unit
@@ -347,10 +386,11 @@ val txn_backup_decide :
     the prepared slice at once; a commit is {e deferred} until the
     decides of all [nparts] participants have arrived, and the last
     one publishes the whole transaction under this store's own
-    decision record — publishing slice-by-slice would let a crash or
-    promotion between slices surface half a transaction.  A decide
-    for an already-resolved slot is a no-op (duplicate-delivery
-    tolerance). *)
+    decision record — {!txn_decide} and {!txn_apply}'s publication,
+    with each version digested from its prepared block — since
+    publishing slice-by-slice would let a crash or promotion between
+    slices surface half a transaction.  A decide for an
+    already-resolved slot is a no-op (duplicate-delivery tolerance). *)
 
 val txn_break_decision_persist : t -> unit
 (** Mutation-testing hook: from now on no commit point is ordered after

@@ -23,7 +23,6 @@ type config = {
   seed : int;
   scope : string;
   batch_window : int;
-  batch_bytes : int;
   mvcc_window : int;
   tcache_mag : int;
       (* magazine size of the DRAM thread cache wrapped around the
@@ -52,7 +51,6 @@ let default_config =
     seed = 42;
     scope = "service";
     batch_window = 1;
-    batch_bytes = 0;
     mvcc_window = 0;
     tcache_mag = 0;
     rcache_entries = 0 }
@@ -178,7 +176,6 @@ let validate ~name cfg =
   reject (cfg.txn_ops < 1 || cfg.txn_ops > Kv.max_txn_ops)
     "txn_ops out of range";
   reject (cfg.batch_window < 1) "batch_window < 1";
-  reject (cfg.batch_bytes < 0) "batch_bytes < 0";
   reject (cfg.mvcc_window < 0) "mvcc_window < 0";
   reject (cfg.tcache_mag < 0) "tcache_mag < 0";
   reject (cfg.rcache_entries < 0) "rcache_entries < 0";
@@ -440,19 +437,11 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       | Req r -> r.kind = KPut || r.kind = KDel
       | Rep _ -> false
     in
-    let op_bytes = function
-      | Req { kind = KPut; _ } -> 24 + cfg.value_size
-      | _ -> 24
-    in
-    let rec gather acc n bytes =
-      if
-        n >= cfg.batch_window
-        || (cfg.batch_bytes > 0 && bytes >= cfg.batch_bytes)
-      then (List.rev acc, None)
+    let rec gather acc n =
+      if n >= cfg.batch_window then (List.rev acc, None)
       else
         match Net.recv net ~port:i with
-        | Some m when is_group_member m.Net.payload ->
-          gather (m :: acc) (n + 1) (bytes + op_bytes m.Net.payload)
+        | Some m when is_group_member m.Net.payload -> gather (m :: acc) (n + 1)
         | Some m -> (List.rev acc, Some m)
         | None -> (List.rev acc, None)
     in
@@ -545,7 +534,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
     in
     let dispatch m =
       if is_group_member m.Net.payload then begin
-        let group, leftover = gather [ m ] 1 (op_bytes m.Net.payload) in
+        let group, leftover = gather [ m ] 1 in
         handle_group group;
         Option.iter handle leftover
       end
@@ -966,9 +955,8 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
     Replica.Applier.create repl_cfg ~shards:cfg.shards ~link
       ~ack_batch:(cfg.batch_window > 1)
       ~on_apply:(fun ~lat_ns -> Hist.record repl_lag_h lat_ns)
-      ~apply:(fun ~shard op -> Txn.apply_replicated svc_b ~shard op)
-      ~apply_group:(fun ~shard ops ->
-        Txn.apply_replicated_group svc_b ~shard ops)
+      ~apply:(Kv.apply_replicated svc_b)
+      ~apply_group:(Kv.apply_replicated_group svc_b)
   in
   let t_crash, t_stop = timeline cfg in
 
@@ -1084,7 +1072,6 @@ let config_json c =
       ("delete_pct", num c.delete_pct); ("scan_pct", num c.scan_pct);
       ("txn_pct", num c.txn_pct); ("txn_ops", num c.txn_ops);
       ("batch_window", num c.batch_window);
-      ("batch_bytes", num c.batch_bytes);
       ("mvcc_window", num c.mvcc_window); ("tcache_mag", num c.tcache_mag);
       ("rcache_entries", num c.rcache_entries);
       ("crash_at", match c.crash_at with Some f -> J.Num f | None -> J.Null);

@@ -50,9 +50,6 @@ type config = {
           group holds one mutation, which in sync mode waits for its
           own ack.  Greedy over the inbox — never waits for a batch to
           fill. *)
-  batch_bytes : int;
-      (** additional byte cap on a commit group (0 = unlimited): a
-          group closes once its encoded payload would exceed this *)
   mvcc_window : int;
       (** MVCC version-chain window ({!Kv.create}'s [mvcc_window]),
           ≥ 0.  At 0 (the default) the store keeps no version chains

@@ -330,7 +330,7 @@ let test_piggybacked_decide_equivalence () =
     let sh = R.Shipper.create cfg ~shards:2 ~link in
     let ap =
       R.Applier.create cfg ~shards:2 ~link ~ack_batch:piggyback
-        ~apply:(fun ~shard op -> Service.Txn.apply_replicated b ~shard op)
+        ~apply:(Kv.apply_replicated b)
     in
     let committed = ref [] in
     List.iter
@@ -359,17 +359,21 @@ let test_piggybacked_decide_equivalence () =
         R.Applier.pump ap ~until:(fun () ->
             Link.pending link ~ep:R.backup_ep = 0))
       txn_plan;
-    (b, List.rev !committed, R.Applier.applied ap,
+    (p, b, List.rev !committed, R.Applier.applied ap,
      (Link.stats link ~ep:R.backup_ep).Link.flushes)
   in
-  let b1, c1, applied1, _ = run ~piggyback:false in
-  let b2, c2, applied2, flushes2 = run ~piggyback:true in
+  let p1, b1, c1, applied1, _ = run ~piggyback:false in
+  let p2, b2, c2, applied2, flushes2 = run ~piggyback:true in
   check "same commit/abort outcomes" true (c1 = c2);
   check_int "same records applied on the backup" applied1 applied2;
   check "committed txns: both paths shipped" true (applied1 > 0);
   check "one doorbell frame per committed transaction" true (flushes2 >= 2);
   for k = 1 to 5 do
-    check "backup stores bit-identical" true (Kv.get b1 ~key:k = Kv.get b2 ~key:k)
+    check "backup stores bit-identical" true (Kv.get b1 ~key:k = Kv.get b2 ~key:k);
+    check "per-record backup equals its primary" true
+      (Kv.get b1 ~key:k = Kv.get p1 ~key:k);
+    check "piggybacked backup equals its primary" true
+      (Kv.get b2 ~key:k = Kv.get p2 ~key:k)
   done;
   check_int "same backup key count" (Kv.count_keys b1) (Kv.count_keys b2)
 

@@ -197,15 +197,15 @@ let test_staged_txn_all_or_none () =
   in
   match Kv.txn_prepare s ops with
   | Error _ -> Alcotest.fail "prepare aborted"
-  | Ok txn ->
+  | Ok p ->
     (* prepared but undecided: no snapshot may see its writes *)
     let ts = Kv.snapshot s in
     check "undecided write invisible (key 3)" true
       (Kv.snapshot_get s ~ts ~key:3 = pre3);
     check "undecided write invisible (key 4)" true
       (Kv.snapshot_get s ~ts ~key:4 = pre4);
-    Kv.txn_decide s ~txn;
-    Kv.txn_apply s ~txn;
+    ignore (Kv.txn_decide s p);
+    Kv.txn_apply s p;
     let ts' = Kv.snapshot s in
     let g3 = Kv.snapshot_get s ~ts:ts' ~key:3
     and g4 = Kv.snapshot_get s ~ts:ts' ~key:4 in

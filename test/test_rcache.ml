@@ -143,9 +143,9 @@ let test_backup_group_apply_coherent_and_promotion_wipe () =
     (Kv.rcache_mem b ~key:3 && Kv.rcache_mem b ~key:4 && Kv.rcache_mem b ~key:5);
   (* shipped single-key records land through the chunked commit chain;
      the cache must drop their keys in the same step *)
-  Kv.group_apply b ~shard:0 [ Kv.Tput { key = 3; vseed = 64 } ];
-  Kv.group_apply b ~shard:1
-    [ Kv.Tput { key = 4; vseed = 65 }; Kv.Tdel { key = 5 } ];
+  Kv.apply_replicated_group b ~shard:0 [ Replica.Put { key = 3; vseed = 64 } ];
+  Kv.apply_replicated_group b ~shard:1
+    [ Replica.Put { key = 4; vseed = 65 }; Replica.Del { key = 5 } ];
   check "applied keys left the cache before the apply returned" true
     ((not (Kv.rcache_mem b ~key:3))
     && (not (Kv.rcache_mem b ~key:4))

@@ -5,7 +5,6 @@
    of the protocol and the seeded-mutation sanity gate. *)
 
 module Kv = Service.Kv
-module Txn = Service.Txn
 module H = Poseidon.Heap
 module Memdev = Nvmm.Memdev
 
@@ -47,11 +46,11 @@ let test_commit_across_shards () =
   let _, _, kv = mk_store ~shards:4 () in
   let ka, kb = cross_shard_keys kv in
   check "preload" true (Kv.put kv ~key:kb ~vseed:7);
-  let r = Txn.exec kv [ Tput { key = ka; vseed = 100 }; Tdel { key = kb } ] in
-  check "committed" true r.Txn.committed;
-  check "no abort reason" true (r.Txn.abort = None);
-  check "txn id claimed" true (r.Txn.txn_id > 0);
-  check_int "two participant shards" 2 (List.length r.Txn.participants);
+  let r = Kv.txn kv [ Tput { key = ka; vseed = 100 }; Tdel { key = kb } ] in
+  check "committed" true r.Kv.committed;
+  check "no abort reason" true (r.Kv.abort = None);
+  check "txn id claimed" true (r.Kv.txn_id > 0);
+  check_int "two participant shards" 2 (List.length r.Kv.participants);
   check "put visible" true (Kv.get kv ~key:ka = cksum kv 100);
   check "delete visible" true (Kv.get kv ~key:kb = None);
   Kv.check kv
@@ -60,21 +59,21 @@ let test_abort_leaves_no_trace () =
   let _, inst, kv = mk_store ~shards:2 () in
   check "preload" true (Kv.put kv ~key:3 ~vseed:30);
   (* strict delete of an absent key aborts the whole transaction *)
-  let r = Txn.exec kv [ Tput { key = 3; vseed = 31 }; Tdel { key = 9999 } ] in
-  check "aborted" false r.Txn.committed;
-  check "absent-key reason" true (r.Txn.abort = Some (Txn_absent_key 9999));
+  let r = Kv.txn kv [ Tput { key = 3; vseed = 31 }; Tdel { key = 9999 } ] in
+  check "aborted" false r.Kv.committed;
+  check "absent-key reason" true (r.Kv.abort = Some (Txn_absent_key 9999));
   check "put rolled back with it" true (Kv.get kv ~key:3 = cksum kv 30);
   (* static validation aborts *)
-  check "empty aborts" true ((Txn.exec kv []).Txn.abort = Some Txn_empty);
+  check "empty aborts" true ((Kv.txn kv []).Kv.abort = Some Txn_empty);
   check "duplicate key aborts" true
-    ((Txn.exec kv [ Tput { key = 5; vseed = 1 }; Tdel { key = 5 } ]).Txn.abort
+    ((Kv.txn kv [ Tput { key = 5; vseed = 1 }; Tdel { key = 5 } ]).Kv.abort
     = Some Txn_duplicate_key);
   (* 17 distinct keys over 2 shards put > max_txn_ops (8) on one *)
   let big =
-    List.init 17 (fun i -> Txn.Tput { key = 100 + i; vseed = i })
+    List.init 17 (fun i -> Kv.Tput { key = 100 + i; vseed = i })
   in
   check "per-shard op cap aborts" true
-    ((Txn.exec kv big).Txn.abort = Some Txn_too_many_ops);
+    ((Kv.txn kv big).Kv.abort = Some Txn_too_many_ops);
   (* aborts left nothing durable: clean re-attach, nothing to resolve *)
   let kv2, rc = Kv.attach inst in
   check_int "no txn slots to resolve" 0 (rc.Kv.txn_committed + rc.Kv.txn_aborted);
@@ -89,7 +88,7 @@ let test_indoubt_prepare_aborts_on_attach () =
   (* phase 1 persisted, decision record never written: in doubt *)
   (match Kv.txn_prepare kv [ Tput { key = ka; vseed = 50 }; Tdel { key = kb } ]
    with
-  | Ok txn -> check "prepare claimed an id" true (txn > 0)
+  | Ok p -> check "prepare claimed an id" true (p.Kv.txn > 0)
   | Error _ -> Alcotest.fail "prepare refused");
   Memdev.crash (Machine.dev mach) `Strict;
   ignore (H.attach mach ~base:heap_base ());
@@ -104,15 +103,15 @@ let test_decided_txn_redone_on_attach () =
   let mach, inst, kv = mk_store ~shards:4 () in
   let ka, kb = cross_shard_keys kv in
   check "preload" true (Kv.put kv ~key:kb ~vseed:7);
-  let txn =
+  let p =
     match
       Kv.txn_prepare kv [ Tput { key = ka; vseed = 50 }; Tdel { key = kb } ]
     with
-    | Ok txn -> txn
+    | Ok p -> p
     | Error _ -> Alcotest.fail "prepare refused"
   in
   (* decision record persisted = committed, even though apply never ran *)
-  Kv.txn_decide kv ~txn;
+  ignore (Kv.txn_decide kv p);
   Memdev.crash (Machine.dev mach) `Strict;
   ignore (H.attach mach ~base:heap_base ());
   let kv2, rc = Kv.attach inst in
@@ -134,8 +133,8 @@ let test_promotion_resolves_indoubt () =
   Kv.txn_backup_prepare kv ~txn:9 ~shard:(Kv.shard_of_key kv kb)
     ~ops:[ Tdel { key = kb } ];
   check_int "promotion presumed-aborts both slots" 2
-    (Txn.resolve_indoubt kv);
-  check_int "idempotent once resolved" 0 (Txn.resolve_indoubt kv);
+    (Kv.txn_resolve_indoubt kv);
+  check_int "idempotent once resolved" 0 (Kv.txn_resolve_indoubt kv);
   check "put never surfaced" true (Kv.get kv ~key:ka = None);
   check "delete never surfaced" true (Kv.get kv ~key:kb = cksum kv 7);
   Kv.check kv
@@ -156,7 +155,7 @@ let test_backup_defers_group_apply () =
   Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~commit:true ~nparts:2;
   check "put published" true (Kv.get kv ~key:ka = cksum kv 61);
   check "delete published" true (Kv.get kv ~key:kb = None);
-  check_int "no slots left in doubt" 0 (Txn.resolve_indoubt kv);
+  check_int "no slots left in doubt" 0 (Kv.txn_resolve_indoubt kv);
   (* duplicate decide after resolution is a no-op *)
   Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~commit:true ~nparts:2;
   check "duplicate decide tolerated" true (Kv.get kv ~key:ka = cksum kv 61);
@@ -170,7 +169,7 @@ let test_backup_abort_discards_slice () =
   Kv.txn_backup_decide kv ~txn:6 ~shard:(Kv.shard_of_key kv ka) ~commit:false
     ~nparts:2;
   check "aborted slice never surfaces" true (Kv.get kv ~key:ka = None);
-  check_int "slot already discarded" 0 (Txn.resolve_indoubt kv)
+  check_int "slot already discarded" 0 (Kv.txn_resolve_indoubt kv)
 
 (* ---------- crashcheck: protocol sweep + mutation sanity ---------- *)
 
