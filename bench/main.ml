@@ -732,20 +732,23 @@ let replication_suite () =
 
 (* ---------- batch suite: group commit + pipelined persistence ---------- *)
 
-(* Sync replication pays a wire round trip per mutation: the shard
-   handler holds its lock through ship → backup persist → ack, so at
-   any real load the RTTs line up behind each other and the queue wait
-   dwarfs the store itself.  Group commit amortizes that — one covering
-   persist chain, one doorbell frame and ONE ack wait per group of
-   consecutive queued mutations — so batched sync should land within
-   ~2x of async p50 at the same offered load, where unbatched sync
-   drowns.  The sweep runs async and sync at identical rate/seed across
-   batch windows; the gate demands some window make the 2x bar. *)
+(* Sync replication pays a wire round trip per mutation before its
+   reply may leave: [Kv.group_commit] ships inside the shard lock and
+   releases it, and the reply parks on the primary until the backup's
+   covering ack.  The handler serves on, but at most two groups per
+   shard are in flight, so at saturating load the round trips bound
+   each shard's mutation rate and the queue wait dwarfs the store
+   itself.  Group commit amortizes that — one covering persist chain,
+   one doorbell frame and ONE covering ack per group of consecutive
+   queued mutations — so batched sync should land within ~2x of async
+   p50 at the same offered load.  The sweep runs async and sync at
+   identical rate/seed across batch windows; the gate demands some
+   window make the 2x bar. *)
 let batch_suite () =
   note "";
   note "### Group commit: batched sync vs async at identical offered load";
   note
-    "(one flush + one ack wait per group; at window 1 the primary commits \
+    "(one flush + one covering ack per group; at window 1 the primary commits \
      groups of one, while the backup still applies and acks each record)";
   let repl label window mode =
     run_repl label

@@ -672,9 +672,9 @@ let serve_cmd =
           dr.S.repl_mode
       & info [ "repl-mode" ] ~docv:"MODE"
           ~doc:
-            "sync: hold each mutation's reply until the backup acks (acked \
-             writes survive primary loss); async: reply after the local \
-             persist, backup lag bounded by the window.")
+            "sync: hold each reply until the backup acks every record it \
+             saw (acked writes survive primary loss); async: reply after \
+             the local persist, backup lag bounded by the window.")
   in
   let wire_ns_arg =
     Arg.(

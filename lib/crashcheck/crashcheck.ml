@@ -1245,11 +1245,11 @@ let scn_kv_replicated_put () =
     let pump_until_acked seqs =
       Replica.Applier.pump applier ~until:(fun () ->
           Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
+      Replica.Shipper.poll_acks shipper;
       List.iter
         (fun (shard, seq) ->
-          if
-            not (Replica.Shipper.wait_acked shipper ~shard ~seq ~deadline:0)
-          then failwith "kv-replicated scenario: sync ack lost on clean run")
+          if Replica.Shipper.acked shipper ~shard < seq then
+            failwith "kv-replicated scenario: sync ack lost on clean run")
         seqs
     in
     List.iter
@@ -1400,11 +1400,9 @@ let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
         if !last >= 0 then begin
           Replica.Applier.pump applier ~until:(fun () ->
               Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
-          if
-            not
-              (Replica.Shipper.wait_acked shipper ~shard:0 ~seq:!last
-                 ~deadline:0)
-          then failwith "kv-batched scenario: ack lost on clean run"
+          Replica.Shipper.poll_acks shipper;
+          if Replica.Shipper.acked shipper ~shard:0 < !last then
+            failwith "kv-batched scenario: ack lost on clean run"
         end;
         if not premature_ack then acked := !acked + List.length gops;
         env.ledger.durable <- (H.stats env.heap).H.live_bytes)

@@ -73,6 +73,7 @@ module Shipper = struct
     }
 
   let acked t ~shard = t.acked_.(shard)
+  let high_water t ~shard = t.next_seq.(shard) - 1
   let lag t ~shard = Queue.length t.unacked.(shard)
   let shipped t = t.shipped_
   let retransmits t = t.retransmits_
@@ -91,7 +92,7 @@ module Shipper = struct
       done
     end
 
-  let drain_acks t =
+  let poll_acks t =
     let continue = ref true in
     while !continue do
       match Link.recv t.link ~ep:primary_ep with
@@ -116,7 +117,7 @@ module Shipper = struct
      record is sequenced, kept for go-back-N and handed to [put]. *)
   let enqueue t ~trace ~span ~shard op put =
     while Queue.length t.unacked.(shard) >= t.cfg.window do
-      drain_acks t;
+      poll_acks t;
       if Queue.length t.unacked.(shard) >= t.cfg.window then
         poll_wait t.cfg
     done;
@@ -144,21 +145,6 @@ module Shipper = struct
 
   let flush t = Link.flush t.link ~dst:backup_ep
 
-  let wait_acked t ~shard ~seq ~deadline =
-    let rec loop () =
-      drain_acks t;
-      if t.acked_.(shard) >= seq then true
-      else if Sched.in_simulation () && Sched.now () >= deadline then false
-      else if not (Sched.in_simulation ()) then
-        (* outside the simulation nothing can arrive while we spin *)
-        t.acked_.(shard) >= seq
-      else begin
-        poll_wait t.cfg;
-        loop ()
-      end
-    in
-    loop ()
-
   (* Go-back-N: when the oldest unacked record of a shard has waited a
      full timeout, put the whole tail back on the wire. *)
   let retransmit_due t =
@@ -182,7 +168,7 @@ module Shipper = struct
 
   let pump t ~until ~deadline =
     let rec loop () =
-      drain_acks t;
+      poll_acks t;
       retransmit_due t;
       let done_ = until () && all_acked t in
       if done_ then ()

@@ -14,7 +14,9 @@
     per shard, re-acks duplicates and discards out-of-order arrivals.
     The unacked window is bounded, which in [Async] mode {e is} the
     replication-lag bound; in [Sync] mode the caller additionally
-    waits per record ({!Shipper.wait_acked}) before acking its client.
+    holds each client reply until the cumulative ack covers the
+    records that reply depends on ({!Shipper.high_water},
+    {!Shipper.poll_acks}, {!Shipper.acked}).
 
     Cross-shard transactions ride the same per-shard streams: a
     [Txn_prepare] record carries one participant shard's slice of the
@@ -109,9 +111,9 @@ module Shipper : sig
       the whole group.  Returns the number of records in the frame
       ([0] = nothing staged, nothing charged). *)
 
-  val wait_acked : t -> shard:int -> seq:int -> deadline:int -> bool
-  (** Sync mode: poll until the backup's cumulative ack covers [seq];
-      [false] if simulated time passes [deadline] first. *)
+  val poll_acks : t -> unit
+  (** Absorb every ack the link has delivered so far, without waiting
+      and without a CPU charge; {!acked} then reflects them. *)
 
   val pump : t -> until:(unit -> bool) -> deadline:int -> unit
   (** Replication-thread body: drain acks, retransmit timed-out tails.
@@ -121,6 +123,11 @@ module Shipper : sig
   val acked : t -> shard:int -> int
   (** Highest cumulatively acked sequence number for [shard]; -1
       initially. *)
+
+  val high_water : t -> shard:int -> int
+  (** Last sequence number shipped on [shard] (staged records
+      included); -1 initially.  Everything applied on [shard] before
+      its records were shipped is covered once {!acked} reaches it. *)
 
   val lag : t -> shard:int -> int
   (** Records currently shipped but unacked. *)

@@ -146,12 +146,34 @@ type result = {
 (* Where a handled mutation's durability is settled before its reply
    leaves.  [Local]: the store's own persist is the whole promise, so
    the reply leaves at once.  [Ship]: each applied mutation is also
-   shipped to the backup inside its shard lock, and in [sync] mode the
-   reply waits for the backup's covering ack — until [deadline], past
-   which the reply is withheld. *)
-type ship = { shipper : Replica.Shipper.t; sync : bool; deadline : int }
+   shipped to the backup inside its shard lock, and in [sync] mode a
+   reply that saw shipped-but-unacked records parks until the backup's
+   covering ack — until [deadline], past which it is withheld.  The
+   handler polls for acks every [poll_ns] while it waits. *)
+type ship = {
+  shipper : Replica.Shipper.t;
+  sync : bool;
+  deadline : int;
+  poll_ns : int;
+}
 
 type sink = Local | Ship of ship
+
+(* A sync reply held on the primary until the backup's cumulative ack
+   reaches every [(shard, seq)] in [covers]: the high-water marks of
+   the shards it saw with records in flight when it was produced.
+   [wait] is its open Repl_ack or Flush_wait span. *)
+type parked = { covers : (int * int) list; wait : int; send : unit -> unit }
+
+(* Commit groups per shard whose records may await the backup's ack at
+   once; the next group waits for the oldest one's ack.  Two lets one
+   group's round trip overlap the next group's commit; deeper
+   pipelines only add queueing under overload.  On the batch suite's
+   overloaded sync runs p50 was lowest at 2 of 1, 2, 3, 4 and 8
+   groups: sync-w32 rose from 909 to 1163 µs at 8, and sync-w4 from
+   925 to 1458 µs when only the 64-record replication window bounded
+   the pipeline. *)
+let groups_in_flight = 2
 
 let grace_ns = 5_000_000
 
@@ -276,47 +298,47 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   in
   let batched = cfg.batch_window > 1 in
 
-  (* A committed transaction ships every participant's prepare and
-     decide records under its locks; batched, they stage in the
-     doorbell buffer and leave as one frame, so the decide stops paying
-     its own round trip.  2PC lock discipline: the participant locks
-     are held until the backup has acked the whole group — in BOTH
-     modes, not just sync.  Streams are shipped under these locks, so
-     the wait guarantees the next transaction touching one of these
-     shards cannot reach the backup while this group's slots are still
-     pending; without it a decide lagging on one stream (loss,
-     retransmit) lets a later prepare collide with the occupied slot.
-     Returns whether the ack came before the deadline. *)
-  let ship_txn s ~trace ~span res =
-    let send =
-      if batched then Replica.Shipper.ship_buffered else Replica.Shipper.ship
-    in
-    let txn = res.Kv.txn_id and nparts = List.length res.Kv.participants in
-    let dseqs =
-      List.map
-        (fun (shard, ops) ->
-          ignore
-            (send s.shipper ~trace ~span ~shard (Replica.Txn_prepare { txn; ops }));
-          ( shard,
-            send s.shipper ~trace ~span ~shard
-              (Replica.Txn_decide { txn; commit = true; nparts }) ))
-        res.Kv.participants
-    in
-    if batched then ignore (Replica.Shipper.flush s.shipper);
-    let sra = Span.open_span ~trace ~parent:span Span.Repl_ack in
-    let acked =
-      List.for_all
-        (fun (shard, seq) ->
-          Replica.Shipper.wait_acked s.shipper ~shard ~seq ~deadline:s.deadline)
-        dseqs
-    in
-    Span.close_span sra;
-    acked
-  in
-
   (* ---------- server threads (one per shard) ---------- *)
   let server_body i () =
     let server_end = match t_crash with Some c -> c | None -> max_int in
+    (* sync replies awaiting their covering ack, newest first *)
+    let parked = ref [] in
+    (* sync: the last sequence number of each commit group this
+       handler shipped and has not yet waited for, oldest first *)
+    let inflight = Queue.create () in
+    let covered s (shard, seq) = Replica.Shipper.acked s.shipper ~shard >= seq in
+    (* send every parked reply the absorbed acks now cover, oldest
+       first, from this handler's own CPU *)
+    let release () =
+      match (sink, !parked) with
+      | Ship s, _ :: _ ->
+        Replica.Shipper.poll_acks s.shipper;
+        let ready, rest =
+          List.partition
+            (fun p -> List.for_all (covered s) p.covers)
+            (List.rev !parked)
+        in
+        parked := List.rev rest;
+        List.iter
+          (fun p ->
+            Span.close_span p.wait;
+            p.send ())
+          ready
+      | _ -> ()
+    in
+    (* the handler's one way to wait for acks: poll every [poll_ns],
+       releasing parked replies as their acks arrive, until [cond]
+       holds; [false] if the deadline passes first *)
+    let rec await s cond =
+      Replica.Shipper.poll_acks s.shipper;
+      release ();
+      if cond () then true
+      else if Sched.now () >= s.deadline then false
+      else begin
+        Sched.sleep s.poll_ns;
+        await s cond
+      end
+    in
     (* the request's hop in, split at the delivery timestamp — pure
        wire, then inbox queue wait, known only at dequeue — and its
        decode; returns the time handling began *)
@@ -334,20 +356,80 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       Span.close_span sdec;
       t0
     in
-    (* a handled request's reply; withheld when its sync ack missed the
-       deadline — the client keeps the request outstanding and the
-       verifier treats its keys as ambiguous rather than guaranteed,
-       which is what makes a promote-time presumed-abort of a
-       half-delivered transaction safe *)
-    let finish (m : payload Net.msg) ~t0 ~client ~acked rep =
+    (* The one reply path; [saw] lists the shards whose state the reply
+       reflects.  Under [Local] and async it leaves at once.  In sync
+       mode, when one of those shards has shipped-but-unacked records,
+       the reply parks until the backup's cumulative ack covers that
+       shard's high-water mark as of now, under a [stage] span, and
+       [release] sends it: no client sees state that losing the
+       primary could undo.  A reply still parked at the deadline or the
+       crash cut is withheld — the client keeps the request outstanding
+       and the verifier treats its keys as ambiguous rather than
+       guaranteed, which is what makes a promote-time presumed-abort of
+       a half-delivered transaction safe.  Service time is handler
+       time, recorded here. *)
+    let reply (m : payload Net.msg) ~t0 ~client ~saw ~stage rep =
       incr handled;
       Hist.record svc_h (Sched.now () - t0);
-      if
-        acked
-        && not
-             (Net.try_send ~trace:m.trace ~span:m.span net
-                ~dst:(cfg.shards + client) rep)
-      then incr reply_drops
+      let send () =
+        if
+          not
+            (Net.try_send ~trace:m.trace ~span:m.span net
+               ~dst:(cfg.shards + client) rep)
+        then incr reply_drops
+      in
+      match sink with
+      | Ship ({ sync = true; _ } as s) ->
+        Replica.Shipper.poll_acks s.shipper;
+        let covers =
+          List.filter_map
+            (fun shard ->
+              let hw = Replica.Shipper.high_water s.shipper ~shard in
+              if covered s (shard, hw) then None else Some (shard, hw))
+            saw
+        in
+        if covers = [] then send ()
+        else
+          parked :=
+            { covers;
+              wait = Span.open_span ~trace:m.trace ~parent:m.span stage;
+              send }
+            :: !parked
+      | Local | Ship _ -> send ()
+    in
+    (* A committed transaction ships every participant's prepare and
+       decide records under its locks; batched, they stage in the
+       doorbell buffer and leave as one frame, so the decide stops
+       paying its own round trip.  2PC lock discipline: the participant
+       locks are held until the backup has acked the whole group — in
+       BOTH modes, not just sync.  Streams are shipped under these
+       locks, so the wait guarantees the next transaction touching one
+       of these shards cannot reach the backup while this group's slots
+       are still pending; without it a decide lagging on one stream
+       (loss, retransmit) lets a later prepare collide with the
+       occupied slot.  Returns whether the ack came before the
+       deadline. *)
+    let ship_txn s ~trace ~span res =
+      let send =
+        if batched then Replica.Shipper.ship_buffered else Replica.Shipper.ship
+      in
+      let txn = res.Kv.txn_id and nparts = List.length res.Kv.participants in
+      let dseqs =
+        List.map
+          (fun (shard, ops) ->
+            ignore
+              (send s.shipper ~trace ~span ~shard
+                 (Replica.Txn_prepare { txn; ops }));
+            ( shard,
+              send s.shipper ~trace ~span ~shard
+                (Replica.Txn_decide { txn; commit = true; nparts }) ))
+          res.Kv.participants
+      in
+      if batched then ignore (Replica.Shipper.flush s.shipper);
+      let sra = Span.open_span ~trace ~parent:span Span.Repl_ack in
+      let acked = await s (fun () -> List.for_all (covered s) dseqs) in
+      Span.close_span sra;
+      acked
     in
     (* reads, scans and transactions; puts and deletes are commit
        groups ([handle_group]) *)
@@ -357,13 +439,13 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       | Req r ->
         let t0 = ingress m in
         let trace = m.trace in
-        let txn_acked = ref true in
-        let ok, mutated, fin =
+        let ok, mutated, fin, saw =
           match r.kind with
           | KTxn ->
             (* Kv.txn takes every participant's shard lock itself *)
             let stx = Span.open_span ~trace ~parent:m.span Span.Txn in
             let mk = marks () in
+            let txn_acked = ref true in
             let on_commit =
               match sink with
               | Local -> None
@@ -374,28 +456,35 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             Span.close_span stx;
             details ~trace ~parent:stx ~t1:(Sched.now ()) mk;
             if res.Kv.committed then incr txn_commits else incr txn_aborts;
-            (res.Kv.committed, res.Kv.committed, res.Kv.fin)
+            (* a commit's own acks, awaited under its locks, cover it;
+               an abort read its participants' state *)
+            let saw =
+              if res.Kv.committed && !txn_acked then []
+              else List.map fst res.Kv.participants
+            in
+            (res.Kv.committed, res.Kv.committed, res.Kv.fin, saw)
           | (KGet | KScan) when cfg.mvcc_window > 0 ->
             (* lock-free snapshot read: no Lock_wait, no shard lock —
                the read minted a timestamp and resolves against the
                version chains (KScan becomes a multi-shard merged
-               scan, ordered and consistent at one snapshot) *)
+               scan, ordered and consistent at one snapshot, so it saw
+               every shard) *)
             let ssn = Span.open_span ~trace ~parent:m.span Span.Snapshot in
             let mk = marks () in
             let ts = Kv.snapshot svc in
-            let ok =
+            let ok, saw =
               match r.kind with
-              | KGet -> Kv.snapshot_get svc ~ts ~key:r.key <> None
+              | KGet -> (Kv.snapshot_get svc ~ts ~key:r.key <> None, [ i ])
               | _ ->
                 ignore
                   (Kv.snapshot_scan svc ~ts ~from_key:r.key ~n:16
                      (fun _ _ -> ()));
-                true
+                (true, List.init cfg.shards Fun.id)
             in
             let fin = Sched.now () in
             Span.close_span ssn;
             details ~trace ~parent:ssn ~t1:fin mk;
-            (ok, false, fin)
+            (ok, false, fin, saw)
           | KGet | KScan ->
             let slw = Span.open_span ~trace ~parent:m.span Span.Lock_wait in
             Machine.Lock.with_lock (Kv.shard_lock svc i) (fun () ->
@@ -412,18 +501,11 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                 let fin = Sched.now () in
                 Span.close_span sst;
                 details ~trace ~parent:sst ~t1:fin mk;
-                (ok, false, fin))
+                (ok, false, fin, [ i ]))
           | KPut | KDel -> assert false (* dispatched to [handle_group] *)
         in
-        (* sync mode holds a transaction's reply until the backup has
-           acked every participant's records: an acked transaction must
-           survive primary loss *)
-        let acked =
-          match sink with
-          | Ship s when r.kind = KTxn -> (not s.sync) || !txn_acked
-          | Local | Ship _ -> true
-        in
-        finish m ~t0 ~client:r.client ~acked (Rep { rid = r.rid; ok; mutated; fin })
+        reply m ~t0 ~client:r.client ~saw ~stage:Span.Repl_ack
+          (Rep { rid = r.rid; ok; mutated; fin })
     in
     (* Group commit: puts and deletes are commit groups executed by
        [Kv.group_commit] — one covering persist chain per chunk
@@ -445,12 +527,23 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         | Some m -> (List.rev acc, Some m)
         | None -> (List.rev acc, None)
     in
+    (* sync: a group beyond [groups_in_flight] waits for the oldest
+       one's ack first *)
+    let pace () =
+      match sink with
+      | Ship ({ sync = true; _ } as s)
+        when Queue.length inflight >= groups_in_flight ->
+        let oldest = Queue.pop inflight in
+        ignore (await s (fun () -> covered s (i, oldest)))
+      | Local | Ship _ -> ()
+    in
     let handle_group msgs =
       (* per-request ingress and decode; each request's store span
-         opens at its own decode end and closes at the group's commit,
-         so the shared group-execution interval partitions every
-         member's latency budget, and the group's per-layer detail
-         lands under every member's store span *)
+         opens at its own decode end and closes as its reply is
+         produced after the group's commit, so the shared
+         group-execution interval partitions every member's latency
+         budget, and the group's per-layer detail lands under every
+         member's store span *)
       let members =
         List.map
           (fun (m : payload Net.msg) ->
@@ -468,30 +561,15 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       in
       let ops = List.map (fun g -> g.g_op) members in
       let mk = marks () in
-      let close_store g =
-        Span.close_span g.g_store;
-        details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk
-      in
-      let reply ~acked g (ok, fin) =
-        finish g.g_msg ~t0:g.g_t0 ~client:g.g_client ~acked
-          (Rep { rid = g.g_rid; ok; mutated = ok; fin })
-      in
-      match sink with
-      | Local ->
-        (* each member's store span closes as its reply leaves *)
-        List.iter2
-          (fun g res ->
-            close_store g;
-            reply ~acked:true g res)
-          members
-          (Kv.group_commit svc ~shard:i ops)
-      | Ship s ->
-        (* each chunk ships inside the shard lock as one doorbell
-           frame, every record carrying its member's trace and store
-           span *)
-        let last_seq = ref (-1) in
-        let results =
-          Kv.group_commit svc ~shard:i ops ~on_chunk:(fun ~fin:_ cops ->
+      (* each chunk ships inside the shard lock as one doorbell frame,
+         every record carrying its member's trace and store span *)
+      let last_seq = ref (-1) in
+      let on_chunk =
+        match sink with
+        | Local -> None
+        | Ship s ->
+          Some
+            (fun ~fin:_ cops ->
               List.iter
                 (fun op ->
                   let g = List.find (fun g -> g.g_op == op) members in
@@ -505,35 +583,29 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                       ~span:g.g_store ~shard:i rop)
                 cops;
               ignore (Replica.Shipper.flush s.shipper))
-        in
-        List.iter close_store members;
-        (* sync mode pays ONE cumulative ack wait for the whole group —
-           each member of a larger group records it as a Flush_wait span
-           (waiting for the covering flush), not as queueing behind its
-           predecessors' round trips; a group of one waits for its own
-           round trip (Repl_ack) *)
-        let acked =
-          (not s.sync) || !last_seq < 0
-          ||
-          let stage =
-            match members with [ _ ] -> Span.Repl_ack | _ -> Span.Flush_wait
-          in
-          let waits =
-            List.map
-              (fun g -> Span.open_span ~trace:g.g_msg.trace ~parent:g.g_msg.span stage)
-              members
-          in
-          let acked =
-            Replica.Shipper.wait_acked s.shipper ~shard:i ~seq:!last_seq
-              ~deadline:s.deadline
-          in
-          List.iter Span.close_span waits;
-          acked
-        in
-        List.iter2 (reply ~acked) members results
+      in
+      let results = Kv.group_commit svc ~shard:i ops ?on_chunk in
+      (match sink with
+       | Ship { sync = true; _ } when !last_seq >= 0 ->
+         Queue.add !last_seq inflight
+       | Local | Ship _ -> ());
+      (* a parked group of one waits for its own round trip (Repl_ack);
+         each member of a larger group waits for the covering flush
+         (Flush_wait), not behind its predecessors' round trips *)
+      let stage =
+        match members with [ _ ] -> Span.Repl_ack | _ -> Span.Flush_wait
+      in
+      List.iter2
+        (fun g (ok, fin) ->
+          Span.close_span g.g_store;
+          details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk;
+          reply g.g_msg ~t0:g.g_t0 ~client:g.g_client ~saw:[ i ] ~stage
+            (Rep { rid = g.g_rid; ok; mutated = ok; fin }))
+        members results
     in
     let dispatch m =
       if is_group_member m.Net.payload then begin
+        pace ();
         let group, leftover = gather [ m ] 1 in
         handle_group group;
         Option.iter handle leftover
@@ -542,7 +614,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
     in
     let rec loop () =
       if Sched.now () >= server_end then ()
-      else
+      else begin
+        release ();
         match Net.recv net ~port:i with
         | Some m ->
           dispatch m;
@@ -550,14 +623,28 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         | None ->
           if !senders = 0 && Net.pending net ~port:i = 0 then ()
           else begin
-            let until = min server_end (Sched.now () + 100_000) in
+            (* while replies are parked, idle at the ack-poll quantum *)
+            let idle =
+              match (sink, !parked) with
+              | Ship s, _ :: _ -> s.poll_ns
+              | _ -> 100_000
+            in
+            let until = min server_end (Sched.now () + idle) in
             (match Net.recv_wait net ~port:i ~until with
              | Some m -> dispatch m
              | None -> ());
             loop ()
           end
+      end
     in
     loop ();
+    (* a clean run waits out its parked replies until the deadline; a
+       crash cut sends none of them *)
+    (match sink with
+     | Ship ({ sync = true; _ } as s) when t_crash = None ->
+       ignore (await s (fun () -> !parked = []))
+     | Local | Ship _ -> ());
+    List.iter (fun p -> Span.close_span p.wait) !parked;
     decr live_servers
   in
 
@@ -1010,7 +1097,7 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
   let deadline = match t_crash with Some c -> c | None -> t_stop + grace_ns in
   let base, backup_ledger =
     serve ~name ~mach:primary ~svc ~tch ~mirror:(Some (backup, svc_b))
-      ~sink:(Ship { shipper; sync; deadline })
+      ~sink:(Ship { shipper; sync; deadline; poll_ns = repl_cfg.Replica.poll_ns })
       ~spawn_aux ~recover cfg
   in
 

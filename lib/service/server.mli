@@ -46,10 +46,11 @@ type config = {
           {!Kv.group_commit} group: up to this many consecutive
           already-queued single-key mutations, one covering persist
           chain per chunk, one replication doorbell frame per chunk,
-          one sync-mode ack wait per group.  At 1 (the default) a
-          group holds one mutation, which in sync mode waits for its
-          own ack.  Greedy over the inbox — never waits for a batch to
-          fill. *)
+          and in sync mode one covering ack for the whole group, which
+          the members' parked replies wait for together.  At 1 (the
+          default) a group holds one mutation, whose sync reply waits
+          for its own ack.  Greedy over the inbox — never waits for a
+          batch to fill. *)
   mvcc_window : int;
       (** MVCC version-chain window ({!Kv.create}'s [mvcc_window]),
           ≥ 0.  At 0 (the default) the store keeps no version chains
@@ -111,7 +112,9 @@ type result = {
       this diverges from the offered rate ([offered / duration]): shed
       requests never contribute to it *)
   latency : percentiles; (** client-observed request latency, ns *)
-  service : percentiles; (** server-side handler time, ns *)
+  service : percentiles;
+      (** server-side handler time, ns: decode to reply produced.  A
+          sync reply's wait for its covering ack is not in it. *)
   crashed : bool;
   rto_ns : int; (** simulated re-attach + replay time (0 if no crash) *)
   recovery : Kv.recovery option;
@@ -154,13 +157,21 @@ val run :
     is also shipped (per-shard sequence numbers, go-back-N) inside its
     shard lock over an inter-machine link to a backup machine that
     applies it into its own persistent store — one doorbell frame per
-    commit-group chunk.  In [Sync] mode a
-    mutation's reply is held until the backup's cumulative ack covers
-    it — an acked write then survives the loss of the whole primary,
-    not just a cache-line crash — while [Async] mode replies after the
-    local persist and bounds the backup's lag by the shipping window.
-    Only the set-up (a cluster plus pump and applier threads) and the
-    crash epilogue (promote instead of re-attach) differ from {!run}.
+    commit-group chunk.  In [Sync] mode no client sees state that
+    losing the primary could undo: a reply produced while a shard it
+    saw (its own shard; every shard for a merged snapshot scan; every
+    participant for an aborted transaction) has shipped-but-unacked
+    records {e parks} on the primary until the backup's cumulative ack
+    covers that shard's high-water mark, and the handler sends it from
+    its own CPU.  The handler meanwhile keeps serving; up to two commit
+    groups per shard await their acks, and a third waits for the
+    oldest one's.  A committed transaction's reply waits for its own
+    records' acks under its participant locks.  An acked write then
+    survives the loss of the whole primary, not just a cache-line
+    crash.  [Async] mode replies after the local persist and bounds
+    the backup's lag by the shipping window.  Only the set-up (a
+    cluster plus pump and applier threads) and the crash epilogue
+    (promote instead of re-attach) differ from {!run}.
 
     Crash model: at the cut the primary machine is lost outright
     ([`Strict] device wipe); instead of re-attaching it, the backup

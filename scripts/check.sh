@@ -192,6 +192,15 @@ step="serve failover smoke"
 dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
   --rate 40000 --duration 0.005 --txn-pct 20 --crash-at 0.5 \
   --seed "$CRASH_SEED" > /dev/null
+# long-wire failover smoke: a 500 us wire keeps sync replies parked on
+# the primary across the cut, so a reply sent before the backup's
+# covering ack names a write the promoted store never got, and the run
+# exits non-zero.  On the default wire such an early reply almost
+# never falls inside the cut.
+step="serve long-wire failover smoke"
+dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
+  --rate 30000 --duration 0.005 --wire-ns 500000 --crash-at 0.5 \
+  --seed "$CRASH_SEED" > /dev/null
 # trace-validity gate: export a Chrome trace from a replicated serve
 # run and validate it — JSON shape, per-phase required fields, and
 # that every cross-machine flow start ("ph":"s") has its matching
@@ -275,4 +284,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/long-wire failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

@@ -269,6 +269,36 @@ let test_budget_covers_e2e () =
         (Span.is_budget row.Attrib.stage))
     rep.Attrib.detail
 
+(* Txn is peeled only by the Repl_ack nested in it: a commit's ack
+   wait runs inside its 2PC span, an abort's parked reply after it *)
+let test_txn_peels_nested_ack_only () =
+  Span.clear ();
+  Span.start ();
+  let txn_trace ~nested =
+    let trace = Span.new_trace () in
+    let t1 = if nested then 100 else 150 in
+    let root = Span.add_span ~trace ~parent:(-1) Span.Request ~t0:0 ~t1 in
+    let txn = Span.add_span ~trace ~parent:root Span.Txn ~t0:0 ~t1:100 in
+    if nested then
+      ignore (Span.add_span ~trace ~parent:txn Span.Repl_ack ~t0:50 ~t1:100)
+    else
+      ignore (Span.add_span ~trace ~parent:root Span.Repl_ack ~t0:100 ~t1:150)
+  in
+  txn_trace ~nested:true;
+  txn_trace ~nested:false;
+  let rep = Attrib.analyze () in
+  Span.clear ();
+  let total st =
+    match List.find_opt (fun (r : Attrib.stage_row) -> r.Attrib.stage = st)
+            rep.Attrib.budget with
+    | Some r -> r.Attrib.total_ns
+    | None -> 0
+  in
+  check_int "txn: the commit's 50 net of its ack, plus the abort's 100" 150
+    (total Span.Txn);
+  check_int "repl_ack: both waits" 100 (total Span.Repl_ack);
+  check "the budget partitions both roots" true (rep.Attrib.coverage = 1.0)
+
 (* ---------- determinism ---------- *)
 
 let test_attribution_deterministic () =
@@ -303,7 +333,9 @@ let () =
         [ Alcotest.test_case "stages explain >= 90% of measured latency"
             `Quick test_budget_covers_e2e;
           Alcotest.test_case "group path keeps per-layer detail" `Quick
-            test_group_detail_spans ] );
+            test_group_detail_spans;
+          Alcotest.test_case "txn net of its nested ack wait only" `Quick
+            test_txn_peels_nested_ack_only ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same attribution" `Quick
             test_attribution_deterministic ] ) ]

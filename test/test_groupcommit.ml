@@ -294,9 +294,9 @@ let test_batched_ship_cumulative_ack () =
     R.Applier.pump ap ~until:(fun () ->
         Link.pending link ~ep:R.backup_ep = 0);
     check_int "all applied after the flush" 6 !applied;
+    R.Shipper.poll_acks sh;
     check "cumulative ack covers the frame" true
-      (R.Shipper.wait_acked sh ~shard:0 ~seq:2 ~deadline:0
-      && R.Shipper.wait_acked sh ~shard:1 ~seq:2 ~deadline:0);
+      (R.Shipper.acked sh ~shard:0 >= 2 && R.Shipper.acked sh ~shard:1 >= 2);
     check_int "no unacked residue" 0
       (R.Shipper.lag sh ~shard:0 + R.Shipper.lag sh ~shard:1);
     (Link.stats link ~ep:R.primary_ep).Link.sent

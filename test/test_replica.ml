@@ -155,7 +155,7 @@ let test_protocol_dedup_and_ack () =
   check_int "shard 0 expects next seq" 3 (R.Applier.expected ap ~shard:0);
   check_int "shard 1 expects next seq" 3 (R.Applier.expected ap ~shard:1);
   (* cumulative acks release the shipper's window *)
-  check "acks arrived" true (R.Shipper.wait_acked sh ~shard:0 ~seq:2 ~deadline:0);
+  R.Shipper.poll_acks sh;
   check_int "shard 0 fully acked" 2 (R.Shipper.acked sh ~shard:0);
   check_int "shard 1 fully acked" 2 (R.Shipper.acked sh ~shard:1);
   check_int "no unacked residue" 0
@@ -231,20 +231,78 @@ let test_sync_ack_ordering () =
   check "async keeps lag within the default window" true
     (async_r.S.max_lag <= S.default_repl_config.S.repl_window)
 
+(* The second input stretches the wire to 500 µs, so replies park
+   across the crash cut for a long while: a reply sent before its
+   covering ack then names a write the promoted backup never got.  On
+   the default wire an early reply almost never falls inside the cut. *)
 let test_failover_ledger () =
+  List.iter
+    (fun (name, cfg, rcfg) ->
+      let r = repl_serve { cfg with S.crash_at = Some 0.5; scope = name } rcfg in
+      check (name ^ ": crashed") true r.S.base.S.crashed;
+      check (name ^ ": promote RTO is nonzero simulated time") true
+        (r.S.base.S.rto_ns > 0);
+      check (name ^ ": ledger checked keys") true
+        (r.S.base.S.ledger.S.checked > 0);
+      check_int (name ^ ": sync failover: no acked write lost") 0
+        r.S.base.S.ledger.S.mismatches;
+      check (name ^ ": backup applied records") true (r.S.backup_applied > 0))
+    [ ("test/replica/failover", base_cfg, S.default_repl_config);
+      ( "test/replica/failover-long-wire",
+        { S.default_config with S.shards = 2; clients = 8; rate = 30_000.;
+          duration = 0.005 },
+        { S.default_repl_config with S.wire_ns = 500_000 } ) ]
+
+(* A get that reaches its shard while a put there is unacked may
+   return that put's value, so its sync reply must wait for the put's
+   ack.  One shard, puts and gets only, a 200 µs wire: from the span
+   trees, every get's reply leaves after the ack of every put shipped
+   before the get was handled. *)
+let test_sync_get_waits_for_put_ack () =
+  Obs.Span.clear ();
+  Obs.Span.start ();
   let r =
     repl_serve
       { base_cfg with
-        S.crash_at = Some 0.5;
-        scope = "test/replica/failover" }
-      S.default_repl_config
+        S.shards = 1;
+        clients = 1;
+        rate = 2_000.;
+        duration = 0.04;
+        read_pct = 50;
+        delete_pct = 0;
+        scan_pct = 0;
+        scope = "test/replica/get-after-ack" }
+      { S.default_repl_config with S.wire_ns = 200_000 }
   in
-  check "crashed" true r.S.base.S.crashed;
-  check "promote RTO is nonzero simulated time" true (r.S.base.S.rto_ns > 0);
-  check "ledger checked keys" true (r.S.base.S.ledger.S.checked > 0);
-  check_int "sync failover: no acked write lost" 0
-    (r.S.base.S.ledger.S.mismatches);
-  check "backup applied records" true (r.S.backup_applied > 0)
+  (* per trace: record shipped, its ack back, handling start, reply sent *)
+  let ship = Hashtbl.create 64 and ack = Hashtbl.create 64 in
+  let start = Hashtbl.create 64 and sent = Hashtbl.create 64 in
+  Obs.Span.iter (fun ~id:_ ~trace ~parent:_ ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
+      match stage with
+      | Obs.Span.Repl_wire -> Hashtbl.replace ship trace t0
+      | Obs.Span.Ack_wire -> Hashtbl.replace ack trace t1
+      | Obs.Span.Decode -> Hashtbl.replace start trace t0
+      | Obs.Span.Rep_wire -> Hashtbl.replace sent trace t0
+      | _ -> ());
+  Obs.Span.clear ();
+  check "clean run" false r.S.base.S.crashed;
+  let overlapped = ref 0 and early = ref 0 in
+  Hashtbl.iter
+    (fun g g_start ->
+      match Hashtbl.find_opt sent g with
+      | Some g_sent when not (Hashtbl.mem ship g) ->
+        Hashtbl.iter
+          (fun p p_ship ->
+            let p_ack = Hashtbl.find ack p in
+            if p_ship < g_start && p_ack > g_start then begin
+              incr overlapped;
+              if g_sent < p_ack then incr early
+            end)
+          ship
+      | _ -> ())
+    start;
+  check "some get reached its shard with a put unacked" true (!overlapped > 0);
+  check_int "no get answered before the ack of a put it could see" 0 !early
 
 let test_lossy_link_retry () =
   let r =
@@ -298,6 +356,8 @@ let () =
             test_sync_ack_ordering;
           Alcotest.test_case "failover: acked writes survive" `Quick
             test_failover_ledger;
+          Alcotest.test_case "sync: a get waits for the ack of a put it saw"
+            `Quick test_sync_get_waits_for_put_ack;
           Alcotest.test_case "lossy link: retransmit to convergence" `Quick
             test_lossy_link_retry ] );
       ( "crashcheck",

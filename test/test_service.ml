@@ -178,51 +178,61 @@ let tier_gauges =
    run keeps every acked write.  Every put and delete is a commit
    group, at window 1 a group of one: a sync write waits for its own
    round trip (repl_ack) there, and only a larger group, which window
-   1 never forms, waits on a covering flush (flush_wait) *)
+   1 never forms, waits on a covering flush (flush_wait).  Sync replies
+   park instead of holding up the inbox, so at the table's rate a
+   window-4 group may stay a group of one; one more input at four times
+   the rate forms groups of several, and their members must record
+   flush_wait. *)
 let test_loop_table () =
+  let run sink window crash_at rate =
+    let name =
+      Printf.sprintf "%s w%d %s %.0f/s" (sink_name sink) window
+        (if crash_at = None then "clean" else "crash")
+        rate
+    in
+    let scope = "test/service/loop/" ^ name in
+    let cfg =
+      { base_cfg with
+        S.txn_pct = 10;
+        mvcc_window = 8;
+        tcache_mag = 4;
+        rcache_entries = 64;
+        batch_window = window;
+        rate;
+        crash_at;
+        scope }
+    in
+    let (r, backup), saw = traced (fun () -> serve_on sink cfg) in
+    check_int (name ^ ": no acked write lost") 0 r.S.ledger.S.mismatches;
+    check (name ^ ": mutations acked") true (r.S.acked_mutations > 0);
+    check (name ^ ": crash as configured") (crash_at <> None) r.S.crashed;
+    (match backup with
+     | Some (Some l) ->
+       check_int (name ^ ": backup ledger clean") 0 l.S.mismatches
+     | Some None ->
+       check (name ^ ": backup ledger on clean runs") true (crash_at <> None)
+     | None -> ());
+    check (name ^ ": flush_wait only in sync groups of several") true
+      ((not (saw Obs.Span.Flush_wait)) || (sink = Sync && window > 1));
+    check (name ^ ": snapshot reads") true (saw Obs.Span.Snapshot);
+    List.iter
+      (fun g ->
+        check (name ^ ": publishes " ^ g) true (gauge ~scope g <> None))
+      tier_gauges;
+    (name, saw)
+  in
   List.iter
     (fun sink ->
       List.iter
         (fun window ->
           List.iter
-            (fun crash_at ->
-              let name =
-                Printf.sprintf "%s w%d %s" (sink_name sink) window
-                  (if crash_at = None then "clean" else "crash")
-              in
-              let scope = "test/service/loop/" ^ name in
-              let cfg =
-                { base_cfg with
-                  S.txn_pct = 10;
-                  mvcc_window = 8;
-                  tcache_mag = 4;
-                  rcache_entries = 64;
-                  batch_window = window;
-                  crash_at;
-                  scope }
-              in
-              let (r, backup), saw = traced (fun () -> serve_on sink cfg) in
-              check_int (name ^ ": no acked write lost") 0 r.S.ledger.S.mismatches;
-              check (name ^ ": mutations acked") true (r.S.acked_mutations > 0);
-              check (name ^ ": crash as configured") (crash_at <> None) r.S.crashed;
-              (match backup with
-               | Some (Some l) ->
-                 check_int (name ^ ": backup ledger clean") 0 l.S.mismatches
-               | Some None ->
-                 check (name ^ ": backup ledger on clean runs") true
-                   (crash_at <> None)
-               | None -> ());
-              check (name ^ ": flush_wait only in sync groups of several")
-                (sink = Sync && window > 1)
-                (saw Obs.Span.Flush_wait);
-              check (name ^ ": snapshot reads") true (saw Obs.Span.Snapshot);
-              List.iter
-                (fun g ->
-                  check (name ^ ": publishes " ^ g) true (gauge ~scope g <> None))
-                tier_gauges)
+            (fun crash_at -> ignore (run sink window crash_at base_cfg.S.rate))
             [ None; Some 0.5 ])
         [ 1; 4 ])
-    [ Local; Async; Sync ]
+    [ Local; Async; Sync ];
+  let name, saw = run Sync 4 (Some 0.5) (4. *. base_cfg.S.rate) in
+  check (name ^ ": groups of several wait on a covering flush") true
+    (saw Obs.Span.Flush_wait)
 
 (* the knobs' off positions select the plain paths: mvcc 0 reads under
    the shard lock, tcache 0 and rcache 0 arm no cache and so publish
