@@ -241,24 +241,20 @@ let stress_cmd =
 
 let crashcheck_cmd =
   let scenario_arg =
+    let names seeded_bug =
+      String.concat ", "
+        (List.filter_map
+           (fun (name, _, bug) -> if bug = seeded_bug then Some name else None)
+           Crashcheck.scenarios)
+    in
     Arg.(
       value & opt string "all"
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
-            "Scenario to explore: alloc, free, tx-commit, tx-abort, extend, \
-             kv-put, kv-delete, kv-txn (cross-shard 2PC transactions), \
-             kv-snapshot (MVCC snapshot reads audited against the \
-             completed-prefix model), kv-replicated-put (two-machine sync \
-             replication with transaction records, cluster-wide crash), \
-             kv-batched-put (group commit + doorbell-batched replication, \
-             cluster-wide crash), kv-tcache-put (magazine-cached \
-             allocation: leases, batch publish, bulk reclaim), carve \
-             (one magazine refill split into runs, then published), \
-             kv-rcache-put (DRAM read cache armed; every cached read \
-             audited against the completed-prefix model), broken / \
-             kv-txn-broken / kv-batched-broken / mvcc-broken / \
-             tcache-broken / rcache-broken (deliberately buggy, for \
-             mutation sanity checks) or all (every correct one).")
+            (Printf.sprintf
+               "Scenario to explore: %s, or all (every one of those).  \
+                Deliberately buggy, for mutation sanity checks: %s."
+               (names false) (names true)))
   in
   let max_points_arg =
     Arg.(

@@ -526,6 +526,15 @@ let apply_kv tbl = function
           | Service.Kv.Tdel { key } -> Hashtbl.remove tbl key)
         ops
 
+let universe_of ~preload ~plan =
+  List.sort_uniq compare
+    (List.map fst preload
+    @ List.concat_map
+        (function
+          | Kput (k, _) | Kdel k -> [ k ]
+          | Ktxn ops -> List.map txn_op_key ops)
+        plan)
+
 (* The no-dangling rule: every value pointer in every tree (each leaf
    entry, a duplicate or stale one included) names a live block.  A
    pointer to a freed block still reads right until the block is
@@ -546,27 +555,24 @@ let dangling_value env store =
                p.Alloc_intf.subheap p.Alloc_intf.off));
   !bad
 
-(* Recovery oracle shared by the local and the replicated KV sweeps:
-   re-attach the *service* on [env]'s surviving heap — running the
-   slot redo/rollback — then check four things: the allocator is still
-   sane after replay mutated it, no tree names a freed block, the
-   store matches the acked prefix of [plan] applied over [preload]
-   exactly, and the one in-flight operation is atomic (its key reads
-   as either the pre- or the post-state, never a torn value).
-
-   [window] (default 1) generalizes the prefix rule to group commit:
-   with up to [window] ops in flight beyond the acked prefix, the
-   recovered store must equal the plan-prefix state for SOME length
-   m ∈ [acked, acked + window] — a crash mid-batch may lose any
-   suffix of the unacked window, but never an acked op and never
-   anything beyond the window.  (Chunks apply in plan order, so every
-   legal crash state IS such a prefix.) *)
-let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
+(* Recovery oracle of every KV sweep, local and replicated: re-attach
+   the *service* on [env]'s surviving heap — running the slot
+   redo/rollback — then check that the allocator is still sane after
+   replay mutated it, that no tree names a freed block, and the one
+   acked-prefix rule: on every key of the preload-and-plan universe,
+   the recovered store equals the plan-prefix state for SOME length
+   m ∈ [acked, acked + window].  A crash may lose any suffix of the
+   unacked window — the one in-flight op of a local sweep, the
+   unacked ops of a commit group — but never an acked op, never
+   anything beyond the window, and never part of an op: a transaction
+   half-applied across shards matches no prefix.  (Chunks apply in
+   plan order, so every legal crash state IS such a prefix.) *)
+let kv_prefix_oracle ~window ~oname ~preload ~plan ~acked =
+  let universe = universe_of ~preload ~plan in
   { oname;
     check =
       (fun env ->
-        let inst = Poseidon.instance env.heap in
-        match Service.Kv.attach inst with
+        match Service.Kv.attach (Poseidon.instance env.heap) with
         | exception e ->
           Error ("service recovery raised: " ^ Printexc.to_string e)
         | s2, _recovery -> (
@@ -574,44 +580,32 @@ let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
           match H.check_invariants env.heap with
           | exception Poseidon.Subheap.Invariant_violation m ->
             Error ("post-replay invariants: " ^ m)
-          | () ->
+          | () -> (
+            let live = (H.stats env.heap).H.live_bytes
+            and free = (H.stats env.heap).H.free_bytes
+            and cap = H.data_capacity env.heap in
             if not (H.logs_quiescent env.heap) then
               Error "post-replay logs not quiescent"
-            else begin
-              let live = (H.stats env.heap).H.live_bytes
-              and free = (H.stats env.heap).H.free_bytes
-              and cap = H.data_capacity env.heap in
-              let dangling = dangling_value env s2 in
-              if live + free <> cap then
-                Error
-                  (Printf.sprintf
-                     "post-replay leak: live %d + free %d <> capacity %d"
-                     live free cap)
-              else if Option.is_some dangling then
-                Error ("dangling value: " ^ Option.get dangling)
-              else if window > 1 then begin
+            else if live + free <> cap then
+              Error
+                (Printf.sprintf
+                   "post-replay leak: live %d + free %d <> capacity %d" live
+                   free cap)
+            else
+              match dangling_value env s2 with
+              | Some d -> Error ("dangling value: " ^ d)
+              | None ->
                 Service.Kv.check s2;
-                let universe = Hashtbl.create 32 in
-                List.iter (fun (k, _) -> Hashtbl.replace universe k ()) preload;
-                List.iter
-                  (function
-                    | Kput (k, _) | Kdel k -> Hashtbl.replace universe k ()
-                    | Ktxn ops ->
-                      List.iter
-                        (fun o -> Hashtbl.replace universe (txn_op_key o) ())
-                        ops)
-                  plan;
                 let cks vs = Service.Kv.value_checksum s2 ~vseed:vs in
                 let matches m =
                   let tbl = Hashtbl.create 32 in
                   List.iter (fun (k, vs) -> Hashtbl.replace tbl k vs) preload;
                   List.iteri (fun i o -> if i < m then apply_kv tbl o) plan;
-                  Hashtbl.fold
-                    (fun k () ok ->
-                      ok
-                      && Service.Kv.get s2 ~key:k
-                         = Option.map cks (Hashtbl.find_opt tbl k))
-                    universe true
+                  List.for_all
+                    (fun k ->
+                      Service.Kv.get s2 ~key:k
+                      = Option.map cks (Hashtbl.find_opt tbl k))
+                    universe
                 in
                 let lo = !acked
                 and hi = min (List.length plan) (!acked + window) in
@@ -621,139 +615,272 @@ let kv_prefix_oracle ?(window = 1) ~oname ~preload ~plan ~acked () =
                   Error
                     (Printf.sprintf
                        "recovered store matches no plan prefix in [%d, %d]: \
-                        an acked op was lost or more than the batch window \
-                        leaked"
-                       lo hi)
-              end
-              else begin
-                Service.Kv.check s2;
-                let pre = Hashtbl.create 32 in
-                List.iter (fun (k, vs) -> Hashtbl.replace pre k vs) preload;
-                List.iteri
-                  (fun i o -> if i < !acked then apply_kv pre o)
-                  plan;
-                let in_flight =
-                  if !acked < List.length plan then
-                    Some (List.nth plan !acked)
-                  else None
-                in
-                let post = Hashtbl.copy pre in
-                Option.iter (apply_kv post) in_flight;
-                let in_flight_keys =
-                  match in_flight with
-                  | Some (Kput (k, _)) | Some (Kdel k) -> [ k ]
-                  | Some (Ktxn ops) -> List.map txn_op_key ops
-                  | None -> []
-                in
-                let keys = Hashtbl.create 32 in
-                Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) pre;
-                Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) post;
-                List.iter (fun k -> Hashtbl.replace keys k ()) in_flight_keys;
-                let cks vs = Service.Kv.value_checksum s2 ~vseed:vs in
-                let err = ref None in
-                (* settled keys read exactly the acked-prefix state *)
-                Hashtbl.iter
-                  (fun k () ->
-                    if !err = None && not (List.mem k in_flight_keys)
-                    then begin
-                      let got = Service.Kv.get s2 ~key:k in
-                      let want = Option.map cks (Hashtbl.find_opt pre k) in
-                      if got <> want then
-                        err :=
-                          Some
-                            (Printf.sprintf
-                               "key %d: recovered store disagrees with the \
-                                acked-prefix ledger (%d op(s) acked)"
-                               k !acked)
-                    end)
-                  keys;
-                (* the in-flight op is atomic as a unit: EVERY key it
-                   touches reads as pre-state, or EVERY key as
-                   post-state — for a cross-shard transaction this is
-                   exactly whole-transaction atomicity, ruling out a
-                   half-applied commit *)
-                if !err = None && in_flight_keys <> [] then begin
-                  let gots =
-                    List.map
-                      (fun k -> (k, Service.Kv.get s2 ~key:k))
-                      in_flight_keys
-                  in
-                  let matches tbl =
-                    List.for_all
-                      (fun (k, got) ->
-                        got = Option.map cks (Hashtbl.find_opt tbl k))
-                      gots
-                  in
-                  if not (matches pre || matches post) then
-                    err :=
-                      Some
-                        (Printf.sprintf
-                           "in-flight op torn across its %d key(s) (%d \
-                            op(s) acked): neither all-pre nor all-post"
-                           (List.length in_flight_keys)
-                           !acked)
-                end;
-                match !err with Some m -> Error m | None -> Ok ()
-              end
-            end)) }
+                        an acked op was lost, an in-flight op was torn, or \
+                        more than the window leaked"
+                       lo hi)))) }
 
-(* Drive the KV store's write path through the sweep.  The ledger
-   snapshots [live_bytes] after each completed operation, so [slack]
-   only has to cover the single in-flight op: one value block, one
-   possible tree-node split and one not-yet-freed old value. *)
-let scn_kv ?(slack = 4096) ?(wrap = fun (i : Alloc_intf.instance) -> i)
-    ?(extra = []) ?(tweak = fun (_ : Service.Kv.t) -> ()) ~sname ~preload
-    ~plan () =
-  let svc = ref None in
-  let acked = ref 0 in
-  let value_size = 64 in
+(* ---------- the one KV sweep driver ---------- *)
+
+type kv_run = {
+  store : Service.Kv.t;
+  universe : int list;
+  model : (int, int) Hashtbl.t;
+  flag : string -> unit;
+}
+
+type kv_reads = { rname : string; noun : string; audit : kv_run -> int -> unit }
+
+type kv_backup = { batch : int; repl_window : int; ack_early : bool }
+
+type kv_scenario = {
+  kname : string;
+  mvcc_window : int;
+  rcache_entries : int;
+  wrap : Alloc_intf.instance -> Alloc_intf.instance;
+  tweak : Service.Kv.t -> unit;
+  preload : (int * int) list;
+  plan : kv_op list;
+  slack : int;
+  exec : kv_run -> int -> kv_op -> unit;
+  reads : kv_reads option;
+  prefix : string option;
+  backup : kv_backup option;
+  extra : oracle list;
+}
+
+let kv_exec r _i = function
+  | Kput (k, vs) -> ignore (Service.Kv.put r.store ~key:k ~vseed:vs)
+  | Kdel k -> ignore (Service.Kv.delete r.store ~key:k)
+  | Ktxn ops -> ignore (Service.Kv.txn r.store ops)
+
+(* The ledger snapshots [live_bytes] after each completed op (or
+   group), so [slack] only has to cover what is in flight: for one op,
+   one value block, one possible tree-node split and one not-yet-freed
+   old value. *)
+let kv_default =
+  { kname = "";
+    mvcc_window = 0;
+    rcache_entries = 0;
+    wrap = Fun.id;
+    tweak = ignore;
+    preload = [];
+    plan = [];
+    slack = 4096;
+    exec = kv_exec;
+    reads = None;
+    prefix = Some "kv-store";
+    backup = None;
+    extra = [] }
+
+(* The digest the completed-prefix model holds for [key]. *)
+let expected r key =
+  Option.map
+    (fun vs -> Service.Kv.value_checksum r.store ~vseed:vs)
+    (Hashtbl.find_opt r.model key)
+
+(* The plan as commit groups: runs of up to [window] consecutive puts
+   and deletes on one shard, as a server shard's inbox drains them; a
+   transaction is a group of its own. *)
+let kv_groups ~window plan =
+  let shard = function
+    | Kput (k, _) | Kdel k -> Some (Service.Kv.shard_of ~shards:2 k)
+    | Ktxn _ -> None
+  in
+  List.fold_left
+    (fun groups o ->
+      match groups with
+      | (o' :: _ as g) :: rest
+        when List.length g < window && shard o <> None && shard o = shard o'
+        ->
+        (o :: g) :: rest
+      | _ -> [ o ] :: groups)
+    [] plan
+  |> List.rev_map List.rev
+
+(* Drive a replicated sweep: primary local persist → ship → backup
+   apply/persist → cumulative ack, per commit group.  Puts and deletes
+   commit as {!Service.Kv.group_commit} groups, each chunk shipped as
+   one doorbell frame from [on_chunk]; a transaction ships its prepare
+   and decide records from {!Service.Kv.txn}'s [on_commit].  [acked]
+   advances a whole group at a time, once the backup's ack covers the
+   group's records — or, with the seeded [ack_early] bug, before the
+   group even runs. *)
+let replicate k b ~acked ~settle ~primary ~backup =
+  let link = Cluster.Link.create () in
+  let rcfg = { Replica.default_config with Replica.window = b.repl_window } in
+  let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
+  let applier =
+    Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:(b.batch > 1)
+      ~apply:(Service.Kv.apply_replicated backup)
+      ~apply_group:(Service.Kv.apply_replicated_group backup)
+  in
+  let ship ~shard op = Replica.Shipper.ship shipper ~shard op in
+  let single = function
+    | Kput (key, vseed) -> Service.Kv.Tput { key; vseed }
+    | Kdel key -> Service.Kv.Tdel { key }
+    | Ktxn _ -> invalid_arg "Crashcheck: a transaction in a commit group"
+  in
+  fun env ->
+    List.iter
+      (fun group ->
+        let n = List.length group in
+        if b.ack_early then acked := !acked + n;
+        (* (shard, seq) of every record this group shipped *)
+        let shipped = ref [] in
+        (match group with
+         | [ Ktxn ops ] ->
+           ignore
+             (Service.Kv.txn primary ops ~on_commit:(fun res ->
+                  let txn = res.Service.Kv.txn_id
+                  and nparts = List.length res.Service.Kv.participants in
+                  List.iter
+                    (fun (shard, ops) ->
+                      ignore (ship ~shard (Replica.Txn_prepare { txn; ops }));
+                      shipped :=
+                        ( shard,
+                          ship ~shard
+                            (Replica.Txn_decide { txn; commit = true; nparts })
+                        )
+                        :: !shipped)
+                    res.Service.Kv.participants;
+                  ignore (Replica.Shipper.flush shipper)))
+         | _ ->
+           let ops = List.map single group in
+           let shard =
+             Service.Kv.shard_of_key primary (txn_op_key (List.hd ops))
+           in
+           ignore
+             (Service.Kv.group_commit primary ~shard ops
+                ~on_chunk:(fun ~fin:_ cops ->
+                  List.iter
+                    (fun op ->
+                      let rop =
+                        match op with
+                        | Service.Kv.Tput { key; vseed } ->
+                          Replica.Put { key; vseed }
+                        | Service.Kv.Tdel { key } -> Replica.Del { key }
+                      in
+                      shipped := (shard, ship ~shard rop) :: !shipped)
+                    cops;
+                  ignore (Replica.Shipper.flush shipper))));
+        if !shipped <> [] then begin
+          Replica.Applier.pump applier ~until:(fun () ->
+              Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
+          Replica.Shipper.poll_acks shipper;
+          if
+            List.exists
+              (fun (shard, seq) -> Replica.Shipper.acked shipper ~shard < seq)
+              !shipped
+          then failwith (k.kname ^ " scenario: ack lost on a clean run")
+        end;
+        if not b.ack_early then acked := !acked + n;
+        settle env)
+      (kv_groups ~window:b.batch k.plan)
+
+(* The one KV driver.  Set-up builds the store (with a backup, two:
+   the backup's is [env], the machine the sweep recovers, and the
+   primary's device rides in [aux_devs]), preloads it and arms
+   [tweak].  A local sweep runs each plan op through [exec], then
+   advances the completed-prefix model and [acked] and runs the audit.
+   The read violations [exec] and the audit flag surface through the
+   reads oracle at every crash point past them, naming the first. *)
+let kv_sweep (k : kv_scenario) =
+  let universe = universe_of ~preload:k.preload ~plan:k.plan in
+  let acked = ref 0 and violations = ref [] in
+  let drive = ref (fun (_ : env) -> ()) in
+  let settle env = env.ledger.durable <- (H.stats env.heap).H.live_bytes in
+  let store env =
+    Service.Kv.create ~mvcc_window:k.mvcc_window
+      ~rcache_entries:k.rcache_entries
+      (k.wrap (Poseidon.instance env.heap))
+      ~shards:2 ~value_size:64
+  in
+  let preload stores =
+    List.iter
+      (fun (key, vseed) ->
+        if not (List.for_all (fun s -> Service.Kv.put s ~key ~vseed) stores)
+        then failwith (k.kname ^ " scenario: preload put failed"))
+      k.preload;
+    List.iter k.tweak stores
+  in
+  let local s env =
+    let model = Hashtbl.create 32 in
+    List.iter (fun (key, vs) -> Hashtbl.replace model key vs) k.preload;
+    let r =
+      { store = s;
+        universe;
+        model;
+        flag = (fun v -> violations := v :: !violations) }
+    in
+    List.iteri
+      (fun i o ->
+        k.exec r i o;
+        apply_kv model o;
+        incr acked;
+        settle env;
+        Option.iter (fun rd -> rd.audit r i) k.reads)
+      k.plan
+  in
   let setup () =
     let env = mk_env () in
-    env.ledger.slack <- slack;
-    let inst = wrap (Poseidon.instance env.heap) in
-    let s = Service.Kv.create inst ~shards:2 ~value_size in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv scenario: preload put failed")
-      preload;
-    tweak s;
-    svc := Some s;
+    env.ledger.slack <- k.slack;
+    let s = store env in
+    (match k.backup with
+     | None ->
+       preload [ s ];
+       drive := local s
+     | Some b ->
+       let penv = mk_env () in
+       let p = store penv in
+       preload [ p; s ];
+       drive := replicate k b ~acked ~settle ~primary:p ~backup:s;
+       env.aux_devs <- [ Machine.dev penv.mach ];
+       Memdev.drain (Machine.dev penv.mach));
     acked := 0;
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
+    violations := [];
+    settle env;
     finish_setup env
   in
-  let op env =
-    let s = Option.get !svc in
-    List.iter
-      (fun o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      plan
+  let reads_oracle rd =
+    { oname = rd.rname;
+      check =
+        (fun _env ->
+          match List.rev !violations with
+          | [] -> Ok ()
+          | v :: _ ->
+            Error
+              (Printf.sprintf "%d %s(s), first: %s" (List.length !violations)
+                 rd.noun v)) }
   in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname; setup; op; extra_oracles = o_kv :: extra }
+  let window = match k.backup with Some b -> b.batch | None -> 1 in
+  let prefix_oracle oname =
+    kv_prefix_oracle ~window ~oname ~preload:k.preload ~plan:k.plan ~acked
+  in
+  { sname = k.kname;
+    setup;
+    op = (fun env -> !drive env);
+    extra_oracles =
+      List.map reads_oracle (Option.to_list k.reads)
+      @ List.map prefix_oracle (Option.to_list k.prefix)
+      @ k.extra }
 
-let kv_put_preload = [ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105); (6, 106) ]
+let kv_put_base =
+  { kv_default with
+    preload = [ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105); (6, 106) ];
+    plan =
+      [ Kput (3, 201); Kput (9, 202); Kput (4, 203); Kput (10, 204);
+        Kput (3, 205); Kput (11, 206) ] }
 
-let kv_put_plan =
-  [ Kput (3, 201); Kput (9, 202); Kput (4, 203); Kput (10, 204);
-    Kput (3, 205); Kput (11, 206) ]
-
-let scn_kv_put () =
-  scn_kv ~sname:"kv-put" ~preload:kv_put_preload ~plan:kv_put_plan ()
+let scn_kv_put () = kv_sweep { kv_put_base with kname = "kv-put" }
 
 let scn_kv_delete () =
-  scn_kv ~sname:"kv-delete"
-    ~preload:
-      [ (1, 111); (2, 112); (3, 113); (4, 114); (5, 115); (6, 116);
-        (7, 117); (8, 118) ]
-    ~plan:[ Kdel 2; Kdel 5; Kput (5, 222); Kdel 7; Kdel 99; Kdel 3; Kdel 5 ]
-    ()
+  kv_sweep
+    { kv_default with
+      kname = "kv-delete";
+      preload =
+        [ (1, 111); (2, 112); (3, 113); (4, 114); (5, 115); (6, 116);
+          (7, 117); (8, 118) ];
+      plan = [ Kdel 2; Kdel 5; Kput (5, 222); Kdel 7; Kdel 99; Kdel 3; Kdel 5 ] }
 
 (* Shard 0's keys (of [shards:2]) in ascending order: a plan built
    from them lands in one tree, so its leaves fill and shift. *)
@@ -786,14 +913,14 @@ let kv_delete_all_oracle ~universe () =
             if n = 0 then Ok ()
             else Error (Printf.sprintf "%d key(s) survive delete all" n))) }
 
-let universe_of ~preload ~plan =
-  List.sort_uniq compare
-    (List.map fst preload
-    @ List.concat_map
-        (function
-          | Kput (k, _) | Kdel k -> [ k ]
-          | Ktxn ops -> List.map txn_op_key ops)
-        plan)
+(* A tree-repair sweep: the prefix oracle plus [delete-all]. *)
+let kv_repair_sweep ~kname ~preload ~plan =
+  kv_sweep
+    { kv_default with
+      kname;
+      preload;
+      plan;
+      extra = [ kv_delete_all_oracle ~universe:(universe_of ~preload ~plan) () ] }
 
 (* A FAST shift across a whole leaf: 20 keys on one shard, a put below
    all of them (every entry shifts right) and its delete (every entry
@@ -801,12 +928,10 @@ let universe_of ~preload ~plan =
    duplicate, which recovery must repair before it redoes the op. *)
 let scn_kv_shift () =
   let keys = shard0_keys 21 in
-  let preload = List.map (fun k -> (k, 800 + k)) (List.tl keys) in
   let k0 = List.hd keys in
-  let plan = [ Kput (k0, 901); Kdel k0 ] in
-  scn_kv ~sname:"kv-shift" ~preload ~plan
-    ~extra:[ kv_delete_all_oracle ~universe:(universe_of ~preload ~plan) () ]
-    ()
+  kv_repair_sweep ~kname:"kv-shift"
+    ~preload:(List.map (fun k -> (k, 800 + k)) (List.tl keys))
+    ~plan:[ Kput (k0, 901); Kdel k0 ]
 
 (* A FAIR split: a full leaf (31 keys on one shard) and a put into its
    middle.  A crash between the sibling link and the left count shrink
@@ -814,13 +939,10 @@ let scn_kv_shift () =
 let scn_kv_split () =
   let keys = shard0_keys 32 in
   let mid = List.nth keys 16 in
-  let preload =
-    List.filter_map (fun k -> if k = mid then None else Some (k, 850 + k)) keys
-  in
-  let plan = [ Kput (mid, 951) ] in
-  scn_kv ~sname:"kv-split" ~preload ~plan
-    ~extra:[ kv_delete_all_oracle ~universe:(universe_of ~preload ~plan) () ]
-    ()
+  kv_repair_sweep ~kname:"kv-split"
+    ~preload:
+      (List.filter_map (fun k -> if k = mid then None else Some (k, 850 + k)) keys)
+    ~plan:[ Kput (mid, 951) ]
 
 (* Cross-shard transactions through the 2PC coordinator-record
    protocol.  Key shard map for [shards:2]: keys 2, 3, 7, 8, 9, 10 and
@@ -849,21 +971,24 @@ let kv_txn_plan () =
         Service.Kv.Tdel { key = 99 } ];
     Kdel 6 ]
 
-let kv_txn_preload =
-  [ (1, 121); (2, 122); (3, 123); (4, 124); (5, 125); (6, 126) ]
+let kv_txn_base =
+  { kv_default with
+    slack = 8192;
+    preload = [ (1, 121); (2, 122); (3, 123); (4, 124); (5, 125); (6, 126) ] }
 
 let scn_kv_txn () =
-  scn_kv ~sname:"kv-txn" ~slack:8192 ~preload:kv_txn_preload
-    ~plan:(kv_txn_plan ()) ()
+  kv_sweep { kv_txn_base with kname = "kv-txn"; plan = kv_txn_plan () }
 
 (* The seeded 2PC bug: the coordinator forgets to flush the decision
    record, so a crash between the participant applies can surface half
    a transaction.  The checker MUST find a counterexample here — the
    mutation gate in scripts/check.sh fails CI if it does not. *)
 let scn_kv_txn_broken () =
-  scn_kv ~sname:"kv-txn-broken" ~slack:8192
-    ~tweak:Service.Kv.txn_break_decision_persist ~preload:kv_txn_preload
-    ~plan:(kv_txn_plan ()) ()
+  kv_sweep
+    { kv_txn_base with
+      kname = "kv-txn-broken";
+      tweak = Service.Kv.txn_break_decision_persist;
+      plan = kv_txn_plan () }
 
 (* The seeded commit-slot bug: the chunk's decided word rides its
    slot's fence, so it is durable before the allocator commit.  A
@@ -872,305 +997,174 @@ let scn_kv_txn_broken () =
    no-dangling check in the prefix oracle can flag it — the mutation
    gate in scripts/check.sh fails CI if it does not. *)
 let scn_kv_commit_broken () =
-  scn_kv ~sname:"kv-commit-broken" ~tweak:Service.Kv.txn_break_decision_persist
-    ~preload:kv_put_preload ~plan:kv_put_plan ()
+  kv_sweep
+    { kv_put_base with
+      kname = "kv-commit-broken";
+      tweak = Service.Kv.txn_break_decision_persist }
 
 (* MVCC read-path sweep: the kv-put/delete/txn op mix again, but on a
    store with a version window, and after every completed operation the
-   driver mints a snapshot and audits it against the completed-prefix
+   audit mints a snapshot and checks it against the completed-prefix
    model — every key in the universe via [snapshot_get] and the whole
    keyspace via one multi-shard [snapshot_scan].  A stale, torn or
-   phantom read is recorded as a violation and surfaces through the
-   [snapshot-reads] oracle at every crash point past the offending op,
-   naming that op.  Recovery is still checked by the standard prefix
-   oracle: version chains are volatile DRAM, so a crash must leave the
-   re-attached store indistinguishable from the no-MVCC sweeps. *)
+   phantom read surfaces through the [snapshot-reads] oracle.  Recovery
+   is still checked by the prefix oracle: version chains are volatile
+   DRAM, so a crash must leave the re-attached store indistinguishable
+   from the no-MVCC sweeps. *)
+let snapshot_audit r i =
+  let s = r.store in
+  let ts = Service.Kv.snapshot s in
+  List.iter
+    (fun k ->
+      if Service.Kv.snapshot_get s ~ts ~key:k <> expected r k then
+        r.flag
+          (Printf.sprintf
+             "after op %d: snapshot_get key %d disagrees with the \
+              completed-prefix model"
+             i k))
+    r.universe;
+  let want_scan =
+    Hashtbl.fold
+      (fun k vs acc -> (k, Service.Kv.value_checksum s ~vseed:vs) :: acc)
+      r.model []
+    |> List.sort compare
+  and got_scan = ref [] in
+  let n =
+    Service.Kv.snapshot_scan s ~ts ~from_key:1 ~n:64 (fun k d ->
+        got_scan := (k, d) :: !got_scan)
+  in
+  if List.rev !got_scan <> want_scan || n <> List.length want_scan then
+    r.flag
+      (Printf.sprintf
+         "after op %d: snapshot_scan visited %d entr(ies), model has %d, or \
+          contents/order differ"
+         i n (List.length want_scan))
+
 let scn_kv_snapshot () =
-  let preload =
-    [ (1, 151); (2, 152); (3, 153); (4, 154); (5, 155); (6, 156) ]
-  in
-  let plan =
-    [ Kput (3, 501); Kput (9, 502); Kdel 2;
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 503 };
-          Service.Kv.Tput { key = 7; vseed = 504 } ];
-      Kput (3, 505); Kdel 5; Kput (10, 506) ]
-  in
-  let universe = universe_of ~preload ~plan in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s = Service.Kv.create ~mvcc_window:4 inst ~shards:2 ~value_size:64 in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv-snapshot scenario: preload put failed")
-      preload;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    let audit i =
-      let ts = Service.Kv.snapshot s in
-      List.iter
-        (fun k ->
-          let got = Service.Kv.snapshot_get s ~ts ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: snapshot_get key %d disagrees with the \
-                 completed-prefix model"
-                i k
-              :: !violations)
-        universe;
-      let want_scan =
-        Hashtbl.fold (fun k vs acc -> (k, cks vs) :: acc) model []
-        |> List.sort compare
-      and got_scan = ref [] in
-      let n =
-        Service.Kv.snapshot_scan s ~ts ~from_key:1 ~n:64 (fun k d ->
-            got_scan := (k, d) :: !got_scan)
-      in
-      if List.rev !got_scan <> want_scan || n <> List.length want_scan then
-        violations :=
-          Printf.sprintf
-            "after op %d: snapshot_scan visited %d entr(ies), model has %d, \
-             or contents/order differ"
-            i n (List.length want_scan)
-          :: !violations
-    in
-    List.iteri
-      (fun i o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-        audit i)
-      plan
-  in
-  let o_snap =
-    { oname = "snapshot-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d stale/torn snapshot read(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname = "kv-snapshot"; setup; op; extra_oracles = [ o_snap; o_kv ] }
+  kv_sweep
+    { kv_default with
+      kname = "kv-snapshot";
+      mvcc_window = 4;
+      slack = 8192;
+      preload = [ (1, 151); (2, 152); (3, 153); (4, 154); (5, 155); (6, 156) ];
+      plan =
+        [ Kput (3, 501); Kput (9, 502); Kdel 2;
+          Ktxn
+            [ Service.Kv.Tput { key = 5; vseed = 503 };
+              Service.Kv.Tput { key = 7; vseed = 504 } ];
+          Kput (3, 505); Kdel 5; Kput (10, 506) ];
+      reads =
+        Some
+          { rname = "snapshot-reads";
+            noun = "stale/torn snapshot read";
+            audit = snapshot_audit } }
 
 (* The seeded MVCC bug: {!Service.Kv.mvcc_break_early_publish} makes
    every prepare publish the transaction's versions before any
-   decision record exists.  The driver stages prepare → observes a
+   decision record exists.  The executor stages prepare → observes a
    snapshot → decides → applies; the observation between prepare and
    decide reads values no committed history contains, so the
    [snapshot-reads] oracle must produce counterexamples — the mutation
    gate in scripts/check.sh fails CI when the checker stays green. *)
+let staged_txn r i = function
+  | Ktxn ops -> (
+    match Service.Kv.txn_prepare r.store ops with
+    | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
+    | Ok prepared ->
+      (* the transaction is prepared but undecided: no snapshot may
+         see its writes yet — with the bug armed, it does *)
+      let ts = Service.Kv.snapshot r.store in
+      List.iter
+        (fun top ->
+          let k = txn_op_key top in
+          if Service.Kv.snapshot_get r.store ~ts ~key:k <> expected r k then
+            r.flag
+              (Printf.sprintf "txn %d: snapshot observed undecided write to key %d"
+                 i k))
+        ops;
+      ignore (Service.Kv.txn_decide r.store prepared);
+      Service.Kv.txn_apply r.store prepared)
+  | Kput _ | Kdel _ -> invalid_arg "mvcc-broken scenario: transactions only"
+
 let scn_mvcc_broken () =
-  let preload = [ (3, 161); (4, 162); (5, 163) ] in
-  let plan =
-    [ Ktxn
-        [ Service.Kv.Tput { key = 3; vseed = 601 };
-          Service.Kv.Tput { key = 4; vseed = 602 } ];
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 603 };
-          Service.Kv.Tput { key = 7; vseed = 604 } ] ]
-  in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s = Service.Kv.create ~mvcc_window:4 inst ~shards:2 ~value_size:64 in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "mvcc-broken scenario: preload put failed")
-      preload;
-    Service.Kv.mvcc_break_early_publish s;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    List.iteri
-      (fun i o ->
-        let ops = match o with Ktxn ops -> ops | _ -> assert false in
-        (match Service.Kv.txn_prepare s ops with
-         | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
-         | Ok prepared ->
-           (* the transaction is prepared but undecided: no snapshot may
-              see its writes yet — with the bug armed, it does *)
-           let ts = Service.Kv.snapshot s in
-           List.iter
-             (fun top ->
-               let k = txn_op_key top in
-               let got = Service.Kv.snapshot_get s ~ts ~key:k
-               and want = Option.map cks (Hashtbl.find_opt model k) in
-               if got <> want then
-                 violations :=
-                   Printf.sprintf
-                     "txn %d: snapshot observed undecided write to key %d"
-                     i k
-                   :: !violations)
-             ops;
-           ignore (Service.Kv.txn_decide s prepared);
-           Service.Kv.txn_apply s prepared);
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      plan
-  in
-  let o_snap =
-    { oname = "snapshot-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d uncommitted-read violation(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  { sname = "mvcc-broken"; setup; op; extra_oracles = [ o_snap ] }
+  kv_sweep
+    { kv_default with
+      kname = "mvcc-broken";
+      mvcc_window = 4;
+      tweak = Service.Kv.mvcc_break_early_publish;
+      slack = 8192;
+      preload = [ (3, 161); (4, 162); (5, 163) ];
+      plan =
+        [ Ktxn
+            [ Service.Kv.Tput { key = 3; vseed = 601 };
+              Service.Kv.Tput { key = 4; vseed = 602 } ];
+          Ktxn
+            [ Service.Kv.Tput { key = 5; vseed = 603 };
+              Service.Kv.Tput { key = 7; vseed = 604 } ] ];
+      exec = staged_txn;
+      reads =
+        Some
+          { rname = "snapshot-reads";
+            noun = "uncommitted-read violation";
+            audit = (fun _ _ -> ()) };
+      prefix = None }
 
 (* DRAM read-cache sweep: the kv-snapshot op mix on a store with both a
    version window and a read cache ([rcache_entries:4] per shard —
    smaller than the plan's per-shard keyspace, so the audits force CLOCK
-   evictions).  After every completed operation the driver audits the
+   evictions).  After every completed operation the audit checks the
    completed-prefix model twice: every key in the universe through the
    cached plain-[get] path (the first audit after a mutation reads
    through and re-fills; the cache must never answer with a digest the
    store no longer holds) and again through a fresh snapshot, which may
    answer from the cache only when the cached version's timestamp admits
-   it.  A stale cached digest is recorded as a violation and surfaces
-   through the [cached-reads] oracle at every crash point past the
-   offending op.  Recovery is still checked by the standard prefix
-   oracle: the cache is volatile DRAM, so a crash must leave the
-   re-attached store indistinguishable from the uncached sweeps. *)
-let scn_kv_rcache ?(break = false) ~sname () =
-  let preload =
-    [ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ]
-  in
-  let plan =
-    [ Kput (3, 701); Kput (9, 702); Kdel 2;
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 703 };
-          Service.Kv.Tput { key = 7; vseed = 704 } ];
-      Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ]
-  in
-  let universe = universe_of ~preload ~plan in
-  let svc = ref None in
-  let acked = ref 0 in
-  let violations = ref [] in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 8192;
-    let inst = Poseidon.instance env.heap in
-    let s =
-      Service.Kv.create ~mvcc_window:4 ~rcache_entries:4 inst ~shards:2
-        ~value_size:64
-    in
-    List.iter
-      (fun (k, vs) ->
-        if not (Service.Kv.put s ~key:k ~vseed:vs) then
-          failwith "kv-rcache scenario: preload put failed")
-      preload;
-    if break then Service.Kv.rcache_break_late_invalidate s;
-    svc := Some s;
-    acked := 0;
-    violations := [];
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let s = Option.get !svc in
-    let model = Hashtbl.create 32 in
-    List.iter (fun (k, vs) -> Hashtbl.replace model k vs) preload;
-    let cks vs = Service.Kv.value_checksum s ~vseed:vs in
-    let audit i =
-      List.iter
-        (fun k ->
-          let got = Service.Kv.get s ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: cached get of key %d disagrees with the \
-                 completed-prefix model"
-                i k
-              :: !violations)
-        universe;
-      let ts = Service.Kv.snapshot s in
-      List.iter
-        (fun k ->
-          let got = Service.Kv.snapshot_get s ~ts ~key:k
-          and want = Option.map cks (Hashtbl.find_opt model k) in
-          if got <> want then
-            violations :=
-              Printf.sprintf
-                "after op %d: snapshot_get of key %d disagrees with the \
-                 completed-prefix model (cache admitted a wrong version)"
-                i k
-              :: !violations)
-        universe
-    in
-    List.iteri
-      (fun i o ->
-        (match o with
-         | Kput (k, vs) -> ignore (Service.Kv.put s ~key:k ~vseed:vs)
-         | Kdel k -> ignore (Service.Kv.delete s ~key:k)
-         | Ktxn ops -> ignore (Service.Kv.txn s ops));
-        apply_kv model o;
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-        audit i)
-      plan
-  in
-  let o_rcache =
-    { oname = "cached-reads";
-      check =
-        (fun _env ->
-          match List.rev !violations with
-          | [] -> Ok ()
-          | v :: _ ->
-            Error
-              (Printf.sprintf "%d stale cached read(s), first: %s"
-                 (List.length !violations)
-                 v)) }
-  in
-  let o_kv = kv_prefix_oracle ~oname:"kv-store" ~preload ~plan ~acked () in
-  { sname; setup; op; extra_oracles = [ o_rcache; o_kv ] }
+   it.  A stale cached digest surfaces through the [cached-reads]
+   oracle.  Recovery is still checked by the prefix oracle: the cache is
+   volatile DRAM, so a crash must leave the re-attached store
+   indistinguishable from the uncached sweeps. *)
+let rcache_audit r i =
+  List.iter
+    (fun k ->
+      if Service.Kv.get r.store ~key:k <> expected r k then
+        r.flag
+          (Printf.sprintf
+             "after op %d: cached get of key %d disagrees with the \
+              completed-prefix model"
+             i k))
+    r.universe;
+  let ts = Service.Kv.snapshot r.store in
+  List.iter
+    (fun k ->
+      if Service.Kv.snapshot_get r.store ~ts ~key:k <> expected r k then
+        r.flag
+          (Printf.sprintf
+             "after op %d: snapshot_get of key %d disagrees with the \
+              completed-prefix model (cache admitted a wrong version)"
+             i k))
+    r.universe
 
-let scn_kv_rcache_put () = scn_kv_rcache ~sname:"kv-rcache-put" ()
+let scn_kv_rcache ~tweak ~kname =
+  kv_sweep
+    { kv_default with
+      kname;
+      mvcc_window = 4;
+      rcache_entries = 4;
+      tweak;
+      slack = 8192;
+      preload = [ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ];
+      plan =
+        [ Kput (3, 701); Kput (9, 702); Kdel 2;
+          Ktxn
+            [ Service.Kv.Tput { key = 5; vseed = 703 };
+              Service.Kv.Tput { key = 7; vseed = 704 } ];
+          Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ];
+      reads =
+        Some
+          { rname = "cached-reads";
+            noun = "stale cached read";
+            audit = rcache_audit } }
+
+let scn_kv_rcache_put () = scn_kv_rcache ~tweak:ignore ~kname:"kv-rcache-put"
 
 (* The seeded cache bug: {!Service.Kv.rcache_break_late_invalidate}
    defers every invalidation until the NEXT mutation starts, so between
@@ -1179,245 +1173,69 @@ let scn_kv_rcache_put () = scn_kv_rcache ~sname:"kv-rcache-put" ()
    that window, so the [cached-reads] oracle must produce
    counterexamples — the mutation gate in scripts/check.sh fails CI when
    the checker stays green. *)
-let scn_rcache_broken () = scn_kv_rcache ~break:true ~sname:"rcache-broken" ()
+let scn_rcache_broken () =
+  scn_kv_rcache ~tweak:Service.Kv.rcache_break_late_invalidate
+    ~kname:"rcache-broken"
 
-(* Sweep the full sync-replication pipeline: primary local persist →
-   ship over the link → backup apply/persist → cumulative ack.  Two
-   machines (two devices — the primary's rides in [aux_devs], so its
-   fences interleave into the same point space), one {!Cluster.Link},
-   the real {!Replica} shipper/applier.  The whole cluster loses power
-   at each point; recovery attaches the BACKUP ([env.mach]) — primary
-   loss is the failure replication exists for — and the oracle asserts
-   the backup store equals the acked prefix: any write acked in sync
-   mode survives the primary's death, and the in-flight record is
-   atomic (pre- or post-state, never torn). *)
+(* Sweep the full sync-replication pipeline at window 1: each op is a
+   commit group of one on the primary, shipped as a frame of one, then
+   applied, persisted and acked per record on the backup.  The whole
+   cluster loses power at each point; recovery attaches the BACKUP
+   ([env.mach]) — primary loss is the failure replication exists for —
+   and the prefix oracle asserts the backup store equals the acked
+   prefix: any write acked in sync mode survives the primary's death,
+   and the in-flight record is atomic. *)
 let scn_kv_replicated_put () =
-  let preload = [ (1, 131); (2, 132); (3, 133); (4, 134) ] in
-  let plan =
-    [ Kput (3, 301);
-      Kput (9, 302);
-      Kdel 2;
-      (* a committed cross-shard transaction rides the same streams as
-         a Txn_prepare + Txn_decide pair per participant shard *)
-      Ktxn
-        [ Service.Kv.Tput { key = 5; vseed = 304 };
-          Service.Kv.Tput { key = 7; vseed = 305 } ];
-      Kput (10, 303) ]
-  in
-  let state = ref None in
-  let acked = ref 0 in
-  let setup () =
-    (* backup first: it is the env the sweep recovers and checks *)
-    let env = mk_env () in
-    env.ledger.slack <- 4096;
-    let svc_b =
-      Service.Kv.create (Poseidon.instance env.heap) ~shards:2 ~value_size:64
-    in
-    let penv = mk_env () in
-    let svc_p =
-      Service.Kv.create (Poseidon.instance penv.heap) ~shards:2 ~value_size:64
-    in
-    List.iter
-      (fun (k, vs) ->
-        if
-          not
-            (Service.Kv.put svc_p ~key:k ~vseed:vs
-            && Service.Kv.put svc_b ~key:k ~vseed:vs)
-        then failwith "kv-replicated scenario: preload put failed")
-      preload;
-    let link = Cluster.Link.create () in
-    let rcfg = { Replica.default_config with Replica.window = 8 } in
-    let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
-    let applier =
-      Replica.Applier.create rcfg ~shards:2 ~link
-        ~apply:(Service.Kv.apply_replicated svc_b)
-    in
-    state := Some (svc_p, shipper, applier, link);
-    acked := 0;
-    env.aux_devs <- [ Machine.dev penv.mach ];
-    Memdev.drain (Machine.dev penv.mach);
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let svc_p, shipper, applier, link = Option.get !state in
-    (* 3. backup applies + persists; 4. wait for every record's ack *)
-    let pump_until_acked seqs =
-      Replica.Applier.pump applier ~until:(fun () ->
-          Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
-      Replica.Shipper.poll_acks shipper;
-      List.iter
-        (fun (shard, seq) ->
-          if Replica.Shipper.acked shipper ~shard < seq then
-            failwith "kv-replicated scenario: sync ack lost on clean run")
-        seqs
-    in
-    List.iter
-      (fun o ->
-        (* 1. primary local persist; 2. ship *)
-        (match o with
-         | Kput (k, vs) ->
-           ignore (Service.Kv.put svc_p ~key:k ~vseed:vs);
-           let shard = Service.Kv.shard_of_key svc_p k in
-           let seq =
-             Replica.Shipper.ship shipper ~shard
-               (Replica.Put { key = k; vseed = vs })
-           in
-           pump_until_acked [ (shard, seq) ]
-         | Kdel k ->
-           ignore (Service.Kv.delete svc_p ~key:k);
-           let shard = Service.Kv.shard_of_key svc_p k in
-           let seq =
-             Replica.Shipper.ship shipper ~shard (Replica.Del { key = k })
-           in
-           pump_until_acked [ (shard, seq) ]
-         | Ktxn ops ->
-           let seqs = ref [] in
-           ignore
-             (Service.Kv.txn svc_p ops ~on_commit:(fun res ->
-                  let nparts = List.length res.Service.Kv.participants in
-                  List.iter
-                    (fun (s, sops) ->
-                      ignore
-                        (Replica.Shipper.ship shipper ~shard:s
-                           (Replica.Txn_prepare
-                              { txn = res.Service.Kv.txn_id; ops = sops }));
-                      let q =
-                        Replica.Shipper.ship shipper ~shard:s
-                          (Replica.Txn_decide
-                             { txn = res.Service.Kv.txn_id; commit = true;
-                               nparts })
-                      in
-                      seqs := (s, q) :: !seqs)
-                    res.Service.Kv.participants));
-           pump_until_acked !seqs);
-        incr acked;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      plan
-  in
-  let o_kv = kv_prefix_oracle ~oname:"kv-replica" ~preload ~plan ~acked () in
-  { sname = "kv-replicated-put"; setup; op; extra_oracles = [ o_kv ] }
+  kv_sweep
+    { kv_default with
+      kname = "kv-replicated-put";
+      preload = [ (1, 131); (2, 132); (3, 133); (4, 134) ];
+      plan =
+        [ Kput (3, 301);
+          Kput (9, 302);
+          Kdel 2;
+          (* a committed cross-shard transaction rides the same streams
+             as a Txn_prepare + Txn_decide pair per participant shard *)
+          Ktxn
+            [ Service.Kv.Tput { key = 5; vseed = 304 };
+              Service.Kv.Tput { key = 7; vseed = 305 } ];
+          Kput (10, 303) ];
+      prefix = Some "kv-replica";
+      backup = Some { batch = 1; repl_window = 8; ack_early = false } }
 
-(* Sweep the batched pipeline end to end: queue → group commit (one
-   covering persist chain per chunk) → doorbell-batched ship (one
-   frame per chunk) → batched cumulative ack.  Same two-machine,
-   correlated-crash setup as [scn_kv_replicated_put]; [acked] advances
-   a whole group at a time, only after the group's covering flush is
-   acked, so the windowed prefix oracle asserts the loss bound: a
-   crash mid-group loses at most the unacked window, never an acked
-   op.  [premature_ack] is the seeded bug for the mutation gate: the
-   driver claims the group durable BEFORE executing/flushing it —
-   acks ahead of the covering flush — which the checker must flag. *)
-let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~sname () =
-  (* all keys on shard 0 of 2 (asserted below): a commit group is a
-     single-shard run by construction, mirroring the server's
-     per-shard inbox *)
-  let preload = [ (2, 141); (3, 142); (7, 143); (8, 144) ] in
+(* Sweep the batched pipeline end to end: group commit (one covering
+   persist chain per chunk) → doorbell frame per chunk → batched
+   applier with cumulative acks.  All keys sit on shard 0 of 2
+   (asserted), so every commit group fills its window; the windowed
+   prefix oracle asserts the loss bound: a crash mid-group loses at
+   most the unacked window, never an acked op.  [premature_ack] is the
+   seeded bug for the mutation gate: the driver claims the group
+   durable BEFORE executing/flushing it — acks ahead of the covering
+   flush — which the checker must flag. *)
+let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~kname () =
   let plan =
     [ Kput (3, 401); Kput (9, 402); Kdel 2; Kput (10, 403); Kput (3, 404);
       Kdel 99; Kput (2, 405); Kdel 8; Kput (7, 406); Kput (99, 407) ]
   in
-  List.iter
-    (fun o ->
-      let k = match o with Kput (k, _) | Kdel k -> k | Ktxn _ -> assert false in
-      assert (Service.Kv.shard_of ~shards:2 k = 0))
-    plan;
-  let state = ref None in
-  let acked = ref 0 in
-  let setup () =
-    let env = mk_env () in
-    env.ledger.slack <- 4096 + (1024 * window);
-    let svc_b =
-      Service.Kv.create (Poseidon.instance env.heap) ~shards:2 ~value_size:64
-    in
-    let penv = mk_env () in
-    let svc_p =
-      Service.Kv.create (Poseidon.instance penv.heap) ~shards:2 ~value_size:64
-    in
-    List.iter
-      (fun (k, vs) ->
-        if
-          not
-            (Service.Kv.put svc_p ~key:k ~vseed:vs
-            && Service.Kv.put svc_b ~key:k ~vseed:vs)
-        then failwith "kv-batched scenario: preload put failed")
-      preload;
-    let link = Cluster.Link.create () in
-    let rcfg = { Replica.default_config with Replica.window = 32 } in
-    let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
-    let applier =
-      Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:true
-        ~apply:(Service.Kv.apply_replicated svc_b)
-        ~apply_group:(Service.Kv.apply_replicated_group svc_b)
-    in
-    state := Some (svc_p, shipper, applier, link);
-    acked := 0;
-    env.aux_devs <- [ Machine.dev penv.mach ];
-    Memdev.drain (Machine.dev penv.mach);
-    env.ledger.durable <- (H.stats env.heap).H.live_bytes;
-    finish_setup env
-  in
-  let op env =
-    let svc_p, shipper, applier, link = Option.get !state in
-    let rec groups = function
-      | [] -> []
-      | ops ->
-        let rec take n = function
-          | o :: rest when n > 0 ->
-            let g, rest' = take (n - 1) rest in
-            (o :: g, rest')
-          | rest -> ([], rest)
-        in
-        let g, rest = take window ops in
-        g :: groups rest
-    in
-    List.iter
-      (fun gops ->
-        if premature_ack then acked := !acked + List.length gops;
-        let last = ref (-1) in
-        let kv_ops =
-          List.map
-            (function
-              | Kput (k, vs) -> Service.Kv.Tput { key = k; vseed = vs }
-              | Kdel k -> Service.Kv.Tdel { key = k }
-              | Ktxn _ -> assert false)
-            gops
-        in
-        ignore
-          (Service.Kv.group_commit svc_p ~shard:0 kv_ops
-             ~on_chunk:(fun ~fin:_ cops ->
-               List.iter
-                 (fun op ->
-                   let rop =
-                     match op with
-                     | Service.Kv.Tput { key; vseed } ->
-                       Replica.Put { key; vseed }
-                     | Service.Kv.Tdel { key } -> Replica.Del { key }
-                   in
-                   last := Replica.Shipper.ship_buffered shipper ~shard:0 rop)
-                 cops;
-               ignore (Replica.Shipper.flush shipper)));
-        if !last >= 0 then begin
-          Replica.Applier.pump applier ~until:(fun () ->
-              Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
-          Replica.Shipper.poll_acks shipper;
-          if Replica.Shipper.acked shipper ~shard:0 < !last then
-            failwith "kv-batched scenario: ack lost on clean run"
-        end;
-        if not premature_ack then acked := !acked + List.length gops;
-        env.ledger.durable <- (H.stats env.heap).H.live_bytes)
-      (groups plan)
-  in
-  let o_kv =
-    kv_prefix_oracle ~window ~oname:"kv-batched" ~preload ~plan ~acked ()
-  in
-  { sname; setup; op; extra_oracles = [ o_kv ] }
+  assert (
+    List.for_all
+      (fun k -> Service.Kv.shard_of ~shards:2 k = 0)
+      (universe_of ~preload:[] ~plan));
+  kv_sweep
+    { kv_default with
+      kname;
+      slack = 4096 + (1024 * window);
+      preload = [ (2, 141); (3, 142); (7, 143); (8, 144) ];
+      plan;
+      prefix = Some "kv-batched";
+      backup =
+        Some { batch = window; repl_window = 32; ack_early = premature_ack } }
 
 let scn_kv_batched_put ?window ?premature_ack () =
-  scn_kv_batched ?window ?premature_ack ~sname:"kv-batched-put" ()
+  scn_kv_batched ?window ?premature_ack ~kname:"kv-batched-put" ()
 
 let scn_kv_batched_broken () =
-  scn_kv_batched ~premature_ack:true ~sname:"kv-batched-broken" ()
+  scn_kv_batched ~premature_ack:true ~kname:"kv-batched-broken" ()
 
 (* ---------- magazine-cache sweep (lib/tcache) ---------- *)
 
@@ -1468,60 +1286,68 @@ let kv_value_census_oracle ~value_size ~universe () =
    until crash recovery frees them), so up to 2 x mag blocks of each
    cached class (64 B values, 512 B tree nodes) plus one in-flight
    carve sit between the snapshot and the recovered heap. *)
-let tcache_preload =
-  [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
+let scn_kv_tcache ?(break = false) ~kname () =
+  let preload = [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
+  and plan =
+    [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
+      Kdel 5; Kput (11, 605); Kput (9, 606) ]
+  in
+  kv_sweep
+    { kv_default with
+      kname;
+      wrap =
+        (fun inst ->
+          let wrapped, h = Tcache.wrap ~mag:4 inst in
+          if break then Tcache.break_recycle h;
+          wrapped);
+      slack = 12288;
+      preload;
+      plan;
+      extra =
+        [ kv_value_census_oracle ~value_size:64
+            ~universe:(universe_of ~preload ~plan) () ] }
 
-let tcache_plan =
-  [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
-    Kdel 5; Kput (11, 605); Kput (9, 606) ]
-
-let scn_kv_tcache ?(break = false) ~sname () =
-  let universe = universe_of ~preload:tcache_preload ~plan:tcache_plan in
-  scn_kv ~sname ~slack:12288
-    ~wrap:(fun inst ->
-      let wrapped, h = Tcache.wrap ~mag:4 inst in
-      if break then Tcache.break_recycle h;
-      wrapped)
-    ~extra:[ kv_value_census_oracle ~value_size:64 ~universe () ]
-    ~preload:tcache_preload ~plan:tcache_plan ()
-
-let scn_kv_tcache_put () = scn_kv_tcache ~sname:"kv-tcache-put" ()
+let scn_kv_tcache_put () = scn_kv_tcache ~kname:"kv-tcache-put" ()
 
 (* The seeded cache bug: frees recycle into the bins with no reclaim
    lease and no persistent free.  The checker MUST flag this — the
    mutation gate in scripts/check.sh fails CI if it does not. *)
 let scn_kv_tcache_broken () =
-  scn_kv_tcache ~break:true ~sname:"tcache-broken" ()
+  scn_kv_tcache ~break:true ~kname:"tcache-broken" ()
+
+(* Every built-in scenario by name: the correct ones in sweep order,
+   then the seeded bugs ([true]), which [all_scenarios] leaves out. *)
+let scenarios =
+  [ ("alloc", scn_alloc, false);
+    ("free", scn_free, false);
+    ("tx-commit", scn_tx_commit, false);
+    ("tx-abort", scn_tx_abort, false);
+    ("extend", scn_extend, false);
+    ("kv-put", scn_kv_put, false);
+    ("kv-delete", scn_kv_delete, false);
+    ("kv-shift", scn_kv_shift, false);
+    ("kv-split", scn_kv_split, false);
+    ("kv-txn", scn_kv_txn, false);
+    ("kv-snapshot", scn_kv_snapshot, false);
+    ("kv-rcache-put", scn_kv_rcache_put, false);
+    ("kv-replicated-put", scn_kv_replicated_put, false);
+    ("kv-batched-put", (fun () -> scn_kv_batched_put ()), false);
+    ("kv-tcache-put", scn_kv_tcache_put, false);
+    ("carve", scn_carve, false);
+    ("broken", scn_broken_missing_flush, true);
+    ("kv-commit-broken", scn_kv_commit_broken, true);
+    ("kv-txn-broken", scn_kv_txn_broken, true);
+    ("mvcc-broken", scn_mvcc_broken, true);
+    ("rcache-broken", scn_rcache_broken, true);
+    ("kv-batched-broken", scn_kv_batched_broken, true);
+    ("tcache-broken", scn_kv_tcache_broken, true) ]
 
 let all_scenarios () =
-  [ scn_alloc (); scn_free (); scn_tx_commit (); scn_tx_abort ();
-    scn_extend (); scn_kv_put (); scn_kv_delete (); scn_kv_shift ();
-    scn_kv_split (); scn_kv_txn ();
-    scn_kv_snapshot (); scn_kv_rcache_put (); scn_kv_replicated_put ();
-    scn_kv_batched_put (); scn_kv_tcache_put (); scn_carve () ]
+  List.filter_map
+    (fun (_, mk, seeded_bug) -> if seeded_bug then None else Some (mk ()))
+    scenarios
 
-let scenario_by_name = function
-  | "alloc" -> Some (scn_alloc ())
-  | "free" -> Some (scn_free ())
-  | "tx-commit" -> Some (scn_tx_commit ())
-  | "tx-abort" -> Some (scn_tx_abort ())
-  | "extend" -> Some (scn_extend ())
-  | "kv-put" -> Some (scn_kv_put ())
-  | "kv-delete" -> Some (scn_kv_delete ())
-  | "kv-shift" -> Some (scn_kv_shift ())
-  | "kv-split" -> Some (scn_kv_split ())
-  | "kv-commit-broken" -> Some (scn_kv_commit_broken ())
-  | "kv-txn" -> Some (scn_kv_txn ())
-  | "kv-txn-broken" -> Some (scn_kv_txn_broken ())
-  | "kv-snapshot" -> Some (scn_kv_snapshot ())
-  | "mvcc-broken" -> Some (scn_mvcc_broken ())
-  | "kv-rcache-put" -> Some (scn_kv_rcache_put ())
-  | "rcache-broken" -> Some (scn_rcache_broken ())
-  | "kv-replicated-put" -> Some (scn_kv_replicated_put ())
-  | "kv-batched-put" -> Some (scn_kv_batched_put ())
-  | "kv-batched-broken" -> Some (scn_kv_batched_broken ())
-  | "kv-tcache-put" -> Some (scn_kv_tcache_put ())
-  | "tcache-broken" -> Some (scn_kv_tcache_broken ())
-  | "carve" -> Some (scn_carve ())
-  | "broken" -> Some (scn_broken_missing_flush ())
-  | _ -> None
+let scenario_by_name name =
+  List.find_map
+    (fun (n, mk, _) -> if n = name then Some (mk ()) else None)
+    scenarios

@@ -157,12 +157,8 @@ val pp_report : Format.formatter -> report -> unit
 (** {2 Built-in scenarios}
 
     Operation paths over a deliberately small heap (one CPU, 64 KiB of
-    sub-heap data) so exhaustive enumeration stays cheap, plus a
-    deliberately broken protocol for mutation sanity checks.  The KV
-    scenarios drive the {!Service.Kv} commit-slot protocol; the
-    replicated one adds a second machine and the {!Replica} shipping
-    pipeline.  Every KV scenario's acked-prefix oracle also demands
-    that no tree names a freed block (the no-dangling check). *)
+    sub-heap data) so exhaustive enumeration stays cheap, plus
+    deliberately broken protocols for mutation sanity checks. *)
 
 val scn_alloc : unit -> scenario
 (** Mixed-size singleton allocations (split paths included). *)
@@ -189,14 +185,120 @@ val scn_carve : unit -> scenario
     pre-carve live bytes; the [ledger-reclaimed] oracle demands that
     recovery left no lease armed. *)
 
+val scn_broken_missing_flush : unit -> scenario
+(** Mutation sanity check: a two-line "write data, persist commit
+    flag" protocol that {e forgets the clwb on the data line}.  Its
+    extra oracle demands data be intact whenever the flag persisted;
+    the checker must report a counterexample at the flag's fence. *)
+
+(** {2 KV scenarios: data for one driver}
+
+    Every KV scenario is a {!kv_scenario} value handed to
+    {!kv_sweep}, the one driver that sets up a {!Service.Kv} store and
+    runs a plan through the sweep.  The value names the store's shape,
+    the preload, the plan, the ledger slack, optional read audits and
+    an optional backup; the driver owns set-up, the op loop, the
+    completed-prefix model and the oracles.
+
+    Every sweep with a prefix oracle is judged by one acked-prefix
+    rule: after recovery the store must equal the plan-prefix state,
+    on every key the preload or the plan names, for {e some} prefix
+    length in [[acked, acked + window]].  A local sweep has window 1
+    (one op in flight); a replicated one has its commit-group window.
+    So a crash loses at most the unacked window, never an acked op,
+    and never part of an op: a transaction torn across shards matches
+    no prefix.  The oracle also demands a sane allocator after the
+    service's replay and that no tree names a freed block (the
+    no-dangling check). *)
+
+type kv_op =
+  | Kput of int * int  (** [Kput (key, vseed)] *)
+  | Kdel of int
+  | Ktxn of Service.Kv.txn_op list  (** one cross-shard transaction *)
+
+type kv_run = {
+  store : Service.Kv.t;
+  universe : int list;  (** every key the preload or the plan names *)
+  model : (int, int) Hashtbl.t;
+      (** the completed prefix's state, key → vseed: before the op for
+          [exec], after it for an audit *)
+  flag : string -> unit;
+      (** records a read violation at once (a crash cut later in the
+          op cannot lose it); the sweep's reads oracle reports them *)
+}
+(** What a local sweep's per-op hooks see. *)
+
+type kv_reads = {
+  rname : string;  (** the reads oracle's name *)
+  noun : string;  (** one violation, as the oracle counts them *)
+  audit : kv_run -> int -> unit;  (** runs after each completed op [i] *)
+}
+(** Reads checked while the plan runs.  The oracle fails at every
+    crash point past a flagged violation with
+    ["N <noun>(s), first: ..."]. *)
+
+type kv_backup = {
+  batch : int;
+      (** commit-group window: puts and deletes commit as
+          {!Service.Kv.group_commit} groups of up to [batch]
+          consecutive same-shard ops, each chunk shipped as one
+          doorbell frame; a transaction is a group of its own and
+          ships its prepare and decide records from [on_commit].  The
+          applier acks per record at 1 and in batches above it, as
+          {!Service.Server.run_replicated} sets it. *)
+  repl_window : int;  (** {!Replica.config}'s [window] *)
+  ack_early : bool;
+      (** seeded bug: count a group acked before it runs, i.e. ahead
+          of its covering flush *)
+}
+(** A replicated sweep: the plan runs on a primary machine whose
+    device rides in [aux_devs], and the sweep recovers and judges the
+    backup.  [acked] advances a group at a time, once the backup's
+    cumulative ack covers the group's records. *)
+
+type kv_scenario = {
+  kname : string;  (** the scenario's [sname] *)
+  mvcc_window : int;  (** store shape: {!Service.Kv.create}'s *)
+  rcache_entries : int;  (** store shape: {!Service.Kv.create}'s *)
+  wrap : Alloc_intf.instance -> Alloc_intf.instance;
+      (** allocator wrap, e.g. a {!Tcache} magazine cache *)
+  tweak : Service.Kv.t -> unit;
+      (** arms a seeded bug on every store after the preload *)
+  preload : (int * int) list;  (** (key, vseed) puts before the sweep *)
+  plan : kv_op list;
+  slack : int;  (** the ledger's slack *)
+  exec : kv_run -> int -> kv_op -> unit;
+      (** runs plan op [i] of a local sweep; {!kv_exec} by default *)
+  reads : kv_reads option;
+  prefix : string option;
+      (** the acked-prefix oracle's name; [None] = no prefix oracle *)
+  backup : kv_backup option;  (** [None] = a local sweep *)
+  extra : oracle list;  (** run after the reads and prefix oracles *)
+}
+
+val kv_exec : kv_run -> int -> kv_op -> unit
+(** The default executor: {!Service.Kv.put}, {!Service.Kv.delete} or
+    {!Service.Kv.txn}. *)
+
+val kv_default : kv_scenario
+(** No name, preload or plan; a plain local store, slack 4096,
+    {!kv_exec}, no reads, the prefix oracle ["kv-store"], no backup, no
+    extra oracles. *)
+
+val kv_sweep : kv_scenario -> scenario
+(** The one KV driver.  Set-up builds the store (with a backup, two:
+    the backup's is [env], the machine the sweep recovers), preloads
+    it and arms [tweak]; the ledger's durable bytes are re-read after
+    each completed op or group.  A local sweep runs each op through
+    [exec], then advances the model and [acked] and runs the audit; a
+    replicated sweep uses neither [exec] nor [reads].  The oracles are
+    the reads oracle, then the prefix oracle, then [extra]. *)
+
 val scn_kv_put : unit -> scenario
-(** KV puts (inserts + overwrites) through the commit-slot protocol;
-    the recovered store must equal the acked prefix of the plan, with
-    the one in-flight put atomic. *)
+(** KV puts (inserts + overwrites) through the commit-slot protocol. *)
 
 val scn_kv_delete : unit -> scenario
-(** KV deletes (present, absent and re-inserted keys) under the same
-    acked-prefix oracle. *)
+(** KV deletes (present, absent and re-inserted keys). *)
 
 val scn_kv_shift : unit -> scenario
 (** A put below all 20 keys of one shard's leaf (every entry shifts
@@ -217,88 +319,79 @@ val scn_kv_commit_broken : unit -> scenario
     the allocator commit.  A crash between the two redoes a slot whose
     blocks the heap's replay freed; only the no-dangling check sees it.
     The checker {e must} report counterexamples — the mutation gate in
-    [scripts/check.sh] fails CI when it does not.  Excluded from
-    {!all_scenarios}. *)
+    [scripts/check.sh] fails CI when it does not. *)
 
 val scn_kv_txn : unit -> scenario
 (** Cross-shard transactions through the 2PC coordinator-record
     protocol ({!Service.Kv.txn}), interleaved with single ops: 2-put and
-    delete+put commits spanning both shards, a strict-delete abort.
-    The acked-prefix oracle is transaction-aware — the in-flight
-    operation must read all-pre or all-post across {e every} key it
-    touches, so a commit half-applied across shards at any fence is a
-    counterexample. *)
+    delete+put commits spanning both shards, a strict-delete abort.  A
+    commit half-applied across shards at any fence matches no plan
+    prefix, so it is a counterexample. *)
 
 val scn_kv_txn_broken : unit -> scenario
 (** The same plan with {!Service.Kv.txn_break_decision_persist} armed:
     the coordinator forgets to flush the decision record.  The checker
     {e must} report counterexamples (a crash between the participant
     applies surfaces half a transaction) — the mutation gate in
-    [scripts/check.sh] fails CI when it does not.  Excluded from
-    {!all_scenarios}, like [broken]. *)
+    [scripts/check.sh] fails CI when it does not. *)
 
 val scn_kv_snapshot : unit -> scenario
 (** The kv op mix on a store with an MVCC version window: after every
-    completed operation the driver audits a freshly minted snapshot —
+    completed operation the audit checks a freshly minted snapshot —
     [snapshot_get] over the key universe plus one multi-shard
     [snapshot_scan] — against the completed-prefix model, and any
     stale, torn or phantom read is a [snapshot-reads] counterexample.
-    Recovery keeps the standard acked-prefix oracle: version chains
-    are volatile, so the re-attached store must be indistinguishable
-    from the no-MVCC sweeps. *)
+    Version chains are volatile, so the re-attached store must pass the
+    same prefix oracle as the no-MVCC sweeps. *)
 
 val scn_mvcc_broken : unit -> scenario
 (** Mutation sanity check for the MVCC layer:
     {!Service.Kv.mvcc_break_early_publish} makes a staged prepare
-    publish versions before any decision exists, so a snapshot taken
-    between prepare and decide observes an undecided write.  The
-    checker MUST flag it; excluded from {!all_scenarios}. *)
+    publish versions before any decision exists.  Its executor runs
+    each transaction as prepare → snapshot → decide → apply, so the
+    snapshot observes an undecided write.  The [snapshot-reads] oracle
+    MUST flag it; there is no prefix oracle. *)
 
 val scn_kv_rcache_put : unit -> scenario
 (** The kv-snapshot op mix on a store with both an MVCC window and a
     DRAM read cache ([rcache_entries:4] per shard — smaller than the
     per-shard keyspace, so the audits force CLOCK evictions).  After
-    every completed op the driver audits the completed-prefix model
+    every completed op the audit checks the completed-prefix model
     through the cached plain-[get] path {e and} through a fresh
     snapshot; a stale cached digest is a [cached-reads]
-    counterexample.  Recovery keeps the standard acked-prefix oracle:
-    the cache is volatile, so the re-attached store must be
-    indistinguishable from the uncached sweeps. *)
+    counterexample.  The cache is volatile, so the re-attached store
+    must pass the same prefix oracle as the uncached sweeps. *)
 
 val scn_rcache_broken : unit -> scenario
 (** Mutation sanity check for the read cache
     ({!Service.Kv.rcache_break_late_invalidate}): invalidations are
     deferred until the {e next} mutation starts, so between a
     mutation's reply and the following op the cache still serves the
-    overwritten digest.  The [cached-reads] oracle MUST flag it;
-    excluded from {!all_scenarios}. *)
+    overwritten digest.  The [cached-reads] oracle MUST flag it. *)
 
 val scn_kv_replicated_put : unit -> scenario
-(** Sync replication over a two-machine cluster: each op persists on
-    the primary, ships over a {!Cluster.Link}, is applied/persisted on
-    the backup and cumulatively acked — and the sweep crashes the
-    whole cluster at every fence of that pipeline (both devices' fence
-    streams share one point space via [aux_devs]).  Recovery attaches
-    the {e backup}; the oracle asserts every sync-acked write is
-    readable there after primary loss. *)
+(** Sync replication over a two-machine cluster at window 1, one
+    transaction included: each op commits as a group of one on the
+    primary, ships over a {!Cluster.Link}, is applied/persisted on the
+    backup and acked — and the sweep crashes the whole cluster at
+    every fence of that pipeline (both devices' fence streams share
+    one point space via [aux_devs]).  Recovery attaches the
+    {e backup}; the prefix oracle ["kv-replica"] asserts every
+    sync-acked write is readable there after primary loss. *)
 
 val scn_kv_batched_put : ?window:int -> ?premature_ack:bool -> unit -> scenario
-(** The batched pipeline end to end: queued mutations drain in groups
-    of [window] (default 4) through {!Service.Kv.group_commit} (one
-    covering persist chain per chunk), ship as one doorbell frame per
-    chunk ({!Replica.Shipper.ship_buffered} + [flush]) and are acked
-    cumulatively by a batched applier.  Same correlated cluster-wide
-    crash as [kv-replicated-put]; the oracle is the {e windowed}
-    prefix rule — the recovered backup must equal the plan prefix at
-    some length in [acked, acked + window], i.e. a crash mid-batch
-    loses at most the unacked window and never an acked op.
-    [premature_ack] (default false) arms the seeded bug below. *)
+(** The same driver at commit-group window [window] (default 4), all
+    keys on one shard so every group fills: one covering persist chain
+    per chunk, one doorbell frame per chunk, cumulative batched acks.
+    The prefix oracle ["kv-batched"] has the group's window, so a
+    crash mid-batch may lose the unacked window and never an acked
+    op.  [premature_ack] (default false) arms the seeded bug below. *)
 
 val scn_kv_batched_broken : unit -> scenario
 (** Mutation sanity check for the batching layer: the driver claims a
     group durable {e before} its covering flush is acked — exactly the
     "ack before fence" bug group commit must not introduce.  The
-    checker MUST flag it; excluded from {!all_scenarios}. *)
+    checker MUST flag it. *)
 
 val scn_kv_tcache_put : unit -> scenario
 (** The kv-put/delete/overwrite mix allocated through a {!Tcache}
@@ -316,21 +409,18 @@ val scn_kv_tcache_broken : unit -> scenario
     ({!Tcache.break_recycle}): frees recycle into the bins with no
     reclaim lease and no persistent free, so a crash orphans every
     block whose store reference was dropped.  The census oracle MUST
-    flag it; excluded from {!all_scenarios}. *)
+    flag it. *)
 
-val scn_broken_missing_flush : unit -> scenario
-(** Mutation sanity check: a two-line "write data, persist commit
-    flag" protocol that {e forgets the clwb on the data line}.  Its
-    extra oracle demands data be intact whenever the flag persisted;
-    the checker must report a counterexample at the flag's fence. *)
+(** {2 The scenario table} *)
+
+val scenarios : (string * (unit -> scenario) * bool) list
+(** Every built-in scenario as [(name, constructor, seeded_bug)]: the
+    correct ones in sweep order, then the seeded bugs.  The one place
+    scenario names live; the CLI's [--scenario] help is built from it. *)
 
 val all_scenarios : unit -> scenario list
-(** Every correct scenario (not the broken one). *)
+(** Every correct scenario of {!scenarios}, in table order (no seeded
+    bug). *)
 
 val scenario_by_name : string -> scenario option
-(** ["alloc" | "free" | "tx-commit" | "tx-abort" | "extend" |
-    "kv-put" | "kv-delete" | "kv-shift" | "kv-split" |
-    "kv-commit-broken" | "kv-txn" | "kv-txn-broken" |
-    "kv-snapshot" | "mvcc-broken" | "kv-rcache-put" | "rcache-broken" |
-    "kv-replicated-put" | "kv-batched-put" | "kv-batched-broken" |
-    "kv-tcache-put" | "tcache-broken" | "carve" | "broken"]. *)
+(** The {!scenarios} entry of that name, seeded bugs included. *)

@@ -114,8 +114,12 @@ module Shipper = struct
   (* Window admission bounds unacked records, i.e. the async-mode
      replication lag.  The handler polls; acks are drained here too so
      progress does not depend on the pump thread's schedule.  Then the
-     record is sequenced, kept for go-back-N and handed to [put]. *)
-  let enqueue t ~trace ~span ~shard op put =
+     record is sequenced, kept for go-back-N and staged toward the
+     backup with no wire charge; a later [flush] ships every staged
+     record of every shard as one framed batch.  A frame lost on the
+     wire is recovered record-by-record by [retransmit_due], exactly
+     like individual losses. *)
+  let ship ?(trace = -1) ?(span = -1) t ~shard op =
     while Queue.length t.unacked.(shard) >= t.cfg.window do
       poll_acks t;
       if Queue.length t.unacked.(shard) >= t.cfg.window then
@@ -128,20 +132,8 @@ module Shipper = struct
     if l > t.max_lag_ then t.max_lag_ <- l;
     t.shipped_ <- t.shipped_ + 1;
     t.last_tx.(shard) <- now_or_zero ();
-    put (Rec { shard; seq; op });
+    Link.buffer ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op });
     seq
-
-  let ship ?(trace = -1) ?(span = -1) t ~shard op =
-    enqueue t ~trace ~span ~shard op (fun r ->
-        ignore (Link.send ~trace ~span t.link ~dst:backup_ep r))
-
-  (* Doorbell variant: buffer the record toward the backup without
-     paying a wire charge; a later [flush] ships every buffered record
-     of every shard as one framed batch.  A frame lost on the wire is
-     recovered record-by-record by [retransmit_due], exactly like
-     individual losses. *)
-  let ship_buffered ?(trace = -1) ?(span = -1) t ~shard op =
-    enqueue t ~trace ~span ~shard op (Link.buffer ~trace ~span t.link ~dst:backup_ep)
 
   let flush t = Link.flush t.link ~dst:backup_ep
 

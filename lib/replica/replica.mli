@@ -89,26 +89,24 @@ module Shipper : sig
 
   val ship : ?trace:int -> ?span:int -> t -> shard:int -> op -> int
   (** Called by the shard's handler thread after the local persist.
-      Assigns the next sequence number, buffers the record and puts it
-      on the wire; blocks (polling) while the shard's unacked window
-      is full.  Returns the assigned sequence number.  [trace]/[span]
-      attach the request's {!Obs.Span} context to the record (and to
-      any retransmission of it), so the backup's wire/apply spans and
-      the ack's return hop join the request's span tree. *)
-
-  val ship_buffered : ?trace:int -> ?span:int -> t -> shard:int -> op -> int
-  (** Like {!ship}, but stages the record in the link's doorbell buffer
-      ({!Cluster.Link.buffer}) instead of putting it on the wire: no
-      per-record wire charge, nothing visible to the backup until
-      {!flush}.  Sequencing, window admission and go-back-N
-      bookkeeping are identical — a frame lost in flight is recovered
-      record-by-record by the retransmit timer.  Callers must not ack
-      a client for a record that has not been covered by a {!flush}. *)
+      Assigns the next sequence number, keeps the record for go-back-N
+      and stages it in the link's doorbell buffer
+      ({!Cluster.Link.buffer}): no wire charge, nothing visible to the
+      backup until {!flush}.  Blocks (polling) while the shard's
+      unacked window is full.  Returns the assigned sequence number.
+      [trace]/[span] attach the request's {!Obs.Span} context to the
+      record (and to any retransmission of it), so the backup's
+      wire/apply spans and the ack's return hop join the request's
+      span tree.  Callers must not ack a client for a record that no
+      {!flush} has covered. *)
 
   val flush : t -> int
-  (** Ring the doorbell: ship every record staged by {!ship_buffered}
-      (all shards) as one framed batch — one wire latency charge for
-      the whole group.  Returns the number of records in the frame
+  (** Ring the doorbell: put every record staged by {!ship} (all
+      shards) on the wire as one framed batch — one sender CPU charge,
+      one fault roll and one wire latency for the whole group, so a
+      frame of one pays what a single {!Cluster.Link.send} does.  A
+      frame lost in flight is recovered record-by-record by the
+      retransmit timer.  Returns the number of records in the frame
       ([0] = nothing staged, nothing charged). *)
 
   val poll_acks : t -> unit

@@ -296,7 +296,6 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   let outstanding : (int, pending) Hashtbl.t array =
     Array.init cfg.clients (fun _ -> Hashtbl.create 64)
   in
-  let batched = cfg.batch_window > 1 in
 
   (* ---------- server threads (one per shard) ---------- *)
   let server_body i () =
@@ -398,10 +397,10 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       | Local | Ship _ -> send ()
     in
     (* A committed transaction ships every participant's prepare and
-       decide records under its locks; batched, they stage in the
-       doorbell buffer and leave as one frame, so the decide stops
-       paying its own round trip.  2PC lock discipline: the participant
-       locks are held until the backup has acked the whole group — in
+       decide records under its locks; they stage in the doorbell
+       buffer and leave as one frame, so the decide never pays its own
+       round trip.  2PC lock discipline: the participant locks are
+       held until the backup has acked the whole group — in
        BOTH modes, not just sync.  Streams are shipped under these
        locks, so the wait guarantees the next transaction touching one
        of these shards cannot reach the backup while this group's slots
@@ -410,22 +409,17 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
        occupied slot.  Returns whether the ack came before the
        deadline. *)
     let ship_txn s ~trace ~span res =
-      let send =
-        if batched then Replica.Shipper.ship_buffered else Replica.Shipper.ship
-      in
+      let ship = Replica.Shipper.ship s.shipper ~trace ~span in
       let txn = res.Kv.txn_id and nparts = List.length res.Kv.participants in
       let dseqs =
         List.map
           (fun (shard, ops) ->
-            ignore
-              (send s.shipper ~trace ~span ~shard
-                 (Replica.Txn_prepare { txn; ops }));
+            ignore (ship ~shard (Replica.Txn_prepare { txn; ops }));
             ( shard,
-              send s.shipper ~trace ~span ~shard
-                (Replica.Txn_decide { txn; commit = true; nparts }) ))
+              ship ~shard (Replica.Txn_decide { txn; commit = true; nparts }) ))
           res.Kv.participants
       in
-      if batched then ignore (Replica.Shipper.flush s.shipper);
+      ignore (Replica.Shipper.flush s.shipper);
       let sra = Span.open_span ~trace ~parent:span Span.Repl_ack in
       let acked = await s (fun () -> List.for_all (covered s) dseqs) in
       Span.close_span sra;
@@ -579,7 +573,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                     | Kv.Tdel { key } -> Replica.Del { key }
                   in
                   last_seq :=
-                    Replica.Shipper.ship_buffered s.shipper ~trace:g.g_msg.trace
+                    Replica.Shipper.ship s.shipper ~trace:g.g_msg.trace
                       ~span:g.g_store ~shard:i rop)
                 cops;
               ignore (Replica.Shipper.flush s.shipper))

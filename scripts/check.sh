@@ -34,6 +34,26 @@ dune build
 step="dune runtest"
 dune runtest
 
+# mutation gate: the checker must flag a seeded bug with exit status 1
+# (counterexamples found).  Any other status fails the gate: 0 means
+# the bug went unseen, 2 an unknown scenario name (a typo) and 125 an
+# exception, e.g. a scenario that raises in set-up — neither is a
+# verdict.  Usage: mutation_gate SCENARIO "BUG" [crashcheck flags...]
+mutation_gate() {
+  scn="$1"
+  bug="$2"
+  shift 2
+  step="crashcheck mutation gate ($scn)"
+  status=0
+  dune exec bin/main.exe -- crashcheck --scenario "$scn" "$@" \
+    --seed "$CRASH_SEED" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "check: crashcheck FAILED to detect the seeded $bug" \
+      "(exit $status, want 1)" >&2
+    exit 1
+  fi
+}
+
 # crashcheck smoke: a strided sample of crash points per operation so
 # tier-1 stays fast (the exhaustive sweep runs in test_crashcheck and
 # via `bin/main.exe crashcheck` with no budget).
@@ -41,13 +61,8 @@ step="crashcheck smoke"
 dune exec bin/main.exe -- crashcheck --max-points 6 --subsets 1 \
   --seed "$CRASH_SEED" > /dev/null
 # mutation sanity: the checker must flag the deliberately-broken
-# missing-flush protocol (non-zero exit = counterexample found).
-step="crashcheck mutation gate (broken)"
-if dune exec bin/main.exe -- crashcheck --scenario broken --max-points 2 \
-     --subsets 0 --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded missing-flush bug" >&2
-  exit 1
-fi
+# missing-flush protocol (exit 1 = counterexamples found).
+mutation_gate broken "missing-flush bug" --max-points 2 --subsets 0
 # service crash-point sweep: the KV write path's commit-slot protocol,
 # strided for tier-1 speed (exhaustive in test_crashcheck / manual runs).
 step="crashcheck kv-put sweep"
@@ -66,14 +81,9 @@ done
 # commit-slot mutation gate, EXHAUSTIVE: chunks whose decided word rides
 # the slot's fence, ahead of the allocator commit; the no-dangling
 # check MUST flag the redo of a slot whose blocks the heap's replay
-# freed (non-zero exit), or the checker has lost the commit point's
+# freed (exit 1), or the checker has lost the commit point's
 # order.
-step="crashcheck mutation gate (kv-commit-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario kv-commit-broken \
-     --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded unordered commit point" >&2
-  exit 1
-fi
+mutation_gate kv-commit-broken "unordered commit point"
 # cross-shard transaction sweep, EXHAUSTIVE: every fence-to-fence crash
 # point of the 2PC coordinator-record protocol (prepare slots, decision
 # record, apply, recovery) must keep each transaction all-or-nothing.
@@ -83,13 +93,8 @@ dune exec bin/main.exe -- crashcheck --scenario kv-txn \
   --seed "$CRASH_SEED" > /dev/null
 # 2PC mutation gate: same sweep against a coordinator that skips the
 # decision-record flush; the checker MUST produce a counterexample
-# (non-zero exit), or it has lost the power to see the commit point.
-step="crashcheck mutation gate (kv-txn-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario kv-txn-broken \
-     --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded unflushed 2PC decision record" >&2
-  exit 1
-fi
+# (exit 1), or it has lost the power to see the commit point.
+mutation_gate kv-txn-broken "unflushed 2PC decision record"
 # batched replication sweep: group-committed puts shipped as doorbell
 # frames with cumulative batched acks, strided like kv-put; recovery
 # is judged by the windowed prefix oracle (ack-before-flush would
@@ -98,15 +103,11 @@ step="crashcheck kv-batched-put sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-batched-put \
   --max-points 8 --subsets 1 --seed "$CRASH_SEED" > /dev/null
 # batching mutation gate: the same sweep against a shipper that acks
-# clients BEFORE the doorbell flush; the oracle MUST flag it (non-zero
-# exit), or it can no longer see the ack-after-persist ordering the
+# clients BEFORE the doorbell flush; the oracle MUST flag it (exit 1),
+# or it can no longer see the ack-after-persist ordering the
 # group-commit guarantee rests on.
-step="crashcheck mutation gate (kv-batched-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario kv-batched-broken \
-     --max-points 6 --subsets 1 --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded ack-before-flush batching bug" >&2
-  exit 1
-fi
+mutation_gate kv-batched-broken "ack-before-flush batching bug" \
+  --max-points 6 --subsets 1
 # MVCC snapshot-read sweep, EXHAUSTIVE: after every completed op the
 # scenario audits a minted snapshot (snapshot_get over the key
 # universe + one multi-shard snapshot_scan) against the
@@ -117,14 +118,10 @@ dune exec bin/main.exe -- crashcheck --scenario kv-snapshot \
   --seed "$CRASH_SEED" > /dev/null
 # MVCC mutation gate: a staged prepare that publishes its versions
 # BEFORE any decision exists; the snapshot-reads oracle MUST flag the
-# uncommitted observation (non-zero exit), or it has lost the power to
+# uncommitted observation (exit 1), or it has lost the power to
 # see the publish-at-decision rule snapshot isolation rests on.
-step="crashcheck mutation gate (mvcc-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario mvcc-broken \
-     --max-points 6 --subsets 1 --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded early-publish MVCC bug" >&2
-  exit 1
-fi
+mutation_gate mvcc-broken "early-publish MVCC bug" \
+  --max-points 6 --subsets 1
 # magazine-cache sweep, EXHAUSTIVE: every fence-to-fence crash point
 # of the cached KV write path (batched carve under ledger leases,
 # publish-at-commit, stash-then-recycle frees) must leave the
@@ -144,15 +141,11 @@ dune exec bin/main.exe -- crashcheck --scenario carve \
   --seed "$CRASH_SEED" > /dev/null
 # cache mutation gate: the same sweep against a cache that recycles
 # freed blocks with no reclaim lease and no persistent free; the
-# value-census oracle MUST flag the orphaned blocks (non-zero exit),
+# value-census oracle MUST flag the orphaned blocks (exit 1),
 # or it has lost the power to see the reclaim-before-recycle rule the
 # cache's crash safety rests on.
-step="crashcheck mutation gate (tcache-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario tcache-broken \
-     --max-points 8 --subsets 1 --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded leaseless-recycle cache bug" >&2
-  exit 1
-fi
+mutation_gate tcache-broken "leaseless-recycle cache bug" \
+  --max-points 8 --subsets 1
 # read-cache sweep: the cache-armed put/delete/txn plan audits every
 # key through BOTH read paths (cached plain gets and a minted
 # snapshot) against the completed-prefix model after each op, strided
@@ -163,14 +156,10 @@ dune exec bin/main.exe -- crashcheck --scenario kv-rcache-put \
 # read-cache mutation gate: the same sweep against a cache whose
 # invalidations are deferred past the mutation's return
 # (invalidate-after-reply); the cached-reads oracle MUST flag the
-# stale window (non-zero exit), or it has lost the power to see the
+# stale window (exit 1), or it has lost the power to see the
 # write-through rule the cache's coherence rests on.
-step="crashcheck mutation gate (rcache-broken)"
-if dune exec bin/main.exe -- crashcheck --scenario rcache-broken \
-     --max-points 8 --subsets 1 --seed "$CRASH_SEED" > /dev/null 2>&1; then
-  echo "check: crashcheck FAILED to detect the seeded late-invalidation cache bug" >&2
-  exit 1
-fi
+mutation_gate rcache-broken "late-invalidation cache bug" \
+  --max-points 8 --subsets 1
 # serve smoke: bounded open-loop traffic with a crash at the midpoint;
 # exits non-zero if the recovered store loses any acked write.
 step="serve crash smoke"

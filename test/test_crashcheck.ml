@@ -105,6 +105,54 @@ let test_healthy_point_is_green () =
   | None -> ()
   | Some cx -> Alcotest.failf "unexpected: %s" cx.C.cx_detail
 
+(* ---------- the KV driver and the scenario table ---------- *)
+
+(* An executor that acks a delete without running it leaves the
+   deleted key in the store.  No later op touches that key, so only a
+   prefix rule that checks every key of the universe can see it: the
+   acked-prefix oracle must flag every crash point after the delete,
+   the one past the whole plan included. *)
+let test_prefix_oracle_sees_acked_delete () =
+  let skip_deletes r i = function
+    | C.Kdel _ -> ()
+    | o -> C.kv_exec r i o
+  in
+  let honest =
+    { C.kv_default with
+      C.kname = "kv-delete-put";
+      preload = [ (1, 11); (2, 12); (3, 13) ];
+      plan = [ C.Kdel 2; C.Kput (3, 23) ] }
+  in
+  let r =
+    C.run ~subsets_per_point:0
+      (C.kv_sweep { honest with C.kname = "kv-skipped-delete"; exec = skip_deletes })
+  in
+  check "the put's fences are swept" true (r.C.points_explored > 1);
+  check_int "every crash point flagged" r.C.points_explored
+    (List.length r.C.counterexamples);
+  List.iter
+    (fun cx ->
+      Alcotest.(check string) "by the prefix oracle" "kv-store" cx.C.cx_oracle)
+    r.C.counterexamples;
+  (* the same plan run honestly is green *)
+  check_int "the honest run is green" 0
+    (List.length
+       (C.run ~subsets_per_point:0 (C.kv_sweep honest)).C.counterexamples)
+
+let test_scenario_table () =
+  List.iter
+    (fun (name, mk, _) ->
+      Alcotest.(check string) "table name is the scenario's sname" name
+        (mk ()).C.sname)
+    C.scenarios;
+  Alcotest.(check (list string)) "all_scenarios: the correct entries, in order"
+    (List.filter_map
+       (fun (name, _, bug) -> if bug then None else Some name)
+       C.scenarios)
+    (List.map (fun s -> s.C.sname) (C.all_scenarios ()));
+  check "an unknown name is no scenario" true
+    (C.scenario_by_name "kv-commit-brokn" = None)
+
 let test_obs_counters_advance () =
   let get name =
     Option.value ~default:0
@@ -143,6 +191,10 @@ let () =
             test_counterexample_replays;
           Alcotest.test_case "healthy point green" `Quick
             test_healthy_point_is_green ] );
+      ( "kv driver",
+        [ Alcotest.test_case "prefix oracle sees an acked delete" `Quick
+            test_prefix_oracle_sees_acked_delete;
+          Alcotest.test_case "scenario table names" `Quick test_scenario_table ] );
       ( "obs",
         [ Alcotest.test_case "counters advance" `Quick
             test_obs_counters_advance ] ) ]

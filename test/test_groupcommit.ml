@@ -276,7 +276,7 @@ let test_batched_ship_cumulative_ack () =
     in
     for k = 1 to 6 do
       ignore
-        (R.Shipper.ship_buffered sh ~shard:(k mod 2)
+        (R.Shipper.ship sh ~shard:(k mod 2)
            (R.Put { key = k; vseed = k }))
     done;
     (* no ack can precede the covering flush: nothing is even on the
@@ -344,16 +344,15 @@ let test_piggybacked_decide_equivalence () =
                   and dec =
                     R.Txn_decide { txn = res.Kv.txn_id; commit = true; nparts }
                   in
-                  if piggyback then begin
-                    ignore (R.Shipper.ship_buffered sh ~shard:s prep);
-                    ignore (R.Shipper.ship_buffered sh ~shard:s dec)
-                  end
-                  else begin
-                    ignore (R.Shipper.ship sh ~shard:s prep);
-                    ignore (R.Shipper.ship sh ~shard:s dec)
-                  end)
+                  (* per record, each record is a frame of one;
+                     piggybacked, the flush below sends one frame *)
+                  List.iter
+                    (fun r ->
+                      ignore (R.Shipper.ship sh ~shard:s r);
+                      if not piggyback then ignore (R.Shipper.flush sh))
+                    [ prep; dec ])
                 res.Kv.participants;
-              if piggyback then ignore (R.Shipper.flush sh))
+              ignore (R.Shipper.flush sh))
         in
         committed := res.Kv.committed :: !committed;
         R.Applier.pump ap ~until:(fun () ->

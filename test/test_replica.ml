@@ -146,7 +146,9 @@ let test_protocol_dedup_and_ack () =
   in
   for k = 1 to 6 do
     let shard = k mod 2 in
-    ignore (R.Shipper.ship sh ~shard (R.Put { key = k; vseed = k }))
+    ignore (R.Shipper.ship sh ~shard (R.Put { key = k; vseed = k }));
+    (* one wire trip per record: each frame of one rolls its own dup *)
+    ignore (R.Shipper.flush sh)
   done;
   (* the link duplicates aggressively; the applier must apply each
      record exactly once and keep per-shard sequence order *)
