@@ -526,14 +526,12 @@ let apply_kv tbl = function
           | Service.Kv.Tdel { key } -> Hashtbl.remove tbl key)
         ops
 
+let op_keys = function
+  | Kput (k, _) | Kdel k -> [ k ]
+  | Ktxn ops -> List.map txn_op_key ops
+
 let universe_of ~preload ~plan =
-  List.sort_uniq compare
-    (List.map fst preload
-    @ List.concat_map
-        (function
-          | Kput (k, _) | Kdel k -> [ k ]
-          | Ktxn ops -> List.map txn_op_key ops)
-        plan)
+  List.sort_uniq compare (List.map fst preload @ List.concat_map op_keys plan)
 
 (* The no-dangling rule: every value pointer in every tree (each leaf
    entry, a duplicate or stale one included) names a live block.  A
@@ -637,7 +635,6 @@ type kv_scenario = {
   mvcc_window : int;
   rcache_entries : int;
   wrap : Alloc_intf.instance -> Alloc_intf.instance;
-  tweak : Service.Kv.t -> unit;
   preload : (int * int) list;
   plan : kv_op list;
   slack : int;
@@ -662,7 +659,6 @@ let kv_default =
     mvcc_window = 0;
     rcache_entries = 0;
     wrap = Fun.id;
-    tweak = ignore;
     preload = [];
     plan = [];
     slack = 4096;
@@ -779,11 +775,11 @@ let replicate k b ~acked ~settle ~primary ~backup =
 
 (* The one KV driver.  Set-up builds the store (with a backup, two:
    the backup's is [env], the machine the sweep recovers, and the
-   primary's device rides in [aux_devs]), preloads it and arms
-   [tweak].  A local sweep runs each plan op through [exec], then
-   advances the completed-prefix model and [acked] and runs the audit.
-   The read violations [exec] and the audit flag surface through the
-   reads oracle at every crash point past them, naming the first. *)
+   primary's device rides in [aux_devs]) and preloads it.  A local
+   sweep runs each plan op through [exec], then advances the
+   completed-prefix model and [acked] and runs the audit.  The read
+   violations [exec] and the audit flag surface through the reads
+   oracle at every crash point past them, naming the first. *)
 let kv_sweep (k : kv_scenario) =
   let universe = universe_of ~preload:k.preload ~plan:k.plan in
   let acked = ref 0 and violations = ref [] in
@@ -800,8 +796,7 @@ let kv_sweep (k : kv_scenario) =
       (fun (key, vseed) ->
         if not (List.for_all (fun s -> Service.Kv.put s ~key ~vseed) stores)
         then failwith (k.kname ^ " scenario: preload put failed"))
-      k.preload;
-    List.iter k.tweak stores
+      k.preload
   in
   let local s env =
     let model = Hashtbl.create 32 in
@@ -979,28 +974,65 @@ let kv_txn_base =
 let scn_kv_txn () =
   kv_sweep { kv_txn_base with kname = "kv-txn"; plan = kv_txn_plan () }
 
-(* The seeded 2PC bug: the coordinator forgets to flush the decision
-   record, so a crash between the participant applies can surface half
-   a transaction.  The checker MUST find a counterexample here — the
-   mutation gate in scripts/check.sh fails CI if it does not. *)
+(* The seeded 2PC bug: a transaction is prepared and applied with no
+   decide between, so no decision record ever names it.  A crash
+   between the participant applies leaves one shard published and
+   rolls the other back (presumed abort): half a transaction.  Puts
+   and deletes run as usual.  The checker MUST find a counterexample
+   here — the mutation gate in scripts/check.sh fails CI if it does
+   not. *)
+let undecided_txn r i = function
+  | Ktxn ops -> (
+    match Service.Kv.txn_prepare r.store ops with
+    | Ok prepared -> Service.Kv.txn_apply r.store prepared
+    | Error _ -> ())
+  | o -> kv_exec r i o
+
 let scn_kv_txn_broken () =
   kv_sweep
     { kv_txn_base with
       kname = "kv-txn-broken";
-      tweak = Service.Kv.txn_break_decision_persist;
-      plan = kv_txn_plan () }
+      plan = kv_txn_plan ();
+      exec = undecided_txn }
 
-(* The seeded commit-slot bug: the chunk's decided word rides its
-   slot's fence, so it is durable before the allocator commit.  A
-   crash between the two redoes a slot whose value blocks the heap's
-   replay has just freed: every value still reads right, so only the
-   no-dangling check in the prefix oracle can flag it — the mutation
-   gate in scripts/check.sh fails CI if it does not. *)
+(* The seeded commit-slot bug, in the allocator under the store: its
+   [tx_commit] only records a debt, which the next [alloc], [tx_alloc]
+   or [free] pays before its own work.  So a chunk's decided word is
+   durable before its allocator commit.  A crash between the two
+   redoes a slot whose value blocks the heap's replay has just freed:
+   every value still reads right, so only the no-dangling check in the
+   prefix oracle can flag it — the mutation gate in scripts/check.sh
+   fails CI if it does not. *)
+let deferred_commit inner =
+  let (Alloc_intf.Instance ((module I), h)) = inner in
+  let owed = ref false in
+  let pay () =
+    if !owed then begin
+      owed := false;
+      I.tx_commit h
+    end
+  in
+  let module W = struct
+    include I
+
+    let tx_commit _ = owed := true
+
+    let alloc h size =
+      pay ();
+      I.alloc h size
+
+    let tx_alloc h size ~is_end =
+      pay ();
+      I.tx_alloc h size ~is_end
+
+    let free h p =
+      pay ();
+      I.free h p
+  end in
+  Alloc_intf.Instance ((module W), h)
+
 let scn_kv_commit_broken () =
-  kv_sweep
-    { kv_put_base with
-      kname = "kv-commit-broken";
-      tweak = Service.Kv.txn_break_decision_persist }
+  kv_sweep { kv_put_base with kname = "kv-commit-broken"; wrap = deferred_commit }
 
 (* MVCC read-path sweep: the kv-put/delete/txn op mix again, but on a
    store with a version window, and after every completed operation the
@@ -1059,20 +1091,20 @@ let scn_kv_snapshot () =
             noun = "stale/torn snapshot read";
             audit = snapshot_audit } }
 
-(* The seeded MVCC bug: {!Service.Kv.mvcc_break_early_publish} makes
-   every prepare publish the transaction's versions before any
-   decision record exists.  The executor stages prepare → observes a
-   snapshot → decides → applies; the observation between prepare and
-   decide reads values no committed history contains, so the
-   [snapshot-reads] oracle must produce counterexamples — the mutation
-   gate in scripts/check.sh fails CI when the checker stays green. *)
+(* The seeded MVCC bug: each transaction runs prepare → apply →
+   snapshot → decide, so its versions are public before any decision
+   record exists.  The snapshot between apply and decide reads values
+   no committed history contains, so the [snapshot-reads] oracle must
+   produce counterexamples — the mutation gate in scripts/check.sh
+   fails CI when the checker stays green. *)
 let staged_txn r i = function
   | Ktxn ops -> (
     match Service.Kv.txn_prepare r.store ops with
     | Error _ -> failwith "mvcc-broken scenario: prepare aborted"
     | Ok prepared ->
-      (* the transaction is prepared but undecided: no snapshot may
-         see its writes yet — with the bug armed, it does *)
+      Service.Kv.txn_apply r.store prepared;
+      (* the transaction is still undecided: no snapshot may see its
+         writes yet *)
       let ts = Service.Kv.snapshot r.store in
       List.iter
         (fun top ->
@@ -1082,8 +1114,7 @@ let staged_txn r i = function
               (Printf.sprintf "txn %d: snapshot observed undecided write to key %d"
                  i k))
         ops;
-      ignore (Service.Kv.txn_decide r.store prepared);
-      Service.Kv.txn_apply r.store prepared)
+      ignore (Service.Kv.txn_decide r.store prepared))
   | Kput _ | Kdel _ -> invalid_arg "mvcc-broken scenario: transactions only"
 
 let scn_mvcc_broken () =
@@ -1091,7 +1122,6 @@ let scn_mvcc_broken () =
     { kv_default with
       kname = "mvcc-broken";
       mvcc_window = 4;
-      tweak = Service.Kv.mvcc_break_early_publish;
       slack = 8192;
       preload = [ (3, 161); (4, 162); (5, 163) ];
       plan =
@@ -1143,39 +1173,59 @@ let rcache_audit r i =
              i k))
     r.universe
 
-let scn_kv_rcache ~tweak ~kname =
-  kv_sweep
-    { kv_default with
-      kname;
-      mvcc_window = 4;
-      rcache_entries = 4;
-      tweak;
-      slack = 8192;
-      preload = [ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ];
-      plan =
-        [ Kput (3, 701); Kput (9, 702); Kdel 2;
-          Ktxn
-            [ Service.Kv.Tput { key = 5; vseed = 703 };
-              Service.Kv.Tput { key = 7; vseed = 704 } ];
-          Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ];
-      reads =
-        Some
-          { rname = "cached-reads";
-            noun = "stale cached read";
-            audit = rcache_audit } }
+let kv_rcache_base =
+  { kv_default with
+    mvcc_window = 4;
+    rcache_entries = 4;
+    slack = 8192;
+    preload = [ (1, 171); (2, 172); (3, 173); (4, 174); (5, 175); (6, 176) ];
+    plan =
+      [ Kput (3, 701); Kput (9, 702); Kdel 2;
+        Ktxn
+          [ Service.Kv.Tput { key = 5; vseed = 703 };
+            Service.Kv.Tput { key = 7; vseed = 704 } ];
+        Kput (3, 705); Kdel 5; Kput (10, 706); Kput (9, 707) ];
+    reads =
+      Some
+        { rname = "cached-reads";
+          noun = "stale cached read";
+          audit = rcache_audit } }
 
-let scn_kv_rcache_put () = scn_kv_rcache ~tweak:ignore ~kname:"kv-rcache-put"
+let scn_kv_rcache_put () = kv_sweep { kv_rcache_base with kname = "kv-rcache-put" }
 
-(* The seeded cache bug: {!Service.Kv.rcache_break_late_invalidate}
-   defers every invalidation until the NEXT mutation starts, so between
-   a mutation's return and the following one the cache still serves the
-   overwritten (or deleted) digest.  The audits between ops read exactly
-   that window, so the [cached-reads] oracle must produce
-   counterexamples — the mutation gate in scripts/check.sh fails CI when
-   the checker stays green. *)
+(* The seeded cache bug, written against the store's cache from
+   outside: invalidate after reply.  Before each op the executor notes
+   which of the op's keys are cached, with the digest the model holds;
+   after the op it puts those digests back (vts 0: every snapshot
+   admits them), and only when the next op starts does it invalidate
+   them.  Between an op's return and the next op the cache serves the
+   overwritten or deleted digest.  The audits read exactly that window,
+   so the [cached-reads] oracle must produce counterexamples — the
+   mutation gate in scripts/check.sh fails CI when the checker stays
+   green. *)
+let late_invalidate () =
+  let stale = ref [] in
+  fun r i o ->
+    let rc = Service.Kv.rcache r.store in
+    (* op 0 starts a new run on a new store *)
+    if i = 0 then stale := [];
+    List.iter (fun (shard, key, _) -> Rcache.invalidate rc ~shard ~key) !stale;
+    stale :=
+      List.filter_map
+        (fun key ->
+          let shard = Service.Kv.shard_of_key r.store key in
+          match expected r key with
+          | Some digest when Rcache.mem rc ~shard ~key -> Some (shard, key, digest)
+          | _ -> None)
+        (op_keys o);
+    kv_exec r i o;
+    List.iter
+      (fun (shard, key, digest) -> Rcache.insert rc ~shard ~key ~digest ~vts:0)
+      !stale
+
 let scn_rcache_broken () =
-  scn_kv_rcache ~tweak:Service.Kv.rcache_break_late_invalidate
-    ~kname:"rcache-broken"
+  kv_sweep
+    { kv_rcache_base with kname = "rcache-broken"; exec = late_invalidate () }
 
 (* Sweep the full sync-replication pipeline at window 1: each op is a
    commit group of one on the primary, shipped as a frame of one, then
@@ -1208,11 +1258,11 @@ let scn_kv_replicated_put () =
    applier with cumulative acks.  All keys sit on shard 0 of 2
    (asserted), so every commit group fills its window; the windowed
    prefix oracle asserts the loss bound: a crash mid-group loses at
-   most the unacked window, never an acked op.  [premature_ack] is the
+   most the unacked window, never an acked op.  [ack_early] is the
    seeded bug for the mutation gate: the driver claims the group
    durable BEFORE executing/flushing it — acks ahead of the covering
    flush — which the checker must flag. *)
-let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~kname () =
+let scn_kv_batched ~window ~ack_early ~kname =
   let plan =
     [ Kput (3, 401); Kput (9, 402); Kdel 2; Kput (10, 403); Kput (3, 404);
       Kdel 99; Kput (2, 405); Kdel 8; Kput (7, 406); Kput (99, 407) ]
@@ -1229,13 +1279,13 @@ let scn_kv_batched ?(window = 4) ?(premature_ack = false) ~kname () =
       plan;
       prefix = Some "kv-batched";
       backup =
-        Some { batch = window; repl_window = 32; ack_early = premature_ack } }
+        Some { batch = window; repl_window = 32; ack_early } }
 
-let scn_kv_batched_put ?window ?premature_ack () =
-  scn_kv_batched ?window ?premature_ack ~kname:"kv-batched-put" ()
+let scn_kv_batched_put ?(window = 4) () =
+  scn_kv_batched ~window ~ack_early:false ~kname:"kv-batched-put"
 
 let scn_kv_batched_broken () =
-  scn_kv_batched ~premature_ack:true ~kname:"kv-batched-broken" ()
+  scn_kv_batched ~window:4 ~ack_early:true ~kname:"kv-batched-broken"
 
 (* ---------- magazine-cache sweep (lib/tcache) ---------- *)
 
@@ -1286,34 +1336,65 @@ let kv_value_census_oracle ~value_size ~universe () =
    until crash recovery frees them), so up to 2 x mag blocks of each
    cached class (64 B values, 512 B tree nodes) plus one in-flight
    carve sit between the snapshot and the recovered heap. *)
-let scn_kv_tcache ?(break = false) ~kname () =
+let kv_tcache_base =
   let preload = [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
   and plan =
     [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
       Kdel 5; Kput (11, 605); Kput (9, 606) ]
   in
-  kv_sweep
-    { kv_default with
-      kname;
-      wrap =
-        (fun inst ->
-          let wrapped, h = Tcache.wrap ~mag:4 inst in
-          if break then Tcache.break_recycle h;
-          wrapped);
-      slack = 12288;
-      preload;
-      plan;
-      extra =
-        [ kv_value_census_oracle ~value_size:64
-            ~universe:(universe_of ~preload ~plan) () ] }
+  { kv_default with
+    slack = 12288;
+    preload;
+    plan;
+    extra =
+      [ kv_value_census_oracle ~value_size:64
+          ~universe:(universe_of ~preload ~plan) () ] }
 
-let scn_kv_tcache_put () = scn_kv_tcache ~kname:"kv-tcache-put" ()
+let magazine inst = fst (Tcache.wrap ~mag:4 inst)
 
-(* The seeded cache bug: frees recycle into the bins with no reclaim
-   lease and no persistent free.  The checker MUST flag this — the
-   mutation gate in scripts/check.sh fails CI if it does not. *)
+let scn_kv_tcache_put () =
+  kv_sweep { kv_tcache_base with kname = "kv-tcache-put"; wrap = magazine }
+
+(* The seeded cache bug, in the cache surface under the magazine: the
+   allocator remembers the size of every block it carves, and a free
+   of such a block is answered with lease -1 and nothing written, so
+   the block recycles into a bin with no reclaim lease and no
+   persistent free.  A crash between the store dropping its reference
+   and the recycled copy's new reference persisting orphans the block.
+   The checker MUST flag this — the mutation gate in scripts/check.sh
+   fails CI if it does not. *)
+let leaseless_stash inner =
+  let (Alloc_intf.Instance ((module I), h)) = inner in
+  let carved = Hashtbl.create 64 in
+  let at (p : Alloc_intf.nvmptr) = (p.subheap, p.off) in
+  let module W = struct
+    include I
+
+    let cache_ops h =
+      Option.map
+        (fun (ops : Alloc_intf.cache_ops) ->
+          { ops with
+            cache_carve =
+              (fun ~size ~count ->
+                let blocks = ops.cache_carve ~size ~count in
+                List.iter
+                  (fun b -> Hashtbl.replace carved (at b.Alloc_intf.cb_ptr) size)
+                  blocks;
+                blocks);
+            cache_stash =
+              (fun p ->
+                match Hashtbl.find_opt carved (at p) with
+                | Some size -> Some (-1, size)
+                | None -> ops.cache_stash p) })
+        (I.cache_ops h)
+  end in
+  Alloc_intf.Instance ((module W), h)
+
 let scn_kv_tcache_broken () =
-  scn_kv_tcache ~break:true ~kname:"tcache-broken" ()
+  kv_sweep
+    { kv_tcache_base with
+      kname = "tcache-broken";
+      wrap = (fun inst -> magazine (leaseless_stash inst)) }
 
 (* Every built-in scenario by name: the correct ones in sweep order,
    then the seeded bugs ([true]), which [all_scenarios] leaves out. *)

@@ -196,9 +196,12 @@ val scn_broken_missing_flush : unit -> scenario
     Every KV scenario is a {!kv_scenario} value handed to
     {!kv_sweep}, the one driver that sets up a {!Service.Kv} store and
     runs a plan through the sweep.  The value names the store's shape,
-    the preload, the plan, the ledger slack, optional read audits and
-    an optional backup; the driver owns set-up, the op loop, the
-    completed-prefix model and the oracles.
+    the preload, the plan, the ledger slack, the per-op executor,
+    optional read audits and an optional backup; {!kv_sweep} owns
+    set-up, the op loop, the completed-prefix model and the oracles.
+    Every seeded KV bug below is such a value too, written against its
+    [wrap] or [exec] seam or, for [kv-batched-broken], its backup's
+    [ack_early]: the production libraries carry no fault hooks.
 
     Every sweep with a prefix oracle is judged by one acked-prefix
     rule: after recovery the store must equal the plan-prefix state,
@@ -261,14 +264,17 @@ type kv_scenario = {
   mvcc_window : int;  (** store shape: {!Service.Kv.create}'s *)
   rcache_entries : int;  (** store shape: {!Service.Kv.create}'s *)
   wrap : Alloc_intf.instance -> Alloc_intf.instance;
-      (** allocator wrap, e.g. a {!Tcache} magazine cache *)
-  tweak : Service.Kv.t -> unit;
-      (** arms a seeded bug on every store after the preload *)
+      (** the allocator every store is built on, from the heap's own
+          instance: a {!Tcache} magazine cache, or an instance that
+          carries a seeded allocator-level bug *)
   preload : (int * int) list;  (** (key, vseed) puts before the sweep *)
   plan : kv_op list;
   slack : int;  (** the ledger's slack *)
   exec : kv_run -> int -> kv_op -> unit;
-      (** runs plan op [i] of a local sweep; {!kv_exec} by default *)
+      (** runs plan op [i] of a local sweep; {!kv_exec} by default.  A
+          seeded bug in how the store is driven (a skipped or moved
+          transaction step, a cache written behind the store's back)
+          lives here *)
   reads : kv_reads option;
   prefix : string option;
       (** the acked-prefix oracle's name; [None] = no prefix oracle *)
@@ -287,8 +293,8 @@ val kv_default : kv_scenario
 
 val kv_sweep : kv_scenario -> scenario
 (** The one KV driver.  Set-up builds the store (with a backup, two:
-    the backup's is [env], the machine the sweep recovers), preloads
-    it and arms [tweak]; the ledger's durable bytes are re-read after
+    the backup's is [env], the machine the sweep recovers) and preloads
+    it; the ledger's durable bytes are re-read after
     each completed op or group.  A local sweep runs each op through
     [exec], then advances the model and [acked] and runs the audit; a
     replicated sweep uses neither [exec] nor [reads].  The oracles are
@@ -314,12 +320,13 @@ val scn_kv_split : unit -> scenario
     [delete-all] oracle catches any that recovery did not trim. *)
 
 val scn_kv_commit_broken : unit -> scenario
-(** The kv-put plan with {!Service.Kv.txn_break_decision_persist}
-    armed: each chunk's decided word rides its slot's fence, ahead of
-    the allocator commit.  A crash between the two redoes a slot whose
-    blocks the heap's replay freed; only the no-dangling check sees it.
-    The checker {e must} report counterexamples — the mutation gate in
-    [scripts/check.sh] fails CI when it does not. *)
+(** The kv-put plan on an allocator whose [tx_commit] only records a
+    debt, paid by its next [alloc], [tx_alloc] or [free]: each chunk's
+    decided word is durable before its allocator commit.  A crash
+    between the two redoes a slot whose blocks the heap's replay
+    freed; only the no-dangling check sees it.  The checker {e must}
+    report counterexamples — the mutation gate in [scripts/check.sh]
+    fails CI when it does not. *)
 
 val scn_kv_txn : unit -> scenario
 (** Cross-shard transactions through the 2PC coordinator-record
@@ -329,11 +336,12 @@ val scn_kv_txn : unit -> scenario
     prefix, so it is a counterexample. *)
 
 val scn_kv_txn_broken : unit -> scenario
-(** The same plan with {!Service.Kv.txn_break_decision_persist} armed:
-    the coordinator forgets to flush the decision record.  The checker
-    {e must} report counterexamples (a crash between the participant
-    applies surfaces half a transaction) — the mutation gate in
-    [scripts/check.sh] fails CI when it does not. *)
+(** The same plan with each transaction run as
+    {!Service.Kv.txn_prepare} then {!Service.Kv.txn_apply}, with no
+    {!Service.Kv.txn_decide}: no decision record ever names it.  The
+    checker {e must} report counterexamples (a crash between the
+    participant applies surfaces half a transaction) — the mutation
+    gate in [scripts/check.sh] fails CI when it does not. *)
 
 val scn_kv_snapshot : unit -> scenario
 (** The kv op mix on a store with an MVCC version window: after every
@@ -345,12 +353,11 @@ val scn_kv_snapshot : unit -> scenario
     same prefix oracle as the no-MVCC sweeps. *)
 
 val scn_mvcc_broken : unit -> scenario
-(** Mutation sanity check for the MVCC layer:
-    {!Service.Kv.mvcc_break_early_publish} makes a staged prepare
-    publish versions before any decision exists.  Its executor runs
-    each transaction as prepare → snapshot → decide → apply, so the
-    snapshot observes an undecided write.  The [snapshot-reads] oracle
-    MUST flag it; there is no prefix oracle. *)
+(** Mutation sanity check for the MVCC layer: its executor runs each
+    transaction as prepare → apply → snapshot → decide, so the versions
+    are public before any decision exists and the snapshot observes an
+    undecided write.  The [snapshot-reads] oracle MUST flag it; there
+    is no prefix oracle. *)
 
 val scn_kv_rcache_put : unit -> scenario
 (** The kv-snapshot op mix on a store with both an MVCC window and a
@@ -363,11 +370,12 @@ val scn_kv_rcache_put : unit -> scenario
     must pass the same prefix oracle as the uncached sweeps. *)
 
 val scn_rcache_broken : unit -> scenario
-(** Mutation sanity check for the read cache
-    ({!Service.Kv.rcache_break_late_invalidate}): invalidations are
-    deferred until the {e next} mutation starts, so between a
-    mutation's reply and the following op the cache still serves the
-    overwritten digest.  The [cached-reads] oracle MUST flag it. *)
+(** Mutation sanity check for the read cache, written through
+    {!Service.Kv.rcache}: the executor puts each op's cached digests
+    back after the op and invalidates them only when the {e next} op
+    starts, so between an op's reply and the following op the cache
+    still serves the overwritten digest.  The [cached-reads] oracle
+    MUST flag it. *)
 
 val scn_kv_replicated_put : unit -> scenario
 (** Sync replication over a two-machine cluster at window 1, one
@@ -379,13 +387,13 @@ val scn_kv_replicated_put : unit -> scenario
     {e backup}; the prefix oracle ["kv-replica"] asserts every
     sync-acked write is readable there after primary loss. *)
 
-val scn_kv_batched_put : ?window:int -> ?premature_ack:bool -> unit -> scenario
+val scn_kv_batched_put : ?window:int -> unit -> scenario
 (** The same driver at commit-group window [window] (default 4), all
     keys on one shard so every group fills: one covering persist chain
     per chunk, one doorbell frame per chunk, cumulative batched acks.
     The prefix oracle ["kv-batched"] has the group's window, so a
     crash mid-batch may lose the unacked window and never an acked
-    op.  [premature_ack] (default false) arms the seeded bug below. *)
+    op. *)
 
 val scn_kv_batched_broken : unit -> scenario
 (** Mutation sanity check for the batching layer: the driver claims a
@@ -405,11 +413,12 @@ val scn_kv_tcache_put : unit -> scenario
     recycled block may leak. *)
 
 val scn_kv_tcache_broken : unit -> scenario
-(** Mutation sanity check for the cache layer
-    ({!Tcache.break_recycle}): frees recycle into the bins with no
-    reclaim lease and no persistent free, so a crash orphans every
-    block whose store reference was dropped.  The census oracle MUST
-    flag it. *)
+(** Mutation sanity check for the cache layer: the magazine wraps an
+    allocator whose cache surface answers the free of any block it
+    carved with lease [-1] and writes nothing, so such frees recycle
+    into the bins with no reclaim lease and no persistent free, and a
+    crash orphans every block whose store reference was dropped.  The
+    census oracle MUST flag it. *)
 
 (** {2 The scenario table} *)
 

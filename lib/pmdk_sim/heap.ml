@@ -94,12 +94,6 @@ let obj_magic_ok t p = Machine.read_u64 t.mach (p + L.obj_off_magic) = L.obj_mag
 
 (* ---------- bitmap of a small chunk ---------- *)
 
-(* debug hook for tests: called as (op, chunk, unit, n) on bitmap runs *)
-let debug_bitmap_hook :
-    (string -> int -> int -> int -> unit) option ref = ref None
-let dbg op chunk u n =
-  match !debug_bitmap_hook with Some f -> f op chunk u n | None -> ()
-
 (* 32 units per 64-bit word: OCaml ints are 63-bit, so a 64-bit
    packing could never represent bit 63 (1 lsl 63 = 0) *)
 let units_per_word = 32
@@ -108,7 +102,6 @@ let bitmap_word_addr chunk i =
   chunk + L.ck_off_bitmap + (i / units_per_word * 8)
 
 let set_run ctx t chunk u n =
-  dbg "set" chunk u n;
   let i = ref u in
   while !i < u + n do
     let word_addr = bitmap_word_addr chunk !i in
@@ -128,7 +121,6 @@ let set_run ctx t chunk u n =
    operations together ... to amortize the overhead involved in
    flushing data").  [persist] additionally write-backs each word. *)
 let clear_run_volatile ?(persist = false) t chunk u n =
-  dbg "clear" chunk u n;
   let n = min n (max 0 (L.small_units - u)) in
   (* clamp: do not scribble past the chunk *)
   let i = ref u in
@@ -162,10 +154,8 @@ let pop_entry t arena nunits =
       | [] -> scan (len + 1)
       | e :: rest ->
         arena.freelists.(len) <- rest;
-        dbg "pop" e.fchunk e.funit e.flen;
         if e.flen > nunits then begin
           let rem = e.flen - nunits in
-          dbg "split-rem" e.fchunk (e.funit + nunits) rem;
           arena.freelists.(min rem L.small_max_units) <-
             { fchunk = e.fchunk; funit = e.funit + nunits; flen = rem }
             :: arena.freelists.(min rem L.small_max_units)
@@ -195,7 +185,6 @@ let rebuild t arena =
               let left = ref total in
               while !left > 0 do
                 let len = min !left L.small_max_units in
-                dbg "rebuild-entry" chunk !u len;
                 arena.freelists.(len) <-
                   { fchunk = chunk; funit = !u; flen = len }
                   :: arena.freelists.(len);

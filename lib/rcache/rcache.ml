@@ -29,8 +29,6 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable invalidations : int;
-  mutable break_late : bool;
-  mutable pending : (int * int) list; (* deferred (shard, key) kills *)
 }
 
 let create ~shards ~entries =
@@ -48,9 +46,7 @@ let create ~shards ~entries =
     hits = 0;
     misses = 0;
     evictions = 0;
-    invalidations = 0;
-    break_late = false;
-    pending = [] }
+    invalidations = 0 }
 
 let enabled t = t.entries > 0
 let entries t = t.entries
@@ -125,29 +121,16 @@ let insert t ~shard ~key ~digest ~vts =
       Hashtbl.replace c.index key i
   end
 
-let kill t ~shard ~key =
-  let c = t.caches.(shard) in
-  match Hashtbl.find_opt c.index key with
-  | Some i ->
-    c.slots.(i).s_used <- false;
-    c.slots.(i).s_ref <- false;
-    Hashtbl.remove c.index key;
-    t.invalidations <- t.invalidations + 1
-  | None -> ()
-
 let invalidate t ~shard ~key =
   if enabled t then begin
-    if t.break_late then
-      (* BROKEN (mutation testing): defer — the entry stays readable
-         past the mutation's return, until the next mutation drains *)
-      t.pending <- (shard, key) :: t.pending
-    else kill t ~shard ~key
-  end
-
-let drain_pending t =
-  if t.pending <> [] then begin
-    List.iter (fun (shard, key) -> kill t ~shard ~key) (List.rev t.pending);
-    t.pending <- []
+    let c = t.caches.(shard) in
+    match Hashtbl.find_opt c.index key with
+    | Some i ->
+      c.slots.(i).s_used <- false;
+      c.slots.(i).s_ref <- false;
+      Hashtbl.remove c.index key;
+      t.invalidations <- t.invalidations + 1
+    | None -> ()
   end
 
 let mem t ~shard ~key = enabled t && Hashtbl.mem t.caches.(shard).index key
@@ -165,8 +148,6 @@ let reset t =
           s.s_ref <- false)
         c.slots;
       c.hand <- 0)
-    t.caches;
-  t.pending <- []
+    t.caches
 
 let stats t = (t.hits, t.misses, t.evictions, t.invalidations)
-let break_late_invalidate t = t.break_late <- true

@@ -44,30 +44,17 @@ val insert : t -> shard:int -> key:int -> digest:int -> vts:int -> unit
     is full (counted); replaces in place if [key] is already cached. *)
 
 val invalidate : t -> shard:int -> key:int -> unit
-(** Write-through invalidation.  Only an actual removal counts; with
-    {!break_late_invalidate} armed the removal is deferred instead
-    (the seeded bug). *)
+(** Write-through invalidation.  Only an actual removal counts. *)
 
 val mem : t -> shard:int -> key:int -> bool
-(** Uncounted presence probe (tests and gauges only). *)
+(** Uncounted presence probe (checkers, tests and gauges). *)
 
 val cached : t -> int
 (** Entries currently cached across all shards (uncounted). *)
 
 val reset : t -> unit
-(** Drop every entry and any deferred invalidations (backup
-    promotion, like the MVCC chains).  Cumulative statistics stay. *)
+(** Drop every entry (backup promotion, like the MVCC chains).
+    Cumulative statistics stay. *)
 
 val stats : t -> int * int * int * int
 (** [(hits, misses, evictions, invalidations)]. *)
-
-val break_late_invalidate : t -> unit
-(** Mutation-testing hook: {!invalidate} queues the removal instead
-    of performing it, and the queue only drains at the {e next}
-    mutation ({!drain_pending}) — invalidate-after-reply, so a read
-    between a mutation's return and the next mutation can consume a
-    stale hit.  The [rcache-broken] crashcheck scenario must flag
-    this. *)
-
-val drain_pending : t -> unit
-(** Apply deferred invalidations (no-op unless the break is armed). *)

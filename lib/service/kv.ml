@@ -58,9 +58,6 @@ type t = {
   mutable next_txn : int;
       (* next transaction / chunk id; restarts at 1 on attach, which
          is why recovery zeroes every decided word *)
-  mutable break_decision_persist : bool;
-      (* mutation-testing hook: the commit point is not ordered after
-         what it commits *)
   mvcc : Mvcc.t;
       (* volatile per-shard version chains for lock-free snapshot
          reads; window 0 (the default) disables every hook *)
@@ -75,11 +72,6 @@ type t = {
          were answered with a version from AFTER the snapshot (the
          bounded-window consistency loss) — observable via
          [mvcc_truncated_reads] so callers/tests can detect it *)
-  mutable mvcc_publish_early : bool;
-      (* mutation-testing hook: the staged prepare publishes versions
-         before any decision exists, so snapshot readers can observe a
-         transaction that may still abort — the seeded bug the
-         [mvcc-broken] crashcheck scenario must flag *)
   rcache : Rcache.t;
       (* DRAM-resident read cache over the shards: key -> newest
          committed digest, write-through invalidated in the same pure
@@ -151,10 +143,9 @@ let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
   in
   let shard_locks, txn_lock = mk_locks mach nshards in
   { inst; mach; hid; raw; value_size; nshards; shard_tbl;
-    shard_locks; txn_lock; next_txn = 1; break_decision_persist = false;
+    shard_locks; txn_lock; next_txn = 1;
     mvcc = Mvcc.create ~shards:nshards ~window:mvcc_window;
     mvcc_seq = 0; mvcc_truncated = 0;
-    mvcc_publish_early = false;
     rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
     backup_decided = Hashtbl.create 8 }
 
@@ -289,9 +280,9 @@ let abort_tslot ?commit t i entries =
 
 let read_decision t = Machine.read_u64 t.mach (t.raw + decision_off)
 
-let write_decision t v ~persist =
+let write_decision t v =
   Machine.write_u64 t.mach (t.raw + decision_off) v;
-  if persist then Machine.persist t.mach (t.raw + decision_off) 8
+  Machine.persist t.mach (t.raw + decision_off) 8
 
 let decided_addr t i = t.shard_tbl.(i).base + slot_decided
 
@@ -351,7 +342,7 @@ let recover t =
       Machine.persist t.mach (decided_addr t i) 8
     end
   done;
-  if decision <> 0 then write_decision t 0 ~persist:true;
+  if decision <> 0 then write_decision t 0;
   { replayed; rolled_back; txn_committed; txn_aborted }
 
 let attach ?(mvcc_window = 0) ?(rcache_entries = 0) inst =
@@ -501,7 +492,6 @@ let abandon t allocated =
    No coordinator lock and no decision record: the word is the shard's
    own.  [Error] (heap exhausted) leaves nothing durable behind. *)
 let commit_chunk t i members =
-  Rcache.drain_pending t.rcache;
   let failed = ref false and allocated = ref [] in
   let entries =
     List.map
@@ -524,22 +514,14 @@ let commit_chunk t i members =
     let id = t.next_txn in
     t.next_txn <- id + 1;
     let decided = decided_addr t i in
-    if t.break_decision_persist then begin
-      (* BROKEN (mutation testing): the decided word rides the slot's
-         fence, ahead of the allocator commit *)
-      Machine.write_u64 t.mach decided id;
-      Machine.clwb t.mach decided
-    end;
     write_tslot ~commit:true t i ~txn:id entries;
     if !allocated <> [] then A.i_tx_commit t.inst;
     (* pre-images from the slot's old values, before any tree entry
        changes below *)
     if Mvcc.enabled t.mvcc then
       List.iter (fun (key, _, old) -> mvcc_seed ~known:old t i key) entries;
-    if not t.break_decision_persist then begin
-      Machine.write_u64 t.mach decided id;
-      Machine.persist t.mach decided 8
-    end;
+    Machine.write_u64 t.mach decided id;
+    Machine.persist t.mach decided 8;
     let fin = now () in
     if Mvcc.enabled t.mvcc then
       Mvcc.publish t.mvcc ~shard:i ~ts:(mvcc_mint t)
@@ -602,7 +584,6 @@ let snapshot t = Mvcc.snapshot t.mvcc
 let mvcc_chain_length t ~key =
   Mvcc.chain_length t.mvcc ~shard:(shard_of_key t key) ~key
 
-let mvcc_break_early_publish t = t.mvcc_publish_early <- true
 let mvcc_truncated_reads t = t.mvcc_truncated
 
 (* ---------- read-cache introspection ---------- *)
@@ -614,7 +595,7 @@ let rcache_cached t = Rcache.cached t.rcache
 let rcache_mem t ~key =
   Rcache.mem t.rcache ~shard:(shard_of_key t key) ~key
 
-let rcache_break_late_invalidate t = Rcache.break_late_invalidate t.rcache
+let rcache t = t.rcache
 
 let mvcc_shard_chains t =
   Array.init t.nshards (fun shard ->
@@ -793,8 +774,6 @@ let snapshot_scan t ~ts ~from_key ~n f =
 
 (* ---------- cross-shard transactions (the 2PC core) ---------- *)
 
-let txn_break_decision_persist t = t.break_decision_persist <- true
-
 let iter_values t f =
   Array.iter
     (fun sh ->
@@ -888,13 +867,6 @@ let prepare t parts =
       t.next_txn <- txn + 1;
       List.iter (fun (i, entries) -> write_tslot t i ~txn entries) filled;
       A.i_tx_commit t.inst;
-      if t.mvcc_publish_early && Mvcc.enabled t.mvcc then begin
-        (* BROKEN (mutation testing): the group goes live before any
-           decision exists — snapshot readers can observe a
-           transaction that may still abort *)
-        seed_parts t parts;
-        Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) (op_versions t parts)
-      end;
       Ok { txn; parts }
     end
 
@@ -906,9 +878,8 @@ let txn_prepare t ops = Result.bind (validate_static t ops) (prepare t)
    snapshot readers resolve every written key through its chain, so
    the floors must be in place before any tree entry is touched. *)
 let txn_decide t { txn; parts } =
-  Rcache.drain_pending t.rcache;
   seed_parts t parts;
-  write_decision t txn ~persist:(not t.break_decision_persist);
+  write_decision t txn;
   now ()
 
 (* Phase 3, from the publication on: the [versions] become visible at
@@ -928,14 +899,12 @@ let publish_apply t ~txn ~versions ~kills shards =
       | `Slot (id, entries) when id = txn -> apply_tslot t i entries
       | `Free | `Torn | `Slot _ -> ())
     shards;
-  write_decision t 0 ~persist:true
+  write_decision t 0
 
 (* the versions come from the ops' vseeds — no memory reads *)
 let txn_apply t { txn; parts } =
   let versions =
-    if Mvcc.enabled t.mvcc && not t.mvcc_publish_early then
-      Some (op_versions t parts)
-    else None
+    if Mvcc.enabled t.mvcc then Some (op_versions t parts) else None
   in
   let kills =
     List.concat_map (fun (i, ops) -> List.map (fun o -> (i, txn_key o)) ops) parts

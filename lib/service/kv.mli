@@ -178,13 +178,6 @@ val mvcc_shard_chains : t -> (int * int) array
     the MVCC memory footprint the serve metrics surface as per-shard
     gauges.  All zeros when MVCC is off. *)
 
-val mvcc_break_early_publish : t -> unit
-(** Mutation-testing hook: from now on every prepare ({!txn_prepare},
-    and {!txn}'s own) publishes the transaction's versions {e before}
-    any decision exists, so a snapshot can observe a transaction that
-    may still abort — the seeded bug the [mvcc-broken] crashcheck
-    scenario must flag.  Never call this outside checker gates. *)
-
 (** {2 DRAM read cache}
 
     A bounded per-shard volatile cache of [key -> newest committed
@@ -216,12 +209,13 @@ val rcache_cached : t -> int
 val rcache_mem : t -> key:int -> bool
 (** Whether the key is currently cached (uncounted; tests). *)
 
-val rcache_break_late_invalidate : t -> unit
-(** Mutation-testing hook: mutations defer their cache invalidations
-    until the {e next} mutation begins — invalidate-after-reply, so a
-    read landing between the two can consume a stale digest.  The
-    seeded bug the [rcache-broken] crashcheck scenario must flag.
-    Never call this outside checker gates. *)
+val rcache : t -> Rcache.t
+(** The store's read cache itself, for checkers that observe it or
+    plant a fault in it from outside.  Writing to it ({!Rcache.insert},
+    {!Rcache.invalidate}) breaks the coherence contract above: a digest
+    inserted behind the store's back can outlive the value it names.
+    The [rcache-broken] crashcheck scenario does exactly that on
+    purpose. *)
 
 (** {2 Cross-shard transactions}
 
@@ -327,7 +321,9 @@ val txn_decide : t -> prepared -> int
 val txn_apply : t -> prepared -> unit
 (** Phase 3: publish the versions and kill the cached digests in one
     pure step, apply and clear every participant slot, then clear the
-    decision record. *)
+    decision record.  Only after {!txn_decide}: the seeded
+    [kv-txn-broken] and [mvcc-broken] crashcheck scenarios skip or
+    postpone the decide on purpose. *)
 
 val group_commit :
   ?on_chunk:(fin:int -> txn_op list -> unit) ->
@@ -391,14 +387,6 @@ val txn_backup_decide :
     publishing slice-by-slice would let a crash or promotion between
     slices surface half a transaction.  A decide for an
     already-resolved slot is a no-op (duplicate-delivery tolerance). *)
-
-val txn_break_decision_persist : t -> unit
-(** Mutation-testing hook: from now on no commit point is ordered after
-    what it commits.  {!txn}/{!txn_decide} skip the persist of the
-    coordinator decision record, and a chunk's decided word rides its
-    slot's fence, ahead of the allocator commit — the seeded bugs the
-    [kv-txn-broken] and [kv-commit-broken] crashcheck scenarios must
-    flag.  Never call this outside checker gates. *)
 
 val iter_values : t -> (key:int -> Alloc_intf.nvmptr -> unit) -> unit
 (** Every value pointer in every shard tree, each leaf entry in leaf

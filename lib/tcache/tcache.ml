@@ -55,12 +55,7 @@ type handle = {
   ops : cache_ops option; (* None = pass-through *)
   mag : int;
   cpus : cpu_state array;
-  mutable broken : bool;
   counts : int array; (* hit / miss / refill / flush, wrapper-side *)
-  broken_sizes : (int * int, int) Hashtbl.t;
-      (** (subheap, off) -> rounded size of blocks handed out, kept
-          only in broken mode so the leaseless free can route the
-          block to a bin without touching the allocator *)
 }
 
 type heap = handle
@@ -126,15 +121,9 @@ let note h (ops : cache_ops) ev =
 let maybe_flush h ops bin =
   if bin.depth > 2 * h.mag then begin
     let excess = bin_take bin (bin.depth - h.mag) in
-    (* leaseless (broken-mode) blocks would leak the allocator's view;
-       reclaim frees them all the same, lease or not *)
     ops.cache_reclaim excess;
     note h ops Cache_flush
   end
-
-let note_handout h rsize (ptr : nvmptr) =
-  if h.broken then
-    Hashtbl.replace h.broken_sizes (ptr.subheap, ptr.off) rsize
 
 (* ---------- allocation ---------- *)
 
@@ -153,7 +142,6 @@ let alloc h size =
             note h ops Cache_hit;
             (* a singleton allocation is durable when it returns *)
             ops.cache_publish [ b ];
-            note_handout h rsize b.cb_ptr;
             Some b.cb_ptr
           | None ->
             note h ops Cache_miss;
@@ -163,7 +151,6 @@ let alloc h size =
                note h ops Cache_refill;
                List.iter (bin_push bin) rest;
                ops.cache_publish [ b ];
-               note_handout h rsize b.cb_ptr;
                Some b.cb_ptr)
         end)
 
@@ -217,7 +204,6 @@ let tx_alloc h size ~is_end =
           match popped with
           | Some b ->
             st.pending <- (b, rsize) :: st.pending;
-            note_handout h rsize b.cb_ptr;
             if is_end then commit_point h ops st;
             Some b.cb_ptr
           | None ->
@@ -258,27 +244,15 @@ let free h ptr =
         | Some ((b, rsize), rest) ->
           st.pending <- rest;
           bin_push st.bins.(class_of_rsize rsize) b
-        | None ->
-          if h.broken then begin
-            (* seeded fault (crashcheck `tcache-broken`): recycle the
-               block with NO reclaim lease and NO persistent free — a
-               crash between the store dropping its reference and the
-               recycled copy's new reference persisting leaks it *)
-            match Hashtbl.find_opt h.broken_sizes (ptr.subheap, ptr.off) with
-            | Some rsize ->
-              bin_push st.bins.(class_of_rsize rsize)
-                { cb_ptr = ptr; cb_lease = -1 }
-            | None -> i_free h.inner ptr
-          end
-          else
-            match ops.cache_stash ptr with
-            | Some (lease, size) ->
-              let bin = st.bins.(class_of_rsize size) in
-              bin_push bin { cb_ptr = ptr; cb_lease = lease };
-              maybe_flush h ops bin
-            | None ->
-              (* invalid/double free, uncacheable size or full ledger *)
-              i_free h.inner ptr)
+        | None -> (
+          match ops.cache_stash ptr with
+          | Some (lease, size) ->
+            let bin = st.bins.(class_of_rsize size) in
+            bin_push bin { cb_ptr = ptr; cb_lease = lease };
+            maybe_flush h ops bin
+          | None ->
+            (* invalid/double free, uncacheable size or full ledger *)
+            i_free h.inner ptr))
 
 (* ---------- pass-through surface ---------- *)
 
@@ -321,10 +295,7 @@ let reset h =
           ops.cache_reclaim blocks;
           note h ops Cache_flush
         end)
-      h.cpus;
-    Hashtbl.reset h.broken_sizes
-
-let break_recycle h = h.broken <- true
+      h.cpus
 
 let stats h = (h.counts.(0), h.counts.(1), h.counts.(2), h.counts.(3))
 
@@ -337,9 +308,7 @@ let wrap ~mag inner =
       ops = (if mag > 0 then i_cache_ops inner else None);
       mag = max mag 1;
       cpus = Array.init (max num_cpus 1) (fun _ -> mk_cpu ());
-      broken = false;
-      counts = Array.make 4 0;
-      broken_sizes = Hashtbl.create 64 }
+      counts = Array.make 4 0 }
   in
   let module W = struct
     type nonrec heap = heap

@@ -33,11 +33,3 @@ val stats : handle -> int * int * int * int
 (** Wrapper-side traffic counters [(hits, misses, refills, flushes)]
     since construction (mirrors the inner allocator's
     [tcache_*]/[bin_*] heap statistics). *)
-
-val break_recycle : handle -> unit
-(** Seeded fault for crash-consistency checking ONLY: from now on,
-    frees recycle blocks into the bins with {e no} reclaim lease and
-    {e no} persistent free, so a crash leaks every block whose store
-    reference was dropped before its recycled copy was re-referenced.
-    The crashcheck scenario [tcache-broken] asserts the checker
-    catches this. *)

@@ -78,12 +78,13 @@ for scn in kv-shift kv-split; do
   dune exec bin/main.exe -- crashcheck --scenario "$scn" \
     --seed "$CRASH_SEED" > /dev/null
 done
-# commit-slot mutation gate, EXHAUSTIVE: chunks whose decided word rides
-# the slot's fence, ahead of the allocator commit; the no-dangling
+# commit-slot mutation gate, EXHAUSTIVE: the store runs on an
+# allocator that defers each commit to its next call, so a chunk's
+# decided word persists ahead of the allocator commit; the no-dangling
 # check MUST flag the redo of a slot whose blocks the heap's replay
 # freed (exit 1), or the checker has lost the commit point's
 # order.
-mutation_gate kv-commit-broken "unordered commit point"
+mutation_gate kv-commit-broken "allocator commit after the commit point"
 # cross-shard transaction sweep, EXHAUSTIVE: every fence-to-fence crash
 # point of the 2PC coordinator-record protocol (prepare slots, decision
 # record, apply, recovery) must keep each transaction all-or-nothing.
@@ -91,10 +92,11 @@ mutation_gate kv-commit-broken "unordered commit point"
 step="crashcheck kv-txn exhaustive sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-txn \
   --seed "$CRASH_SEED" > /dev/null
-# 2PC mutation gate: same sweep against a coordinator that skips the
-# decision-record flush; the checker MUST produce a counterexample
-# (exit 1), or it has lost the power to see the commit point.
-mutation_gate kv-txn-broken "unflushed 2PC decision record"
+# 2PC mutation gate: same sweep with every transaction applied and no
+# decide first, so no decision record names it; the checker MUST
+# produce a counterexample (exit 1), or it has lost the power to see
+# the commit point.
+mutation_gate kv-txn-broken "2PC apply without a decision record"
 # batched replication sweep: group-committed puts shipped as doorbell
 # frames with cumulative batched acks, strided like kv-put; recovery
 # is judged by the windowed prefix oracle (ack-before-flush would
@@ -116,11 +118,11 @@ mutation_gate kv-batched-broken "ack-before-flush batching bug" \
 step="crashcheck kv-snapshot exhaustive sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-snapshot \
   --seed "$CRASH_SEED" > /dev/null
-# MVCC mutation gate: a staged prepare that publishes its versions
-# BEFORE any decision exists; the snapshot-reads oracle MUST flag the
-# uncommitted observation (exit 1), or it has lost the power to
+# MVCC mutation gate: a staged transaction that applies (publishes)
+# its versions BEFORE its decide; the snapshot-reads oracle MUST flag
+# the uncommitted observation (exit 1), or it has lost the power to
 # see the publish-at-decision rule snapshot isolation rests on.
-mutation_gate mvcc-broken "early-publish MVCC bug" \
+mutation_gate mvcc-broken "publish-before-decide MVCC bug" \
   --max-points 6 --subsets 1
 # magazine-cache sweep, EXHAUSTIVE: every fence-to-fence crash point
 # of the cached KV write path (batched carve under ledger leases,

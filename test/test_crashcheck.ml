@@ -100,6 +100,39 @@ let test_counterexample_replays () =
     (C.subset_seed ~seed:1 ~point:7 0)
     (C.subset_seed ~seed:1 ~point:7 0)
 
+(* Every seeded bug of the scenario table, at scripts/check.sh's budget
+   ((max points, subsets), 0 = exhaustive) and seed: the oracle that
+   must flag it, and the prefix every counterexample's detail has.  A
+   seeded bug written wrongly, so that it breaks the heap instead of
+   the target property, still exits 1 and passes the mutation gates;
+   here it fails. *)
+let seeded_bugs =
+  [ ("broken", (2, 0), "app-commit", "");
+    ("kv-commit-broken", (0, 2), "kv-store", "dangling value");
+    ("kv-txn-broken", (0, 2), "kv-store", "");
+    ("mvcc-broken", (6, 1), "snapshot-reads", "");
+    ("rcache-broken", (8, 1), "cached-reads", "");
+    ("kv-batched-broken", (6, 1), "kv-batched", "");
+    ("tcache-broken", (8, 1), "value-census", "") ]
+
+let test_seeded_bugs_trip_their_oracle () =
+  Alcotest.(check (list string)) "one expectation per seeded entry, in order"
+    (List.filter_map (fun (name, _, bug) -> if bug then Some name else None)
+       C.scenarios)
+    (List.map (fun (name, _, _, _) -> name) seeded_bugs);
+  List.iter
+    (fun (name, (max_points, subsets_per_point), oracle, detail) ->
+      let scn = Option.get (C.scenario_by_name name) in
+      let r = C.run ~max_points ~subsets_per_point ~seed:42 scn in
+      check (name ^ " flagged") true (r.C.counterexamples <> []);
+      List.iter
+        (fun cx ->
+          Alcotest.(check string) (name ^ ": the oracle") oracle cx.C.cx_oracle;
+          check (name ^ ": the detail") true
+            (String.starts_with ~prefix:detail cx.C.cx_detail))
+        r.C.counterexamples)
+    seeded_bugs
+
 let test_healthy_point_is_green () =
   match C.check_point (C.scn_alloc ()) ~point:3 ~mode:C.Dirty_lost_all with
   | None -> ()
@@ -189,6 +222,8 @@ let () =
             test_broken_protocol_detected;
           Alcotest.test_case "counterexamples replay" `Quick
             test_counterexample_replays;
+          Alcotest.test_case "each seeded bug trips its own oracle" `Slow
+            test_seeded_bugs_trip_their_oracle;
           Alcotest.test_case "healthy point green" `Quick
             test_healthy_point_is_green ] );
       ( "kv driver",

@@ -231,22 +231,6 @@ let test_disabled_store_is_silent () =
   check "no statistic ever moves" true (Kv.rcache_stats s = (0, 0, 0, 0));
   check_int "nothing is cached" 0 (Kv.rcache_cached s)
 
-(* ---------- the seeded bug, observed at unit scale ---------- *)
-
-let test_late_invalidation_window () =
-  let _, _, s = mk_store ~rcache_entries:8 ~shards:1 () in
-  ignore (Kv.put s ~key:1 ~vseed:10);
-  ignore (Kv.get s ~key:1);
-  Kv.rcache_break_late_invalidate s;
-  ignore (Kv.put s ~key:1 ~vseed:11);
-  check "the stale window: a read between mutations sees the old value"
-    true
-    (Kv.get s ~key:1 = Some (Kv.value_checksum s ~vseed:10));
-  (* the next mutation drains the deferred kill *)
-  ignore (Kv.put s ~key:2 ~vseed:20);
-  check "the next mutation closes the window" true
-    (Kv.get s ~key:1 = Some (Kv.value_checksum s ~vseed:11))
-
 (* ---------- crashcheck: correctness sweep + mutation gate ---------- *)
 
 let test_kv_rcache_sweep_green () =
@@ -280,9 +264,7 @@ let () =
           Alcotest.test_case "eviction under keyspace > capacity" `Quick
             test_eviction_keyspace_exceeds_capacity;
           Alcotest.test_case "disabled store is statistics-silent" `Quick
-            test_disabled_store_is_silent;
-          Alcotest.test_case "late invalidation window (seeded bug)" `Quick
-            test_late_invalidation_window ] );
+            test_disabled_store_is_silent ] );
       ( "replication",
         [ Alcotest.test_case "backup coherent + promotion wipe" `Quick
             test_backup_group_apply_coherent_and_promotion_wipe ] );
