@@ -5,7 +5,11 @@
     the blocks' hash-table records.  Heads and tails are stored in the
     sub-heap header; value [0] is the list-end sentinel (no record ever
     lives at address 0).  Frees push at the tail to delay reuse of
-    just-freed memory (paper §5.5); allocations pop at the head. *)
+    just-freed memory (paper §5.5); allocations pop at the head.
+
+    The three list operations do not write: each returns its
+    [(address, value)] writes, every one computed from the lists'
+    state before them, for the caller's undo-logged batch. *)
 
 let head_addr meta_base cls = meta_base + Layout.sh_off_buddy_heads + (cls * Layout.word)
 let tail_addr meta_base cls = meta_base + Layout.sh_off_buddy_tails + (cls * Layout.word)
@@ -13,34 +17,31 @@ let tail_addr meta_base cls = meta_base + Layout.sh_off_buddy_tails + (cls * Lay
 let head mach meta_base cls = Machine.read_u64 mach (head_addr meta_base cls)
 let tail mach meta_base cls = Machine.read_u64 mach (tail_addr meta_base cls)
 
-let push_head ctx meta_base cls rec_addr =
-  let mach = Undolog.machine ctx in
+let push_head mach meta_base cls rec_addr =
   let old = head mach meta_base cls in
-  Record.set_next_free ctx rec_addr old;
-  Record.set_prev_free ctx rec_addr 0;
-  if old <> 0 then Record.set_prev_free ctx old rec_addr
-  else Undolog.write ctx (tail_addr meta_base cls) rec_addr;
-  Undolog.write ctx (head_addr meta_base cls) rec_addr
+  [ (Record.next_free_at rec_addr, old);
+    (Record.prev_free_at rec_addr, 0);
+    (if old <> 0 then (Record.prev_free_at old, rec_addr)
+     else (tail_addr meta_base cls, rec_addr));
+    (head_addr meta_base cls, rec_addr) ]
 
-let push_tail ctx meta_base cls rec_addr =
-  let mach = Undolog.machine ctx in
+let push_tail mach meta_base cls rec_addr =
   let old = tail mach meta_base cls in
-  Record.set_prev_free ctx rec_addr old;
-  Record.set_next_free ctx rec_addr 0;
-  if old <> 0 then Record.set_next_free ctx old rec_addr
-  else Undolog.write ctx (head_addr meta_base cls) rec_addr;
-  Undolog.write ctx (tail_addr meta_base cls) rec_addr
+  [ (Record.prev_free_at rec_addr, old);
+    (Record.next_free_at rec_addr, 0);
+    (if old <> 0 then (Record.next_free_at old, rec_addr)
+     else (head_addr meta_base cls, rec_addr));
+    (tail_addr meta_base cls, rec_addr) ]
 
-let unlink ctx meta_base cls rec_addr =
-  let mach = Undolog.machine ctx in
+let unlink mach meta_base cls rec_addr =
   let nf = Record.get_next_free mach rec_addr in
   let pf = Record.get_prev_free mach rec_addr in
-  if pf = 0 then Undolog.write ctx (head_addr meta_base cls) nf
-  else Record.set_next_free ctx pf nf;
-  if nf = 0 then Undolog.write ctx (tail_addr meta_base cls) pf
-  else Record.set_prev_free ctx nf pf;
-  Record.set_next_free ctx rec_addr 0;
-  Record.set_prev_free ctx rec_addr 0
+  [ (if pf = 0 then (head_addr meta_base cls, nf)
+     else (Record.next_free_at pf, nf));
+    (if nf = 0 then (tail_addr meta_base cls, pf)
+     else (Record.prev_free_at nf, pf));
+    (Record.next_free_at rec_addr, 0);
+    (Record.prev_free_at rec_addr, 0) ]
 
 (** Walks the class list from the head looking for a block of at least
     [min_size] bytes, visiting at most [max_steps] nodes. *)

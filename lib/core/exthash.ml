@@ -33,6 +33,7 @@ type t = {
   base : int;
   size : int; (* total region size *)
   log_base : int; (* private undo-log area *)
+  log : Persist.Pundo.log;
 }
 
 let off_depth = 0
@@ -71,10 +72,7 @@ let alloc_bucket ctx t ~local_depth =
 let log_cap = 2048
 
 let with_op t f =
-  let ctx =
-    Persist.Pundo.begin_op t.mach ~count_addr:t.log_base
-      ~entries_addr:(t.log_base + 8) ~cap:log_cap
-  in
+  let ctx = Persist.Pundo.begin_op t.log in
   let r = f ctx in
   Persist.Pundo.commit ctx;
   r
@@ -92,7 +90,15 @@ let create mach ~base ~size =
     invalid_arg "Exthash.create: region too small";
   (* region layout: [64 KiB private log][exthash] *)
   let hash_base = base + 65536 in
-  let t = { mach; base = hash_base; size = size - 65536; log_base = base } in
+  let t =
+    { mach;
+      base = hash_base;
+      size = size - 65536;
+      log_base = base;
+      log =
+        Persist.Pundo.create mach ~count_addr:base ~entries_addr:(base + 8)
+          ~cap:log_cap }
+  in
   Machine.write_u64 mach (hash_base + off_depth) 1;
   Machine.write_u64 mach (hash_base + off_bump) (hash_base + bucket_area_off);
   Machine.persist mach hash_base 16;

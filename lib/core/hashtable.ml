@@ -27,13 +27,12 @@ let levels t = Machine.read_u64 t.mach (levels_addr t)
 
 let level_live t level = Machine.read_u64 t.mach (live_addr t level)
 
-let live_incr ctx t level =
-  Undolog.write ctx (live_addr t level) (level_live t level + 1)
+let live_incr t level = (live_addr t level, level_live t level + 1)
 
-let live_decr ctx t level =
+let live_decr t level =
   let v = level_live t level in
   assert (v > 0);
-  Undolog.write ctx (live_addr t level) (v - 1)
+  (live_addr t level, v - 1)
 
 let level_base t level =
   t.meta_base + Layout.level_area_off ~base_buckets:t.base_buckets level

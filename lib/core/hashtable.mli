@@ -57,8 +57,11 @@ val iter_windows : t -> int -> (int -> unit) -> unit
 (** Applies the function to every live record in the offset's probe
     windows across all levels (window defragmentation). *)
 
-val live_incr : Undolog.ctx -> t -> int -> unit
-val live_decr : Undolog.ctx -> t -> int -> unit
+val live_incr : t -> int -> int * int
+(** [live_incr t level]: the [(address, value)] write that bumps the
+    level's live counter, for the caller's undo-logged batch. *)
+
+val live_decr : t -> int -> int * int
 
 (** {2 Growth and release} *)
 

@@ -2,40 +2,24 @@
 
     One 64-byte record per memory block, stored inline in the hash
     table buckets of the sub-heap metadata region.  Reads go straight
-    to the machine; writes go through the undo-logging context. *)
+    to the machine; writes are pairs of an undo-logged batch. *)
 
-type field = {
-  get : Machine.t -> int -> int;
-  set : Undolog.ctx -> int -> int -> unit;
-}
+let get byte_off mach rec_addr = Machine.read_u64 mach (rec_addr + byte_off)
 
-let field byte_off =
-  { get = (fun mach rec_addr -> Machine.read_u64 mach (rec_addr + byte_off));
-    set = (fun ctx rec_addr v -> Undolog.write ctx (rec_addr + byte_off) v) }
+let get_offset mach a = get Layout.rec_off_offset mach a
+let get_size mach a = get Layout.rec_off_size mach a
+let get_status mach a = get Layout.rec_off_status mach a
+let get_prev mach a = get Layout.rec_off_prev mach a
+let get_next mach a = get Layout.rec_off_next mach a
+let get_next_free mach a = get Layout.rec_off_next_free mach a
+let get_prev_free mach a = get Layout.rec_off_prev_free mach a
 
-let offset = field Layout.rec_off_offset
-let size = field Layout.rec_off_size
-let status = field Layout.rec_off_status
-let prev = field Layout.rec_off_prev
-let next = field Layout.rec_off_next
-let next_free = field Layout.rec_off_next_free
-let prev_free = field Layout.rec_off_prev_free
-
-let get_offset mach a = offset.get mach a
-let get_size mach a = size.get mach a
-let get_status mach a = status.get mach a
-let get_prev mach a = prev.get mach a
-let get_next mach a = next.get mach a
-let get_next_free mach a = next_free.get mach a
-let get_prev_free mach a = prev_free.get mach a
-
-let set_offset ctx a v = offset.set ctx a v
-let set_size ctx a v = size.set ctx a v
-let set_status ctx a v = status.set ctx a v
-let set_prev ctx a v = prev.set ctx a v
-let set_next ctx a v = next.set ctx a v
-let set_next_free ctx a v = next_free.set ctx a v
-let set_prev_free ctx a v = prev_free.set ctx a v
+let size_at a = a + Layout.rec_off_size
+let status_at a = a + Layout.rec_off_status
+let prev_at a = a + Layout.rec_off_prev
+let next_at a = a + Layout.rec_off_next
+let next_free_at a = a + Layout.rec_off_next_free
+let prev_free_at a = a + Layout.rec_off_prev_free
 
 let is_live mach a =
   let s = get_status mach a in
@@ -45,32 +29,27 @@ let is_live mach a =
 
     For a slot that was empty since the last commit, only the status
     word needs undo protection: rolling status back to "empty" makes
-    the other fields irrelevant.  For a tombstone slot — which may have
-    been tombstoned earlier in this very operation, in which case a
-    rollback would resurrect the old record — every field is logged. *)
-let init ctx rec_addr ~off ~size:sz ~status:st ~prev:p ~next:n =
+    the other fields irrelevant, so they are stored here unlogged.  For
+    a tombstone slot — which may have been tombstoned earlier in this
+    very operation, in which case a rollback would resurrect the old
+    record — every field is returned for logging. *)
+let init ctx rec_addr ~off ~size ~status ~prev ~next =
   let mach = Undolog.machine ctx in
-  let old_status = get_status mach rec_addr in
-  if old_status = Layout.st_empty then begin
-    let unlogged byte_off v =
-      Machine.write_u64 mach (rec_addr + byte_off) v;
-      Undolog.mark_dirty ctx (rec_addr + byte_off)
-    in
-    unlogged Layout.rec_off_offset off;
-    unlogged Layout.rec_off_size sz;
-    unlogged Layout.rec_off_prev p;
-    unlogged Layout.rec_off_next n;
-    unlogged Layout.rec_off_next_free 0;
-    unlogged Layout.rec_off_prev_free 0;
-    (* status last, and logged: reverting it kills the record *)
-    set_status ctx rec_addr st
+  let fields =
+    [ (rec_addr + Layout.rec_off_offset, off);
+      (size_at rec_addr, size);
+      (prev_at rec_addr, prev);
+      (next_at rec_addr, next);
+      (next_free_at rec_addr, 0);
+      (prev_free_at rec_addr, 0) ]
+  in
+  (* status last, and logged: reverting it kills the record *)
+  if get_status mach rec_addr = Layout.st_empty then begin
+    List.iter
+      (fun (a, v) ->
+        Machine.write_u64 mach a v;
+        Undolog.mark_dirty ctx a)
+      fields;
+    [ (status_at rec_addr, status) ]
   end
-  else begin
-    set_offset ctx rec_addr off;
-    set_size ctx rec_addr sz;
-    set_prev ctx rec_addr p;
-    set_next ctx rec_addr n;
-    set_next_free ctx rec_addr 0;
-    set_prev_free ctx rec_addr 0;
-    set_status ctx rec_addr st
-  end
+  else fields @ [ (status_at rec_addr, status) ]

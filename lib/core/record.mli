@@ -4,7 +4,8 @@
     table buckets of the sub-heap metadata region: offset, size,
     status, address-adjacency links (for merging) and class-list links
     (for the buddy lists).  Reads go straight to the machine; writes
-    go through the undo-logging context. *)
+    are [(field address, value)] pairs of an undo-logged batch
+    ({!Undolog.write_all}). *)
 
 val get_offset : Machine.t -> int -> int
 val get_size : Machine.t -> int -> int
@@ -19,13 +20,16 @@ val get_next_free : Machine.t -> int -> int
 
 val get_prev_free : Machine.t -> int -> int
 
-val set_offset : Undolog.ctx -> int -> int -> unit
-val set_size : Undolog.ctx -> int -> int -> unit
-val set_status : Undolog.ctx -> int -> int -> unit
-val set_prev : Undolog.ctx -> int -> int -> unit
-val set_next : Undolog.ctx -> int -> int -> unit
-val set_next_free : Undolog.ctx -> int -> int -> unit
-val set_prev_free : Undolog.ctx -> int -> int -> unit
+(** {2 Field addresses} *)
+
+val size_at : int -> int
+(** [size_at rec_addr]: address of the record's size word. *)
+
+val status_at : int -> int
+val prev_at : int -> int
+val next_at : int -> int
+val next_free_at : int -> int
+val prev_free_at : int -> int
 
 val is_live : Machine.t -> int -> bool
 (** Status is free or allocated (not empty/tombstone). *)
@@ -38,9 +42,11 @@ val init :
   status:int ->
   prev:int ->
   next:int ->
-  unit
-(** Initialises a fresh record in an empty or tombstone slot.  For a
-    previously-empty slot only the status word is undo-logged (rolling
-    it back kills the record); a tombstone slot — possibly tombstoned
-    earlier in the same operation — gets every field logged so a
-    rollback cannot resurrect a hybrid. *)
+  (int * int) list
+(** Initialises a fresh record in an empty or tombstone slot and
+    returns the writes the caller must log, status last.  For a
+    previously-empty slot that is the status word alone (rolling it
+    back kills the record): the other fields are stored at once,
+    unlogged.  A tombstone slot — possibly tombstoned earlier in the
+    same operation — gets every field in the list, so a rollback
+    cannot resurrect a hybrid. *)

@@ -16,6 +16,7 @@ type t = {
   data_base : int;
   data_size : int;
   ht : Hashtable.t;
+  undo : Undolog.log;
   lock : Machine.Lock.lock;
   mutable stat_invalid_free : int;
   mutable stat_double_free : int;
@@ -74,7 +75,8 @@ let add_hint_region mach ~cpu ~meta_base ~data_size =
 
 (* ---------- construction ---------- *)
 
-let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets =
+let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets
+    ~undo =
   { mach;
     heap_id;
     index;
@@ -83,6 +85,7 @@ let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_bucket
     data_base;
     data_size;
     ht = Hashtable.make mach ~meta_base ~base_buckets;
+    undo;
     lock = Machine.Lock.create mach ~name:(Printf.sprintf "subheap-%d" index) ();
     stat_invalid_free = 0;
     stat_double_free = 0;
@@ -107,20 +110,32 @@ let attach mach ~heap_id ~index ~meta_base =
     ~data_base:(hdr_read mach meta_base Layout.sh_off_data_base)
     ~data_size:(hdr_read mach meta_base Layout.sh_off_data_size)
     ~base_buckets:(hdr_read mach meta_base Layout.sh_off_base_buckets)
+    ~undo:(Undolog.attach mach ~meta_base)
 
 (* ---------- operations ---------- *)
 
 let op sh f =
-  let ctx = Undolog.begin_op sh.mach ~meta_base:sh.meta_base in
+  let ctx = Undolog.begin_op sh.undo in
   let result = f ctx in
   Undolog.commit ctx;
   result
 
 (* ---------- merging ---------- *)
 
+(* Right neighbour's [prev] fix: the write that points the block at
+   offset [next_off] back at [left_off]; none at the region's end. *)
+let prev_fix sh ~next_off left_off =
+  if next_off = nil then []
+  else
+    match Hashtable.lookup sh.ht next_off with
+    | Some nr -> [ (Record.prev_at nr, left_off) ]
+    | None -> assert false
+
 (* Merges the free block [right_rec] into its address-adjacent free
    left neighbour [left_rec]; the right block's record is tombstoned,
-   releasing its hash slot. *)
+   releasing its hash slot.  Three batches: the two unlinks can touch
+   the same links (the blocks may be neighbours in one class list),
+   and the push reads a head the second unlink may have moved. *)
 let merge ctx sh ~left_rec ~right_rec =
   let mach = sh.mach in
   let lsz = Record.get_size mach left_rec in
@@ -128,19 +143,18 @@ let merge ctx sh ~left_rec ~right_rec =
   assert (Record.get_status mach left_rec = Layout.st_free);
   assert (Record.get_status mach right_rec = Layout.st_free);
   assert (Record.get_next mach left_rec = Record.get_offset mach right_rec);
-  Buddy.unlink ctx sh.meta_base (Layout.class_of_size lsz) left_rec;
-  Buddy.unlink ctx sh.meta_base (Layout.class_of_size rsz) right_rec;
-  Record.set_size ctx left_rec (lsz + rsz);
+  Undolog.write_all ctx
+    (Buddy.unlink mach sh.meta_base (Layout.class_of_size lsz) left_rec);
   let rnext = Record.get_next mach right_rec in
-  Record.set_next ctx left_rec rnext;
-  if rnext <> nil then begin
-    match Hashtable.lookup sh.ht rnext with
-    | Some nr -> Record.set_prev ctx nr (Record.get_offset mach left_rec)
-    | None -> assert false
-  end;
-  Record.set_status ctx right_rec Layout.st_tombstone;
-  Hashtable.live_decr ctx sh.ht (Hashtable.level_of_rec sh.ht right_rec);
-  Buddy.push_head ctx sh.meta_base (Layout.class_of_size (lsz + rsz)) left_rec;
+  Undolog.write_all ctx
+    (Buddy.unlink mach sh.meta_base (Layout.class_of_size rsz) right_rec
+     @ [ (Record.size_at left_rec, lsz + rsz);
+         (Record.next_at left_rec, rnext);
+         (Record.status_at right_rec, Layout.st_tombstone);
+         Hashtable.live_decr sh.ht (Hashtable.level_of_rec sh.ht right_rec) ]
+     @ prev_fix sh ~next_off:rnext (Record.get_offset mach left_rec));
+  Undolog.write_all ctx
+    (Buddy.push_head mach sh.meta_base (Layout.class_of_size (lsz + rsz)) left_rec);
   sh.stat_merges <- sh.stat_merges + 1;
   Obs.Trace.emit2 Obs.Event.Merge sh.index (lsz + rsz)
 
@@ -171,13 +185,15 @@ let defrag_windows ctx sh off =
 
 (* ---------- record insertion ---------- *)
 
-(* Inserts a fresh record, defragmenting the probe windows and then
-   extending the hash table when every slot is taken (§5.2). *)
+(* Inserts a fresh record in one batch with its level's live counter,
+   defragmenting the probe windows and then extending the hash table
+   when every slot is taken (§5.2). *)
 let rec insert_record ?(attempt = 0) ctx sh ~off ~size ~status ~prev ~next =
   match Hashtable.find_insert_slot sh.ht off with
   | Some (level, slot) ->
-    Record.init ctx slot ~off ~size ~status ~prev ~next;
-    Hashtable.live_incr ctx sh.ht level;
+    Undolog.write_all ctx
+      (Record.init ctx slot ~off ~size ~status ~prev ~next
+       @ [ Hashtable.live_incr sh.ht level ]);
     Some slot
   | None ->
     if attempt = 0 && defrag_windows ctx sh off then
@@ -216,7 +232,11 @@ let find_free sh rsize =
    neighbour's [prev] is fixed once.  When a record finds no hash
    slot, the last placed block keeps the rest of the free block, so
    its size exceeds [rsize].  Returns the blocks' offsets and record
-   addresses in address order; [] when no free block fits. *)
+   addresses in address order; [] when no free block fits.
+
+   Batches: the unlink with the status and, on a split, block 0's size
+   and [next]; one per inserted record; then the right neighbour's
+   [prev] with the remainder's push. *)
 let alloc_run ctx sh rsize ~count =
   match find_free sh rsize with
   | None -> []
@@ -225,14 +245,20 @@ let alloc_run ctx sh rsize ~count =
     let bsz = Record.get_size mach rec_addr in
     let off = Record.get_offset mach rec_addr in
     let stop = off + bsz in
-    Buddy.unlink ctx sh.meta_base (Layout.class_of_size bsz) rec_addr;
-    (* Mark allocated before any further hash work so that window
-       defragmentation triggered by the split cannot merge this
-       block away. *)
-    Record.set_status ctx rec_addr Layout.st_alloc;
-    if bsz - rsize < Layout.min_block then [ (off, rec_addr) ]
+    let next_off = Record.get_next mach rec_addr in
+    let splits = bsz - rsize >= Layout.min_block in
+    (* Marked allocated before any further hash work so that window
+       defragmentation triggered by the split cannot merge this block
+       away. *)
+    Undolog.write_all ctx
+      (Buddy.unlink mach sh.meta_base (Layout.class_of_size bsz) rec_addr
+       @ (Record.status_at rec_addr, Layout.st_alloc)
+         :: (if splits then
+               [ (Record.size_at rec_addr, rsize);
+                 (Record.next_at rec_addr, off + rsize) ]
+             else []));
+    if not splits then [ (off, rec_addr) ]
     else begin
-      let next_off = Record.get_next mach rec_addr in
       let n = min count (bsz / rsize) in
       (* blocks 1 .. n-1, newest first, each linked to its successor *)
       let rec place k placed =
@@ -257,27 +283,27 @@ let alloc_run ctx sh rsize ~count =
         else None
       in
       let left_of_next = if rem_rec = None then last_off else run_end in
-      if next_off <> nil && left_of_next <> off then begin
-        match Hashtable.lookup sh.ht next_off with
-        | Some nr -> Record.set_prev ctx nr left_of_next
-        | None -> assert false
-      end;
-      if last_off <> off || rem_rec <> None then begin
-        Record.set_next ctx rec_addr (off + rsize);
-        Record.set_size ctx rec_addr rsize
-      end;
-      (match rem_rec with
-       | Some r ->
-         Buddy.push_head ctx sh.meta_base
-           (Layout.class_of_size (stop - run_end)) r
-       | None ->
-         (* no slot for the remainder or a further block: the last
-            placed block keeps the rest (the free block's own record
-            already spans it) *)
-         if last_off <> off && run_end < stop then begin
-           Record.set_size ctx last_rec (stop - last_off);
-           Record.set_next ctx last_rec next_off
-         end);
+      let rest =
+        match rem_rec with
+        | Some r ->
+          Buddy.push_head mach sh.meta_base
+            (Layout.class_of_size (stop - run_end)) r
+        | None when last_off = off ->
+          (* nothing placed after block 0: it keeps the whole free
+             block after all *)
+          [ (Record.size_at rec_addr, bsz); (Record.next_at rec_addr, next_off) ]
+        | None ->
+          (* no slot for the remainder or a further block: the last
+             placed block keeps the rest *)
+          if run_end < stop then
+            [ (Record.size_at last_rec, stop - last_off);
+              (Record.next_at last_rec, next_off) ]
+          else []
+      in
+      Undolog.write_all ctx
+        ((if left_of_next <> off then prev_fix sh ~next_off left_of_next
+          else [])
+         @ rest);
       List.rev placed
     end
 
@@ -372,7 +398,7 @@ let allocate_tx sh size =
     if rsize > sh.data_size then None
     else begin
       let attempt () =
-        let ctx = Undolog.begin_op sh.mach ~meta_base:sh.meta_base in
+        let ctx = Undolog.begin_op sh.undo in
         match alloc_once ctx sh rsize with
         | None ->
           Undolog.commit ctx;
@@ -424,9 +450,11 @@ let dealloc_in ctx sh found =
       Double_free
     end
     else begin
-      Record.set_status ctx rec_addr Layout.st_free;
       let size = Record.get_size sh.mach rec_addr in
-      Buddy.push_tail ctx sh.meta_base (Layout.class_of_size size) rec_addr;
+      Undolog.write_all ctx
+        ((Record.status_at rec_addr, Layout.st_free)
+         :: Buddy.push_tail sh.mach sh.meta_base (Layout.class_of_size size)
+              rec_addr);
       Freed
     end
 
@@ -444,9 +472,11 @@ let deallocate sh off =
     end
     else op sh (fun ctx -> dealloc_in ctx sh (Some rec_addr))
 
-(** Frees a whole batch under ONE undo operation: first-touch logging
-    amortizes the class-list head/tail barriers across the batch, so a
-    magazine flush costs far fewer fences than [n] singleton frees.
+(** Frees a whole batch under ONE undo operation, one logged batch per
+    block (each block's push reads the tail the previous one moved):
+    first-touch logging amortizes the class-list head/tail entries and
+    the commit across the batch, so a magazine flush costs far fewer
+    fences than [n] singleton frees.
     Returns how many offsets actually freed (invalid and double frees
     are absorbed into the stats, as in {!deallocate}). *)
 let deallocate_many sh offs =
@@ -503,7 +533,8 @@ let tc_lease_clear_async sh slot =
 
 (** Carves up to [count] blocks of exactly [rsize] bytes (already
     rounded) in ONE undo operation, each with a ledger lease recorded
-    under the same operation — commit makes the whole batch atomic:
+    under the same operation (one logged batch per run's leases) —
+    commit makes the whole batch atomic:
     either every block is allocated and covered by a lease, or the
     rollback returns them all.  Each run splits as many blocks as
     still fit the magazine and the free ledger slots off one free
@@ -519,25 +550,27 @@ let carve sh ~rsize ~count =
           match if want = 0 then [] else alloc_run ctx sh rsize ~count:want with
           | [] -> (acc, rejects)
           | blocks ->
-            let acc, rejects =
+            let acc, rejects, leases =
               List.fold_left
-                (fun (acc, rejects) (off, rec_addr) ->
+                (fun (acc, rejects, leases) (off, rec_addr) ->
                   if Record.get_size sh.mach rec_addr <> rsize then
                     (* the last block kept the rest of its free block:
                        unusable for an exact-size bin; park it and free
                        it after the loop (freeing now would put it
                        straight back at this class's head) *)
-                    (acc, rec_addr :: rejects)
+                    (acc, rec_addr :: rejects, leases)
                   else begin
                     let slot = Option.get (tc_slot_acquire sh) in
-                    Undolog.write ctx (tc_ledger_addr sh slot) (off + 1);
                     (* the record of an allocated block stays put until
                        the block is freed *)
                     Machine.write_u64 sh.mach (hint_addr sh off) rec_addr;
-                    ((off, slot) :: acc, rejects)
+                    ( (off, slot) :: acc,
+                      rejects,
+                      (tc_ledger_addr sh slot, off + 1) :: leases )
                   end)
-                (acc, rejects) blocks
+                (acc, rejects, []) blocks
             in
+            Undolog.write_all ctx leases;
             fill (need - List.length blocks) acc rejects
         in
         let acc, rejects = fill count [] [] in
@@ -567,6 +600,7 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
   Machine.persist mach meta_base Layout.sh_header_size;
   let sh =
     make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets
+      ~undo:(Undolog.create mach ~meta_base)
   in
   op sh (fun ctx ->
       match
@@ -574,8 +608,9 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
           ~prev:nil ~next:nil
       with
       | Some rec_addr ->
-        Buddy.push_head ctx sh.meta_base
-          (Layout.class_of_size data_size) rec_addr
+        Undolog.write_all ctx
+          (Buddy.push_head mach sh.meta_base
+             (Layout.class_of_size data_size) rec_addr)
       | None -> assert false);
   sh
 

@@ -16,6 +16,9 @@ type t = {
   data_base : int;
   data_size : int;
   ht : Hashtable.t;
+  undo : Undolog.log;
+      (** the undo-log area and the next generation of its
+          operations *)
   lock : Machine.Lock.lock;
   mutable stat_invalid_free : int;
   mutable stat_double_free : int;
@@ -93,9 +96,10 @@ val find_record : t -> int -> int option
     / [stat_hint_misses].  Used by the magazine cache's frees. *)
 
 val deallocate_many : t -> int list -> int
-(** Frees a whole batch under one undo operation (a magazine flush):
-    first-touch logging amortizes the persistence barriers across the
-    batch, and each block is found through {!find_record}.  Returns
+(** Frees a whole batch under one undo operation (a magazine flush),
+    one logged batch (one barrier) per block: first-touch logging
+    amortizes the class-list entries and the commit across the batch,
+    and each block is found through {!find_record}.  Returns
     how many offsets actually freed; invalid and double frees are
     absorbed into the stats as in {!deallocate}. *)
 
@@ -127,7 +131,8 @@ val tc_lease_clear_async : t -> int -> unit
 val carve : t -> rsize:int -> count:int -> (int * int) list
 (** Carves up to [count] blocks of exactly [rsize] bytes (pre-rounded)
     in one undo operation, each covered by a ledger lease written
-    under the same operation — the batch is crash-atomic.  Blocks are
+    under the same operation (one logged batch per run's leases) —
+    the batch is crash-atomic.  Blocks are
     split off free blocks in runs, one pass per free block, each run
     no longer than the free ledger slots.  Returns [(off, slot)] pairs;
     may return fewer than [count] (pool or ledger exhausted). *)

@@ -2,6 +2,7 @@
     instantiation of the generic {!Persist.Pundo} log over the log
     area in the sub-heap header. *)
 
+type log = Persist.Pundo.log
 type ctx = Persist.Pundo.ctx
 
 exception Overflow = Persist.Pundo.Overflow
@@ -9,11 +10,17 @@ exception Overflow = Persist.Pundo.Overflow
 let count_addr meta_base = meta_base + Layout.sh_off_undo_count
 let entries_addr meta_base = meta_base + Layout.sh_off_undo_entries
 
-let begin_op mach ~meta_base =
-  Persist.Pundo.begin_op mach ~count_addr:(count_addr meta_base)
+let create mach ~meta_base =
+  Persist.Pundo.create mach ~count_addr:(count_addr meta_base)
     ~entries_addr:(entries_addr meta_base) ~cap:Layout.undo_cap
 
+let attach mach ~meta_base =
+  Persist.Pundo.attach mach ~count_addr:(count_addr meta_base)
+    ~entries_addr:(entries_addr meta_base) ~cap:Layout.undo_cap
+
+let begin_op = Persist.Pundo.begin_op
 let write = Persist.Pundo.write
+let write_all = Persist.Pundo.write_all
 let mark_dirty = Persist.Pundo.mark_dirty
 let machine = Persist.Pundo.machine
 let commit = Persist.Pundo.commit

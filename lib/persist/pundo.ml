@@ -1,20 +1,26 @@
 (** Generic persistent undo log over a fixed NVMM area.
 
-    Shared by Poseidon's per-sub-heap logs and the PMDK-like baseline's
-    per-lane logs.  The area consists of a count word at [count_addr]
-    and [cap] 24-byte entries {addr, old value, checksum} at
-    [entries_addr].
+    Shared by Poseidon's per-sub-heap logs, the PMDK-like baseline's
+    per-lane logs and the extendible-hash index.  The area consists of
+    a count word at [count_addr] — the operation's generation above a
+    32-bit entry count — and [cap] 24-byte entries
+    {addr, old value, checksum} at [entries_addr].
 
-    Protocol per operation: the first logged write to a word appends
-    {addr, old, checksum} and the bumped count, then issues {e one}
-    persistent barrier for both before performing the in-place write —
-    so any in-place change that can possibly reach the media has a
-    persistent, valid log entry (the paper's "updates the original
-    metadata after the persistent barrier of the undo logging", §5.2).
-    Because entry and count share one barrier, a crash can persist the
-    count ahead of the entry; the checksum detects such torn entries,
-    and skipping them is safe precisely because their in-place write
-    was never issued.
+    Protocol per batch ({!write_all}): every address the operation has
+    not logged yet gets an entry {addr, old, checksum}; the new entries
+    and the bumped count share {e one} persistent barrier, and only
+    then are the batch's stores issued, in order — so any in-place
+    change that can possibly reach the media has a persistent, valid
+    log entry (the paper's "updates the original metadata after the
+    persistent barrier of the undo logging", §5.2).
+
+    Because entries and count share one barrier, a crash can persist
+    the count ahead of an entry line.  The log restarts at slot 0
+    every operation, so such a slot holds garbage or a valid entry of
+    an earlier operation.  Each operation logs under a fresh
+    generation, which the count word carries and every checksum mixes
+    in, so recovery rejects both; skipping them is safe precisely
+    because their in-place writes were never issued.
 
     {!commit} persists every touched line and truncates the log
     (persisting the zeroed count is the commit point).  {!recover}
@@ -24,14 +30,42 @@ let word = 8
 let entry_size = 24
 let cache_line = 64
 
-let checksum_salt = 0x00C0FFEE
-let checksum addr value = addr lxor value lxor checksum_salt
+let count_bits = 32
+let count_mask = (1 lsl count_bits) - 1
+let gen_of w = w lsr count_bits
+let count_of w = w land count_mask
+let count_word ~gen count = (gen lsl count_bits) lor count
 
-type ctx = {
+let checksum_salt = 0x00C0FFEE
+
+(* Generation 0 mixes in nothing: a log written before generations
+   existed still validates. *)
+let checksum ~gen addr value =
+  addr lxor value lxor checksum_salt lxor (gen * 0x2545F4914F6CDD1D)
+
+type log = {
   mach : Machine.t;
   count_addr : int;
   entries_addr : int;
   cap : int;
+  mutable next_gen : int; (* DRAM only: never read from the count word per op *)
+}
+
+let create mach ~count_addr ~entries_addr ~cap =
+  { mach; count_addr; entries_addr; cap; next_gen = 1 }
+
+(* A first barrier torn before its count word persisted may have left
+   entries at the persisted generation + 1, so that one is skipped. *)
+let attach mach ~count_addr ~entries_addr ~cap =
+  { mach;
+    count_addr;
+    entries_addr;
+    cap;
+    next_gen = gen_of (Machine.read_u64 mach count_addr) + 2 }
+
+type ctx = {
+  log : log;
+  gen : int;
   logged : (int, unit) Hashtbl.t;
   dirty : (int, unit) Hashtbl.t;
   mutable count : int;
@@ -39,16 +73,12 @@ type ctx = {
 
 exception Overflow
 
-let machine ctx = ctx.mach
+let machine ctx = ctx.log.mach
 
-let begin_op mach ~count_addr ~entries_addr ~cap =
-  { mach;
-    count_addr;
-    entries_addr;
-    cap;
-    logged = Hashtbl.create 32;
-    dirty = Hashtbl.create 32;
-    count = 0 }
+let begin_op log =
+  let gen = log.next_gen in
+  log.next_gen <- gen + 1;
+  { log; gen; logged = Hashtbl.create 32; dirty = Hashtbl.create 32; count = 0 }
 
 let line_of a = a land lnot (cache_line - 1)
 
@@ -57,42 +87,65 @@ let line_of a = a land lnot (cache_line - 1)
     rollback of some *other* logged word kills them). *)
 let mark_dirty ctx addr = Hashtbl.replace ctx.dirty (line_of addr) ()
 
-let write ctx addr value =
-  if not (Hashtbl.mem ctx.logged addr) then begin
-    if ctx.count >= ctx.cap then raise Overflow;
-    let old = Machine.read_u64 ctx.mach addr in
-    let e = ctx.entries_addr + (ctx.count * entry_size) in
-    Machine.write_u64 ctx.mach e addr;
-    Machine.write_u64 ctx.mach (e + 8) old;
-    Machine.write_u64 ctx.mach (e + 16) (checksum addr old);
-    ctx.count <- ctx.count + 1;
-    Machine.write_u64 ctx.mach ctx.count_addr ctx.count;
-    (* one barrier covers the entry and the count *)
-    Machine.clwb ctx.mach e;
-    if line_of (e + entry_size - 1) <> line_of e then
-      Machine.clwb ctx.mach (e + entry_size - 1);
-    Machine.clwb ctx.mach ctx.count_addr;
-    Machine.sfence ctx.mach;
-    Hashtbl.add ctx.logged addr ()
+let write_all ctx writes =
+  let log = ctx.log and mach = ctx.log.mach in
+  let fresh =
+    List.fold_left
+      (fun acc (addr, _) ->
+        if Hashtbl.mem ctx.logged addr || List.mem addr acc then acc
+        else addr :: acc)
+      [] writes
+  in
+  if fresh <> [] then begin
+    let first = ctx.count in
+    if first + List.length fresh > log.cap then raise Overflow;
+    List.iter
+      (fun addr ->
+        let old = Machine.read_u64 mach addr in
+        let e = log.entries_addr + (ctx.count * entry_size) in
+        Machine.write_u64 mach e addr;
+        Machine.write_u64 mach (e + 8) old;
+        Machine.write_u64 mach (e + 16) (checksum ~gen:ctx.gen addr old);
+        ctx.count <- ctx.count + 1;
+        Hashtbl.add ctx.logged addr ())
+      (List.rev fresh);
+    Machine.write_u64 mach log.count_addr (count_word ~gen:ctx.gen ctx.count);
+    (* one barrier covers the new entries and the count *)
+    let stop = log.entries_addr + (ctx.count * entry_size) in
+    let rec flush a =
+      Machine.clwb mach a;
+      let next = line_of a + cache_line in
+      if next < stop then flush next
+    in
+    flush (log.entries_addr + (first * entry_size));
+    Machine.clwb mach log.count_addr;
+    Machine.sfence mach
   end;
-  Machine.write_u64 ctx.mach addr value;
-  Hashtbl.replace ctx.dirty (line_of addr) ()
+  List.iter
+    (fun (addr, value) ->
+      Machine.write_u64 mach addr value;
+      Hashtbl.replace ctx.dirty (line_of addr) ())
+    writes
+
+let write ctx addr value = write_all ctx [ (addr, value) ]
 
 let persist_dirty ctx =
-  Hashtbl.iter (fun line () -> Machine.clwb ctx.mach line) ctx.dirty;
-  Machine.sfence ctx.mach;
+  Hashtbl.iter (fun line () -> Machine.clwb ctx.log.mach line) ctx.dirty;
+  Machine.sfence ctx.log.mach;
   Hashtbl.reset ctx.dirty
 
 let commit ?before_truncate ctx =
+  let log = ctx.log in
   persist_dirty ctx;
   (match before_truncate with Some f -> f () | None -> ());
-  Machine.write_u64 ctx.mach ctx.count_addr 0;
-  Machine.persist ctx.mach ctx.count_addr word;
+  Machine.write_u64 log.mach log.count_addr (count_word ~gen:ctx.gen 0);
+  Machine.persist log.mach log.count_addr word;
   ctx.count <- 0;
   Hashtbl.reset ctx.logged
 
 let recover mach ~count_addr ~entries_addr =
-  let count = Machine.read_u64 mach count_addr in
+  let w = Machine.read_u64 mach count_addr in
+  let count = count_of w and gen = gen_of w in
   if count = 0 then false
   else begin
     for i = count - 1 downto 0 do
@@ -100,16 +153,16 @@ let recover mach ~count_addr ~entries_addr =
       let addr = Machine.read_u64 mach e in
       let old = Machine.read_u64 mach (e + 8) in
       let chk = Machine.read_u64 mach (e + 16) in
-      (* a torn entry means its in-place write was never issued *)
-      if chk = checksum addr old then begin
+      (* a torn or stale entry means its in-place write was never issued *)
+      if chk = checksum ~gen addr old then begin
         Machine.write_u64 mach addr old;
         Machine.clwb mach addr
       end
     done;
     Machine.sfence mach;
-    Machine.write_u64 mach count_addr 0;
+    Machine.write_u64 mach count_addr (count_word ~gen 0);
     Machine.persist mach count_addr word;
     true
   end
 
-let is_empty mach ~count_addr = Machine.read_u64 mach count_addr = 0
+let is_empty mach ~count_addr = count_of (Machine.read_u64 mach count_addr) = 0

@@ -3,21 +3,41 @@
     Shared by Poseidon's per-sub-heap logs, the PMDK-like baseline's
     per-lane logs and the extendible-hash index.  The area consists of
     a count word at [count_addr] and [cap] 24-byte entries
-    {addr, old value, checksum} at [entries_addr].
+    {addr, old value, checksum} at [entries_addr].  The count word
+    holds the operation's generation above a 32-bit entry count.
 
-    Protocol per operation: the first logged write to a word appends
-    {addr, old, checksum} and the bumped count, then issues {e one}
-    persistent barrier for both before performing the in-place write —
-    so any in-place change that can possibly reach the media has a
-    persistent, valid log entry.  Because entry and count share one
-    barrier, a crash can persist the count ahead of the entry; the
-    checksum detects such torn entries, and skipping them is safe
-    precisely because their in-place write was never issued.
+    Protocol per batch ({!write_all}): every address of the batch the
+    operation has not logged yet gets an entry {addr, old, checksum};
+    the new entries and the bumped count share {e one} persistent
+    barrier (clwb of the new entry lines and the count, one sfence),
+    and only then are the batch's stores issued, in order — so any
+    in-place change that can possibly reach the media has a
+    persistent, valid log entry.  {!write} is the one-pair batch.
+
+    The batch rule: every address and value in a batch is computed
+    from the state before the batch.  A write that depends on an
+    earlier write of the same step belongs in the next batch.
+
+    Generations: because entries and count share one barrier, a crash
+    can persist the count ahead of an entry line, and since the log
+    restarts at slot 0 every operation, that slot may still hold a
+    valid entry of an earlier operation.  Each operation therefore
+    logs under a fresh generation, carried in the count word and mixed
+    into every entry's checksum; recovery skips entries of any other
+    generation, and torn ones, which is safe precisely because their
+    in-place writes were never issued.  The next generation lives in
+    DRAM in the {!log} handle: it starts at 1 on a fresh area and at
+    the persisted generation + 2 on attach.  Generation 0 gives the
+    checksum of logs written before generations existed, so those
+    still recover.
 
     {!commit} persists every touched line and truncates the log
     (persisting the zeroed count is the commit point).  {!recover}
     replays entries in reverse and is idempotent, so a crash during
-    recovery is safe. *)
+    recovery is safe.  Both keep the generation in the count word. *)
+
+type log
+(** One log area and the next generation of its operations (DRAM). *)
 
 type ctx
 (** One in-flight operation. *)
@@ -29,12 +49,24 @@ val entry_size : int
 (** 24 bytes; the log area needs [cap * entry_size] bytes at
     [entries_addr]. *)
 
-val begin_op : Machine.t -> count_addr:int -> entries_addr:int -> cap:int -> ctx
+val create : Machine.t -> count_addr:int -> entries_addr:int -> cap:int -> log
+(** Handle over a freshly formatted area (count word zero). *)
+
+val attach : Machine.t -> count_addr:int -> entries_addr:int -> cap:int -> log
+(** Handle over an existing area, after a restart; reads the count
+    word once. *)
+
+val begin_op : log -> ctx
+
+val write_all : ctx -> (int * int) list -> unit
+(** [write_all ctx [(addr, value); ...]]: logs the old value of every
+    address the operation has not logged yet under one barrier, then
+    writes each value in place, in list order (volatile until
+    {!commit}).  Raises {!Overflow} before appending any entry when
+    the new entries do not fit. *)
 
 val write : ctx -> int -> int -> unit
-(** [write ctx addr value]: logs the word's old value on first touch
-    (persisted before the in-place write), then writes in place
-    (volatile until {!commit}). *)
+(** [write ctx addr value] is [write_all ctx [(addr, value)]]. *)
 
 val mark_dirty : ctx -> int -> unit
 (** Registers a line for persistence at {!commit} without logging —
@@ -50,7 +82,9 @@ val commit : ?before_truncate:(unit -> unit) -> ctx -> unit
     §5.3), then truncates. *)
 
 val recover : Machine.t -> count_addr:int -> entries_addr:int -> bool
-(** Replays a non-empty log in reverse (skipping torn entries);
-    returns whether anything was replayed.  Idempotent. *)
+(** Replays a non-empty log in reverse (skipping torn entries and
+    entries of other generations); returns whether anything was
+    replayed.  Idempotent. *)
 
 val is_empty : Machine.t -> count_addr:int -> bool
+(** The count word's entry count is zero. *)

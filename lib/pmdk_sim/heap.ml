@@ -38,6 +38,7 @@ type t = {
   heap_id : int;
   window_size : int;
   lanes : int;
+  undo_logs : Persist.Pundo.log array; (* one per lane *)
   canary : bool;
   arenas : arena array;
   avl : Avl.t;
@@ -63,12 +64,7 @@ let chunks_base t = t.base + header_size t
 
 let lane_of () = Machine.current_cpu ()
 
-let begin_lane_op t =
-  let lane = lane_of () in
-  Persist.Pundo.begin_op t.mach
-    ~count_addr:(t.base + L.lane_undo_count lane)
-    ~entries_addr:(t.base + L.lane_undo_entries lane)
-    ~cap:L.lane_undo_cap
+let begin_lane_op t = Persist.Pundo.begin_op t.undo_logs.(lane_of ())
 
 let tx_area t lane =
   { Persist.Plog.count_addr = t.base + L.lane_tx_count lane;
@@ -436,15 +432,24 @@ let mk_arenas mach =
         achunks = [];
         freelists = Array.make (L.small_max_units + 1) [] })
 
-let mk_t mach ~base ~size ~heap_id ~canary =
+(* [undo_log] is {!Persist.Pundo.create} on a fresh pool and
+   {!Persist.Pundo.attach} on a restart. *)
+let mk_t mach ~base ~size ~heap_id ~canary ~undo_log =
   let avl_visit () =
     Machine.compute mach (Machine.cfg mach).Machine.Config.dram_read_ns
   in
+  let lanes = (Machine.cfg mach).Machine.Config.num_cpus in
   { mach;
     base;
     heap_id;
     window_size = size;
-    lanes = (Machine.cfg mach).Machine.Config.num_cpus;
+    lanes;
+    undo_logs =
+      Array.init lanes (fun lane ->
+          undo_log mach
+            ~count_addr:(base + L.lane_undo_count lane)
+            ~entries_addr:(base + L.lane_undo_entries lane)
+            ~cap:L.lane_undo_cap);
     canary;
     arenas = mk_arenas mach;
     avl = Avl.create ~on_visit:avl_visit ();
@@ -466,7 +471,9 @@ let create mach ~base ~size ~heap_id ?(canary = false) () =
      lands on NUMA node 0 — the behaviour §7.4 points out. *)
   if not (Machine.has_region mach base) then
     Machine.add_region mach ~base ~size ~kind:Nvmm.Memdev.Nvmm ~numa:0;
-  let t = mk_t mach ~base ~size ~heap_id ~canary in
+  let t =
+    mk_t mach ~base ~size ~heap_id ~canary ~undo_log:Persist.Pundo.create
+  in
   Machine.write_u64 mach (base + L.hd_off_heap_id) heap_id;
   Machine.write_u64 mach (base + L.hd_off_window_size) size;
   Machine.write_u64 mach (base + L.hd_off_root) Alloc_intf.packed_null;
@@ -482,7 +489,9 @@ let attach mach ~base ?(canary = false) () =
     failwith "Pmdk_sim.attach: bad magic";
   let size = Machine.read_u64 mach (base + L.hd_off_window_size) in
   let heap_id = Machine.read_u64 mach (base + L.hd_off_heap_id) in
-  let t = mk_t mach ~base ~size ~heap_id ~canary in
+  let t =
+    mk_t mach ~base ~size ~heap_id ~canary ~undo_log:Persist.Pundo.attach
+  in
   (* undo logs first: metadata back to operation boundaries *)
   for lane = 0 to t.lanes - 1 do
     ignore

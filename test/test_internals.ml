@@ -30,7 +30,7 @@ let mksh ?(data_size = 1 lsl 16) ?(base_buckets = 16) () =
   (mach, sh)
 
 let op sh f =
-  let ctx = Ul.begin_op sh.Sh.mach ~meta_base:sh.Sh.meta_base in
+  let ctx = Ul.begin_op sh.Sh.undo in
   let r = f ctx in
   Ul.commit ctx;
   r
@@ -48,8 +48,7 @@ let test_record_fields () =
   check_int "prev" L.nil_off (Rec.get_prev mach rec_addr);
   check_int "next" L.nil_off (Rec.get_next mach rec_addr);
   op sh (fun ctx ->
-      Rec.set_size ctx rec_addr 12345;
-      Rec.set_prev ctx rec_addr 64);
+      Ul.write_all ctx [ (Rec.size_at rec_addr, 12345); (Rec.prev_at rec_addr, 64) ]);
   check_int "updated size" 12345 (Rec.get_size mach rec_addr);
   check_int "updated prev" 64 (Rec.get_prev mach rec_addr)
 
@@ -73,9 +72,10 @@ let test_hash_insert_many_and_lookup () =
           let rec insert attempts =
             match Ht.find_insert_slot sh.Sh.ht off with
             | Some (level, slot) ->
-              Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
-                ~prev:L.nil_off ~next:L.nil_off;
-              Ht.live_incr ctx sh.Sh.ht level
+              Ul.write_all ctx
+                (Ht.live_incr sh.Sh.ht level
+                 :: Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
+                      ~prev:L.nil_off ~next:L.nil_off)
             | None ->
               check "can extend" true (Ht.extend ctx sh.Sh.ht);
               if attempts < L.max_levels then insert (attempts + 1)
@@ -99,24 +99,27 @@ let test_hash_tombstone_reuse () =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (level, slot) ->
-          Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc ~prev:L.nil_off
-            ~next:L.nil_off;
-          Ht.live_incr ctx sh.Sh.ht level;
+          Ul.write_all ctx
+            (Ht.live_incr sh.Sh.ht level
+             :: Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
+                  ~prev:L.nil_off ~next:L.nil_off);
           slot
         | None -> Alcotest.fail "no slot")
   in
   (* tombstone it *)
   op sh (fun ctx ->
-      Rec.set_status ctx slot1 L.st_tombstone;
-      Ht.live_decr ctx sh.Sh.ht (Ht.level_of_rec sh.Sh.ht slot1));
+      Ul.write_all ctx
+        [ (Rec.status_at slot1, L.st_tombstone);
+          Ht.live_decr sh.Sh.ht (Ht.level_of_rec sh.Sh.ht slot1) ]);
   check "gone" true (Ht.lookup sh.Sh.ht off = None);
   (* the tombstone slot is reusable *)
   let slot2 =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (_, slot) ->
-          Rec.init ctx slot ~off ~size:64 ~status:L.st_free ~prev:L.nil_off
-            ~next:L.nil_off;
+          Ul.write_all ctx
+            (Rec.init ctx slot ~off ~size:64 ~status:L.st_free ~prev:L.nil_off
+               ~next:L.nil_off);
           slot
         | None -> Alcotest.fail "no slot")
   in
@@ -164,30 +167,31 @@ let test_buddy_push_pop_order () =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (_, slot) ->
-          Rec.init ctx slot ~off ~size:32 ~status:L.st_free ~prev:L.nil_off
-            ~next:L.nil_off;
+          Ul.write_all ctx
+            (Rec.init ctx slot ~off ~size:32 ~status:L.st_free ~prev:L.nil_off
+               ~next:L.nil_off);
           slot
         | None -> Alcotest.fail "no slot")
   in
   let r1 = mk 1024 and r2 = mk 2048 and r3 = mk 3072 in
   let cls = 10 in
   op sh (fun ctx ->
-      Bd.push_head ctx meta cls r1;
-      Bd.push_tail ctx meta cls r2;
-      Bd.push_head ctx meta cls r3);
+      Ul.write_all ctx (Bd.push_head mach meta cls r1);
+      Ul.write_all ctx (Bd.push_tail mach meta cls r2);
+      Ul.write_all ctx (Bd.push_head mach meta cls r3));
   (* list order: r3, r1, r2 *)
   check_int "head" r3 (Bd.head mach meta cls);
   check_int "tail" r2 (Bd.tail mach meta cls);
   check_int "middle" r1 (Rec.get_next_free mach r3);
   (* unlink the middle element *)
-  op sh (fun ctx -> Bd.unlink ctx meta cls r1);
+  op sh (fun ctx -> Ul.write_all ctx (Bd.unlink mach meta cls r1));
   check_int "head after unlink" r3 (Bd.head mach meta cls);
   check_int "r3 -> r2" r2 (Rec.get_next_free mach r3);
   check_int "r2 <- r3" r3 (Rec.get_prev_free mach r2);
   (* drain *)
   op sh (fun ctx ->
-      Bd.unlink ctx meta cls r3;
-      Bd.unlink ctx meta cls r2);
+      Ul.write_all ctx (Bd.unlink mach meta cls r3);
+      Ul.write_all ctx (Bd.unlink mach meta cls r2));
   check_int "empty head" 0 (Bd.head mach meta cls);
   check_int "empty tail" 0 (Bd.tail mach meta cls)
 
@@ -198,8 +202,9 @@ let test_buddy_first_fit () =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (_, slot) ->
-          Rec.init ctx slot ~off ~size ~status:L.st_free ~prev:L.nil_off
-            ~next:L.nil_off;
+          Ul.write_all ctx
+            (Rec.init ctx slot ~off ~size ~status:L.st_free ~prev:L.nil_off
+               ~next:L.nil_off);
           slot
         | None -> Alcotest.fail "no slot")
   in
@@ -207,8 +212,8 @@ let test_buddy_first_fit () =
   let big = mk 2048 60 in
   let cls = 5 in
   op sh (fun ctx ->
-      Bd.push_tail ctx meta cls small;
-      Bd.push_tail ctx meta cls big);
+      Ul.write_all ctx (Bd.push_tail sh.Sh.mach meta cls small);
+      Ul.write_all ctx (Bd.push_tail sh.Sh.mach meta cls big));
   check "first fit skips too-small" true
     (Bd.first_fit sh.Sh.mach meta cls ~min_size:50 ~max_steps:8 = Some big);
   check "first fit bounded" true

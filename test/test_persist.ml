@@ -20,7 +20,11 @@ let mkmach () =
     ~numa:0;
   m
 
-let begin_op m = Pundo.begin_op m ~count_addr ~entries_addr ~cap:64
+let mklog m = Pundo.create m ~count_addr ~entries_addr ~cap:64
+let begin_op m = Pundo.begin_op (mklog m)
+
+(* the entry count, below the count word's generation *)
+let count_field m = Machine.read_u64 m count_addr land 0xFFFF_FFFF
 
 (* ---------- pundo ---------- *)
 
@@ -54,24 +58,29 @@ let test_crash_mid_op_rolls_back () =
 
 let test_adversarial_crash_mid_op () =
   (* whatever subset of lines the crash persists, recovery must
-     restore the pre-op state *)
+     restore the pre-op state: the 8 words written one barrier each,
+     then as one batch under one barrier *)
   let rng = Prng.create 123 in
-  for _ = 1 to 50 do
-    let m = mkmach () in
-    for i = 0 to 7 do
-      Machine.write_u64 m (data_base + (i * 8)) (100 + i)
-    done;
-    Machine.persist m data_base 64;
-    let ctx = begin_op m in
-    for i = 0 to 7 do
-      Pundo.write ctx (data_base + (i * 8)) (200 + i)
-    done;
-    Memdev.crash (Machine.dev m) (`Adversarial rng);
-    ignore (Pundo.recover m ~count_addr ~entries_addr);
-    for i = 0 to 7 do
-      check_int "pre-op state" (100 + i) (Machine.read_u64 m (data_base + (i * 8)))
-    done
-  done
+  List.iter
+    (fun batched ->
+      for _ = 1 to 50 do
+        let m = mkmach () in
+        for i = 0 to 7 do
+          Machine.write_u64 m (data_base + (i * 8)) (100 + i)
+        done;
+        Machine.persist m data_base 64;
+        let ctx = begin_op m in
+        let writes = List.init 8 (fun i -> (data_base + (i * 8), 200 + i)) in
+        if batched then Pundo.write_all ctx writes
+        else List.iter (fun (a, v) -> Pundo.write ctx a v) writes;
+        Memdev.crash (Machine.dev m) (`Adversarial rng);
+        ignore (Pundo.recover m ~count_addr ~entries_addr);
+        for i = 0 to 7 do
+          check_int "pre-op state" (100 + i)
+            (Machine.read_u64 m (data_base + (i * 8)))
+        done
+      done)
+    [ false; true ]
 
 let test_first_write_logged_once () =
   let m = mkmach () in
@@ -81,7 +90,7 @@ let test_first_write_logged_once () =
   Pundo.write ctx data_base 6;
   Pundo.write ctx data_base 7;
   Pundo.write ctx data_base 8;
-  check_int "one entry" 1 (Machine.read_u64 m count_addr);
+  check_int "one entry" 1 (count_field m);
   Memdev.crash (Machine.dev m) `Strict;
   ignore (Pundo.recover m ~count_addr ~entries_addr);
   check_int "rolls to original, not intermediate" 5
@@ -115,6 +124,97 @@ let test_torn_entry_skipped () =
   check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
   check_int "torn entry not applied" 1 (Machine.read_u64 m data_base)
 
+(* A log written before generations existed: a bare count and entries
+   whose checksum mixes in no generation still replay. *)
+let test_generation_zero_log_recovers () =
+  let m = mkmach () in
+  Machine.write_u64 m data_base 1;
+  Machine.write_u64 m (data_base + 8) 2;
+  Machine.persist m data_base 16;
+  List.iteri
+    (fun i (addr, old) ->
+      let e = entries_addr + (i * Pundo.entry_size) in
+      Machine.write_u64 m e addr;
+      Machine.write_u64 m (e + 8) old;
+      Machine.write_u64 m (e + 16) (addr lxor old lxor 0x00C0FFEE))
+    [ (data_base, 1); (data_base + 8, 2) ];
+  Machine.write_u64 m count_addr 2;
+  Machine.persist m count_addr 64;
+  (* the operation's in-place writes reached the media *)
+  Machine.write_u64 m data_base 10;
+  Machine.write_u64 m (data_base + 8) 20;
+  Machine.persist m data_base 16;
+  check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
+  check_int "word 0 restored" 1 (Machine.read_u64 m data_base);
+  check_int "word 1 restored" 2 (Machine.read_u64 m (data_base + 8));
+  check "log empty" true (Pundo.is_empty m ~count_addr)
+
+(* A torn barrier whose count word persisted ahead of two entry lines:
+   those slots still hold valid entries of the previous, committed
+   operation, which recovery must not replay. *)
+let test_stale_entry_skipped () =
+  let m = mkmach () in
+  let log = mklog m in
+  for i = 0 to 3 do
+    Machine.write_u64 m (data_base + (i * 8)) i
+  done;
+  Machine.persist m data_base 32;
+  let ctx = Pundo.begin_op log in
+  Pundo.write_all ctx
+    [ (data_base, 10); (data_base + 8, 11); (data_base + 16, 12) ];
+  Pundo.commit ctx;
+  let ctx = Pundo.begin_op log in
+  Pundo.write ctx (data_base + 24) 13;
+  check_int "op 2 logged one entry" 1 (count_field m);
+  (* op 2's generation with count 3: entry 0 is op 2's, 1-2 op 1's *)
+  Machine.write_u64 m count_addr (Machine.read_u64 m count_addr + 2);
+  Machine.persist m count_addr 8;
+  Memdev.crash (Machine.dev m) `Strict;
+  check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
+  check_int "op 2's word restored" 3 (Machine.read_u64 m (data_base + 24));
+  for i = 0 to 2 do
+    check_int "op 1's committed word kept" (10 + i)
+      (Machine.read_u64 m (data_base + (i * 8)))
+  done;
+  check "log empty" true (Pundo.is_empty m ~count_addr)
+
+(* An operation's first barrier tears before its count word persists,
+   leaving valid entries at the persisted generation + 1.  After the
+   restart a durable write outside the log moves one of their words,
+   and the first operation after attach tears in turn over those
+   slots: the stale entries must not validate under its generation. *)
+let test_no_generation_reuse_after_attach () =
+  let m = mkmach () in
+  let log = mklog m in
+  for i = 0 to 3 do
+    Machine.write_u64 m (data_base + (i * 8)) i
+  done;
+  Machine.persist m data_base 32;
+  let ctx = Pundo.begin_op log in
+  Pundo.write ctx (data_base + 24) 30;
+  Pundo.commit ctx;
+  let committed = Machine.read_u64 m count_addr in
+  let ctx = Pundo.begin_op log in
+  Pundo.write_all ctx
+    [ (data_base, 10); (data_base + 8, 11); (data_base + 16, 12) ];
+  Memdev.crash (Machine.dev m) `Strict;
+  (* the count line never made it *)
+  Machine.write_u64 m count_addr committed;
+  Machine.persist m count_addr 8;
+  check "nothing to replay" false (Pundo.recover m ~count_addr ~entries_addr);
+  let log = Pundo.attach m ~count_addr ~entries_addr ~cap:64 in
+  Machine.write_u64 m (data_base + 8) 21;
+  Machine.persist m (data_base + 8) 8;
+  let ctx = Pundo.begin_op log in
+  Pundo.write ctx (data_base + 24) 31;
+  Machine.write_u64 m count_addr (Machine.read_u64 m count_addr + 2);
+  Machine.persist m count_addr 8;
+  Memdev.crash (Machine.dev m) `Strict;
+  ignore (Pundo.recover m ~count_addr ~entries_addr);
+  check_int "torn op rolled back" 30 (Machine.read_u64 m (data_base + 24));
+  check_int "durable write kept" 21 (Machine.read_u64 m (data_base + 8));
+  check_int "untouched word" 2 (Machine.read_u64 m (data_base + 16))
+
 let test_overflow () =
   let m = mkmach () in
   let ctx = begin_op m in
@@ -126,6 +226,32 @@ let test_overflow () =
        false
      with Pundo.Overflow -> true)
 
+(* A batch whose fresh words exceed the cap raises before appending
+   anything; words the op already logged do not count. *)
+let test_batch_overflow () =
+  let m = mkmach () in
+  let ctx = begin_op m in
+  let word i = data_base + (i * 8) in
+  for i = 0 to 59 do
+    Pundo.write ctx (word i) i
+  done;
+  let count_word = Machine.read_u64 m count_addr in
+  let batch fresh =
+    (word 0, 999) :: List.init fresh (fun k -> (word (60 + k), 100 + k))
+  in
+  check "overflow raises" true
+    (try Pundo.write_all ctx (batch 5); false with Pundo.Overflow -> true);
+  check_int "count word unchanged" count_word (Machine.read_u64 m count_addr);
+  check_int "no entry appended" 0
+    (Machine.read_u64 m (entries_addr + (60 * Pundo.entry_size)));
+  check_int "logged word unchanged" 0 (Machine.read_u64 m (word 0));
+  for k = 0 to 4 do
+    check_int "fresh word unchanged" 0 (Machine.read_u64 m (word (60 + k)))
+  done;
+  Pundo.write_all ctx (batch 4);
+  check_int "the batch filled the log" 64 (count_field m);
+  check_int "stores issued" 999 (Machine.read_u64 m (word 0))
+
 let test_before_truncate_hook () =
   let m = mkmach () in
   let order = ref [] in
@@ -133,7 +259,7 @@ let test_before_truncate_hook () =
   Pundo.write ctx data_base 1;
   Pundo.commit ctx ~before_truncate:(fun () ->
       order := `Hook :: !order;
-      order := (`Count (Machine.read_u64 m count_addr)) :: !order);
+      order := (`Count (count_field m)) :: !order);
   (* the hook must run while the log is still non-empty *)
   check "hook saw non-empty log" true
     (List.exists (function `Count 1 -> true | _ -> false) !order)
@@ -156,6 +282,7 @@ let prop_random_ops_crash_recover =
     QCheck.(pair small_nat (list (pair (int_bound 15) (int_bound 999))))
     (fun (crash_after, ops) ->
       let m = mkmach () in
+      let log = mklog m in
       (* initial committed state: slot i = i *)
       for i = 0 to 15 do
         Machine.write_u64 m (data_base + (i * 8)) i
@@ -166,7 +293,7 @@ let prop_random_ops_crash_recover =
       (try
          List.iter
            (fun (slot, v) ->
-             let ctx = begin_op m in
+             let ctx = Pundo.begin_op log in
              Pundo.write ctx (data_base + (slot * 8)) v;
              incr step;
              if !step = crash_after then raise Exit;
@@ -229,7 +356,14 @@ let () =
           Alcotest.test_case "log once per word" `Quick test_first_write_logged_once;
           Alcotest.test_case "idempotent recover" `Quick test_recover_idempotent;
           Alcotest.test_case "torn entry" `Quick test_torn_entry_skipped;
+          Alcotest.test_case "log without generations" `Quick
+            test_generation_zero_log_recovers;
+          Alcotest.test_case "stale entry of an earlier op" `Quick
+            test_stale_entry_skipped;
+          Alcotest.test_case "no generation reuse after attach" `Quick
+            test_no_generation_reuse_after_attach;
           Alcotest.test_case "overflow" `Quick test_overflow;
+          Alcotest.test_case "batch overflow" `Quick test_batch_overflow;
           Alcotest.test_case "before_truncate hook" `Quick test_before_truncate_hook;
           Alcotest.test_case "mark_dirty" `Quick test_mark_dirty_persisted_at_commit ]
         @ qsuite );

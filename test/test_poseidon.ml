@@ -142,6 +142,31 @@ let test_unprotected_mode () =
   (* ablation mode: no fault *)
   Machine.write_u64 mach !meta_target (Machine.read_u64 mach !meta_target)
 
+(* ---------- persistence barriers per call ---------- *)
+
+(* Each metadata step logs its write set under one undo barrier, and
+   the commit adds two fences (dirty lines, then the truncation). *)
+let test_one_barrier_per_step () =
+  let mach, h = mkheap () in
+  let fences f =
+    let before = (Memdev.counters (Machine.dev mach)).Memdev.fences in
+    let r = f () in
+    ((Memdev.counters (Machine.dev mach)).Memdev.fences - before, r)
+  in
+  (* the first call formats the sub-heap *)
+  ignore (alloc_exn h 64);
+  let split, p = fences (fun () -> alloc_exn h 64) in
+  let free, () = fences (fun () -> H.free h p) in
+  let realloc, p' = fences (fun () -> alloc_exn h 64) in
+  check "the freed block came back" true (p' = p);
+  H.free h p';
+  let tx, _ = fences (fun () -> Option.get (H.tx_alloc h 64 ~is_end:true)) in
+  check_int "free" 3 free;
+  check_int "re-allocation without a split" 3 realloc;
+  check "split allocation <= 5" true (split <= 5);
+  check "tx_alloc ~is_end:true <= 6" true (tx <= 6);
+  H.check_invariants h
+
 (* ---------- double / invalid frees (4.4) ---------- *)
 
 let test_double_free_rejected () =
@@ -617,9 +642,9 @@ let test_insert_skips_full_levels () =
     (gauge "hash_full_levels" = Some (float_of_int (Ht.full_levels ht)));
   (* one tombstone in level 1: no longer full, so it must be probed *)
   let victim = Ht.bucket_addr ht ~level:1 ~idx:0 in
-  let ctx = Poseidon.Undolog.begin_op mach ~meta_base:sh.Poseidon.Subheap.meta_base in
-  Poseidon.Record.set_status ctx victim L.st_tombstone;
-  Ht.live_decr ctx ht 1;
+  let ctx = Poseidon.Undolog.begin_op sh.Poseidon.Subheap.undo in
+  Poseidon.Undolog.write_all ctx
+    [ (Poseidon.Record.status_at victim, L.st_tombstone); Ht.live_decr ht 1 ];
   Poseidon.Undolog.commit ctx;
   check "level 1 has room" false (full 1);
   agree "one tombstone";
@@ -808,7 +833,8 @@ let () =
           Alcotest.test_case "distinct regions" `Quick test_alloc_distinct_regions;
           Alcotest.test_case "reuse after free" `Quick test_free_enables_reuse;
           Alcotest.test_case "accounting" `Quick test_exact_pool_accounting;
-          Alcotest.test_case "interleaved sizes" `Quick test_interleaved_sizes ] );
+          Alcotest.test_case "interleaved sizes" `Quick test_interleaved_sizes;
+          Alcotest.test_case "one barrier per step" `Quick test_one_barrier_per_step ] );
       ( "safety",
         [ Alcotest.test_case "metadata isolation" `Quick test_data_region_isolation;
           Alcotest.test_case "unprotected mode" `Quick test_unprotected_mode;
