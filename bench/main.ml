@@ -677,7 +677,7 @@ let service_suite () =
 
 (* ---------- replication suite: primary/backup on two machines ---------- *)
 
-(* Same traffic harness on a two-machine cluster (lib/cluster +
+(* Same traffic harness on a two-machine cluster (lib/net +
    lib/replica): sync vs async clean runs expose the sync-mode latency
    tax; then the RTO experiment — one failover run (primary lost at
    50%, backup promoted) against one plain restart run (same store,

@@ -134,7 +134,6 @@ end
 (** An allocator packaged with one of its heaps — what workloads take. *)
 type instance = Instance : (module S with type heap = 'h) * 'h -> instance
 
-let instance_name (Instance ((module A), _)) = A.allocator_name
 let instance_machine (Instance ((module A), h)) = A.machine h
 let i_alloc (Instance ((module A), h)) size = A.alloc h size
 let i_tx_alloc (Instance ((module A), h)) size ~is_end = A.tx_alloc h size ~is_end

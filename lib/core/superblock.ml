@@ -63,9 +63,6 @@ let slot_active mach ~base slot =
 let slot_meta_base mach ~base slot =
   read mach (dir_entry base slot) Layout.dir_off_meta_base
 
-let slot_data_base mach ~base slot =
-  read mach (dir_entry base slot) Layout.dir_off_data_base
-
 let slot_data_size mach ~base slot =
   read mach (dir_entry base slot) Layout.dir_off_data_size
 

@@ -43,7 +43,6 @@ val set_last_pkey : Machine.t -> base:int -> int -> unit
 
 val slot_active : Machine.t -> base:int -> int -> bool
 val slot_meta_base : Machine.t -> base:int -> int -> int
-val slot_data_base : Machine.t -> base:int -> int -> int
 val slot_data_size : Machine.t -> base:int -> int -> int
 
 val publish_slot :

@@ -701,8 +701,9 @@ let kv_groups ~window plan =
    advances a whole group at a time, once the backup's ack covers the
    group's records — or, with the seeded [ack_early] bug, before the
    group even runs. *)
-let replicate k b ~acked ~settle ~primary ~backup =
-  let link = Cluster.Link.create () in
+let replicate k b ~acked ~settle ~mach ~primary ~backup =
+  (* the sweep runs outside the simulation: the link has no latency *)
+  let link = Net.create mach ~ports:[| (0, 256); (0, 256) |] () in
   let rcfg = { Replica.default_config with Replica.window = b.repl_window } in
   let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
   let applier =
@@ -761,7 +762,7 @@ let replicate k b ~acked ~settle ~primary ~backup =
                   ignore (Replica.Shipper.flush shipper))));
         if !shipped <> [] then begin
           Replica.Applier.pump applier ~until:(fun () ->
-              Cluster.Link.pending link ~ep:Replica.backup_ep = 0);
+              Net.pending link ~port:Replica.backup_ep = 0);
           Replica.Shipper.poll_acks shipper;
           if
             List.exists
@@ -828,7 +829,8 @@ let kv_sweep (k : kv_scenario) =
        let penv = mk_env () in
        let p = store penv in
        preload [ p; s ];
-       drive := replicate k b ~acked ~settle ~primary:p ~backup:s;
+       drive :=
+         replicate k b ~acked ~settle ~mach:penv.mach ~primary:p ~backup:s;
        env.aux_devs <- [ Machine.dev penv.mach ];
        Memdev.drain (Machine.dev penv.mach));
     acked := 0;

@@ -380,7 +380,7 @@ val scn_rcache_broken : unit -> scenario
 val scn_kv_replicated_put : unit -> scenario
 (** Sync replication over a two-machine cluster at window 1, one
     transaction included: each op commits as a group of one on the
-    primary, ships over a {!Cluster.Link}, is applied/persisted on the
+    primary, ships over a two-port {!Net} link, is applied/persisted on the
     backup and acked — and the sweep crashes the whole cluster at
     every fence of that pipeline (both devices' fence streams share
     one point space via [aux_devs]).  Recovery attaches the

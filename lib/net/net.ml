@@ -1,52 +1,56 @@
 module Sched = Simcore.Sched
+module Prng = Repro_util.Prng
 
 type 'a msg = {
   payload : 'a;
   sent_at : int;
   delivered_at : int;
-  src_cpu : int;
   trace : int;
   span : int;
+}
+
+type stats = {
+  enqueued : int;
+  rejected : int;
+  delivered : int;
+  dropped : int;
+  duplicated : int;
+  max_depth : int;
+  flushes : int;
 }
 
 type 'a port = {
   cpu : int;
   capacity : int;
   q : 'a msg Queue.t;
-  mutable enqueued : int;
-  mutable rejected : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable max_depth : int;
+  buf : ('a * int * int) Queue.t; (* doorbell: (payload, trace, span) *)
+  mutable st : stats;
 }
 
 type 'a t = {
-  mach : Machine.t;
+  cfg : Machine.Config.t;
   ports : 'a port array;
-  local_ns : int;
+  wire_ns : int option;
   remote_ns : int;
-  send_cpu_ns : int;
-  poll_ns : int;
   drop_pct : int;
   dup_pct : int;
-  fault_rng : Repro_util.Prng.t;
+  rng : Prng.t;
 }
 
-let create mach ~ports ?(local_ns = 1_500) ?remote_ns ?(send_cpu_ns = 300)
-    ?(poll_ns = 500) ?(drop_pct = 0) ?(dup_pct = 0) ?(fault_seed = 0xFA17) ()
-    =
+let local_ns = 1_500
+let send_cpu_ns = 300
+let poll_ns = 2_000
+
+let create ?wire_ns ?(drop_pct = 0) ?(dup_pct = 0) ?(seed = 0xFA17) mach
+    ~ports () =
+  (match wire_ns with
+   | Some w when w < 0 -> invalid_arg "Net.create: wire_ns < 0"
+   | _ -> ());
   if drop_pct < 0 || drop_pct >= 100 then
     invalid_arg "Net.create: drop_pct must be in [0, 100)";
   if dup_pct < 0 || dup_pct > 100 then
     invalid_arg "Net.create: dup_pct must be in [0, 100]";
   let cfg = Machine.cfg mach in
-  let remote_ns =
-    match remote_ns with
-    | Some n -> n
-    | None ->
-      int_of_float (float_of_int local_ns *. cfg.Machine.Config.remote_numa_mult)
-  in
   let ports =
     Array.map
       (fun (cpu, capacity) ->
@@ -54,61 +58,118 @@ let create mach ~ports ?(local_ns = 1_500) ?remote_ns ?(send_cpu_ns = 300)
         { cpu;
           capacity;
           q = Queue.create ();
-          enqueued = 0;
-          rejected = 0;
-          delivered = 0;
-          dropped = 0;
-          duplicated = 0;
-          max_depth = 0 })
+          buf = Queue.create ();
+          st =
+            { enqueued = 0; rejected = 0; delivered = 0; dropped = 0;
+              duplicated = 0; max_depth = 0; flushes = 0 } })
       ports
   in
-  { mach; ports; local_ns; remote_ns; send_cpu_ns; poll_ns;
-    drop_pct; dup_pct;
-    fault_rng = Repro_util.Prng.create fault_seed }
+  { cfg;
+    ports;
+    wire_ns;
+    remote_ns =
+      int_of_float
+        (float_of_int local_ns *. cfg.Machine.Config.remote_numa_mult);
+    drop_pct;
+    dup_pct;
+    rng = Prng.create seed }
 
-let latency t ~src_cpu ~dst_cpu =
-  let cfg = Machine.cfg t.mach in
-  if Machine.Config.cpu_numa cfg src_cpu = Machine.Config.cpu_numa cfg dst_cpu then t.local_ns
-  else t.remote_ns
+(* Charge the sender and stamp a send toward a port on [dst_cpu]:
+   [(sent_at, delivered_at)], both 0 outside the simulation.  Inside
+   one machine the message leaves once the sender has paid for it, and
+   travels the NUMA distance.  A link's frame leaves at the doorbell
+   and the sender's charge overlaps the wire, so it is stamped before
+   the charge. *)
+let stamp t ~dst_cpu =
+  if not (Sched.in_simulation ()) then (0, 0)
+  else
+    match t.wire_ns with
+    | Some wire ->
+      let now = Sched.now () in
+      Sched.charge send_cpu_ns;
+      (now, now + wire)
+    | None ->
+      Sched.charge send_cpu_ns;
+      let now = Sched.now () in
+      let numa = Machine.Config.cpu_numa t.cfg in
+      let same_node = numa (Sched.cpu ()) = numa dst_cpu in
+      (now, now + if same_node then local_ns else t.remote_ns)
+
+(* Seeded wire faults.  A clean channel never consults the PRNG, so it
+   behaves bit-identically to a fault-free build. *)
+let roll_drop t =
+  (t.drop_pct > 0 || t.dup_pct > 0) && Prng.int t.rng 100 < t.drop_pct
+
+let roll_dup t = t.dup_pct > 0 && Prng.int t.rng 100 < t.dup_pct
+
+let note_depth p =
+  let depth = Queue.length p.q in
+  if depth > p.st.max_depth then p.st <- { p.st with max_depth = depth }
 
 let try_send ?(trace = -1) ?(span = -1) t ~dst payload =
   let p = t.ports.(dst) in
   if Queue.length p.q >= p.capacity then begin
-    p.rejected <- p.rejected + 1;
+    p.st <- { p.st with rejected = p.st.rejected + 1 };
     false
   end
   else begin
-    let in_sim = Sched.in_simulation () in
-    if in_sim then Sched.charge t.send_cpu_ns;
-    let now = if in_sim then Sched.now () else 0 in
-    let src_cpu = if in_sim then Sched.cpu () else Machine.main_thread in
-    let lat = if in_sim then latency t ~src_cpu ~dst_cpu:p.cpu else 0 in
-    p.enqueued <- p.enqueued + 1;
-    (* Fault injection (lossy links for replication testing).  On a
-       clean network (both percentages 0, the default) the PRNG is
-       never consulted, keeping behaviour bit-identical. *)
-    let faulty = t.drop_pct > 0 || t.dup_pct > 0 in
-    if faulty && Repro_util.Prng.int t.fault_rng 100 < t.drop_pct then
-      (* Wire loss is invisible to the sender: still [true]. *)
-      p.dropped <- p.dropped + 1
+    let sent_at, delivered_at = stamp t ~dst_cpu:p.cpu in
+    p.st <- { p.st with enqueued = p.st.enqueued + 1 };
+    (* wire loss is invisible to the sender: still [true] *)
+    if roll_drop t then p.st <- { p.st with dropped = p.st.dropped + 1 }
     else begin
-      let m =
-        { payload; sent_at = now; delivered_at = now + lat; src_cpu;
-          trace; span }
-      in
+      let m = { payload; sent_at; delivered_at; trace; span } in
       Queue.push m p.q;
-      if
-        faulty
-        && Queue.length p.q < p.capacity
-        && Repro_util.Prng.int t.fault_rng 100 < t.dup_pct
-      then begin
-        p.duplicated <- p.duplicated + 1;
+      if Queue.length p.q < p.capacity && roll_dup t then begin
+        p.st <- { p.st with duplicated = p.st.duplicated + 1 };
         Queue.push m p.q
       end;
-      let depth = Queue.length p.q in
-      if depth > p.max_depth then p.max_depth <- depth
+      note_depth p
     end;
     true
+  end
+
+let buffer ?(trace = -1) ?(span = -1) t ~dst payload =
+  Queue.push (payload, trace, span) t.ports.(dst).buf
+
+let buffered t ~dst = Queue.length t.ports.(dst).buf
+
+(* The doorbell: the staged frame pays one stamp and one fault roll,
+   a drop losing it whole and a duplicate re-delivering it whole;
+   records past the capacity are rejected one by one. *)
+let flush t ~dst =
+  let p = t.ports.(dst) in
+  let n = Queue.length p.buf in
+  if n = 0 then 0
+  else begin
+    let sent_at, delivered_at = stamp t ~dst_cpu:p.cpu in
+    p.st <-
+      { p.st with flushes = p.st.flushes + 1; enqueued = p.st.enqueued + n };
+    let dropped = roll_drop t in
+    let accepted = ref 0 in
+    if dropped then p.st <- { p.st with dropped = p.st.dropped + n }
+    else begin
+      let dup = roll_dup t in
+      let enqueue_frame ~count =
+        Queue.iter
+          (fun (payload, trace, span) ->
+            if Queue.length p.q >= p.capacity then
+              p.st <- { p.st with rejected = p.st.rejected + 1 }
+            else begin
+              Queue.push { payload; sent_at; delivered_at; trace; span } p.q;
+              if count then incr accepted
+            end)
+          p.buf
+      in
+      enqueue_frame ~count:true;
+      if dup then begin
+        p.st <- { p.st with duplicated = p.st.duplicated + n };
+        enqueue_frame ~count:false
+      end;
+      note_depth p
+    end;
+    Queue.clear p.buf;
+    if dropped then n else !accepted
   end
 
 let recv t ~port =
@@ -117,7 +178,7 @@ let recv t ~port =
   match Queue.peek_opt p.q with
   | Some m when m.delivered_at <= now ->
     ignore (Queue.pop p.q);
-    p.delivered <- p.delivered + 1;
+    p.st <- { p.st with delivered = p.st.delivered + 1 };
     Some m
   | _ -> None
 
@@ -128,47 +189,28 @@ let rec recv_wait t ~port ~until =
     let now = Sched.now () in
     if now >= until then None
     else begin
-      let p = t.ports.(port) in
       let target =
-        match Queue.peek_opt p.q with
+        match Queue.peek_opt t.ports.(port).q with
         | Some m when m.delivered_at > now -> min m.delivered_at until
-        | _ -> min (now + t.poll_ns) until
+        | _ -> min (now + poll_ns) until
       in
       Sched.sleep (max 1 (target - now));
       recv_wait t ~port ~until
     end
 
 let pending t ~port = Queue.length t.ports.(port).q
-let port_cpu t port = t.ports.(port).cpu
-
-type port_stats = {
-  enqueued : int;
-  rejected : int;
-  delivered : int;
-  dropped : int;
-  duplicated : int;
-  max_depth : int;
-}
-
-let stats t ~port =
-  let p = t.ports.(port) in
-  { enqueued = p.enqueued;
-    rejected = p.rejected;
-    delivered = p.delivered;
-    dropped = p.dropped;
-    duplicated = p.duplicated;
-    max_depth = p.max_depth }
+let stats t ~port = t.ports.(port).st
 
 module Loadgen = struct
-  type t = { rng : Repro_util.Prng.t; mean_gap_ns : float }
+  type t = { rng : Prng.t; mean_gap_ns : float }
 
   let create ~rate ~seed =
     if rate <= 0. then invalid_arg "Loadgen.create: rate <= 0";
-    { rng = Repro_util.Prng.create seed; mean_gap_ns = 1e9 /. rate }
+    { rng = Prng.create seed; mean_gap_ns = 1e9 /. rate }
 
   let next_gap_ns t =
     (* inverse-CDF exponential draw; u in [0,1) so log argument > 0 *)
-    let u = Repro_util.Prng.float t.rng 1.0 in
+    let u = Prng.float t.rng 1.0 in
     let gap = -.log (1. -. u) *. t.mean_gap_ns in
     max 1 (int_of_float gap)
 end

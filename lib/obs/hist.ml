@@ -1,13 +1,13 @@
 (** Fixed-bucket log-linear histogram for simulated-time latencies.
 
-    {!Repro_util.Stats} keeps every sample, which is fine for a few
-    thousand benchmark cells but not for per-request latency recording
-    at service scale (hundreds of thousands of samples per run) or for
-    tail percentiles (p999 needs the tail resolved, not a sorted copy
-    of everything).  This histogram is HDR-style: values are bucketed
-    into 2^5 = 32 linear sub-buckets per power of two, giving a
-    constant ≤ 3.2 % relative error at every magnitude, O(1) record
-    cost and a fixed ~2 KB footprint regardless of sample count.
+    Keeping every sample does not scale to per-request latency
+    recording at service scale (hundreds of thousands of samples per
+    run), and tail percentiles (p999) need the tail resolved, not a
+    sorted copy of everything.  This histogram is HDR-style: values
+    are bucketed into 2^5 = 32 linear sub-buckets per power of two,
+    giving a constant ≤ 3.2 % relative error at every magnitude, O(1)
+    record cost and a fixed ~2 KB footprint regardless of sample
+    count.
 
     Values are nanoseconds of simulated time (any non-negative int
     works; negatives clamp to 0).  Percentile queries return the

@@ -1,4 +1,4 @@
-(** Metrics registry: named counters, gauges and streaming histograms
+(** Metrics registry: named counters, gauges and log histograms
     grouped by scope, snapshottable to JSON.
 
     Scopes are free-form strings chosen by the instrumented layer —
@@ -8,7 +8,7 @@
 
     Counter handles are plain [int ref]s: incrementing one is as cheap
     as the hand-rolled stat fields it replaces, so live counters stay
-    enabled unconditionally.  Histograms are {!Repro_util.Stats}
+    enabled unconditionally.  Histograms are fixed-bucket {!Hist}
     instances and export count/mean/percentile summaries.
 
     A process-global {!default} registry serves the common case;
@@ -17,7 +17,6 @@
 type value =
   | Counter of int ref
   | Gauge of float ref
-  | Histo of Repro_util.Stats.t
   | Loghist of Hist.t
 
 type t = {
@@ -56,13 +55,6 @@ let set_gauge ?(m = default) ~scope name x =
   | Gauge r -> r := x
   | _ -> invalid_arg (Printf.sprintf "Metrics.set_gauge: %s/%s is not a gauge" scope name)
 
-let histogram ?(m = default) ~scope name =
-  match find_or_add m (scope, name) (fun () -> Histo (Repro_util.Stats.create ())) with
-  | Histo s -> s
-  | _ -> invalid_arg (Printf.sprintf "Metrics.histogram: %s/%s is not a histogram" scope name)
-
-let observe = Repro_util.Stats.add
-
 (** Fixed-bucket log-scale histogram ({!Hist}) for high-volume
     simulated-ns latency samples; exports p50/p99/p999 in snapshots. *)
 let log_histogram ?(m = default) ~scope name =
@@ -95,17 +87,6 @@ let get_log_histogram ?(m = default) ~scope name =
 let value_to_json = function
   | Counter r -> Json.Num (float_of_int !r)
   | Gauge r -> Json.Num !r
-  | Histo s ->
-    let module St = Repro_util.Stats in
-    if St.count s = 0 then Json.Obj [ ("count", Json.Num 0.) ]
-    else
-      Json.Obj
-        [ ("count", Json.Num (float_of_int (St.count s)));
-          ("mean", Json.Num (St.mean s));
-          ("min", Json.Num (St.min_value s));
-          ("p50", Json.Num (St.percentile s 50.));
-          ("p99", Json.Num (St.percentile s 99.));
-          ("max", Json.Num (St.max_value s)) ]
   | Loghist h ->
     if Hist.count h = 0 then Json.Obj [ ("count", Json.Num 0.) ]
     else
@@ -143,11 +124,3 @@ let snapshot ?(m = default) () =
        (fun scope ->
          (scope, Json.Obj (List.rev !(Hashtbl.find scopes scope))))
        !scope_order)
-
-let to_json ?m () = Json.to_string (snapshot ?m ())
-
-let write_json ?m path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ?m ()))

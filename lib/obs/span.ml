@@ -372,11 +372,6 @@ let iter f =
           ~t0:s.t0.(i) ~t1:s.t1.(i) ~mach:s.mach.(i) ~tid:s.tid.(i)
     done
 
-let parent_of id =
-  match !store with
-  | Some s when id >= 0 && id < s.next -> s.parent.(id)
-  | _ -> -1
-
 let mach_of id =
   match !store with
   | Some s when id >= 0 && id < s.next -> s.mach.(id)

@@ -1,5 +1,4 @@
 module Sched = Simcore.Sched
-module Link = Cluster.Link
 
 type txn_op =
   | Tput of { key : int; vseed : int }
@@ -17,8 +16,8 @@ type msg =
   | Rec of { shard : int; seq : int; op : op }
   | Ack of { shard : int; seq : int }
 
-(* Wire convention: records flow toward link endpoint 1 (the backup),
-   cumulative acks flow back toward endpoint 0 (the primary). *)
+(* Wire convention: records flow toward link port 1 (the backup),
+   cumulative acks flow back toward port 0 (the primary). *)
 let backup_ep = 1
 let primary_ep = 0
 
@@ -43,7 +42,7 @@ let poll_wait cfg =
 module Shipper = struct
   type t = {
     cfg : config;
-    link : msg Link.t;
+    link : msg Net.t;
     mach : int; (* primary's machine id, for ack-wire spans *)
     next_seq : int array;
     acked_ : int array; (* highest cumulative ack, -1 initially *)
@@ -95,7 +94,7 @@ module Shipper = struct
   let poll_acks t =
     let continue = ref true in
     while !continue do
-      match Link.recv t.link ~ep:primary_ep with
+      match Net.recv t.link ~port:primary_ep with
       | Some { payload = Ack { shard; seq }; sent_at; trace; span; _ } ->
           (* the ack's hop back to the primary, attributed to the
              request whose record it (cumulatively) acknowledges *)
@@ -132,10 +131,10 @@ module Shipper = struct
     if l > t.max_lag_ then t.max_lag_ <- l;
     t.shipped_ <- t.shipped_ + 1;
     t.last_tx.(shard) <- now_or_zero ();
-    Link.buffer ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op });
+    Net.buffer ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op });
     seq
 
-  let flush t = Link.flush t.link ~dst:backup_ep
+  let flush t = Net.flush t.link ~dst:backup_ep
 
   (* Go-back-N: when the oldest unacked record of a shard has waited a
      full timeout, put the whole tail back on the wire. *)
@@ -152,7 +151,7 @@ module Shipper = struct
             (fun (seq, op, trace, span) ->
               t.retransmits_ <- t.retransmits_ + 1;
               ignore
-                (Link.send ~trace ~span t.link ~dst:backup_ep
+                (Net.try_send ~trace ~span t.link ~dst:backup_ep
                    (Rec { shard; seq; op })))
             q
         end)
@@ -177,7 +176,7 @@ end
 module Applier = struct
   type t = {
     cfg : config;
-    link : msg Link.t;
+    link : msg Net.t;
     mach : int; (* backup's machine id, for wire/apply spans *)
     apply : shard:int -> op -> unit;
     on_apply : lat_ns:int -> unit;
@@ -214,7 +213,7 @@ module Applier = struct
 
   let ack ?(trace = -1) ?(span = -1) t shard =
     ignore
-      (Link.send ~trace ~span t.link ~dst:primary_ep
+      (Net.try_send ~trace ~span t.link ~dst:primary_ep
          (Ack { shard; seq = t.expected_.(shard) - 1 }))
 
   let handle ?(ack_back = true) ?(sent_at = 0) ?(trace = -1) ?(span = -1) t
@@ -304,15 +303,15 @@ module Applier = struct
         if touched then begin
           t.touched.(shard) <- false;
           any := true;
-          Link.buffer t.link ~dst:primary_ep
+          Net.buffer t.link ~dst:primary_ep
             (Ack { shard; seq = t.expected_.(shard) - 1 })
         end)
       t.touched;
-    if !any then ignore (Link.flush t.link ~dst:primary_ep)
+    if !any then ignore (Net.flush t.link ~dst:primary_ep)
 
   let pump t ~until =
     let rec loop () =
-      (match Link.recv t.link ~ep:backup_ep with
+      (match Net.recv t.link ~port:backup_ep with
       | Some { payload; sent_at; trace; span; _ } ->
           if t.ack_batch then begin
             (match (payload, t.apply_group) with
@@ -361,7 +360,7 @@ module Applier = struct
     if t.ack_batch then flush_stashes t;
     let continue = ref true in
     while !continue do
-      match Link.recv t.link ~ep:backup_ep with
+      match Net.recv t.link ~port:backup_ep with
       | Some { payload; delivered_at; _ } ->
           (* Only what the wire had delivered when the primary died is
              ours; later timestamps are in-flight data that died with

@@ -1,4 +1,4 @@
-(** Primary/backup log shipping over a {!Cluster.Link}.
+(** Primary/backup log shipping over a two-port {!Net} link.
 
     The primary frames each shard's mutations — the same puts and
     deletes the local store has already committed on that shard's
@@ -59,15 +59,15 @@ type op =
 type mode = Sync | Async
 
 type msg
-(** Wire messages (records toward endpoint 1, acks toward endpoint 0);
-    abstract — create the link as [msg Cluster.Link.t] and hand it to
-    both sides. *)
+(** Wire messages (records toward port 1, acks toward port 0);
+    abstract — create the link as a two-port [msg Net.t] (usually with
+    [~wire_ns]) and hand it to both sides. *)
 
 val primary_ep : int
-(** Link endpoint the primary reads (acks travel toward it): 0. *)
+(** Link port the primary reads (acks travel toward it): 0. *)
 
 val backup_ep : int
-(** Link endpoint the backup reads (records travel toward it): 1. *)
+(** Link port the backup reads (records travel toward it): 1. *)
 
 type config = {
   mode : mode;
@@ -83,7 +83,7 @@ val default_config : config
 module Shipper : sig
   type t
 
-  val create : ?mach:int -> config -> shards:int -> link:msg Cluster.Link.t -> t
+  val create : ?mach:int -> config -> shards:int -> link:msg Net.t -> t
   (** [mach] (default 0) is the primary's machine id, used as the
       process id of ack-wire spans when tracing is on. *)
 
@@ -91,7 +91,7 @@ module Shipper : sig
   (** Called by the shard's handler thread after the local persist.
       Assigns the next sequence number, keeps the record for go-back-N
       and stages it in the link's doorbell buffer
-      ({!Cluster.Link.buffer}): no wire charge, nothing visible to the
+      ({!Net.buffer}): no wire charge, nothing visible to the
       backup until {!flush}.  Blocks (polling) while the shard's
       unacked window is full.  Returns the assigned sequence number.
       [trace]/[span] attach the request's {!Obs.Span} context to the
@@ -104,7 +104,7 @@ module Shipper : sig
   (** Ring the doorbell: put every record staged by {!ship} (all
       shards) on the wire as one framed batch — one sender CPU charge,
       one fault roll and one wire latency for the whole group, so a
-      frame of one pays what a single {!Cluster.Link.send} does.  A
+      frame of one pays what a single {!Net.try_send} does.  A
       frame lost in flight is recovered record-by-record by the
       retransmit timer.  Returns the number of records in the frame
       ([0] = nothing staged, nothing charged). *)
@@ -149,7 +149,7 @@ module Applier : sig
     ?apply_group:(shard:int -> op list -> unit) ->
     config ->
     shards:int ->
-    link:msg Cluster.Link.t ->
+    link:msg Net.t ->
     apply:(shard:int -> op -> unit) ->
     t
   (** [apply] must make the record durable before returning — the ack

@@ -271,7 +271,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         if i < cfg.shards then (i, cfg.queue_capacity)
         else (client_cpu (i - cfg.shards), reply_cap))
   in
-  let net : payload Net.t = Net.create mach ~ports ~poll_ns:2_000 () in
+  let net : payload Net.t = Net.create mach ~ports () in
 
   let offered = ref 0 and admitted = ref 0 and shed = ref 0 in
   let handled = ref 0 and completed = ref 0 and acked_mut = ref 0 in
@@ -969,7 +969,7 @@ let run ~make ~reattach cfg =
        ~recover cfg)
 
 (* ------------------------------------------------------------------ *)
-(* Replicated serving: primary + backup on a two-machine cluster.     *)
+(* Replicated serving: primary + backup machines on one engine.      *)
 (* ------------------------------------------------------------------ *)
 
 type repl_config = {
@@ -1010,19 +1010,19 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
   validate ~name cfg;
   if rcfg.wire_ns < 1 then invalid_arg (name ^ ": wire_ns < 1");
   let sync = rcfg.repl_mode = Replica.Sync in
-  let cluster = Cluster.create ~cfg:mcfg ~machines:2 () in
-  let primary = Cluster.machine cluster 0 in
-  let backup = Cluster.machine cluster 1 in
+  let engine = Sched.create () in
+  let primary = Machine.create ~cfg:mcfg ~engine () in
+  let backup = Machine.create ~cfg:mcfg ~engine () in
   let svc, tch = build cfg (make primary) in
   (* the backup grows chains too (group-installed, like the primary)
      so a promotion can serve snapshots at once — and caches reads the
      same way, its entries invalidated by the replicated applies *)
   let svc_b, tch_b = build cfg (make backup) in
 
-  let link : Replica.msg Cluster.Link.t =
-    Cluster.Link.create ~wire_ns:rcfg.wire_ns ~capacity:1024
-      ~drop_pct:rcfg.link_drop_pct ~dup_pct:rcfg.link_dup_pct
-      ~seed:(cfg.seed lxor 0x5EA) ()
+  let link : Replica.msg Net.t =
+    Net.create ~wire_ns:rcfg.wire_ns ~drop_pct:rcfg.link_drop_pct
+      ~dup_pct:rcfg.link_dup_pct ~seed:(cfg.seed lxor 0x5EA) primary
+      ~ports:[| (0, 1024); (0, 1024) |] ()
   in
   let repl_cfg =
     { Replica.mode = rcfg.repl_mode;
@@ -1058,7 +1058,8 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
     let until =
       match t_crash with
       | Some _ -> fun () -> !ship_pump_done
-      | None -> fun () -> !ship_pump_done && Cluster.Link.pending link ~ep:1 = 0
+      | None ->
+        fun () -> !ship_pump_done && Net.pending link ~port:Replica.backup_ep = 0
     in
     ignore
       (Machine.spawn backup ~cpu:0 (fun () -> Replica.Applier.pump applier ~until))
@@ -1102,12 +1103,10 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
     done;
     !n
   in
-  let lstats = Cluster.Link.stats link ~ep:1 in
-  let astats = Cluster.Link.stats link ~ep:0 in
-  let link_dropped = lstats.Cluster.Link.dropped + astats.Cluster.Link.dropped in
-  let link_duplicated =
-    lstats.Cluster.Link.duplicated + astats.Cluster.Link.duplicated
-  in
+  let lstats = Net.stats link ~port:Replica.backup_ep in
+  let astats = Net.stats link ~port:Replica.primary_ep in
+  let link_dropped = lstats.Net.dropped + astats.Net.dropped in
+  let link_duplicated = lstats.Net.duplicated + astats.Net.duplicated in
   let scope = cfg.scope in
   let g name v = Obs.Metrics.set_gauge ~scope name (float_of_int v) in
   g "repl_shipped" (Replica.Shipper.shipped shipper);
@@ -1128,7 +1127,7 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
     max_lag = Replica.Shipper.max_lag shipper;
     link_dropped;
     link_duplicated;
-    link_flushes = lstats.Cluster.Link.flushes + astats.Cluster.Link.flushes;
+    link_flushes = lstats.Net.flushes + astats.Net.flushes;
     backup_applied = Replica.Applier.applied applier;
     tail_replayed = !tail_replayed;
     indoubt_aborted = !indoubt_aborted;

@@ -151,27 +151,28 @@ val run :
 
 (** {2 Replicated serving}
 
-    The same handler loop as {!run} on a two-machine {!Cluster}, with
-    a shipping durability sink in place of the local one: the primary
-    serves clients exactly as {!run} does, and every applied mutation
-    is also shipped (per-shard sequence numbers, go-back-N) inside its
-    shard lock over an inter-machine link to a backup machine that
-    applies it into its own persistent store — one doorbell frame per
-    commit-group chunk.  In [Sync] mode no client sees state that
-    losing the primary could undo: a reply produced while a shard it
-    saw (its own shard; every shard for a merged snapshot scan; every
-    participant for an aborted transaction) has shipped-but-unacked
-    records {e parks} on the primary until the backup's cumulative ack
-    covers that shard's high-water mark, and the handler sends it from
-    its own CPU.  The handler meanwhile keeps serving; up to two commit
-    groups per shard await their acks, and a third waits for the
-    oldest one's.  A committed transaction's reply waits for its own
-    records' acks under its participant locks.  An acked write then
-    survives the loss of the whole primary, not just a cache-line
-    crash.  [Async] mode replies after the local persist and bounds
-    the backup's lag by the shipping window.  Only the set-up (a
-    cluster plus pump and applier threads) and the crash epilogue
-    (promote instead of re-attach) differ from {!run}.
+    The same handler loop as {!run} on two machines sharing one
+    engine, with a shipping durability sink in place of the local one:
+    the primary serves clients exactly as {!run} does, and every
+    applied mutation is also shipped (per-shard sequence numbers,
+    go-back-N) inside its shard lock over an inter-machine link to a
+    backup machine that applies it into its own persistent store — one
+    doorbell frame per commit-group chunk.  In [Sync] mode no client
+    sees state that losing the primary could undo: a reply produced
+    while a shard it saw (its own shard; every shard for a merged
+    snapshot scan; every participant for an aborted transaction) has
+    shipped-but-unacked records {e parks} on the primary until the
+    backup's cumulative ack covers that shard's high-water mark, and
+    the handler sends it from its own CPU.  The handler meanwhile
+    keeps serving; up to two commit groups per shard await their acks,
+    and a third waits for the oldest one's.  A committed transaction's
+    reply waits for its own records' acks under its participant locks.
+    An acked write then survives the loss of the whole primary, not
+    just a cache-line crash.  [Async] mode replies after the local
+    persist and bounds the backup's lag by the shipping window.  Only
+    the set-up (a backup machine, a two-port {!Net} link, pump and
+    applier threads) and the crash epilogue (promote instead of
+    re-attach) differ from {!run}.
 
     Crash model: at the cut the primary machine is lost outright
     ([`Strict] device wipe); instead of re-attaching it, the backup

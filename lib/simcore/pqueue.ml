@@ -62,7 +62,5 @@ let pop t =
     Some (top.time, top.payload)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
 let length t = t.size
 let is_empty t = t.size = 0

@@ -13,7 +13,5 @@ val push : 'a t -> time:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the earliest task, or [None] if empty. *)
 
-val peek_time : 'a t -> int option
-
 val length : 'a t -> int
 val is_empty : 'a t -> bool

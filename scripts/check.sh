@@ -192,6 +192,15 @@ step="serve long-wire failover smoke"
 dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
   --rate 30000 --duration 0.005 --wire-ns 500000 --crash-at 0.5 \
   --seed "$CRASH_SEED" > /dev/null
+# lossy-link failover smoke: the link drops and duplicates records,
+# frames and acks, so go-back-N retransmission must carry every batched
+# record across before the primary is lost at the midpoint.  Exits
+# non-zero if any sync-acked write is missing from the promoted store.
+step="serve lossy-link failover smoke"
+dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
+  --rate 40000 --duration 0.005 --txn-pct 20 --batch-window 4 \
+  --drop-pct 20 --dup-pct 10 --crash-at 0.5 --seed "$CRASH_SEED" \
+  > /dev/null
 # trace-validity gate: export a Chrome trace from a replicated serve
 # run and validate it — JSON shape, per-phase required fields, and
 # that every cross-machine flow start ("ph":"s") has its matching
@@ -275,4 +284,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/long-wire failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

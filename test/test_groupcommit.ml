@@ -8,7 +8,6 @@
 module Kv = Service.Kv
 module S = Service.Server
 module R = Replica
-module Link = Cluster.Link
 module H = Poseidon.Heap
 
 let check = Alcotest.(check bool)
@@ -91,47 +90,52 @@ let test_stale_decided_word () =
   in
   sweep 1
 
-(* ---------- Link: doorbell buffering + framed flush ---------- *)
+(* A two-port link between machines, as the replicated server builds. *)
+let link ?drop_pct ?dup_pct ?seed ?(capacity = 256) () =
+  Net.create ?drop_pct ?dup_pct ?seed (Machine.create ())
+    ~ports:[| (0, capacity); (0, capacity) |] ()
+
+(* ---------- Net: doorbell buffering + framed flush ---------- *)
 
 let test_link_doorbell () =
-  let l : int Link.t = Link.create () in
-  Link.buffer l ~dst:1 10;
-  Link.buffer l ~dst:1 11;
-  Link.buffer l ~dst:1 12;
-  check_int "staged, not sent" 3 (Link.buffered l ~dst:1);
+  let l : int Net.t = link () in
+  Net.buffer l ~dst:1 10;
+  Net.buffer l ~dst:1 11;
+  Net.buffer l ~dst:1 12;
+  check_int "staged, not sent" 3 (Net.buffered l ~dst:1);
   check_int "nothing on the wire before the doorbell" 0
-    (Link.pending l ~ep:1);
-  check "recv sees nothing" true (Link.recv l ~ep:1 = None);
-  check_int "flush carries the whole frame" 3 (Link.flush l ~dst:1);
-  check_int "buffer drained" 0 (Link.buffered l ~dst:1);
-  check_int "frame delivered" 3 (Link.pending l ~ep:1);
-  (match Link.recv l ~ep:1 with
-   | Some m -> check_int "in-order within the frame" 10 m.Link.payload
+    (Net.pending l ~port:1);
+  check "recv sees nothing" true (Net.recv l ~port:1 = None);
+  check_int "flush carries the whole frame" 3 (Net.flush l ~dst:1);
+  check_int "buffer drained" 0 (Net.buffered l ~dst:1);
+  check_int "frame delivered" 3 (Net.pending l ~port:1);
+  (match Net.recv l ~port:1 with
+   | Some m -> check_int "in-order within the frame" 10 m.Net.payload
    | None -> Alcotest.fail "expected delivery");
-  check_int "empty flush is free" 0 (Link.flush l ~dst:1);
-  let s = Link.stats l ~ep:1 in
-  check_int "one doorbell rung" 1 s.Link.flushes;
-  check_int "all records counted sent" 3 s.Link.sent;
+  check_int "empty flush is free" 0 (Net.flush l ~dst:1);
+  let s = Net.stats l ~port:1 in
+  check_int "one doorbell rung" 1 s.Net.flushes;
+  check_int "all records counted sent" 3 s.Net.enqueued;
   (* faults are frame-granular: a drop loses the whole frame, a dup
      re-delivers it whole — so the fault counters move in multiples of
      the frame size *)
-  let lossy : int Link.t =
-    Link.create ~capacity:4096 ~drop_pct:30 ~dup_pct:20 ~seed:11 ()
+  let lossy : int Net.t =
+    link ~capacity:4096 ~drop_pct:30 ~dup_pct:20 ~seed:11 ()
   in
   for f = 1 to 50 do
     for r = 1 to 3 do
-      Link.buffer lossy ~dst:1 ((100 * f) + r)
+      Net.buffer lossy ~dst:1 ((100 * f) + r)
     done;
-    ignore (Link.flush lossy ~dst:1)
+    ignore (Net.flush lossy ~dst:1)
   done;
-  let s = Link.stats lossy ~ep:1 in
-  check "frames were dropped" true (s.Link.dropped > 0);
-  check "frames were duplicated" true (s.Link.duplicated > 0);
-  check_int "drops are whole frames" 0 (s.Link.dropped mod 3);
-  check_int "dups are whole frames" 0 (s.Link.duplicated mod 3);
+  let s = Net.stats lossy ~port:1 in
+  check "frames were dropped" true (s.Net.dropped > 0);
+  check "frames were duplicated" true (s.Net.duplicated > 0);
+  check_int "drops are whole frames" 0 (s.Net.dropped mod 3);
+  check_int "dups are whole frames" 0 (s.Net.duplicated mod 3);
   check_int "queue accounts for every fault"
-    (s.Link.sent - s.Link.dropped + s.Link.duplicated)
-    (Link.pending lossy ~ep:1)
+    (s.Net.enqueued - s.Net.dropped + s.Net.duplicated)
+    (Net.pending lossy ~port:1)
 
 (* ---------- Kv.group_commit vs the sequential per-op path ---------- *)
 
@@ -267,7 +271,7 @@ let test_group_commit_recovery () =
 let test_batched_ship_cumulative_ack () =
   let cfg = { R.default_config with R.window = 16 } in
   let run ~ack_batch =
-    let link : R.msg Link.t = Link.create () in
+    let link : R.msg Net.t = link () in
     let sh = R.Shipper.create cfg ~shards:2 ~link in
     let applied = ref 0 in
     let ap =
@@ -282,9 +286,9 @@ let test_batched_ship_cumulative_ack () =
     (* no ack can precede the covering flush: nothing is even on the
        wire, so the applier sees nothing and no ack exists *)
     check_int "nothing on the wire before the flush" 0
-      (Link.pending link ~ep:R.backup_ep);
+      (Net.pending link ~port:R.backup_ep);
     R.Applier.pump ap ~until:(fun () ->
-        Link.pending link ~ep:R.backup_ep = 0);
+        Net.pending link ~port:R.backup_ep = 0);
     check_int "nothing applied before the flush" 0 !applied;
     check_int "no ack before the covering flush (shard 0)" (-1)
       (R.Shipper.acked sh ~shard:0);
@@ -292,14 +296,14 @@ let test_batched_ship_cumulative_ack () =
       (R.Shipper.acked sh ~shard:1);
     check_int "doorbell carries every staged record" 6 (R.Shipper.flush sh);
     R.Applier.pump ap ~until:(fun () ->
-        Link.pending link ~ep:R.backup_ep = 0);
+        Net.pending link ~port:R.backup_ep = 0);
     check_int "all applied after the flush" 6 !applied;
     R.Shipper.poll_acks sh;
     check "cumulative ack covers the frame" true
       (R.Shipper.acked sh ~shard:0 >= 2 && R.Shipper.acked sh ~shard:1 >= 2);
     check_int "no unacked residue" 0
       (R.Shipper.lag sh ~shard:0 + R.Shipper.lag sh ~shard:1);
-    (Link.stats link ~ep:R.primary_ep).Link.sent
+    (Net.stats link ~port:R.primary_ep).Net.enqueued
   in
   let acks_batched = run ~ack_batch:true in
   let acks_per_record = run ~ack_batch:false in
@@ -325,7 +329,7 @@ let test_piggybacked_decide_equivalence () =
   let run ~piggyback =
     let _, _, p = mk_store ~shards:2 () in
     let _, _, b = mk_store ~shards:2 () in
-    let link : R.msg Link.t = Link.create () in
+    let link : R.msg Net.t = link () in
     let cfg = { R.default_config with R.window = 16 } in
     let sh = R.Shipper.create cfg ~shards:2 ~link in
     let ap =
@@ -356,10 +360,10 @@ let test_piggybacked_decide_equivalence () =
         in
         committed := res.Kv.committed :: !committed;
         R.Applier.pump ap ~until:(fun () ->
-            Link.pending link ~ep:R.backup_ep = 0))
+            Net.pending link ~port:R.backup_ep = 0))
       txn_plan;
     (p, b, List.rev !committed, R.Applier.applied ap,
-     (Link.stats link ~ep:R.backup_ep).Link.flushes)
+     (Net.stats link ~port:R.backup_ep).Net.flushes)
   in
   let p1, b1, c1, applied1, _ = run ~piggyback:false in
   let p2, b2, c2, applied2, flushes2 = run ~piggyback:true in

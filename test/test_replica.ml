@@ -1,16 +1,16 @@
-(* Replication subsystem: the two-machine cluster and its faulty link,
-   the seq-numbered shipper/applier protocol, and the replicated
-   server — async lag bounds, sync ack ordering, failover with zero
-   acked-write loss, and loss recovery on a lossy wire. *)
+(* Replication subsystem: two machines on one engine and the faulty
+   link between them, the seq-numbered shipper/applier protocol, and
+   the replicated server — async lag bounds, sync ack ordering,
+   failover with zero acked-write loss, and loss recovery on a lossy
+   wire. *)
 
 module S = Service.Server
-module Link = Cluster.Link
 module R = Replica
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* ---------- Net: loadgen determinism + fault injection ---------- *)
+(* ---------- Net: loadgen, latency model, fault injection ---------- *)
 
 let test_loadgen_determinism () =
   let gaps seed =
@@ -24,6 +24,53 @@ let test_loadgen_determinism () =
        ignore (Net.Loadgen.create ~rate:0. ~seed:1);
        false
      with Invalid_argument _ -> true)
+
+(* The latency model, pinned on the default two-node machine: 1500 ns
+   inside a node, [remote_numa_mult] times that across nodes, a fixed
+   [wire_ns] on a link.  The client network stamps a message once the
+   sender's 300 ns charge is paid; a link stamps it when the send
+   begins. *)
+let test_net_latency_model () =
+  let mach = Machine.create () in
+  let cfg = Machine.cfg mach in
+  let near = 1 and far = cfg.Machine.Config.num_cpus - 1 in
+  let numa = Machine.Config.cpu_numa cfg in
+  check "cpu 1 shares cpu 0's node" true (numa near = numa 0);
+  check "the last cpu is on the other node" true (numa far <> numa 0);
+  let net : int Net.t = Net.create mach ~ports:[| (near, 8); (far, 8) |] () in
+  let wire : int Net.t =
+    Net.create ~wire_ns:20_000 mach ~ports:[| (far, 8) |] ()
+  in
+  (* the sender's clock before each send, and after the last *)
+  let began = Array.make 4 0 in
+  ignore
+    (Machine.parallel mach ~threads:1 (fun _ ->
+         Simcore.Sched.sleep 100;
+         began.(0) <- Simcore.Sched.now ();
+         ignore (Net.try_send net ~dst:0 0);
+         began.(1) <- Simcore.Sched.now ();
+         ignore (Net.try_send net ~dst:1 1);
+         began.(2) <- Simcore.Sched.now ();
+         ignore (Net.try_send wire ~dst:0 2);
+         began.(3) <- Simcore.Sched.now ()));
+  let take n port =
+    match Net.recv n ~port with
+    | Some m -> m
+    | None -> Alcotest.fail "expected a message"
+  in
+  let local = take net 0 and remote = take net 1 and linked = take wire 0 in
+  let remote_ns =
+    int_of_float (1500. *. cfg.Machine.Config.remote_numa_mult)
+  in
+  let flight m = m.Net.delivered_at - m.Net.sent_at in
+  check_int "same node: 1500 ns" 1500 (flight local);
+  check_int "across nodes: 1500 x remote_numa_mult" remote_ns (flight remote);
+  check_int "link: wire_ns" 20_000 (flight linked);
+  check_int "net: stamped after the 300 ns send charge" (began.(0) + 300)
+    local.Net.sent_at;
+  check_int "net: the same across nodes" (began.(1) + 300) remote.Net.sent_at;
+  check_int "link: stamped when the send began" began.(2) linked.Net.sent_at;
+  check_int "link: the sender still pays 300 ns" (began.(2) + 300) began.(3)
 
 let test_net_fault_injection () =
   let mach = Machine.create () in
@@ -41,7 +88,7 @@ let test_net_fault_injection () =
      queue holds exactly enqueued - dropped + duplicated messages *)
   let lossy : int Net.t =
     Net.create mach ~ports:[| (0, 4096) |] ~drop_pct:30 ~dup_pct:20
-      ~fault_seed:99 ()
+      ~seed:99 ()
   in
   for i = 1 to 1000 do
     check "lossy send still reports true" true (Net.try_send lossy ~dst:0 i)
@@ -55,7 +102,7 @@ let test_net_fault_injection () =
   (* seeded: the same seed reproduces the exact fault pattern *)
   let replay : int Net.t =
     Net.create mach ~ports:[| (0, 4096) |] ~drop_pct:30 ~dup_pct:20
-      ~fault_seed:99 ()
+      ~seed:99 ()
   in
   for i = 1 to 1000 do
     ignore (Net.try_send replay ~dst:0 i)
@@ -70,12 +117,11 @@ let test_net_fault_injection () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------- cluster: two machines, one engine ---------- *)
+(* ---------- two machines, one engine ---------- *)
 
 let test_cluster_shared_engine () =
-  let c = Cluster.create ~machines:2 () in
-  check_int "two members" 2 (Cluster.size c);
-  let m0 = Cluster.machine c 0 and m1 = Cluster.machine c 1 in
+  let engine = Simcore.Sched.create () in
+  let m0 = Machine.create ~engine () and m1 = Machine.create ~engine () in
   check "machines share the engine" true
     (Machine.engine m0 == Machine.engine m1);
   let order = ref [] in
@@ -89,55 +135,60 @@ let test_cluster_shared_engine () =
     (Machine.spawn m1 ~cpu:0 (fun () ->
          Simcore.Sched.sleep 300;
          order := `B :: !order));
-  Cluster.run c;
+  Simcore.Sched.run engine;
   (* threads of the two machines interleave on one timeline *)
   check "cross-machine interleaving by simulated time" true
     (List.rev !order = [ `A; `B; `C ]);
   check "shared horizon covers both machines" true
-    (Simcore.Sched.horizon (Cluster.engine c) >= 500);
+    (Simcore.Sched.horizon engine >= 500);
   check "but devices are distinct" true (Machine.dev m0 != Machine.dev m1)
 
+(* A two-port link between machines, as the replicated server builds. *)
+let link ?wire_ns ?dup_pct ?seed ?(capacity = 256) mach =
+  Net.create ?wire_ns ?dup_pct ?seed mach
+    ~ports:[| (0, capacity); (0, capacity) |] ()
+
 let test_link_basics () =
-  let l : int Link.t = Link.create ~capacity:4 ~wire_ns:20_000 () in
+  let l : int Net.t = link ~capacity:4 ~wire_ns:20_000 (Machine.create ()) in
   (* outside the simulation: zero latency, immediate delivery *)
-  check "send" true (Link.send l ~dst:1 10);
-  check "send" true (Link.send l ~dst:1 11);
-  check_int "pending toward 1" 2 (Link.pending l ~ep:1);
-  check_int "nothing toward 0" 0 (Link.pending l ~ep:0);
-  (match Link.recv l ~ep:1 with
-   | Some m -> check_int "FIFO head" 10 m.Link.payload
+  check "send" true (Net.try_send l ~dst:1 10);
+  check "send" true (Net.try_send l ~dst:1 11);
+  check_int "pending toward 1" 2 (Net.pending l ~port:1);
+  check_int "nothing toward 0" 0 (Net.pending l ~port:0);
+  (match Net.recv l ~port:1 with
+   | Some m -> check_int "FIFO head" 10 m.Net.payload
    | None -> Alcotest.fail "expected delivery");
   (* acks flow the other way on the same link *)
-  check "reverse direction" true (Link.send l ~dst:0 99);
-  check "reverse delivery" true (Link.recv l ~ep:0 <> None);
-  (* bounded: the 5th message toward a capacity-4 endpoint is refused *)
+  check "reverse direction" true (Net.try_send l ~dst:0 99);
+  check "reverse delivery" true (Net.recv l ~port:0 <> None);
+  (* bounded: the 5th message toward a capacity-4 port is refused *)
   for i = 1 to 3 do
-    ignore (Link.send l ~dst:1 i)
+    ignore (Net.try_send l ~dst:1 i)
   done;
-  check "full endpoint refuses" false (Link.send l ~dst:1 5);
-  let s = Link.stats l ~ep:1 in
-  check_int "rejection counted" 1 s.Link.rejected;
+  check "full port refuses" false (Net.try_send l ~dst:1 5);
+  let s = Net.stats l ~port:1 in
+  check_int "rejection counted" 1 s.Net.rejected;
   check "in-simulation delivery respects wire latency" true
-    (let c = Cluster.create ~machines:2 () in
-     let l : int Link.t = Link.create ~wire_ns:20_000 () in
+    (let engine = Simcore.Sched.create () in
+     let m0 = Machine.create ~engine () and m1 = Machine.create ~engine () in
+     let l : int Net.t = link ~wire_ns:20_000 m0 in
      let saw_early = ref false and saw_late = ref false in
      ignore
-       (Machine.spawn (Cluster.machine c 0) ~cpu:0 (fun () ->
-            ignore (Link.send l ~dst:1 42)));
+       (Machine.spawn m0 ~cpu:0 (fun () -> ignore (Net.try_send l ~dst:1 42)));
      ignore
-       (Machine.spawn (Cluster.machine c 1) ~cpu:0 (fun () ->
+       (Machine.spawn m1 ~cpu:0 (fun () ->
             Simcore.Sched.sleep 1_000;
-            saw_early := Link.recv l ~ep:1 <> None;
+            saw_early := Net.recv l ~port:1 <> None;
             Simcore.Sched.sleep 40_000;
-            saw_late := Link.recv l ~ep:1 <> None));
-     Cluster.run c;
+            saw_late := Net.recv l ~port:1 <> None));
+     Simcore.Sched.run engine;
      (not !saw_early) && !saw_late)
 
 (* ---------- shipper/applier protocol, driven by hand ---------- *)
 
 let test_protocol_dedup_and_ack () =
   let cfg = { R.default_config with R.window = 8 } in
-  let link : R.msg Link.t = Link.create ~dup_pct:50 ~seed:3 () in
+  let link : R.msg Net.t = link ~dup_pct:50 ~seed:3 (Machine.create ()) in
   let sh = R.Shipper.create cfg ~shards:2 ~link in
   let applied = ref [] in
   let ap =
@@ -152,7 +203,7 @@ let test_protocol_dedup_and_ack () =
   done;
   (* the link duplicates aggressively; the applier must apply each
      record exactly once and keep per-shard sequence order *)
-  R.Applier.pump ap ~until:(fun () -> Link.pending link ~ep:1 = 0);
+  R.Applier.pump ap ~until:(fun () -> Net.pending link ~port:1 = 0);
   check_int "each record applied exactly once" 6 (R.Applier.applied ap);
   check_int "shard 0 expects next seq" 3 (R.Applier.expected ap ~shard:0);
   check_int "shard 1 expects next seq" 3 (R.Applier.expected ap ~shard:1);
@@ -341,6 +392,8 @@ let () =
     [ ( "net",
         [ Alcotest.test_case "loadgen: same seed, same gaps" `Quick
             test_loadgen_determinism;
+          Alcotest.test_case "latency model: NUMA, wire, stamp order" `Quick
+            test_net_latency_model;
           Alcotest.test_case "fault injection: seeded drop/dup" `Quick
             test_net_fault_injection ] );
       ( "cluster",

@@ -2,7 +2,6 @@
 
 module Prng = Repro_util.Prng
 module Bitset = Repro_util.Bitset
-module Stats = Repro_util.Stats
 module Zipf = Repro_util.Zipf
 module Tablefmt = Repro_util.Tablefmt
 
@@ -148,38 +147,6 @@ let prop_bitset_model =
            (fun i -> Bitset.mem b i = Hashtbl.mem model i)
            (List.init 128 Fun.id))
 
-(* ---------- stats ---------- *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_int "count" 4 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.max_value s);
-  Alcotest.(check (float 1e-9)) "total" 10.0 (Stats.total s)
-
-let test_stats_percentile () =
-  let s = Stats.create () in
-  for i = 1 to 100 do
-    Stats.add s (float_of_int i)
-  done;
-  Alcotest.(check (float 0.6)) "p50" 50.5 (Stats.percentile s 50.);
-  Alcotest.(check (float 1.1)) "p99" 99.0 (Stats.percentile s 99.);
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile s 0.);
-  Alcotest.(check (float 1e-9)) "p100" 100.0 (Stats.percentile s 100.)
-
-let test_stats_stddev () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check (float 1e-9)) "stddev" 2.0 (Stats.stddev s)
-
-let test_stats_clear () =
-  let s = Stats.create () in
-  Stats.add s 5.0;
-  Stats.clear s;
-  check_int "count after clear" 0 (Stats.count s)
-
 (* ---------- zipf ---------- *)
 
 let test_zipf_range () =
@@ -252,11 +219,6 @@ let () =
           Alcotest.test_case "iter_set" `Quick test_bitset_iter;
           Alcotest.test_case "out of bounds" `Quick test_bitset_oob ]
         @ qsuite );
-      ( "stats",
-        [ Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-          Alcotest.test_case "clear" `Quick test_stats_clear ] );
       ( "zipf",
         [ Alcotest.test_case "range" `Quick test_zipf_range;
           Alcotest.test_case "skew" `Quick test_zipf_skew;
