@@ -451,12 +451,13 @@ let inspect_cmd =
          s.Poseidon.Heap.bin_refills s.Poseidon.Heap.bin_flushes
          s.Poseidon.Heap.hint_hits s.Poseidon.Heap.hint_misses;
        (* outside the simulation: these metadata reads are uncharged *)
-       print_string "hash levels (full) per subheap:";
+       print_string "hash levels (full) [slot reads] per subheap:";
        Poseidon.Heap.iter_subheaps heap (fun sh ->
            let ht = sh.Poseidon.Subheap.ht in
-           Printf.printf " %d:%d(%d)" sh.Poseidon.Subheap.index
+           Printf.printf " %d:%d(%d)[%d]" sh.Poseidon.Subheap.index
              (Poseidon.Hashtable.levels ht)
-             (Poseidon.Hashtable.full_levels ht));
+             (Poseidon.Hashtable.full_levels ht)
+             (Poseidon.Hashtable.slot_reads ht));
        print_newline ()
      | None -> ());
     let c = Nvmm.Memdev.counters (Machine.dev mach) in

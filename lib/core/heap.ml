@@ -604,6 +604,7 @@ type stats = {
   bin_flushes : int;
   hint_hits : int;
   hint_misses : int;
+  hash_slot_reads : int;
 }
 
 let stats h =
@@ -625,7 +626,8 @@ let stats h =
         bin_refills = h.tc_refills;
         bin_flushes = h.tc_flushes;
         hint_hits = 0;
-        hint_misses = 0 }
+        hint_misses = 0;
+        hash_slot_reads = 0 }
   in
   iter_subheaps h (fun sh ->
       s :=
@@ -646,7 +648,9 @@ let stats h =
           bin_refills = !s.bin_refills;
           bin_flushes = !s.bin_flushes;
           hint_hits = !s.hint_hits + sh.Subheap.stat_hint_hits;
-          hint_misses = !s.hint_misses + sh.Subheap.stat_hint_misses });
+          hint_misses = !s.hint_misses + sh.Subheap.stat_hint_misses;
+          hash_slot_reads =
+            !s.hash_slot_reads + Hashtable.slot_reads sh.Subheap.ht });
   !s
 
 (** Pushes heap-level metrics — aggregate statistics plus per-sub-heap
@@ -675,6 +679,7 @@ let publish_metrics ?registry h =
   g scope "bin_flushes" s.bin_flushes;
   g scope "hint_hits" s.hint_hits;
   g scope "hint_misses" s.hint_misses;
+  g scope "hash_slot_reads" s.hash_slot_reads;
   iter_subheaps h (fun sh ->
       let sscope = Printf.sprintf "%s/subheap%d" scope sh.Subheap.index in
       g sscope "live_bytes" (Subheap.live_bytes sh);
@@ -683,4 +688,5 @@ let publish_metrics ?registry h =
       g sscope "hash_extends" sh.Subheap.stat_hash_extends;
       g sscope "hash_levels" (Hashtable.levels sh.Subheap.ht);
       g sscope "hash_full_levels" (Hashtable.full_levels sh.Subheap.ht);
+      g sscope "hash_slot_reads" (Hashtable.slot_reads sh.Subheap.ht);
       g sscope "recovery_replays" sh.Subheap.stat_recovery_replays)

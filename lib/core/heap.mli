@@ -156,6 +156,9 @@ type stats = {
   hint_misses : int;
       (** magazine-cache frees that probed the hash table: no hint
           entry, or a stale one *)
+  hash_slot_reads : int;
+      (** NVMM bucket reads made by record-slot searches (buckets the
+          occupancy summary knows live are skipped unread) *)
 }
 
 val stats : t -> stats
@@ -164,7 +167,8 @@ val publish_metrics : ?registry:Obs.Metrics.t -> t -> unit
 (** Pushes aggregate heap statistics and per-sub-heap occupancy into
     the metrics registry (default {!Obs.Metrics.default}) under the
     [heap<id>] and [heap<id>/subheap<slot>] scopes.  The sub-heap
-    gauges include [hash_levels] and [hash_full_levels] (levels whose
-    every bucket is live, which inserts skip).  Call it outside the
+    gauges include [hash_levels], [hash_full_levels] (levels whose
+    every bucket is live, which inserts skip) and [hash_slot_reads]
+    (NVMM bucket reads of the sub-heap's slot searches).  Call it outside the
     simulation: its metadata reads are then charged no simulated
     time. *)

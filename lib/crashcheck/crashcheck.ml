@@ -405,13 +405,46 @@ let scn_extend () =
           ignore (alloc_l env 32)
         done) }
 
+(* One magazine refill of eight 64 B blocks and its publish.  Until
+   the publish starts the ledger allows no slack: a crash anywhere in
+   the carve must recover to the pre-carve live bytes, every lease
+   reclaimed. *)
+let carve_op env =
+  let ops = Option.get (H.cache_ops env.heap) in
+  let blocks = ops.Alloc_intf.cache_carve ~size:64 ~count:8 in
+  (* the lease clears share one fence, so a crash may persist any
+     subset of them *)
+  let bytes = 64 * List.length blocks in
+  env.ledger.slack <- bytes;
+  ops.Alloc_intf.cache_publish blocks;
+  env.ledger.durable <- env.ledger.durable + bytes;
+  env.ledger.slack <- 0
+
+let o_ledger_reclaimed =
+  { oname = "ledger-reclaimed";
+    check =
+      (fun env ->
+        let armed = ref 0 in
+        H.iter_subheaps env.heap (fun sh ->
+            for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
+              let a =
+                sh.Poseidon.Subheap.meta_base
+                + Poseidon.Layout.sh_off_tc_ledger
+                + (slot * Poseidon.Layout.word)
+              in
+              if Machine.read_u64 env.mach a <> 0 then incr armed
+            done);
+        if !armed = 0 then Ok ()
+        else
+          Error
+            (Printf.sprintf "%d reclaim-ledger lease(s) still armed after recovery"
+               !armed)) }
+
 (* A magazine refill split into runs: set-up leaves a three-block
    (192 B) hole bounded by a live right neighbour, so one carve of
    eight 64 B blocks takes the whole hole as one run, relinking the
    neighbour's [prev], and the rest as a second run off the
-   wilderness.  Until the publish starts the ledger allows no slack:
-   a crash anywhere in the carve must recover to the pre-carve live
-   bytes, every lease reclaimed. *)
+   wilderness. *)
 let scn_carve () =
   { sname = "carve";
     setup =
@@ -425,37 +458,36 @@ let scn_carve () =
         (* splits the freed block: 64 B live, a 192 B hole after it *)
         ignore (alloc_l env 64);
         finish_setup env);
-    op =
-      (fun env ->
-        let ops = Option.get (H.cache_ops env.heap) in
-        let blocks = ops.Alloc_intf.cache_carve ~size:64 ~count:8 in
-        (* the lease clears share one fence, so a crash may persist
-           any subset of them *)
-        let bytes = 64 * List.length blocks in
-        env.ledger.slack <- bytes;
-        ops.Alloc_intf.cache_publish blocks;
-        env.ledger.durable <- env.ledger.durable + bytes;
-        env.ledger.slack <- 0);
-    extra_oracles =
-      [ { oname = "ledger-reclaimed";
-          check =
-            (fun env ->
-              let armed = ref 0 in
-              H.iter_subheaps env.heap (fun sh ->
-                  for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
-                    let a =
-                      sh.Poseidon.Subheap.meta_base
-                      + Poseidon.Layout.sh_off_tc_ledger
-                      + (slot * Poseidon.Layout.word)
-                    in
-                    if Machine.read_u64 env.mach a <> 0 then incr armed
-                  done);
-              if !armed = 0 then Ok ()
-              else
-                Error
-                  (Printf.sprintf
-                     "%d reclaim-ledger lease(s) still armed after recovery"
-                     !armed)) } ] }
+    op = carve_op;
+    extra_oracles = [ o_ledger_reclaimed ] }
+
+(* A carve run whose records land in tombstone slots, so [Record.init]
+   logs every field of each under the run's one barrier.  Set-up uses
+   the 64 KiB region up with live blocks, except for eight adjacent
+   64 B blocks it frees again; a 512 B request then finds no fit and
+   defragments them into one block (tombstoning seven records), which
+   is freed.  The carve splits that block back into the same eight
+   blocks, and each fresh record takes its offset's old slot. *)
+let scn_carve_tombstones () =
+  { sname = "carve-tombstones";
+    setup =
+      (fun () ->
+        let env = mk_env () in
+        let alloc size =
+          match alloc_l env size with
+          | Some p -> p
+          | None -> failwith "carve-tombstones scenario: setup allocation failed"
+        in
+        (* 62 KiB, leaving 2 KiB of wilderness *)
+        List.iter (fun s -> ignore (alloc s)) [ 32768; 16384; 8192; 4096; 2048 ];
+        let run = List.init 8 (fun _ -> alloc 64) in
+        (* a live right neighbour, then the rest of the wilderness *)
+        List.iter (fun s -> ignore (alloc s)) [ 64; 1024; 256; 128; 64 ];
+        List.iter (fun p -> free_l env p ~size:64) run;
+        free_l env (alloc 512) ~size:512;
+        finish_setup env);
+    op = carve_op;
+    extra_oracles = [ o_ledger_reclaimed ] }
 
 let scn_broken_missing_flush () =
   let raw = ref 0 in
@@ -1417,6 +1449,7 @@ let scenarios =
     ("kv-batched-put", (fun () -> scn_kv_batched_put ()), false);
     ("kv-tcache-put", scn_kv_tcache_put, false);
     ("carve", scn_carve, false);
+    ("carve-tombstones", scn_carve_tombstones, false);
     ("broken", scn_broken_missing_flush, true);
     ("kv-commit-broken", scn_kv_commit_broken, true);
     ("kv-txn-broken", scn_kv_txn_broken, true);

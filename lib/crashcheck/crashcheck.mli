@@ -185,6 +185,14 @@ val scn_carve : unit -> scenario
     pre-carve live bytes; the [ledger-reclaimed] oracle demands that
     recovery left no lease armed. *)
 
+val scn_carve_tombstones : unit -> scenario
+(** One magazine refill of eight 64 B blocks off a 512 B free block
+    that set-up merged from eight freed ones, so seven of the run's
+    fresh records land in the tombstone slots the merge left, and
+    [Record.init] logs every field of each inside the run's one undo
+    barrier.  Same ledger rule and [ledger-reclaimed] oracle as
+    {!scn_carve}. *)
+
 val scn_broken_missing_flush : unit -> scenario
 (** Mutation sanity check: a two-line "write data, persist commit
     flag" protocol that {e forgets the clwb on the data line}.  Its

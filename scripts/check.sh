@@ -133,14 +133,17 @@ mutation_gate mvcc-broken "publish-before-decide MVCC bug" \
 step="crashcheck kv-tcache-put exhaustive sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-tcache-put \
   --seed "$CRASH_SEED" > /dev/null
-# magazine-refill sweep, EXHAUSTIVE: one carve of eight blocks split
+# magazine-refill sweeps, EXHAUSTIVE: one carve of eight blocks split
 # into runs (a three-block hole whose live right neighbour is relinked,
-# then the wilderness) plus its publish.  A crash anywhere in the
-# carve must recover to the pre-carve live bytes, and recovery must
-# leave no reclaim lease armed.
-step="crashcheck carve exhaustive sweep"
-dune exec bin/main.exe -- crashcheck --scenario carve \
-  --seed "$CRASH_SEED" > /dev/null
+# then the wilderness) plus its publish; and one carve whose records
+# land in tombstone slots, every field of each logged under the run's
+# one barrier.  A crash anywhere in a carve must recover to the
+# pre-carve live bytes, and recovery must leave no reclaim lease armed.
+for scn in carve carve-tombstones; do
+  step="crashcheck $scn exhaustive sweep"
+  dune exec bin/main.exe -- crashcheck --scenario "$scn" \
+    --seed "$CRASH_SEED" > /dev/null
+done
 # cache mutation gate: the same sweep against a cache that recycles
 # freed blocks with no reclaim lease and no persistent free; the
 # value-census oracle MUST flag the orphaned blocks (exit 1),
@@ -284,4 +287,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

@@ -30,6 +30,7 @@ let test_sweep_free = sweep_clean C.scn_free 20
 let test_sweep_tx_commit = sweep_clean C.scn_tx_commit 20
 let test_sweep_tx_abort = sweep_clean C.scn_tx_abort 20
 let test_sweep_extend = sweep_clean C.scn_extend 50
+let test_sweep_carve_tombstones = sweep_clean C.scn_carve_tombstones 6
 
 let test_hundred_points_across_operations () =
   (* the standing acceptance bar: >= 100 distinct crash points across
@@ -51,6 +52,26 @@ let test_extend_scenario_extends_hash () =
   let env = scn.C.setup () in
   scn.C.op env;
   check "hash extension exercised" true ((H.stats env.C.heap).H.hash_extends > 0)
+
+(* The carve-tombstones sweep covers [Record.init]'s every-field branch
+   only if the carve's records really land in tombstone slots. *)
+let test_carve_reuses_tombstones () =
+  let scn = C.scn_carve_tombstones () in
+  let env = scn.C.setup () in
+  let module Ht = Poseidon.Hashtable in
+  let before = ref [] in
+  H.iter_subheaps env.C.heap (fun sh ->
+      let ht = sh.Poseidon.Subheap.ht in
+      for level = 0 to Ht.levels ht - 1 do
+        for idx = 0 to Ht.level_buckets ht level - 1 do
+          let a = Ht.bucket_addr ht ~level ~idx in
+          if Poseidon.Record.get_status env.C.mach a = Poseidon.Layout.st_tombstone
+          then before := a :: !before
+        done
+      done);
+  scn.C.op env;
+  let reused = List.filter (Poseidon.Record.is_live env.C.mach) !before in
+  check_int "seven records land in tombstone slots" 7 (List.length reused)
 
 let test_measure_deterministic () =
   let scn = C.scn_alloc () in
@@ -210,6 +231,10 @@ let () =
           Alcotest.test_case "extend path exhaustive" `Slow test_sweep_extend;
           Alcotest.test_case "100+ points across operations" `Slow
             test_hundred_points_across_operations;
+          Alcotest.test_case "carve-tombstones path exhaustive" `Quick
+            test_sweep_carve_tombstones;
+          Alcotest.test_case "carve really reuses tombstones" `Quick
+            test_carve_reuses_tombstones;
           Alcotest.test_case "extend really extends" `Quick
             test_extend_scenario_extends_hash ] );
       ( "budgets",

@@ -73,7 +73,7 @@ let test_hash_insert_many_and_lookup () =
             match Ht.find_insert_slot sh.Sh.ht off with
             | Some (level, slot) ->
               Ul.write_all ctx
-                (Ht.live_incr sh.Sh.ht level
+                (Ht.live_add sh.Sh.ht level 1
                  :: Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
                       ~prev:L.nil_off ~next:L.nil_off)
             | None ->
@@ -92,38 +92,38 @@ let test_hash_insert_many_and_lookup () =
       | None -> Alcotest.fail "lookup failed")
     offs
 
+(* The tombstone comes from a real merge, so the sub-heap's occupancy
+   summary sees it: two adjacent 32 B blocks are freed in a full
+   region, and a 64 B request defragments them into one. *)
 let test_hash_tombstone_reuse () =
   let _, sh = mksh () in
-  let off = 4096 in
-  let slot1 =
-    op sh (fun ctx ->
-        match Ht.find_insert_slot sh.Sh.ht off with
-        | Some (level, slot) ->
-          Ul.write_all ctx
-            (Ht.live_incr sh.Sh.ht level
-             :: Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
-                  ~prev:L.nil_off ~next:L.nil_off);
-          slot
-        | None -> Alcotest.fail "no slot")
+  let alloc size =
+    match Sh.allocate sh size with Some off -> off | None -> Alcotest.fail "alloc"
   in
-  (* tombstone it *)
-  op sh (fun ctx ->
-      Ul.write_all ctx
-        [ (Rec.status_at slot1, L.st_tombstone);
-          Ht.live_decr sh.Sh.ht (Ht.level_of_rec sh.Sh.ht slot1) ]);
-  check "gone" true (Ht.lookup sh.Sh.ht off = None);
-  (* the tombstone slot is reusable *)
-  let slot2 =
-    op sh (fun ctx ->
-        match Ht.find_insert_slot sh.Sh.ht off with
-        | Some (_, slot) ->
-          Ul.write_all ctx
-            (Rec.init ctx slot ~off ~size:64 ~status:L.st_free ~prev:L.nil_off
-               ~next:L.nil_off);
-          slot
-        | None -> Alcotest.fail "no slot")
+  let a = alloc 32 in
+  let b = alloc 32 in
+  (* 64 + 128 + ... + 32768 uses the rest of the 64 KiB region up *)
+  let rec fill size =
+    if size <= sh.Sh.data_size / 2 then begin
+      ignore (alloc size);
+      fill (2 * size)
+    end
   in
-  check_int "same slot reused" slot1 slot2
+  fill 64;
+  check_int "region full" sh.Sh.data_size (Sh.live_bytes sh);
+  let slot1 = Option.get (Ht.lookup sh.Sh.ht b) in
+  check "a freed" true (Sh.deallocate sh a = Sh.Freed);
+  check "b freed" true (Sh.deallocate sh b = Sh.Freed);
+  check_int "the merged block" a (alloc 64);
+  check "gone" true (Ht.lookup sh.Sh.ht b = None);
+  check_int "tombstone" L.st_tombstone (Rec.get_status sh.Sh.mach slot1);
+  (* the split of the merged block re-inserts offset [b]: the
+     tombstone slot is reusable *)
+  check "merged block freed" true (Sh.deallocate sh a = Sh.Freed);
+  check_int "split again" a (alloc 32);
+  let slot2 = Option.get (Ht.lookup sh.Sh.ht b) in
+  check_int "same slot reused" slot1 slot2;
+  Sh.check_invariants sh
 
 let test_hash_extend_shrink () =
   let _, sh = mksh ~base_buckets:8 () in

@@ -145,7 +145,10 @@ let test_unprotected_mode () =
 (* ---------- persistence barriers per call ---------- *)
 
 (* Each metadata step logs its write set under one undo barrier, and
-   the commit adds two fences (dirty lines, then the truncation). *)
+   the commit adds two fences (dirty lines, then the truncation).  A
+   split logs the remainder's record with its push, and a carve run
+   logs all its records at once, so a magazine refill off the
+   wilderness costs the run's two barriers, its leases and the commit. *)
 let test_one_barrier_per_step () =
   let mach, h = mkheap () in
   let fences f =
@@ -165,6 +168,16 @@ let test_one_barrier_per_step () =
   check_int "re-allocation without a split" 3 realloc;
   check "split allocation <= 5" true (split <= 5);
   check "tx_alloc ~is_end:true <= 6" true (tx <= 6);
+  H.check_invariants h;
+  (* a fresh heap: 8 x 64 B carved off the wilderness in one run *)
+  let mach, h = mkheap () in
+  ignore (alloc_exn h 64);
+  let ops = Option.get (H.cache_ops h) in
+  let before = (Memdev.counters (Machine.dev mach)).Memdev.fences in
+  let carved = ops.Alloc_intf.cache_carve ~size:64 ~count:8 in
+  let carve = (Memdev.counters (Machine.dev mach)).Memdev.fences - before in
+  check_int "a full magazine" 8 (List.length carved);
+  check "carve of 8 x 64 B <= 5" true (carve <= 5);
   H.check_invariants h
 
 (* ---------- double / invalid frees (4.4) ---------- *)
@@ -614,6 +627,32 @@ let brute_insert_slot mach ht off =
   in
   scan 0
 
+(* Frees two address-adjacent allocated 32 B blocks of [sh], the right
+   one's record in [level], then lets a failing whole-region request
+   defragment: the merge tombstones the right block's record, which is
+   returned. *)
+let tombstone_by_merge h sh ~level =
+  let ht = sh.Poseidon.Subheap.ht in
+  let pair = ref None and left = ref None in
+  Poseidon.Subheap.iter_blocks sh (fun ~off ~size ~rec_addr ~status ->
+      let alloc32 = status = L.st_alloc && size = 32 in
+      (match !left with
+       | Some loff
+         when alloc32 && !pair = None && Ht.level_of_rec ht rec_addr = level ->
+         pair := Some (loff, off, rec_addr)
+       | _ -> ());
+      left := if alloc32 then Some off else None);
+  let loff, roff, right_rec = Option.get !pair in
+  let ptr off =
+    { Alloc_intf.heap_id = H.heap_id h; subheap = sh.Poseidon.Subheap.index; off }
+  in
+  H.free h (ptr loff);
+  H.free h (ptr roff);
+  check "the whole region is never free" true
+    (H.alloc h sh.Poseidon.Subheap.data_size = None);
+  check "the right block merged away" true (Ht.lookup ht roff = None);
+  right_rec
+
 let test_insert_skips_full_levels () =
   let mach, h = mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) () in
   let sh = subheap_of h (List.hd (List.init 600 (fun _ -> alloc_exn h 32))) in
@@ -640,16 +679,145 @@ let test_insert_skips_full_levels () =
     (gauge "hash_levels" = Some (float_of_int (Ht.levels ht)));
   check "hash_full_levels gauge" true
     (gauge "hash_full_levels" = Some (float_of_int (Ht.full_levels ht)));
-  (* one tombstone in level 1: no longer full, so it must be probed *)
-  let victim = Ht.bucket_addr ht ~level:1 ~idx:0 in
-  let ctx = Poseidon.Undolog.begin_op sh.Poseidon.Subheap.undo in
-  Poseidon.Undolog.write_all ctx
-    [ (Poseidon.Record.status_at victim, L.st_tombstone); Ht.live_decr ht 1 ];
-  Poseidon.Undolog.commit ctx;
+  (* one tombstone in level 1: no longer full, so it must be probed.
+     A real merge makes it: two adjacent 32 B blocks, the right one's
+     record in level 1, are freed, and a request for the whole region
+     fails and defragments, merging them. *)
+  let victim = tombstone_by_merge h sh ~level:1 in
+  check "the victim is tombstoned" true
+    (Machine.read_u64 mach (Poseidon.Record.status_at victim) = L.st_tombstone);
   check "level 1 has room" false (full 1);
   agree "one tombstone";
   check "the tombstone slot is found" true
     (List.exists (fun off -> Ht.find_insert_slot ht off = Some (1, victim)) offs)
+
+(* ---------- the occupancy summary ---------- *)
+
+(* Every offset's insert slot, in every sub-heap, is the one a full
+   scan finds: the summary calls no reusable bucket live. *)
+let agree_everywhere what mach h =
+  H.iter_subheaps h (fun sh ->
+      let ht = sh.Poseidon.Subheap.ht in
+      for g = 0 to (sh.Poseidon.Subheap.data_size / L.min_block) - 1 do
+        let off = g * L.min_block in
+        if Ht.find_insert_slot ht off <> brute_insert_slot mach ht off then
+          Alcotest.failf "%s: sub-heap %d, offset %d lands elsewhere than a full scan"
+            what sh.Poseidon.Subheap.index off
+      done)
+
+(* Random alloc/free churn; every 250 steps a request for the whole
+   region fails and defragments, merging free neighbours. *)
+let test_summary_after_churn () =
+  let mach, h = mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) () in
+  let rng = Prng.create 7 in
+  let live = Array.make 400 None in
+  for step = 1 to 5000 do
+    let i = Prng.int rng 400 in
+    (match live.(i) with
+     | Some p ->
+       H.free h p;
+       live.(i) <- None
+     | None -> live.(i) <- H.alloc h (32 lsl Prng.int rng 5));
+    if step mod 250 = 0 then ignore (H.alloc h (1 lsl 18))
+  done;
+  check "blocks merged" true ((H.stats h).H.merges > 50);
+  H.check_invariants h;
+  agree_everywhere "churn" mach h
+
+(* Grow the table, merge everything back, punch the empty levels, then
+   grow it again over the punched areas. *)
+let test_summary_after_shrink () =
+  let mach, h = mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) () in
+  let ps = List.init 2048 (fun _ -> alloc_exn h 32) in
+  let ht = (subheap_of h (List.hd ps)).Poseidon.Subheap.ht in
+  let grown = Ht.levels ht in
+  List.iter (H.free h) ps;
+  let whole = alloc_exn h (1 lsl 18) in
+  H.shrink_metadata h;
+  check "levels punched" true (Ht.levels ht < grown);
+  agree_everywhere "punched" mach h;
+  H.free h whole;
+  let ps = List.init 2048 (fun _ -> alloc_exn h 32) in
+  check "re-extended" true (Ht.levels ht > 2);
+  agree_everywhere "re-extended" mach h;
+  List.iter (H.free h) ps;
+  H.check_invariants h
+
+(* The drain persists summary lines that call every record live; the
+   merges that follow tombstone most of them, and an adversarial crash
+   brings a random half of the drained lines back.  None may count
+   after the attach. *)
+let test_summary_after_crash () =
+  List.iter
+    (fun seed ->
+      let mach, h =
+        mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) ()
+      in
+      let ps = List.init 600 (fun _ -> alloc_exn h 32) in
+      Memdev.drain (Machine.dev mach);
+      List.iteri (fun i p -> if i mod 3 <> 0 then H.free h p) ps;
+      check "the whole region is never free" true (H.alloc h (1 lsl 18) = None);
+      check "blocks merged" true ((H.stats h).H.merges > 100);
+      Memdev.crash (Machine.dev mach) (`Adversarial (Prng.create seed));
+      let h = H.attach mach ~base ~protected:false () in
+      H.check_invariants h;
+      agree_everywhere "adversarial crash" mach h)
+    [ 1; 2; 3 ]
+
+(* NVMM bucket reads a search without the summary makes for [off]: in
+   each level it cannot skip, every bucket up to the window's first
+   reusable one. *)
+let probe_reads mach ht off =
+  let reusable a =
+    let st = Machine.read_u64 mach (a + L.rec_off_status) in
+    st = L.st_empty || st = L.st_tombstone
+  in
+  let rec scan level acc =
+    if level >= Ht.levels ht then acc
+    else if Ht.level_live ht level = Ht.level_buckets ht level then
+      scan (level + 1) acc
+    else
+      let rec probe n = function
+        | [] -> scan (level + 1) (acc + n)
+        | a :: rest -> if reusable a then acc + n + 1 else probe (n + 1) rest
+      in
+      probe 0 (Ht.window ht ~level ~off)
+  in
+  scan 0 0
+
+(* 2500 blocks of 32 B leave level 7 of an 8-bucket table over 95%
+   full: a search that reads every bucket it cannot skip by counter
+   pays ~9 reads per insert there, the summary one. *)
+let test_slot_reads_per_insert () =
+  let mach, h = mkheap ~protected:false ~base_buckets:8 ~sub_data_size:(1 lsl 18) () in
+  let n = 2500 in
+  let sh = subheap_of h (alloc_exn h 32) in
+  for _ = 2 to n do ignore (alloc_exn h 32) done;
+  let ht = sh.Poseidon.Subheap.ht in
+  check "a level over 95% full, not full" true
+    (List.exists
+       (fun level ->
+         let live = Ht.level_live ht level and size = Ht.level_buckets ht level in
+         live < size && 20 * live > 19 * size)
+       (List.init (Ht.levels ht) Fun.id));
+  let inserts = 200 in
+  let before = (H.stats h).H.hash_slot_reads in
+  let probes = ref 0 in
+  for k = n to n + inserts - 1 do
+    (* the split leaves its remainder, a fresh record, at the next
+       granule *)
+    probes := !probes + probe_reads mach ht ((k + 1) * L.min_block);
+    ignore (alloc_exn h 32)
+  done;
+  let reads = (H.stats h).H.hash_slot_reads - before in
+  check "without the summary: >= 4 reads per insert" true (!probes >= 4 * inserts);
+  check "with it: <= 1.5 reads per insert" true (2 * reads <= 3 * inserts);
+  let registry = Obs.Metrics.create () in
+  H.publish_metrics ~registry h;
+  check "hash_slot_reads gauge" true
+    (Obs.Metrics.get_gauge ~m:registry ~scope:"heap1/subheap0" "hash_slot_reads"
+     = Some (float_of_int (Ht.slot_reads ht)));
+  check_int "stats sum the sub-heaps" (Ht.slot_reads ht) (H.stats h).H.hash_slot_reads
 
 (* Also on a 512 B data region, which the carve uses up exactly. *)
 let test_carve_matches_allocs () =
@@ -884,4 +1052,13 @@ let () =
             test_carve_ledger_bound;
           Alcotest.test_case "carve with the hash table full" `Quick
             test_carve_hash_exhausted ] );
+      ( "summary",
+        [ Alcotest.test_case "exact after merging churn" `Quick
+            test_summary_after_churn;
+          Alcotest.test_case "exact after shrink and re-extend" `Quick
+            test_summary_after_shrink;
+          Alcotest.test_case "exact after an adversarial crash" `Quick
+            test_summary_after_crash;
+          Alcotest.test_case "bucket reads per insert" `Quick
+            test_slot_reads_per_insert ] );
       ("properties", qsuite) ]
