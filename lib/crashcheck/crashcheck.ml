@@ -742,6 +742,7 @@ let replicate k b ~acked ~settle ~mach ~primary ~backup =
     Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:(b.batch > 1)
       ~apply:(Service.Kv.apply_replicated backup)
       ~apply_group:(Service.Kv.apply_replicated_group backup)
+      ~held:(Service.Kv.backup_held backup)
   in
   let ship ~shard op = Replica.Shipper.ship shipper ~shard op in
   let single = function
@@ -760,18 +761,10 @@ let replicate k b ~acked ~settle ~mach ~primary ~backup =
          | [ Ktxn ops ] ->
            ignore
              (Service.Kv.txn primary ops ~on_commit:(fun res ->
-                  let txn = res.Service.Kv.txn_id
-                  and nparts = List.length res.Service.Kv.participants in
                   List.iter
-                    (fun (shard, ops) ->
-                      ignore (ship ~shard (Replica.Txn_prepare { txn; ops }));
-                      shipped :=
-                        ( shard,
-                          ship ~shard
-                            (Replica.Txn_decide { txn; commit = true; nparts })
-                        )
-                        :: !shipped)
-                    res.Service.Kv.participants;
+                    (fun (shard, op) ->
+                      shipped := (shard, ship ~shard op) :: !shipped)
+                    (Service.Kv.txn_records res);
                   ignore (Replica.Shipper.flush shipper)))
          | _ ->
            let ops = List.map single group in

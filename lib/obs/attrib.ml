@@ -44,13 +44,8 @@ type report = {
   span_dropped : int;
 }
 
-(* per-trace accumulator: root duration + per-stage sums, and the
-   Repl_ack time spent inside a Txn span *)
-type acc = {
-  mutable root_dur : int;
-  stage_ns : int array;
-  mutable txn_ack_ns : int;
-}
+(* per-trace accumulator: root duration + per-stage sums *)
+type acc = { mutable root_dur : int; stage_ns : int array }
 
 let analyze () =
   let traces : (int, acc) Hashtbl.t = Hashtbl.create 1024 in
@@ -58,28 +53,19 @@ let analyze () =
     match Hashtbl.find_opt traces tr with
     | Some a -> a
     | None ->
-      let a =
-        { root_dur = -1; stage_ns = Array.make Span.stage_count 0;
-          txn_ack_ns = 0 }
-      in
+      let a = { root_dur = -1; stage_ns = Array.make Span.stage_count 0 } in
       Hashtbl.add traces tr a;
       a
   in
   (* detail stages are histogrammed per span occurrence *)
   let detail_h = Array.init Span.stage_count (fun _ -> Hist.create ()) in
   let detail_req : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  (* ids of Txn spans; a child's id is always above its parent's, so
-     a nested Repl_ack is visited after its Txn *)
-  let txn_spans = Hashtbl.create 64 in
-  Span.iter (fun ~id ~trace ~parent ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
+  Span.iter (fun ~id:_ ~trace ~parent:_ ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
       let a = get trace in
       let dur = t1 - t0 in
       match stage with
       | Span.Request -> a.root_dur <- dur
       | st when Span.is_budget st ->
-        if st = Span.Txn then Hashtbl.replace txn_spans id ()
-        else if st = Span.Repl_ack && Hashtbl.mem txn_spans parent then
-          a.txn_ack_ns <- a.txn_ack_ns + dur;
         let i = Span.stage_to_int st in
         a.stage_ns.(i) <- a.stage_ns.(i) + dur
       | st ->
@@ -101,14 +87,6 @@ let analyze () =
         incr complete;
         Hist.record e2e a.root_dur;
         root_total := !root_total + a.root_dur;
-        (* A replicated transaction's group-ack wait happens inside the
-           2PC critical section, so its Repl_ack span nests inside the
-           Txn span.  Budget stages must partition the root, so the
-           enclosing stage is peeled: Txn reports the 2PC work net of
-           the replication wait it encloses.  A reply parked after the
-           Txn span closed (an abort) is not inside it. *)
-        let itxn = Span.stage_to_int Span.Txn in
-        a.stage_ns.(itxn) <- max 0 (a.stage_ns.(itxn) - a.txn_ack_ns);
         let best = ref (-1) and best_ns = ref (-1) in
         for i = 0 to Span.stage_count - 1 do
           let ns = a.stage_ns.(i) in

@@ -174,31 +174,39 @@ module Shipper = struct
 end
 
 module Applier = struct
+  (* a record received in sequence but not yet applied:
+     (op, sent_at, arrived_at, trace, span) *)
+  type waiting = op * int * int * int * int
+
   type t = {
     cfg : config;
     link : msg Net.t;
     mach : int; (* backup's machine id, for wire/apply spans *)
     apply : shard:int -> op -> unit;
+    held : shard:int -> bool;
     on_apply : lat_ns:int -> unit;
     expected_ : int array; (* next sequence number accepted per shard *)
     mutable applied_ : int;
     ack_batch : bool;
     touched : bool array; (* shards applied since the last batched ack *)
     apply_group : (shard:int -> op list -> unit) option;
-    (* in-order single-op records parked during a drain burst, applied
-       as one group per shard before the burst's cumulative ack:
-       (op, sent_at, arrived_at, trace, span) *)
-    stash : (op * int * int * int * int) Queue.t array;
+    (* in-order single-op records stashed during a drain burst, applied
+       as one group per shard before the burst's cumulative ack *)
+    stash : waiting Queue.t array;
+    (* in-order records parked behind a held shard, oldest first *)
+    parked : waiting Queue.t array;
+    holding : bool array; (* [held] as of the last look, per shard *)
   }
 
   let create ?(on_apply = fun ~lat_ns:_ -> ()) ?(mach = 1) ?(ack_batch = false)
-      ?apply_group cfg ~shards ~link ~apply =
+      ?apply_group cfg ~shards ~link ~apply ~held =
     if shards < 1 then invalid_arg "Applier.create: shards < 1";
     {
       cfg;
       link;
       mach;
       apply;
+      held;
       on_apply;
       expected_ = Array.make shards 0;
       applied_ = 0;
@@ -206,44 +214,90 @@ module Applier = struct
       touched = Array.make shards false;
       apply_group;
       stash = Array.init shards (fun _ -> Queue.create ());
+      parked = Array.init shards (fun _ -> Queue.create ());
+      holding = Array.make shards false;
     }
 
   let applied t = t.applied_
   let expected t ~shard = t.expected_.(shard)
 
+  (* A held shard's last applied record is its holding decide, which
+     publishes nothing yet; the parked records behind it are not
+     applied at all.  The cumulative ack stops short of both. *)
+  let durable t shard =
+    t.expected_.(shard) - 1 - Queue.length t.parked.(shard)
+    - if t.held ~shard then 1 else 0
+
   let ack ?(trace = -1) ?(span = -1) t shard =
     ignore
       (Net.try_send ~trace ~span t.link ~dst:primary_ep
-         (Ack { shard; seq = t.expected_.(shard) - 1 }))
+         (Ack { shard; seq = durable t shard }))
+
+  (* Apply one in-sequence record: span its wire hop (sent to arrived)
+     and its apply, on the backup's machine.  Returns the apply span,
+     which the ack carries so the primary can close the causal loop. *)
+  let apply_one t ~shard ((op, sent_at, arrived_at, trace, span) : waiting) =
+    let in_sim = Sched.in_simulation () in
+    let wire =
+      if trace >= 0 && in_sim then
+        Obs.Span.add_span ~trace ~parent:span ~mach:t.mach
+          Obs.Span.Repl_wire ~t0:sent_at ~t1:arrived_at
+      else -1
+    in
+    let apl =
+      Obs.Span.open_span ~trace ~parent:wire ~mach:t.mach
+        Obs.Span.Backup_apply
+    in
+    t.apply ~shard op;
+    Obs.Span.close_span apl;
+    t.applied_ <- t.applied_ + 1;
+    if in_sim then t.on_apply ~lat_ns:(Sched.now () - sent_at);
+    apl
+
+  (* After a decide: every shard the publish released applies its
+     parked records in order — until it is empty or held again — and is
+     acked; a parked decide may publish in turn and release another
+     shard, so look again until nothing moves.  Only a decide can
+     release a shard, and this runs before the next record is taken, so
+     a shard with parked records is always held when one arrives. *)
+  let rec release t ~ack_back =
+    let freed = ref false in
+    Array.iteri
+      (fun shard was ->
+        let now = t.held ~shard in
+        t.holding.(shard) <- now;
+        if was && not now then begin
+          freed := true;
+          let q = t.parked.(shard) in
+          while (not (Queue.is_empty q)) && not (t.held ~shard) do
+            ignore (apply_one t ~shard (Queue.pop q))
+          done;
+          if ack_back then ack t shard else t.touched.(shard) <- true
+        end)
+      t.holding;
+    if !freed then release t ~ack_back
 
   let handle ?(ack_back = true) ?(sent_at = 0) ?(trace = -1) ?(span = -1) t
       = function
     | Ack _ -> () (* impossible by convention *)
     | Rec { shard; seq; op } ->
         if seq = t.expected_.(shard) then begin
-          (* span the record's wire hop (known only now that it
-             arrived) and the in-order apply; the ack carries the
-             apply span so the primary can close the causal loop *)
-          let in_sim = Sched.in_simulation () in
-          let wire =
-            if trace >= 0 && in_sim then
-              Obs.Span.add_span ~trace ~parent:span ~mach:t.mach
-                Obs.Span.Repl_wire ~t0:sent_at ~t1:(Sched.now ())
-            else -1
-          in
-          let apl =
-            Obs.Span.open_span ~trace ~parent:wire ~mach:t.mach
-              Obs.Span.Backup_apply
-          in
-          t.apply ~shard op;
-          Obs.Span.close_span apl;
           t.expected_.(shard) <- seq + 1;
-          t.applied_ <- t.applied_ + 1;
-          if in_sim then t.on_apply ~lat_ns:(Sched.now () - sent_at);
-          if ack_back then ack ~trace ~span:apl t shard
+          let w = (op, sent_at, now_or_zero (), trace, span) in
+          (* a held shard parks the record: not applied, so nothing
+             new to ack *)
+          if t.held ~shard then Queue.add w t.parked.(shard)
+          else begin
+            let apl = apply_one t ~shard w in
+            if ack_back && not (t.held ~shard) then
+              ack ~trace ~span:apl t shard;
+            match op with
+            | Txn_decide _ -> release t ~ack_back
+            | Put _ | Del _ | Txn_prepare _ -> ()
+          end
         end
         else if seq < t.expected_.(shard) then begin
-          (* duplicate or retransmission of applied data: re-ack so the
+          (* duplicate or retransmission of received data: re-ack so the
              shipper's window can advance *)
           if ack_back then ack t shard
         end
@@ -252,13 +306,13 @@ module Applier = struct
              this and re-ack the last good one to hurry the resend *)
           if ack_back then ack t shard
 
-  (* Group apply: a burst's parked records for one shard go down as a
+  (* Group apply: a burst's stashed records for one shard go down as a
      single [apply_group] call (the backup-side commit-group chain —
      one commit-slot chunk per up to eight records instead of one per
-     record).  Sequence numbers were advanced at park time, so the
+     record).  Sequence numbers were advanced at stash time, so the
      ordering check stays per record; the durability receipt moves
      with the apply — [flush_stash] always runs before [flush_acks],
-     so a cumulative ack never covers a parked, unapplied record. *)
+     so a cumulative ack never covers a stashed, unapplied record. *)
   let flush_stash t shard =
     let q = t.stash.(shard) in
     if not (Queue.is_empty q) then begin
@@ -304,7 +358,7 @@ module Applier = struct
           t.touched.(shard) <- false;
           any := true;
           Net.buffer t.link ~dst:primary_ep
-            (Ack { shard; seq = t.expected_.(shard) - 1 })
+            (Ack { shard; seq = durable t shard })
         end)
       t.touched;
     if !any then ignore (Net.flush t.link ~dst:primary_ep)
@@ -317,8 +371,8 @@ module Applier = struct
             (match (payload, t.apply_group) with
             | ( Rec { shard; seq; op = (Put _ | Del _) as op },
                 Some _ )
-              when seq = t.expected_.(shard) ->
-                (* park for the burst's group apply; the seq advances
+              when seq = t.expected_.(shard) && not (t.held ~shard) ->
+                (* stash for the burst's group apply; the seq advances
                    now so ordering checks see it, the durability point
                    (and the ack) comes at [flush_stash] *)
                 t.expected_.(shard) <- seq + 1;
@@ -328,7 +382,8 @@ module Applier = struct
             | Rec { shard; _ }, _ ->
                 (* transaction records are group barriers (they own
                    the participant slot); out-of-sequence records need
-                   [handle]'s duplicate/gap re-ack bookkeeping *)
+                   [handle]'s duplicate/gap re-ack bookkeeping, and a
+                   held shard's records its parking *)
                 flush_stash t shard;
                 handle ~ack_back:false ~sent_at ~trace ~span t payload
             | Ack _, _ -> ());
@@ -354,9 +409,12 @@ module Applier = struct
 
   let seal_and_replay t ~sealed_at =
     let before = t.applied_ in
-    (* records parked mid-burst were delivered before the seal: apply
+    (* records stashed mid-burst were delivered before the seal: apply
        them before walking the remaining wire tail (never acked, so no
-       promise attaches either way — but they are ours to keep) *)
+       promise attaches either way — but they are ours to keep).  A
+       record parked behind a held shard stays parked: its transaction
+       never published here, so promotion presumed-aborts it, and
+       nothing after it on its shard was ever acked either. *)
     if t.ack_batch then flush_stashes t;
     let continue = ref true in
     while !continue do

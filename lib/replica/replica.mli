@@ -12,6 +12,11 @@
     record buffered and retransmits the whole tail when the oldest one
     times out; the applier accepts only the exact next sequence number
     per shard, re-acks duplicates and discards out-of-order arrivals.
+    Loss can still deliver one shard's stream ahead of another's, so a
+    shard whose cross-shard transaction waits for another stream's
+    decide is {e held}: the applier parks its later in-sequence records
+    — in order, unapplied, unacked — until that transaction publishes
+    (see [Txn_decide] and {!Applier.create}'s [held]).
     The unacked window is bounded, which in [Async] mode {e is} the
     replication-lag bound; in [Sync] mode the caller additionally
     holds each client reply until the cumulative ack covers the
@@ -151,9 +156,21 @@ module Applier : sig
     shards:int ->
     link:msg Net.t ->
     apply:(shard:int -> op -> unit) ->
+    held:(shard:int -> bool) ->
     t
   (** [apply] must make the record durable before returning — the ack
       sent on its return is what [Sync] mode's guarantee rests on.
+      [held] says whether [shard] is held: the last record applied there
+      is a committed [Txn_decide] whose transaction has not published
+      yet, because another participant's decide is still on its way.
+      While a shard is held, its in-sequence records park (in order,
+      not applied), and its cumulative ack stops before the holding
+      decide.  The query is consulted after every record; once a
+      decide publishes, every shard it released applies its parked
+      records in order — until it is held again — and is acked.
+      Parked records are never acked, so losing them (a backup crash,
+      or a promotion, which presumed-aborts the holding transaction)
+      breaks no promise.  On poseidon-kv the query is {!Kv.backup_held}.
       [on_apply] observes each in-order application with its wire +
       apply latency (ship to applied, simulated ns) — the replication
       lag as seen at the backup; only called inside the simulation.
@@ -166,11 +183,12 @@ module Applier : sig
       covered apply returned, so the durability receipt is unchanged,
       merely coalesced.  [apply_group] (only consulted under
       [ack_batch]) batches the {e applies} too: in-sequence [Put]/[Del]
-      records park during a drain burst and go down as one call per
-      shard before the burst's ack — must make the whole burst durable
-      before returning.  Transaction records and out-of-sequence
-      arrivals still go through [apply] per record, after the shard's
-      parked run is flushed (they are ordering barriers).
+      records of a shard that is not held are stashed during a drain
+      burst and go down as one call per shard before the burst's ack —
+      must make the whole burst durable before returning.  Transaction
+      records and out-of-sequence arrivals still go through [apply] per
+      record, after the shard's stashed run is flushed (they are
+      ordering barriers).
 
       Both callbacks must also invalidate any {e volatile} read-side
       state the backup keeps over its store (MVCC version chains, the

@@ -82,6 +82,11 @@ type t = {
       (* backup role only: txn -> decides seen so far.  Volatile on
          purpose — after a crash the prepared-but-unpublished slots are
          presumed-aborted by recovery, so the count need not survive. *)
+  backup_held : int array;
+      (* backup role only, volatile like [backup_decided]: per shard,
+         the transaction whose decide this shard has applied but which
+         has not published yet (another participant's decide is still
+         on its way); 0 = not held *)
 }
 
 type recovery = {
@@ -147,7 +152,8 @@ let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
     mvcc = Mvcc.create ~shards:nshards ~window:mvcc_window;
     mvcc_seq = 0; mvcc_truncated = 0;
     rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
-    backup_decided = Hashtbl.create 8 }
+    backup_decided = Hashtbl.create 8;
+    backup_held = Array.make nshards 0 }
 
 let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
@@ -1012,6 +1018,7 @@ let group_commit ?on_chunk t ~shard ops =
 
 let txn_resolve_indoubt t =
   Hashtbl.reset t.backup_decided;
+  Array.fill t.backup_held 0 t.nshards 0;
   (* promotion: this store now serves reads itself, and the chains it
      grew as a backup may name transactions being discarded below —
      start over from the (recovered) trees as the floor.  The read
@@ -1024,6 +1031,9 @@ let txn_resolve_indoubt t =
 
 (* ---------- backup side: the replication stream ---------- *)
 
+(* Invariant: the slot is free.  A prepare follows its predecessor's
+   decide on the shard's stream, and the applier parks it while that
+   decide's transaction is unpublished ([backup_held]). *)
 let txn_backup_prepare t ~txn ~shard ~ops =
   (match read_tslot t shard with
    | `Free -> ()
@@ -1068,12 +1078,13 @@ let gather_slots t txn =
    committed slice stays prepared until the decides of ALL [nparts]
    participants have been seen; the last one publishes the whole group
    under this store's own decision record, so the backup has the same
-   single-commit-point recovery as the primary.  The decide count is
-   volatile: if it is lost to a crash, every slot of the group is still
-   prepared and recovery presumed-aborts them — sound, because the
-   primary's sync ack waits for every participant's decide to be
-   applied here, so an incompletely counted transaction was never
-   acked. *)
+   single-commit-point recovery as the primary.  Until then the shard
+   is held ([backup_held]): the applier parks its later records and
+   acks nothing past the record before this decide.  The decide count
+   is volatile: if it is lost to a crash, every slot of the group is
+   still prepared and recovery presumed-aborts them — sound, because
+   the primary's sync reply waits for every participant's ack, and no
+   ack covers a decide before its transaction publishes here. *)
 let txn_backup_decide t ~txn ~shard ~commit ~nparts =
   match read_tslot t shard with
   | `Slot (id, entries) when id = txn ->
@@ -1082,16 +1093,35 @@ let txn_backup_decide t ~txn ~shard ~commit ~nparts =
       let decided =
         1 + Option.value ~default:0 (Hashtbl.find_opt t.backup_decided txn)
       in
-      if decided < nparts then Hashtbl.replace t.backup_decided txn decided
+      if decided < nparts then begin
+        Hashtbl.replace t.backup_decided txn decided;
+        t.backup_held.(shard) <- txn
+      end
       else begin
         Hashtbl.remove t.backup_decided txn;
         let versions, kills = gather_slots t txn in
         (* the gather seeded every pre-image: no parts left to seed *)
         ignore (txn_decide t { txn; parts = [] });
-        publish_apply t ~txn ~versions ~kills (List.init t.nshards Fun.id)
+        publish_apply t ~txn ~versions ~kills (List.init t.nshards Fun.id);
+        Array.iteri
+          (fun i id -> if id = txn then t.backup_held.(i) <- 0)
+          t.backup_held
       end
     end
   | `Free | `Torn | `Slot _ -> ()
+
+let backup_held t ~shard = t.backup_held.(shard) <> 0
+
+(* A committed transaction's replication records, in shipping order:
+   each participant's prepare, then its decide. *)
+let txn_records res =
+  let nparts = List.length res.participants in
+  List.concat_map
+    (fun (shard, ops) ->
+      [ (shard, Replica.Txn_prepare { txn = res.txn_id; ops });
+        ( shard,
+          Replica.Txn_decide { txn = res.txn_id; commit = true; nparts } ) ])
+    res.participants
 
 (* One dispatch for everything the replication stream carries, so
    every applier (server, crashcheck, tests) resolves the [Replica.op]

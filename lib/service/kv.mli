@@ -294,9 +294,11 @@ val txn :
     concurrent transactions cannot deadlock), prepares, then runs
     {!txn_decide} and {!txn_apply} under the coordinator lock.
     [on_commit] runs {e inside} the participant locks right after
-    apply — the hook the replicated server uses to ship prepare/decide
-    records in mutation order.  Aborts ([committed = false]) leave no
-    durable trace.  [trace]/[span] (default -1 = off) attach
+    apply — the hook the replicated server uses to stage and flush the
+    transaction's {!txn_records} in mutation order.  The locks are
+    released as it returns: nothing waits for the backup under them.
+    Aborts ([committed = false]) leave no durable trace.
+    [trace]/[span] (default -1 = off) attach
     {!Obs.Span.Txn_prepare} / {!Obs.Span.Txn_decide} detail spans under
     the caller's transaction span. *)
 
@@ -351,10 +353,11 @@ val group_commit :
     in-flight group. *)
 
 val txn_resolve_indoubt : t -> int
-(** Roll back every occupied participant slot — presumed abort.  The
-    promoting backup calls this after {!Replica.Applier.seal_and_replay}:
-    a prepare whose decide died with the primary was never acked to any
-    client, so discarding it is safe.  Returns the slots resolved. *)
+(** Roll back every occupied participant slot — presumed abort — and
+    clear every hold ({!backup_held}).  The promoting backup calls this
+    after {!Replica.Applier.seal_and_replay}: a prepare whose decide
+    died with the primary was never acked to any client, so discarding
+    it is safe.  Returns the slots resolved. *)
 
 (** {2 Backup side} *)
 
@@ -374,7 +377,9 @@ val apply_replicated_group : t -> shard:int -> Replica.op list -> unit
 
 val txn_backup_prepare : t -> txn:int -> shard:int -> ops:txn_op list -> unit
 (** Apply a shipped [Txn_prepare] record: persist the slice's values
-    and its participant slot (durable before the applier acks). *)
+    and its participant slot (durable before the applier acks).  Raises
+    [Failure] if the slot is still occupied — an invariant, since the
+    applier parks every record behind a held shard ({!backup_held}). *)
 
 val txn_backup_decide :
   t -> txn:int -> shard:int -> commit:bool -> nparts:int -> unit
@@ -385,8 +390,22 @@ val txn_backup_decide :
     decision record — {!txn_decide} and {!txn_apply}'s publication,
     with each version digested from its prepared block — since
     publishing slice-by-slice would let a crash or promotion between
-    slices surface half a transaction.  A decide for an
-    already-resolved slot is a no-op (duplicate-delivery tolerance). *)
+    slices surface half a transaction.  Until it publishes, every
+    shard whose decide has arrived is held ({!backup_held}).  A decide
+    for an already-resolved slot is a no-op (duplicate-delivery
+    tolerance). *)
+
+val backup_held : t -> shard:int -> bool
+(** Whether [shard] has applied the committed decide of a transaction
+    that has not published yet — the applier's hold query
+    ({!Replica.Applier.create}'s [held]).  Volatile, read with no NVMM
+    access; {!txn_resolve_indoubt} clears it. *)
+
+val txn_records : txn_result -> (int * Replica.op) list
+(** A committed transaction's replication records in shipping order:
+    for each participant, in ascending shard order, its [Txn_prepare]
+    slice and then its [Txn_decide] (commit, with the participant
+    count). *)
 
 val iter_values : t -> (key:int -> Alloc_intf.nvmptr -> unit) -> unit
 (** Every value pointer in every shard tree, each leaf entry in leaf

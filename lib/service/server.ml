@@ -396,34 +396,20 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             :: !parked
       | Local | Ship _ -> send ()
     in
-    (* A committed transaction ships every participant's prepare and
-       decide records under its locks; they stage in the doorbell
-       buffer and leave as one frame, so the decide never pays its own
-       round trip.  2PC lock discipline: the participant locks are
-       held until the backup has acked the whole group — in
-       BOTH modes, not just sync.  Streams are shipped under these
-       locks, so the wait guarantees the next transaction touching one
-       of these shards cannot reach the backup while this group's slots
-       are still pending; without it a decide lagging on one stream
-       (loss, retransmit) lets a later prepare collide with the
-       occupied slot.  Returns whether the ack came before the
-       deadline. *)
+    (* A committed transaction stages every participant's prepare and
+       decide records under its locks and flushes them as one frame, so
+       the decide never pays its own round trip; the locks go as soon
+       as it returns, and its reply parks like any other.  Loss may
+       deliver one participant's stream ahead of another's: the backup
+       then parks the later records of a shard whose transaction has
+       not published (Replica.Applier), so nothing here waits for the
+       ack. *)
     let ship_txn s ~trace ~span res =
-      let ship = Replica.Shipper.ship s.shipper ~trace ~span in
-      let txn = res.Kv.txn_id and nparts = List.length res.Kv.participants in
-      let dseqs =
-        List.map
-          (fun (shard, ops) ->
-            ignore (ship ~shard (Replica.Txn_prepare { txn; ops }));
-            ( shard,
-              ship ~shard (Replica.Txn_decide { txn; commit = true; nparts }) ))
-          res.Kv.participants
-      in
-      ignore (Replica.Shipper.flush s.shipper);
-      let sra = Span.open_span ~trace ~parent:span Span.Repl_ack in
-      let acked = await s (fun () -> List.for_all (covered s) dseqs) in
-      Span.close_span sra;
-      acked
+      List.iter
+        (fun (shard, op) ->
+          ignore (Replica.Shipper.ship s.shipper ~trace ~span ~shard op))
+        (Kv.txn_records res);
+      ignore (Replica.Shipper.flush s.shipper)
     in
     (* reads, scans and transactions; puts and deletes are commit
        groups ([handle_group]) *)
@@ -439,24 +425,18 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             (* Kv.txn takes every participant's shard lock itself *)
             let stx = Span.open_span ~trace ~parent:m.span Span.Txn in
             let mk = marks () in
-            let txn_acked = ref true in
             let on_commit =
               match sink with
               | Local -> None
-              | Ship s ->
-                Some (fun res -> txn_acked := ship_txn s ~trace ~span:stx res)
+              | Ship s -> Some (ship_txn s ~trace ~span:stx)
             in
             let res = Kv.txn svc r.ops ~trace ~span:stx ?on_commit in
             Span.close_span stx;
             details ~trace ~parent:stx ~t1:(Sched.now ()) mk;
             if res.Kv.committed then incr txn_commits else incr txn_aborts;
-            (* a commit's own acks, awaited under its locks, cover it;
-               an abort read its participants' state *)
-            let saw =
-              if res.Kv.committed && !txn_acked then []
-              else List.map fst res.Kv.participants
-            in
-            (res.Kv.committed, res.Kv.committed, res.Kv.fin, saw)
+            (* a commit wrote its participants, an abort read them *)
+            ( res.Kv.committed, res.Kv.committed, res.Kv.fin,
+              List.map fst res.Kv.participants )
           | (KGet | KScan) when cfg.mvcc_window > 0 ->
             (* lock-free snapshot read: no Lock_wait, no shard lock —
                the read minted a timestamp and resolves against the
@@ -1038,6 +1018,7 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
       ~on_apply:(fun ~lat_ns -> Hist.record repl_lag_h lat_ns)
       ~apply:(Kv.apply_replicated svc_b)
       ~apply_group:(Kv.apply_replicated_group svc_b)
+      ~held:(Kv.backup_held svc_b)
   in
   let t_crash, t_stop = timeline cfg in
 

@@ -160,16 +160,19 @@ val run :
     doorbell frame per commit-group chunk.  In [Sync] mode no client
     sees state that losing the primary could undo: a reply produced
     while a shard it saw (its own shard; every shard for a merged
-    snapshot scan; every participant for an aborted transaction) has
+    snapshot scan; every participant for a transaction) has
     shipped-but-unacked records {e parks} on the primary until the
     backup's cumulative ack covers that shard's high-water mark, and
     the handler sends it from its own CPU.  The handler meanwhile
     keeps serving; up to two commit groups per shard await their acks,
-    and a third waits for the oldest one's.  A committed transaction's
-    reply waits for its own records' acks under its participant locks.
-    An acked write then survives the loss of the whole primary, not
-    just a cache-line crash.  [Async] mode replies after the local
-    persist and bounds the backup's lag by the shipping window.  Only
+    and a third waits for the oldest one's.  A committed transaction
+    ships its records and releases its participant locks at once; its
+    reply parks on every participant, like an aborted one's (the
+    backup holds a shard whose transaction has not yet published, see
+    {!Replica.Applier.create}).  An acked write then survives the loss
+    of the whole primary, not just a cache-line crash.  [Async] mode
+    replies after the local persist and bounds the backup's lag by the
+    shipping window.  Only
     the set-up (a backup machine, a two-port {!Net} link, pump and
     applier threads) and the crash epilogue (promote instead of
     re-attach) differ from {!run}.

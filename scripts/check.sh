@@ -196,14 +196,20 @@ dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
   --rate 30000 --duration 0.005 --wire-ns 500000 --crash-at 0.5 \
   --seed "$CRASH_SEED" > /dev/null
 # lossy-link failover smoke: the link drops and duplicates records,
-# frames and acks, so go-back-N retransmission must carry every batched
-# record across before the primary is lost at the midpoint.  Exits
-# non-zero if any sync-acked write is missing from the promoted store.
-step="serve lossy-link failover smoke"
-dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
-  --rate 40000 --duration 0.005 --txn-pct 20 --batch-window 4 \
-  --drop-pct 20 --dup-pct 10 --crash-at 0.5 --seed "$CRASH_SEED" \
-  > /dev/null
+# frames and acks, so go-back-N retransmission must carry every
+# record across before the primary is lost at the midpoint.  Loss
+# also delivers one participant's stream of a transaction ahead of
+# another's, so the backup must hold a shard behind an unpublished
+# transaction: at window 1 through the per-record applier, at window 4
+# through the batched one.  Exits non-zero if any sync-acked write is
+# missing from the promoted store.
+for window in 1 4; do
+  step="serve lossy-link failover smoke (window $window)"
+  dune exec bin/main.exe -- serve --replicate --shards 2 --clients 8 \
+    --rate 40000 --duration 0.005 --txn-pct 20 --batch-window "$window" \
+    --drop-pct 20 --dup-pct 10 --crash-at 0.5 --seed "$CRASH_SEED" \
+    > /dev/null
+done
 # trace-validity gate: export a Chrome trace from a replicated serve
 # run and validate it — JSON shape, per-phase required fields, and
 # that every cross-machine flow start ("ph":"s") has its matching

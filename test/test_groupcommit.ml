@@ -275,8 +275,9 @@ let test_batched_ship_cumulative_ack () =
     let sh = R.Shipper.create cfg ~shards:2 ~link in
     let applied = ref 0 in
     let ap =
-      R.Applier.create cfg ~shards:2 ~link ~ack_batch ~apply:(fun ~shard:_ _ ->
-          incr applied)
+      R.Applier.create cfg ~shards:2 ~link ~ack_batch
+        ~apply:(fun ~shard:_ _ -> incr applied)
+        ~held:(fun ~shard:_ -> false)
     in
     for k = 1 to 6 do
       ignore
@@ -314,11 +315,19 @@ let test_batched_ship_cumulative_ack () =
 
 (* ---------- piggybacked 2PC decide ---------- *)
 
-(* The same transaction plan shipped per-record (prepare, decide each
-   on their own wire trip) and doorbell-batched (prepare + decide of
-   every participant in ONE frame) must leave bit-identical backup
-   stores — the piggybacked decide changes wire economics, never
-   outcomes. *)
+(* The same plan — three transactions and one put between the first
+   two — must leave bit-identical backup stores in every delivery
+   order.  Per record, each prepare and decide is its own wire trip;
+   piggybacked, every participant's prepare + decide is ONE frame.
+   Shard-major is the order go-back-N produces after a lost frame, which
+   it retransmits shard by shard: everything is shipped before any
+   pump, then shard 0's whole stream reaches the applier before shard
+   1's.  The first transaction's decide then holds shard 0 until shard
+   1's decide publishes it: the put behind it (on a key that
+   transaction writes) parks, and no ack covers the holding decide or
+   the put before the publish.  Shard-major runs with per-record acks
+   and with batched acks and group applies, the applier's two entry
+   paths. *)
 let test_piggybacked_decide_equivalence () =
   (* two committing transactions + a strict-delete abort *)
   let txn_plan =
@@ -326,59 +335,124 @@ let test_piggybacked_decide_equivalence () =
       [ Kv.Tdel { key = 1 }; Kv.Tput { key = 3; vseed = 13 } ];
       [ Kv.Tput { key = 4; vseed = 14 }; Kv.Tdel { key = 9999 } ] ]
   in
-  let run ~piggyback =
+  let key_of = function Kv.Tput { key; _ } | Kv.Tdel { key } -> key in
+  let on_shard s o = Kv.shard_of ~shards:2 (key_of o) = s in
+  let first = List.hd txn_plan in
+  check "the first transaction spans both shards" true
+    (List.exists (on_shard 0) first && List.exists (on_shard 1) first);
+  let put_key = key_of (List.find (on_shard 0) first) in
+  let run ~order ~ack_batch =
     let _, _, p = mk_store ~shards:2 () in
     let _, _, b = mk_store ~shards:2 () in
     let link : R.msg Net.t = link () in
     let cfg = { R.default_config with R.window = 16 } in
     let sh = R.Shipper.create cfg ~shards:2 ~link in
     let ap =
-      R.Applier.create cfg ~shards:2 ~link ~ack_batch:piggyback
-        ~apply:(Kv.apply_replicated b)
+      R.Applier.create cfg ~shards:2 ~link ~ack_batch
+        ?apply_group:
+          (if order = `Shard_major && ack_batch then
+             Some (Kv.apply_replicated_group b)
+           else None)
+        ~apply:(Kv.apply_replicated b) ~held:(Kv.backup_held b)
     in
+    let pump () =
+      R.Applier.pump ap ~until:(fun () -> Net.pending link ~port:R.backup_ep = 0)
+    in
+    (* every record's shard, seq and op, newest first *)
+    let shipped = ref [] in
+    let ship ~shard r =
+      shipped := (shard, R.Shipper.ship sh ~shard r, r) :: !shipped;
+      (* per record, each record is a frame of one; otherwise the
+         flush after the transaction or put sends one frame *)
+      if order = `Per_record then ignore (R.Shipper.flush sh)
+    in
+    let step () = if order <> `Shard_major then pump () in
     let committed = ref [] in
-    List.iter
-      (fun ops ->
+    List.iteri
+      (fun i ops ->
+        if i = 1 then begin
+          ignore (Kv.put p ~key:put_key ~vseed:99);
+          ship ~shard:0 (R.Put { key = put_key; vseed = 99 });
+          ignore (R.Shipper.flush sh);
+          step ()
+        end;
         let res =
           Kv.txn p ops ~on_commit:(fun res ->
-              let nparts = List.length res.Kv.participants in
-              List.iter
-                (fun (s, sops) ->
-                  let prep = R.Txn_prepare { txn = res.Kv.txn_id; ops = sops }
-                  and dec =
-                    R.Txn_decide { txn = res.Kv.txn_id; commit = true; nparts }
-                  in
-                  (* per record, each record is a frame of one;
-                     piggybacked, the flush below sends one frame *)
-                  List.iter
-                    (fun r ->
-                      ignore (R.Shipper.ship sh ~shard:s r);
-                      if not piggyback then ignore (R.Shipper.flush sh))
-                    [ prep; dec ])
-                res.Kv.participants;
+              List.iter (fun (s, r) -> ship ~shard:s r) (Kv.txn_records res);
               ignore (R.Shipper.flush sh))
         in
         committed := res.Kv.committed :: !committed;
-        R.Applier.pump ap ~until:(fun () ->
-            Net.pending link ~port:R.backup_ep = 0))
+        step ())
       txn_plan;
+    if order = `Shard_major then begin
+      (* take every record off the wire, in shipping order, and hand
+         the applier shard 0's before shard 1's *)
+      let msgs =
+        List.fold_left
+          (fun acc (shard, _, _) ->
+            (shard, Option.get (Net.recv link ~port:R.backup_ep)) :: acc)
+          [] (List.rev !shipped)
+        |> List.rev
+      in
+      let deliver s =
+        List.iter
+          (fun (shard, (m : R.msg Net.msg)) ->
+            if shard = s then
+              ignore (Net.try_send link ~dst:R.backup_ep m.Net.payload))
+          msgs;
+        pump ();
+        R.Shipper.poll_acks sh
+      in
+      (* the first transaction's decide on shard 0 *)
+      let holding_decide =
+        List.fold_left
+          (fun acc (shard, seq, r) ->
+            match r with R.Txn_decide _ when shard = 0 -> Some seq | _ -> acc)
+          None !shipped
+        |> Option.get
+      in
+      deliver 0;
+      check "the put held behind the first transaction is not applied" true
+        (Kv.get b ~key:put_key = None);
+      check "no ack covers the holding decide or the parked put" true
+        (R.Shipper.acked sh ~shard:0 < holding_decide);
+      deliver 1;
+      for s = 0 to 1 do
+        check_int "every record acked once the transactions published"
+          (R.Shipper.high_water sh ~shard:s) (R.Shipper.acked sh ~shard:s)
+      done
+    end;
     (p, b, List.rev !committed, R.Applier.applied ap,
      (Net.stats link ~port:R.backup_ep).Net.flushes)
   in
-  let p1, b1, c1, applied1, _ = run ~piggyback:false in
-  let p2, b2, c2, applied2, flushes2 = run ~piggyback:true in
-  check "same commit/abort outcomes" true (c1 = c2);
-  check_int "same records applied on the backup" applied1 applied2;
-  check "committed txns: both paths shipped" true (applied1 > 0);
+  let p1, b1, c1, applied1, _ = run ~order:`Per_record ~ack_batch:false in
+  let p2, b2, c2, applied2, flushes2 = run ~order:`Piggyback ~ack_batch:true in
   check "one doorbell frame per committed transaction" true (flushes2 >= 2);
+  check "committed txns: both paths shipped" true (applied1 > 0);
+  let runs =
+    [ ("piggybacked", p2, b2, c2, applied2);
+      (let p, b, c, a, _ = run ~order:`Shard_major ~ack_batch:false in
+       ("shard-major", p, b, c, a));
+      (let p, b, c, a, _ = run ~order:`Shard_major ~ack_batch:true in
+       ("shard-major batched", p, b, c, a)) ]
+  in
+  List.iter
+    (fun (name, p, b, c, applied) ->
+      check (name ^ ": same commit/abort outcomes") true (c = c1);
+      check_int (name ^ ": same records applied on the backup") applied1 applied;
+      for k = 1 to 5 do
+        check (name ^ ": backup stores bit-identical") true
+          (Kv.get b ~key:k = Kv.get b1 ~key:k);
+        check (name ^ ": backup equals its primary") true
+          (Kv.get b ~key:k = Kv.get p ~key:k)
+      done;
+      check_int (name ^ ": same backup key count") (Kv.count_keys b1)
+        (Kv.count_keys b))
+    runs;
   for k = 1 to 5 do
-    check "backup stores bit-identical" true (Kv.get b1 ~key:k = Kv.get b2 ~key:k);
     check "per-record backup equals its primary" true
-      (Kv.get b1 ~key:k = Kv.get p1 ~key:k);
-    check "piggybacked backup equals its primary" true
-      (Kv.get b2 ~key:k = Kv.get p2 ~key:k)
-  done;
-  check_int "same backup key count" (Kv.count_keys b1) (Kv.count_keys b2)
+      (Kv.get b1 ~key:k = Kv.get p1 ~key:k)
+  done
 
 (* ---------- serve determinism and the window bound ---------- *)
 

@@ -192,8 +192,9 @@ let test_protocol_dedup_and_ack () =
   let sh = R.Shipper.create cfg ~shards:2 ~link in
   let applied = ref [] in
   let ap =
-    R.Applier.create cfg ~shards:2 ~link ~apply:(fun ~shard op ->
-        applied := (shard, op) :: !applied)
+    R.Applier.create cfg ~shards:2 ~link
+      ~apply:(fun ~shard op -> applied := (shard, op) :: !applied)
+      ~held:(fun ~shard:_ -> false)
   in
   for k = 1 to 6 do
     let shard = k mod 2 in
@@ -357,22 +358,40 @@ let test_sync_get_waits_for_put_ack () =
   check "some get reached its shard with a put unacked" true (!overlapped > 0);
   check_int "no get answered before the ack of a put it could see" 0 !early
 
+(* The second input mixes in cross-shard transactions, at windows 1
+   and 4: loss then delivers one participant's stream ahead of
+   another's, so the backup must hold a shard behind a transaction
+   whose other decide is still being retransmitted — through the
+   per-record applier at window 1 and the batched one at window 4. *)
 let test_lossy_link_retry () =
-  let r =
-    repl_serve
-      { base_cfg with S.rate = 15_000.; scope = "test/replica/lossy" }
-      { S.default_repl_config with
-        S.link_drop_pct = 20;
-        link_dup_pct = 10;
-        retransmit_ns = 60_000 }
-  in
-  check "wire lost messages" true (r.S.link_dropped > 0);
-  check "go-back-N retransmitted" true (r.S.retransmits > 0);
-  check "still converged: everything acked" true
-    (r.S.acked_records >= r.S.shipped);
-  (match r.S.backup_ledger with
-   | Some l -> check_int "loss recovery: no acked write lost" 0 l.S.mismatches
-   | None -> Alcotest.fail "clean run must report the backup ledger")
+  let lossy = { base_cfg with S.rate = 15_000.; scope = "test/replica/lossy" } in
+  List.iter
+    (fun (name, cfg) ->
+      let r =
+        repl_serve cfg
+          { S.default_repl_config with
+            S.link_drop_pct = 20;
+            link_dup_pct = 10;
+            retransmit_ns = 60_000 }
+      in
+      check (name ^ ": wire lost messages") true (r.S.link_dropped > 0);
+      check (name ^ ": go-back-N retransmitted") true (r.S.retransmits > 0);
+      check (name ^ ": still converged: everything acked") true
+        (r.S.acked_records >= r.S.shipped);
+      match r.S.backup_ledger with
+      | Some l ->
+        check_int (name ^ ": loss recovery: no acked write lost") 0
+          l.S.mismatches
+      | None -> Alcotest.fail "clean run must report the backup ledger")
+    (("plain", lossy)
+    :: List.map
+         (fun w ->
+           ( Printf.sprintf "txn w%d" w,
+             { lossy with
+               S.txn_pct = 20;
+               batch_window = w;
+               scope = Printf.sprintf "test/replica/lossy-txn-w%d" w } ))
+         [ 1; 4 ])
 
 (* Bounded slice of the exhaustive fence sweep (bin/main.exe crashcheck
    runs it in full): crash the whole two-machine cluster at strided
