@@ -802,6 +802,26 @@ let serve_cmd =
       r.S.scan_latency.S.p50 r.S.scan_latency.S.p99 r.S.scan_latency.S.samples;
     Printf.printf "  max shard queue depth %d (capacity %d)\n"
       r.S.queue_max_depth queue;
+    (* gauges the run published under its scope *)
+    let gauge ?(scope = cfg.S.scope) name =
+      int_of_float
+        (Option.value ~default:0. (Obs.Metrics.get_gauge ~scope name))
+    in
+    if tcache_mag > 0 then
+      Printf.printf
+        "  tcache: %d hits, %d misses, %d refills on a miss, %d idle \
+         refills, %d flushes\n"
+        (gauge "tcache_hits") (gauge "tcache_misses")
+        (gauge "tcache_bin_refills") (gauge "tcache_idle_refills")
+        (gauge "tcache_bin_flushes");
+    print_string "  apply after reply, ns per shard:";
+    for i = 0 to shards - 1 do
+      Printf.printf " %d:%d" i
+        (gauge
+           ~scope:(Printf.sprintf "%s/shard%d" cfg.S.scope i)
+           "apply_after_reply_ns")
+    done;
+    print_newline ();
     if txn_pct > 0 then begin
       Printf.printf "  txns: %d committed, %d aborted (%d ops each)\n"
         r.S.txns_committed r.S.txns_aborted txn_ops;

@@ -656,6 +656,7 @@ type kv_run = {
   universe : int list;
   model : (int, int) Hashtbl.t;
   flag : string -> unit;
+  ack : unit -> unit;
 }
 
 type kv_reads = { rname : string; noun : string; audit : kv_run -> int -> unit }
@@ -677,9 +678,21 @@ type kv_scenario = {
   extra : oracle list;
 }
 
-let kv_exec r _i = function
-  | Kput (k, vs) -> ignore (Service.Kv.put r.store ~key:k ~vseed:vs)
-  | Kdel k -> ignore (Service.Kv.delete r.store ~key:k)
+(* A put or a delete runs as a commit group of one and is acked from
+   its [on_chunk], at the chunk's commit point, where the server
+   replies: the tree apply, the old-value free and the slot clear all
+   run after the ack.  A transaction, and a delete of an absent key
+   (which commits no chunk), is acked when it returns. *)
+let kv_exec r _i o =
+  let single op =
+    let shard = Service.Kv.shard_of_key r.store (txn_op_key op) in
+    ignore
+      (Service.Kv.group_commit r.store ~shard [ op ]
+         ~on_chunk:(fun ~fin:_ _ -> r.ack ()))
+  in
+  match o with
+  | Kput (key, vseed) -> single (Service.Kv.Tput { key; vseed })
+  | Kdel key -> single (Service.Kv.Tdel { key })
   | Ktxn ops -> ignore (Service.Kv.txn r.store ops)
 
 (* The ledger snapshots [live_bytes] after each completed op (or
@@ -802,10 +815,12 @@ let replicate k b ~acked ~settle ~mach ~primary ~backup =
 (* The one KV driver.  Set-up builds the store (with a backup, two:
    the backup's is [env], the machine the sweep recovers, and the
    primary's device rides in [aux_devs]) and preloads it.  A local
-   sweep runs each plan op through [exec], then advances the
-   completed-prefix model and [acked] and runs the audit.  The read
-   violations [exec] and the audit flag surface through the reads
-   oracle at every crash point past them, naming the first. *)
+   sweep runs each plan op through [exec], which may advance [acked]
+   once through [r.ack] while the op runs; when it returns, the op is
+   acked if it was not yet, the completed-prefix model advances and
+   the audit runs.  The read violations [exec] and the audit flag
+   surface through the reads oracle at every crash point past them,
+   naming the first. *)
 let kv_sweep (k : kv_scenario) =
   let universe = universe_of ~preload:k.preload ~plan:k.plan in
   let acked = ref 0 and violations = ref [] in
@@ -827,17 +842,26 @@ let kv_sweep (k : kv_scenario) =
   let local s env =
     let model = Hashtbl.create 32 in
     List.iter (fun (key, vs) -> Hashtbl.replace model key vs) k.preload;
+    let op_acked = ref false in
+    let ack () =
+      if not !op_acked then begin
+        op_acked := true;
+        incr acked
+      end
+    in
     let r =
       { store = s;
         universe;
         model;
-        flag = (fun v -> violations := v :: !violations) }
+        flag = (fun v -> violations := v :: !violations);
+        ack }
     in
     List.iteri
       (fun i o ->
+        op_acked := false;
         k.exec r i o;
+        ack ();
         apply_kv model o;
-        incr acked;
         settle env;
         Option.iter (fun rd -> rd.audit r i) k.reads)
       k.plan
@@ -1060,6 +1084,34 @@ let deferred_commit inner =
 
 let scn_kv_commit_broken () =
   kv_sweep { kv_put_base with kname = "kv-commit-broken"; wrap = deferred_commit }
+
+(* The seeded reply bug: an executor that acks each put when its
+   chunk's allocator transaction commits, one fence before the decided
+   word.  The values and the slot are durable there, but recovery
+   rolls back a slot that its decided word does not name, so a crash
+   between the two loses an acked put.  The acked-prefix oracle must
+   flag it — the mutation gate in scripts/check.sh fails CI if it does
+   not. *)
+let scn_kv_ack_broken () =
+  let on_tx_commit = ref ignore in
+  let wrap inner =
+    let (Alloc_intf.Instance ((module I), h)) = inner in
+    let module W = struct
+      include I
+
+      let tx_commit h =
+        !on_tx_commit ();
+        I.tx_commit h
+    end in
+    Alloc_intf.Instance ((module W), h)
+  in
+  let exec r i o =
+    on_tx_commit := r.ack;
+    Fun.protect
+      ~finally:(fun () -> on_tx_commit := ignore)
+      (fun () -> kv_exec r i o)
+  in
+  kv_sweep { kv_put_base with kname = "kv-ack-broken"; wrap; exec }
 
 (* MVCC read-path sweep: the kv-put/delete/txn op mix again, but on a
    store with a version window, and after every completed operation the
@@ -1445,6 +1497,7 @@ let scenarios =
     ("carve-tombstones", scn_carve_tombstones, false);
     ("broken", scn_broken_missing_flush, true);
     ("kv-commit-broken", scn_kv_commit_broken, true);
+    ("kv-ack-broken", scn_kv_ack_broken, true);
     ("kv-txn-broken", scn_kv_txn_broken, true);
     ("mvcc-broken", scn_mvcc_broken, true);
     ("rcache-broken", scn_rcache_broken, true);

@@ -236,6 +236,10 @@ type kv_run = {
   flag : string -> unit;
       (** records a read violation at once (a crash cut later in the
           op cannot lose it); the sweep's reads oracle reports them *)
+  ack : unit -> unit;
+      (** acks the running op: from here on every crash point must
+          recover it.  Only its first call counts; the driver acks
+          every op that has not acked itself when [exec] returns *)
 }
 (** What a local sweep's per-op hooks see. *)
 
@@ -291,8 +295,13 @@ type kv_scenario = {
 }
 
 val kv_exec : kv_run -> int -> kv_op -> unit
-(** The default executor: {!Service.Kv.put}, {!Service.Kv.delete} or
-    {!Service.Kv.txn}. *)
+(** The default executor.  A put or a delete is a
+    {!Service.Kv.group_commit} group of one, acked from its [on_chunk]
+    at the chunk's commit point, where the server replies, so the
+    acked-prefix rule holds the op at every fence of the apply after
+    it: the tree insert, shift or split, the old-value free and the
+    slot clear.  A transaction ({!Service.Kv.txn}) and a delete of an
+    absent key are acked when they return. *)
 
 val kv_default : kv_scenario
 (** No name, preload or plan; a plain local store, slack 4096,
@@ -304,9 +313,11 @@ val kv_sweep : kv_scenario -> scenario
     the backup's is [env], the machine the sweep recovers) and preloads
     it; the ledger's durable bytes are re-read after
     each completed op or group.  A local sweep runs each op through
-    [exec], then advances the model and [acked] and runs the audit; a
-    replicated sweep uses neither [exec] nor [reads].  The oracles are
-    the reads oracle, then the prefix oracle, then [extra]. *)
+    [exec], which may ack it part-way ([kv_run.ack]); when [exec]
+    returns, the op is acked if it was not yet, the model advances and
+    the audit runs.  A replicated sweep uses neither [exec] nor
+    [reads].  The oracles are the reads oracle, then the prefix
+    oracle, then [extra]. *)
 
 val scn_kv_put : unit -> scenario
 (** KV puts (inserts + overwrites) through the commit-slot protocol. *)
@@ -335,6 +346,14 @@ val scn_kv_commit_broken : unit -> scenario
     freed; only the no-dangling check sees it.  The checker {e must}
     report counterexamples — the mutation gate in [scripts/check.sh]
     fails CI when it does not. *)
+
+val scn_kv_ack_broken : unit -> scenario
+(** The kv-put plan with an executor that acks each put when its
+    chunk's allocator transaction commits — after the slot fence, one
+    fence before the decided word.  A crash between the two rolls the
+    slot back and loses an acked put.  The acked-prefix oracle {e
+    must} flag it — the mutation gate in [scripts/check.sh] fails CI
+    when it does not. *)
 
 val scn_kv_txn : unit -> scenario
 (** Cross-shard transactions through the 2PC coordinator-record

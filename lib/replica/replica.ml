@@ -46,10 +46,14 @@ module Shipper = struct
     mach : int; (* primary's machine id, for ack-wire spans *)
     next_seq : int array;
     acked_ : int array; (* highest cumulative ack, -1 initially *)
-    (* (seq, op, trace, span), oldest first; the span context is kept
-       so retransmissions carry the same causal parent *)
-    unacked : (int * op * int * int) Queue.t array;
-    last_tx : int array; (* last (re)transmission time of the tail *)
+    (* (seq, op, trace, span, shipped_at), oldest first; the span
+       context is kept so retransmissions carry the same causal
+       parent *)
+    unacked : (int * op * int * int * int) Queue.t array;
+    restarted : int array;
+        (* per shard, when its retransmit timer last restarted: its
+           last go-back-N resend, or the last ack that covered new
+           records *)
     mutable shipped_ : int;
     mutable retransmits_ : int;
     mutable max_lag_ : int;
@@ -65,7 +69,7 @@ module Shipper = struct
       next_seq = Array.make shards 0;
       acked_ = Array.make shards (-1);
       unacked = Array.init shards (fun _ -> Queue.create ());
-      last_tx = Array.make shards 0;
+      restarted = Array.make shards 0;
       shipped_ = 0;
       retransmits_ = 0;
       max_lag_ = 0;
@@ -78,15 +82,17 @@ module Shipper = struct
   let retransmits t = t.retransmits_
   let max_lag t = t.max_lag_
 
-  (* Drop acked records off the head of the unacked buffer. *)
+  (* Drop acked records off the head of the unacked buffer; an ack
+     that covers new records restarts the shard's retransmit timer. *)
   let absorb_ack t shard seq =
     if seq > t.acked_.(shard) then begin
       t.acked_.(shard) <- seq;
+      t.restarted.(shard) <- now_or_zero ();
       let q = t.unacked.(shard) in
       let continue = ref true in
       while !continue do
         match Queue.peek_opt q with
-        | Some (s, _, _, _) when s <= seq -> ignore (Queue.pop q)
+        | Some (s, _, _, _, _) when s <= seq -> ignore (Queue.pop q)
         | _ -> continue := false
       done
     end
@@ -126,35 +132,39 @@ module Shipper = struct
     done;
     let seq = t.next_seq.(shard) in
     t.next_seq.(shard) <- seq + 1;
-    Queue.add (seq, op, trace, span) t.unacked.(shard);
+    Queue.add (seq, op, trace, span, now_or_zero ()) t.unacked.(shard);
     let l = Queue.length t.unacked.(shard) in
     if l > t.max_lag_ then t.max_lag_ <- l;
     t.shipped_ <- t.shipped_ + 1;
-    t.last_tx.(shard) <- now_or_zero ();
     Net.buffer ~trace ~span t.link ~dst:backup_ep (Rec { shard; seq; op });
     seq
 
   let flush t = Net.flush t.link ~dst:backup_ep
 
   (* Go-back-N: when the oldest unacked record of a shard has waited a
-     full timeout, put the whole tail back on the wire. *)
+     full timeout, put the whole tail back on the wire.  Its wait runs
+     from its own ship or the shard's timer restart, whichever is
+     later: a resend sends every record of the tail, and an ack that
+     covers new records shows the backup is keeping up, so its timer
+     restarts as in TCP (RFC 6298, 5.3).  Records shipped since do not
+     restart it, so a busy shard still resends a lost record. *)
   let retransmit_due t =
     let now = now_or_zero () in
     Array.iteri
       (fun shard q ->
-        if
-          (not (Queue.is_empty q))
-          && now - t.last_tx.(shard) >= t.cfg.retransmit_ns
-        then begin
-          t.last_tx.(shard) <- now;
+        match Queue.peek_opt q with
+        | Some (_, _, _, _, shipped_at)
+          when now - max shipped_at t.restarted.(shard) >= t.cfg.retransmit_ns
+          ->
+          t.restarted.(shard) <- now;
           Queue.iter
-            (fun (seq, op, trace, span) ->
+            (fun (seq, op, trace, span, _) ->
               t.retransmits_ <- t.retransmits_ + 1;
               ignore
                 (Net.try_send ~trace ~span t.link ~dst:backup_ep
                    (Rec { shard; seq; op })))
             q
-        end)
+        | _ -> ())
       t.unacked
 
   let pump t ~until ~deadline =

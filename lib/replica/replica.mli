@@ -10,7 +10,9 @@
 
     Loss handling is go-back-N: the shipper keeps every unacknowledged
     record buffered and retransmits the whole tail when the oldest one
-    times out; the applier accepts only the exact next sequence number
+    times out (its timeout runs from its own last send or resend, or
+    from the last ack that covered new records, so new records on a
+    busy shard do not postpone it); the applier accepts only the exact next sequence number
     per shard, re-acks duplicates and discards out-of-order arrivals.
     Loss can still deliver one shard's stream ahead of another's, so a
     shard whose cross-shard transaction waits for another stream's
@@ -93,7 +95,7 @@ module Shipper : sig
       process id of ack-wire spans when tracing is on. *)
 
   val ship : ?trace:int -> ?span:int -> t -> shard:int -> op -> int
-  (** Called by the shard's handler thread after the local persist.
+  (** Called by the shard's handler thread at the local commit point.
       Assigns the next sequence number, keeps the record for go-back-N
       and stages it in the link's doorbell buffer
       ({!Net.buffer}): no wire charge, nothing visible to the
@@ -119,8 +121,10 @@ module Shipper : sig
       and without a CPU charge; {!acked} then reflects them. *)
 
   val pump : t -> until:(unit -> bool) -> deadline:int -> unit
-  (** Replication-thread body: drain acks, retransmit timed-out tails.
-      Returns once [until ()] holds and every shipped record is acked,
+  (** Replication-thread body: drain acks, retransmit timed-out tails
+      (a shard's tail is due once its oldest unacked record has gone
+      [retransmit_ns] without being sent or resent, and without an ack
+      that covered new records).  Returns once [until ()] holds and every shipped record is acked,
       or at [deadline] (abandoning any still-unacked tail). *)
 
   val acked : t -> shard:int -> int

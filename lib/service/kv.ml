@@ -87,6 +87,9 @@ type t = {
          the transaction whose decide this shard has applied but which
          has not published yet (another participant's decide is still
          on its way); 0 = not held *)
+  apply_after_commit : int array;
+      (* per shard, simulated ns spent applying commit-slot chunks
+         after their commit-point callback returned *)
 }
 
 type recovery = {
@@ -153,7 +156,8 @@ let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
     mvcc_seq = 0; mvcc_truncated = 0;
     rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
     backup_decided = Hashtbl.create 8;
-    backup_held = Array.make nshards 0 }
+    backup_held = Array.make nshards 0;
+    apply_after_commit = Array.make nshards 0 }
 
 let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
@@ -493,11 +497,12 @@ let abandon t allocated =
      follow the allocator commit — redoing a slot whose blocks the
      heap's replay has just freed would publish dangling values;
    + publish the versions and kill the cached digests in one pure
-     step, then apply the entries to the tree and free the old values,
-     and clear the slot.
+     step, then run [on_commit fin] — the chunk is committed, so the
+     server replies and ships from here — then apply the entries to
+     the tree and free the old values, and clear the slot.
    No coordinator lock and no decision record: the word is the shard's
    own.  [Error] (heap exhausted) leaves nothing durable behind. *)
-let commit_chunk t i members =
+let commit_chunk ?(on_commit = ignore) t i members =
   let failed = ref false and allocated = ref [] in
   let entries =
     List.map
@@ -533,7 +538,10 @@ let commit_chunk t i members =
       Mvcc.publish t.mvcc ~shard:i ~ts:(mvcc_mint t)
         (List.map (fun (o, _) -> op_version t o) members);
     List.iter (fun (key, _, _) -> Rcache.invalidate t.rcache ~shard:i ~key) entries;
+    on_commit fin;
+    let t_apply = now () in
     apply_tslot ~commit:true t i entries;
+    t.apply_after_commit.(i) <- t.apply_after_commit.(i) + (now () - t_apply);
     Ok fin
   end
 
@@ -977,10 +985,12 @@ let group_commit ?on_chunk t ~shard ops =
     ops;
   let results = Array.make (List.length ops) (false, 0) in
   let rec commit members =
-    match commit_chunk t shard (List.map snd members) with
-    | Ok fin ->
+    let on_commit fin =
       List.iter (fun (idx, _) -> results.(idx) <- (true, fin)) members;
       Option.iter (fun f -> f ~fin (List.map (fun (_, (o, _)) -> o) members)) on_chunk
+    in
+    match commit_chunk ~on_commit t shard (List.map snd members) with
+    | Ok _ -> ()
     | Error _ -> (
       match members with
       | [ (idx, _) ] -> results.(idx) <- (false, now ())
@@ -1015,6 +1025,8 @@ let group_commit ?on_chunk t ~shard ops =
         ops;
       flush ());
   Array.to_list results
+
+let apply_after_commit_ns t ~shard = t.apply_after_commit.(shard)
 
 let txn_resolve_indoubt t =
   Hashtbl.reset t.backup_decided;

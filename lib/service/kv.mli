@@ -346,11 +346,25 @@ val group_commit :
     allocate fails.  Returns one [(ok, fin)] per input op, in order:
     [ok] as {!put}/{!delete} would have reported, [fin] the simulated
     time of the chunk's decided-word persist (the op's durability
-    point).  [on_chunk] runs inside the shard lock right after each
-    chunk's apply, with the chunk's ops in order — the replicated
-    server's shipping hook, mirroring {!txn}'s [on_commit].  A crash
-    loses at most the chunks (and never a completed chunk) of the
-    in-flight group. *)
+    point).  [on_chunk] runs inside the shard lock at each chunk's
+    commit point, with the chunk's ops in order: after the
+    decided-word fence, the MVCC publication and the read-cache kills,
+    and {e before} the tree apply, the old-value frees and the slot
+    clear.  The chunk is durable there, so the server replies and
+    ships from it.  Every read still sees the write.  A locked reader
+    waits for the shard lock, which the apply still holds.  A
+    lock-free snapshot reader resolves the keys through their
+    already-published chains.  And {!attach} redoes a slot that its
+    decided word names.  A crash loses at most the chunks (and never a
+    committed chunk) of the in-flight group.  Transactions differ:
+    {!txn}'s [on_commit] runs after the apply, because their versions
+    publish there. *)
+
+val apply_after_commit_ns : t -> shard:int -> int
+(** Simulated ns that [shard]'s chunks have spent, since this handle
+    was made, between their commit point ([on_chunk]'s return) and the
+    end of their apply: the work a reply at the commit point no
+    longer waits for. *)
 
 val txn_resolve_indoubt : t -> int
 (** Roll back every occupied participant slot — presumed abort — and

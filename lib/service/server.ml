@@ -145,11 +145,12 @@ type result = {
 
 (* Where a handled mutation's durability is settled before its reply
    leaves.  [Local]: the store's own persist is the whole promise, so
-   the reply leaves at once.  [Ship]: each applied mutation is also
-   shipped to the backup inside its shard lock, and in [sync] mode a
-   reply that saw shipped-but-unacked records parks until the backup's
-   covering ack — until [deadline], past which it is withheld.  The
-   handler polls for acks every [poll_ns] while it waits. *)
+   the reply leaves at the commit point.  [Ship]: each committed
+   mutation is also shipped to the backup inside its shard lock, and
+   in [sync] mode a reply that saw shipped-but-unacked records parks
+   until the backup's covering ack — until [deadline], past which it
+   is withheld.  The handler polls for acks every [poll_ns] while it
+   waits. *)
 type ship = {
   shipper : Replica.Shipper.t;
   sync : bool;
@@ -514,10 +515,10 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
     let handle_group msgs =
       (* per-request ingress and decode; each request's store span
          opens at its own decode end and closes as its reply is
-         produced after the group's commit, so the shared
+         produced at its chunk's commit point, so the shared
          group-execution interval partitions every member's latency
-         budget, and the group's per-layer detail lands under every
-         member's store span *)
+         budget, and the group's per-layer detail up to that point
+         lands under every member's store span *)
       let members =
         List.map
           (fun (m : payload Net.msg) ->
@@ -535,46 +536,52 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       in
       let ops = List.map (fun g -> g.g_op) members in
       let mk = marks () in
-      (* each chunk ships inside the shard lock as one doorbell frame,
-         every record carrying its member's trace and store span *)
-      let last_seq = ref (-1) in
-      let on_chunk =
-        match sink with
-        | Local -> None
-        | Ship s ->
-          Some
-            (fun ~fin:_ cops ->
-              List.iter
-                (fun op ->
-                  let g = List.find (fun g -> g.g_op == op) members in
-                  let rop =
-                    match op with
-                    | Kv.Tput { key; vseed } -> Replica.Put { key; vseed }
-                    | Kv.Tdel { key } -> Replica.Del { key }
-                  in
-                  last_seq :=
-                    Replica.Shipper.ship s.shipper ~trace:g.g_msg.trace
-                      ~span:g.g_store ~shard:i rop)
-                cops;
-              ignore (Replica.Shipper.flush s.shipper))
-      in
-      let results = Kv.group_commit svc ~shard:i ops ?on_chunk in
-      (match sink with
-       | Ship { sync = true; _ } when !last_seq >= 0 ->
-         Queue.add !last_seq inflight
-       | Local | Ship _ -> ());
       (* a parked group of one waits for its own round trip (Repl_ack);
          each member of a larger group waits for the covering flush
          (Flush_wait), not behind its predecessors' round trips *)
       let stage =
         match members with [ _ ] -> Span.Repl_ack | _ -> Span.Flush_wait
       in
+      let answer g ~ok ~fin =
+        Span.close_span g.g_store;
+        details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk;
+        reply g.g_msg ~t0:g.g_t0 ~client:g.g_client ~saw:[ i ] ~stage
+          (Rep { rid = g.g_rid; ok; mutated = ok; fin })
+      in
+      let member op = List.find (fun g -> g.g_op == op) members in
+      (* At each chunk's commit point, before its apply: the chunk
+         ships inside the shard lock as one doorbell frame, every
+         record carrying its member's trace and store span, and then
+         each member replies.  The apply runs after the replies. *)
+      let last_seq = ref (-1) in
+      let on_chunk ~fin cops =
+        (match sink with
+         | Local -> ()
+         | Ship s ->
+           List.iter
+             (fun op ->
+               let g = member op in
+               let rop =
+                 match op with
+                 | Kv.Tput { key; vseed } -> Replica.Put { key; vseed }
+                 | Kv.Tdel { key } -> Replica.Del { key }
+               in
+               last_seq :=
+                 Replica.Shipper.ship s.shipper ~trace:g.g_msg.trace
+                   ~span:g.g_store ~shard:i rop)
+             cops;
+           ignore (Replica.Shipper.flush s.shipper));
+        List.iter (fun op -> answer (member op) ~ok:true ~fin) cops
+      in
+      let results = Kv.group_commit svc ~shard:i ops ~on_chunk in
+      (match sink with
+       | Ship { sync = true; _ } when !last_seq >= 0 ->
+         Queue.add !last_seq inflight
+       | Local | Ship _ -> ());
+      (* the members no chunk committed: absent deletes and puts the
+         heap could not hold *)
       List.iter2
-        (fun g (ok, fin) ->
-          Span.close_span g.g_store;
-          details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk;
-          reply g.g_msg ~t0:g.g_t0 ~client:g.g_client ~saw:[ i ] ~stage
-            (Rep { rid = g.g_rid; ok; mutated = ok; fin }))
+        (fun g (ok, fin) -> if not ok then answer g ~ok ~fin)
         members results
     in
     let dispatch m =
@@ -597,6 +604,11 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
         | None ->
           if !senders = 0 && Net.pending net ~port:i = 0 then ()
           else begin
+            (* an idle handler with no parked reply refills its own
+               CPU's magazine bins, so the next allocations skip the
+               carve *)
+            if !parked = [] then
+              Option.iter (fun t -> ignore (Tcache.top_up t)) tch;
             (* while replies are parked, idle at the ack-poll quantum *)
             let idle =
               match (sink, !parked) with
@@ -872,7 +884,9 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       let sscope = Printf.sprintf "%s/shard%d" scope i in
       Obs.Metrics.set_gauge ~scope:sscope "mvcc_chains" (float_of_int chains);
       Obs.Metrics.set_gauge ~scope:sscope "mvcc_chain_versions"
-        (float_of_int versions))
+        (float_of_int versions);
+      Obs.Metrics.set_gauge ~scope:sscope "apply_after_reply_ns"
+        (float_of_int (Kv.apply_after_commit_ns svc ~shard:i)))
     (Kv.mvcc_shard_chains svc);
   (match tch with
    | Some t ->
@@ -880,7 +894,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
      g "tcache_hits" (float_of_int hits);
      g "tcache_misses" (float_of_int misses);
      g "tcache_bin_refills" (float_of_int refills);
-     g "tcache_bin_flushes" (float_of_int flushes)
+     g "tcache_bin_flushes" (float_of_int flushes);
+     g "tcache_idle_refills" (float_of_int (Tcache.idle_refills t))
    | None -> ());
   if cfg.rcache_entries > 0 then begin
     let hits, misses, evictions, invalidations = Kv.rcache_stats svc in

@@ -11,6 +11,14 @@
     request abandoned, so offered load and goodput diverge at
     saturation instead of queues growing without bound.
 
+    A put's or delete's reply leaves at its chunk's commit point, from
+    {!Kv.group_commit}'s [on_chunk]: the tree apply, the old-value
+    free and the slot clear run after it, still under the shard lock
+    (the per-shard gauge [apply_after_reply_ns] sums that handler
+    time).  A handler whose inbox is empty and which has no parked
+    reply tops up its CPU's magazine bins ({!Tcache.top_up}; gauge
+    [tcache_idle_refills]).
+
     Crash model: at [crash_at × duration] the server CPUs stop taking
     requests and clients stop sending (request-granularity cut); the
     device then loses its unfenced state ([`Strict]), the heap and
@@ -154,8 +162,9 @@ val run :
     The same handler loop as {!run} on two machines sharing one
     engine, with a shipping durability sink in place of the local one:
     the primary serves clients exactly as {!run} does, and every
-    applied mutation is also shipped (per-shard sequence numbers,
-    go-back-N) inside its shard lock over an inter-machine link to a
+    committed mutation is also shipped (per-shard sequence numbers,
+    go-back-N) inside its shard lock, at its chunk's commit point and
+    before the primary's own tree apply, over an inter-machine link to a
     backup machine that applies it into its own persistent store — one
     doorbell frame per commit-group chunk.  In [Sync] mode no client
     sees state that losing the primary could undo: a reply produced
@@ -171,7 +180,7 @@ val run :
     backup holds a shard whose transaction has not yet published, see
     {!Replica.Applier.create}).  An acked write then survives the loss
     of the whole primary, not just a cache-line crash.  [Async] mode
-    replies after the local persist and bounds the backup's lag by the
+    replies at the local commit point and bounds the backup's lag by the
     shipping window.  Only
     the set-up (a backup machine, a two-port {!Net} link, pump and
     applier threads) and the crash epilogue (promote instead of

@@ -10,7 +10,8 @@
     - {e Refill}: a bin miss carves [mag] blocks of the class size in
       ONE allocator transaction; each carved block carries a ledger
       {e lease}, so a crash leaves nothing dangling — recovery frees
-      every leased block.
+      every leased block.  {!top_up} does the same from a caller's
+      idle time, for bins that have missed and run low.
     - {e Publish}: a block handed to the application is not durably
       allocated until its lease is cleared (clwb + fence).  Singleton
       allocs publish before returning; transactional allocs accumulate
@@ -36,7 +37,13 @@ let class_of_rsize rsize =
   let rec go c s = if s <= 32 then c else go (c + 1) (s / 2) in
   go 0 rsize
 
-type bin = { mutable blocks : cache_block list; mutable depth : int }
+type bin = {
+  mutable blocks : cache_block list;
+  mutable depth : int;
+  mutable rsize : int;
+      (** the class's rounded block size, set by the bin's first miss;
+          0 = never missed, so {!top_up} leaves the bin alone *)
+}
 
 type cpu_state = {
   bins : bin array;
@@ -55,7 +62,8 @@ type handle = {
   ops : cache_ops option; (* None = pass-through *)
   mag : int;
   cpus : cpu_state array;
-  counts : int array; (* hit / miss / refill / flush, wrapper-side *)
+  counts : int array;
+      (* hit / miss / refill / flush / idle refill, wrapper-side *)
 }
 
 type heap = handle
@@ -63,7 +71,8 @@ type heap = handle
 let allocator_name = "tcache"
 
 let mk_cpu () =
-  { bins = Array.init max_classes (fun _ -> { blocks = []; depth = 0 });
+  { bins =
+      Array.init max_classes (fun _ -> { blocks = []; depth = 0; rsize = 0 });
     pending = [];
     inner_tx_used = false }
 
@@ -145,6 +154,7 @@ let alloc h size =
             Some b.cb_ptr
           | None ->
             note h ops Cache_miss;
+            bin.rsize <- rsize;
             (match ops.cache_carve ~size:rsize ~count:h.mag with
              | [] -> i_alloc h.inner size
              | b :: rest ->
@@ -194,6 +204,7 @@ let tx_alloc h size ~is_end =
               Some b
             | None ->
               note h ops Cache_miss;
+              bin.rsize <- rsize;
               (match ops.cache_carve ~size:rsize ~count:h.mag with
                | [] -> None
                | b :: rest ->
@@ -254,6 +265,33 @@ let free h ptr =
             (* invalid/double free, uncacheable size or full ledger *)
             i_free h.inner ptr))
 
+(* ---------- idle-time top-up ---------- *)
+
+(* A bin is topped up when it has missed at least once and holds at
+   most half a magazine: one carve of one magazine, so it ends below
+   the flush threshold of twice a magazine.  Never while a
+   transactional allocation is pending on this CPU: its leases publish
+   at the commit point, and no carve may run inside that window. *)
+let top_up h =
+  match h.ops with
+  | None -> 0
+  | Some ops ->
+    let st = cpu_state h in
+    if st.pending <> [] || st.inner_tx_used then 0
+    else
+      Array.fold_left
+        (fun n bin ->
+          if bin.rsize = 0 || bin.depth > h.mag / 2 then n
+          else
+            match ops.cache_carve ~size:bin.rsize ~count:h.mag with
+            | [] -> n
+            | blocks ->
+              List.iter (bin_push bin) blocks;
+              h.counts.(4) <- h.counts.(4) + 1;
+              ops.cache_note Cache_refill;
+              n + 1)
+        0 st.bins
+
 (* ---------- pass-through surface ---------- *)
 
 let create _ ~base:_ ~size:_ ~heap_id:_ =
@@ -298,6 +336,7 @@ let reset h =
       h.cpus
 
 let stats h = (h.counts.(0), h.counts.(1), h.counts.(2), h.counts.(3))
+let idle_refills h = h.counts.(4)
 
 let wrap ~mag inner =
   let num_cpus =
@@ -308,7 +347,7 @@ let wrap ~mag inner =
       ops = (if mag > 0 then i_cache_ops inner else None);
       mag = max mag 1;
       cpus = Array.init (max num_cpus 1) (fun _ -> mk_cpu ());
-      counts = Array.make 4 0 }
+      counts = Array.make 5 0 }
   in
   let module W = struct
     type nonrec heap = heap

@@ -29,7 +29,20 @@ val reset : handle -> unit
     changes role (e.g. a replica promoting to primary re-attaches the
     heap; leftover DRAM state would go stale). *)
 
+val top_up : handle -> int
+(** Idle-time refill on the calling CPU: every bin that has missed at
+    least once and holds at most half a magazine gets one carve of one
+    magazine.  Does nothing while a transactional allocation is
+    pending on this CPU (between a [tx_alloc] and its commit point).
+    Returns the bins refilled.  A serving handler calls it when its
+    inbox is empty, so the next misses find blocks; a miss on the
+    request path still carves as before. *)
+
 val stats : handle -> int * int * int * int
 (** Wrapper-side traffic counters [(hits, misses, refills, flushes)]
-    since construction (mirrors the inner allocator's
-    [tcache_*]/[bin_*] heap statistics). *)
+    since construction, the refills being request-path misses' carves
+    (mirrors the inner allocator's [tcache_*]/[bin_*] heap statistics,
+    whose [bin_refills] also counts {!idle_refills}). *)
+
+val idle_refills : handle -> int
+(** Bins refilled by {!top_up} since construction. *)

@@ -85,6 +85,14 @@ done
 # freed (exit 1), or the checker has lost the commit point's
 # order.
 mutation_gate kv-commit-broken "allocator commit after the commit point"
+# reply mutation gate, EXHAUSTIVE: the sweep driver acks each put at
+# its chunk's allocator commit, one fence before the decided word; the
+# acked-prefix oracle MUST flag the acked put a crash there rolls back
+# (exit 1), or it can no longer see that a reply waits for the commit
+# point.  The honest driver acks inside group_commit's on_chunk, where
+# the server replies, so every correct KV sweep holds an acked op at
+# each fence of the apply that follows the reply.
+mutation_gate kv-ack-broken "ack before the decided word"
 # cross-shard transaction sweep, EXHAUSTIVE: every fence-to-fence crash
 # point of the 2PC coordinator-record protocol (prepare slots, decision
 # record, apply, recovery) must keep each transaction all-or-nothing.
@@ -293,4 +301,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + 2PC + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + early-ack + 2PC + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

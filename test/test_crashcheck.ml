@@ -130,6 +130,7 @@ let test_counterexample_replays () =
 let seeded_bugs =
   [ ("broken", (2, 0), "app-commit", "");
     ("kv-commit-broken", (0, 2), "kv-store", "dangling value");
+    ("kv-ack-broken", (0, 2), "kv-store", "recovered store matches no plan prefix");
     ("kv-txn-broken", (0, 2), "kv-store", "");
     ("mvcc-broken", (6, 1), "snapshot-reads", "");
     ("rcache-broken", (8, 1), "cached-reads", "");

@@ -172,7 +172,7 @@ let gauge ~scope name = Obs.Metrics.get_gauge ~scope name
 
 let tier_gauges =
   [ "tcache_hits"; "tcache_misses"; "tcache_bin_refills"; "tcache_bin_flushes";
-    "rcache_hits"; "rcache_misses"; "rcache_evictions"; "rcache_invalidations" ]
+    "tcache_idle_refills"; "rcache_hits"; "rcache_misses"; "rcache_evictions"; "rcache_invalidations" ]
 
 (* Every axis the loop branches on, with every DRAM tier armed: each
    run keeps every acked write.  Every put and delete is a commit

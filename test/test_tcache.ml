@@ -1,5 +1,7 @@
 (* Magazine-cache wrapper (lib/tcache): bin hit/miss/refill/flush
-   mechanics, size-class routing with large-alloc fallback, lease
+   mechanics, size-class routing with large-alloc fallback, the
+   idle-time top-up (which bins it refills, never inside a pending
+   transactional allocation, reclaimed by a crash right after), lease
    durability across crashes (published blocks survive, bin residue
    and stashed frees are reclaimed by recovery), pass-through modes,
    store-level equivalence with the uncached path, serve-run metrics
@@ -100,6 +102,71 @@ let test_mag_zero_passthrough () =
     (s.H.tcache_hits + s.H.tcache_misses + s.H.bin_refills + s.H.bin_flushes);
   H.check_invariants heap
 
+(* ---------- idle-time top-up ---------- *)
+
+(* mag 4: a bin holding at most 2 blocks that has missed gets one carve
+   of 4; one holding more, or one whose class never missed, gets none. *)
+let test_top_up_refills_missed_bins () =
+  let _, heap, inst, h = mk_wrapped ~mag:4 () in
+  ignore (Option.get (Alloc_intf.i_alloc inst 64));
+  check_int "3 blocks left: above half a magazine, no top-up" 0
+    (Tcache.top_up h);
+  ignore (Option.get (Alloc_intf.i_alloc inst 64));
+  check_int "2 blocks left: the 64 B bin is topped up" 1 (Tcache.top_up h);
+  check_int "counted as an idle refill" 1 (Tcache.idle_refills h);
+  check_int "6 blocks now: above half a magazine again" 0 (Tcache.top_up h);
+  let hits0, misses0, refills0, _ = Tcache.stats h in
+  check_int "request-path refills untouched" 1 refills0;
+  check_int "the heap counts both carves" 2 (H.stats heap).H.bin_refills;
+  for _ = 1 to 6 do
+    ignore (Option.get (Alloc_intf.i_alloc inst 64))
+  done;
+  let hits, misses, _, _ = Tcache.stats h in
+  check_int "the bin gained one magazine: 6 hits" (hits0 + 6) hits;
+  check_int "and no miss" misses0 misses;
+  (* the 128 B class never missed: its bin stays empty *)
+  ignore (Option.get (Alloc_intf.i_alloc inst 128));
+  let _, misses, _, _ = Tcache.stats h in
+  check_int "a class that never missed was not topped up" (misses0 + 1) misses
+
+let test_top_up_waits_for_pending_tx () =
+  let _, _, inst, h = mk_wrapped ~mag:4 () in
+  ignore (Option.get (Alloc_intf.i_alloc inst 64));
+  ignore (Option.get (Alloc_intf.i_alloc inst 64));
+  ignore (Option.get (Alloc_intf.i_tx_alloc inst 64 ~is_end:false));
+  check_int "no top-up while a transactional allocation is pending" 0
+    (Tcache.top_up h);
+  Alloc_intf.i_tx_commit inst;
+  check_int "after the commit point it tops up" 1 (Tcache.top_up h)
+
+(* A topped-up magazine is leased, never published: a crash right
+   after the top-up reclaims it, and no lease stays armed. *)
+let test_crash_after_top_up () =
+  let mach, heap, inst, h = mk_wrapped ~mag:4 () in
+  for _ = 1 to 4 do
+    ignore (Option.get (Alloc_intf.i_alloc inst 64))
+  done;
+  Memdev.drain (Machine.dev mach);
+  let before = (H.stats heap).H.live_bytes in
+  check_int "the emptied bin is topped up" 1 (Tcache.top_up h);
+  check_int "the magazine is live until recovery" (before + (4 * round_up 64))
+    (H.stats heap).H.live_bytes;
+  Memdev.crash (Machine.dev mach) `Strict;
+  let h2 = H.attach mach ~base:heap_base () in
+  H.check_invariants h2;
+  check_int "recovered to the pre-top-up live bytes" before
+    (H.stats h2).H.live_bytes;
+  let armed = ref 0 in
+  H.iter_subheaps h2 (fun sh ->
+      for slot = 0 to Poseidon.Layout.tc_ledger_cap - 1 do
+        let a =
+          sh.Poseidon.Subheap.meta_base + Poseidon.Layout.sh_off_tc_ledger
+          + (slot * Poseidon.Layout.word)
+        in
+        if Machine.read_u64 mach a <> 0 then incr armed
+      done);
+  check_int "no reclaim lease armed" 0 !armed
+
 (* ---------- lease durability across crashes ---------- *)
 
 (* A published singleton allocation survives a strict crash; the
@@ -197,7 +264,7 @@ let test_kv_equivalence () =
       (Kv.get plain ~key:k = Kv.get cached ~key:k)
   done
 
-(* ---------- serve metrics (MVCC gauges + tcache gauges) ---------- *)
+(* ---------- serve metrics (MVCC, tcache and apply gauges) ---------- *)
 
 let test_serve_metrics_surfaced () =
   let module S = Service.Server in
@@ -237,7 +304,13 @@ let test_serve_metrics_surfaced () =
     check
       (Printf.sprintf "shard %d chain-versions gauge present" sh)
       true
-      (gauge ~scope:sscope "mvcc_chain_versions" <> None)
+      (gauge ~scope:sscope "mvcc_chain_versions" <> None);
+    check
+      (Printf.sprintf "shard %d applied after its replies" sh)
+      true
+      (match gauge ~scope:sscope "apply_after_reply_ns" with
+       | Some ns -> ns > 0.
+       | None -> false)
   done;
   let g name = Option.get (gauge name) in
   check "tcache gauges present" true
@@ -246,7 +319,9 @@ let test_serve_metrics_surfaced () =
     && gauge "tcache_bin_refills" <> None
     && gauge "tcache_bin_flushes" <> None);
   check "the cache actually served traffic" true
-    (g "tcache_hits" +. g "tcache_misses" > 0.)
+    (g "tcache_hits" +. g "tcache_misses" > 0.);
+  check "idle handlers topped their bins up" true
+    (g "tcache_idle_refills" > 0.)
 
 (* ---------- crashcheck sweeps ---------- *)
 
@@ -273,6 +348,13 @@ let () =
             test_size_class_routing;
           Alcotest.test_case "mag 0 is a pass-through" `Quick
             test_mag_zero_passthrough ] );
+      ( "top-up",
+        [ Alcotest.test_case "missed, half-empty bins gain a magazine" `Quick
+            test_top_up_refills_missed_bins;
+          Alcotest.test_case "no top-up during a pending tx" `Quick
+            test_top_up_waits_for_pending_tx;
+          Alcotest.test_case "crash after a top-up reclaims it" `Quick
+            test_crash_after_top_up ] );
       ( "crash",
         [ Alcotest.test_case "publish survives, bin residue reclaimed"
             `Quick test_publish_survives_bin_residue_reclaimed;
