@@ -627,7 +627,8 @@ let serve_cmd =
       & info [ "txn-pct" ] ~docv:"PCT"
           ~doc:
             "Percentage of requests that are cross-shard atomic \
-             transactions (2PC over the coordinator decision record).")
+             transactions (2PC on the shards' own slots, committed by the \
+             lowest participant's decided word).")
   in
   let txn_ops_arg =
     Arg.(
@@ -834,8 +835,8 @@ let serve_cmd =
       (match r.S.recovery with
        | Some rc ->
          Printf.printf
-           "  crash: recovered %d shards — %d commit slot(s) redone, %d \
-            rolled back; RTO %d ns\n"
+           "  crash: recovered %d shards — %d slot(s) redone, %d rolled \
+            back; RTO %d ns\n"
            shards rc.Service.Kv.replayed rc.Service.Kv.rolled_back r.S.rto_ns
        | None -> ());
       (match repl with

@@ -990,20 +990,20 @@ let scn_kv_split () =
       (List.filter_map (fun k -> if k = mid then None else Some (k, 850 + k)) keys)
     ~plan:[ Kput (mid, 951) ]
 
-(* Cross-shard transactions through the 2PC coordinator-record
-   protocol.  Key shard map for [shards:2]: keys 2, 3, 7, 8, 9, 10 and
-   99 hash to shard 0; keys 1, 4, 5, 6 and 11 to shard 1 — asserted
-   below so a hash change cannot silently de-fang the plan.  The plan
-   crosses shards in every transaction and covers: a 2-put commit, a
-   mixed delete+put commit with a two-op slot on one shard, a strict
-   delete abort ([Tdel 99] — key absent, so the whole transaction must
-   vanish), interleaved with single ops so the commit slots and the
-   participant slots coexist at crash points. *)
+(* Cross-shard transactions through 2PC on the shards' own slots.  Key
+   shard map for [shards:2]: keys 2, 3, 7, 9 and 99 hash to shard 0;
+   keys 1, 4, 5, 6, 11 and 17 to shard 1 — asserted below so a hash
+   change cannot silently de-fang the plan.  The plan covers: a 2-put
+   commit, a mixed delete+put commit with a two-op slice on one shard,
+   a strict delete abort ([Tdel 99] — key absent, so the whole
+   transaction must vanish), and a transaction all on shard 1, whose
+   commit word that shard's own chunks also move (the delete after it
+   does), interleaved with single ops. *)
 let kv_txn_plan () =
   let s0 k = assert (Service.Kv.shard_of ~shards:2 k = 0)
   and s1 k = assert (Service.Kv.shard_of ~shards:2 k = 1) in
   List.iter s0 [ 2; 3; 7; 9; 99 ];
-  List.iter s1 [ 1; 4; 5; 6; 11 ];
+  List.iter s1 [ 1; 4; 5; 6; 11; 17 ];
   [ Ktxn
       [ Service.Kv.Tput { key = 3; vseed = 301 };
         Service.Kv.Tput { key = 4; vseed = 302 } ];
@@ -1015,6 +1015,9 @@ let kv_txn_plan () =
     Ktxn
       [ Service.Kv.Tput { key = 5; vseed = 306 };
         Service.Kv.Tdel { key = 99 } ];
+    Ktxn
+      [ Service.Kv.Tput { key = 1; vseed = 307 };
+        Service.Kv.Tput { key = 17; vseed = 308 } ];
     Kdel 6 ]
 
 let kv_txn_base =
@@ -1026,12 +1029,11 @@ let scn_kv_txn () =
   kv_sweep { kv_txn_base with kname = "kv-txn"; plan = kv_txn_plan () }
 
 (* The seeded 2PC bug: a transaction is prepared and applied with no
-   decide between, so no decision record ever names it.  A crash
-   between the participant applies leaves one shard published and
-   rolls the other back (presumed abort): half a transaction.  Puts
-   and deletes run as usual.  The checker MUST find a counterexample
-   here — the mutation gate in scripts/check.sh fails CI if it does
-   not. *)
+   decide between, so no decided word ever names it.  A crash between
+   the participant applies leaves one shard published and rolls the
+   other back (presumed abort): half a transaction.  Puts and deletes
+   run as usual.  The checker MUST find a counterexample here — the
+   mutation gate in scripts/check.sh fails CI if it does not. *)
 let undecided_txn r i = function
   | Ktxn ops -> (
     match Service.Kv.txn_prepare r.store ops with
@@ -1046,7 +1048,38 @@ let scn_kv_txn_broken () =
       plan = kv_txn_plan ();
       exec = undecided_txn }
 
-(* The seeded commit-slot bug, in the allocator under the store: its
+(* The seeded commit-word bug: between each transaction's decide and
+   its apply, a put of a model key outside it (with the model's value)
+   commits on its lowest participant's shard.  That chunk takes the
+   shard's slot and moves the decided word that commits the
+   transaction, so part of it never surfaces, and a crash before the
+   apply rolls back the rest.  The checker MUST find a counterexample —
+   the mutation gate in scripts/check.sh fails CI if it does not. *)
+let chunk_inside_txn r i = function
+  | Ktxn ops -> (
+    match Service.Kv.txn_prepare r.store ops with
+    | Error _ -> ()
+    | Ok p ->
+      ignore (Service.Kv.txn_decide r.store p);
+      let c = fst (List.hd p.Service.Kv.parts) in
+      Hashtbl.fold (fun k vs acc -> (k, vs) :: acc) r.model []
+      |> List.sort compare
+      |> List.find_opt (fun (k, _) ->
+             Service.Kv.shard_of_key r.store k = c
+             && not (List.mem k (List.map txn_op_key ops)))
+      |> Option.iter (fun (key, vseed) ->
+             ignore (Service.Kv.put r.store ~key ~vseed));
+      Service.Kv.txn_apply r.store p)
+  | o -> kv_exec r i o
+
+let scn_kv_coord_broken () =
+  kv_sweep
+    { kv_txn_base with
+      kname = "kv-coord-broken";
+      plan = kv_txn_plan ();
+      exec = chunk_inside_txn }
+
+(* The seeded chunk-commit bug, in the allocator under the store: its
    [tx_commit] only records a debt, which the next [alloc], [tx_alloc]
    or [free] pays before its own work.  So a chunk's decided word is
    durable before its allocator commit.  A crash between the two
@@ -1171,8 +1204,8 @@ let scn_kv_snapshot () =
             audit = snapshot_audit } }
 
 (* The seeded MVCC bug: each transaction runs prepare → apply →
-   snapshot → decide, so its versions are public before any decision
-   record exists.  The snapshot between apply and decide reads values
+   snapshot → decide, so its versions are public before its decided
+   word persists.  The snapshot between apply and decide reads values
    no committed history contains, so the [snapshot-reads] oracle must
    produce counterexamples — the mutation gate in scripts/check.sh
    fails CI when the checker stays green. *)
@@ -1499,6 +1532,7 @@ let scenarios =
     ("kv-commit-broken", scn_kv_commit_broken, true);
     ("kv-ack-broken", scn_kv_ack_broken, true);
     ("kv-txn-broken", scn_kv_txn_broken, true);
+    ("kv-coord-broken", scn_kv_coord_broken, true);
     ("mvcc-broken", scn_mvcc_broken, true);
     ("rcache-broken", scn_rcache_broken, true);
     ("kv-batched-broken", scn_kv_batched_broken, true);

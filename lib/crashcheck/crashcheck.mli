@@ -320,7 +320,7 @@ val kv_sweep : kv_scenario -> scenario
     oracle, then [extra]. *)
 
 val scn_kv_put : unit -> scenario
-(** KV puts (inserts + overwrites) through the commit-slot protocol. *)
+(** KV puts (inserts + overwrites) through the chunk protocol. *)
 
 val scn_kv_delete : unit -> scenario
 (** KV deletes (present, absent and re-inserted keys). *)
@@ -356,19 +356,27 @@ val scn_kv_ack_broken : unit -> scenario
     when it does not. *)
 
 val scn_kv_txn : unit -> scenario
-(** Cross-shard transactions through the 2PC coordinator-record
-    protocol ({!Service.Kv.txn}), interleaved with single ops: 2-put and
-    delete+put commits spanning both shards, a strict-delete abort.  A
-    commit half-applied across shards at any fence matches no plan
-    prefix, so it is a counterexample. *)
+(** Cross-shard transactions ({!Service.Kv.txn}) interleaved with
+    single ops: 2-put and delete+put commits spanning both shards, a
+    strict-delete abort, and a transaction all on shard 1, whose commit
+    word that shard's chunks also move.  A commit half-applied across
+    shards at any fence matches no plan prefix, so it is a
+    counterexample. *)
 
 val scn_kv_txn_broken : unit -> scenario
 (** The same plan with each transaction run as
     {!Service.Kv.txn_prepare} then {!Service.Kv.txn_apply}, with no
-    {!Service.Kv.txn_decide}: no decision record ever names it.  The
+    {!Service.Kv.txn_decide}: no decided word ever names it.  The
     checker {e must} report counterexamples (a crash between the
     participant applies surfaces half a transaction) — the mutation
     gate in [scripts/check.sh] fails CI when it does not. *)
+
+val scn_kv_coord_broken : unit -> scenario
+(** The same plan with a same-value put of a model key on each
+    transaction's lowest participant between {!Service.Kv.txn_decide}
+    and {!Service.Kv.txn_apply}: a chunk moves the word that commits
+    the transaction while its slots are armed.  The checker {e must}
+    report counterexamples, as [scripts/check.sh]'s gate demands. *)
 
 val scn_kv_snapshot : unit -> scenario
 (** The kv op mix on a store with an MVCC version window: after every
@@ -382,7 +390,7 @@ val scn_kv_snapshot : unit -> scenario
 val scn_mvcc_broken : unit -> scenario
 (** Mutation sanity check for the MVCC layer: its executor runs each
     transaction as prepare → apply → snapshot → decide, so the versions
-    are public before any decision exists and the snapshot observes an
+    are public before the decided word persists and the snapshot observes an
     undecided write.  The [snapshot-reads] oracle MUST flag it; there
     is no prefix oracle. *)
 

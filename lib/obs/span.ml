@@ -32,12 +32,12 @@ type stage =
   | Decode  (** request decode CPU on the handler *)
   | Lock_wait  (** waiting for the shard lock *)
   | Store  (** single-op store work under the shard lock *)
-  | Txn  (** cross-shard 2PC transaction, lock to decision *)
+  | Txn  (** cross-shard 2PC transaction: locks, prepare, decide, apply *)
   | Repl_ack  (** sync mode: waiting for the backup's cumulative ack *)
   | Rep_wire  (** server -> client reply hop *)
   | Persist  (** detail of Store/Txn: clwb + fence charges *)
   | Txn_prepare  (** detail of Txn: participant prepare phase *)
-  | Txn_decide  (** detail of Txn: decision persist + apply *)
+  | Txn_decide  (** detail of Txn: decided-word persist + apply *)
   | Repl_wire  (** detail of Repl_ack: record's primary -> backup hop *)
   | Backup_apply  (** detail of Repl_ack: in-order apply on the backup *)
   | Ack_wire  (** detail of Repl_ack: cumulative ack's hop back *)

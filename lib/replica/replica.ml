@@ -318,9 +318,9 @@ module Applier = struct
 
   (* Group apply: a burst's stashed records for one shard go down as a
      single [apply_group] call (the backup-side commit-group chain —
-     one commit-slot chunk per up to eight records instead of one per
-     record).  Sequence numbers were advanced at stash time, so the
-     ordering check stays per record; the durability receipt moves
+     one chunk per up to eight records instead of one per record).
+     Sequence numbers were advanced at stash time, so the ordering
+     check stays per record; the durability receipt moves
      with the apply — [flush_stash] always runs before [flush_acks],
      so a cumulative ack never covers a stashed, unapplied record. *)
   let flush_stash t shard =
@@ -390,8 +390,9 @@ module Applier = struct
                   (op, sent_at, now_or_zero (), trace, span)
                   t.stash.(shard)
             | Rec { shard; _ }, _ ->
-                (* transaction records are group barriers (they own
-                   the participant slot); out-of-sequence records need
+                (* transaction records are group barriers (a prepare
+                   owns the shard's slot until its transaction
+                   publishes); out-of-sequence records need
                    [handle]'s duplicate/gap re-ack bookkeeping, and a
                    held shard's records its parking *)
                 flush_stash t shard;

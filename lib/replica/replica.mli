@@ -2,7 +2,7 @@
 
     The primary frames each shard's mutations — the same puts and
     deletes the local store has already committed on that shard's
-    commit slot — with a dense per-shard sequence number and
+    slot — with a dense per-shard sequence number and
     ships them to a backup machine, which applies them {e in order}
     into its own persistent store through a caller-supplied callback
     (on poseidon-kv: the identical [Alloc_intf] transaction + B+-tree
@@ -27,7 +27,7 @@
 
     Cross-shard transactions ride the same per-shard streams: a
     [Txn_prepare] record carries one participant shard's slice of the
-    transaction and a [Txn_decide] record carries the coordinator's
+    transaction and a [Txn_decide] record carries the primary's
     verdict for that shard.  Because both are sequenced like any other
     record, the backup applies them in the exact per-shard order the
     primary produced them, and a promotion that seals the log can tell
@@ -51,17 +51,18 @@ type op =
   | Put of { key : int; vseed : int }
   | Del of { key : int }
   | Txn_prepare of { txn : int; ops : txn_op list }
-      (** This shard's slice of transaction [txn]: persisted as a
-          participant slot on the backup before the ack. *)
+      (** This shard's slice of transaction [txn]: persisted into the
+          shard's slot on the backup before the ack. *)
   | Txn_decide of { txn : int; commit : bool; nparts : int }
-      (** The coordinator's verdict for [txn] on this shard's stream;
+      (** The primary's verdict for [txn] on this shard's stream;
           [commit = false] discards the prepared slice.  [nparts] is
           the transaction's total participant count: the backup defers
           publication until it has seen the decide of {e every}
-          participant, then publishes the whole transaction at once
-          under its own decision record — publishing slice-by-slice
-          would let a crash or promotion between two slices surface
-          half a transaction ({!Service.Kv.txn_backup_decide}). *)
+          participant, then commits the whole transaction on the
+          decided word of the shard whose decide came last and
+          publishes it at once — publishing slice-by-slice would let a
+          crash or promotion between two slices surface half a
+          transaction ({!Service.Kv.txn_backup_decide}). *)
 
 type mode = Sync | Async
 

@@ -4,36 +4,29 @@ module Sched = Simcore.Sched
 (* superroot layout (u64 words):
    +0   magic
    +8   geometry: shards lor (value_size lsl 16)
-   +64  coordinator decision record: id of the one cross-shard
-        transaction whose decide→apply window may be open (0 = none).
-        It sits on its own cache line so no neighbouring persist can
-        flush it by accident — its persist IS the transaction commit
-        point.
-   +128 + i*64: shard record i:
+   +64 + i*64: shard record i:
         +0  tree root (packed nvmptr)
-        +8  decided word: id of the shard's commit-slot chunk that last
-            reached its commit point
-   +128 + nshards*64 + i*512: shard i's two slots, 256 B each:
-        +0   participant txn slot (cross-shard 2PC)
-        +256 commit slot (single-shard chunks: puts, deletes, groups)
-        each: +0  id (0 = free)
-              +8  checksum over id/meta/entries (guards torn persists)
-              +16 meta: nops lor (shard lsl 8)
-              +24 + j*24: entry j: key, new value (packed; null =
-                  delete), old value (packed; null = fresh insert) *)
+        +8  decided word: id of the last slot to reach its commit point
+            on this shard — a chunk of this shard, or a cross-shard
+            transaction whose lowest participant this shard is
+   +64 + nshards*64 + i*256: shard i's slot (chunks and 2PC
+        participants alike):
+        +0  id (0 = free)
+        +8  checksum over id/meta/entries (guards torn persists)
+        +16 meta: nops lor (shard lsl 8)
+        +24 + j*24: entry j: key, new value (packed; null = delete),
+            old value (packed; null = fresh insert) *)
 
-let magic = 0x00504F534B560005 (* "POSKV" v5 *)
-let hdr_size = 128
-let decision_off = 64
+let magic = 0x00504F534B560006 (* "POSKV" v6 *)
+let hdr_size = 64
 let shard_stride = 64
 let slot_root = 0
 let slot_decided = 8
 
-(* a shard's slots are owned by whoever holds that shard's lock, so a
-   slot is always free when a transaction or a chunk claims it *)
+(* a shard's slot is owned by whoever holds that shard's lock, so it is
+   always free when a transaction or a chunk claims it *)
 let max_txn_ops = 8
-let txn_stride = 256
-let slots_stride = 2 * txn_stride
+let slot_size = 256
 let tslot_txn = 0
 let tslot_cksum = 8
 let tslot_meta = 16
@@ -51,13 +44,10 @@ type t = {
   nshards : int;
   shard_tbl : shard array;
   shard_locks : Machine.Lock.lock array;
-  txn_lock : Machine.Lock.lock;
-      (* serializes a cross-shard transaction's decide→apply window:
-         the single decision word may only describe one in-flight
-         transaction at a time.  Single-shard chunks never take it. *)
   mutable next_txn : int;
-      (* next transaction / chunk id; restarts at 1 on attach, which
-         is why recovery zeroes every decided word *)
+      (* next slot id, for chunks and transactions alike, so no two
+         slots share one; restarts at 1 on attach, which is why
+         recovery zeroes every decided word *)
   mvcc : Mvcc.t;
       (* volatile per-shard version chains for lock-free snapshot
          reads; window 0 (the default) disables every hook *)
@@ -78,26 +68,23 @@ type t = {
          OCaml step as each mutation's MVCC publication.  Volatile by
          construction (attach starts empty); entries 0 (the default)
          disables every hook. *)
-  backup_decided : (int, int) Hashtbl.t;
-      (* backup role only: txn -> decides seen so far.  Volatile on
-         purpose — after a crash the prepared-but-unpublished slots are
-         presumed-aborted by recovery, so the count need not survive. *)
+  backup_decided : (int, int * int) Hashtbl.t;
+      (* backup role only: the primary's txn id -> (the slot id this
+         store minted for it at its first prepare, decides seen so
+         far).  Volatile on purpose — after a crash the
+         prepared-but-unpublished slots are presumed-aborted by
+         recovery, so neither need survive. *)
   backup_held : int array;
       (* backup role only, volatile like [backup_decided]: per shard,
          the transaction whose decide this shard has applied but which
          has not published yet (another participant's decide is still
          on its way); 0 = not held *)
   apply_after_commit : int array;
-      (* per shard, simulated ns spent applying commit-slot chunks
-         after their commit-point callback returned *)
+      (* per shard, simulated ns spent applying chunks after their
+         commit-point callback returned *)
 }
 
-type recovery = {
-  replayed : int;
-  rolled_back : int;
-  txn_committed : int;
-  txn_aborted : int;
-}
+type recovery = { replayed : int; rolled_back : int }
 
 let shards t = t.nshards
 let value_size t = t.value_size
@@ -134,11 +121,6 @@ let cell_of mach hid base =
         Machine.write_u64 mach (base + slot_root) (A.pack p);
         Machine.persist mach (base + slot_root) 8) }
 
-let mk_locks mach shards =
-  ( Array.init shards (fun i ->
-        Machine.Lock.create mach ~name:(Printf.sprintf "kv-shard-%d" i) ()),
-    Machine.Lock.create mach ~name:"kv-txn-coordinator" () )
-
 (* The volatile handle over the superroot at [raw]: [open_tree] is
    [Btree.create_in] for a new store and [Btree.attach_in] on restart. *)
 let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
@@ -149,9 +131,12 @@ let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
         let base = raw + hdr_size + (i * shard_stride) in
         { tree = open_tree inst (cell_of mach hid base); base })
   in
-  let shard_locks, txn_lock = mk_locks mach nshards in
+  let shard_locks =
+    Array.init nshards (fun i ->
+        Machine.Lock.create mach ~name:(Printf.sprintf "kv-shard-%d" i) ())
+  in
   { inst; mach; hid; raw; value_size; nshards; shard_tbl;
-    shard_locks; txn_lock; next_txn = 1;
+    shard_locks; next_txn = 1;
     mvcc = Mvcc.create ~shards:nshards ~window:mvcc_window;
     mvcc_seq = 0; mvcc_truncated = 0;
     rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
@@ -163,7 +148,7 @@ let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
   let value_size = max 8 ((value_size + 7) / 8 * 8) in
   let mach = A.instance_machine inst in
-  let size = hdr_size + (shards * shard_stride) + (shards * slots_stride) in
+  let size = hdr_size + (shards * (shard_stride + slot_size)) in
   let p =
     match A.i_alloc inst size with
     | Some p -> p
@@ -180,7 +165,7 @@ let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   make ~open_tree:Btree.create_in ~mvcc_window ~rcache_entries inst
     ~hid:p.A.heap_id ~raw ~nshards:shards ~value_size
 
-(* ---------- participant and commit slots ---------- *)
+(* ---------- the shard slots ---------- *)
 
 type txn_op = Replica.txn_op =
   | Tput of { key : int; vseed : int }
@@ -203,11 +188,7 @@ type txn_result = {
 
 let txn_key = function Tput { key; _ } | Tdel { key } -> key
 
-(* shard [i]'s participant slot, or with [~commit:true] its commit
-   slot — the same format at the next 256 B *)
-let tslot_base ?(commit = false) t i =
-  t.raw + hdr_size + (t.nshards * shard_stride) + (i * slots_stride)
-  + if commit then txn_stride else 0
+let tslot_base t i = t.raw + hdr_size + (t.nshards * shard_stride) + (i * slot_size)
 
 (* Entries are (key, packed new value | null = delete, packed old
    value | null).  The checksum makes a torn slot persist (an
@@ -219,8 +200,8 @@ let tslot_checksum ~txn ~meta entries =
     (mix txn lxor mix meta)
     entries
 
-let write_tslot ?commit t i ~txn entries =
-  let base = tslot_base ?commit t i in
+let write_tslot t i ~txn entries =
+  let base = tslot_base t i in
   let nops = List.length entries in
   let meta = nops lor (i lsl 8) in
   Machine.write_u64 t.mach (base + tslot_meta) meta;
@@ -236,8 +217,8 @@ let write_tslot ?commit t i ~txn entries =
   Machine.write_u64 t.mach (base + tslot_txn) txn;
   Machine.persist t.mach base (tslot_entries + (nops * tentry_stride))
 
-let read_tslot ?commit t i =
-  let base = tslot_base ?commit t i in
+let read_tslot t i =
+  let base = tslot_base t i in
   let rd off = Machine.read_u64 t.mach (base + off) in
   let txn = rd tslot_txn in
   if txn = 0 then `Free
@@ -254,8 +235,8 @@ let read_tslot ?commit t i =
       if rd tslot_cksum <> tslot_checksum ~txn ~meta entries then `Torn
       else `Slot (txn, entries)
 
-let clear_tslot ?commit t i =
-  let base = tslot_base ?commit t i in
+let clear_tslot t i =
+  let base = tslot_base t i in
   Machine.write_u64 t.mach (base + tslot_txn) 0;
   Machine.persist t.mach (base + tslot_txn) 8
 
@@ -265,7 +246,7 @@ let clear_tslot ?commit t i =
    crash is harmless — provided no freed block was handed out again
    before the clear.  So every free follows the last tree update: a
    split's node allocation can never reuse a block the redo frees. *)
-let apply_tslot ?commit t i entries =
+let apply_tslot t i entries =
   let tree = t.shard_tbl.(i).tree in
   List.iter
     (fun (key, newv, _) ->
@@ -276,9 +257,9 @@ let apply_tslot ?commit t i entries =
     (fun (_, _, oldv) ->
       if oldv <> A.packed_null then A.i_free t.inst (A.unpack ~heap_id:t.hid oldv))
     entries;
-  clear_tslot ?commit t i
+  clear_tslot t i
 
-let abort_tslot ?commit t i entries =
+let abort_tslot t i entries =
   List.iter
     (fun (_, newv, _) ->
       if newv <> A.packed_null then
@@ -286,74 +267,67 @@ let abort_tslot ?commit t i entries =
            rolled the prepare's transaction back — safe free absorbs *)
         A.i_free t.inst (A.unpack ~heap_id:t.hid newv))
     entries;
-  clear_tslot ?commit t i
-
-let read_decision t = Machine.read_u64 t.mach (t.raw + decision_off)
-
-let write_decision t v =
-  Machine.write_u64 t.mach (t.raw + decision_off) v;
-  Machine.persist t.mach (t.raw + decision_off) 8
+  clear_tslot t i
 
 let decided_addr t i = t.shard_tbl.(i).base + slot_decided
 
-(* Resolve one kind of slot on every shard: a slot whose id equals
-   [decided i] reached its commit point and is redone; every other
-   occupied slot never did — its client was never answered — and is
-   rolled back (presumed abort).  A torn slot's persist fence never
-   completed, so its allocator transaction was still open and the
-   heap's own replay already freed its blocks: nothing to undo but the
-   slot. *)
-let resolve_slots ?commit t ~decided =
-  let committed = ref 0 and aborted = ref 0 in
+(* Persist shard [i]'s decided word = [id] in its own fence: the commit
+   point of the chunk or transaction whose slots carry [id]. *)
+let write_decided t i id =
+  let a = decided_addr t i in
+  Machine.write_u64 t.mach a id;
+  Machine.persist t.mach a 8
+
+(* The one commit rule: a slot whose id some shard's decided word holds
+   reached its commit point and is redone; every other occupied slot
+   never did — its client was never answered — and is rolled back
+   (presumed abort).  Ids are unique per handle, and a word moves past
+   a transaction's id only once every slot of it is cleared, so a word
+   never names a slot it did not commit.  A torn slot's persist fence
+   never completed, so its allocator transaction was still open and
+   the heap's own replay already freed its blocks: nothing to undo but
+   the slot. *)
+let resolve_slots t =
+  let decided =
+    List.init t.nshards (fun i -> Machine.read_u64 t.mach (decided_addr t i))
+  in
+  let replayed = ref 0 and rolled_back = ref 0 in
   for i = 0 to t.nshards - 1 do
-    match read_tslot ?commit t i with
+    match read_tslot t i with
     | `Free -> ()
     | `Torn ->
-      clear_tslot ?commit t i;
-      incr aborted
+      clear_tslot t i;
+      incr rolled_back
     | `Slot (id, entries) ->
-      if id = decided i then begin
-        apply_tslot ?commit t i entries;
-        incr committed
+      if List.mem id decided then begin
+        apply_tslot t i entries;
+        incr replayed
       end
       else begin
-        abort_tslot ?commit t i entries;
-        incr aborted
+        abort_tslot t i entries;
+        incr rolled_back
       end
   done;
-  (!committed, !aborted)
+  { replayed = !replayed; rolled_back = !rolled_back }
 
 (* Recovery.  First the trees: a crash inside a shift or a split left
    the paths of the armed slots' keys with a duplicate or stale entry,
-   which a redo would otherwise build on.  Then each shard's commit
-   slot is redone when its decided word names it, and the participant
-   slots when the coordinator decision names their transaction.  Ids
-   restart at 1 with the new handle, so every decided word and the
-   decision record are zeroed last: no stale word may match a new id. *)
+   which a redo would otherwise build on.  Then every slot is resolved
+   by the one commit rule.  Ids restart at 1 with the new handle, so
+   every decided word is zeroed last: no stale word may match a new
+   id. *)
 let recover t =
   for i = 0 to t.nshards - 1 do
-    List.iter
-      (fun commit ->
-        match read_tslot ~commit t i with
-        | `Slot (_, entries) ->
-          List.iter (fun (key, _, _) -> Btree.repair t.shard_tbl.(i).tree key) entries
-        | `Free | `Torn -> ())
-      [ false; true ]
+    match read_tslot t i with
+    | `Slot (_, entries) ->
+      List.iter (fun (key, _, _) -> Btree.repair t.shard_tbl.(i).tree key) entries
+    | `Free | `Torn -> ()
   done;
-  let replayed, rolled_back =
-    resolve_slots ~commit:true t ~decided:(fun i ->
-        Machine.read_u64 t.mach (decided_addr t i))
-  in
-  let decision = read_decision t in
-  let txn_committed, txn_aborted = resolve_slots t ~decided:(fun _ -> decision) in
+  let r = resolve_slots t in
   for i = 0 to t.nshards - 1 do
-    if Machine.read_u64 t.mach (decided_addr t i) <> 0 then begin
-      Machine.write_u64 t.mach (decided_addr t i) 0;
-      Machine.persist t.mach (decided_addr t i) 8
-    end
+    if Machine.read_u64 t.mach (decided_addr t i) <> 0 then write_decided t i 0
   done;
-  if decision <> 0 then write_decision t 0;
-  { replayed; rolled_back; txn_committed; txn_aborted }
+  r
 
 let attach ?(mvcc_window = 0) ?(rcache_entries = 0) inst =
   let mach = A.instance_machine inst in
@@ -446,7 +420,7 @@ let rcache_charge t =
     Obs.Span.note_rcache rcache_probe_ns
   end
 
-(* ---------- single-shard commit: the commit slot ---------- *)
+(* ---------- single-shard commit: chunks ---------- *)
 
 let flush_lines t a len =
   if len > 0 then begin
@@ -461,78 +435,71 @@ let find_packed t i key =
   | Some v -> v
   | None -> A.packed_null
 
-(* Allocate a value block under the open allocator transaction and
-   write [vseed]'s words into it, unflushed; [None] when the heap is
-   exhausted. *)
-let write_value t vseed =
-  match A.i_tx_alloc t.inst t.value_size ~is_end:false with
-  | None -> None
-  | Some p ->
-    let vaddr = A.i_get_rawptr t.inst p in
-    for w = 0 to (t.value_size / 8) - 1 do
-      Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
-    done;
-    Some (p, vaddr)
-
-(* The heap ran out part-way: release what was allocated and close the
-   allocator transaction — net zero, nothing durable changed. *)
-let abandon t allocated =
-  List.iter (fun p -> A.i_free t.inst p) allocated;
-  A.i_tx_commit t.inst;
-  Error Txn_no_memory
+(* The slot entries of [slices]: per shard, its ops, each paired with
+   its key's current packed value (null = absent).  Every put's value
+   is allocated under the open allocator transaction, written and
+   clwb'd without a fence — the first slot persist's fence makes it
+   durable.  When the heap runs out part-way, what was allocated is
+   released and the allocator transaction closed — net zero, nothing
+   durable changed. *)
+let stage_values t slices =
+  let allocated = ref [] in
+  let entry = function
+    | Tdel { key }, old -> (key, A.packed_null, old)
+    | Tput { key; vseed }, old -> (
+      match A.i_tx_alloc t.inst t.value_size ~is_end:false with
+      | None -> raise_notrace Exit
+      | Some p ->
+        allocated := p :: !allocated;
+        let vaddr = A.i_get_rawptr t.inst p in
+        for w = 0 to (t.value_size / 8) - 1 do
+          Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
+        done;
+        flush_lines t vaddr t.value_size;
+        (key, A.pack p, old))
+  in
+  match List.map (fun (i, slice) -> (i, List.map entry slice)) slices with
+  | filled -> Ok filled
+  | exception Exit ->
+    List.iter (fun p -> A.i_free t.inst p) !allocated;
+    A.i_tx_commit t.inst;
+    Error Txn_no_memory
 
 (* Commit one chunk of single-key mutations on shard [i]: distinct
    keys, each paired with its current packed value (null = absent;
    deletes are of present keys).  The caller holds the shard lock or is
    the only mutator.  The order is the protocol:
-   + allocate and write the new values, clwb'd without a fence;
-   + write the shard's commit slot and fence it — the fence covers the
-     values too;
+   + stage the new values ([stage_values]);
+   + write the shard's slot and fence it — the fence covers the values
+     too;
    + commit the allocator transaction (micro-log truncate, or tcache
      lease publish), when the chunk allocated: from here the slot owns
      the blocks;
    + persist the shard's decided word = the slot's id, in its own
      fence.  That fence is the chunk's one commit point: recovery redoes
-     a slot its decided word names and rolls back any other.  It must
+     a slot some decided word names and rolls back any other.  It must
      follow the allocator commit — redoing a slot whose blocks the
      heap's replay has just freed would publish dangling values;
    + publish the versions and kill the cached digests in one pure
      step, then run [on_commit fin] — the chunk is committed, so the
      server replies and ships from here — then apply the entries to
      the tree and free the old values, and clear the slot.
-   No coordinator lock and no decision record: the word is the shard's
-   own.  [Error] (heap exhausted) leaves nothing durable behind. *)
+   [Error] (heap exhausted) leaves nothing durable behind. *)
 let commit_chunk ?(on_commit = ignore) t i members =
-  let failed = ref false and allocated = ref [] in
-  let entries =
-    List.map
-      (fun (o, old) ->
-        match o with
-        | Tdel { key } -> (key, A.packed_null, old)
-        | Tput { key; vseed } -> (
-          match if !failed then None else write_value t vseed with
-          | None ->
-            failed := true;
-            (key, A.packed_null, old)
-          | Some (p, vaddr) ->
-            allocated := p :: !allocated;
-            flush_lines t vaddr t.value_size;
-            (key, A.pack p, old)))
-      members
-  in
-  if !failed then abandon t !allocated
-  else begin
+  match stage_values t [ (i, members) ] with
+  | Error a -> Error a
+  | Ok filled ->
+    let entries = List.concat_map snd filled in
     let id = t.next_txn in
     t.next_txn <- id + 1;
-    let decided = decided_addr t i in
-    write_tslot ~commit:true t i ~txn:id entries;
-    if !allocated <> [] then A.i_tx_commit t.inst;
+    write_tslot t i ~txn:id entries;
+    if List.exists (fun (_, nv, _) -> nv <> A.packed_null) entries then
+      A.i_tx_commit t.inst;
     (* pre-images from the slot's old values, before any tree entry
        changes below *)
     if Mvcc.enabled t.mvcc then
       List.iter (fun (key, _, old) -> mvcc_seed ~known:old t i key) entries;
-    Machine.write_u64 t.mach decided id;
-    Machine.persist t.mach decided 8;
+    write_decided t i id;
     let fin = now () in
     if Mvcc.enabled t.mvcc then
       Mvcc.publish t.mvcc ~shard:i ~ts:(mvcc_mint t)
@@ -540,10 +507,9 @@ let commit_chunk ?(on_commit = ignore) t i members =
     List.iter (fun (key, _, _) -> Rcache.invalidate t.rcache ~shard:i ~key) entries;
     on_commit fin;
     let t_apply = now () in
-    apply_tslot ~commit:true t i entries;
+    apply_tslot t i entries;
     t.apply_after_commit.(i) <- t.apply_after_commit.(i) + (now () - t_apply);
     Ok fin
-  end
 
 (* put and delete are chunks of one *)
 let put t ~key ~vseed =
@@ -828,72 +794,50 @@ let validate_static t ops =
 
 type prepared = { txn : int; parts : (int * txn_op list) list }
 
-let seed_parts t parts =
-  if Mvcc.enabled t.mvcc then
-    List.iter (fun (i, ops) -> List.iter (fun o -> mvcc_seed t i (txn_key o)) ops) parts
-
-let op_versions t parts =
-  List.map (fun (i, ops) -> (i, List.map (op_version t) ops)) parts
-
 (* Phase 1, the caller holding every participant lock (or being the
-   only mutator): allocate and persist the new values under one open
-   allocator transaction, then persist one participant slot per shard.
-   The slots own the blocks once [i_tx_commit] truncates the micro-log;
+   only mutator): stage the new values under one open allocator
+   transaction, then persist one slot per participant shard.  The
+   slots own the blocks once [i_tx_commit] truncates the micro-log;
    before that a crash rolls the whole prepare back at the allocator
    level. *)
 let prepare t parts =
-  let absent =
-    List.find_map
+  let slices =
+    List.map
       (fun (i, ops) ->
-        List.find_map
-          (function
-            | Tdel { key } when find_packed t i key = A.packed_null -> Some key
-            | Tdel _ | Tput _ -> None)
-          ops)
+        (i, List.map (fun o -> (o, find_packed t i (txn_key o))) ops))
       parts
   in
-  match absent with
-  | Some k -> Error (Txn_absent_key k)
+  match
+    List.find_opt
+      (function Tdel _, old -> old = A.packed_null | Tput _, _ -> false)
+      (List.concat_map snd slices)
+  with
+  | Some (o, _) -> Error (Txn_absent_key (txn_key o))
   | None ->
-    let failed = ref false and allocated = ref [] in
-    let filled =
-      List.map
-        (fun (i, ops) ->
-          ( i,
-            List.map
-              (function
-                | Tdel { key } -> (key, A.packed_null, find_packed t i key)
-                | Tput { key; vseed } -> (
-                  match if !failed then None else write_value t vseed with
-                  | None ->
-                    failed := true;
-                    (key, A.packed_null, A.packed_null)
-                  | Some (p, vaddr) ->
-                    allocated := p :: !allocated;
-                    Machine.persist t.mach vaddr t.value_size;
-                    (key, A.pack p, find_packed t i key)))
-              ops ))
-        parts
-    in
-    if !failed then abandon t !allocated
-    else begin
-      let txn = t.next_txn in
-      t.next_txn <- txn + 1;
-      List.iter (fun (i, entries) -> write_tslot t i ~txn entries) filled;
-      A.i_tx_commit t.inst;
-      Ok { txn; parts }
-    end
+    Result.map
+      (fun filled ->
+        let txn = t.next_txn in
+        t.next_txn <- txn + 1;
+        List.iter (fun (i, entries) -> write_tslot t i ~txn entries) filled;
+        A.i_tx_commit t.inst;
+        { txn; parts })
+      (stage_values t slices)
 
 let txn_prepare t ops = Result.bind (validate_static t ops) (prepare t)
 
-(* Phase 2: the decision record's persist is THE commit point — before
-   it a crash aborts every participant, after it recovery redoes them
-   from their slots.  Pre-images go first: once [txn_apply] publishes,
-   snapshot readers resolve every written key through its chain, so
-   the floors must be in place before any tree entry is touched. *)
+(* Phase 2: persisting the lowest participant's decided word = [txn] is
+   THE commit point — before it a crash aborts every participant, after
+   it recovery redoes them from their slots ([txn] holds that shard's
+   lock until the slots are cleared).  Pre-images go first: once
+   [txn_apply] publishes, snapshot readers resolve every written key
+   through its chain, so the floors must be in place before any tree
+   entry is touched. *)
 let txn_decide t { txn; parts } =
-  seed_parts t parts;
-  write_decision t txn;
+  if Mvcc.enabled t.mvcc then
+    List.iter
+      (fun (i, ops) -> List.iter (fun o -> mvcc_seed t i (txn_key o)) ops)
+      parts;
+  write_decided t (fst (List.hd parts)) txn;
   now ()
 
 (* Phase 3, from the publication on: the [versions] become visible at
@@ -902,28 +846,29 @@ let txn_decide t { txn; parts } =
    a lock-free snapshot reader resolves the written keys through their
    chains while the trees are still being updated, and can never pair
    the group's watermark with a stale cached digest.  Then every slot
-   among [shards] naming [txn] is published into its tree and cleared,
-   and finally the decision record. *)
-let publish_apply t ~txn ~versions ~kills shards =
+   among [shards] naming [id] is published into its tree and
+   cleared. *)
+let publish_apply t ~id ~versions ~kills shards =
   Option.iter (fun g -> Mvcc.publish_group t.mvcc ~ts:(mvcc_mint t) g) versions;
   List.iter (fun (i, key) -> Rcache.invalidate t.rcache ~shard:i ~key) kills;
   List.iter
     (fun i ->
       match read_tslot t i with
-      | `Slot (id, entries) when id = txn -> apply_tslot t i entries
+      | `Slot (sid, entries) when sid = id -> apply_tslot t i entries
       | `Free | `Torn | `Slot _ -> ())
-    shards;
-  write_decision t 0
+    shards
 
 (* the versions come from the ops' vseeds — no memory reads *)
 let txn_apply t { txn; parts } =
   let versions =
-    if Mvcc.enabled t.mvcc then Some (op_versions t parts) else None
+    if Mvcc.enabled t.mvcc then
+      Some (List.map (fun (i, ops) -> (i, List.map (op_version t) ops)) parts)
+    else None
   in
   let kills =
     List.concat_map (fun (i, ops) -> List.map (fun o -> (i, txn_key o)) ops) parts
   in
-  publish_apply t ~txn ~versions ~kills (List.map fst parts)
+  publish_apply t ~id:txn ~versions ~kills (List.map fst parts)
 
 let abort_result a parts =
   { txn_id = 0; committed = false; abort = Some a; fin = 0;
@@ -952,10 +897,8 @@ let txn ?on_commit ?(trace = -1) ?(span = -1) t ops =
           let sdec =
             Obs.Span.open_span ~trace ~parent:span Obs.Span.Txn_decide
           in
-          Machine.Lock.acquire t.txn_lock;
           let fin = txn_decide t p in
           txn_apply t p;
-          Machine.Lock.release t.txn_lock;
           Obs.Span.close_span sdec;
           let res =
             { txn_id = p.txn; committed = true; abort = None; fin;
@@ -967,14 +910,14 @@ let txn ?on_commit ?(trace = -1) ?(span = -1) t ops =
 (* ---------- group commit (batched single-shard mutations) ---------- *)
 
 (* A commit group is a run of consecutive single-key mutations bound
-   for ONE shard, executed as commit-slot chunks of up to
-   [max_txn_ops] ops each ([commit_chunk]): per chunk one covering
-   slot fence, one allocator commit and one decided-word fence.  A
-   chunk closes early when the next op's key is already in it, so every
-   op's old value — probed once, as the op joins — reflects every
-   earlier op of the group.  An absent delete never joins a chunk.
-   When the heap runs out, the chunk is retried as one-op chunks, so
-   one put that cannot allocate fails alone. *)
+   for ONE shard, executed as chunks of up to [max_txn_ops] ops each
+   ([commit_chunk]): per chunk one covering slot fence, one allocator
+   commit and one decided-word fence.  A chunk closes early when the
+   next op's key is already in it, so every op's old value — probed
+   once, as the op joins — reflects every earlier op of the group.  An
+   absent delete never joins a chunk.  When the heap runs out, the
+   chunk is retried as one-op chunks, so one put that cannot allocate
+   fails alone. *)
 let group_commit ?on_chunk t ~shard ops =
   List.iter
     (fun o ->
@@ -1038,43 +981,50 @@ let txn_resolve_indoubt t =
      backup may digest values the presumed-abort pass discards. *)
   Mvcc.reset t.mvcc;
   Rcache.reset t.rcache;
-  (* no slot has id 0: every occupied one is rolled back *)
-  snd (resolve_slots t ~decided:(fun _ -> 0))
+  (* a live backup clears every slot of a transaction in the step that
+     commits it, so each slot still armed is a prepare whose last
+     decide died on the wire: the one rule rolls it back *)
+  (resolve_slots t).rolled_back
 
 (* ---------- backup side: the replication stream ---------- *)
 
 (* Invariant: the slot is free.  A prepare follows its predecessor's
    decide on the shard's stream, and the applier parks it while that
-   decide's transaction is unpublished ([backup_held]). *)
+   decide's transaction is unpublished ([backup_held]).  The slot
+   carries an id this store mints at the transaction's first prepare,
+   not the primary's [txn]: this store's chunks take their ids from its
+   own counter, so a primary id could equal a chunk's, and the decided
+   word that committed one would redo the other. *)
 let txn_backup_prepare t ~txn ~shard ~ops =
   (match read_tslot t shard with
    | `Free -> ()
-   | `Torn | `Slot _ -> failwith "Kv.txn_backup_prepare: participant slot busy");
-  let entries =
-    List.map
-      (function
-        | Tdel { key } -> (key, A.packed_null, find_packed t shard key)
-        | Tput { key; vseed } -> (
-          match write_value t vseed with
-          | None -> failwith "Kv.txn_backup_prepare: backup heap exhausted"
-          | Some (p, vaddr) ->
-            Machine.persist t.mach vaddr t.value_size;
-            (key, A.pack p, find_packed t shard key)))
-      ops
+   | `Torn | `Slot _ -> failwith "Kv.txn_backup_prepare: slot busy");
+  let id =
+    match Hashtbl.find_opt t.backup_decided txn with
+    | Some (id, _) -> id
+    | None ->
+      let id = t.next_txn in
+      t.next_txn <- id + 1;
+      Hashtbl.replace t.backup_decided txn (id, 0);
+      id
   in
-  write_tslot t shard ~txn entries;
-  A.i_tx_commit t.inst
+  let slice = List.map (fun o -> (o, find_packed t shard (txn_key o))) ops in
+  match stage_values t [ (shard, slice) ] with
+  | Error _ -> failwith "Kv.txn_backup_prepare: backup heap exhausted"
+  | Ok filled ->
+    write_tslot t shard ~txn:id (List.concat_map snd filled);
+    A.i_tx_commit t.inst
 
 (* The backup's half of [txn_apply]: it has no vseeds, so each version
    is the digest of its prepared block.  Seeds, slot reads and digests
    yield, so they are all gathered — with the cache-kill keys — before
    [publish_apply]'s pure step. *)
-let gather_slots t txn =
+let gather_slots t id =
   let groups = ref [] and kills = ref [] in
   if Mvcc.enabled t.mvcc || Rcache.enabled t.rcache then
     for i = 0 to t.nshards - 1 do
       match read_tslot t i with
-      | `Slot (id, entries) when id = txn ->
+      | `Slot (sid, entries) when sid = id ->
         if Mvcc.enabled t.mvcc then begin
           List.iter (fun (key, _, _) -> mvcc_seed t i key) entries;
           groups := (i, entry_versions t entries) :: !groups
@@ -1088,39 +1038,38 @@ let gather_slots t txn =
    would tear the transaction: a crash (or a promotion) between two
    slices leaves half of it published with no way to undo.  Instead a
    committed slice stays prepared until the decides of ALL [nparts]
-   participants have been seen; the last one publishes the whole group
-   under this store's own decision record, so the backup has the same
-   single-commit-point recovery as the primary.  Until then the shard
-   is held ([backup_held]): the applier parks its later records and
-   acks nothing past the record before this decide.  The decide count
-   is volatile: if it is lost to a crash, every slot of the group is
-   still prepared and recovery presumed-aborts them — sound, because
-   the primary's sync reply waits for every participant's ack, and no
-   ack covers a decide before its transaction publishes here. *)
+   participants have been seen.  The last one commits the group by the
+   one rule: it persists its own shard's decided word = the group's
+   slot id, then publishes and clears every slot of the group before
+   this store applies anything else, so the word cannot move past the
+   id while a slot still needs it.  Until then the shard is held
+   ([backup_held]): the applier parks its later records and acks
+   nothing past the record before this decide.  The decide count is
+   volatile: if it is lost to a crash, every slot of the group is still
+   prepared and recovery presumed-aborts them — sound, because the
+   primary's sync reply waits for every participant's ack, and no ack
+   covers a decide before its transaction publishes here. *)
 let txn_backup_decide t ~txn ~shard ~commit ~nparts =
-  match read_tslot t shard with
-  | `Slot (id, entries) when id = txn ->
-    if not commit then abort_tslot t shard entries
-    else begin
-      let decided =
-        1 + Option.value ~default:0 (Hashtbl.find_opt t.backup_decided txn)
-      in
-      if decided < nparts then begin
-        Hashtbl.replace t.backup_decided txn decided;
+  match Hashtbl.find_opt t.backup_decided txn with
+  | None -> () (* published already: a duplicate decide *)
+  | Some (id, decides) -> (
+    match read_tslot t shard with
+    | `Slot (sid, entries) when sid = id ->
+      if not commit then abort_tslot t shard entries
+      else if decides + 1 < nparts then begin
+        Hashtbl.replace t.backup_decided txn (id, decides + 1);
         t.backup_held.(shard) <- txn
       end
       else begin
         Hashtbl.remove t.backup_decided txn;
-        let versions, kills = gather_slots t txn in
-        (* the gather seeded every pre-image: no parts left to seed *)
-        ignore (txn_decide t { txn; parts = [] });
-        publish_apply t ~txn ~versions ~kills (List.init t.nshards Fun.id);
+        let versions, kills = gather_slots t id in
+        write_decided t shard id;
+        publish_apply t ~id ~versions ~kills (List.init t.nshards Fun.id);
         Array.iteri
-          (fun i id -> if id = txn then t.backup_held.(i) <- 0)
+          (fun i held -> if held = txn then t.backup_held.(i) <- 0)
           t.backup_held
       end
-    end
-  | `Free | `Torn | `Slot _ -> ()
+    | `Free | `Torn | `Slot _ -> ())
 
 let backup_held t ~shard = t.backup_held.(shard) <> 0
 
@@ -1146,9 +1095,11 @@ let apply_replicated t ~shard (op : Replica.op) =
   | Replica.Txn_decide { txn; commit; nparts } ->
     txn_backup_decide t ~txn ~shard ~commit ~nparts
 
-(* Chunks commit on the shard's commit slot, so a 2PC prepare still
-   waiting for its decides in the participant slot is never in the
-   way; results are discarded — the backup replays outcomes the
+(* A chunk never finds its shard's slot armed: on a shard's stream a
+   prepare is followed by its own decide, and a committed decide holds
+   the shard ([backup_held]) until its transaction publishes and clears
+   every slot, so the applier parks the shard's later records until
+   then.  Results are discarded — the backup replays outcomes the
    primary already decided. *)
 let apply_replicated_group t ~shard (ops : Replica.op list) =
   ignore

@@ -11,39 +11,38 @@
 
     {2 Durability protocol}
 
-    Every single-shard mutation commits on its shard's persistent
-    {e commit slot} (a checksummed write-ahead record in the superroot
-    object, up to {!max_txn_ops} entries of key/new/old).  {!put} and
-    {!delete} are chunks of one; {!group_commit} packs up to
-    {!max_txn_ops} ops into a chunk.  A chunk: allocates its values
-    under an open allocator transaction and clwb's them, writes the
-    slot and fences it (covering the values), commits the allocator
-    transaction (the slot now owns the blocks), then persists the
-    shard's 8-byte {e decided word} = the slot's id in its own fence —
-    the chunk's single commit point — and publishes into the B+-tree,
-    frees the overwritten values and clears the slot.  {!attach} first
-    repairs the tree paths of every armed slot's keys ({!Btree.repair}),
-    then redoes a slot its decided word names and rolls back any other
-    (frees its orphan values — idempotent only because the allocator
-    detects invalid/double frees, i.e. Poseidon's safe free is
-    load-bearing here).  Every crash point therefore resolves to
-    "chunk fully applied" or "chunk never happened", with no leak and
-    no dangling pointer.
+    Every mutation commits on persistent {e slots}: one per shard, a
+    checksummed write-ahead record in the superroot object of up to
+    {!max_txn_ops} entries of key/new/old.  A single-shard mutation
+    commits as a {e chunk} on its shard's slot: {!put} and {!delete}
+    are chunks of one; {!group_commit} packs up to {!max_txn_ops} ops
+    into a chunk.  A chunk: allocates its values under an open
+    allocator transaction and clwb's them, writes the slot and fences
+    it (covering the values), commits the allocator transaction (the
+    slot now owns the blocks), then persists the shard's 8-byte
+    {e decided word} = the slot's id in its own fence — the chunk's
+    single commit point — and publishes into the B+-tree, frees the
+    overwritten values and clears the slot.
 
-    Multi-key atomicity across shards is the two-phase protocol of
-    the cross-shard transactions section below. *)
+    One commit rule covers chunks and the cross-shard transactions
+    below: a slot is committed exactly when some shard's decided word
+    holds its id.  {!attach} first repairs the tree paths of every armed
+    slot's keys ({!Btree.repair}), then redoes every slot whose id a
+    decided word holds and rolls back every other (frees its orphan
+    values — idempotent only because the allocator detects
+    invalid/double frees, i.e. Poseidon's safe free is load-bearing
+    here).  Every crash point therefore resolves to "fully applied" or
+    "never happened", with no leak and no dangling pointer. *)
 
 type t
 
 type recovery = {
-  replayed : int; (** commit slots redone (chunk completed after restart) *)
-  rolled_back : int; (** commit slots undone (chunk never happened) *)
-  txn_committed : int;
-      (** participant txn slots redone — their txn's decision record
-          had persisted, so the whole transaction must surface *)
-  txn_aborted : int;
-      (** participant txn slots rolled back (in-doubt at the crash:
-          prepared but no persisted decision — presumed abort) *)
+  replayed : int;
+      (** slots redone: a decided word held their id, so their chunk
+          or transaction had committed and must surface *)
+  rolled_back : int;
+      (** slots undone, torn ones included: no decided word held their
+          id (presumed abort) *)
 }
 
 val create :
@@ -54,13 +53,13 @@ val create :
   value_size:int ->
   t
 (** Allocates the superroot (magic, geometry, one 64-byte shard record
-    each holding the tree root and the decided word, and one participant
-    slot plus one commit slot per shard), publishes it as
-    the allocator root and creates the per-shard trees.  [value_size]
-    is rounded up to a multiple of 8 (min 8).  [mvcc_window] (default
-    0 = off) is the number of committed versions retained per mutated
-    key for {!snapshot_get}/{!snapshot_scan}; it is volatile DRAM
-    state, not part of the persistent format.  [rcache_entries]
+    each holding the tree root and the decided word, and one 256-byte
+    slot per shard), publishes it as the allocator root and creates
+    the per-shard trees.  [value_size] is rounded up to a multiple of
+    8 (min 8).  [mvcc_window] (default 0 = off) is the number of
+    committed versions retained per mutated key for
+    {!snapshot_get}/{!snapshot_scan}; it is volatile DRAM state, not
+    part of the persistent format.  [rcache_entries]
     (default 0 = off) is the per-shard slot count of the DRAM read
     cache ({!Rcache}) layered in front of the trees — also pure
     volatile state; 0 keeps the store byte-identical to a cacheless
@@ -69,8 +68,8 @@ val create :
 val attach :
   ?mvcc_window:int -> ?rcache_entries:int -> Alloc_intf.instance -> t * recovery
 (** Reopens the store of an already-attached allocator instance,
-    repairs the trees and redoes or rolls back every armed slot — the
-    restart path.  The
+    repairs the trees and redoes or rolls back every armed slot by the
+    one commit rule — the restart path.  The
     version chains and the read cache restart empty (both are volatile
     by construction); the recovered trees are the floor every snapshot
     reads until keys are mutated again. *)
@@ -95,7 +94,7 @@ val shard_lock : t -> int -> Machine.Lock.lock
     acquires every participant's lock internally. *)
 
 val put : t -> key:int -> vseed:int -> bool
-(** Insert or overwrite, as a commit-slot chunk of one; [false] when
+(** Insert or overwrite, as a chunk of one; [false] when
     allocation fails (heap full). *)
 
 val get : t -> key:int -> int option
@@ -104,7 +103,7 @@ val get : t -> key:int -> int option
     the tree and fills the cache (cacheless without [rcache_entries]). *)
 
 val delete : t -> key:int -> bool
-(** Remove, as a commit-slot chunk of one; [false] when the key was
+(** Remove, as a chunk of one; [false] when the key was
     absent (no state change). *)
 
 val scan : t -> from_key:int -> n:int -> int
@@ -219,31 +218,27 @@ val rcache : t -> Rcache.t
 
 (** {2 Cross-shard transactions}
 
-    The 2PC-style coordinator-record protocol (DESIGN §10).  A
+    Two-phase commit on the shards' own slots (DESIGN §10).  A
     transaction is a list of puts and deletes over distinct keys that
-    may land on different shards.  Each participant shard owns a
-    persistent {e participant slot} (the commit slot's format, beside
-    it), and the superroot holds one {e coordinator decision record}
-    on its own cache line.  Execution has the classic two-phase shape,
-    all inside one persistent heap — {!txn} runs it under the locks,
-    and the staged {!txn_prepare} / {!txn_decide} / {!txn_apply} are
-    its three steps:
+    may land on different shards.  {!txn} runs its three staged steps
+    under the participant locks:
 
-    + {b prepare} — the new values are allocated and persisted under
-      one open allocator transaction, each participant's slice is
-      persisted into its shard's slot, and the allocator transaction
-      commits, handing block ownership to the slots.
-    + {b decide} — the transaction's id is persisted in the decision
-      record.  {e This single persist is the commit point.}
-    + {b apply} — the versions are published, each slot is applied to
-      its B+-tree (idempotent inserts and deletes, safe frees of the
-      overwritten values) and cleared, and finally the decision record
-      is cleared.
+    + {b prepare} — the new values are allocated and clwb'd under one
+      open allocator transaction, each participant's slice is persisted
+      into its shard's slot (the first slot's fence covers every value),
+      and the allocator transaction commits, handing the blocks to the
+      slots.
+    + {b decide} — the transaction's id is persisted in its {e lowest}
+      participant's decided word: the commit point.
+    + {b apply} — the versions are published, and each slot is applied
+      to its B+-tree and cleared.
 
-    Crash anywhere, and {!attach} resolves: slots naming the persisted
-    decision are redone (the transaction had committed), every other
-    occupied slot is rolled back — presumed abort, which is sound
-    because the client reply is only sent after the decision persists.
+    {!attach} resolves a crash anywhere by the one commit rule: redo if
+    the decided word holds the id, else presumed abort, sound because
+    the reply is only sent after the word persists.  {!txn} holds the
+    lowest participant's lock until every slot is cleared, so no chunk
+    moves the word meanwhile.  Nothing is store-wide: transactions with
+    disjoint participants commit in parallel.
 
     Under replication a committed transaction rides the per-shard
     sequenced streams as one [Txn_prepare] + [Txn_decide] record pair
@@ -254,8 +249,8 @@ val rcache : t -> Rcache.t
     the wire — none of those was ever acked. *)
 
 val max_txn_ops : int
-(** Operations one participant slot can hold — the per-shard cap on a
-    transaction's footprint (8). *)
+(** Operations one slot can hold — the per-shard cap on a chunk and on
+    a transaction's footprint (8). *)
 
 type txn_op = Replica.txn_op =
   | Tput of { key : int; vseed : int }
@@ -275,7 +270,7 @@ type txn_result = {
   committed : bool;
   abort : txn_abort option;
   fin : int;
-      (** simulated time of the decision record's persist — the commit
+      (** simulated time of the decided word's persist — the commit
           point; 0 on abort or outside the simulation *)
   participants : (int * txn_op list) list;
       (** ascending shard order; ops in submission order per shard *)
@@ -292,9 +287,9 @@ val txn :
     at any fence, either every operation is visible or none is.
     Acquires every participant's {!shard_lock} in ascending order (so
     concurrent transactions cannot deadlock), prepares, then runs
-    {!txn_decide} and {!txn_apply} under the coordinator lock.
-    [on_commit] runs {e inside} the participant locks right after
-    apply — the hook the replicated server uses to stage and flush the
+    {!txn_decide} and {!txn_apply}.  [on_commit] runs {e inside} the
+    participant locks right after apply — the hook the replicated
+    server uses to stage and flush the
     transaction's {!txn_records} in mutation order.  The locks are
     released as it returns: nothing waits for the backup under them.
     Aborts ([committed = false]) leave no durable trace.
@@ -310,22 +305,23 @@ type prepared = private {
 
 val txn_prepare : t -> txn_op list -> (prepared, txn_abort) result
 (** Phase 1 without locking (single-threaded tests and checkers):
-    persist the values and participant slots and commit the allocator
-    transaction.  A crash now leaves the transaction in doubt;
+    persist the values and the participants' slots and commit the
+    allocator transaction.  A crash now leaves the transaction in doubt;
     {!attach} presumed-aborts it. *)
 
 val txn_decide : t -> prepared -> int
 (** Phase 2: seed the MVCC pre-images of the written keys and persist
-    the coordinator decision record — the commit point.  Returns its
-    simulated time ({!txn_result}'s [fin]).  A crash after this redoes
-    the transaction from its slots. *)
+    the lowest participant's decided word = the transaction's id — the
+    commit point.  Returns its simulated time ({!txn_result}'s [fin]).
+    A crash after this redoes the transaction, unless a chunk of that
+    shard moved the word before {!txn_apply} (as the seeded
+    [kv-coord-broken] scenario does). *)
 
 val txn_apply : t -> prepared -> unit
 (** Phase 3: publish the versions and kill the cached digests in one
-    pure step, apply and clear every participant slot, then clear the
-    decision record.  Only after {!txn_decide}: the seeded
-    [kv-txn-broken] and [mvcc-broken] crashcheck scenarios skip or
-    postpone the decide on purpose. *)
+    pure step, then apply and clear every participant's slot.  Only
+    after {!txn_decide}: the seeded [kv-txn-broken] and [mvcc-broken]
+    crashcheck scenarios skip or postpone the decide on purpose. *)
 
 val group_commit :
   ?on_chunk:(fin:int -> txn_op list -> unit) ->
@@ -334,14 +330,13 @@ val group_commit :
   txn_op list ->
   (bool * int) list
 (** Group commit: execute a run of single-key mutations, all bound for
-    [shard] ({!shard_of_key}), as commit-slot chunks of up to
-    {!max_txn_ops} ops each — one covering slot fence (which also
-    commits the chunk's fence-free clwb'd values), one allocator
-    commit and one decided-word fence per {e chunk}.  Acquires the
-    shard lock itself; never the coordinator lock.  A chunk closes
-    early when the next op's key is already in it; an absent delete is
-    a no-op that never enters a chunk (its result reflects every
-    earlier op of the group).  When the heap runs out mid-chunk, the
+    [shard] ({!shard_of_key}), as chunks of up to {!max_txn_ops} ops
+    each — one covering slot fence (which also commits the chunk's
+    fence-free clwb'd values), one allocator commit and one
+    decided-word fence per {e chunk}.  Acquires the shard lock itself,
+    and no other.  A chunk closes early when the next op's key is
+    already in it; an absent delete is a no-op that never enters a
+    chunk (its result reflects every earlier op of the group).  When the heap runs out mid-chunk, the
     chunk is retried as one-op chunks, so only a put that still cannot
     allocate fails.  Returns one [(ok, fin)] per input op, in order:
     [ok] as {!put}/{!delete} would have reported, [fin] the simulated
@@ -367,11 +362,12 @@ val apply_after_commit_ns : t -> shard:int -> int
     longer waits for. *)
 
 val txn_resolve_indoubt : t -> int
-(** Roll back every occupied participant slot — presumed abort — and
-    clear every hold ({!backup_held}).  The promoting backup calls this
-    after {!Replica.Applier.seal_and_replay}: a prepare whose decide
-    died with the primary was never acked to any client, so discarding
-    it is safe.  Returns the slots resolved. *)
+(** Resolve every occupied slot by the one commit rule and clear every
+    hold ({!backup_held}); returns the slots rolled back.  The
+    promoting backup calls this after
+    {!Replica.Applier.seal_and_replay}: each slot still armed is a
+    prepare whose last decide died with the primary, never acked, so
+    it is presumed-aborted. *)
 
 (** {2 Backup side} *)
 
@@ -382,32 +378,31 @@ val apply_replicated : t -> shard:int -> Replica.op -> unit
 
 val apply_replicated_group : t -> shard:int -> Replica.op list -> unit
 (** Apply a drained burst of in-order single-op records as one
-    {!group_commit} chunk chain — one commit-slot chunk per up to
-    {!max_txn_ops} records instead of one per record.  Chunks commit on
-    the commit slot, so a prepare still waiting for its decides keeps
-    its participant slot.  Raises [Invalid_argument] on a transaction
-    record: the applier handles those per record (they are group
-    barriers). *)
+    {!group_commit} chunk chain — one chunk per up to {!max_txn_ops}
+    records instead of one per record.  Raises [Invalid_argument] on a
+    transaction record: the applier handles those per record (they are
+    group barriers). *)
 
 val txn_backup_prepare : t -> txn:int -> shard:int -> ops:txn_op list -> unit
-(** Apply a shipped [Txn_prepare] record: persist the slice's values
-    and its participant slot (durable before the applier acks).  Raises
-    [Failure] if the slot is still occupied — an invariant, since the
-    applier parks every record behind a held shard ({!backup_held}). *)
+(** Apply a shipped [Txn_prepare] record: persist the slice into the
+    shard's slot before the applier acks, under an id this store mints
+    at the transaction's first prepare (the primary's [txn] could equal
+    one of this store's chunk ids).  Raises [Failure] if the slot is
+    occupied — an invariant, since a held shard's records park
+    ({!backup_held}) — or the heap is exhausted. *)
 
 val txn_backup_decide :
   t -> txn:int -> shard:int -> commit:bool -> nparts:int -> unit
 (** Apply a shipped [Txn_decide] record.  [commit = false] discards
     the prepared slice at once; a commit is {e deferred} until the
-    decides of all [nparts] participants have arrived, and the last
-    one publishes the whole transaction under this store's own
-    decision record — {!txn_decide} and {!txn_apply}'s publication,
-    with each version digested from its prepared block — since
+    decides of all [nparts] participants have arrived, since
     publishing slice-by-slice would let a crash or promotion between
-    slices surface half a transaction.  Until it publishes, every
-    shard whose decide has arrived is held ({!backup_held}).  A decide
-    for an already-resolved slot is a no-op (duplicate-delivery
-    tolerance). *)
+    slices surface half a transaction.  The last one persists its own
+    shard's decided word = the minted id, then publishes as
+    {!txn_apply} does (each version digested from its prepared block)
+    and clears every slot.  Until then every shard whose decide has
+    arrived is held ({!backup_held}).  A duplicate decide is a
+    no-op. *)
 
 val backup_held : t -> shard:int -> bool
 (** Whether [shard] has applied the committed decide of a transaction

@@ -257,6 +257,10 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   done;
   Nvmm.Memdev.drain (Machine.dev mach);
   Option.iter (fun (m, _) -> Nvmm.Memdev.drain (Machine.dev m)) mirror;
+  (* the magazine gauges count the traffic, not the preload *)
+  let tcache_base =
+    Option.map (fun t -> (Tcache.stats t, Tcache.idle_refills t)) tch
+  in
 
   let t_crash, t_stop = timeline cfg in
 
@@ -290,7 +294,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   let n_read = ref 0 and n_write = ref 0 and n_scan = ref 0 in
   (* acked mutations: (key, Some vseed | None for delete, server finish ns).
      [fin] is captured inside the mutation's critical section (for a
-     transaction: the decision record's persist), so per key it orders
+     transaction: its lowest participant's decided word), so per key it orders
      exactly as the store applied the mutations even when single ops
      and cross-shard transactions interleave. *)
   let ledger : (int * int option * int) list ref = ref [] in
@@ -888,15 +892,15 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       Obs.Metrics.set_gauge ~scope:sscope "apply_after_reply_ns"
         (float_of_int (Kv.apply_after_commit_ns svc ~shard:i)))
     (Kv.mvcc_shard_chains svc);
-  (match tch with
-   | Some t ->
+  (match (tch, tcache_base) with
+   | Some t, Some ((hits0, misses0, refills0, flushes0), idle0) ->
      let hits, misses, refills, flushes = Tcache.stats t in
-     g "tcache_hits" (float_of_int hits);
-     g "tcache_misses" (float_of_int misses);
-     g "tcache_bin_refills" (float_of_int refills);
-     g "tcache_bin_flushes" (float_of_int flushes);
-     g "tcache_idle_refills" (float_of_int (Tcache.idle_refills t))
-   | None -> ());
+     g "tcache_hits" (float_of_int (hits - hits0));
+     g "tcache_misses" (float_of_int (misses - misses0));
+     g "tcache_bin_refills" (float_of_int (refills - refills0));
+     g "tcache_bin_flushes" (float_of_int (flushes - flushes0));
+     g "tcache_idle_refills" (float_of_int (Tcache.idle_refills t - idle0))
+   | _ -> ());
   if cfg.rcache_entries > 0 then begin
     let hits, misses, evictions, invalidations = Kv.rcache_stats svc in
     g "rcache_hits" (float_of_int hits);

@@ -227,7 +227,7 @@ type repl_result = {
   backup_applied : int; (** records applied by the backup, tail included *)
   tail_replayed : int; (** records applied during promote (0 clean) *)
   indoubt_aborted : int;
-      (** participant slots presumed-aborted at promote: a [Txn_prepare]
+      (** transaction slots presumed-aborted at promote: a [Txn_prepare]
           arrived but its [Txn_decide] died with the primary.  Safe
           because a sync reply waits for {e every} participant's ack —
           an unresolved transaction was never acked to a client. *)

@@ -63,7 +63,7 @@ dune exec bin/main.exe -- crashcheck --max-points 6 --subsets 1 \
 # mutation sanity: the checker must flag the deliberately-broken
 # missing-flush protocol (exit 1 = counterexamples found).
 mutation_gate broken "missing-flush bug" --max-points 2 --subsets 0
-# service crash-point sweep: the KV write path's commit-slot protocol,
+# service crash-point sweep: the KV write path's chunk protocol,
 # strided for tier-1 speed (exhaustive in test_crashcheck / manual runs).
 step="crashcheck kv-put sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-put --max-points 8 \
@@ -78,7 +78,7 @@ for scn in kv-shift kv-split; do
   dune exec bin/main.exe -- crashcheck --scenario "$scn" \
     --seed "$CRASH_SEED" > /dev/null
 done
-# commit-slot mutation gate, EXHAUSTIVE: the store runs on an
+# chunk-commit mutation gate, EXHAUSTIVE: the store runs on an
 # allocator that defers each commit to its next call, so a chunk's
 # decided word persists ahead of the allocator commit; the no-dangling
 # check MUST flag the redo of a slot whose blocks the heap's replay
@@ -94,17 +94,26 @@ mutation_gate kv-commit-broken "allocator commit after the commit point"
 # each fence of the apply that follows the reply.
 mutation_gate kv-ack-broken "ack before the decided word"
 # cross-shard transaction sweep, EXHAUSTIVE: every fence-to-fence crash
-# point of the 2PC coordinator-record protocol (prepare slots, decision
-# record, apply, recovery) must keep each transaction all-or-nothing.
-# Cheap enough (~0.5 s) to run unstrided in tier-1.
+# point of 2PC on the shards' own slots (prepare slots, the lowest
+# participant's decided word, apply, recovery) must keep each
+# transaction all-or-nothing, also when its commit word is one the
+# shard's own chunks move.  Cheap enough (~0.5 s) to run unstrided in
+# tier-1.
 step="crashcheck kv-txn exhaustive sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-txn \
   --seed "$CRASH_SEED" > /dev/null
 # 2PC mutation gate: same sweep with every transaction applied and no
-# decide first, so no decision record names it; the checker MUST
-# produce a counterexample (exit 1), or it has lost the power to see
-# the commit point.
-mutation_gate kv-txn-broken "2PC apply without a decision record"
+# decide first, so no decided word names it; the checker MUST produce
+# a counterexample (exit 1), or it has lost the power to see the commit
+# point.
+mutation_gate kv-txn-broken "2PC apply without a decided word"
+# commit-word mutation gate: same sweep with a chunk committed on each
+# transaction's lowest participant between its decide and its apply,
+# so the chunk moves the word that commits the transaction while its
+# slots are armed; the checker MUST produce a counterexample (exit 1),
+# or it can no longer see that the lowest participant's lock is held
+# until every slot is cleared.
+mutation_gate kv-coord-broken "chunk inside a transaction's decide-apply window"
 # batched replication sweep: group-committed puts shipped as doorbell
 # frames with cumulative batched acks, strided like kv-put; recovery
 # is judged by the windowed prefix oracle (ack-before-flush would
@@ -301,4 +310,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + commit-slot + early-ack + 2PC + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + chunk-commit + early-ack + 2PC + commit-word + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

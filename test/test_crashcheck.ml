@@ -132,6 +132,7 @@ let seeded_bugs =
     ("kv-commit-broken", (0, 2), "kv-store", "dangling value");
     ("kv-ack-broken", (0, 2), "kv-store", "recovered store matches no plan prefix");
     ("kv-txn-broken", (0, 2), "kv-store", "");
+    ("kv-coord-broken", (0, 2), "kv-store", "");
     ("mvcc-broken", (6, 1), "snapshot-reads", "");
     ("rcache-broken", (8, 1), "cached-reads", "");
     ("kv-batched-broken", (6, 1), "kv-batched", "");

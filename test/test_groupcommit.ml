@@ -260,7 +260,6 @@ let test_group_commit_recovery () =
   ignore (Kv.group_commit kv ~shard:0 plan);
   let kv2, rc = Kv.attach inst in
   check_int "nothing to replay" 0 (rc.Kv.replayed + rc.Kv.rolled_back);
-  check_int "no txn slots in flight" 0 (rc.Kv.txn_committed + rc.Kv.txn_aborted);
   Array.iteri
     (fun i k -> check "state survives re-attach" true
         (Kv.get kv2 ~key:k = (if i < 3 then Some (Kv.value_checksum kv2 ~vseed:(i + 1)) else None)))
@@ -499,49 +498,6 @@ let test_window1_determinism () =
        false
      with Invalid_argument _ -> true)
 
-(* Single-shard writes commit on their shard's own slot: with no
-   transaction in the mix the coordinator lock is never taken, at any
-   window; with transactions, exactly once per committed one. *)
-let test_coordinator_only_for_txns () =
-  let factory = Workloads.Factories.poseidon () in
-  let run cfg =
-    let mach = ref None in
-    let r =
-      S.run
-        ~make:(fun () ->
-          let m, inst = factory.Workloads.Factories.make () in
-          mach := Some m;
-          (m, inst))
-        ~reattach:(fun _ -> assert false)
-        cfg
-    in
-    let taken =
-      List.fold_left
-        (fun a (name, st) ->
-          if name = "kv-txn-coordinator" then a + st.Machine.Lock.acquisitions
-          else a)
-        0
-        (Machine.lock_stats (Option.get !mach))
-    in
-    (r, taken)
-  in
-  List.iter
-    (fun w ->
-      let r, taken =
-        run
-          { base_cfg with
-            S.batch_window = w;
-            scope = Printf.sprintf "test/groupcommit/coord-w%d" w }
-      in
-      check "writes acked" true (r.S.acked_mutations > 0);
-      check_int "no coordinator without transactions" 0 taken)
-    [ 1; 4 ];
-  let r, taken =
-    run { base_cfg with S.txn_pct = 20; scope = "test/groupcommit/coord-txn" }
-  in
-  check "transactions committed" true (r.S.txns_committed > 0);
-  check_int "once per committed transaction" r.S.txns_committed taken
-
 (* ---------- loss bound under faults, swept across windows ---------- *)
 
 let repl_serve cfg rcfg =
@@ -615,9 +571,7 @@ let () =
             test_piggybacked_decide_equivalence ] );
       ( "server",
         [ Alcotest.test_case "same config, same result" `Quick
-            test_window1_determinism;
-          Alcotest.test_case "coordinator only for transactions" `Quick
-            test_coordinator_only_for_txns ] );
+            test_window1_determinism ] );
       ( "loss-bound",
         [ Alcotest.test_case "windows {1,4,16} under drop/dup" `Quick
             test_loss_bound_windows;

@@ -347,7 +347,7 @@ let test_crashcheck_shift_split () =
         r.Crashcheck.counterexamples)
     [ "kv-shift"; "kv-split" ]
 
-(* the seeded commit-slot bug — the decided word rides the slot's
+(* the seeded chunk-commit bug — the decided word rides the slot's
    fence, ahead of the allocator commit — is flagged, and by the
    no-dangling check: every value still reads right *)
 let test_crashcheck_commit_broken () =

@@ -323,6 +323,33 @@ let test_serve_metrics_surfaced () =
   check "idle handlers topped their bins up" true
     (g "tcache_idle_refills" > 0.)
 
+(* A run that serves no request reports no cache traffic: the preload
+   allocates through the cache too, before the simulation starts, and
+   the gauges leave it out. *)
+let test_serve_gauges_skip_preload () =
+  let module S = Service.Server in
+  let factory = Workloads.Factories.poseidon () in
+  let scope = "test/tcache/preload-only" in
+  let r =
+    S.run
+      ~make:(fun () -> factory.Workloads.Factories.make ())
+      ~reattach:(fun _ -> assert false)
+      { S.default_config with
+        S.read_pct = 0;
+        scan_pct = 0;
+        tcache_mag = 8;
+        rate = 1000.;
+        duration = 0.001;
+        scope }
+  in
+  check_int "no request offered" 0 r.S.offered;
+  List.iter
+    (fun name ->
+      check (name ^ " is 0") true
+        (Obs.Metrics.get_gauge ~scope name = Some 0.))
+    [ "tcache_hits"; "tcache_misses"; "tcache_bin_refills";
+      "tcache_bin_flushes" ]
+
 (* ---------- crashcheck sweeps ---------- *)
 
 let test_kv_tcache_sweep_green () =
@@ -368,7 +395,9 @@ let () =
         [ Alcotest.test_case "cached store = uncached store" `Quick
             test_kv_equivalence;
           Alcotest.test_case "serve surfaces mvcc + tcache gauges" `Quick
-            test_serve_metrics_surfaced ] );
+            test_serve_metrics_surfaced;
+          Alcotest.test_case "serve gauges skip the preload" `Quick
+            test_serve_gauges_skip_preload ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv-tcache-put sweep green" `Quick
             test_kv_tcache_sweep_green;

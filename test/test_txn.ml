@@ -1,8 +1,9 @@
-(* Cross-shard atomic transactions: the 2PC coordinator-record
-   protocol (DESIGN §10) — commit/abort atomicity across shards,
-   in-doubt resolution on re-attach, promotion-time resolution and
-   deferred group apply on a backup, plus a bounded crashcheck sweep
-   of the protocol and the seeded-mutation sanity gate. *)
+(* Cross-shard atomic transactions: 2PC on the shards' own slots and
+   decided words (DESIGN §10) — commit/abort atomicity across shards,
+   disjoint transactions committing in parallel, in-doubt resolution
+   on re-attach, promotion-time resolution and deferred group apply on
+   a backup, plus a bounded crashcheck sweep of the protocol and the
+   seeded-mutation sanity gate. *)
 
 module Kv = Service.Kv
 module H = Poseidon.Heap
@@ -13,10 +14,10 @@ let check_int = Alcotest.(check int)
 
 let heap_base = 1 lsl 30
 
-let mk_store ~shards () =
+let mk_store ?(cpus = 1) ~shards () =
   let cfg =
     { Machine.Config.default with
-      Machine.Config.num_cpus = 1;
+      Machine.Config.num_cpus = cpus;
       numa_domains = 1 }
   in
   let mach = Machine.create ~cfg () in
@@ -76,16 +77,17 @@ let test_abort_leaves_no_trace () =
     ((Kv.txn kv big).Kv.abort = Some Txn_too_many_ops);
   (* aborts left nothing durable: clean re-attach, nothing to resolve *)
   let kv2, rc = Kv.attach inst in
-  check_int "no txn slots to resolve" 0 (rc.Kv.txn_committed + rc.Kv.txn_aborted);
+  check_int "no slots to resolve" 0 (rc.Kv.replayed + rc.Kv.rolled_back);
   check "state intact" true (Kv.get kv2 ~key:3 = cksum kv2 30)
 
-(* ---------- crash recovery: the decision record is the commit point *)
+(* ---------- crash recovery: the lowest participant's decided word is
+   the commit point ---------- *)
 
 let test_indoubt_prepare_aborts_on_attach () =
   let mach, inst, kv = mk_store ~shards:4 () in
   let ka, kb = cross_shard_keys kv in
   check "preload" true (Kv.put kv ~key:kb ~vseed:7);
-  (* phase 1 persisted, decision record never written: in doubt *)
+  (* phase 1 persisted, no decided word names it: in doubt *)
   (match Kv.txn_prepare kv [ Tput { key = ka; vseed = 50 }; Tdel { key = kb } ]
    with
   | Ok p -> check "prepare claimed an id" true (p.Kv.txn > 0)
@@ -93,8 +95,8 @@ let test_indoubt_prepare_aborts_on_attach () =
   Memdev.crash (Machine.dev mach) `Strict;
   ignore (H.attach mach ~base:heap_base ());
   let kv2, rc = Kv.attach inst in
-  check_int "both participants presumed aborted" 2 rc.Kv.txn_aborted;
-  check_int "none redone" 0 rc.Kv.txn_committed;
+  check_int "both participants presumed aborted" 2 rc.Kv.rolled_back;
+  check_int "none redone" 0 rc.Kv.replayed;
   check "put never surfaced" true (Kv.get kv2 ~key:ka = None);
   check "delete never surfaced" true (Kv.get kv2 ~key:kb = cksum kv2 7);
   Kv.check kv2
@@ -110,16 +112,64 @@ let test_decided_txn_redone_on_attach () =
     | Ok p -> p
     | Error _ -> Alcotest.fail "prepare refused"
   in
-  (* decision record persisted = committed, even though apply never ran *)
+  (* decided word persisted = committed, even though apply never ran *)
   ignore (Kv.txn_decide kv p);
   Memdev.crash (Machine.dev mach) `Strict;
   ignore (H.attach mach ~base:heap_base ());
   let kv2, rc = Kv.attach inst in
-  check_int "both participants redone" 2 rc.Kv.txn_committed;
-  check_int "none aborted" 0 rc.Kv.txn_aborted;
+  check_int "both participants redone" 2 rc.Kv.replayed;
+  check_int "none aborted" 0 rc.Kv.rolled_back;
   check "put surfaced" true (Kv.get kv2 ~key:ka = cksum kv2 50);
   check "delete surfaced" true (Kv.get kv2 ~key:kb = None);
   Kv.check kv2
+
+(* ---------- no store-wide serialization point ---------- *)
+
+(* The [n]th key (from 0) that hashes to [shard]. *)
+let key_on kv shard n =
+  let rec go k n =
+    if Kv.shard_of_key kv k <> shard then go (k + 1) n
+    else if n = 0 then k
+    else go (k + 1) (n - 1)
+  in
+  go 1 n
+
+(* Two transactions over disjoint participant shards, one per CPU: each
+   commits on its own lowest participant's decided word and holds only
+   its own participants' locks, so both must be inside their
+   decide→apply windows — from the commit point ([fin]) to the end of
+   the apply, where [on_commit] runs — at the same time. *)
+let test_disjoint_txns_overlap () =
+  let mach, _, kv = mk_store ~cpus:2 ~shards:4 () in
+  let ops =
+    [| [ Kv.Tput { key = key_on kv 0 0; vseed = 1 };
+         Kv.Tput { key = key_on kv 1 0; vseed = 2 } ];
+       [ Kv.Tput { key = key_on kv 2 0; vseed = 3 };
+         Kv.Tput { key = key_on kv 3 0; vseed = 4 } ] |]
+  in
+  (* a first put per CPU creates its sub-heap, so the two transactions
+     below start from the same footing *)
+  ignore
+    (Machine.parallel mach ~threads:2 (fun i ->
+         check "warm-up put" true (Kv.put kv ~key:(key_on kv (2 * i) 1) ~vseed:i)));
+  let windows = Array.make 2 (0, 0) in
+  ignore
+    (Machine.parallel mach ~threads:2 (fun i ->
+         let r =
+           Kv.txn kv ops.(i) ~on_commit:(fun r ->
+               windows.(i) <- (r.Kv.fin, Simcore.Sched.now ()))
+         in
+         check "committed" true r.Kv.committed));
+  let (f0, e0), (f1, e1) = (windows.(0), windows.(1)) in
+  check "each window is open" true (f0 > 0 && f0 < e0 && f1 > 0 && f1 < e1);
+  check "both decide-apply windows open at once" true (max f0 f1 < min e0 e1);
+  Array.iter
+    (List.iter (function
+      | Kv.Tput { key; vseed } ->
+        check "committed value visible" true (Kv.get kv ~key = cksum kv vseed)
+      | Kv.Tdel _ -> ()))
+    ops;
+  Kv.check kv
 
 (* ---------- backup-side protocol ---------- *)
 
@@ -181,9 +231,9 @@ let test_crashcheck_txn_sweep () =
     (List.length r.Crashcheck.counterexamples)
 
 let test_crashcheck_flags_unflushed_decision () =
-  (* the same sweep against a coordinator that skips the decision
-     record's flush MUST find a counterexample, or the checker cannot
-     see the commit point *)
+  (* the same sweep against transactions applied with no decide MUST
+     find a counterexample, or the checker cannot see the commit
+     point *)
   let scn = Option.get (Crashcheck.scenario_by_name "kv-txn-broken") in
   let r = Crashcheck.run scn in
   check "seeded 2PC bug detected" true
@@ -196,6 +246,9 @@ let () =
             test_commit_across_shards;
           Alcotest.test_case "aborts leave no durable trace" `Quick
             test_abort_leaves_no_trace ] );
+      ( "parallelism",
+        [ Alcotest.test_case "disjoint txns overlap decide-apply"
+            `Quick test_disjoint_txns_overlap ] );
       ( "recovery",
         [ Alcotest.test_case "in-doubt prepare presumed-aborts" `Quick
             test_indoubt_prepare_aborts_on_attach;
