@@ -31,11 +31,13 @@ type resolution =
   | Resolved of int option
   | Truncated of int option
 
+module Keys = Set.Make (Int)
+
 type t = {
   window : int; (* K committed versions kept per chain; 0 = disabled *)
   nshards : int;
   chains : (int, entry list) Hashtbl.t array; (* newest-first per key *)
-  chain_gen : int array; (* bumped whenever a shard gains a chain *)
+  keys : Keys.t array; (* per shard, the keys of [chains], ordered *)
   watermark : int array; (* newest fully-published ts per shard *)
   mutable safe_ts : int; (* newest fully-published ts store-wide *)
 }
@@ -46,7 +48,7 @@ let create ~shards ~window =
   { window;
     nshards = shards;
     chains = Array.init shards (fun _ -> Hashtbl.create 64);
-    chain_gen = Array.make shards 0;
+    keys = Array.make shards Keys.empty;
     watermark = Array.make shards 0;
     safe_ts = 0 }
 
@@ -58,16 +60,11 @@ let watermark t ~shard = t.watermark.(shard)
 
 let reset t =
   Array.iter Hashtbl.reset t.chains;
-  (* bump, don't zero: an open scan that captured a generation must
-     notice the key set changed, and zeroing could alias its capture *)
-  for i = 0 to t.nshards - 1 do
-    t.chain_gen.(i) <- t.chain_gen.(i) + 1
-  done;
+  Array.fill t.keys 0 t.nshards Keys.empty;
   Array.fill t.watermark 0 t.nshards 0;
   t.safe_ts <- 0
 
 let has_chain t ~shard ~key = Hashtbl.mem t.chains.(shard) key
-let chain_gen t ~shard = t.chain_gen.(shard)
 
 let chain_length t ~shard ~key =
   match Hashtbl.find_opt t.chains.(shard) key with
@@ -84,7 +81,7 @@ let seed t ~shard ~key ~value =
     (* the floor pre-image: valid for every snapshot older than the
        first published version (all real timestamps are >= 0) *)
     Hashtbl.replace t.chains.(shard) key [ { ts = 0; value } ];
-    t.chain_gen.(shard) <- t.chain_gen.(shard) + 1
+    t.keys.(shard) <- Keys.add key t.keys.(shard)
   end
 
 (* keep the newest [window] committed versions plus one older entry as
@@ -100,13 +97,14 @@ let trim t c =
 
 let publish_one t ~shard ~ts (key, value) =
   let tbl = t.chains.(shard) in
-  let chain, fresh =
+  let chain =
     match Hashtbl.find_opt tbl key with
-    | Some c -> (c, false)
-    | None -> ([], true)
+    | Some c -> c
+    | None ->
+      t.keys.(shard) <- Keys.add key t.keys.(shard);
+      []
   in
-  Hashtbl.replace tbl key (trim t ({ ts; value } :: chain));
-  if fresh then t.chain_gen.(shard) <- t.chain_gen.(shard) + 1
+  Hashtbl.replace tbl key (trim t ({ ts; value } :: chain))
 
 let advance t ~shard ~ts =
   if ts > t.watermark.(shard) then t.watermark.(shard) <- ts;
@@ -150,10 +148,10 @@ let lookup t ~shard ~key ~ts =
       in
       resolve chain
 
-(* sorted keys >= [from_key] that have a chain on [shard] — the
-   chain-side input of a merged snapshot scan *)
-let chain_keys_from t ~shard ~from_key =
+let next_chain_key t ~shard ~from_key =
+  Keys.find_first_opt (fun k -> k >= from_key) t.keys.(shard)
+
+let census t ~shard =
   Hashtbl.fold
-    (fun k _ acc -> if k >= from_key then k :: acc else acc)
-    t.chains.(shard) []
-  |> List.sort compare
+    (fun _ c (n, v) -> (n + 1, v + List.length c))
+    t.chains.(shard) (0, 0)

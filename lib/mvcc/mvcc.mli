@@ -59,15 +59,6 @@ val newest_ts : t -> shard:int -> key:int -> int option
     a chainless key's cached value predates every mutation since
     attach, so it is valid for every snapshot. *)
 
-val chain_gen : t -> shard:int -> int
-(** Chain-set generation: bumped every time the shard gains a chain it
-    did not have (a {!seed}, a {!publish} of an unseeded key, or a
-    {!reset}).  A merged scan captures it with its chain-key list and
-    re-captures the keys still ahead of its position whenever the
-    generation moves — a concurrently deleted key leaves the tree
-    before the cursor reaches it, and only its freshly seeded chain
-    still carries the snapshot-visible version. *)
-
 val publish : t -> shard:int -> ts:int -> (int * int option) list -> unit
 (** Append one commit's versions ([key, digest option]; [None] =
     delete) on one shard and advance its watermark to [ts]. *)
@@ -95,9 +86,17 @@ type resolution =
 val lookup : t -> shard:int -> key:int -> ts:int -> resolution
 (** Resolve the key to the newest version [<= ts], lock-free. *)
 
-val chain_keys_from : t -> shard:int -> from_key:int -> int list
-(** Sorted chain keys [>= from_key] on one shard — the chain-side
-    stream a merged snapshot scan interleaves with the tree cursor. *)
+val next_chain_key : t -> shard:int -> from_key:int -> int option
+(** The smallest key [>= from_key] with a chain on one shard, from an
+    ordered key set kept beside the chains, in O(log n) — the chain
+    side a merged snapshot scan interleaves with the tree cursor.  A
+    key enters the set with its first chain ({!seed} or {!publish}) and
+    leaves it only by {!reset}, so a scan that asks at every step also
+    sees a chain seeded behind its back (a concurrent delete). *)
+
+val census : t -> shard:int -> int * int
+(** [(chains, versions)] on one shard: the keys holding a chain and the
+    versions they retain. *)
 
 val reset : t -> unit
 (** Drop every chain and watermark (the attach/promotion path). *)

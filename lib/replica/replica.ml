@@ -8,7 +8,7 @@ type op =
   | Put of { key : int; vseed : int }
   | Del of { key : int }
   | Txn_prepare of { txn : int; ops : txn_op list }
-  | Txn_decide of { txn : int; commit : bool; nparts : int }
+  | Txn_decide of { txn : int; nparts : int }
 
 type mode = Sync | Async
 

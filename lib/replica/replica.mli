@@ -28,7 +28,7 @@
     Cross-shard transactions ride the same per-shard streams: a
     [Txn_prepare] record carries one participant shard's slice of the
     transaction and a [Txn_decide] record carries the primary's
-    verdict for that shard.  Because both are sequenced like any other
+    commit for that shard.  Because both are sequenced like any other
     record, the backup applies them in the exact per-shard order the
     primary produced them, and a promotion that seals the log can tell
     a decided transaction (prepare {e and} decide delivered) from an
@@ -53,13 +53,13 @@ type op =
   | Txn_prepare of { txn : int; ops : txn_op list }
       (** This shard's slice of transaction [txn]: persisted into the
           shard's slot on the backup before the ack. *)
-  | Txn_decide of { txn : int; commit : bool; nparts : int }
-      (** The primary's verdict for [txn] on this shard's stream;
-          [commit = false] discards the prepared slice.  [nparts] is
-          the transaction's total participant count: the backup defers
-          publication until it has seen the decide of {e every}
-          participant, then commits the whole transaction on the
-          decided word of the shard whose decide came last and
+  | Txn_decide of { txn : int; nparts : int }
+      (** The primary's commit of [txn] on this shard's stream (only
+          committed transactions ship, so a decide always commits).
+          [nparts] is the transaction's total participant count: the
+          backup defers publication until it has seen the decide of
+          {e every} participant, then commits the whole transaction on
+          the decided word of the shard whose decide came last and
           publishes it at once — publishing slice-by-slice would let a
           crash or promotion between two slices surface half a
           transaction ({!Service.Kv.txn_backup_decide}). *)

@@ -82,6 +82,14 @@ type t = {
   apply_after_commit : int array;
       (* per shard, simulated ns spent applying chunks after their
          commit-point callback returned *)
+  vindex : (int, int) Hashtbl.t array;
+      (* per shard, key -> packed value block (null = absent): the DRAM
+         mirror of the tree that every mutation's old-value lookup
+         reads ([find_packed]).  Filled on a lookup's miss, written by
+         [apply_tslot] right after each tree update, and volatile like
+         the read cache: a fresh handle starts empty. *)
+  mutable vindex_hits : int;
+  mutable vindex_misses : int;
 }
 
 type recovery = { replayed : int; rolled_back : int }
@@ -142,7 +150,9 @@ let make ~open_tree ~mvcc_window ~rcache_entries inst ~hid ~raw ~nshards
     rcache = Rcache.create ~shards:nshards ~entries:rcache_entries;
     backup_decided = Hashtbl.create 8;
     backup_held = Array.make nshards 0;
-    apply_after_commit = Array.make nshards 0 }
+    apply_after_commit = Array.make nshards 0;
+    vindex = Array.init nshards (fun _ -> Hashtbl.create 64);
+    vindex_hits = 0; vindex_misses = 0 }
 
 let create ?(mvcc_window = 0) ?(rcache_entries = 0) inst ~shards ~value_size =
   if shards < 1 || shards > 0xFFFF then invalid_arg "Kv.create: bad shards";
@@ -200,22 +210,29 @@ let tslot_checksum ~txn ~meta entries =
     (mix txn lxor mix meta)
     entries
 
+let set_word b off v = Bytes.set_int64_le b off (Int64.of_int v)
+
+(* The whole slot image goes out in one store; nothing orders its
+   words before the persist's fence, and the checksum catches a torn
+   persist. *)
 let write_tslot t i ~txn entries =
-  let base = tslot_base t i in
   let nops = List.length entries in
   let meta = nops lor (i lsl 8) in
-  Machine.write_u64 t.mach (base + tslot_meta) meta;
+  let len = tslot_entries + (nops * tentry_stride) in
+  let b = Bytes.create len in
+  set_word b tslot_txn txn;
+  set_word b tslot_cksum (tslot_checksum ~txn ~meta entries);
+  set_word b tslot_meta meta;
   List.iteri
     (fun j (k, nv, ov) ->
-      let e = base + tslot_entries + (j * tentry_stride) in
-      Machine.write_u64 t.mach e k;
-      Machine.write_u64 t.mach (e + 8) nv;
-      Machine.write_u64 t.mach (e + 16) ov)
+      let e = tslot_entries + (j * tentry_stride) in
+      set_word b e k;
+      set_word b (e + 8) nv;
+      set_word b (e + 16) ov)
     entries;
-  Machine.write_u64 t.mach (base + tslot_cksum)
-    (tslot_checksum ~txn ~meta entries);
-  Machine.write_u64 t.mach (base + tslot_txn) txn;
-  Machine.persist t.mach base (tslot_entries + (nops * tentry_stride))
+  let base = tslot_base t i in
+  Machine.write_bytes t.mach base b;
+  Machine.persist t.mach base len
 
 let read_tslot t i =
   let base = tslot_base t i in
@@ -245,13 +262,16 @@ let clear_tslot t i =
    is Poseidon's safe free, so replaying a half-applied slot after a
    crash is harmless — provided no freed block was handed out again
    before the clear.  So every free follows the last tree update: a
-   split's node allocation can never reuse a block the redo frees. *)
+   split's node allocation can never reuse a block the redo frees.
+   This is the one place the trees change, so the value index follows
+   each tree update here and mirrors the tree exactly. *)
 let apply_tslot t i entries =
   let tree = t.shard_tbl.(i).tree in
   List.iter
     (fun (key, newv, _) ->
       if newv = A.packed_null then ignore (Btree.delete tree key)
-      else Btree.insert tree ~key ~value:newv)
+      else Btree.insert tree ~key ~value:newv;
+      Hashtbl.replace t.vindex.(i) key newv)
     entries;
   List.iter
     (fun (_, _, oldv) ->
@@ -368,6 +388,11 @@ let block_digest t packed =
   done;
   !acc
 
+let tree_packed t i key =
+  match Btree.find t.shard_tbl.(i).tree key with
+  | Some v -> v
+  | None -> A.packed_null
+
 (* Seed [key]'s floor pre-image before a mutation first touches its
    tree entry, so a concurrent lock-free snapshot reader resolves the
    key through its chain and never reads the tree mid-update.  The
@@ -377,12 +402,7 @@ let block_digest t packed =
 let mvcc_seed ?known t i key =
   if Mvcc.enabled t.mvcc && not (Mvcc.has_chain t.mvcc ~shard:i ~key) then begin
     let packed =
-      match known with
-      | Some p -> p
-      | None -> (
-        match Btree.find t.shard_tbl.(i).tree key with
-        | Some v -> v
-        | None -> A.packed_null)
+      match known with Some p -> p | None -> tree_packed t i key
     in
     let value =
       if packed = A.packed_null then None else Some (block_digest t packed)
@@ -430,16 +450,26 @@ let flush_lines t a len =
     done
   end
 
+(* A mutation's old-value lookup, under the shard lock: one DRAM probe
+   of the value index, charged like a read-cache probe.  A miss descends
+   the tree once and caches the answer, absence included. *)
 let find_packed t i key =
-  match Btree.find t.shard_tbl.(i).tree key with
-  | Some v -> v
-  | None -> A.packed_null
+  Machine.compute t.mach rcache_probe_ns;
+  match Hashtbl.find_opt t.vindex.(i) key with
+  | Some p ->
+    t.vindex_hits <- t.vindex_hits + 1;
+    p
+  | None ->
+    t.vindex_misses <- t.vindex_misses + 1;
+    let p = tree_packed t i key in
+    Hashtbl.replace t.vindex.(i) key p;
+    p
 
 (* The slot entries of [slices]: per shard, its ops, each paired with
    its key's current packed value (null = absent).  Every put's value
-   is allocated under the open allocator transaction, written and
-   clwb'd without a fence — the first slot persist's fence makes it
-   durable.  When the heap runs out part-way, what was allocated is
+   is allocated under the open allocator transaction, written in one
+   store and clwb'd without a fence — the first slot persist's fence
+   makes it durable.  When the heap runs out part-way, what was allocated is
    released and the allocator transaction closed — net zero, nothing
    durable changed. *)
 let stage_values t slices =
@@ -452,9 +482,11 @@ let stage_values t slices =
       | Some p ->
         allocated := p :: !allocated;
         let vaddr = A.i_get_rawptr t.inst p in
+        let b = Bytes.create t.value_size in
         for w = 0 to (t.value_size / 8) - 1 do
-          Machine.write_u64 t.mach (vaddr + (8 * w)) (val_word vseed w)
+          set_word b (8 * w) (val_word vseed w)
         done;
+        Machine.write_bytes t.mach vaddr b;
         flush_lines t vaddr t.value_size;
         (key, A.pack p, old))
   in
@@ -554,7 +586,24 @@ let scan t ~from_key ~n =
 let count_keys t =
   Array.fold_left (fun acc sh -> acc + Btree.count_keys sh.tree) 0 t.shard_tbl
 
-let check t = Array.iter (fun sh -> Btree.check sh.tree) t.shard_tbl
+let check t =
+  Array.iteri
+    (fun i sh ->
+      Btree.check sh.tree;
+      Hashtbl.iter
+        (fun key p ->
+          let tv = tree_packed t i key in
+          if p <> tv then
+            failwith
+              (Printf.sprintf
+                 "Kv.check: value index names %#x for key %d, the tree %#x" p
+                 key tv))
+        t.vindex.(i))
+    t.shard_tbl
+
+let vindex_stats t = (t.vindex_hits, t.vindex_misses)
+let vindex_entries t =
+  Array.fold_left (fun n h -> n + Hashtbl.length h) 0 t.vindex
 
 (* ---------- snapshot reads (MVCC) ---------- *)
 
@@ -578,14 +627,7 @@ let rcache_mem t ~key =
 let rcache t = t.rcache
 
 let mvcc_shard_chains t =
-  Array.init t.nshards (fun shard ->
-      let keys = Mvcc.chain_keys_from t.mvcc ~shard ~from_key:min_int in
-      let versions =
-        List.fold_left
-          (fun a key -> a + Mvcc.chain_length t.mvcc ~shard ~key)
-          0 keys
-      in
-      (List.length keys, versions))
+  Array.init t.nshards (fun shard -> Mvcc.census t.mvcc ~shard)
 
 (* A chain resolution as the read path consumes it: a truncated
    lookup still answers with the oldest retained version (the bounded
@@ -651,58 +693,38 @@ let snapshot_get t ~ts ~key =
     r)
 
 (* One shard's merged snapshot stream: the live tree cursor
-   interleaved with the shard's chain keys.  The chain-key list is
-   captured at open and RE-captured (from the merge position on)
-   whenever the shard's chain generation moves: a key deleted mid-scan
-   leaves the tree before the cursor reaches it, so the open-time
-   capture (no chain yet) and the cursor (entry gone) would both miss
-   it even though its freshly seeded chain still holds the version
-   visible at [ts].  Chain presence is also re-checked on every
-   tree-yielded key, and a chainless tree read is validated exactly
-   like [snapshot_get]. *)
+   interleaved with the shard's chain keys.  The chain side is asked
+   afresh at every step for its first key at or after the merge
+   position: a key deleted mid-scan leaves the tree before the cursor
+   reaches it, so the cursor (entry gone) misses it even though its
+   freshly seeded chain still holds the version visible at [ts].
+   Chain presence is also re-checked on every tree-yielded key, and a
+   chainless tree read is validated exactly like [snapshot_get]. *)
 type sstream = {
   ss_shard : int;
   ss_cursor : Btree.cursor;
   mutable ss_tree : (int * int) option; (* peeked live-tree entry *)
-  mutable ss_chain : int list; (* remaining chain keys, ascending *)
-  mutable ss_gen : int; (* chain generation [ss_chain] was captured at *)
   mutable ss_pos : int; (* lower bound of the next key to merge *)
 }
 
 let sstream_open t ~shard ~from_key =
   let c = Btree.cursor_open t.shard_tbl.(shard).tree ~from_key in
-  let peek = Btree.cursor_next c in
-  (* generation and key list in one pure OCaml step, AFTER the peek:
-     a chain seeded during the (yielding) cursor reads is either in
-     this capture or bumps the generation we record *)
-  let gen = Mvcc.chain_gen t.mvcc ~shard in
-  { ss_shard = shard;
-    ss_cursor = c;
-    ss_tree = peek;
-    ss_chain = Mvcc.chain_keys_from t.mvcc ~shard ~from_key;
-    ss_gen = gen;
+  { ss_shard = shard; ss_cursor = c; ss_tree = Btree.cursor_next c;
     ss_pos = from_key }
 
 (* next (key, digest) visible at [ts], ascending; [None] = exhausted *)
 let rec sstream_next t st ~ts =
-  (* writers may have seeded chains since the last step (e.g. deletes
-     whose tree entries the cursor will now never see): re-capture the
-     chain keys still ahead of the merge position *)
-  let gen = Mvcc.chain_gen t.mvcc ~shard:st.ss_shard in
-  if gen <> st.ss_gen then begin
-    st.ss_gen <- gen;
-    st.ss_chain <-
-      Mvcc.chain_keys_from t.mvcc ~shard:st.ss_shard ~from_key:st.ss_pos
-  end;
-  if st.ss_tree = None && st.ss_chain = [] then None
-  else begin
-    let tk = match st.ss_tree with Some (k, _) -> k | None -> max_int in
-    let ck = match st.ss_chain with k :: _ -> k | [] -> max_int in
-    let key = min tk ck in
+  let chain =
+    Mvcc.next_chain_key t.mvcc ~shard:st.ss_shard ~from_key:st.ss_pos
+  in
+  match (st.ss_tree, chain) with
+  | None, None -> None
+  | tree, chain ->
+    let tk = match tree with Some (k, _) -> k | None -> max_int in
+    let key = min tk (Option.value chain ~default:max_int) in
     st.ss_pos <- key + 1;
-    let tv = if tk = key then st.ss_tree else None in
+    let tv = if tk = key then tree else None in
     if tk = key then st.ss_tree <- Btree.cursor_next st.ss_cursor;
-    if ck = key then st.ss_chain <- List.tl st.ss_chain;
     let resolved =
       if Mvcc.has_chain t.mvcc ~shard:st.ss_shard ~key then
         resolved_value t (Mvcc.lookup t.mvcc ~shard:st.ss_shard ~key ~ts)
@@ -719,7 +741,6 @@ let rec sstream_next t st ~ts =
     match resolved with
     | Some d -> Some (key, d)
     | None -> sstream_next t st ~ts (* absent at this snapshot: skip *)
-  end
 
 let snapshot_scan t ~ts ~from_key ~n f =
   if from_key < 1 then invalid_arg "Kv.snapshot_scan: keys must be >= 1";
@@ -1049,14 +1070,13 @@ let gather_slots t id =
    prepared and recovery presumed-aborts them — sound, because the
    primary's sync reply waits for every participant's ack, and no ack
    covers a decide before its transaction publishes here. *)
-let txn_backup_decide t ~txn ~shard ~commit ~nparts =
+let txn_backup_decide t ~txn ~shard ~nparts =
   match Hashtbl.find_opt t.backup_decided txn with
   | None -> () (* published already: a duplicate decide *)
   | Some (id, decides) -> (
     match read_tslot t shard with
-    | `Slot (sid, entries) when sid = id ->
-      if not commit then abort_tslot t shard entries
-      else if decides + 1 < nparts then begin
+    | `Slot (sid, _) when sid = id ->
+      if decides + 1 < nparts then begin
         Hashtbl.replace t.backup_decided txn (id, decides + 1);
         t.backup_held.(shard) <- txn
       end
@@ -1081,7 +1101,7 @@ let txn_records res =
     (fun (shard, ops) ->
       [ (shard, Replica.Txn_prepare { txn = res.txn_id; ops });
         ( shard,
-          Replica.Txn_decide { txn = res.txn_id; commit = true; nparts } ) ])
+          Replica.Txn_decide { txn = res.txn_id; nparts } ) ])
     res.participants
 
 (* One dispatch for everything the replication stream carries, so
@@ -1092,8 +1112,7 @@ let apply_replicated t ~shard (op : Replica.op) =
   | Replica.Put { key; vseed } -> ignore (put t ~key ~vseed)
   | Replica.Del { key } -> ignore (delete t ~key)
   | Replica.Txn_prepare { txn; ops } -> txn_backup_prepare t ~txn ~shard ~ops
-  | Replica.Txn_decide { txn; commit; nparts } ->
-    txn_backup_decide t ~txn ~shard ~commit ~nparts
+  | Replica.Txn_decide { txn; nparts } -> txn_backup_decide t ~txn ~shard ~nparts
 
 (* A chunk never finds its shard's slot armed: on a shard's stream a
    prepare is followed by its own decide, and a committed decide holds

@@ -22,7 +22,21 @@
     slot now owns the blocks), then persists the shard's 8-byte
     {e decided word} = the slot's id in its own fence — the chunk's
     single commit point — and publishes into the B+-tree, frees the
-    overwritten values and clears the slot.
+    overwritten values and clears the slot.  Each value and each slot
+    image is written with one bulk store.
+
+    {2 Value index}
+
+    Every mutation looks up its key's old value block under the shard
+    lock (a chunk's slot entry records it).  That lookup reads a
+    per-shard DRAM {e value index}, key → packed value block (null =
+    absent), charged as one DRAM probe.  A miss descends the tree once
+    and caches the answer, absence included.  The index is written only
+    where the trees change, right after each tree insert or delete of a
+    slot's apply, so it mirrors the tree exactly; the descent itself
+    runs in that apply, after the reply.  It is volatile: {!create} and
+    {!attach} start it empty, and the redo of {!attach} fills it like
+    any apply.  Reads ({!get}, snapshots, scans) never consult it.
 
     One commit rule covers chunks and the cross-shard transactions
     below: a slot is committed exactly when some shard's decided word
@@ -117,7 +131,17 @@ val value_checksum : t -> vseed:int -> int
 val count_keys : t -> int
 
 val check : t -> unit
-(** Structural check of every shard tree; raises [Failure]. *)
+(** Structural check of every shard tree, and of the value index: every
+    index entry must equal its key's tree value (null for an absent
+    key).  Raises [Failure] on the first violation. *)
+
+val vindex_stats : t -> int * int
+(** Cumulative [(hits, misses)] of the value index's old-value lookups
+    since this handle was made. *)
+
+val vindex_entries : t -> int
+(** Keys the value index currently holds across all shards, cached
+    absences included. *)
 
 (** {2 Snapshot reads (MVCC)}
 
@@ -391,11 +415,9 @@ val txn_backup_prepare : t -> txn:int -> shard:int -> ops:txn_op list -> unit
     occupied — an invariant, since a held shard's records park
     ({!backup_held}) — or the heap is exhausted. *)
 
-val txn_backup_decide :
-  t -> txn:int -> shard:int -> commit:bool -> nparts:int -> unit
-(** Apply a shipped [Txn_decide] record.  [commit = false] discards
-    the prepared slice at once; a commit is {e deferred} until the
-    decides of all [nparts] participants have arrived, since
+val txn_backup_decide : t -> txn:int -> shard:int -> nparts:int -> unit
+(** Apply a shipped [Txn_decide] record.  The commit is {e deferred}
+    until the decides of all [nparts] participants have arrived, since
     publishing slice-by-slice would let a crash or promotion between
     slices surface half a transaction.  The last one persists its own
     shard's decided word = the minted id, then publishes as
@@ -413,8 +435,7 @@ val backup_held : t -> shard:int -> bool
 val txn_records : txn_result -> (int * Replica.op) list
 (** A committed transaction's replication records in shipping order:
     for each participant, in ascending shard order, its [Txn_prepare]
-    slice and then its [Txn_decide] (commit, with the participant
-    count). *)
+    slice and then its [Txn_decide] (with the participant count). *)
 
 val iter_values : t -> (key:int -> Alloc_intf.nvmptr -> unit) -> unit
 (** Every value pointer in every shard tree, each leaf entry in leaf

@@ -257,10 +257,12 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   done;
   Nvmm.Memdev.drain (Machine.dev mach);
   Option.iter (fun (m, _) -> Nvmm.Memdev.drain (Machine.dev m)) mirror;
-  (* the magazine gauges count the traffic, not the preload *)
+  (* the magazine and value-index gauges count the traffic, not the
+     preload *)
   let tcache_base =
     Option.map (fun t -> (Tcache.stats t, Tcache.idle_refills t)) tch
   in
+  let vindex_base = Kv.vindex_stats svc in
 
   let t_crash, t_stop = timeline cfg in
 
@@ -883,6 +885,10 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   g "ops_write" (float_of_int !n_write);
   g "ops_scan" (float_of_int !n_scan);
   g "mvcc_truncated_reads" (float_of_int (Kv.mvcc_truncated_reads svc));
+  (let hits0, misses0 = vindex_base and hits, misses = Kv.vindex_stats svc in
+   g "vindex_hits" (float_of_int (hits - hits0));
+   g "vindex_misses" (float_of_int (misses - misses0));
+   g "vindex_entries" (float_of_int (Kv.vindex_entries svc)));
   Array.iteri
     (fun i (chains, versions) ->
       let sscope = Printf.sprintf "%s/shard%d" scope i in

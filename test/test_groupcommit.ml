@@ -265,6 +265,141 @@ let test_group_commit_recovery () =
         (Kv.get kv2 ~key:k = (if i < 3 then Some (Kv.value_checksum kv2 ~vseed:(i + 1)) else None)))
     ks
 
+(* The value index mirrors the trees after every operation of a seeded
+   plan ([Kv.check] compares each entry with its key's tree value):
+   puts, deletes of present and of absent keys, group commits with
+   duplicate keys, committed and aborted transactions, and Strict
+   crashes with an armed slot — decided (redone by the re-attach, whose
+   apply fills the fresh handle's index) or only prepared (rolled
+   back). *)
+let test_value_index_exact () =
+  let mach, _, kv0 = mk_store ~shards:4 () in
+  let kv = ref kv0 in
+  let rng = Random.State.make [| 27 |] in
+  let nkeys = 48 in
+  let model = Hashtbl.create nkeys in
+  let vseed = ref 0 in
+  let put k =
+    incr vseed;
+    Kv.Tput { key = k; vseed = !vseed }
+  in
+  let model_apply = function
+    | Kv.Tput { key; vseed } -> Hashtbl.replace model key vseed
+    | Kv.Tdel { key } -> Hashtbl.remove model key
+  in
+  let any_key () = 1 + Random.State.int rng nkeys in
+  let rec key_where p =
+    let k = any_key () in
+    if p k then k else key_where p
+  in
+  let present_key () =
+    if Hashtbl.length model = 0 then None
+    else Some (key_where (Hashtbl.mem model))
+  in
+  let absent_key () =
+    if Hashtbl.length model = nkeys then nkeys + 1
+    else key_where (fun k -> not (Hashtbl.mem model k))
+  in
+  (* two distinct keys on distinct shards, neither equal to [avoid] *)
+  let cross_pair avoid =
+    let a = key_where (fun k -> k <> avoid) in
+    let b =
+      key_where (fun k ->
+          k <> avoid && Kv.shard_of_key !kv k <> Kv.shard_of_key !kv a)
+    in
+    (a, b)
+  in
+  let crash_with_armed_slot ~decided =
+    let a, b = cross_pair 0 in
+    let ops = [ put a; put b ] in
+    (match Kv.txn_prepare !kv ops with
+     | Error _ -> Alcotest.fail "prepare failed"
+     | Ok p -> if decided then ignore (Kv.txn_decide !kv p));
+    Nvmm.Memdev.crash (Machine.dev mach) `Strict;
+    let kv2, r =
+      Kv.attach (Poseidon.instance (H.attach mach ~base:heap_base ()))
+    in
+    kv := kv2;
+    if decided then begin
+      List.iter model_apply ops;
+      check_int "both slots redone" 2 r.Kv.replayed;
+      check_int "the redo filled the fresh index" 2 (Kv.vindex_entries kv2)
+    end
+    else check_int "both slots rolled back" 2 r.Kv.rolled_back
+  in
+  for step = 1 to 240 do
+    (match step with
+     | 80 -> crash_with_armed_slot ~decided:true
+     | 160 -> crash_with_armed_slot ~decided:false
+     | _ -> (
+       match Random.State.int rng 6 with
+       | 0 ->
+         let k = any_key () in
+         incr vseed;
+         check "put" true (Kv.put !kv ~key:k ~vseed:!vseed);
+         Hashtbl.replace model k !vseed
+       | 1 -> (
+         match present_key () with
+         | Some k ->
+           check "delete of a present key" true (Kv.delete !kv ~key:k);
+           model_apply (Kv.Tdel { key = k })
+         | None -> ())
+       | 2 ->
+         check "delete of an absent key" false
+           (Kv.delete !kv ~key:(absent_key ()))
+       | 3 ->
+         (* six ops over three keys of one shard: duplicates split the
+            chunk, an absent delete is a no-op *)
+         let shard = Kv.shard_of_key !kv (any_key ()) in
+         let pool =
+           List.filter (fun k -> Kv.shard_of_key !kv k = shard)
+             (List.init nkeys (fun k -> k + 1))
+           |> List.filteri (fun i _ -> i < 3)
+         in
+         let ops =
+           List.init 6 (fun _ ->
+               let k = List.nth pool (Random.State.int rng (List.length pool)) in
+               if Random.State.bool rng then put k else Kv.Tdel { key = k })
+         in
+         let results = Kv.group_commit !kv ~shard ops in
+         List.iter2
+           (fun o (ok, _) ->
+             match o with
+             | Kv.Tput _ ->
+               check "group put" true ok;
+               model_apply o
+             | Kv.Tdel { key } ->
+               check "group delete reports presence" (Hashtbl.mem model key) ok;
+               model_apply o)
+           ops results
+       | 4 ->
+         let del = present_key () in
+         let a, b = cross_pair (Option.value del ~default:0) in
+         let ops =
+           [ put a; put b ]
+           @ (match del with
+              | Some k when k <> a && k <> b -> [ Kv.Tdel { key = k } ]
+              | _ -> [])
+         in
+         check "transaction commits" true (Kv.txn !kv ops).Kv.committed;
+         List.iter model_apply ops
+       | _ ->
+         let gone = absent_key () in
+         let a, _ = cross_pair gone in
+         let r = Kv.txn !kv [ put a; Kv.Tdel { key = gone } ] in
+         check "absent strict delete aborts" true
+           (r.Kv.abort = Some (Kv.Txn_absent_key gone))));
+    Kv.check !kv
+  done;
+  for k = 1 to nkeys do
+    check "the store matches the model" true
+      (Kv.get !kv ~key:k
+      = Option.map (fun vs -> Kv.value_checksum !kv ~vseed:vs)
+          (Hashtbl.find_opt model k))
+  done;
+  let hits, misses = Kv.vindex_stats !kv in
+  check "the index both hit and missed" true (hits > 0 && misses > 0)
+
 (* ---------- batched shipping + cumulative batched acks ---------- *)
 
 let test_batched_ship_cumulative_ack () =
@@ -563,7 +698,9 @@ let () =
           Alcotest.test_case "stale decided word never redoes" `Quick
             test_stale_decided_word;
           Alcotest.test_case "heap exhaustion splits the chunk" `Quick
-            test_group_commit_exhaustion ] );
+            test_group_commit_exhaustion;
+          Alcotest.test_case "value index mirrors the tree" `Quick
+            test_value_index_exact ] );
       ( "replica",
         [ Alcotest.test_case "batched ship + cumulative ack" `Quick
             test_batched_ship_cumulative_ack;

@@ -73,22 +73,20 @@ let test_group_publication_atomic () =
     (Mvcc.lookup m ~shard:0 ~key:2 ~ts:12 = Mvcc.Resolved (Some 21)
     && Mvcc.lookup m ~shard:1 ~key:5 ~ts:12 = Mvcc.Resolved (Some 51)
     && Mvcc.lookup m ~shard:1 ~key:7 ~ts:12 = Mvcc.Resolved (Some 70));
-  check "chain_keys_from is a sorted suffix" true
-    (Mvcc.chain_keys_from m ~shard:1 ~from_key:6 = [ 7 ]);
-  (* each key's first publication moves the shard's chain generation:
-     the handle a merged scan re-captures chain keys on *)
-  let g = Mvcc.chain_gen m ~shard:1 in
-  Mvcc.publish m ~shard:1 ~ts:13 [ (5, Some 52) ];
-  check_int "re-publishing a chained key keeps the generation" g
-    (Mvcc.chain_gen m ~shard:1);
-  Mvcc.publish m ~shard:1 ~ts:14 [ (9, Some 90) ];
-  check "a fresh key's publication bumps the generation" true
-    (Mvcc.chain_gen m ~shard:1 > g);
+  check "next chain key at or after a position" true
+    (Mvcc.next_chain_key m ~shard:1 ~from_key:6 = Some 7
+    && Mvcc.next_chain_key m ~shard:1 ~from_key:5 = Some 5
+    && Mvcc.next_chain_key m ~shard:1 ~from_key:8 = None);
+  (* a key's first publication enters the ordered set a merged scan
+     asks at every step *)
+  Mvcc.publish m ~shard:1 ~ts:14 [ (6, Some 60) ];
+  check "a fresh key's publication joins the set" true
+    (Mvcc.next_chain_key m ~shard:1 ~from_key:6 = Some 6);
   Mvcc.reset m;
   check "reset drops the chains" true (not (Mvcc.has_chain m ~shard:1 ~key:5));
   check_int "reset drops the watermarks" 0 (Mvcc.snapshot m);
-  check "reset moves the generation (open scans must re-capture)" true
-    (Mvcc.chain_gen m ~shard:1 > g)
+  check "reset empties the chain-key set" true
+    (Mvcc.next_chain_key m ~shard:1 ~from_key:min_int = None)
 
 let test_window_zero_disabled () =
   let m = Mvcc.create ~shards:1 ~window:0 in
@@ -228,8 +226,8 @@ let test_backup_promotion_snapshots () =
     ~ops:[ Kv.Tput { key = 3; vseed = 64 } ];
   Kv.txn_backup_prepare b ~txn:77 ~shard:1
     ~ops:[ Kv.Tput { key = 4; vseed = 65 } ];
-  Kv.txn_backup_decide b ~txn:77 ~shard:0 ~commit:true ~nparts:2;
-  Kv.txn_backup_decide b ~txn:77 ~shard:1 ~commit:true ~nparts:2;
+  Kv.txn_backup_decide b ~txn:77 ~shard:0 ~nparts:2;
+  Kv.txn_backup_decide b ~txn:77 ~shard:1 ~nparts:2;
   (* an in-doubt prepare whose decide died with the primary *)
   Kv.txn_backup_prepare b ~txn:78 ~shard:1
     ~ops:[ Kv.Tput { key = 5; vseed = 66 } ];

@@ -160,7 +160,7 @@ let test_backup_group_apply_coherent_and_promotion_wipe () =
   Kv.txn_backup_prepare b ~txn:77 ~shard:0
     ~ops:[ Kv.Tput { key = 3; vseed = 66 } ];
   check "a prepare alone leaves the cache intact" true (Kv.rcache_mem b ~key:3);
-  Kv.txn_backup_decide b ~txn:77 ~shard:0 ~commit:true ~nparts:1;
+  Kv.txn_backup_decide b ~txn:77 ~shard:0 ~nparts:1;
   check "the publishing decide invalidated the key" true
     (not (Kv.rcache_mem b ~key:3));
   check "the committed slice is readable" true

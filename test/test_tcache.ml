@@ -321,11 +321,14 @@ let test_serve_metrics_surfaced () =
   check "the cache actually served traffic" true
     (g "tcache_hits" +. g "tcache_misses" > 0.);
   check "idle handlers topped their bins up" true
-    (g "tcache_idle_refills" > 0.)
+    (g "tcache_idle_refills" > 0.);
+  check "the value index answered the writes' lookups" true
+    (g "vindex_hits" > 0. && g "vindex_entries" > 0.)
 
 (* A run that serves no request reports no cache traffic: the preload
-   allocates through the cache too, before the simulation starts, and
-   the gauges leave it out. *)
+   allocates through the cache and fills the value index too, before
+   the simulation starts, and the gauges leave it out.  The index keeps
+   what the preload put in it. *)
 let test_serve_gauges_skip_preload () =
   let module S = Service.Server in
   let factory = Workloads.Factories.poseidon () in
@@ -348,7 +351,11 @@ let test_serve_gauges_skip_preload () =
       check (name ^ " is 0") true
         (Obs.Metrics.get_gauge ~scope name = Some 0.))
     [ "tcache_hits"; "tcache_misses"; "tcache_bin_refills";
-      "tcache_bin_flushes" ]
+      "tcache_bin_flushes"; "vindex_hits"; "vindex_misses" ];
+  check "the index holds every preloaded key" true
+    (Obs.Metrics.get_gauge ~scope "vindex_entries"
+    = Some
+        (float_of_int (min S.default_config.S.preload S.default_config.S.keyspace)))
 
 (* ---------- crashcheck sweeps ---------- *)
 

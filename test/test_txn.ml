@@ -198,28 +198,18 @@ let test_backup_defers_group_apply () =
   Kv.txn_backup_prepare kv ~txn:4 ~shard:sb ~ops:[ Tdel { key = kb } ];
   (* first of two decides: publication must be deferred — applying this
      slice alone would let a crash surface half the transaction *)
-  Kv.txn_backup_decide kv ~txn:4 ~shard:sa ~commit:true ~nparts:2;
+  Kv.txn_backup_decide kv ~txn:4 ~shard:sa ~nparts:2;
   check "nothing published after 1/2 decides" true (Kv.get kv ~key:ka = None);
   check "other slice untouched too" true (Kv.get kv ~key:kb = cksum kv 7);
   (* last decide publishes the whole group atomically *)
-  Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~commit:true ~nparts:2;
+  Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~nparts:2;
   check "put published" true (Kv.get kv ~key:ka = cksum kv 61);
   check "delete published" true (Kv.get kv ~key:kb = None);
   check_int "no slots left in doubt" 0 (Kv.txn_resolve_indoubt kv);
   (* duplicate decide after resolution is a no-op *)
-  Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~commit:true ~nparts:2;
+  Kv.txn_backup_decide kv ~txn:4 ~shard:sb ~nparts:2;
   check "duplicate decide tolerated" true (Kv.get kv ~key:ka = cksum kv 61);
   Kv.check kv
-
-let test_backup_abort_discards_slice () =
-  let _, _, kv = mk_store ~shards:4 () in
-  let ka, _ = cross_shard_keys kv in
-  Kv.txn_backup_prepare kv ~txn:6 ~shard:(Kv.shard_of_key kv ka)
-    ~ops:[ Tput { key = ka; vseed = 62 } ];
-  Kv.txn_backup_decide kv ~txn:6 ~shard:(Kv.shard_of_key kv ka) ~commit:false
-    ~nparts:2;
-  check "aborted slice never surfaces" true (Kv.get kv ~key:ka = None);
-  check_int "slot already discarded" 0 (Kv.txn_resolve_indoubt kv)
 
 (* ---------- crashcheck: protocol sweep + mutation sanity ---------- *)
 
@@ -258,9 +248,7 @@ let () =
         [ Alcotest.test_case "promotion resolves in-doubt slots" `Quick
             test_promotion_resolves_indoubt;
           Alcotest.test_case "group apply deferred to last decide" `Quick
-            test_backup_defers_group_apply;
-          Alcotest.test_case "abort decide discards the slice" `Quick
-            test_backup_abort_discards_slice ] );
+            test_backup_defers_group_apply ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv-txn: bounded sweep clean" `Quick
             test_crashcheck_txn_sweep;
