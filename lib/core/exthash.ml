@@ -79,9 +79,7 @@ let with_op t f =
 
 (** Replays the private undo log after a crash (idempotent). *)
 let recover t =
-  ignore
-    (Persist.Pundo.recover t.mach ~count_addr:t.log_base
-       ~entries_addr:(t.log_base + 8))
+  ignore (Persist.Pundo.recover t.mach ~count_addr:t.log_base)
 
 (* Regions embed a private undo log right after the header so the
    structure is self-contained and crash-consistent on its own. *)
@@ -95,9 +93,7 @@ let create mach ~base ~size =
       base = hash_base;
       size = size - 65536;
       log_base = base;
-      log =
-        Persist.Pundo.create mach ~count_addr:base ~entries_addr:(base + 8)
-          ~cap:log_cap }
+      log = Persist.Pundo.create mach ~count_addr:base ~cap:log_cap }
   in
   Machine.write_u64 mach (hash_base + off_depth) 1;
   Machine.write_u64 mach (hash_base + off_bump) (hash_base + bucket_area_off);

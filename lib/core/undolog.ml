@@ -8,15 +8,14 @@ type ctx = Persist.Pundo.ctx
 exception Overflow = Persist.Pundo.Overflow
 
 let count_addr meta_base = meta_base + Layout.sh_off_undo_count
-let entries_addr meta_base = meta_base + Layout.sh_off_undo_entries
 
 let create mach ~meta_base =
   Persist.Pundo.create mach ~count_addr:(count_addr meta_base)
-    ~entries_addr:(entries_addr meta_base) ~cap:Layout.undo_cap
+    ~cap:Layout.undo_cap
 
 let attach mach ~meta_base =
   Persist.Pundo.attach mach ~count_addr:(count_addr meta_base)
-    ~entries_addr:(entries_addr meta_base) ~cap:Layout.undo_cap
+    ~cap:Layout.undo_cap
 
 let begin_op = Persist.Pundo.begin_op
 let write = Persist.Pundo.write
@@ -27,7 +26,6 @@ let commit = Persist.Pundo.commit
 
 let recover mach ~meta_base =
   Persist.Pundo.recover mach ~count_addr:(count_addr meta_base)
-    ~entries_addr:(entries_addr meta_base)
 
 let is_empty mach ~meta_base =
   Persist.Pundo.is_empty mach ~count_addr:(count_addr meta_base)

@@ -446,9 +446,7 @@ let mk_t mach ~base ~size ~heap_id ~canary ~undo_log =
     lanes;
     undo_logs =
       Array.init lanes (fun lane ->
-          undo_log mach
-            ~count_addr:(base + L.lane_undo_count lane)
-            ~entries_addr:(base + L.lane_undo_entries lane)
+          undo_log mach ~count_addr:(base + L.lane_undo_count lane)
             ~cap:L.lane_undo_cap);
     canary;
     arenas = mk_arenas mach;
@@ -495,9 +493,7 @@ let attach mach ~base ?(canary = false) () =
   (* undo logs first: metadata back to operation boundaries *)
   for lane = 0 to t.lanes - 1 do
     ignore
-      (Persist.Pundo.recover mach
-         ~count_addr:(base + L.lane_undo_count lane)
-         ~entries_addr:(base + L.lane_undo_entries lane))
+      (Persist.Pundo.recover mach ~count_addr:(base + L.lane_undo_count lane))
   done;
   (* walk the chunk chain to rebuild DRAM state *)
   let next_va = Machine.read_u64 mach (base + L.hd_off_next_va) in

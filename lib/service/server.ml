@@ -283,6 +283,9 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   let offered = ref 0 and admitted = ref 0 and shed = ref 0 in
   let handled = ref 0 and completed = ref 0 and acked_mut = ref 0 in
   let reply_drops = ref 0 in
+  (* idle top-ups that carved: each shard's handler time in them, and
+     the requests delivered while their handler was in its latest one *)
+  let idle_topup_ns = Array.make cfg.shards 0 and topup_waiters = ref 0 in
   let senders = ref cfg.clients in
   let live_servers = ref cfg.shards in
   let txn_commits = ref 0 and txn_aborts = ref 0 in
@@ -312,6 +315,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
     (* sync: the last sequence number of each commit group this
        handler shipped and has not yet waited for, oldest first *)
     let inflight = Queue.create () in
+    (* this handler's latest idle top-up that carved, [t0, t1) *)
+    let topup = ref (0, 0) in
     let covered s (shard, seq) = Replica.Shipper.acked s.shipper ~shard >= seq in
     (* send every parked reply the absorbed acks now cover, oldest
        first, from this handler's own CPU *)
@@ -350,6 +355,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
        decode; returns the time handling began *)
     let ingress (m : payload Net.msg) =
       let t0 = Sched.now () in
+      (let ta, tb = !topup in
+       if m.delivered_at >= ta && m.delivered_at < tb then incr topup_waiters);
       ignore
         (Span.add_span ~trace:m.trace ~parent:m.span Span.Req_wire
            ~t0:m.sent_at ~t1:m.delivered_at);
@@ -614,7 +621,15 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                CPU's magazine bins, so the next allocations skip the
                carve *)
             if !parked = [] then
-              Option.iter (fun t -> ignore (Tcache.top_up t)) tch;
+              Option.iter
+                (fun t ->
+                  let t0 = Sched.now () in
+                  if Tcache.top_up t > 0 then begin
+                    let t1 = Sched.now () in
+                    topup := (t0, t1);
+                    idle_topup_ns.(i) <- idle_topup_ns.(i) + (t1 - t0)
+                  end)
+                tch;
             (* while replies are parked, idle at the ack-poll quantum *)
             let idle =
               match (sink, !parked) with
@@ -877,6 +892,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   g "completed" (float_of_int !completed);
   g "acked_mutations" (float_of_int !acked_mut);
   g "reply_drops" (float_of_int !reply_drops);
+  g "topup_waiters" (float_of_int !topup_waiters);
   g "queue_max_depth" (float_of_int !queue_max_depth);
   g "rto_ns" (float_of_int rto_ns);
   g "txn_committed" (float_of_int !txn_commits);
@@ -896,7 +912,9 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       Obs.Metrics.set_gauge ~scope:sscope "mvcc_chain_versions"
         (float_of_int versions);
       Obs.Metrics.set_gauge ~scope:sscope "apply_after_reply_ns"
-        (float_of_int (Kv.apply_after_commit_ns svc ~shard:i)))
+        (float_of_int (Kv.apply_after_commit_ns svc ~shard:i));
+      Obs.Metrics.set_gauge ~scope:sscope "idle_topup_ns"
+        (float_of_int idle_topup_ns.(i)))
     (Kv.mvcc_shard_chains svc);
   (match (tch, tcache_base) with
    | Some t, Some ((hits0, misses0, refills0, flushes0), idle0) ->

@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 let log_base = 1 lsl 20
 let data_base = (1 lsl 20) + 65536
 let count_addr = log_base
-let entries_addr = log_base + 8
+let entries_addr = log_base + 8 (* the entries follow the count word *)
 
 let mkmach () =
   let m = Machine.create () in
@@ -20,7 +20,7 @@ let mkmach () =
     ~numa:0;
   m
 
-let mklog m = Pundo.create m ~count_addr ~entries_addr ~cap:64
+let mklog m = Pundo.create m ~count_addr ~cap:64
 let begin_op m = Pundo.begin_op (mklog m)
 
 (* the entry count, below the count word's generation *)
@@ -51,7 +51,7 @@ let test_crash_mid_op_rolls_back () =
   (* no commit: crash *)
   Memdev.crash (Machine.dev m) `Strict;
   check "log non-empty" false (Pundo.is_empty m ~count_addr);
-  check "recovered" true (Pundo.recover m ~count_addr ~entries_addr);
+  check "recovered" true (Pundo.recover m ~count_addr);
   check_int "rolled back 1" 10 (Machine.read_u64 m data_base);
   check_int "rolled back 2" 20 (Machine.read_u64 m (data_base + 8));
   check "log empty after recover" true (Pundo.is_empty m ~count_addr)
@@ -74,7 +74,7 @@ let test_adversarial_crash_mid_op () =
         if batched then Pundo.write_all ctx writes
         else List.iter (fun (a, v) -> Pundo.write ctx a v) writes;
         Memdev.crash (Machine.dev m) (`Adversarial rng);
-        ignore (Pundo.recover m ~count_addr ~entries_addr);
+        ignore (Pundo.recover m ~count_addr);
         for i = 0 to 7 do
           check_int "pre-op state" (100 + i)
             (Machine.read_u64 m (data_base + (i * 8)))
@@ -92,7 +92,7 @@ let test_first_write_logged_once () =
   Pundo.write ctx data_base 8;
   check_int "one entry" 1 (count_field m);
   Memdev.crash (Machine.dev m) `Strict;
-  ignore (Pundo.recover m ~count_addr ~entries_addr);
+  ignore (Pundo.recover m ~count_addr);
   check_int "rolls to original, not intermediate" 5
     (Machine.read_u64 m data_base)
 
@@ -103,9 +103,9 @@ let test_recover_idempotent () =
   let ctx = begin_op m in
   Pundo.write ctx data_base 2;
   Memdev.crash (Machine.dev m) `Strict;
-  ignore (Pundo.recover m ~count_addr ~entries_addr);
+  ignore (Pundo.recover m ~count_addr);
   (* crash during recovery: replay again *)
-  ignore (Pundo.recover m ~count_addr ~entries_addr);
+  ignore (Pundo.recover m ~count_addr);
   check_int "still original" 1 (Machine.read_u64 m data_base)
 
 let test_torn_entry_skipped () =
@@ -121,7 +121,7 @@ let test_torn_entry_skipped () =
   Machine.write_u64 m (entries_addr + 16) 0 (* bad checksum *);
   Machine.persist m count_addr 8;
   Machine.persist m entries_addr 24;
-  check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
+  check "recover runs" true (Pundo.recover m ~count_addr);
   check_int "torn entry not applied" 1 (Machine.read_u64 m data_base)
 
 (* A log written before generations existed: a bare count and entries
@@ -144,7 +144,7 @@ let test_generation_zero_log_recovers () =
   Machine.write_u64 m data_base 10;
   Machine.write_u64 m (data_base + 8) 20;
   Machine.persist m data_base 16;
-  check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
+  check "recover runs" true (Pundo.recover m ~count_addr);
   check_int "word 0 restored" 1 (Machine.read_u64 m data_base);
   check_int "word 1 restored" 2 (Machine.read_u64 m (data_base + 8));
   check "log empty" true (Pundo.is_empty m ~count_addr)
@@ -170,7 +170,7 @@ let test_stale_entry_skipped () =
   Machine.write_u64 m count_addr (Machine.read_u64 m count_addr + 2);
   Machine.persist m count_addr 8;
   Memdev.crash (Machine.dev m) `Strict;
-  check "recover runs" true (Pundo.recover m ~count_addr ~entries_addr);
+  check "recover runs" true (Pundo.recover m ~count_addr);
   check_int "op 2's word restored" 3 (Machine.read_u64 m (data_base + 24));
   for i = 0 to 2 do
     check_int "op 1's committed word kept" (10 + i)
@@ -201,8 +201,8 @@ let test_no_generation_reuse_after_attach () =
   (* the count line never made it *)
   Machine.write_u64 m count_addr committed;
   Machine.persist m count_addr 8;
-  check "nothing to replay" false (Pundo.recover m ~count_addr ~entries_addr);
-  let log = Pundo.attach m ~count_addr ~entries_addr ~cap:64 in
+  check "nothing to replay" false (Pundo.recover m ~count_addr);
+  let log = Pundo.attach m ~count_addr ~cap:64 in
   Machine.write_u64 m (data_base + 8) 21;
   Machine.persist m (data_base + 8) 8;
   let ctx = Pundo.begin_op log in
@@ -210,7 +210,7 @@ let test_no_generation_reuse_after_attach () =
   Machine.write_u64 m count_addr (Machine.read_u64 m count_addr + 2);
   Machine.persist m count_addr 8;
   Memdev.crash (Machine.dev m) `Strict;
-  ignore (Pundo.recover m ~count_addr ~entries_addr);
+  ignore (Pundo.recover m ~count_addr);
   check_int "torn op rolled back" 30 (Machine.read_u64 m (data_base + 24));
   check_int "durable write kept" 21 (Machine.read_u64 m (data_base + 8));
   check_int "untouched word" 2 (Machine.read_u64 m (data_base + 16))
@@ -302,7 +302,7 @@ let prop_random_ops_crash_recover =
            ops
        with Exit -> ());
       Memdev.crash (Machine.dev m) `Strict;
-      ignore (Pundo.recover m ~count_addr ~entries_addr);
+      ignore (Pundo.recover m ~count_addr);
       Array.for_all Fun.id
         (Array.init 16 (fun i ->
              Machine.read_u64 m (data_base + (i * 8)) = committed.(i))))

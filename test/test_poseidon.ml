@@ -180,6 +180,46 @@ let test_one_barrier_per_step () =
   check "carve of 8 x 64 B <= 5" true (carve <= 5);
   H.check_invariants h
 
+(* The undo log writes each batch's new entries as one store, led by
+   the count word on an operation's first batch, and writes back each
+   covered line once.  One thread on a fresh heap, so no line bounces:
+   each NVMM store charges [nvmm_write_ns] and each write-back
+   [clwb_ns].  The split's one DRAM store (its new record's occupancy
+   byte, 12 ns) rounds away in the quotient. *)
+let test_stores_per_call () =
+  let mach, h = mkheap () in
+  let cfg = Machine.cfg mach and prof = Machine.profile mach in
+  let cost f =
+    let w = prof.Machine.p_write and fl = prof.Machine.p_flush in
+    let r = f () in
+    ( ( (prof.Machine.p_write - w) / cfg.Machine.Config.nvmm_write_ns,
+        (prof.Machine.p_flush - fl) / cfg.Machine.Config.clwb_ns ),
+      r )
+  in
+  let costs = ref [] in
+  ignore
+    (Machine.parallel mach ~threads:1 (fun _ ->
+         (* the first call formats the sub-heap *)
+         ignore (alloc_exn h 64);
+         let split, p = cost (fun () -> alloc_exn h 64) in
+         let free, () = cost (fun () -> H.free h p) in
+         let realloc, p' = cost (fun () -> alloc_exn h 64) in
+         check "the freed block came back" true (p' = p);
+         H.free h p';
+         let tx, _ =
+           cost (fun () -> Option.get (H.tx_alloc h 64 ~is_end:true))
+         in
+         costs :=
+           [ ("free", free); ("re-allocation", realloc); ("split", split);
+             ("tx_alloc ~is_end:true", tx) ]));
+  List.iter2
+    (fun (name, (stores, clwbs)) (stores', clwbs') ->
+      check_int (name ^ " stores") stores' stores;
+      check_int (name ^ " write-backs") clwbs' clwbs)
+    !costs
+    [ (9, 7); (9, 7); (27, 13); (12, 10) ];
+  H.check_invariants h
+
 (* ---------- double / invalid frees (4.4) ---------- *)
 
 let test_double_free_rejected () =
@@ -1002,7 +1042,8 @@ let () =
           Alcotest.test_case "reuse after free" `Quick test_free_enables_reuse;
           Alcotest.test_case "accounting" `Quick test_exact_pool_accounting;
           Alcotest.test_case "interleaved sizes" `Quick test_interleaved_sizes;
-          Alcotest.test_case "one barrier per step" `Quick test_one_barrier_per_step ] );
+          Alcotest.test_case "one barrier per step" `Quick test_one_barrier_per_step;
+          Alcotest.test_case "stores per call" `Quick test_stores_per_call ] );
       ( "safety",
         [ Alcotest.test_case "metadata isolation" `Quick test_data_region_isolation;
           Alcotest.test_case "unprotected mode" `Quick test_unprotected_mode;

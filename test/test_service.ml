@@ -116,14 +116,16 @@ let test_crash_run () =
   check "ledger checked keys" true (r.S.ledger.S.checked > 0);
   check_int "every acked write survived" 0 r.S.ledger.S.mismatches
 
-(* At 2x saturation the bounded queues must shed ([Overloaded]) rather
-   than deadlock or grow without bound; goodput stays a fraction of
-   the offered rate. *)
+(* Far past saturation the bounded queues must shed ([Overloaded])
+   rather than deadlock or grow without bound; goodput stays under half
+   the offered rate.  Two uncached shards serve about 1 M req/s, so the
+   offered 4 M req/s keeps that bound clear of the service rate. *)
 let test_backpressure_sheds () =
+  let offered = 4_000_000. in
   let r =
     serve
       { base_cfg with
-        S.rate = 2_000_000.;
+        S.rate = offered;
         clients = 16;
         queue_capacity = 8;
         scope = "test/service/overload" }
@@ -131,8 +133,7 @@ let test_backpressure_sheds () =
   check "requests shed" true (r.S.shed > 0);
   check "some requests still served" true (r.S.completed > 0);
   check "queue depth bounded" true (r.S.queue_max_depth <= 8);
-  check "goodput below offered rate" true
-    (r.S.goodput < 2_000_000. /. 2.);
+  check "goodput below offered rate" true (r.S.goodput < offered /. 2.);
   check_int "shedding loses no acked write" 0 r.S.ledger.S.mismatches
 
 (* ---------- one serving loop: sink x window x crash ---------- *)

@@ -322,8 +322,46 @@ let test_serve_metrics_surfaced () =
     (g "tcache_hits" +. g "tcache_misses" > 0.);
   check "idle handlers topped their bins up" true
     (g "tcache_idle_refills" > 0.);
+  let topup_ns sh =
+    Option.get
+      (gauge ~scope:(Printf.sprintf "%s/shard%d" scope sh) "idle_topup_ns")
+  in
+  check "the top-ups took handler time" true (topup_ns 0 +. topup_ns 1 > 0.);
+  check "top-up waiters are handled requests" true
+    (g "topup_waiters" <= g "handled");
   check "the value index answered the writes' lookups" true
     (g "vindex_hits" > 0. && g "vindex_entries" > 0.)
+
+(* Without a magazine cache no handler tops up: no time in top-ups,
+   and no request waits behind one. *)
+let test_serve_topup_gauges_mag0 () =
+  let module S = Service.Server in
+  let factory = Workloads.Factories.poseidon () in
+  let scope = "test/tcache/serve-mag0" in
+  let r =
+    S.run
+      ~make:(fun () -> factory.Workloads.Factories.make ())
+      ~reattach:(fun _ -> assert false)
+      { S.default_config with
+        S.shards = 2;
+        clients = 4;
+        rate = 30_000.;
+        duration = 0.004;
+        keyspace = 256;
+        preload = 64;
+        scope }
+  in
+  check "run completed requests" true (r.S.completed > 0);
+  check "no top-up waiters" true
+    (Obs.Metrics.get_gauge ~scope "topup_waiters" = Some 0.);
+  for sh = 0 to 1 do
+    check
+      (Printf.sprintf "shard %d spent no time in top-ups" sh)
+      true
+      (Obs.Metrics.get_gauge ~scope:(Printf.sprintf "%s/shard%d" scope sh)
+         "idle_topup_ns"
+      = Some 0.)
+  done
 
 (* A run that serves no request reports no cache traffic: the preload
    allocates through the cache and fills the value index too, before
@@ -404,7 +442,9 @@ let () =
           Alcotest.test_case "serve surfaces mvcc + tcache gauges" `Quick
             test_serve_metrics_surfaced;
           Alcotest.test_case "serve gauges skip the preload" `Quick
-            test_serve_gauges_skip_preload ] );
+            test_serve_gauges_skip_preload;
+          Alcotest.test_case "no top-up gauges without a cache" `Quick
+            test_serve_topup_gauges_mag0 ] );
       ( "crashcheck",
         [ Alcotest.test_case "kv-tcache-put sweep green" `Quick
             test_kv_tcache_sweep_green;
