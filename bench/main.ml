@@ -1,7 +1,6 @@
 (** Benchmark harness: regenerates every evaluation artefact of the
     paper (Figures 3, 6, 7, 8, 9) plus the design-choice ablations
-    called out in DESIGN.md, and a Bechamel wall-clock suite for the
-    allocator hot paths.
+    called out in DESIGN.md, all in simulated time.
 
     By default every figure runs at a scaled-down size so the whole
     suite finishes in a few minutes; [--full] approaches paper-scale
@@ -20,7 +19,6 @@ let thread_counts = ref [ 1; 2; 4; 8; 16; 32; 48; 64 ]
 let full = ref false
 let figures = ref []
 let ablations = ref []
-let run_bechamel = ref false
 let suite = ref ""
 let json_out = ref ""
 
@@ -480,77 +478,6 @@ let ablation_capacity () =
         [ Printf.sprintf "%.0f" (secs *. 1e9 /. float_of_int (2 * batch)) ])
     [ 64; 256; 1024; 4096; 16384 ];
   Tablefmt.print table
-
-(* ---------- Bechamel wall-clock hot-path suite ---------- *)
-
-let bechamel_suite () =
-  note "";
-  note "### Bechamel: real-time cost of simulator hot paths";
-  let open Bechamel in
-  let mach = Machine.create () in
-  let heap =
-    Poseidon.Heap.create mach ~base:Workloads.Factories.heap_base
-      ~size:(1 lsl 38) ~heap_id:1 ()
-  in
-  let pmdk_mach = Machine.create () in
-  let pmdk =
-    Pmdk_sim.Heap.create pmdk_mach ~base:Workloads.Factories.heap_base
-      ~size:(1 lsl 34) ~heap_id:2 ()
-  in
-  let mak_mach = Machine.create () in
-  let mak =
-    Makalu_sim.Heap.create mak_mach ~base:Workloads.Factories.heap_base
-      ~size:(1 lsl 34) ~heap_id:3
-  in
-  let test_poseidon =
-    Test.make ~name:"poseidon-alloc-free-256B"
-      (Staged.stage (fun () ->
-           match Poseidon.Heap.alloc heap 256 with
-           | Some p -> Poseidon.Heap.free heap p
-           | None -> failwith "oom"))
-  in
-  let test_pmdk =
-    Test.make ~name:"pmdk-alloc-free-256B"
-      (Staged.stage (fun () ->
-           match Pmdk_sim.Heap.alloc pmdk 256 with
-           | Some p -> Pmdk_sim.Heap.free pmdk p
-           | None -> failwith "oom"))
-  in
-  let test_makalu =
-    Test.make ~name:"makalu-alloc-free-256B"
-      (Staged.stage (fun () ->
-           match Makalu_sim.Heap.alloc mak 256 with
-           | Some p -> Makalu_sim.Heap.free mak p
-           | None -> failwith "oom"))
-  in
-  let dev = Machine.dev mach in
-  let test_memdev =
-    Test.make ~name:"memdev-write+persist-64B"
-      (Staged.stage (fun () ->
-           Nvmm.Memdev.write_u64 dev Workloads.Factories.heap_base 42;
-           Nvmm.Memdev.persist dev Workloads.Factories.heap_base 8))
-  in
-  let tests =
-    Test.make_grouped ~name:"hot-paths"
-      [ test_poseidon; test_pmdk; test_makalu; test_memdev ]
-  in
-  let results =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances tests
-  in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-36s %10.0f ns/op\n" name est
-      | _ -> Printf.printf "  %-36s (no estimate)\n" name)
-    ols;
-  print_newline ()
 
 (* ---------- BENCH runs ---------- *)
 
@@ -1363,7 +1290,6 @@ let figures_run () =
   if run_abl "trace" then extension_trace_replay ();
   if run_abl "remote-free" then extension_remote_free ();
   if run_abl "exthash" then extension_exthash ();
-  if !run_bechamel then bechamel_suite ();
   []
 
 (* Every suite's first gate: no run lost an acked write — neither the
@@ -1400,7 +1326,7 @@ let write_doc file doc =
 let () =
   let usage =
     "bench/main.exe [--figure N]... [--ablation NAME]... [--suite NAME] \
-     [--full] [--threads LIST] [--bechamel] [--json-out FILE]"
+     [--full] [--threads LIST] [--json-out FILE]"
   in
   let spec =
     [ ( "--figure",
@@ -1415,7 +1341,6 @@ let () =
           (fun s ->
             thread_counts := List.map int_of_string (String.split_on_char ',' s)),
         "LIST  comma-separated thread counts" );
-      ("--bechamel", Arg.Set run_bechamel, " also run the wall-clock suite");
       ( "--suite",
         Arg.Set_string suite,
         "NAME  run one named suite instead of the figures; it exits 1,\n\

@@ -742,8 +742,7 @@ let serve_cmd =
     let repl, r =
       if replicate then begin
         let rcfg =
-          { dr with
-            S.repl_mode;
+          { S.repl_mode;
             wire_ns;
             repl_window;
             link_drop_pct = drop_pct;

@@ -37,9 +37,10 @@ let () =
      execution at an inner persistence point *)
   let dev = Machine.dev mach in
   Memdev.reset_counters dev;
-  Memdev.set_fence_hook dev (Some (fun n -> if n >= 3 then raise Crash_now));
+  Memdev.set_persistence_hook dev
+    (Some (fun { Memdev.fence_no = n; _ } -> if n >= 3 then raise Crash_now));
   (try ignore (Poseidon.Heap.alloc heap 256) with Crash_now -> ());
-  Memdev.set_fence_hook dev None;
+  Memdev.set_persistence_hook dev None;
   print_endline "-- power failed mid-allocation (3 fences in) --";
   Memdev.crash dev `Strict;
 
@@ -79,17 +80,20 @@ let () =
     (* crash at a random fence of the next operation *)
     Memdev.reset_counters dev;
     let k = 1 + Prng.int rng 12 in
-    Memdev.set_fence_hook dev (Some (fun n -> if n >= k then raise Crash_now));
+    Memdev.set_persistence_hook dev
+      (Some (fun { Memdev.fence_no = n; _ } -> if n >= k then raise Crash_now));
     (try ignore (Poseidon.Heap.alloc !heap 128) with Crash_now -> ());
-    Memdev.set_fence_hook dev None;
+    Memdev.set_persistence_hook dev None;
     Memdev.crash dev (`Adversarial rng);
     (* sometimes interrupt the recovery too, then recover again *)
     if Prng.bool rng then begin
       let fences = (Memdev.counters dev).Memdev.fences in
-      Memdev.set_fence_hook dev
-        (Some (fun n -> if n >= fences + 1 + Prng.int rng 4 then raise Crash_now));
+      Memdev.set_persistence_hook dev
+        (Some
+           (fun { Memdev.fence_no = n; _ } ->
+             if n >= fences + 1 + Prng.int rng 4 then raise Crash_now));
       (try ignore (Poseidon.Heap.attach mach ~base ()) with Crash_now -> ());
-      Memdev.set_fence_hook dev None;
+      Memdev.set_persistence_hook dev None;
       Memdev.crash dev (`Adversarial rng)
     end;
     let h = Poseidon.Heap.attach mach ~base () in

@@ -89,9 +89,10 @@ let () =
   let dev = Machine.dev mach in
   Nvmm.Memdev.reset_counters dev;
   let exception Boom in
-  Nvmm.Memdev.set_fence_hook dev (Some (fun n -> if n >= 4 then raise Boom));
+  Nvmm.Memdev.set_persistence_hook dev
+    (Some (fun { Nvmm.Memdev.fence_no = n; _ } -> if n >= 4 then raise Boom));
   (try Q.enqueue q "doomed message" with Boom -> ());
-  Nvmm.Memdev.set_fence_hook dev None;
+  Nvmm.Memdev.set_persistence_hook dev None;
   print_endline "-- power failed mid-enqueue --";
   Nvmm.Memdev.crash dev `Strict;
 

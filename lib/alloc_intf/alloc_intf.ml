@@ -47,9 +47,7 @@ let unpack ~heap_id w =
 (** A block held by (or leaving) a volatile bin: the pointer plus its
     reclaim-ledger lease slot.  While the lease is set, recovery
     deallocates the block — it is allocated in the persistent metadata
-    but referenced only from DRAM.  [cb_lease < 0] means "no lease":
-    its only producer is crashcheck's [tcache-broken] wrap, a seeded
-    bug; publish and reclaim skip such a lease. *)
+    but referenced only from DRAM. *)
 type cache_block = { cb_ptr : nvmptr; cb_lease : int }
 
 type cache_event = Cache_hit | Cache_miss | Cache_refill | Cache_flush

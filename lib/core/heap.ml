@@ -389,23 +389,21 @@ let tc_publish h blocks =
   with_metadata_access h (fun () ->
       List.iter
         (fun { Alloc_intf.cb_ptr; cb_lease } ->
-          if cb_lease >= 0 then
-            match subheap_of h cb_ptr with
-            | None -> ()
-            | Some sh ->
-              Machine.Lock.with_lock sh.Subheap.lock (fun () ->
-                  Subheap.tc_lease_clear_async sh cb_lease);
-              cleared := true)
+          match subheap_of h cb_ptr with
+          | None -> ()
+          | Some sh ->
+            Machine.Lock.with_lock sh.Subheap.lock (fun () ->
+                Subheap.tc_lease_clear_async sh cb_lease);
+            cleared := true)
         blocks;
       if !cleared then Machine.sfence h.mach;
       List.iter
         (fun { Alloc_intf.cb_ptr; cb_lease } ->
-          if cb_lease >= 0 then
-            match subheap_of h cb_ptr with
-            | None -> ()
-            | Some sh ->
-              Machine.Lock.with_lock sh.Subheap.lock (fun () ->
-                  Subheap.tc_slot_release sh cb_lease))
+          match subheap_of h cb_ptr with
+          | None -> ()
+          | Some sh ->
+            Machine.Lock.with_lock sh.Subheap.lock (fun () ->
+                Subheap.tc_slot_release sh cb_lease))
         blocks)
 
 let tc_carve h ~size ~count =
@@ -473,11 +471,9 @@ let tc_reclaim h blocks =
                         batch));
                 List.iter
                   (fun b ->
-                    if b.Alloc_intf.cb_lease >= 0 then begin
-                      Subheap.tc_lease_clear_async sh b.Alloc_intf.cb_lease;
-                      cleared := true
-                    end)
-                  batch))
+                    Subheap.tc_lease_clear_async sh b.Alloc_intf.cb_lease)
+                  batch);
+            cleared := true)
         by_sh;
       if !cleared then Machine.sfence h.mach;
       Hashtbl.iter
@@ -487,9 +483,7 @@ let tc_reclaim h blocks =
           | Some sh ->
             Machine.Lock.with_lock sh.Subheap.lock (fun () ->
                 List.iter
-                  (fun b ->
-                    if b.Alloc_intf.cb_lease >= 0 then
-                      Subheap.tc_slot_release sh b.Alloc_intf.cb_lease)
+                  (fun b -> Subheap.tc_slot_release sh b.Alloc_intf.cb_lease)
                   batch))
         by_sh)
 

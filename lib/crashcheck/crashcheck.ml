@@ -749,10 +749,9 @@ let kv_groups ~window plan =
 let replicate k b ~acked ~settle ~mach ~primary ~backup =
   (* the sweep runs outside the simulation: the link has no latency *)
   let link = Net.create mach ~ports:[| (0, 256); (0, 256) |] () in
-  let rcfg = { Replica.default_config with Replica.window = b.repl_window } in
-  let shipper = Replica.Shipper.create rcfg ~shards:2 ~link in
+  let shipper = Replica.Shipper.create ~window:b.repl_window ~shards:2 ~link in
   let applier =
-    Replica.Applier.create rcfg ~shards:2 ~link ~ack_batch:(b.batch > 1)
+    Replica.Applier.create link ~shards:2 ~ack_batch:(b.batch > 1)
       ~apply:(Service.Kv.apply_replicated backup)
       ~apply_group:(Service.Kv.apply_replicated_group backup)
       ~held:(Service.Kv.backup_held backup)
@@ -1473,12 +1472,15 @@ let scn_kv_tcache_put () =
    the block recycles into a bin with no reclaim lease and no
    persistent free.  A crash between the store dropping its reference
    and the recycled copy's new reference persisting orphans the block.
-   The checker MUST flag this — the mutation gate in scripts/check.sh
-   fails CI if it does not. *)
+   The wrap keeps its leaseless blocks to itself: a publish drops
+   them, and a flush frees them one by one through the allocator's
+   plain [free].  The checker MUST flag this — the mutation gate in
+   scripts/check.sh fails CI if it does not. *)
 let leaseless_stash inner =
   let (Alloc_intf.Instance ((module I), h)) = inner in
   let carved = Hashtbl.create 64 in
   let at (p : Alloc_intf.nvmptr) = (p.subheap, p.off) in
+  let leased (b : Alloc_intf.cache_block) = b.cb_lease >= 0 in
   let module W = struct
     include I
 
@@ -1493,11 +1495,18 @@ let leaseless_stash inner =
                   (fun b -> Hashtbl.replace carved (at b.Alloc_intf.cb_ptr) size)
                   blocks;
                 blocks);
+            cache_publish =
+              (fun blocks -> ops.cache_publish (List.filter leased blocks));
             cache_stash =
               (fun p ->
                 match Hashtbl.find_opt carved (at p) with
                 | Some size -> Some (-1, size)
-                | None -> ops.cache_stash p) })
+                | None -> ops.cache_stash p);
+            cache_reclaim =
+              (fun blocks ->
+                let kept, leaseless = List.partition leased blocks in
+                ops.cache_reclaim kept;
+                List.iter (fun b -> I.free h b.Alloc_intf.cb_ptr) leaseless) })
         (I.cache_ops h)
   end in
   Alloc_intf.Instance ((module W), h)

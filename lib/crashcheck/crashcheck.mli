@@ -261,7 +261,7 @@ type kv_backup = {
           ships its prepare and decide records from [on_commit].  The
           applier acks per record at 1 and in batches above it, as
           {!Service.Server.run_replicated} sets it. *)
-  repl_window : int;  (** {!Replica.config}'s [window] *)
+  repl_window : int;  (** {!Replica.Shipper.create}'s [window] *)
   ack_early : bool;
       (** seeded bug: count a group acked before it runs, i.e. ahead
           of its covering flush *)

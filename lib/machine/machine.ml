@@ -276,7 +276,7 @@ let sfence t =
     t.sim_fences <- t.sim_fences + 1;
     Sched.charge t.config.sfence_ns;
     Obs.Trace.emit Obs.Event.Sfence;
-    Obs.Span.note_persist t.config.sfence_ns
+    Obs.Span.note Obs.Span.Persist t.config.sfence_ns
   end;
   Memdev.sfence t.dev_
 
@@ -285,7 +285,7 @@ let clwb t a =
     t.prof.p_flush <- t.prof.p_flush + t.config.clwb_ns;
     Sched.charge t.config.clwb_ns;
     Obs.Trace.emit1 Obs.Event.Clwb a;
-    Obs.Span.note_persist t.config.clwb_ns;
+    Obs.Span.note Obs.Span.Persist t.config.clwb_ns;
     match Memdev.region_info t.dev_ a with
     | Memdev.Nvmm, numa -> serve_node t numa a t.config.nvmm_write_service_ns
     | Memdev.Dram, _ -> ()
@@ -321,9 +321,10 @@ let persist t a len =
       t.prof.p_flush <- t.prof.p_flush + (lines * t.config.clwb_ns);
       t.prof.p_fence <- t.prof.p_fence + t.config.sfence_ns;
       t.sim_fences <- t.sim_fences + 1;
-      Sched.charge ((lines * t.config.clwb_ns) + t.config.sfence_ns);
+      let ns = (lines * t.config.clwb_ns) + t.config.sfence_ns in
+      Sched.charge ns;
       Obs.Trace.emit2 Obs.Event.Persist a len;
-      Obs.Span.note_persist ((lines * t.config.clwb_ns) + t.config.sfence_ns);
+      Obs.Span.note Obs.Span.Persist ns;
       (match Memdev.region_info t.dev_ a with
        | Memdev.Nvmm, numa ->
          for l = 0 to lines - 1 do

@@ -53,9 +53,6 @@ let create () =
 
 let set_persistence_hook t hook = t.fence_hook <- hook
 
-let set_fence_hook t hook =
-  t.fence_hook <- Option.map (fun f info -> f info.fence_no) hook
-
 (* ---------- regions ---------- *)
 
 let add_region t ~base ~size ~kind ~numa =

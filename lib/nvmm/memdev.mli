@@ -131,9 +131,5 @@ val set_persistence_hook : t -> (fence_info -> unit) option -> unit
 (** Called after every completed {!sfence}.  Raising from the hook
     aborts the caller mid-operation — the persistency model checker
     ({!Crashcheck}) uses this to stop execution at an exact
-    persistence point and then {!crash}.  Shares one slot with
-    {!set_fence_hook}: setting either replaces the other. *)
-
-val set_fence_hook : t -> (int -> unit) option -> unit
-(** Convenience wrapper over {!set_persistence_hook} passing only
-    [fence_no]. *)
+    persistence point and then {!crash}.  Setting it replaces the
+    previous hook; [None] clears it. *)

@@ -189,17 +189,14 @@ let start ?(capacity = default_capacity) () =
 
 let stop () = on := false
 
-let persist_by_tid : (int, int ref) Hashtbl.t = Hashtbl.create 64
-let alloc_by_tid : (int, int ref) Hashtbl.t = Hashtbl.create 64
-let rcache_by_tid : (int, int ref) Hashtbl.t = Hashtbl.create 64
+(* simulated ns per (thread, detail stage); see [note] *)
+let detail_ns : (int * stage, int ref) Hashtbl.t = Hashtbl.create 64
 
 let clear () =
   on := false;
   store := None;
   trace_counter := 0;
-  Hashtbl.reset persist_by_tid;
-  Hashtbl.reset alloc_by_tid;
-  Hashtbl.reset rcache_by_tid
+  Hashtbl.reset detail_ns
 
 let enabled () = !on
 
@@ -296,66 +293,47 @@ let add_span ~trace ~parent ?(mach = 0) stage ~t0 ~t1 =
       end;
       i
 
-(* ---------- per-thread persist accounting ---------- *)
+(* ---------- per-thread detail accounting ---------- *)
 
-(* The machine layer reports every clwb/fence charge here (guarded by
-   [enabled]), keyed by simulated thread, so a handler can bracket one
-   store operation and learn exactly how many of its nanoseconds were
-   persist-ordering cost — the Persist detail span. *)
+(* The layers under a store operation report their simulated charges
+   here (guarded by [enabled]), keyed by simulated thread and detail
+   stage: the machine every clwb/fence charge (Persist), the tcache
+   wrapper each allocator entry point's time (Alloc), and the Kv read
+   path each read-cache probe (Rcache).  A handler brackets one
+   operation with [marks] and [details] and so learns exactly how many
+   of its nanoseconds each layer spent. *)
 
-let note_persist ns =
+(* the detail stages of a store operation, in emission order *)
+let detail_stages = [ Persist; Alloc; Rcache ]
+
+let note stage ns =
   if !on && ns > 0 then begin
-    let tid = tid_or_main () in
-    match Hashtbl.find_opt persist_by_tid tid with
+    let key = (tid_or_main (), stage) in
+    match Hashtbl.find_opt detail_ns key with
     | Some r -> r := !r + ns
-    | None -> Hashtbl.add persist_by_tid tid (ref ns)
+    | None -> Hashtbl.add detail_ns key (ref ns)
   end
 
-let persist_mark () =
-  match Hashtbl.find_opt persist_by_tid (tid_or_main ()) with
+let mark stage =
+  match Hashtbl.find_opt detail_ns (tid_or_main (), stage) with
   | Some r -> !r
   | None -> 0
 
-let persist_since mark = persist_mark () - mark
+let persist_mark () = mark Persist
+let persist_since m = persist_mark () - m
 
-(* Same shape for allocator time: the tcache wrapper reports the
-   simulated nanoseconds each allocator entry point spent, keyed by
-   thread, so a handler brackets one operation and emits an Alloc
-   detail span under its Store/Txn budget stage. *)
+(** Every detail stage's mark on the calling thread, before an
+    operation. *)
+let marks () = List.map mark detail_stages
 
-let note_alloc ns =
-  if !on && ns > 0 then begin
-    let tid = tid_or_main () in
-    match Hashtbl.find_opt alloc_by_tid tid with
-    | Some r -> r := !r + ns
-    | None -> Hashtbl.add alloc_by_tid tid (ref ns)
-  end
-
-let alloc_mark () =
-  match Hashtbl.find_opt alloc_by_tid (tid_or_main ()) with
-  | Some r -> !r
-  | None -> 0
-
-let alloc_since mark = alloc_mark () - mark
-
-(* And for read-cache probes: the Kv read path reports each probe's
-   simulated cost, so a handler brackets one get/snapshot-get and
-   emits an Rcache detail span under its Store/Snapshot budget stage. *)
-
-let note_rcache ns =
-  if !on && ns > 0 then begin
-    let tid = tid_or_main () in
-    match Hashtbl.find_opt rcache_by_tid tid with
-    | Some r -> r := !r + ns
-    | None -> Hashtbl.add rcache_by_tid tid (ref ns)
-  end
-
-let rcache_mark () =
-  match Hashtbl.find_opt rcache_by_tid (tid_or_main ()) with
-  | Some r -> !r
-  | None -> 0
-
-let rcache_since mark = rcache_mark () - mark
+(** After the operation: one span per detail stage under [parent], each
+    the time that layer spent since [marks], ending at [t1]. *)
+let details ~trace ~parent ~t1 marks =
+  List.iter2
+    (fun stage m ->
+      let ns = mark stage - m in
+      if ns > 0 then ignore (add_span ~trace ~parent stage ~t0:(t1 - ns) ~t1))
+    detail_stages marks
 
 (* ---------- reading back ---------- *)
 

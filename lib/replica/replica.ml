@@ -21,29 +21,21 @@ type msg =
 let backup_ep = 1
 let primary_ep = 0
 
-type config = {
-  mode : mode;
-  window : int;
-  retransmit_ns : int;
-  poll_ns : int;
-}
-
-let default_config =
-  { mode = Sync; window = 64; retransmit_ns = 120_000; poll_ns = 400 }
+let retransmit_ns = 120_000
+let poll_ns = 400
 
 let now_or_zero () = if Sched.in_simulation () then Sched.now () else 0
 
-let poll_wait cfg =
+let poll_wait () =
   (* Outside the simulation time does not advance on its own, so a
      poll loop would spin forever; callers there drive both sides by
      hand and loops bail out instead of sleeping. *)
-  if Sched.in_simulation () then Sched.sleep cfg.poll_ns
+  if Sched.in_simulation () then Sched.sleep poll_ns
 
 module Shipper = struct
   type t = {
-    cfg : config;
+    window : int;
     link : msg Net.t;
-    mach : int; (* primary's machine id, for ack-wire spans *)
     next_seq : int array;
     acked_ : int array; (* highest cumulative ack, -1 initially *)
     (* (seq, op, trace, span, shipped_at), oldest first; the span
@@ -59,13 +51,12 @@ module Shipper = struct
     mutable max_lag_ : int;
   }
 
-  let create ?(mach = 0) cfg ~shards ~link =
+  let create ~window ~shards ~link =
     if shards < 1 then invalid_arg "Shipper.create: shards < 1";
-    if cfg.window < 1 then invalid_arg "Shipper.create: window < 1";
+    if window < 1 then invalid_arg "Shipper.create: window < 1";
     {
-      cfg;
+      window;
       link;
-      mach;
       next_seq = Array.make shards 0;
       acked_ = Array.make shards (-1);
       unacked = Array.init shards (fun _ -> Queue.create ());
@@ -102,11 +93,12 @@ module Shipper = struct
     while !continue do
       match Net.recv t.link ~port:primary_ep with
       | Some { payload = Ack { shard; seq }; sent_at; trace; span; _ } ->
-          (* the ack's hop back to the primary, attributed to the
-             request whose record it (cumulatively) acknowledges *)
+          (* the ack's hop back to the primary (machine 0), attributed
+             to the request whose record it (cumulatively)
+             acknowledges *)
           if trace >= 0 && Sched.in_simulation () then
             ignore
-              (Obs.Span.add_span ~trace ~parent:span ~mach:t.mach
+              (Obs.Span.add_span ~trace ~parent:span ~mach:0
                  Obs.Span.Ack_wire ~t0:sent_at ~t1:(Sched.now ()));
           absorb_ack t shard seq
       | Some _ -> () (* a record echoed back: impossible by convention *)
@@ -125,10 +117,9 @@ module Shipper = struct
      wire is recovered record-by-record by [retransmit_due], exactly
      like individual losses. *)
   let ship ?(trace = -1) ?(span = -1) t ~shard op =
-    while Queue.length t.unacked.(shard) >= t.cfg.window do
+    while Queue.length t.unacked.(shard) >= t.window do
       poll_acks t;
-      if Queue.length t.unacked.(shard) >= t.cfg.window then
-        poll_wait t.cfg
+      if Queue.length t.unacked.(shard) >= t.window then poll_wait ()
     done;
     let seq = t.next_seq.(shard) in
     t.next_seq.(shard) <- seq + 1;
@@ -154,8 +145,7 @@ module Shipper = struct
       (fun shard q ->
         match Queue.peek_opt q with
         | Some (_, _, _, _, shipped_at)
-          when now - max shipped_at t.restarted.(shard) >= t.cfg.retransmit_ns
-          ->
+          when now - max shipped_at t.restarted.(shard) >= retransmit_ns ->
           t.restarted.(shard) <- now;
           Queue.iter
             (fun (seq, op, trace, span, _) ->
@@ -176,7 +166,7 @@ module Shipper = struct
       else if Sched.in_simulation () && Sched.now () >= deadline then ()
       else if not (Sched.in_simulation ()) then ()
       else begin
-        poll_wait t.cfg;
+        poll_wait ();
         loop ()
       end
     in
@@ -184,14 +174,15 @@ module Shipper = struct
 end
 
 module Applier = struct
+  (* the backup's machine id: the process id of its wire/apply spans *)
+  let backup_mach = 1
+
   (* a record received in sequence but not yet applied:
      (op, sent_at, arrived_at, trace, span) *)
   type waiting = op * int * int * int * int
 
   type t = {
-    cfg : config;
     link : msg Net.t;
-    mach : int; (* backup's machine id, for wire/apply spans *)
     apply : shard:int -> op -> unit;
     held : shard:int -> bool;
     on_apply : lat_ns:int -> unit;
@@ -208,13 +199,11 @@ module Applier = struct
     holding : bool array; (* [held] as of the last look, per shard *)
   }
 
-  let create ?(on_apply = fun ~lat_ns:_ -> ()) ?(mach = 1) ?(ack_batch = false)
-      ?apply_group cfg ~shards ~link ~apply ~held =
+  let create ?(on_apply = fun ~lat_ns:_ -> ()) ?(ack_batch = false)
+      ?apply_group ~shards ~apply ~held link =
     if shards < 1 then invalid_arg "Applier.create: shards < 1";
     {
-      cfg;
       link;
-      mach;
       apply;
       held;
       on_apply;
@@ -250,12 +239,12 @@ module Applier = struct
     let in_sim = Sched.in_simulation () in
     let wire =
       if trace >= 0 && in_sim then
-        Obs.Span.add_span ~trace ~parent:span ~mach:t.mach
+        Obs.Span.add_span ~trace ~parent:span ~mach:backup_mach
           Obs.Span.Repl_wire ~t0:sent_at ~t1:arrived_at
       else -1
     in
     let apl =
-      Obs.Span.open_span ~trace ~parent:wire ~mach:t.mach
+      Obs.Span.open_span ~trace ~parent:wire ~mach:backup_mach
         Obs.Span.Backup_apply
     in
     t.apply ~shard op;
@@ -339,11 +328,11 @@ module Applier = struct
         (fun (_, sent_at, arrived_at, trace, span) ->
           if trace >= 0 && in_sim then begin
             let wire =
-              Obs.Span.add_span ~trace ~parent:span ~mach:t.mach
+              Obs.Span.add_span ~trace ~parent:span ~mach:backup_mach
                 Obs.Span.Repl_wire ~t0:sent_at ~t1:arrived_at
             in
             ignore
-              (Obs.Span.add_span ~trace ~parent:wire ~mach:t.mach
+              (Obs.Span.add_span ~trace ~parent:wire ~mach:backup_mach
                  Obs.Span.Backup_apply ~t0 ~t1)
           end;
           t.applied_ <- t.applied_ + 1;
@@ -412,7 +401,7 @@ module Applier = struct
           if until () then ()
           else if not (Sched.in_simulation ()) then ()
           else begin
-            poll_wait t.cfg;
+            poll_wait ();
             loop ()
           end)
     in

@@ -77,23 +77,24 @@ val primary_ep : int
 val backup_ep : int
 (** Link port the backup reads (records travel toward it): 1. *)
 
-type config = {
-  mode : mode;
-  window : int;  (** max unacked records per shard (async lag bound) *)
-  retransmit_ns : int;  (** tail-retransmit timeout *)
-  poll_ns : int;  (** CPU charged per empty poll iteration *)
-}
+val retransmit_ns : int
+(** Go-back-N timeout, 120_000 ns (≳ 2 RTTs on the default 20 µs
+    wire): a shard's unacked tail is resent once its oldest record has
+    waited this long (see {!Shipper.pump}). *)
 
-val default_config : config
-(** [Sync], window 64, retransmit 120_000 ns (≳ 2 RTTs on the default
-    20 µs wire), poll 400 ns. *)
+val poll_ns : int
+(** Simulated time one empty poll iteration sleeps, 400 ns: the
+    shipper on a full window, and either pump between polls.  A
+    caller that waits for acks (a sync reply parked on the primary)
+    polls at the same quantum. *)
 
 module Shipper : sig
   type t
 
-  val create : ?mach:int -> config -> shards:int -> link:msg Net.t -> t
-  (** [mach] (default 0) is the primary's machine id, used as the
-      process id of ack-wire spans when tracing is on. *)
+  val create : window:int -> shards:int -> link:msg Net.t -> t
+  (** [window] bounds each shard's unacked records (in [Async] mode,
+      the replication-lag bound).  The primary is machine 0, the
+      process id of its ack-wire spans when tracing is on. *)
 
   val ship : ?trace:int -> ?span:int -> t -> shard:int -> op -> int
   (** Called by the shard's handler thread at the local commit point.
@@ -124,7 +125,7 @@ module Shipper : sig
   val pump : t -> until:(unit -> bool) -> deadline:int -> unit
   (** Replication-thread body: drain acks, retransmit timed-out tails
       (a shard's tail is due once its oldest unacked record has gone
-      [retransmit_ns] without being sent or resent, and without an ack
+      {!retransmit_ns} without being sent or resent, and without an ack
       that covered new records).  Returns once [until ()] holds and every shipped record is acked,
       or at [deadline] (abandoning any still-unacked tail). *)
 
@@ -154,16 +155,14 @@ module Applier : sig
 
   val create :
     ?on_apply:(lat_ns:int -> unit) ->
-    ?mach:int ->
     ?ack_batch:bool ->
     ?apply_group:(shard:int -> op list -> unit) ->
-    config ->
     shards:int ->
-    link:msg Net.t ->
     apply:(shard:int -> op -> unit) ->
     held:(shard:int -> bool) ->
+    msg Net.t ->
     t
-  (** [apply] must make the record durable before returning — the ack
+  (** The applier on the backup's side of the link.  [apply] must make the record durable before returning — the ack
       sent on its return is what [Sync] mode's guarantee rests on.
       [held] says whether [shard] is held: the last record applied there
       is a committed [Txn_decide] whose transaction has not published
@@ -179,9 +178,9 @@ module Applier : sig
       [on_apply] observes each in-order application with its wire +
       apply latency (ship to applied, simulated ns) — the replication
       lag as seen at the backup; only called inside the simulation.
-      [mach] (default 1) is the backup's machine id, the process id of
-      the wire/apply spans emitted when a record carries a trace
-      context.  [ack_batch] (default [false]) switches {!pump} to
+      The backup is machine 1, the process id of the wire/apply spans
+      emitted when a record carries a trace context.  [ack_batch]
+      (default [false]) switches {!pump} to
       cumulative batched acks: instead of one ack per record, it sends
       one cumulative ack per touched shard per drained burst, all in a
       single doorbell frame — acks are still only produced after every

@@ -437,7 +437,7 @@ let rcache_probe_ns = 160
 let rcache_charge t =
   if Rcache.enabled t.rcache then begin
     Machine.compute t.mach rcache_probe_ns;
-    Obs.Span.note_rcache rcache_probe_ns
+    Obs.Span.note Obs.Span.Rcache rcache_probe_ns
   end
 
 (* ---------- single-shard commit: chunks ---------- *)

@@ -149,14 +149,9 @@ type result = {
    mutation is also shipped to the backup inside its shard lock, and
    in [sync] mode a reply that saw shipped-but-unacked records parks
    until the backup's covering ack — until [deadline], past which it
-   is withheld.  The handler polls for acks every [poll_ns] while it
-   waits. *)
-type ship = {
-  shipper : Replica.Shipper.t;
-  sync : bool;
-  deadline : int;
-  poll_ns : int;
-}
+   is withheld.  The handler polls for acks every [Replica.poll_ns]
+   while it waits. *)
+type ship = { shipper : Replica.Shipper.t; sync : bool; deadline : int }
 
 type sink = Local | Ship of ship
 
@@ -219,19 +214,6 @@ let build cfg inst =
   ( Kv.create ~mvcc_window:cfg.mvcc_window ~rcache_entries:cfg.rcache_entries
       inst ~shards:cfg.shards ~value_size:cfg.value_size,
     tch )
-
-(* The per-layer detail of a store operation: [marks] before it, then
-   one Persist, Alloc and Rcache span under [parent], each the time
-   that layer spent since the mark, ending at [t1]. *)
-let marks () = (Span.persist_mark (), Span.alloc_mark (), Span.rcache_mark ())
-
-let details ~trace ~parent ~t1 (pmark, amark, rmark) =
-  let detail stage ns =
-    if ns > 0 then ignore (Span.add_span ~trace ~parent stage ~t0:(t1 - ns) ~t1)
-  in
-  detail Span.Persist (Span.persist_since pmark);
-  detail Span.Alloc (Span.alloc_since amark);
-  detail Span.Rcache (Span.rcache_since rmark)
 
 (* One serving run.  [mach] hosts the shard handlers, the clients and
    their network; [svc] is its store and [tch] its magazine cache, and
@@ -337,16 +319,17 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
           ready
       | _ -> ()
     in
-    (* the handler's one way to wait for acks: poll every [poll_ns],
-       releasing parked replies as their acks arrive, until [cond]
-       holds; [false] if the deadline passes first *)
+    (* the handler's one way to wait for acks: poll every
+       [Replica.poll_ns], releasing parked replies as their acks
+       arrive, until [cond] holds; [false] if the deadline passes
+       first *)
     let rec await s cond =
       Replica.Shipper.poll_acks s.shipper;
       release ();
       if cond () then true
       else if Sched.now () >= s.deadline then false
       else begin
-        Sched.sleep s.poll_ns;
+        Sched.sleep Replica.poll_ns;
         await s cond
       end
     in
@@ -438,7 +421,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
           | KTxn ->
             (* Kv.txn takes every participant's shard lock itself *)
             let stx = Span.open_span ~trace ~parent:m.span Span.Txn in
-            let mk = marks () in
+            let mk = Span.marks () in
             let on_commit =
               match sink with
               | Local -> None
@@ -446,7 +429,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             in
             let res = Kv.txn svc r.ops ~trace ~span:stx ?on_commit in
             Span.close_span stx;
-            details ~trace ~parent:stx ~t1:(Sched.now ()) mk;
+            Span.details ~trace ~parent:stx ~t1:(Sched.now ()) mk;
             if res.Kv.committed then incr txn_commits else incr txn_aborts;
             (* a commit wrote its participants, an abort read them *)
             ( res.Kv.committed, res.Kv.committed, res.Kv.fin,
@@ -458,7 +441,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                scan, ordered and consistent at one snapshot, so it saw
                every shard) *)
             let ssn = Span.open_span ~trace ~parent:m.span Span.Snapshot in
-            let mk = marks () in
+            let mk = Span.marks () in
             let ts = Kv.snapshot svc in
             let ok, saw =
               match r.kind with
@@ -471,14 +454,14 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             in
             let fin = Sched.now () in
             Span.close_span ssn;
-            details ~trace ~parent:ssn ~t1:fin mk;
+            Span.details ~trace ~parent:ssn ~t1:fin mk;
             (ok, false, fin, saw)
           | KGet | KScan ->
             let slw = Span.open_span ~trace ~parent:m.span Span.Lock_wait in
             Machine.Lock.with_lock (Kv.shard_lock svc i) (fun () ->
                 Span.close_span slw;
                 let sst = Span.open_span ~trace ~parent:m.span Span.Store in
-                let mk = marks () in
+                let mk = Span.marks () in
                 let ok =
                   match r.kind with
                   | KGet -> Kv.get svc ~key:r.key <> None
@@ -488,7 +471,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
                 in
                 let fin = Sched.now () in
                 Span.close_span sst;
-                details ~trace ~parent:sst ~t1:fin mk;
+                Span.details ~trace ~parent:sst ~t1:fin mk;
                 (ok, false, fin, [ i ]))
           | KPut | KDel -> assert false (* dispatched to [handle_group] *)
         in
@@ -548,7 +531,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
           msgs
       in
       let ops = List.map (fun g -> g.g_op) members in
-      let mk = marks () in
+      let mk = Span.marks () in
       (* a parked group of one waits for its own round trip (Repl_ack);
          each member of a larger group waits for the covering flush
          (Flush_wait), not behind its predecessors' round trips *)
@@ -557,7 +540,8 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
       in
       let answer g ~ok ~fin =
         Span.close_span g.g_store;
-        details ~trace:g.g_msg.trace ~parent:g.g_store ~t1:(Sched.now ()) mk;
+        Span.details ~trace:g.g_msg.trace ~parent:g.g_store
+          ~t1:(Sched.now ()) mk;
         reply g.g_msg ~t0:g.g_t0 ~client:g.g_client ~saw:[ i ] ~stage
           (Rep { rid = g.g_rid; ok; mutated = ok; fin })
       in
@@ -633,7 +617,7 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
             (* while replies are parked, idle at the ack-poll quantum *)
             let idle =
               match (sink, !parked) with
-              | Ship s, _ :: _ -> s.poll_ns
+              | Ship _, _ :: _ -> Replica.poll_ns
               | _ -> 100_000
             in
             let until = min server_end (Sched.now () + idle) in
@@ -999,7 +983,6 @@ type repl_config = {
   repl_mode : Replica.mode;
   wire_ns : int;
   repl_window : int;
-  retransmit_ns : int;
   link_drop_pct : int;
   link_dup_pct : int;
 }
@@ -1008,7 +991,6 @@ let default_repl_config =
   { repl_mode = Replica.Sync;
     wire_ns = 20_000;
     repl_window = 64;
-    retransmit_ns = 120_000;
     link_drop_pct = 0;
     link_dup_pct = 0 }
 
@@ -1028,14 +1010,14 @@ type repl_result = {
   sync : bool;
 }
 
-let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
+let run_replicated ~make cfg rcfg =
   let name = "Server.run_replicated" in
   validate ~name cfg;
   if rcfg.wire_ns < 1 then invalid_arg (name ^ ": wire_ns < 1");
   let sync = rcfg.repl_mode = Replica.Sync in
   let engine = Sched.create () in
-  let primary = Machine.create ~cfg:mcfg ~engine () in
-  let backup = Machine.create ~cfg:mcfg ~engine () in
+  let primary = Machine.create ~engine () in
+  let backup = Machine.create ~engine () in
   let svc, tch = build cfg (make primary) in
   (* the backup grows chains too (group-installed, like the primary)
      so a promotion can serve snapshots at once — and caches reads the
@@ -1047,16 +1029,12 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
       ~dup_pct:rcfg.link_dup_pct ~seed:(cfg.seed lxor 0x5EA) primary
       ~ports:[| (0, 1024); (0, 1024) |] ()
   in
-  let repl_cfg =
-    { Replica.mode = rcfg.repl_mode;
-      window = rcfg.repl_window;
-      retransmit_ns = rcfg.retransmit_ns;
-      poll_ns = 400 }
+  let shipper =
+    Replica.Shipper.create ~window:rcfg.repl_window ~shards:cfg.shards ~link
   in
-  let shipper = Replica.Shipper.create repl_cfg ~shards:cfg.shards ~link in
   let repl_lag_h = Hist.create () in
   let applier =
-    Replica.Applier.create repl_cfg ~shards:cfg.shards ~link
+    Replica.Applier.create link ~shards:cfg.shards
       ~ack_batch:(cfg.batch_window > 1)
       ~on_apply:(fun ~lat_ns -> Hist.record repl_lag_h lat_ns)
       ~apply:(Kv.apply_replicated svc_b)
@@ -1072,7 +1050,8 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
       match t_crash with Some c -> c | None -> t_stop + (4 * grace_ns)
     in
     ignore
-      (Machine.spawn primary ~cpu:(mcfg.Machine.Config.num_cpus - 1) (fun () ->
+      (Machine.spawn primary
+         ~cpu:((Machine.cfg primary).Machine.Config.num_cpus - 1) (fun () ->
            Replica.Shipper.pump shipper ~until:servers_done ~deadline;
            ship_pump_done := true));
     (* backup: the applier.  On a crash run it stops where the
@@ -1116,7 +1095,7 @@ let run_replicated ~make ?(mcfg = Machine.Config.default) cfg rcfg =
   let deadline = match t_crash with Some c -> c | None -> t_stop + grace_ns in
   let base, backup_ledger =
     serve ~name ~mach:primary ~svc ~tch ~mirror:(Some (backup, svc_b))
-      ~sink:(Ship { shipper; sync; deadline; poll_ns = repl_cfg.Replica.poll_ns })
+      ~sink:(Ship { shipper; sync; deadline })
       ~spawn_aux ~recover cfg
   in
 

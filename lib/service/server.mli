@@ -201,13 +201,14 @@ type repl_config = {
   repl_mode : Replica.mode;
   wire_ns : int; (** one-way inter-machine latency *)
   repl_window : int; (** max unacked records per shard (async lag bound) *)
-  retransmit_ns : int; (** go-back-N tail timeout *)
   link_drop_pct : int; (** seeded wire loss, [0, 100) *)
   link_dup_pct : int; (** seeded duplicate delivery, [0, 100] *)
 }
 
 val default_repl_config : repl_config
-(** Sync, 20 µs wire, window 64, retransmit 120 µs, clean link. *)
+(** Sync, 20 µs wire, window 64, clean link.  The go-back-N timeout
+    and the ack-poll quantum are {!Replica.retransmit_ns} (120 µs) and
+    {!Replica.poll_ns} (400 ns). *)
 
 type repl_result = {
   base : result;
@@ -239,12 +240,13 @@ type repl_result = {
 
 val run_replicated :
   make:(Machine.t -> Alloc_intf.instance) ->
-  ?mcfg:Machine.Config.t ->
   config ->
   repl_config ->
   repl_result
 (** [make] builds one heap+allocator on a given machine; it is called
-    twice (primary, backup).  Metrics go under [config.scope]:
+    twice (primary, backup), both machines of
+    {!Machine.Config.default} on one engine, and the replication pump
+    runs on the primary's last CPU.  Metrics go under [config.scope]:
     the {!run} set plus [repl_shipped], [repl_acked_records],
     [repl_retransmits], [repl_max_lag], [repl_backup_applied],
     [repl_tail_replayed], link fault counters and the [repl_lag_ns]

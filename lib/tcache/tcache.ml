@@ -87,7 +87,7 @@ let timed f =
   if Simcore.Sched.in_simulation () && Obs.Span.enabled () then begin
     let t0 = Simcore.Sched.now () in
     let r = f () in
-    Obs.Span.note_alloc (Simcore.Sched.now () - t0);
+    Obs.Span.note Obs.Span.Alloc (Simcore.Sched.now () - t0);
     r
   end
   else f ()

@@ -10,21 +10,9 @@ type factory = {
 let heap_base = 1 lsl 30
 let default_window = 1 lsl 38 (* virtual: backing is sparse *)
 
-let poseidon ?(sub_data_size = 128 * 1024 * 1024) ?(window = default_window)
-    ?(protected = true) () =
-  { name = "Poseidon";
-    make =
-      (fun ?cfg () ->
-        let mach = Machine.create ?cfg () in
-        let heap =
-          Poseidon.Heap.create mach ~base:heap_base ~size:window ~heap_id:1
-            ~sub_data_size ~protected ()
-        in
-        (mach, Poseidon.instance heap)) }
-
-(** Same heap on an {e existing} machine — the multi-machine (cluster)
-    case, where the caller owns machine creation so that all members
-    share one engine. *)
+(** A Poseidon heap on an {e existing} machine — the multi-machine
+    (cluster) case, where the caller owns machine creation so that all
+    members share one engine. *)
 let poseidon_on ?(sub_data_size = 128 * 1024 * 1024) ?(window = default_window)
     ?(protected = true) mach =
   let heap =
@@ -32,6 +20,13 @@ let poseidon_on ?(sub_data_size = 128 * 1024 * 1024) ?(window = default_window)
       ~sub_data_size ~protected ()
   in
   Poseidon.instance heap
+
+let poseidon ?sub_data_size ?window ?protected () =
+  { name = "Poseidon";
+    make =
+      (fun ?cfg () ->
+        let mach = Machine.create ?cfg () in
+        (mach, poseidon_on ?sub_data_size ?window ?protected mach)) }
 
 let pmdk ?(window = default_window) ?(canary = false) () =
   { name = "PMDK";

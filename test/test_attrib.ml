@@ -73,8 +73,7 @@ let test_span_tree_integrity_under_faults () =
       ~rcfg:
         { S.default_repl_config with
           S.link_drop_pct = 20;
-          link_dup_pct = 10;
-          retransmit_ns = 60_000 }
+          link_dup_pct = 10 }
       (repl_cfg "test/attrib/faults")
   in
   Obs.Trace.stop ();
@@ -184,7 +183,9 @@ let test_batched_records_traced () =
    one at window 1).  The group's persist and allocator time must land
    under every member's Store span, as the single-op path did: a
    traced kv-write would otherwise read alloc.share and persist.share
-   as 0 and charge all of it to the B+-tree. *)
+   as 0 and charge all of it to the B+-tree.  With the read cache
+   armed, every get's Snapshot span must carry its probe as an Rcache
+   detail, or a traced kv-read would read rcache.share as 0. *)
 let test_group_detail_spans () =
   List.iter
     (fun (window, replicated) ->
@@ -194,45 +195,59 @@ let test_group_detail_spans () =
           S.batch_window = window;
           txn_pct = 0;
           mvcc_window = 8;
-          tcache_mag = 4 }
+          tcache_mag = 4;
+          rcache_entries = 64 }
       in
       Span.clear ();
       Span.start ();
-      let acked =
-        if replicated then (run_replicated cfg).S.base.S.acked_mutations
+      let r =
+        if replicated then (run_replicated cfg).S.base
         else
           let factory = Workloads.Factories.poseidon () in
-          (S.run
-             ~make:(fun () -> factory.Workloads.Factories.make ())
-             ~reattach:(fun _ -> assert false)
-             cfg)
-            .S.acked_mutations
+          S.run
+            ~make:(fun () -> factory.Workloads.Factories.make ())
+            ~reattach:(fun _ -> assert false)
+            cfg
       in
-      (* with snapshot reads on, every Store span is a put or a delete *)
+      let acked = r.S.acked_mutations and gets = r.S.read_latency.S.samples in
+      (* with snapshot reads on, every Store span is a put or a delete,
+         and every Snapshot span a get or a scan *)
       let stage_of = Hashtbl.create 4096 and span_of = Hashtbl.create 4096 in
       Span.iter (fun ~id ~trace:_ ~parent:_ ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
           Hashtbl.replace stage_of id stage;
           Hashtbl.replace span_of id (t0, t1));
       let with_detail = Hashtbl.create 4096 and allocs = ref 0 in
+      let probed = Hashtbl.create 4096 in
       let nested = ref true in
+      let nest parent t0 t1 =
+        match Hashtbl.find_opt span_of parent with
+        | Some (p0, p1) -> if t0 < p0 || t1 > p1 then nested := false
+        | None -> ()
+      in
       Span.iter (fun ~id:_ ~trace:_ ~parent ~stage ~t0 ~t1 ~mach:_ ~tid:_ ->
-          if
-            Hashtbl.find_opt stage_of parent = Some Span.Store
-            && (stage = Span.Persist || stage = Span.Alloc)
-          then begin
-            (match Hashtbl.find_opt span_of parent with
-             | Some (p0, p1) -> if t0 < p0 || t1 > p1 then nested := false
-             | None -> ());
-            if stage = Span.Persist then Hashtbl.replace with_detail parent ()
-            else incr allocs
-          end);
+          match (Hashtbl.find_opt stage_of parent, stage) with
+          | Some Span.Store, Span.Persist ->
+            nest parent t0 t1;
+            Hashtbl.replace with_detail parent ()
+          | Some Span.Store, Span.Alloc ->
+            nest parent t0 t1;
+            incr allocs
+          | Some Span.Snapshot, Span.Rcache ->
+            nest parent t0 t1;
+            Hashtbl.replace probed parent ()
+          | _ -> ());
       Span.clear ();
       check (name ^ ": writes acked") true (acked > 0);
       check (name ^ ": every acked write's store span has a persist detail")
         true
         (Hashtbl.length with_detail >= acked);
       check (name ^ ": alloc detail recorded") true (!allocs > 0);
-      check (name ^ ": details nest inside their store span") true !nested)
+      check (name ^ ": gets completed") true (gets > 0);
+      check (name ^ ": every get's snapshot span has an rcache detail")
+        true
+        (Hashtbl.length probed >= gets);
+      check (name ^ ": details nest inside their store or snapshot span") true
+        !nested)
     [ (1, false); (4, false); (1, true); (4, true) ]
 
 (* ---------- the budget explains the measured latency ---------- *)

@@ -351,8 +351,10 @@ let test_crash_at_every_split_boundary () =
     let dev = Machine.dev mach in
     Nvmm.Memdev.reset_counters dev;
     let completed = ref [] in
-    Nvmm.Memdev.set_fence_hook dev
-      (Some (fun n -> if n >= k_fence then raise Crash_now));
+    Nvmm.Memdev.set_persistence_hook dev
+      (Some
+         (fun { Nvmm.Memdev.fence_no = n; _ } ->
+           if n >= k_fence then raise Crash_now));
     (try
        for k = 1 to 40 do
          let key = (k * 10) + 1 in
@@ -360,7 +362,7 @@ let test_crash_at_every_split_boundary () =
          completed := key :: !completed
        done
      with Crash_now -> ());
-    Nvmm.Memdev.set_fence_hook dev None;
+    Nvmm.Memdev.set_persistence_hook dev None;
     Nvmm.Memdev.crash dev `Strict;
     let h2 = Poseidon.Heap.attach mach ~base () in
     let t2 = Btree.attach (Poseidon.instance h2) in
@@ -436,15 +438,17 @@ let test_repair_after_crash () =
       let dev = Machine.dev mach in
       Nvmm.Memdev.drain dev;
       Nvmm.Memdev.reset_counters dev;
-      Nvmm.Memdev.set_fence_hook dev
-        (Some (fun f -> if f >= stop then raise Crash_now));
+      Nvmm.Memdev.set_persistence_hook dev
+        (Some
+           (fun { Nvmm.Memdev.fence_no = f; _ } ->
+             if f >= stop then raise Crash_now));
       let finished =
         try
           Btree.insert t ~key ~value:0;
           true
         with Crash_now -> false
       in
-      Nvmm.Memdev.set_fence_hook dev None;
+      Nvmm.Memdev.set_persistence_hook dev None;
       Nvmm.Memdev.crash dev `Strict;
       let t2 = Btree.attach (Poseidon.Heap.attach mach ~base () |> Poseidon.instance) in
       Btree.repair t2 key;

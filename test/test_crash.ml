@@ -56,10 +56,12 @@ let run_trace ~crash_after =
   let h = mkheap mach in
   let dev = Machine.dev mach in
   Memdev.reset_counters dev;
-  Memdev.set_fence_hook dev
-    (Some (fun n -> if n >= crash_after then raise Crash_now));
+  Memdev.set_persistence_hook dev
+    (Some
+       (fun { Memdev.fence_no = n; _ } ->
+         if n >= crash_after then raise Crash_now));
   (try trace h with Crash_now -> ());
-  Memdev.set_fence_hook dev None;
+  Memdev.set_persistence_hook dev None;
   mach
 
 let count_fences () =
@@ -108,11 +110,12 @@ let test_double_crash_during_recovery () =
     Memdev.crash dev `Strict;
     (* interrupt the recovery after a few fences *)
     let fences_now = (Memdev.counters dev).Memdev.fences in
-    Memdev.set_fence_hook dev
+    Memdev.set_persistence_hook dev
       (Some
-         (fun n -> if n >= fences_now + 1 + Prng.int rng 5 then raise Crash_now));
+         (fun { Memdev.fence_no = n; _ } ->
+           if n >= fences_now + 1 + Prng.int rng 5 then raise Crash_now));
     (try ignore (H.attach mach ~base ()) with Crash_now -> ());
-    Memdev.set_fence_hook dev None;
+    Memdev.set_persistence_hook dev None;
     Memdev.crash dev (`Adversarial rng);
     ignore (recover_and_check mach)
   done
@@ -130,8 +133,8 @@ let test_committed_allocations_survive_any_crash () =
     let h = mkheap mach in
     let dev = Machine.dev mach in
     Memdev.reset_counters dev;
-    Memdev.set_fence_hook dev
-      (Some (fun n -> if n >= k then raise Crash_now));
+    Memdev.set_persistence_hook dev
+      (Some (fun { Memdev.fence_no = n; _ } -> if n >= k then raise Crash_now));
     let completed = ref 0 in
     (try
        for i = 1 to 14 do
@@ -140,7 +143,7 @@ let test_committed_allocations_survive_any_crash () =
          | None -> ()
        done
      with Crash_now -> ());
-    Memdev.set_fence_hook dev None;
+    Memdev.set_persistence_hook dev None;
     let in_flight = ref 0 in
     (* at most one allocation was in flight when the crash hit; its
        rounded size is bounded by the largest request *)
@@ -166,8 +169,8 @@ let test_tx_atomicity_at_any_crash_point () =
     Memdev.reset_counters dev;
     let committed = ref 0 in
     let k = 5 + Prng.int rng 120 in
-    Memdev.set_fence_hook dev
-      (Some (fun n -> if n >= k then raise Crash_now));
+    Memdev.set_persistence_hook dev
+      (Some (fun { Memdev.fence_no = n; _ } -> if n >= k then raise Crash_now));
     (try
        for _tx = 1 to 6 do
          let n = 1 + Prng.int rng 4 in
@@ -183,7 +186,7 @@ let test_tx_atomicity_at_any_crash_point () =
            sizes
        done
      with Crash_now -> ());
-    Memdev.set_fence_hook dev None;
+    Memdev.set_persistence_hook dev None;
     Memdev.crash dev (if Prng.bool rng then `Strict else `Adversarial rng);
     let h2 = recover_and_check mach in
     let live = (H.stats h2).H.live_bytes in
@@ -238,8 +241,8 @@ let test_pmdk_crash_mid_op () =
     let dev = Machine.dev mach in
     Memdev.reset_counters dev;
     let k = 1 + Prng.int rng 60 in
-    Memdev.set_fence_hook dev
-      (Some (fun n -> if n >= k then raise Crash_now));
+    Memdev.set_persistence_hook dev
+      (Some (fun { Memdev.fence_no = n; _ } -> if n >= k then raise Crash_now));
     (try
        for i = 1 to 10 do
          (match Pmdk_sim.Heap.alloc h (64 * i) with
@@ -247,7 +250,7 @@ let test_pmdk_crash_mid_op () =
           | None -> ())
        done
      with Crash_now -> ());
-    Memdev.set_fence_hook dev None;
+    Memdev.set_persistence_hook dev None;
     Memdev.crash dev `Strict;
     let h2 = Pmdk_sim.Heap.attach mach ~base () in
     check "walk survives mid-op crash" false

@@ -101,14 +101,16 @@ let test_crash_consistency () =
     (* crash at a random fence during further inserts *)
     Nvmm.Memdev.reset_counters dev;
     let stop = 1 + Prng.int rng 20 in
-    Nvmm.Memdev.set_fence_hook dev
-      (Some (fun n -> if n >= stop then raise Crash_now));
+    Nvmm.Memdev.set_persistence_hook dev
+      (Some
+         (fun { Nvmm.Memdev.fence_no = n; _ } ->
+           if n >= stop then raise Crash_now));
     (try
        for k = 201 to 260 do
          Eh.with_op t (fun ctx -> Eh.insert ctx t k k)
        done
      with Crash_now -> ());
-    Nvmm.Memdev.set_fence_hook dev None;
+    Nvmm.Memdev.set_persistence_hook dev None;
     Nvmm.Memdev.crash dev `Strict;
     (* recover the private log, then validate *)
     ignore mach;

@@ -69,15 +69,17 @@ let test_stale_decided_word () =
     assert (Kv.put kv ~key:(List.nth other 0) ~vseed:3);
     assert (Kv.put kv ~key:(List.nth other 1) ~vseed:4);
     Nvmm.Memdev.reset_counters dev;
-    Nvmm.Memdev.set_fence_hook dev
-      (Some (fun f -> if f >= stop then raise Crash_now));
+    Nvmm.Memdev.set_persistence_hook dev
+      (Some
+         (fun { Nvmm.Memdev.fence_no = f; _ } ->
+           if f >= stop then raise Crash_now));
     let finished =
       try
         ignore (Kv.put kv ~key:ks.(3) ~vseed:5);
         true
       with Crash_now -> false
     in
-    Nvmm.Memdev.set_fence_hook dev None;
+    Nvmm.Memdev.set_persistence_hook dev None;
     Nvmm.Memdev.crash dev `Strict;
     let kv = reattach () in
     assert (Kv.put kv ~key:ks.(4) ~vseed:6);
@@ -403,13 +405,12 @@ let test_value_index_exact () =
 (* ---------- batched shipping + cumulative batched acks ---------- *)
 
 let test_batched_ship_cumulative_ack () =
-  let cfg = { R.default_config with R.window = 16 } in
   let run ~ack_batch =
     let link : R.msg Net.t = link () in
-    let sh = R.Shipper.create cfg ~shards:2 ~link in
+    let sh = R.Shipper.create ~window:16 ~shards:2 ~link in
     let applied = ref 0 in
     let ap =
-      R.Applier.create cfg ~shards:2 ~link ~ack_batch
+      R.Applier.create link ~shards:2 ~ack_batch
         ~apply:(fun ~shard:_ _ -> incr applied)
         ~held:(fun ~shard:_ -> false)
     in
@@ -479,10 +480,9 @@ let test_piggybacked_decide_equivalence () =
     let _, _, p = mk_store ~shards:2 () in
     let _, _, b = mk_store ~shards:2 () in
     let link : R.msg Net.t = link () in
-    let cfg = { R.default_config with R.window = 16 } in
-    let sh = R.Shipper.create cfg ~shards:2 ~link in
+    let sh = R.Shipper.create ~window:16 ~shards:2 ~link in
     let ap =
-      R.Applier.create cfg ~shards:2 ~link ~ack_batch
+      R.Applier.create link ~shards:2 ~ack_batch
         ?apply_group:
           (if order = `Shard_major && ack_batch then
              Some (Kv.apply_replicated_group b)
@@ -667,8 +667,7 @@ let test_loss_bound_windows () =
             scope = Printf.sprintf "test/groupcommit/loss-w%d" window }
           { S.default_repl_config with
             S.link_drop_pct = 10;
-            link_dup_pct = 5;
-            retransmit_ns = 60_000 }
+            link_dup_pct = 5 }
       in
       check "crashed mid-run" true r.S.base.S.crashed;
       check "ledger checked keys" true (r.S.base.S.ledger.S.checked > 0);

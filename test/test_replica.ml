@@ -187,12 +187,11 @@ let test_link_basics () =
 (* ---------- shipper/applier protocol, driven by hand ---------- *)
 
 let test_protocol_dedup_and_ack () =
-  let cfg = { R.default_config with R.window = 8 } in
   let link : R.msg Net.t = link ~dup_pct:50 ~seed:3 (Machine.create ()) in
-  let sh = R.Shipper.create cfg ~shards:2 ~link in
+  let sh = R.Shipper.create ~window:8 ~shards:2 ~link in
   let applied = ref [] in
   let ap =
-    R.Applier.create cfg ~shards:2 ~link
+    R.Applier.create link ~shards:2
       ~apply:(fun ~shard op -> applied := (shard, op) :: !applied)
       ~held:(fun ~shard:_ -> false)
   in
@@ -223,15 +222,14 @@ let test_protocol_dedup_and_ack () =
 let retransmit_run ~gap ~apply_ns ~lose_first =
   let engine = Simcore.Sched.create () in
   let primary = Machine.create ~engine () and backup = Machine.create ~engine () in
-  let cfg = R.default_config in
   let link : R.msg Net.t = link ~wire_ns:20_000 primary in
-  let sh = R.Shipper.create cfg ~shards:1 ~link in
+  let sh = R.Shipper.create ~window:64 ~shards:1 ~link in
   let records = 12 in
-  let deadline = 12 * cfg.R.retransmit_ns in
+  let deadline = 12 * R.retransmit_ns in
   let shipping = ref true in
   let first_sent = ref (-1) and applied_sent = ref (-1) in
   let ap =
-    R.Applier.create cfg ~shards:1 ~link
+    R.Applier.create link ~shards:1
       ~on_apply:(fun ~lat_ns ->
         if !applied_sent < 0 then applied_sent := Simcore.Sched.now () - lat_ns)
       ~apply:(fun ~shard:_ _ -> Simcore.Sched.sleep apply_ns)
@@ -254,7 +252,7 @@ let retransmit_run ~gap ~apply_ns ~lose_first =
            match Net.recv link ~port:R.backup_ep with
            | Some m -> first_sent := m.Net.sent_at
            | None ->
-             Simcore.Sched.sleep cfg.R.poll_ns;
+             Simcore.Sched.sleep R.poll_ns;
              drop_one ()
          in
          if lose_first then drop_one ();
@@ -273,8 +271,7 @@ let retransmit_run ~gap ~apply_ns ~lose_first =
    while records wait far longer than a timeout for theirs: it must
    draw no resend. *)
 let test_retransmit_timer () =
-  let cfg = R.default_config in
-  let rto = cfg.R.retransmit_ns and poll = cfg.R.poll_ns in
+  let rto = R.retransmit_ns and poll = R.poll_ns in
   let first_sent, resent, _ =
     retransmit_run ~gap:(rto / 2) ~apply_ns:0 ~lose_first:true
   in
@@ -446,8 +443,7 @@ let test_lossy_link_retry () =
         repl_serve cfg
           { S.default_repl_config with
             S.link_drop_pct = 20;
-            link_dup_pct = 10;
-            retransmit_ns = 60_000 }
+            link_dup_pct = 10 }
       in
       check (name ^ ": wire lost messages") true (r.S.link_dropped > 0);
       check (name ^ ": go-back-N retransmitted") true (r.S.retransmits > 0);
