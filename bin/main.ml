@@ -390,10 +390,17 @@ let inspect_cmd =
              uncached legacy path.")
   in
   let run allocator threads tcache_mag trace_out =
+    if tcache_mag > 0 && allocator <> `Poseidon then begin
+      Printf.eprintf
+        "inspect: --tcache-mag needs -a poseidon: the baselines have no \
+         cache support\n";
+      2
+    end
+    else
     with_tracing trace_out @@ fun () ->
     let factory = factory_of allocator in
-    (* Poseidon keeps its heap handle so the aggregate statistics —
-       including the thread-cache traffic — can be rendered below *)
+    (* Poseidon keeps its heap handle so the aggregate statistics can
+       be rendered below *)
     let mach, inst, pheap =
       match allocator with
       | `Poseidon ->
@@ -408,8 +415,11 @@ let inspect_cmd =
         let mach, inst = factory.Workloads.Factories.make () in
         (mach, inst, None)
     in
-    let inst =
-      if tcache_mag > 0 then fst (Tcache.wrap ~mag:tcache_mag inst) else inst
+    let inst, tcache =
+      if tcache_mag > 0 then
+        let inst, t = Tcache.wrap ~mag:tcache_mag inst in
+        (inst, Some t)
+      else (inst, None)
     in
     let _ =
       Machine.parallel mach ~threads (fun i ->
@@ -444,12 +454,14 @@ let inspect_cmd =
          s.Poseidon.Heap.invalid_frees s.Poseidon.Heap.double_frees
          s.Poseidon.Heap.tx_commits s.Poseidon.Heap.tx_aborts
          s.Poseidon.Heap.recovery_replays;
+       let hits, misses, refills, flushes =
+         match tcache with Some t -> Tcache.stats t | None -> (0, 0, 0, 0)
+       in
        Printf.printf
          "tcache: %d hits, %d misses, %d bin refills, %d bin flushes, %d \
           record-hint hits, %d hint misses\n"
-         s.Poseidon.Heap.tcache_hits s.Poseidon.Heap.tcache_misses
-         s.Poseidon.Heap.bin_refills s.Poseidon.Heap.bin_flushes
-         s.Poseidon.Heap.hint_hits s.Poseidon.Heap.hint_misses;
+         hits misses refills flushes s.Poseidon.Heap.hint_hits
+         s.Poseidon.Heap.hint_misses;
        (* outside the simulation: these metadata reads are uncharged *)
        print_string "hash levels (full) [slot reads] per subheap:";
        Poseidon.Heap.iter_subheaps heap (fun sh ->

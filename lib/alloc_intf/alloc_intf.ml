@@ -40,9 +40,9 @@ let unpack ~heap_id w =
     A DRAM-resident thread cache (lib/tcache) layers volatile per-CPU,
     per-size-class bins over an allocator.  The allocator exposes the
     persistent half of the protocol through these hooks; allocators
-    without deferred-reclaim support (the baselines) expose [None] and
-    the cache wrapper degrades to a transparent pass-through, keeping
-    cross-allocator comparisons honest. *)
+    without deferred-reclaim support (the baselines) expose [None],
+    and the cache refuses to wrap them: a comparison across
+    allocators runs each one uncached. *)
 
 (** A block held by (or leaving) a volatile bin: the pointer plus its
     reclaim-ledger lease slot.  While the lease is set, recovery
@@ -126,7 +126,7 @@ module type S = sig
 
   val cache_ops : heap -> cache_ops option
   (** Magazine-cache support hooks; [None] when the allocator cannot
-      defer reclamation crash-safely (the cache then passes through). *)
+      defer reclamation crash-safely (the cache refuses to wrap it). *)
 end
 
 (** An allocator packaged with one of its heaps — what workloads take. *)

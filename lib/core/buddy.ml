@@ -52,11 +52,3 @@ let first_fit mach meta_base cls ~min_size ~max_steps =
     else go (Record.get_next_free mach rec_addr) (steps + 1)
   in
   go (head mach meta_base cls) 0
-
-(** Folds over a class list (bounded); for diagnostics and tests. *)
-let fold mach meta_base cls f acc =
-  let rec go rec_addr acc guard =
-    if rec_addr = 0 || guard > 10_000_000 then acc
-    else go (Record.get_next_free mach rec_addr) (f acc rec_addr) (guard + 1)
-  in
-  go (head mach meta_base cls) acc 0

@@ -11,7 +11,7 @@
     {!push_head}, {!push_tail} and {!unlink} write nothing: each
     returns the [(address, value)] writes of the list update, all
     computed from the lists' state before it, for one
-    {!Undolog.write_all} batch of the caller's.  Two updates of the
+    {!Persist.Pundo.write_all} batch of the caller's.  Two updates of the
     same step whose writes depend on each other go in successive
     batches. *)
 
@@ -34,6 +34,3 @@ val unlink : Machine.t -> int -> int -> int -> (int * int) list
 val first_fit : Machine.t -> int -> int -> min_size:int -> max_steps:int -> int option
 (** Walks the class list from the head for a block of at least
     [min_size] bytes, visiting at most [max_steps] nodes. *)
-
-val fold : Machine.t -> int -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Bounded fold over a class list (diagnostics and tests). *)

@@ -61,9 +61,9 @@ let hash_bits t key = mix key land ((1 lsl depth t) - 1)
 let alloc_bucket ctx t ~local_depth =
   let bump = Machine.read_u64 t.mach (t.base + off_bump) in
   if bump + bucket_size > t.base + t.size then failwith "Exthash: region full";
-  Undolog.write ctx (t.base + off_bump) (bump + bucket_size);
-  Undolog.write ctx bump local_depth;
-  Undolog.write ctx (bump + 8) 0;
+  Persist.Pundo.write ctx (t.base + off_bump) (bump + bucket_size);
+  Persist.Pundo.write ctx bump local_depth;
+  Persist.Pundo.write ctx (bump + 8) 0;
   (* slots are virgin zeroes (key 0 = empty) or punched *)
   bump
 
@@ -101,8 +101,8 @@ let create mach ~base ~size =
   with_op t (fun ctx ->
       let b0 = alloc_bucket ctx t ~local_depth:1 in
       let b1 = alloc_bucket ctx t ~local_depth:1 in
-      Undolog.write ctx (dir_slot t 0) b0;
-      Undolog.write ctx (dir_slot t 1) b1);
+      Persist.Pundo.write ctx (dir_slot t 0) b0;
+      Persist.Pundo.write ctx (dir_slot t 1) b1);
   t
 
 let bucket_of t key =
@@ -131,12 +131,12 @@ let rec insert ctx t key value =
     else find (i + 1)
   in
   match find 0 with
-  | Some i -> Undolog.write ctx (slot_addr b i + 8) value
+  | Some i -> Persist.Pundo.write ctx (slot_addr b i + 8) value
   | None ->
     if n < slots_per_bucket then begin
-      Undolog.write ctx (slot_addr b n) key;
-      Undolog.write ctx (slot_addr b n + 8) value;
-      Undolog.write ctx (b + 8) (n + 1)
+      Persist.Pundo.write ctx (slot_addr b n) key;
+      Persist.Pundo.write ctx (slot_addr b n + 8) value;
+      Persist.Pundo.write ctx (b + 8) (n + 1)
     end
     else begin
       split ctx t b;
@@ -159,14 +159,14 @@ and split ctx t b =
     for i = 0 to half - 1 do
       Machine.write_u64 mach (dir_slot t (half + i))
         (Machine.read_u64 mach (dir_slot t i));
-      Undolog.mark_dirty ctx (dir_slot t (half + i))
+      Persist.Pundo.mark_dirty ctx (dir_slot t (half + i))
     done;
-    Undolog.write ctx (t.base + off_depth) (gd + 1)
+    Persist.Pundo.write ctx (t.base + off_depth) (gd + 1)
   end;
   let gd = depth t in
   let new_ld = ld + 1 in
   let sibling = alloc_bucket ctx t ~local_depth:new_ld in
-  Undolog.write ctx b new_ld;
+  Persist.Pundo.write ctx b new_ld;
   (* redistribute: entries whose (ld)'th hash bit is 1 move *)
   let bit = 1 lsl ld in
   let keep = ref 0 and moved = ref 0 in
@@ -175,24 +175,24 @@ and split ctx t b =
     let k = Machine.read_u64 mach (slot_addr b i) in
     let v = Machine.read_u64 mach (slot_addr b i + 8) in
     if mix k land bit <> 0 then begin
-      Undolog.write ctx (slot_addr sibling !moved) k;
-      Undolog.write ctx (slot_addr sibling !moved + 8) v;
+      Persist.Pundo.write ctx (slot_addr sibling !moved) k;
+      Persist.Pundo.write ctx (slot_addr sibling !moved + 8) v;
       incr moved
     end
     else begin
       if !keep <> i then begin
-        Undolog.write ctx (slot_addr b !keep) k;
-        Undolog.write ctx (slot_addr b !keep + 8) v
+        Persist.Pundo.write ctx (slot_addr b !keep) k;
+        Persist.Pundo.write ctx (slot_addr b !keep + 8) v
       end;
       incr keep
     end
   done;
-  Undolog.write ctx (b + 8) !keep;
-  Undolog.write ctx (sibling + 8) !moved;
+  Persist.Pundo.write ctx (b + 8) !keep;
+  Persist.Pundo.write ctx (sibling + 8) !moved;
   (* re-point the directory entries of the sibling's pattern *)
   for i = 0 to (1 lsl gd) - 1 do
     if Machine.read_u64 mach (dir_slot t i) = b && i land bit <> 0 then
-      Undolog.write ctx (dir_slot t i) sibling
+      Persist.Pundo.write ctx (dir_slot t i) sibling
   done
 
 let delete ctx t key =
@@ -203,12 +203,12 @@ let delete ctx t key =
     else if Machine.read_u64 t.mach (slot_addr b i) = key then begin
       (* swap in the last entry *)
       if i <> n - 1 then begin
-        Undolog.write ctx (slot_addr b i)
+        Persist.Pundo.write ctx (slot_addr b i)
           (Machine.read_u64 t.mach (slot_addr b (n - 1)));
-        Undolog.write ctx (slot_addr b i + 8)
+        Persist.Pundo.write ctx (slot_addr b i + 8)
           (Machine.read_u64 t.mach (slot_addr b (n - 1) + 8))
       end;
-      Undolog.write ctx (b + 8) (n - 1);
+      Persist.Pundo.write ctx (b + 8) (n - 1);
       true
     end
     else find (i + 1)

@@ -90,9 +90,12 @@ let check_subheap (sh : Subheap.t) =
     hash_levels = levels;
     hash_live = !hash_live;
     hash_capacity = !capacity;
-    undo_log_empty = Undolog.is_empty mach ~meta_base:sh.Subheap.meta_base;
+    undo_log_empty =
+      Persist.Pundo.is_empty mach
+        ~count_addr:(Layout.undo_count sh.Subheap.meta_base);
     micro_log_entries =
-      List.length (Microlog.entries mach ~meta_base:sh.Subheap.meta_base);
+      List.length
+        (Persist.Plog.entries mach (Layout.micro_area sh.Subheap.meta_base));
     violations = List.rev !violations }
 
 let run heap =

@@ -255,7 +255,7 @@ let extend ctx t =
   let n = levels t in
   if n >= Layout.max_levels then false
   else begin
-    Undolog.write ctx (levels_addr t) (n + 1);
+    Persist.Pundo.write ctx (levels_addr t) (n + 1);
     true
   end
 
@@ -268,7 +268,7 @@ let shrink ctx t =
   let n = levels t in
   let n' = top n in
   if n' < n then begin
-    Undolog.write ctx (levels_addr t) n';
+    Persist.Pundo.write ctx (levels_addr t) n';
     Some (n', n) (* caller punches level areas n'..n-1 after commit *)
   end
   else None

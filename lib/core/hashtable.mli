@@ -94,10 +94,10 @@ val live_decr : t -> int -> int * int
 
 (** {2 Growth and release} *)
 
-val extend : Undolog.ctx -> t -> bool
+val extend : Persist.Pundo.ctx -> t -> bool
 (** Adds one level; [false] at [Layout.max_levels]. *)
 
-val shrink : Undolog.ctx -> t -> (int * int) option
+val shrink : Persist.Pundo.ctx -> t -> (int * int) option
 (** Drops empty top levels; returns [(new_levels, old_levels)] so the
     caller can {!punch_levels} after committing. *)
 

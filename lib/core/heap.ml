@@ -34,11 +34,6 @@ type t = {
   c_tx_allocs : int ref;
   c_tx_commits : int ref;
   c_tx_aborts : int ref;
-  (* magazine-cache traffic (bumped through {!cache_ops}) *)
-  mutable tc_hits : int;
-  mutable tc_misses : int;
-  mutable tc_refills : int;
-  mutable tc_flushes : int;
 }
 
 let mk_counters heap_id =
@@ -76,6 +71,45 @@ let ensure_region h ~base ~size ~numa =
   if not (Machine.has_region h.mach base) then
     Machine.add_region h.mach ~base ~size ~kind:Nvmm.Memdev.Nvmm ~numa
 
+(* The volatile handle over a formatted superblock, with no sub-heap
+   attached yet: a fresh MPK key guarding the superblock region (when
+   [protected]), recorded in the superblock, and the live counters. *)
+let make mach ~base ~heap_id ~num_slots ~window_size ~sub_data_size
+    ~base_buckets ~protected ~single =
+  let pkey =
+    if protected then begin
+      let k = Mpk.alloc_key (Machine.mpk mach) in
+      Superblock.set_last_pkey mach ~base k;
+      Mpk.assign_range (Machine.mpk mach) k ~base
+        ~size:(sb_region_size num_slots);
+      Mpk.set_default_perm (Machine.mpk mach) k Mpk.Read_only;
+      k
+    end
+    else 0
+  in
+  let c_allocs, c_alloc_fails, c_frees, c_tx_allocs, c_tx_commits, c_tx_aborts =
+    mk_counters heap_id
+  in
+  { mach;
+    base;
+    heap_id;
+    num_slots;
+    window_size;
+    sub_data_size;
+    base_buckets;
+    pkey;
+    cap = None;
+    subheaps = Array.make num_slots None;
+    sb_lock = Machine.Lock.create mach ~name:"superblock" ();
+    protect = protected;
+    single;
+    c_allocs;
+    c_alloc_fails;
+    c_frees;
+    c_tx_allocs;
+    c_tx_commits;
+    c_tx_aborts }
+
 let create mach ~base ~size ~heap_id ?(sub_data_size = default_sub_data_size)
     ?(base_buckets = default_base_buckets) ?(protected = true)
     ?(single_subheap = false) () =
@@ -91,42 +125,8 @@ let create mach ~base ~size ~heap_id ?(sub_data_size = default_sub_data_size)
   Machine.write_u64 mach (base + Layout.sb_off_sub_data_size) sub_data_size;
   Machine.write_u64 mach (base + Layout.sb_off_base_buckets) base_buckets;
   Machine.persist mach (base + Layout.sb_off_sub_data_size) (2 * Layout.word);
-  let pkey =
-    if protected then begin
-      let k = Mpk.alloc_key (Machine.mpk mach) in
-      Superblock.set_last_pkey mach ~base k;
-      Mpk.assign_range (Machine.mpk mach) k ~base ~size:sb_size;
-      Mpk.set_default_perm (Machine.mpk mach) k Mpk.Read_only;
-      k
-    end
-    else 0
-  in
-  let c_allocs, c_alloc_fails, c_frees, c_tx_allocs, c_tx_commits, c_tx_aborts =
-    mk_counters heap_id
-  in
-  { mach;
-    base;
-    heap_id;
-    num_slots;
-    window_size = size;
-    sub_data_size;
-    base_buckets;
-    pkey;
-    cap = None;
-    subheaps = Array.make num_slots None;
-    sb_lock = Machine.Lock.create mach ~name:"superblock" ();
-    protect = protected;
-    single = single_subheap;
-    c_allocs;
-    c_alloc_fails;
-    c_frees;
-    c_tx_allocs;
-    c_tx_commits;
-    c_tx_aborts;
-    tc_hits = 0;
-    tc_misses = 0;
-    tc_refills = 0;
-    tc_flushes = 0 }
+  make mach ~base ~heap_id ~num_slots ~window_size:size ~sub_data_size
+    ~base_buckets ~protected ~single:single_subheap
 
 let meta_region_size h =
   Layout.meta_size ~base_buckets:h.base_buckets ~levels:Layout.max_levels
@@ -144,44 +144,9 @@ let attach mach ~base ?(protected = true) () =
   (* the key of the previous incarnation died with the process *)
   let old_key = Superblock.last_pkey mach ~base in
   if old_key >= 1 && old_key < 16 then Mpk.free_key (Machine.mpk mach) old_key;
-  let pkey =
-    if protected then begin
-      let k = Mpk.alloc_key (Machine.mpk mach) in
-      Superblock.set_last_pkey mach ~base k;
-      Mpk.assign_range (Machine.mpk mach) k ~base
-        ~size:(sb_region_size num_slots);
-      Mpk.set_default_perm (Machine.mpk mach) k Mpk.Read_only;
-      k
-    end
-    else 0
-  in
-  let c_allocs, c_alloc_fails, c_frees, c_tx_allocs, c_tx_commits, c_tx_aborts =
-    mk_counters heap_id
-  in
   let h =
-    { mach;
-      base;
-      heap_id;
-      num_slots;
-      window_size;
-      sub_data_size;
-      base_buckets;
-      pkey;
-      cap = None;
-      subheaps = Array.make num_slots None;
-      sb_lock = Machine.Lock.create mach ~name:"superblock" ();
-      protect = protected;
-      single = false;
-      c_allocs;
-      c_alloc_fails;
-      c_frees;
-      c_tx_allocs;
-      c_tx_commits;
-      c_tx_aborts;
-    tc_hits = 0;
-    tc_misses = 0;
-    tc_refills = 0;
-    tc_flushes = 0 }
+    make mach ~base ~heap_id ~num_slots ~window_size ~sub_data_size
+      ~base_buckets ~protected ~single:false
   in
   let meta_size = meta_region_size h in
   for slot = 0 to num_slots - 1 do
@@ -192,7 +157,8 @@ let attach mach ~base ?(protected = true) () =
       ensure_region h ~base:meta_base ~size:(meta_size + data_size)
         ~numa:(Machine.Config.cpu_numa (Machine.cfg mach) sh.Subheap.cpu);
       if protected then
-        Mpk.assign_range (Machine.mpk mach) pkey ~base:meta_base ~size:meta_size;
+        Mpk.assign_range (Machine.mpk mach) h.pkey ~base:meta_base
+          ~size:meta_size;
       h.subheaps.(slot) <- Some sh
     end
   done;
@@ -333,7 +299,8 @@ let tx_abort h =
       | Some sh ->
         Machine.Lock.with_lock sh.Subheap.lock (fun () ->
             let entries =
-              Microlog.entries h.mach ~meta_base:sh.Subheap.meta_base
+              Persist.Plog.entries h.mach
+                (Layout.micro_area sh.Subheap.meta_base)
             in
             List.iter
               (fun packed ->
@@ -495,13 +462,8 @@ let cache_ops h =
       cache_publish = (fun blocks -> tc_publish h blocks);
       cache_stash = (fun ptr -> tc_stash h ptr);
       cache_reclaim = (fun blocks -> tc_reclaim h blocks);
-      cache_note =
-        (fun ev ->
-          match ev with
-          | Alloc_intf.Cache_hit -> h.tc_hits <- h.tc_hits + 1
-          | Alloc_intf.Cache_miss -> h.tc_misses <- h.tc_misses + 1
-          | Alloc_intf.Cache_refill -> h.tc_refills <- h.tc_refills + 1
-          | Alloc_intf.Cache_flush -> h.tc_flushes <- h.tc_flushes + 1) }
+      (* the cache counts its own traffic (Tcache.stats) *)
+      cache_note = ignore }
 
 let get_rawptr h (ptr : Alloc_intf.nvmptr) =
   if Alloc_intf.is_null ptr then invalid_arg "Heap.get_rawptr: null pointer";
@@ -568,15 +530,18 @@ let data_capacity h =
 let tx_pending h =
   let n = ref 0 in
   iter_subheaps h (fun sh ->
-      n := !n + Microlog.count h.mach ~meta_base:sh.Subheap.meta_base);
+      let micro = Layout.micro_area sh.Subheap.meta_base in
+      n := !n + Persist.Plog.count h.mach micro);
   !n
 
 let logs_quiescent h =
   let ok = ref true in
   iter_subheaps h (fun sh ->
+      let undo = Layout.undo_count sh.Subheap.meta_base
+      and micro = Layout.micro_area sh.Subheap.meta_base in
       if
-        (not (Undolog.is_empty h.mach ~meta_base:sh.Subheap.meta_base))
-        || not (Microlog.is_empty h.mach ~meta_base:sh.Subheap.meta_base)
+        (not (Persist.Pundo.is_empty h.mach ~count_addr:undo))
+        || not (Persist.Plog.is_empty h.mach micro)
       then ok := false);
   !ok
 
@@ -592,10 +557,6 @@ type stats = {
   recovery_replays : int;
   live_bytes : int;
   free_bytes : int;
-  tcache_hits : int;
-  tcache_misses : int;
-  bin_refills : int;
-  bin_flushes : int;
   hint_hits : int;
   hint_misses : int;
   hash_slot_reads : int;
@@ -615,10 +576,6 @@ let stats h =
         recovery_replays = 0;
         live_bytes = 0;
         free_bytes = 0;
-        tcache_hits = h.tc_hits;
-        tcache_misses = h.tc_misses;
-        bin_refills = h.tc_refills;
-        bin_flushes = h.tc_flushes;
         hint_hits = 0;
         hint_misses = 0;
         hash_slot_reads = 0 }
@@ -637,10 +594,6 @@ let stats h =
             !s.recovery_replays + sh.Subheap.stat_recovery_replays;
           live_bytes = !s.live_bytes + Subheap.live_bytes sh;
           free_bytes = !s.free_bytes + Subheap.free_bytes sh;
-          tcache_hits = !s.tcache_hits;
-          tcache_misses = !s.tcache_misses;
-          bin_refills = !s.bin_refills;
-          bin_flushes = !s.bin_flushes;
           hint_hits = !s.hint_hits + sh.Subheap.stat_hint_hits;
           hint_misses = !s.hint_misses + sh.Subheap.stat_hint_misses;
           hash_slot_reads =
@@ -667,10 +620,6 @@ let publish_metrics ?registry h =
   g scope "recovery_replays" s.recovery_replays;
   g scope "live_bytes" s.live_bytes;
   g scope "free_bytes" s.free_bytes;
-  g scope "tcache_hits" s.tcache_hits;
-  g scope "tcache_misses" s.tcache_misses;
-  g scope "bin_refills" s.bin_refills;
-  g scope "bin_flushes" s.bin_flushes;
   g scope "hint_hits" s.hint_hits;
   g scope "hint_misses" s.hint_misses;
   g scope "hash_slot_reads" s.hash_slot_reads;

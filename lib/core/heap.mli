@@ -19,9 +19,6 @@
 
 type t
 
-val default_sub_data_size : int
-val default_base_buckets : int
-
 val create :
   Machine.t ->
   base:int ->
@@ -145,10 +142,6 @@ type stats = {
           {!attach} recovery *)
   live_bytes : int;
   free_bytes : int;
-  tcache_hits : int; (** magazine-cache bin pops (no allocator call) *)
-  tcache_misses : int; (** bin empty — refill or inner fallback *)
-  bin_refills : int; (** batched {!carve} refills *)
-  bin_flushes : int; (** bulk reclaims of full free bins *)
   hint_hits : int;
       (** magazine-cache frees (stashes and flushed blocks) whose
           block was found through the sub-heap's DRAM record-hint

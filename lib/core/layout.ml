@@ -58,7 +58,7 @@ let sb_size num_slots = ((sb_off_dir + (num_slots * dir_entry_size) + page - 1) 
 
 let sh_magic = 0x5355424845415021L |> Int64.to_int (* "SUBHEAP!" *)
 
-let undo_cap = 1024 (* entries of {addr, old value} *)
+let undo_cap = 1024 (* entries of {addr, old value, checksum} *)
 let micro_cap = 1024 (* entries of packed nvmptr *)
 
 let sh_off_magic = 0
@@ -66,9 +66,8 @@ let sh_off_cpu = 8
 let sh_off_data_base = 16
 let sh_off_data_size = 24
 let sh_off_undo_count = 32
-let sh_off_undo_entries = 40
-let undo_entry_size = 24
-let sh_off_micro_count = sh_off_undo_entries + (undo_cap * undo_entry_size)
+let sh_off_micro_count =
+  sh_off_undo_count + word + (undo_cap * Persist.Pundo.entry_size)
 let sh_off_micro_entries = sh_off_micro_count + word
 let sh_off_buddy_heads = sh_off_micro_entries + (micro_cap * word)
 let sh_off_buddy_tails = sh_off_buddy_heads + (num_classes * word)
@@ -91,6 +90,16 @@ let sh_off_tc_ledger = sh_off_base_buckets + word
 let sh_header_size =
   let last = sh_off_tc_ledger + (tc_ledger_cap * word) in
   ((last + page - 1) / page) * page
+
+(* The sub-heap's two logs (§4.5): the undo log's count word, which
+   {!Persist.Pundo} follows with its entries, and the micro log's
+   area. *)
+let undo_count meta_base = meta_base + sh_off_undo_count
+
+let micro_area meta_base =
+  { Persist.Plog.count_addr = meta_base + sh_off_micro_count;
+    entries_addr = meta_base + sh_off_micro_entries;
+    cap = micro_cap }
 
 (* ---------- hash table ---------- *)
 

@@ -7,8 +7,6 @@
     DESIGN.md for the architecture. *)
 
 module Layout = Layout
-module Undolog = Undolog
-module Microlog = Microlog
 module Record = Record
 module Hashtable = Hashtable
 module Buddy = Buddy
@@ -18,46 +16,31 @@ module Heap = Heap
 module Fsck = Fsck
 module Exthash = Exthash
 
-type heap = Heap.t
-
 let allocator_name = "Poseidon"
-
-let create mach ~base ~size ~heap_id =
-  Heap.create mach ~base ~size ~heap_id ()
-
-let attach mach ~base = Heap.attach mach ~base ()
-let finish = Heap.finish
-let alloc = Heap.alloc
-let tx_alloc = Heap.tx_alloc
-let tx_commit = Heap.tx_commit
-let free = Heap.free
-let get_rawptr = Heap.get_rawptr
-let get_nvmptr = Heap.get_nvmptr
-let get_root = Heap.get_root
-let set_root = Heap.set_root
-let machine = Heap.machine
-let cache_ops = Heap.cache_ops
 
 (** Poseidon packaged as a first-class allocator instance. *)
 let instance heap =
   Alloc_intf.Instance
     ( (module struct
-        type nonrec heap = heap
+        type heap = Heap.t
 
         let allocator_name = allocator_name
-        let create = create
-        let attach = attach
-        let finish = finish
-        let alloc = alloc
-        let tx_alloc = tx_alloc
-        let tx_commit = tx_commit
-        let free = free
-        let get_rawptr = get_rawptr
-        let get_nvmptr = get_nvmptr
-        let get_root = get_root
-        let set_root = set_root
-        let machine = machine
-        let cache_ops = cache_ops
+
+        let create mach ~base ~size ~heap_id =
+          Heap.create mach ~base ~size ~heap_id ()
+
+        let attach mach ~base = Heap.attach mach ~base ()
+        let finish = Heap.finish
+        let alloc = Heap.alloc
+        let tx_alloc = Heap.tx_alloc
+        let tx_commit = Heap.tx_commit
+        let free = Heap.free
+        let get_rawptr = Heap.get_rawptr
+        let get_nvmptr = Heap.get_nvmptr
+        let get_root = Heap.get_root
+        let set_root = Heap.set_root
+        let machine = Heap.machine
+        let cache_ops = Heap.cache_ops
       end : Alloc_intf.S
-        with type heap = heap),
+        with type heap = Heap.t),
       heap )

@@ -34,7 +34,7 @@ let is_live mach a =
     very operation, in which case a rollback would resurrect the old
     record — every field is returned for logging. *)
 let init ctx rec_addr ~off ~size ~status ~prev ~next =
-  let mach = Undolog.machine ctx in
+  let mach = Persist.Pundo.machine ctx in
   let fields =
     [ (rec_addr + Layout.rec_off_offset, off);
       (size_at rec_addr, size);
@@ -48,7 +48,7 @@ let init ctx rec_addr ~off ~size ~status ~prev ~next =
     List.iter
       (fun (a, v) ->
         Machine.write_u64 mach a v;
-        Undolog.mark_dirty ctx a)
+        Persist.Pundo.mark_dirty ctx a)
       fields;
     [ (status_at rec_addr, status) ]
   end

@@ -5,7 +5,7 @@
     status, address-adjacency links (for merging) and class-list links
     (for the buddy lists).  Reads go straight to the machine; writes
     are [(field address, value)] pairs of an undo-logged batch
-    ({!Undolog.write_all}). *)
+    ({!Persist.Pundo.write_all}). *)
 
 val get_offset : Machine.t -> int -> int
 val get_size : Machine.t -> int -> int
@@ -35,7 +35,7 @@ val is_live : Machine.t -> int -> bool
 (** Status is free or allocated (not empty/tombstone). *)
 
 val init :
-  Undolog.ctx ->
+  Persist.Pundo.ctx ->
   int ->
   off:int ->
   size:int ->

@@ -16,7 +16,7 @@ type t = {
   data_base : int;
   data_size : int;
   ht : Hashtable.t;
-  undo : Undolog.log;
+  undo : Persist.Pundo.log;
   lock : Machine.Lock.lock;
   mutable stat_invalid_free : int;
   mutable stat_double_free : int;
@@ -111,14 +111,16 @@ let attach mach ~heap_id ~index ~meta_base =
     ~data_base:(hdr_read mach meta_base Layout.sh_off_data_base)
     ~data_size:(hdr_read mach meta_base Layout.sh_off_data_size)
     ~base_buckets:(hdr_read mach meta_base Layout.sh_off_base_buckets)
-    ~undo:(Undolog.attach mach ~meta_base)
+    ~undo:
+      (Persist.Pundo.attach mach ~count_addr:(Layout.undo_count meta_base)
+         ~cap:Layout.undo_cap)
 
 (* ---------- operations ---------- *)
 
 let op sh f =
-  let ctx = Undolog.begin_op sh.undo in
+  let ctx = Persist.Pundo.begin_op sh.undo in
   let result = f ctx in
-  Undolog.commit ctx;
+  Persist.Pundo.commit ctx;
   result
 
 (* ---------- merging ---------- *)
@@ -144,10 +146,10 @@ let merge ctx sh ~left_rec ~right_rec =
   assert (Record.get_status mach left_rec = Layout.st_free);
   assert (Record.get_status mach right_rec = Layout.st_free);
   assert (Record.get_next mach left_rec = Record.get_offset mach right_rec);
-  Undolog.write_all ctx
+  Persist.Pundo.write_all ctx
     (Buddy.unlink mach sh.meta_base (Layout.class_of_size lsz) left_rec);
   let rnext = Record.get_next mach right_rec in
-  Undolog.write_all ctx
+  Persist.Pundo.write_all ctx
     (Buddy.unlink mach sh.meta_base (Layout.class_of_size rsz) right_rec
      @ [ (Record.size_at left_rec, lsz + rsz);
          (Record.next_at left_rec, rnext);
@@ -155,7 +157,7 @@ let merge ctx sh ~left_rec ~right_rec =
          Hashtable.live_decr sh.ht (Hashtable.level_of_rec sh.ht right_rec) ]
      @ prev_fix sh ~next_off:rnext (Record.get_offset mach left_rec));
   Hashtable.note_dead sh.ht right_rec;
-  Undolog.write_all ctx
+  Persist.Pundo.write_all ctx
     (Buddy.push_head mach sh.meta_base (Layout.class_of_size (lsz + rsz)) left_rec);
   sh.stat_merges <- sh.stat_merges + 1;
   Obs.Trace.emit2 Obs.Event.Merge sh.index (lsz + rsz)
@@ -217,7 +219,7 @@ let rec queue_record ?(attempt = 0) ctx sh q ~off ~size ~status ~prev ~next =
       { recs = Record.init ctx slot ~off ~size ~status ~prev ~next :: q.recs;
         levels = level :: q.levels } )
   | None ->
-    Undolog.write_all ctx (queued_writes sh q);
+    Persist.Pundo.write_all ctx (queued_writes sh q);
     let retry attempt =
       queue_record ~attempt ctx sh empty_queue ~off ~size ~status ~prev ~next
     in
@@ -276,7 +278,7 @@ let alloc_run ctx sh rsize ~count =
     (* Marked allocated before any further hash work so that window
        defragmentation triggered by the split cannot merge this block
        away. *)
-    Undolog.write_all ctx
+    Persist.Pundo.write_all ctx
       (Buddy.unlink mach sh.meta_base (Layout.class_of_size bsz) rec_addr
        @ (Record.status_at rec_addr, Layout.st_alloc)
          :: (if splits then
@@ -326,7 +328,7 @@ let alloc_run ctx sh rsize ~count =
               (Record.next_at last_rec, next_off) ]
           else []
       in
-      Undolog.write_all ctx
+      Persist.Pundo.write_all ctx
         (queued_writes sh q
          @ (if left_of_next <> off then prev_fix sh ~next_off left_of_next
             else [])
@@ -425,24 +427,24 @@ let allocate_tx sh size =
     if rsize > sh.data_size then None
     else begin
       let attempt () =
-        let ctx = Undolog.begin_op sh.undo in
+        let ctx = Persist.Pundo.begin_op sh.undo in
         match alloc_once ctx sh rsize with
         | None ->
-          Undolog.commit ctx;
+          Persist.Pundo.commit ctx;
           None
         | Some (off, _) ->
           let ptr =
             Alloc_intf.{ heap_id = sh.heap_id; subheap = sh.index; off }
           in
-          Undolog.commit ctx ~before_truncate:(fun () ->
-              Microlog.append sh.mach ~meta_base:sh.meta_base
+          Persist.Pundo.commit ctx ~before_truncate:(fun () ->
+              Persist.Plog.append sh.mach (Layout.micro_area sh.meta_base)
                 (Alloc_intf.pack ptr));
           Some off
       in
       with_defrag_retries sh ~rsize attempt
     end
 
-let commit_tx sh = Microlog.commit sh.mach ~meta_base:sh.meta_base
+let commit_tx sh = Persist.Plog.truncate sh.mach (Layout.micro_area sh.meta_base)
 
 type free_result = Freed | Invalid_free | Double_free
 
@@ -478,7 +480,7 @@ let dealloc_in ctx sh found =
     end
     else begin
       let size = Record.get_size sh.mach rec_addr in
-      Undolog.write_all ctx
+      Persist.Pundo.write_all ctx
         ((Record.status_at rec_addr, Layout.st_free)
          :: Buddy.push_tail sh.mach sh.meta_base (Layout.class_of_size size)
               rec_addr);
@@ -597,7 +599,7 @@ let carve sh ~rsize ~count =
                   end)
                 (acc, rejects, []) blocks
             in
-            Undolog.write_all ctx leases;
+            Persist.Pundo.write_all ctx leases;
             fill (need - List.length blocks) acc rejects
         in
         let acc, rejects = fill count [] [] in
@@ -627,7 +629,9 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
   Machine.persist mach meta_base Layout.sh_header_size;
   let sh =
     make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buckets
-      ~undo:(Undolog.create mach ~meta_base)
+      ~undo:
+        (Persist.Pundo.create mach ~count_addr:(Layout.undo_count meta_base)
+           ~cap:Layout.undo_cap)
   in
   op sh (fun ctx ->
       match
@@ -635,7 +639,7 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
           ~status:Layout.st_free ~prev:nil ~next:nil
       with
       | Some rec_addr, q ->
-        Undolog.write_all ctx
+        Persist.Pundo.write_all ctx
           (queued_writes sh q
            @ Buddy.push_head mach sh.meta_base (Layout.class_of_size data_size)
                rec_addr)
@@ -647,8 +651,10 @@ let format mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_buck
 (* Replays the undo log, then rolls back the uncommitted transaction
    recorded in the micro log.  Idempotent. *)
 let recover sh =
-  let undo_replayed = Undolog.recover sh.mach ~meta_base:sh.meta_base in
-  let entries = Microlog.entries sh.mach ~meta_base:sh.meta_base in
+  let undo_replayed =
+    Persist.Pundo.recover sh.mach ~count_addr:(Layout.undo_count sh.meta_base)
+  in
+  let entries = Persist.Plog.entries sh.mach (Layout.micro_area sh.meta_base) in
   sh.stat_recovery_replays <-
     sh.stat_recovery_replays
     + (if undo_replayed then 1 else 0)
@@ -663,7 +669,7 @@ let recover sh =
          check makes replaying this idempotent *)
       ignore (deallocate sh ptr.Alloc_intf.off))
     entries;
-  Microlog.commit sh.mach ~meta_base:sh.meta_base;
+  commit_tx sh;
   (* thread-cache reclaim ledger: every leased block died with the
      DRAM magazines — carved-ahead blocks nothing referenced yet, and
      freed blocks whose batched reclaim had not landed.  Deallocate
@@ -731,7 +737,8 @@ let fail_inv fmt = Printf.ksprintf (fun s -> raise (Invariant_violation s)) fmt
     real record population. *)
 let check_invariants sh =
   let mach = sh.mach in
-  if not (Undolog.is_empty mach ~meta_base:sh.meta_base) then
+  if not (Persist.Pundo.is_empty mach ~count_addr:(Layout.undo_count sh.meta_base))
+  then
     fail_inv "subheap %d: undo log not empty at rest" sh.index;
   let free_set = Hashtbl.create 64 in
   let level_count = Array.make Layout.max_levels 0 in

@@ -16,7 +16,7 @@ type t = {
   data_base : int;
   data_size : int;
   ht : Hashtable.t;
-  undo : Undolog.log;
+  undo : Persist.Pundo.log;
       (** the undo-log area and the next generation of its
           operations *)
   lock : Machine.Lock.lock;

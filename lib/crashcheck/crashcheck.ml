@@ -1447,24 +1447,26 @@ let kv_value_census_oracle ~value_size ~universe () =
    until crash recovery frees them), so up to 2 x mag blocks of each
    cached class (64 B values, 512 B tree nodes) plus one in-flight
    carve sit between the snapshot and the recovered heap. *)
-let kv_tcache_base =
-  let preload = [ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
-  and plan =
-    [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
-      Kdel 5; Kput (11, 605); Kput (9, 606) ]
-  in
-  { kv_default with
-    slack = 12288;
-    preload;
-    plan;
-    extra =
-      [ kv_value_census_oracle ~value_size:64
-          ~universe:(universe_of ~preload ~plan) () ] }
+let kv_tcache ~kname ~wrap ~preload ~plan =
+  kv_sweep
+    { kv_default with
+      kname;
+      wrap;
+      slack = 12288;
+      preload;
+      plan;
+      extra =
+        [ kv_value_census_oracle ~value_size:64
+            ~universe:(universe_of ~preload ~plan) () ] }
 
 let magazine inst = fst (Tcache.wrap ~mag:4 inst)
 
 let scn_kv_tcache_put () =
-  kv_sweep { kv_tcache_base with kname = "kv-tcache-put"; wrap = magazine }
+  kv_tcache ~kname:"kv-tcache-put" ~wrap:magazine
+    ~preload:[ (1, 161); (2, 162); (3, 163); (4, 164); (5, 165); (6, 166) ]
+    ~plan:
+      [ Kput (3, 601); Kput (9, 602); Kdel 2; Kput (10, 603); Kput (3, 604);
+        Kdel 5; Kput (11, 605); Kput (9, 606) ]
 
 (* The seeded cache bug, in the cache surface under the magazine: the
    allocator remembers the size of every block it carves, and a free
@@ -1511,11 +1513,15 @@ let leaseless_stash inner =
   end in
   Alloc_intf.Instance ((module W), h)
 
+(* Twelve preloaded values are three whole carves, so the 64 B bin is
+   empty when the deletes start; the ninth delete's leaseless stash
+   takes it past twice the magazine, and the flush frees five
+   leaseless blocks through the wrap's plain [free]. *)
 let scn_kv_tcache_broken () =
-  kv_sweep
-    { kv_tcache_base with
-      kname = "tcache-broken";
-      wrap = (fun inst -> magazine (leaseless_stash inst)) }
+  kv_tcache ~kname:"tcache-broken"
+    ~wrap:(fun inst -> magazine (leaseless_stash inst))
+    ~preload:(List.init 12 (fun i -> (i + 1, 171 + i)))
+    ~plan:(List.init 9 (fun i -> Kdel (i + 1)))
 
 (* Every built-in scenario by name: the correct ones in sweep order,
    then the seeded bugs ([true]), which [all_scenarios] leaves out. *)

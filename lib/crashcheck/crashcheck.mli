@@ -452,8 +452,11 @@ val scn_kv_tcache_broken : unit -> scenario
     allocator whose cache surface answers the free of any block it
     carved with lease [-1] and writes nothing, so such frees recycle
     into the bins with no reclaim lease and no persistent free, and a
-    crash orphans every block whose store reference was dropped.  The
-    census oracle MUST flag it. *)
+    crash orphans every block whose store reference was dropped.  Its
+    own plan (twelve preloaded keys, then nine deletes) takes the 64 B
+    bin past twice the magazine, so a flush also frees leaseless
+    blocks through the allocator's plain [free].  The census oracle
+    MUST flag it. *)
 
 (** {2 The scenario table} *)
 

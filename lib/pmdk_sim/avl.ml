@@ -145,20 +145,6 @@ let remove_best_fit t ~size =
     assert ok;
     Some (s, a)
 
-let iter t f =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-      go n.left;
-      f ~size:n.key_size ~addr:n.key_addr;
-      go n.right
-  in
-  go t.root
-
-let clear t =
-  t.root <- None;
-  t.count <- 0
-
 (* test helper: verify AVL balance and BST ordering *)
 let check t =
   let rec go lo = function

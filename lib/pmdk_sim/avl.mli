@@ -25,11 +25,6 @@ val find_best_fit : t -> size:int -> (int * int) option
 val remove_best_fit : t -> size:int -> (int * int) option
 (** {!find_best_fit} + {!remove}, atomically from the caller's view. *)
 
-val iter : t -> (size:int -> addr:int -> unit) -> unit
-(** In key order. *)
-
-val clear : t -> unit
-
 val check : t -> unit
 (** Validates AVL balance and BST ordering; raises [Failure].
     Test/diagnostic use. *)

@@ -14,11 +14,6 @@ type t = {
 
 let create () = { entries = [||]; count = 0; memo = None }
 
-let clear t =
-  t.entries <- [||];
-  t.count <- 0;
-  t.memo <- None
-
 (* position of the first entry with base > a *)
 let upper_bound t a =
   let lo = ref 0 and hi = ref t.count in

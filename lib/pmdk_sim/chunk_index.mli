@@ -9,7 +9,6 @@ type entry = { base : int; mutable size : int }
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 val add : t -> base:int -> size:int -> unit
 

@@ -26,47 +26,34 @@ let of_ptr (h : heap) (p : Alloc_intf.nvmptr) =
     invalid_arg "Pmdk_sim: foreign pointer";
   h.Heap.base + p.Alloc_intf.off
 
-let create mach ~base ~size ~heap_id = Heap.create mach ~base ~size ~heap_id ()
-let attach mach ~base = Heap.attach mach ~base ()
-let finish = Heap.finish
-
-let alloc h size = Option.map (to_ptr h) (Heap.alloc h size)
-
-let tx_alloc h size ~is_end = Option.map (to_ptr h) (Heap.tx_alloc h size ~is_end)
-let tx_commit = Heap.tx_commit
-
-let free h p = Heap.free h (of_ptr h p)
-
-let get_rawptr = of_ptr
-let get_nvmptr = to_ptr
-
-let get_root h =
-  Alloc_intf.unpack ~heap_id:(Heap.heap_id h) (Heap.get_root_packed h)
-
-let set_root h p = Heap.set_root_packed h (Alloc_intf.pack p)
-
-let machine = Heap.machine
-let cache_ops _ = None
-
 let instance heap =
   Alloc_intf.Instance
     ( (module struct
         type nonrec heap = heap
 
         let allocator_name = allocator_name
-        let create = create
-        let attach = attach
-        let finish = finish
-        let alloc = alloc
-        let tx_alloc = tx_alloc
-        let tx_commit = tx_commit
-        let free = free
-        let get_rawptr = get_rawptr
-        let get_nvmptr = get_nvmptr
-        let get_root = get_root
-        let set_root = set_root
-        let machine = machine
-        let cache_ops = cache_ops
+
+        let create mach ~base ~size ~heap_id =
+          Heap.create mach ~base ~size ~heap_id ()
+
+        let attach mach ~base = Heap.attach mach ~base ()
+        let finish = Heap.finish
+        let alloc h size = Option.map (to_ptr h) (Heap.alloc h size)
+
+        let tx_alloc h size ~is_end =
+          Option.map (to_ptr h) (Heap.tx_alloc h size ~is_end)
+
+        let tx_commit = Heap.tx_commit
+        let free h p = Heap.free h (of_ptr h p)
+        let get_rawptr = of_ptr
+        let get_nvmptr = to_ptr
+
+        let get_root h =
+          Alloc_intf.unpack ~heap_id:(Heap.heap_id h) (Heap.get_root_packed h)
+
+        let set_root h p = Heap.set_root_packed h (Alloc_intf.pack p)
+        let machine = Heap.machine
+        let cache_ops _ = None
       end : Alloc_intf.S
         with type heap = heap),
       heap )

@@ -24,9 +24,9 @@
       reference never persists) and joins the bin; overlong bins flush
       their overflow through one bulk-free transaction.
 
-    Allocators without cache support ([cache_ops = None] — the
-    baselines) degrade the wrapper to a transparent pass-through, as
-    does a magazine size of zero. *)
+    The cache has one mode: {!wrap} rejects a magazine below one block
+    and an allocator without cache support ([cache_ops = None] — the
+    baselines).  The uncached path is the bare instance. *)
 
 open Alloc_intf
 
@@ -59,16 +59,12 @@ type cpu_state = {
 
 type handle = {
   inner : instance;
-  ops : cache_ops option; (* None = pass-through *)
+  ops : cache_ops;
   mag : int;
   cpus : cpu_state array;
   counts : int array;
       (* hit / miss / refill / flush / idle refill, wrapper-side *)
 }
-
-type heap = handle
-
-let allocator_name = "tcache"
 
 let mk_cpu () =
   { bins =
@@ -114,7 +110,7 @@ let bin_take bin n =
   in
   go [] n
 
-let note h (ops : cache_ops) ev =
+let note h ev =
   let i =
     match ev with
     | Cache_hit -> 0
@@ -123,55 +119,58 @@ let note h (ops : cache_ops) ev =
     | Cache_flush -> 3
   in
   h.counts.(i) <- h.counts.(i) + 1;
-  ops.cache_note ev
+  h.ops.cache_note ev
 
 (* Overflow policy: let a bin grow to twice the magazine, then flush
    it back down to one magazine in a single bulk-free transaction. *)
-let maybe_flush h ops bin =
+let maybe_flush h bin =
   if bin.depth > 2 * h.mag then begin
     let excess = bin_take bin (bin.depth - h.mag) in
-    ops.cache_reclaim excess;
-    note h ops Cache_flush
+    h.ops.cache_reclaim excess;
+    note h Cache_flush
   end
 
 (* ---------- allocation ---------- *)
 
+(* A block of [bin]: a pop, or on a miss the first block of a fresh
+   carve of one magazine, whose rest joins the bin; [None] when the
+   carve fails. *)
+let take h bin rsize =
+  match bin_pop bin with
+  | Some b ->
+    note h Cache_hit;
+    Some b
+  | None -> (
+    note h Cache_miss;
+    bin.rsize <- rsize;
+    match h.ops.cache_carve ~size:rsize ~count:h.mag with
+    | [] -> None
+    | b :: rest ->
+      note h Cache_refill;
+      List.iter (bin_push bin) rest;
+      Some b)
+
 let alloc h size =
   timed (fun () ->
-      match h.ops with
-      | None -> i_alloc h.inner size
-      | Some ops ->
-        let rsize = ops.cache_round size in
-        if rsize > ops.cache_max_size then i_alloc h.inner size
-        else begin
-          let st = cpu_state h in
-          let bin = st.bins.(class_of_rsize rsize) in
-          match bin_pop bin with
-          | Some b ->
-            note h ops Cache_hit;
-            (* a singleton allocation is durable when it returns *)
-            ops.cache_publish [ b ];
-            Some b.cb_ptr
-          | None ->
-            note h ops Cache_miss;
-            bin.rsize <- rsize;
-            (match ops.cache_carve ~size:rsize ~count:h.mag with
-             | [] -> i_alloc h.inner size
-             | b :: rest ->
-               note h ops Cache_refill;
-               List.iter (bin_push bin) rest;
-               ops.cache_publish [ b ];
-               Some b.cb_ptr)
-        end)
+      let rsize = h.ops.cache_round size in
+      if rsize > h.ops.cache_max_size then i_alloc h.inner size
+      else
+        let st = cpu_state h in
+        match take h st.bins.(class_of_rsize rsize) rsize with
+        | Some b ->
+          (* a singleton allocation is durable when it returns *)
+          h.ops.cache_publish [ b ];
+          Some b.cb_ptr
+        | None -> i_alloc h.inner size)
 
 (* Publish every pending lease in one batch (single fence), then
    forward the commit to the inner allocator iff its transaction was
    actually entered — an empty inner commit still costs a fence. *)
-let commit_point h ops st =
+let commit_point h st =
   (match st.pending with
    | [] -> ()
    | pending ->
-     ops.cache_publish (List.map fst pending);
+     h.ops.cache_publish (List.map fst pending);
      st.pending <- []);
   if st.inner_tx_used then begin
     st.inner_tx_used <- false;
@@ -180,90 +179,56 @@ let commit_point h ops st =
 
 let tx_alloc h size ~is_end =
   timed (fun () ->
-      match h.ops with
-      | None -> i_tx_alloc h.inner size ~is_end
-      | Some ops ->
-        let st = cpu_state h in
-        let rsize = ops.cache_round size in
-        if rsize > ops.cache_max_size then begin
-          st.inner_tx_used <- true;
-          let r = i_tx_alloc h.inner size ~is_end in
-          if is_end && r <> None then begin
-            (* the inner [is_end] call committed the inner tx *)
-            st.inner_tx_used <- false;
-            commit_point h ops st
-          end;
-          r
-        end
-        else begin
-          let bin = st.bins.(class_of_rsize rsize) in
-          let popped =
-            match bin_pop bin with
-            | Some b ->
-              note h ops Cache_hit;
-              Some b
-            | None ->
-              note h ops Cache_miss;
-              bin.rsize <- rsize;
-              (match ops.cache_carve ~size:rsize ~count:h.mag with
-               | [] -> None
-               | b :: rest ->
-                 note h ops Cache_refill;
-                 List.iter (bin_push bin) rest;
-                 Some b)
-          in
-          match popped with
-          | Some b ->
-            st.pending <- (b, rsize) :: st.pending;
-            if is_end then commit_point h ops st;
-            Some b.cb_ptr
-          | None ->
-            st.inner_tx_used <- true;
-            let r = i_tx_alloc h.inner size ~is_end in
-            if is_end && r <> None then begin
-              st.inner_tx_used <- false;
-              commit_point h ops st
-            end;
-            r
-        end)
+      let st = cpu_state h in
+      let rsize = h.ops.cache_round size in
+      (* size overflow or carve failure: the inner allocator's own
+         transaction, which a successful [is_end] call commits *)
+      let inner () =
+        st.inner_tx_used <- true;
+        let r = i_tx_alloc h.inner size ~is_end in
+        if is_end && r <> None then begin
+          st.inner_tx_used <- false;
+          commit_point h st
+        end;
+        r
+      in
+      if rsize > h.ops.cache_max_size then inner ()
+      else
+        match take h st.bins.(class_of_rsize rsize) rsize with
+        | Some b ->
+          st.pending <- (b, rsize) :: st.pending;
+          if is_end then commit_point h st;
+          Some b.cb_ptr
+        | None -> inner ())
 
-let tx_commit h =
-  timed (fun () ->
-      match h.ops with
-      | None -> i_tx_commit h.inner
-      | Some ops ->
-        let st = cpu_state h in
-        commit_point h ops st)
+let tx_commit h = timed (fun () -> commit_point h (cpu_state h))
 
 (* ---------- deallocation ---------- *)
 
 let free h ptr =
   timed (fun () ->
-      match h.ops with
-      | None -> i_free h.inner ptr
-      | Some ops ->
-        let st = cpu_state h in
-        (* pre-commit free of a pending block (2PC abort): its lease
-           is still set, so it simply returns to a bin — no NVMM op *)
-        let rec split acc = function
-          | [] -> None
-          | ((b, _) as e) :: rest when equal_nvmptr b.cb_ptr ptr ->
-            Some (e, List.rev_append acc rest)
-          | e :: rest -> split (e :: acc) rest
-        in
-        match split [] st.pending with
-        | Some ((b, rsize), rest) ->
-          st.pending <- rest;
-          bin_push st.bins.(class_of_rsize rsize) b
-        | None -> (
-          match ops.cache_stash ptr with
-          | Some (lease, size) ->
-            let bin = st.bins.(class_of_rsize size) in
-            bin_push bin { cb_ptr = ptr; cb_lease = lease };
-            maybe_flush h ops bin
-          | None ->
-            (* invalid/double free, uncacheable size or full ledger *)
-            i_free h.inner ptr))
+      let st = cpu_state h in
+      (* pre-commit free of a pending block (2PC abort): its lease is
+         still set, so it simply returns to a bin — no NVMM op *)
+      let rec split acc = function
+        | [] -> None
+        | ((b, _) as e) :: rest when equal_nvmptr b.cb_ptr ptr ->
+          Some (e, List.rev_append acc rest)
+        | e :: rest -> split (e :: acc) rest
+      in
+      match split [] st.pending with
+      | Some ((b, rsize), rest) ->
+        st.pending <- rest;
+        bin_push st.bins.(class_of_rsize rsize) b
+      | None -> (
+        match h.ops.cache_stash ptr with
+        | Some (lease, size) ->
+          let bin = st.bins.(class_of_rsize size) in
+          bin_push bin { cb_ptr = ptr; cb_lease = lease };
+          maybe_flush h bin
+        | None ->
+          (* invalid/double free, uncacheable size or full ledger *)
+          i_free h.inner ptr))
 
 (* ---------- idle-time top-up ---------- *)
 
@@ -273,98 +238,86 @@ let free h ptr =
    transactional allocation is pending on this CPU: its leases publish
    at the commit point, and no carve may run inside that window. *)
 let top_up h =
-  match h.ops with
-  | None -> 0
-  | Some ops ->
-    let st = cpu_state h in
-    if st.pending <> [] || st.inner_tx_used then 0
-    else
-      Array.fold_left
-        (fun n bin ->
-          if bin.rsize = 0 || bin.depth > h.mag / 2 then n
-          else
-            match ops.cache_carve ~size:bin.rsize ~count:h.mag with
-            | [] -> n
-            | blocks ->
-              List.iter (bin_push bin) blocks;
-              h.counts.(4) <- h.counts.(4) + 1;
-              ops.cache_note Cache_refill;
-              n + 1)
-        0 st.bins
-
-(* ---------- pass-through surface ---------- *)
-
-let create _ ~base:_ ~size:_ ~heap_id:_ =
-  failwith "Tcache.create: wrap an existing instance"
-
-let attach _ ~base:_ = failwith "Tcache.attach: wrap an existing instance"
-
-let finish h = let (Instance ((module A), ih)) = h.inner in A.finish ih
-let get_rawptr h p = i_get_rawptr h.inner p
-let get_nvmptr h a = i_get_nvmptr h.inner a
-let get_root h = i_get_root h.inner
-let set_root h p = i_set_root h.inner p
-let machine h = instance_machine h.inner
-
-(* The wrapper exposes no cache surface of its own: stacking a second
-   cache on top would double-lease every block. *)
-let cache_ops _ = None
+  let st = cpu_state h in
+  if st.pending <> [] || st.inner_tx_used then 0
+  else
+    Array.fold_left
+      (fun n bin ->
+        if bin.rsize = 0 || bin.depth > h.mag / 2 then n
+        else
+          match h.ops.cache_carve ~size:bin.rsize ~count:h.mag with
+          | [] -> n
+          | blocks ->
+            List.iter (bin_push bin) blocks;
+            h.counts.(4) <- h.counts.(4) + 1;
+            h.ops.cache_note Cache_refill;
+            n + 1)
+      0 st.bins
 
 (* ---------- wrapper construction & control ---------- *)
 
 let reset h =
-  match h.ops with
-  | None -> ()
-  | Some ops ->
-    Array.iter
-      (fun st ->
-        let from_bins =
-          Array.to_list st.bins
-          |> List.concat_map (fun bin ->
-                 let bs = bin.blocks in
-                 bin.blocks <- [];
-                 bin.depth <- 0;
-                 bs)
-        in
-        let blocks = List.map fst st.pending @ from_bins in
-        st.pending <- [];
-        st.inner_tx_used <- false;
-        if blocks <> [] then begin
-          ops.cache_reclaim blocks;
-          note h ops Cache_flush
-        end)
-      h.cpus
+  Array.iter
+    (fun st ->
+      let from_bins =
+        Array.to_list st.bins
+        |> List.concat_map (fun bin ->
+               let bs = bin.blocks in
+               bin.blocks <- [];
+               bin.depth <- 0;
+               bs)
+      in
+      let blocks = List.map fst st.pending @ from_bins in
+      st.pending <- [];
+      st.inner_tx_used <- false;
+      if blocks <> [] then begin
+        h.ops.cache_reclaim blocks;
+        note h Cache_flush
+      end)
+    h.cpus
 
 let stats h = (h.counts.(0), h.counts.(1), h.counts.(2), h.counts.(3))
 let idle_refills h = h.counts.(4)
 
 let wrap ~mag inner =
+  if mag < 1 then invalid_arg "Tcache.wrap: mag < 1";
+  let ops =
+    match i_cache_ops inner with
+    | Some ops -> ops
+    | None -> invalid_arg "Tcache.wrap: the allocator has no cache support"
+  in
   let num_cpus =
     (Machine.cfg (instance_machine inner)).Machine.Config.num_cpus
   in
   let h =
     { inner;
-      ops = (if mag > 0 then i_cache_ops inner else None);
-      mag = max mag 1;
+      ops;
+      mag;
       cpus = Array.init (max num_cpus 1) (fun _ -> mk_cpu ());
       counts = Array.make 5 0 }
   in
   let module W = struct
-    type nonrec heap = heap
+    type heap = handle
 
-    let allocator_name = allocator_name
-    let create = create
-    let attach = attach
-    let finish = finish
+    let allocator_name = "tcache"
+
+    let create _ ~base:_ ~size:_ ~heap_id:_ =
+      failwith "Tcache.create: wrap an existing instance"
+
+    let attach _ ~base:_ = failwith "Tcache.attach: wrap an existing instance"
+    let finish h = let (Instance ((module A), ih)) = h.inner in A.finish ih
     let alloc = alloc
     let tx_alloc = tx_alloc
     let tx_commit = tx_commit
     let free = free
-    let get_rawptr = get_rawptr
-    let get_nvmptr = get_nvmptr
-    let get_root = get_root
-    let set_root = set_root
-    let machine = machine
-    let cache_ops = cache_ops
+    let get_rawptr h p = i_get_rawptr h.inner p
+    let get_nvmptr h a = i_get_nvmptr h.inner a
+    let get_root h = i_get_root h.inner
+    let set_root h p = i_set_root h.inner p
+    let machine h = instance_machine h.inner
+
+    (* no cache surface of its own: stacking a second cache on top
+       would double-lease every block *)
+    let cache_ops _ = None
   end in
-  (Instance ((module W : Alloc_intf.S with type heap = heap), h), h)
+  (Instance ((module W : Alloc_intf.S with type heap = handle), h), h)

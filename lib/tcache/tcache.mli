@@ -10,18 +10,15 @@
     durably allocated only when its lease publish (fence) completes —
     ordered before the embedding store's own commit persist — and a
     freed block is recyclable only after its reclaim lease persisted.
-    Allocators without cache support (and [mag = 0]) degrade to a
-    transparent pass-through. *)
+    The cache has one mode; the uncached path is the bare instance. *)
 
 type handle
 
-include Alloc_intf.S with type heap = handle
-
 val wrap : mag:int -> Alloc_intf.instance -> Alloc_intf.instance * handle
 (** Wraps an instance with magazine size [mag] (blocks carved per
-    refill; bins flush when they exceed twice that).  [mag = 0]
-    returns a pass-through wrapper that forwards every call verbatim
-    to [inner].  The handle controls the cache out of band. *)
+    refill; bins flush when they exceed twice that).  The handle
+    controls the cache out of band.  Raises [Invalid_argument] for
+    [mag < 1] and for an allocator whose [cache_ops] is [None]. *)
 
 val reset : handle -> unit
 (** Flushes every bin and pending list back to the inner allocator
@@ -39,10 +36,9 @@ val top_up : handle -> int
     request path still carves as before. *)
 
 val stats : handle -> int * int * int * int
-(** Wrapper-side traffic counters [(hits, misses, refills, flushes)]
-    since construction, the refills being request-path misses' carves
-    (mirrors the inner allocator's [tcache_*]/[bin_*] heap statistics,
-    whose [bin_refills] also counts {!idle_refills}). *)
+(** Traffic counters [(hits, misses, refills, flushes)] since
+    construction, the refills being request-path misses' carves; each
+    event also reaches the inner allocator's [cache_note]. *)
 
 val idle_refills : handle -> int
 (** Bins refilled by {!top_up} since construction. *)

@@ -227,6 +227,20 @@ for window in 1 4; do
     --drop-pct 20 --dup-pct 10 --crash-at 0.5 --seed "$CRASH_SEED" \
     > /dev/null
 done
+# inspect smoke: the counter dump runs with a magazine cache over
+# Poseidon and reads its traffic from the cache (exit 0); a baseline
+# has no cache support, so the same flag on PMDK-sim is refused with
+# exit 2.
+step="inspect smoke"
+dune exec bin/main.exe -- inspect -a poseidon --tcache-mag 8 > /dev/null
+step="inspect baseline cache refusal"
+status=0
+dune exec bin/main.exe -- inspect -a pmdk --tcache-mag 8 > /dev/null 2>&1 \
+  || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "check: inspect -a pmdk --tcache-mag 8 exited $status, want 2" >&2
+  exit 1
+fi
 # trace-validity gate: export a Chrome trace from a replicated serve
 # run and validate it — JSON shape, per-phase required fields, and
 # that every cross-machine flow start ("ph":"s") has its matching
@@ -310,4 +324,4 @@ dune exec bin/main.exe -- serve --shards 2 --clients 8 --rate 40000 \
   --crash-at 0.5 --seed "$CRASH_SEED" > /dev/null
 
 step="done"
-echo "check: lint + build + tests + crashcheck (incl. shift/split repair + chunk-commit + early-ack + 2PC + commit-word + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"
+echo "check: lint + build + tests + crashcheck (incl. shift/split repair + chunk-commit + early-ack + 2PC + commit-word + batching + MVCC + tcache + carve + carve-tombstones + rcache gates) + serve/txn/failover/long-wire failover/lossy-link failover/mvcc/tcache/rcache smokes + inspect smoke + trace validity + determinism + batch/mvcc/tcache/rcache CLI-default identity OK"

@@ -9,7 +9,7 @@ module Sh = Poseidon.Subheap
 module Ht = Poseidon.Hashtable
 module Bd = Poseidon.Buddy
 module Rec = Poseidon.Record
-module Ul = Poseidon.Undolog
+module Pundo = Persist.Pundo
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -30,9 +30,9 @@ let mksh ?(data_size = 1 lsl 16) ?(base_buckets = 16) () =
   (mach, sh)
 
 let op sh f =
-  let ctx = Ul.begin_op sh.Sh.undo in
+  let ctx = Pundo.begin_op sh.Sh.undo in
   let r = f ctx in
-  Ul.commit ctx;
+  Pundo.commit ctx;
   r
 
 (* ---------- record codec ---------- *)
@@ -48,7 +48,7 @@ let test_record_fields () =
   check_int "prev" L.nil_off (Rec.get_prev mach rec_addr);
   check_int "next" L.nil_off (Rec.get_next mach rec_addr);
   op sh (fun ctx ->
-      Ul.write_all ctx [ (Rec.size_at rec_addr, 12345); (Rec.prev_at rec_addr, 64) ]);
+      Pundo.write_all ctx [ (Rec.size_at rec_addr, 12345); (Rec.prev_at rec_addr, 64) ]);
   check_int "updated size" 12345 (Rec.get_size mach rec_addr);
   check_int "updated prev" 64 (Rec.get_prev mach rec_addr)
 
@@ -72,7 +72,7 @@ let test_hash_insert_many_and_lookup () =
           let rec insert attempts =
             match Ht.find_insert_slot sh.Sh.ht off with
             | Some (level, slot) ->
-              Ul.write_all ctx
+              Pundo.write_all ctx
                 (Ht.live_add sh.Sh.ht level 1
                  :: Rec.init ctx slot ~off ~size:32 ~status:L.st_alloc
                       ~prev:L.nil_off ~next:L.nil_off)
@@ -167,7 +167,7 @@ let test_buddy_push_pop_order () =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (_, slot) ->
-          Ul.write_all ctx
+          Pundo.write_all ctx
             (Rec.init ctx slot ~off ~size:32 ~status:L.st_free ~prev:L.nil_off
                ~next:L.nil_off);
           slot
@@ -176,22 +176,22 @@ let test_buddy_push_pop_order () =
   let r1 = mk 1024 and r2 = mk 2048 and r3 = mk 3072 in
   let cls = 10 in
   op sh (fun ctx ->
-      Ul.write_all ctx (Bd.push_head mach meta cls r1);
-      Ul.write_all ctx (Bd.push_tail mach meta cls r2);
-      Ul.write_all ctx (Bd.push_head mach meta cls r3));
+      Pundo.write_all ctx (Bd.push_head mach meta cls r1);
+      Pundo.write_all ctx (Bd.push_tail mach meta cls r2);
+      Pundo.write_all ctx (Bd.push_head mach meta cls r3));
   (* list order: r3, r1, r2 *)
   check_int "head" r3 (Bd.head mach meta cls);
   check_int "tail" r2 (Bd.tail mach meta cls);
   check_int "middle" r1 (Rec.get_next_free mach r3);
   (* unlink the middle element *)
-  op sh (fun ctx -> Ul.write_all ctx (Bd.unlink mach meta cls r1));
+  op sh (fun ctx -> Pundo.write_all ctx (Bd.unlink mach meta cls r1));
   check_int "head after unlink" r3 (Bd.head mach meta cls);
   check_int "r3 -> r2" r2 (Rec.get_next_free mach r3);
   check_int "r2 <- r3" r3 (Rec.get_prev_free mach r2);
   (* drain *)
   op sh (fun ctx ->
-      Ul.write_all ctx (Bd.unlink mach meta cls r3);
-      Ul.write_all ctx (Bd.unlink mach meta cls r2));
+      Pundo.write_all ctx (Bd.unlink mach meta cls r3);
+      Pundo.write_all ctx (Bd.unlink mach meta cls r2));
   check_int "empty head" 0 (Bd.head mach meta cls);
   check_int "empty tail" 0 (Bd.tail mach meta cls)
 
@@ -202,7 +202,7 @@ let test_buddy_first_fit () =
     op sh (fun ctx ->
         match Ht.find_insert_slot sh.Sh.ht off with
         | Some (_, slot) ->
-          Ul.write_all ctx
+          Pundo.write_all ctx
             (Rec.init ctx slot ~off ~size ~status:L.st_free ~prev:L.nil_off
                ~next:L.nil_off);
           slot
@@ -212,8 +212,8 @@ let test_buddy_first_fit () =
   let big = mk 2048 60 in
   let cls = 5 in
   op sh (fun ctx ->
-      Ul.write_all ctx (Bd.push_tail sh.Sh.mach meta cls small);
-      Ul.write_all ctx (Bd.push_tail sh.Sh.mach meta cls big));
+      Pundo.write_all ctx (Bd.push_tail sh.Sh.mach meta cls small);
+      Pundo.write_all ctx (Bd.push_tail sh.Sh.mach meta cls big));
   check "first fit skips too-small" true
     (Bd.first_fit sh.Sh.mach meta cls ~min_size:50 ~max_steps:8 = Some big);
   check "first fit bounded" true

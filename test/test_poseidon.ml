@@ -35,7 +35,9 @@ let alloc_exn h size =
 (* ---------- layout ---------- *)
 
 let test_layout_no_overlaps () =
-  check "undo before micro" true (L.sh_off_undo_entries + (L.undo_cap * L.undo_entry_size) <= L.sh_off_micro_count);
+  check "undo before micro" true
+    (L.sh_off_undo_count + L.word + (L.undo_cap * Persist.Pundo.entry_size)
+     <= L.sh_off_micro_count);
   check "micro before heads" true
     (L.sh_off_micro_entries + (L.micro_cap * L.word) <= L.sh_off_buddy_heads);
   check "heads before tails" true

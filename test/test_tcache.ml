@@ -3,7 +3,8 @@
    idle-time top-up (which bins it refills, never inside a pending
    transactional allocation, reclaimed by a crash right after), lease
    durability across crashes (published blocks survive, bin residue
-   and stashed frees are reclaimed by recovery), pass-through modes,
+   and stashed frees are reclaimed by recovery), the wrap's refusal of
+   an empty magazine and of allocators without cache support,
    store-level equivalence with the uncached path, serve-run metrics
    surfacing, and bounded crashcheck sweeps: kv-tcache-put must be
    green and the tcache-broken mutation must be flagged. *)
@@ -30,7 +31,7 @@ let mk_wrapped ?(mag = 4) () =
 (* ---------- bin mechanics ---------- *)
 
 let test_bin_mechanics () =
-  let _, heap, inst, h = mk_wrapped ~mag:4 () in
+  let _, _, inst, h = mk_wrapped ~mag:4 () in
   let p1 = Alloc_intf.i_alloc inst 64 in
   check "first alloc succeeds" true (p1 <> None);
   let hits, misses, refills, flushes = Tcache.stats h in
@@ -51,12 +52,7 @@ let test_bin_mechanics () =
   ignore (Alloc_intf.i_alloc inst 64);
   let _, misses, refills, _ = Tcache.stats h in
   check_int "empty bin misses again" 2 misses;
-  check_int "second refill" 2 refills;
-  (* the heap's own statistics mirror the wrapper counters *)
-  let s = H.stats heap in
-  check_int "heap sees the hits" 3 s.H.tcache_hits;
-  check_int "heap sees the misses" 2 s.H.tcache_misses;
-  check_int "heap sees the refills" 2 s.H.bin_refills
+  check_int "second refill" 2 refills
 
 let test_flush_on_overfull_bin () =
   let _, heap, inst, h = mk_wrapped ~mag:2 () in
@@ -68,7 +64,6 @@ let test_flush_on_overfull_bin () =
   List.iter (fun p -> Alloc_intf.i_free inst p) ptrs;
   let _, _, _, flushes = Tcache.stats h in
   check "overfull bin flushed" true (flushes > 0);
-  check_int "heap sees the flushes" flushes (H.stats heap).H.bin_flushes;
   (* flushed blocks really went back to the allocator: the heap stays
      self-consistent and nothing leaked *)
   H.check_invariants heap;
@@ -91,23 +86,28 @@ let test_size_class_routing () =
     (Alloc_intf.i_alloc inst 8192 <> None);
   check "fallback leaves the counters alone" true (Tcache.stats h = before)
 
-let test_mag_zero_passthrough () =
-  let _, heap, inst, h = mk_wrapped ~mag:0 () in
-  let p = Option.get (Alloc_intf.i_alloc inst 64) in
-  Alloc_intf.i_free inst p;
-  check "pass-through does no cache traffic" true
-    (Tcache.stats h = (0, 0, 0, 0));
-  let s = H.stats heap in
-  check_int "heap counters untouched" 0
-    (s.H.tcache_hits + s.H.tcache_misses + s.H.bin_refills + s.H.bin_flushes);
-  H.check_invariants heap
+(* The cache has one mode: a magazine below one block and an allocator
+   without cache support are refused when wrapping, not passed
+   through. *)
+let test_wrap_rejects () =
+  let poseidon =
+    snd ((Workloads.Factories.poseidon ()).Workloads.Factories.make ())
+  in
+  Alcotest.check_raises "mag 0" (Invalid_argument "Tcache.wrap: mag < 1")
+    (fun () -> ignore (Tcache.wrap ~mag:0 poseidon));
+  List.iter
+    (fun (f : Workloads.Factories.factory) ->
+      Alcotest.check_raises f.Workloads.Factories.name
+        (Invalid_argument "Tcache.wrap: the allocator has no cache support")
+        (fun () -> ignore (Tcache.wrap ~mag:4 (snd (f.make ())))))
+    [ Workloads.Factories.pmdk (); Workloads.Factories.makalu () ]
 
 (* ---------- idle-time top-up ---------- *)
 
 (* mag 4: a bin holding at most 2 blocks that has missed gets one carve
    of 4; one holding more, or one whose class never missed, gets none. *)
 let test_top_up_refills_missed_bins () =
-  let _, heap, inst, h = mk_wrapped ~mag:4 () in
+  let _, _, inst, h = mk_wrapped ~mag:4 () in
   ignore (Option.get (Alloc_intf.i_alloc inst 64));
   check_int "3 blocks left: above half a magazine, no top-up" 0
     (Tcache.top_up h);
@@ -117,7 +117,7 @@ let test_top_up_refills_missed_bins () =
   check_int "6 blocks now: above half a magazine again" 0 (Tcache.top_up h);
   let hits0, misses0, refills0, _ = Tcache.stats h in
   check_int "request-path refills untouched" 1 refills0;
-  check_int "the heap counts both carves" 2 (H.stats heap).H.bin_refills;
+  check_int "both carves counted" 2 (refills0 + Tcache.idle_refills h);
   for _ = 1 to 6 do
     ignore (Option.get (Alloc_intf.i_alloc inst 64))
   done;
@@ -418,8 +418,8 @@ let () =
             test_flush_on_overfull_bin;
           Alcotest.test_case "size-class routing + large fallback" `Quick
             test_size_class_routing;
-          Alcotest.test_case "mag 0 is a pass-through" `Quick
-            test_mag_zero_passthrough ] );
+          Alcotest.test_case "wrap refuses mag zero and the baselines"
+            `Quick test_wrap_rejects ] );
       ( "top-up",
         [ Alcotest.test_case "missed, half-empty bins gain a magazine" `Quick
             test_top_up_refills_missed_bins;
