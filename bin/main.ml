@@ -882,10 +882,6 @@ let serve_cmd =
         | None -> ()));
     let att = Obs.Attrib.analyze () in
     Format.printf "%a@?" Obs.Attrib.pp_report att;
-    Obs.Metrics.set_gauge ~scope:"trace" "span_count"
-      (float_of_int att.Obs.Attrib.span_count);
-    Obs.Metrics.set_gauge ~scope:"trace" "span_dropped"
-      (float_of_int att.Obs.Attrib.span_dropped);
     Obs.Metrics.set_gauge ~scope:"trace" "dropped_events"
       (float_of_int (Obs.Trace.dropped ()));
     if att.Obs.Attrib.span_dropped > 0 then

@@ -27,23 +27,7 @@ type t = {
   sb_lock : Machine.Lock.lock;
   protect : bool;
   single : bool; (* ablation A2: one sub-heap shared by every CPU *)
-  (* live metrics (registry scope "heap<id>") *)
-  c_allocs : int ref;
-  c_alloc_fails : int ref;
-  c_frees : int ref;
-  c_tx_allocs : int ref;
-  c_tx_commits : int ref;
-  c_tx_aborts : int ref;
 }
-
-let mk_counters heap_id =
-  let scope = Printf.sprintf "heap%d" heap_id in
-  ( Obs.Metrics.counter ~scope "allocs",
-    Obs.Metrics.counter ~scope "alloc_fails",
-    Obs.Metrics.counter ~scope "frees",
-    Obs.Metrics.counter ~scope "tx_allocs",
-    Obs.Metrics.counter ~scope "tx_commits",
-    Obs.Metrics.counter ~scope "tx_aborts" )
 
 let machine h = h.mach
 let heap_id h = h.heap_id
@@ -73,7 +57,7 @@ let ensure_region h ~base ~size ~numa =
 
 (* The volatile handle over a formatted superblock, with no sub-heap
    attached yet: a fresh MPK key guarding the superblock region (when
-   [protected]), recorded in the superblock, and the live counters. *)
+   [protected]) and recorded in the superblock. *)
 let make mach ~base ~heap_id ~num_slots ~window_size ~sub_data_size
     ~base_buckets ~protected ~single =
   let pkey =
@@ -87,9 +71,6 @@ let make mach ~base ~heap_id ~num_slots ~window_size ~sub_data_size
     end
     else 0
   in
-  let c_allocs, c_alloc_fails, c_frees, c_tx_allocs, c_tx_commits, c_tx_aborts =
-    mk_counters heap_id
-  in
   { mach;
     base;
     heap_id;
@@ -102,13 +83,7 @@ let make mach ~base ~heap_id ~num_slots ~window_size ~sub_data_size
     subheaps = Array.make num_slots None;
     sb_lock = Machine.Lock.create mach ~name:"superblock" ();
     protect = protected;
-    single;
-    c_allocs;
-    c_alloc_fails;
-    c_frees;
-    c_tx_allocs;
-    c_tx_commits;
-    c_tx_aborts }
+    single }
 
 let create mach ~base ~size ~heap_id ?(sub_data_size = default_sub_data_size)
     ?(base_buckets = default_base_buckets) ?(protected = true)
@@ -245,10 +220,8 @@ let alloc h size =
               Option.map (mk_ptr h sh) (Subheap.allocate sh size)))
   in
   (match r with
-   | Some p ->
-     Obs.Metrics.incr h.c_allocs;
-     Obs.Trace.emit2 Obs.Event.Alloc size p.Alloc_intf.subheap
-   | None -> Obs.Metrics.incr h.c_alloc_fails);
+   | Some p -> Obs.Trace.emit2 Obs.Event.Alloc size p.Alloc_intf.subheap
+   | None -> ());
   r
 
 let tx_alloc h size ~is_end =
@@ -264,16 +237,13 @@ let tx_alloc h size ~is_end =
               if is_end && r <> None then begin
                 Subheap.commit_tx sh;
                 sh.Subheap.stat_tx_commits <- sh.Subheap.stat_tx_commits + 1;
-                Obs.Metrics.incr h.c_tx_commits;
                 Obs.Trace.emit1 Obs.Event.Tx_commit sh.Subheap.index
               end;
               Option.map (mk_ptr h sh) r))
   in
   (match r with
-   | Some p ->
-     Obs.Metrics.incr h.c_tx_allocs;
-     Obs.Trace.emit2 Obs.Event.Tx_alloc size p.Alloc_intf.subheap
-   | None -> Obs.Metrics.incr h.c_alloc_fails);
+   | Some p -> Obs.Trace.emit2 Obs.Event.Tx_alloc size p.Alloc_intf.subheap
+   | None -> ());
   r
 
 (** Commits the in-flight transaction of the calling CPU's sub-heap
@@ -287,7 +257,6 @@ let tx_commit h =
         Machine.Lock.with_lock sh.Subheap.lock (fun () ->
             Subheap.commit_tx sh;
             sh.Subheap.stat_tx_commits <- sh.Subheap.stat_tx_commits + 1;
-            Obs.Metrics.incr h.c_tx_commits;
             Obs.Trace.emit1 Obs.Event.Tx_commit sh.Subheap.index))
 
 (** Aborts the in-flight transaction of the calling CPU's sub-heap:
@@ -309,7 +278,6 @@ let tx_abort h =
               entries;
             Subheap.commit_tx sh;
             sh.Subheap.stat_tx_aborts <- sh.Subheap.stat_tx_aborts + 1;
-            Obs.Metrics.incr h.c_tx_aborts;
             Obs.Trace.emit2 Obs.Event.Tx_abort sh.Subheap.index
               (List.length entries)))
 
@@ -329,9 +297,7 @@ let free h (ptr : Alloc_intf.nvmptr) =
       with_metadata_access h (fun () ->
           Machine.Lock.with_lock sh.Subheap.lock (fun () ->
               match Subheap.deallocate sh ptr.off with
-              | Subheap.Freed ->
-                Obs.Metrics.incr h.c_frees;
-                Obs.Trace.emit2 Obs.Event.Free ptr.off ptr.subheap
+              | Subheap.Freed -> Obs.Trace.emit2 Obs.Event.Free ptr.off ptr.subheap
               | Subheap.Invalid_free | Subheap.Double_free -> ()))
 
 (* ---------- magazine-cache support (lib/tcache) ---------- *)
@@ -405,7 +371,6 @@ let tc_stash h (ptr : Alloc_intf.nvmptr) =
                   | None -> None
                   | Some slot ->
                     Subheap.tc_lease_set sh slot ptr.off;
-                    Obs.Metrics.incr h.c_frees;
                     Obs.Trace.emit2 Obs.Event.Free ptr.off ptr.subheap;
                     Some (slot, size)))
 
@@ -600,36 +565,3 @@ let stats h =
             !s.hash_slot_reads + Hashtable.slot_reads sh.Subheap.ht });
   !s
 
-(** Pushes heap-level metrics — aggregate statistics plus per-sub-heap
-    occupancy — into the registry under [heap<id>] and
-    [heap<id>/subheap<slot>] scopes. *)
-let publish_metrics ?registry h =
-  let g scope name v =
-    Obs.Metrics.set_gauge ?m:registry ~scope name (float_of_int v)
-  in
-  let scope = Printf.sprintf "heap%d" h.heap_id in
-  let s = stats h in
-  g scope "subheaps_active" s.subheaps_active;
-  g scope "invalid_frees" s.invalid_frees;
-  g scope "double_frees" s.double_frees;
-  g scope "merges" s.merges;
-  g scope "defrag_passes" s.defrag_passes;
-  g scope "hash_extends" s.hash_extends;
-  g scope "stat_tx_commits" s.tx_commits;
-  g scope "stat_tx_aborts" s.tx_aborts;
-  g scope "recovery_replays" s.recovery_replays;
-  g scope "live_bytes" s.live_bytes;
-  g scope "free_bytes" s.free_bytes;
-  g scope "hint_hits" s.hint_hits;
-  g scope "hint_misses" s.hint_misses;
-  g scope "hash_slot_reads" s.hash_slot_reads;
-  iter_subheaps h (fun sh ->
-      let sscope = Printf.sprintf "%s/subheap%d" scope sh.Subheap.index in
-      g sscope "live_bytes" (Subheap.live_bytes sh);
-      g sscope "free_bytes" (Subheap.free_bytes sh);
-      g sscope "merges" sh.Subheap.stat_merges;
-      g sscope "hash_extends" sh.Subheap.stat_hash_extends;
-      g sscope "hash_levels" (Hashtable.levels sh.Subheap.ht);
-      g sscope "hash_full_levels" (Hashtable.full_levels sh.Subheap.ht);
-      g sscope "hash_slot_reads" (Hashtable.slot_reads sh.Subheap.ht);
-      g sscope "recovery_replays" sh.Subheap.stat_recovery_replays)

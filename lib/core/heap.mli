@@ -156,12 +156,3 @@ type stats = {
 
 val stats : t -> stats
 
-val publish_metrics : ?registry:Obs.Metrics.t -> t -> unit
-(** Pushes aggregate heap statistics and per-sub-heap occupancy into
-    the metrics registry (default {!Obs.Metrics.default}) under the
-    [heap<id>] and [heap<id>/subheap<slot>] scopes.  The sub-heap
-    gauges include [hash_levels], [hash_full_levels] (levels whose
-    every bucket is live, which inserts skip) and [hash_slot_reads]
-    (NVMM bucket reads of the sub-heap's slot searches).  Call it outside the
-    simulation: its metadata reads are then charged no simulated
-    time. *)

@@ -86,6 +86,9 @@ let o_accounting =
                 (delta %d)"
                live free cap (cap - live - free))) }
 
+(* Durability and atomicity: committed work, committed transactions
+   included, stays visible, uncommitted transactions roll back, and
+   only the one in-flight call ([slack]) may go either way. *)
 let o_durability =
   { oname = "durability";
     check =
@@ -212,18 +215,12 @@ let stride_sample n k =
     |> List.sort_uniq compare
 
 let run ?(max_points = 0) ?(subsets_per_point = 2) ?(seed = 1) scn =
-  let c name = Obs.Metrics.counter ~scope:"crashcheck" name in
-  let c_points = c "points_explored"
-  and c_subsets = c "subsets_tried"
-  and c_verified = c "recoveries_verified"
-  and c_cex = c "counterexamples" in
   let fences_total = measure scn in
   (* +1: the point past the last fence crashes after [op] completed *)
   let points = stride_sample (fences_total + 1) max_points in
   let subsets = ref 0 and verified = ref 0 and cexs = ref [] in
   List.iter
     (fun point ->
-      Obs.Metrics.incr c_points;
       let modes =
         Dirty_lost_all
         :: List.init subsets_per_point (fun s ->
@@ -232,17 +229,11 @@ let run ?(max_points = 0) ?(subsets_per_point = 2) ?(seed = 1) scn =
       List.iter
         (fun mode ->
           (match mode with
-           | Dirty_subset _ ->
-             incr subsets;
-             Obs.Metrics.incr c_subsets
+           | Dirty_subset _ -> incr subsets
            | Dirty_lost_all -> ());
           match check_point scn ~point ~mode with
-          | None ->
-            incr verified;
-            Obs.Metrics.incr c_verified
-          | Some cx ->
-            Obs.Metrics.incr c_cex;
-            cexs := cx :: !cexs)
+          | None -> incr verified
+          | Some cx -> cexs := cx :: !cexs)
         modes)
     points;
   { rp_scenario = scn.sname;

@@ -76,34 +76,10 @@ type scenario = {
   setup : unit -> env;
   op : env -> unit;
   extra_oracles : oracle list;
-      (** scenario-specific oracles, run after {!standard_oracles} *)
+      (** scenario-specific oracles, run after the standard five: heap
+          invariants, a clean fsck, quiescent logs, exact accounting
+          and durability within the ledger *)
 }
-
-(** {2 Oracles} *)
-
-val o_invariants : oracle
-(** {!Poseidon.Heap.check_invariants} holds on the recovered heap. *)
-
-val o_fsck : oracle
-(** {!Poseidon.Fsck.run} reports a clean heap. *)
-
-val o_quiescent : oracle
-(** Recovery left every undo and micro log empty
-    ({!Poseidon.Heap.logs_quiescent}). *)
-
-val o_accounting : oracle
-(** No leaked or double-owned blocks: every sub-heap's live + free
-    bytes exactly tile its data region. *)
-
-val o_durability : oracle
-(** Durability/atomicity: recovered live bytes lie within
-    [ledger.durable ± ledger.slack] — committed operations (including
-    committed transactions) are fully visible, uncommitted
-    transactions fully rolled back, with at most one in-flight call of
-    ambiguous fate. *)
-
-val standard_oracles : oracle list
-(** The five oracles above, in order. *)
 
 (** {2 Checking} *)
 
@@ -147,9 +123,7 @@ val run :
     [Dirty_lost_all] plus [subsets_per_point] seeded [Dirty_subset]
     modes (default 2).  [max_points > 0] budget-caps the sweep to an
     evenly-strided sample (default [0]: exhaustive).  Deterministic in
-    [seed].  Obs counters under scope ["crashcheck"]:
-    [points_explored], [subsets_tried], [recoveries_verified],
-    [counterexamples]. *)
+    [seed]. *)
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 val pp_report : Format.formatter -> report -> unit
@@ -158,7 +132,9 @@ val pp_report : Format.formatter -> report -> unit
 
     Operation paths over a deliberately small heap (one CPU, 64 KiB of
     sub-heap data) so exhaustive enumeration stays cheap, plus
-    deliberately broken protocols for mutation sanity checks. *)
+    deliberately broken protocols for mutation sanity checks.  Only
+    the scenarios tests build directly are exported here; {!scenarios}
+    reaches every one by name. *)
 
 val scn_alloc : unit -> scenario
 (** Mixed-size singleton allocations (split paths included). *)
@@ -176,22 +152,13 @@ val scn_extend : unit -> scenario
 (** Tiny allocations against a tiny hash level 0, forcing sub-heap
     hash-table extension (§5.2 growth path). *)
 
-val scn_carve : unit -> scenario
-(** One magazine refill ([cache_carve ~count:8] of 64 B blocks) and
-    its publish, on a heap whose set-up leaves a 192 B hole bounded
-    by a live right neighbour: the carve splits the hole as one
-    three-block run (relinking the neighbour) and the rest off the
-    wilderness.  A crash before the publish must recover to the
-    pre-carve live bytes; the [ledger-reclaimed] oracle demands that
-    recovery left no lease armed. *)
-
 val scn_carve_tombstones : unit -> scenario
 (** One magazine refill of eight 64 B blocks off a 512 B free block
     that set-up merged from eight freed ones, so seven of the run's
     fresh records land in the tombstone slots the merge left, and
     [Record.init] logs every field of each inside the run's one undo
-    barrier.  Same ledger rule and [ledger-reclaimed] oracle as
-    {!scn_carve}. *)
+    barrier.  Same ledger rule and [ledger-reclaimed] oracle as the
+    [carve] scenario. *)
 
 val scn_broken_missing_flush : unit -> scenario
 (** Mutation sanity check: a two-line "write data, persist commit
@@ -319,65 +286,6 @@ val kv_sweep : kv_scenario -> scenario
     [reads].  The oracles are the reads oracle, then the prefix
     oracle, then [extra]. *)
 
-val scn_kv_put : unit -> scenario
-(** KV puts (inserts + overwrites) through the chunk protocol. *)
-
-val scn_kv_delete : unit -> scenario
-(** KV deletes (present, absent and re-inserted keys). *)
-
-val scn_kv_shift : unit -> scenario
-(** A put below all 20 keys of one shard's leaf (every entry shifts
-    right) and its delete (every entry shifts back).  After recovery
-    the [delete-all] oracle deletes every key and none may survive: a
-    duplicate entry a crashed shift left behind, unrepaired, would
-    outlive its delete and name the freed value. *)
-
-val scn_kv_split : unit -> scenario
-(** A put into the middle of a full 31-key leaf, which splits it.  A
-    crash between the sibling link and the left count shrink leaves
-    the left leaf holding the entries it copied right; the same
-    [delete-all] oracle catches any that recovery did not trim. *)
-
-val scn_kv_commit_broken : unit -> scenario
-(** The kv-put plan on an allocator whose [tx_commit] only records a
-    debt, paid by its next [alloc], [tx_alloc] or [free]: each chunk's
-    decided word is durable before its allocator commit.  A crash
-    between the two redoes a slot whose blocks the heap's replay
-    freed; only the no-dangling check sees it.  The checker {e must}
-    report counterexamples — the mutation gate in [scripts/check.sh]
-    fails CI when it does not. *)
-
-val scn_kv_ack_broken : unit -> scenario
-(** The kv-put plan with an executor that acks each put when its
-    chunk's allocator transaction commits — after the slot fence, one
-    fence before the decided word.  A crash between the two rolls the
-    slot back and loses an acked put.  The acked-prefix oracle {e
-    must} flag it — the mutation gate in [scripts/check.sh] fails CI
-    when it does not. *)
-
-val scn_kv_txn : unit -> scenario
-(** Cross-shard transactions ({!Service.Kv.txn}) interleaved with
-    single ops: 2-put and delete+put commits spanning both shards, a
-    strict-delete abort, and a transaction all on shard 1, whose commit
-    word that shard's chunks also move.  A commit half-applied across
-    shards at any fence matches no plan prefix, so it is a
-    counterexample. *)
-
-val scn_kv_txn_broken : unit -> scenario
-(** The same plan with each transaction run as
-    {!Service.Kv.txn_prepare} then {!Service.Kv.txn_apply}, with no
-    {!Service.Kv.txn_decide}: no decided word ever names it.  The
-    checker {e must} report counterexamples (a crash between the
-    participant applies surfaces half a transaction) — the mutation
-    gate in [scripts/check.sh] fails CI when it does not. *)
-
-val scn_kv_coord_broken : unit -> scenario
-(** The same plan with a same-value put of a model key on each
-    transaction's lowest participant between {!Service.Kv.txn_decide}
-    and {!Service.Kv.txn_apply}: a chunk moves the word that commits
-    the transaction while its slots are armed.  The checker {e must}
-    report counterexamples, as [scripts/check.sh]'s gate demands. *)
-
 val scn_kv_snapshot : unit -> scenario
 (** The kv op mix on a store with an MVCC version window: after every
     completed operation the audit checks a freshly minted snapshot —
@@ -412,20 +320,11 @@ val scn_rcache_broken : unit -> scenario
     still serves the overwritten digest.  The [cached-reads] oracle
     MUST flag it. *)
 
-val scn_kv_replicated_put : unit -> scenario
-(** Sync replication over a two-machine cluster at window 1, one
-    transaction included: each op commits as a group of one on the
-    primary, ships over a two-port {!Net} link, is applied/persisted on the
-    backup and acked — and the sweep crashes the whole cluster at
-    every fence of that pipeline (both devices' fence streams share
-    one point space via [aux_devs]).  Recovery attaches the
-    {e backup}; the prefix oracle ["kv-replica"] asserts every
-    sync-acked write is readable there after primary loss. *)
-
 val scn_kv_batched_put : ?window:int -> unit -> scenario
-(** The same driver at commit-group window [window] (default 4), all
-    keys on one shard so every group fills: one covering persist chain
-    per chunk, one doorbell frame per chunk, cumulative batched acks.
+(** The [kv-replicated-put] sweep at commit-group window [window]
+    (default 4), all keys on one shard so every group fills: one
+    covering persist chain per chunk, one doorbell frame per chunk,
+    cumulative batched acks.
     The prefix oracle ["kv-batched"] has the group's window, so a
     crash mid-batch may lose the unacked window and never an acked
     op. *)
@@ -435,28 +334,6 @@ val scn_kv_batched_broken : unit -> scenario
     group durable {e before} its covering flush is acked — exactly the
     "ack before fence" bug group commit must not introduce.  The
     checker MUST flag it. *)
-
-val scn_kv_tcache_put : unit -> scenario
-(** The kv-put/delete/overwrite mix allocated through a {!Tcache}
-    magazine cache (mag 4): bin-miss refills carve 4-block batches
-    under reclaim-ledger leases, puts pop volatile bins and publish
-    the lease at the commit fence, frees write a reclaim lease then
-    recycle.  On top of the standard and prefix oracles, a
-    [value-census] oracle re-attaches the service and demands the
-    recovered heap hold exactly one live value-class block per present
-    key — leased bin residue must have been freed by recovery, and no
-    recycled block may leak. *)
-
-val scn_kv_tcache_broken : unit -> scenario
-(** Mutation sanity check for the cache layer: the magazine wraps an
-    allocator whose cache surface answers the free of any block it
-    carved with lease [-1] and writes nothing, so such frees recycle
-    into the bins with no reclaim lease and no persistent free, and a
-    crash orphans every block whose store reference was dropped.  Its
-    own plan (twelve preloaded keys, then nine deletes) takes the 64 B
-    bin past twice the magazine, so a flush also frees leaseless
-    blocks through the allocator's plain [free].  The census oracle
-    MUST flag it. *)
 
 (** {2 The scenario table} *)
 

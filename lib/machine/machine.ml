@@ -357,6 +357,11 @@ module Lock = struct
 
   type stats = { acquisitions : int; contended : int; wait_ns : int }
 
+  let mutex_stats m =
+    { acquisitions = Sched.Mutex.acquisitions m;
+      contended = Sched.Mutex.contended m;
+      wait_ns = Sched.Mutex.total_wait_ns m }
+
   let create t ?name () =
     let l = { m = Sched.Mutex.create ?name (); owner = t } in
     t.locks_ <- l.m :: t.locks_;
@@ -399,59 +404,14 @@ module Lock = struct
 
   let name l = Sched.Mutex.name l.m
 
-  let stats l =
-    { acquisitions = Sched.Mutex.acquisitions l.m;
-      contended = Sched.Mutex.contended l.m;
-      wait_ns = Sched.Mutex.total_wait_ns l.m }
+  let stats l = mutex_stats l.m
 end
 
 (* Every lock ever created on this machine, most recent first, with its
    name and contention statistics — the inspect subcommand and the
-   metrics registry read this. *)
+   benchmark's per-layer report read this. *)
 let lock_stats t =
-  List.rev_map
-    (fun m ->
-      ( Sched.Mutex.name m,
-        { Lock.acquisitions = Sched.Mutex.acquisitions m;
-          contended = Sched.Mutex.contended m;
-          wait_ns = Sched.Mutex.total_wait_ns m } ))
-    t.locks_
-
-(* ---------- metrics publishing ---------- *)
-
-(** Pushes this machine's accumulated accounting — cost profile,
-    device counters, scheduler activity, MPK faults and per-lock
-    contention — into the metrics registry (the [machine] and
-    [lock/<name>] scopes).  Gauges overwrite on re-publish, so calling
-    this repeatedly snapshots the latest totals. *)
-let publish_metrics ?registry t =
-  let g scope name v = Obs.Metrics.set_gauge ?m:registry ~scope name (float_of_int v) in
-  let p = t.prof in
-  g "machine" "profile/read_hit_ns" p.p_read_hit;
-  g "machine" "profile/read_miss_ns" p.p_read_miss;
-  g "machine" "profile/write_ns" p.p_write;
-  g "machine" "profile/flush_ns" p.p_flush;
-  g "machine" "profile/fence_ns" p.p_fence;
-  g "machine" "profile/bandwidth_wait_ns" p.p_bandwidth_wait;
-  g "machine" "profile/compute_ns" p.p_compute;
-  g "machine" "profile/wrpkru_ns" p.p_wrpkru;
-  g "machine" "sim_fences" t.sim_fences;
-  let c = Memdev.counters t.dev_ in
-  g "machine" "device/loads" c.Memdev.loads;
-  g "machine" "device/stores" c.Memdev.stores;
-  g "machine" "device/lines_flushed" c.Memdev.lines_flushed;
-  g "machine" "device/fences" c.Memdev.fences;
-  g "machine" "sched/context_switches" (Sched.context_switches t.engine_);
-  g "machine" "sched/max_runq_depth" (Sched.max_runq_depth t.engine_);
-  g "machine" "sched/horizon_ns" (Sched.horizon t.engine_);
-  g "machine" "mpk/faults" (Mpk.faults_observed t.mpk_);
-  List.iter
-    (fun (name, s) ->
-      let scope = "lock/" ^ name in
-      g scope "acquisitions" s.Lock.acquisitions;
-      g scope "contended" s.Lock.contended;
-      g scope "wait_ns" s.Lock.wait_ns)
-    (lock_stats t)
+  List.rev_map (fun m -> (Sched.Mutex.name m, Lock.mutex_stats m)) t.locks_
 
 (* ---------- threads ---------- *)
 

@@ -104,13 +104,6 @@ val sim_fences : t -> int
     {!persist}); an accounting path independent of the profile's
     [p_fence] nanosecond total, used to cross-check instrumentation. *)
 
-val publish_metrics : ?registry:Obs.Metrics.t -> t -> unit
-(** Pushes the machine's accumulated accounting — cost profile, device
-    counters, scheduler activity, MPK faults, per-lock contention —
-    into the metrics registry (default: {!Obs.Metrics.default}) under
-    the [machine] and [lock/<name>] scopes.  Gauges overwrite, so
-    re-publishing snapshots the latest totals. *)
-
 val compute : t -> int -> unit
 (** [compute t ns] charges pure computation time. *)
 

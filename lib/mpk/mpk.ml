@@ -19,7 +19,6 @@ type t = {
   mutable key_used : bool array;
   defaults : perm array;
   threads : (int, perm array) Hashtbl.t; (* thread id -> PKRU *)
-  mutable enabled_ : bool;
   mutable faults : int;
   mutable memo : range option; (* hot-path lookup memo *)
   guarded : bool array; (* keys under wrpkru lockdown *)
@@ -33,7 +32,6 @@ let create () =
     key_used;
     defaults = Array.make num_keys Read_write;
     threads = Hashtbl.create 64;
-    enabled_ = true;
     faults = 0;
     memo = None;
     guarded = Array.make num_keys false;
@@ -153,24 +151,19 @@ let sealed t = t.sealed_
 let reset_thread t ~thread = Hashtbl.remove t.threads thread
 
 let check t ~thread a access =
-  if t.enabled_ then begin
-    let k = key_of_addr t a in
-    if k <> 0 then begin
-      let p = get_perm t ~thread k in
-      let ok =
-        match p, access with
-        | Read_write, _ -> true
-        | Read_only, Read -> true
-        | Read_only, Write -> false
-        | No_access, _ -> false
-      in
-      if not ok then begin
-        t.faults <- t.faults + 1;
-        raise (Fault { fault_addr = a; fault_access = access; fault_pkey = k })
-      end
+  let k = key_of_addr t a in
+  if k <> 0 then begin
+    let p = get_perm t ~thread k in
+    let ok =
+      match p, access with
+      | Read_write, _ -> true
+      | Read_only, Read -> true
+      | Read_only, Write -> false
+      | No_access, _ -> false
+    in
+    if not ok then begin
+      t.faults <- t.faults + 1;
+      raise (Fault { fault_addr = a; fault_access = access; fault_pkey = k })
     end
   end
-
-let set_enabled t b = t.enabled_ <- b
-let enabled t = t.enabled_
 let faults_observed t = t.faults

@@ -93,14 +93,9 @@ val reset_thread : t -> thread:int -> unit
 (** Drops per-thread overrides (thread exit). *)
 
 val check : t -> thread:int -> int -> access -> unit
-(** Validates one access; raises {!Fault} on violation.  No-op when
-    protection is disabled. *)
-
-val set_enabled : t -> bool -> unit
-(** Ablation switch (experiment A3): when disabled, {!check} passes
-    everything. *)
-
-val enabled : t -> bool
+(** Validates one access; raises {!Fault} on violation.  Memory under
+    key 0 always passes, so a heap built unprotected (experiment A3,
+    [Heap.create ~protected:false]) is never checked. *)
 
 val faults_observed : t -> int
 (** Total faults raised so far (for reporting). *)

@@ -371,14 +371,7 @@ let crash t mode =
       Bytes.blit c.pers 0 c.vol 0 chunk_size;
       Bitset.clear_all c.dirty)
     t.chunks;
-  Obs.Trace.emit2 Obs.Event.Crash !persisted (at_risk - !persisted);
-  Obs.Metrics.incr (Obs.Metrics.counter ~scope:"nvmm" "crashes");
-  Obs.Metrics.add
-    (Obs.Metrics.counter ~scope:"nvmm" "crash_lines_persisted")
-    !persisted;
-  Obs.Metrics.add
-    (Obs.Metrics.counter ~scope:"nvmm" "crash_lines_lost")
-    (at_risk - !persisted)
+  Obs.Trace.emit2 Obs.Event.Crash !persisted (at_risk - !persisted)
 
 let dirty_lines t = count_dirty t
 

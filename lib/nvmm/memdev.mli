@@ -93,8 +93,8 @@ val crash : t -> crash_mode -> unit
 (** Simulates power failure: volatile image := persistent image (after
     optional adversarial evictions).  Region table survives (it models
     the DAX file layout, not memory contents).  Emits a [Crash] trace
-    event and [nvmm/*] metrics recording how many at-risk lines were
-    persisted by adversarial eviction vs lost. *)
+    event recording how many at-risk lines were persisted by
+    adversarial eviction vs lost. *)
 
 val dirty_lines : t -> int
 (** Number of lines whose volatile content differs from persistent. *)

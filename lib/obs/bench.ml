@@ -7,7 +7,10 @@
       (an attribution report, a cache hit rate);
     - a gate is [{name, value, bound, pass}], where [pass] is the
       suite's own comparison and [value] / [bound] show its operands;
-    - [metrics] is the {!Metrics} registry at the end of the suite.
+    - [metrics] is the {!Metrics} registry at the end of the suite:
+      the suite's figure cells under [bench/<title>] and what its
+      serving runs published beyond their [result] (DRAM-tier and
+      per-shard gauges, latency histograms).
 
     A {e percentile block} is any object inside a run that has both a
     [p50] and a [samples] member; {!diff} compares every block's p50
@@ -36,8 +39,8 @@ let gate_json g =
     [ ("name", Json.Str g.name); ("value", g.value); ("bound", g.bound);
       ("pass", Json.Bool g.pass) ]
 
-(** The snapshot of one suite, stamped with {!rev} and the default
-    metrics registry. *)
+(** The snapshot of one suite, stamped with {!rev} and the metrics
+    registry. *)
 let doc ~suite ~config ~runs ~gates =
   Json.Obj
     [ ("schema", Json.Str schema); ("suite", Json.Str suite); ("rev", rev ());

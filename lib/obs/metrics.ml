@@ -1,64 +1,47 @@
-(** Metrics registry: named counters, gauges and log histograms
-    grouped by scope, snapshottable to JSON.
+(** Metrics registry: named gauges and log histograms grouped by
+    scope, snapshottable to JSON.
 
-    Scopes are free-form strings chosen by the instrumented layer —
-    ["machine"], ["heap1"], ["lock/subheap-3"], ["bench/Fig 6 - 256 B"]
-    — so per-heap, per-sub-heap, per-lock and machine-wide metrics all
-    live in one registry and export together.
+    It holds only what a run publishes beyond its typed result: the
+    serving loop's gauges (its DRAM tiers, per-shard MVCC chains and
+    apply lag) and latency histograms under the run's scope, the
+    [serve] command's [trace/dropped_events], and the bench harness's
+    figure cells under [bench/<title>].  A count some
+    typed record already holds ([Heap.stats], [Server.result], a
+    crashcheck report) is read from that record, not copied here.
 
-    Counter handles are plain [int ref]s: incrementing one is as cheap
-    as the hand-rolled stat fields it replaces, so live counters stay
-    enabled unconditionally.  Histograms are fixed-bucket {!Hist}
-    instances and export count/mean/percentile summaries.
-
-    A process-global {!default} registry serves the common case;
-    every function takes [?m] to target a private registry (tests). *)
+    Scopes are free-form strings chosen by the publisher.  Histograms
+    are fixed-bucket {!Hist} instances and export count/mean/percentile
+    summaries.  There is one registry per process. *)
 
 type value =
-  | Counter of int ref
   | Gauge of float ref
   | Loghist of Hist.t
 
-type t = {
-  tbl : (string * string, value) Hashtbl.t;
-  mutable order : (string * string) list; (* reverse insertion order *)
-}
+let tbl : (string * string, value) Hashtbl.t = Hashtbl.create 64
+let order : (string * string) list ref = ref [] (* reverse insertion order *)
 
-let create () = { tbl = Hashtbl.create 64; order = [] }
+let reset () =
+  Hashtbl.reset tbl;
+  order := []
 
-let default = create ()
-
-let reset ?(m = default) () =
-  Hashtbl.reset m.tbl;
-  m.order <- []
-
-let find_or_add m key mk =
-  match Hashtbl.find_opt m.tbl key with
+let find_or_add key mk =
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
     let v = mk () in
-    Hashtbl.add m.tbl key v;
-    m.order <- key :: m.order;
+    Hashtbl.add tbl key v;
+    order := key :: !order;
     v
 
-let counter ?(m = default) ~scope name =
-  match find_or_add m (scope, name) (fun () -> Counter (ref 0)) with
-  | Counter r -> r
-  | _ -> invalid_arg (Printf.sprintf "Metrics.counter: %s/%s is not a counter" scope name)
-
-let incr r = Stdlib.incr r
-let add r n = r := !r + n
-let value r = !r
-
-let set_gauge ?(m = default) ~scope name x =
-  match find_or_add m (scope, name) (fun () -> Gauge (ref 0.)) with
+let set_gauge ~scope name x =
+  match find_or_add (scope, name) (fun () -> Gauge (ref 0.)) with
   | Gauge r -> r := x
   | _ -> invalid_arg (Printf.sprintf "Metrics.set_gauge: %s/%s is not a gauge" scope name)
 
 (** Fixed-bucket log-scale histogram ({!Hist}) for high-volume
     simulated-ns latency samples; exports p50/p99/p999 in snapshots. *)
-let log_histogram ?(m = default) ~scope name =
-  match find_or_add m (scope, name) (fun () -> Loghist (Hist.create ())) with
+let log_histogram ~scope name =
+  match find_or_add (scope, name) (fun () -> Loghist (Hist.create ())) with
   | Loghist h -> h
   | _ ->
     invalid_arg
@@ -67,25 +50,19 @@ let log_histogram ?(m = default) ~scope name =
 
 (* ---------- lookup (tests, cross-checks) ---------- *)
 
-let get_counter ?(m = default) ~scope name =
-  match Hashtbl.find_opt m.tbl (scope, name) with
-  | Some (Counter r) -> Some !r
-  | _ -> None
-
-let get_gauge ?(m = default) ~scope name =
-  match Hashtbl.find_opt m.tbl (scope, name) with
+let get_gauge ~scope name =
+  match Hashtbl.find_opt tbl (scope, name) with
   | Some (Gauge r) -> Some !r
   | _ -> None
 
-let get_log_histogram ?(m = default) ~scope name =
-  match Hashtbl.find_opt m.tbl (scope, name) with
+let get_log_histogram ~scope name =
+  match Hashtbl.find_opt tbl (scope, name) with
   | Some (Loghist h) -> Some h
   | _ -> None
 
 (* ---------- snapshot ---------- *)
 
 let value_to_json = function
-  | Counter r -> Json.Num (float_of_int !r)
   | Gauge r -> Json.Num !r
   | Loghist h ->
     if Hist.count h = 0 then Json.Obj [ ("count", Json.Num 0.) ]
@@ -100,10 +77,10 @@ let value_to_json = function
           ("max", Json.Num (float_of_int (Hist.max_value h))) ]
 
 (** Snapshot as a JSON value: one object per scope, in first-insertion
-    order, each mapping metric names to numbers (counters, gauges) or
-    summary objects (histograms). *)
-let snapshot ?(m = default) () =
-  let keys = List.rev m.order in
+    order, each mapping metric names to numbers (gauges) or summary
+    objects (histograms). *)
+let snapshot () =
+  let keys = List.rev !order in
   let scopes = Hashtbl.create 16 in
   let scope_order = ref [] in
   List.iter
@@ -117,7 +94,7 @@ let snapshot ?(m = default) () =
           scope_order := scope :: !scope_order;
           l
       in
-      entry := (name, value_to_json (Hashtbl.find m.tbl (scope, name))) :: !entry)
+      entry := (name, value_to_json (Hashtbl.find tbl (scope, name))) :: !entry)
     keys;
   Json.Obj
     (List.rev_map

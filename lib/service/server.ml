@@ -869,21 +869,9 @@ let serve ~name ~mach ~svc ~tch ~mirror ~sink ~spawn_aux ~recover cfg =
   let secs = float_of_int t_stop /. 1e9 in
   let scope = cfg.scope in
   let g name v = Obs.Metrics.set_gauge ~scope name v in
-  g "offered" (float_of_int !offered);
-  g "admitted" (float_of_int !admitted);
-  g "shed" (float_of_int !shed);
   g "handled" (float_of_int !handled);
-  g "completed" (float_of_int !completed);
-  g "acked_mutations" (float_of_int !acked_mut);
   g "reply_drops" (float_of_int !reply_drops);
   g "topup_waiters" (float_of_int !topup_waiters);
-  g "queue_max_depth" (float_of_int !queue_max_depth);
-  g "rto_ns" (float_of_int rto_ns);
-  g "txn_committed" (float_of_int !txn_commits);
-  g "txn_aborted" (float_of_int !txn_aborts);
-  g "ops_read" (float_of_int !n_read);
-  g "ops_write" (float_of_int !n_write);
-  g "ops_scan" (float_of_int !n_scan);
   g "mvcc_truncated_reads" (float_of_int (Kv.mvcc_truncated_reads svc));
   (let hits0, misses0 = vindex_base and hits, misses = Kv.vindex_stats svc in
    g "vindex_hits" (float_of_int (hits - hits0));
@@ -1110,18 +1098,9 @@ let run_replicated ~make cfg rcfg =
   let astats = Net.stats link ~port:Replica.primary_ep in
   let link_dropped = lstats.Net.dropped + astats.Net.dropped in
   let link_duplicated = lstats.Net.duplicated + astats.Net.duplicated in
-  let scope = cfg.scope in
-  let g name v = Obs.Metrics.set_gauge ~scope name (float_of_int v) in
-  g "repl_shipped" (Replica.Shipper.shipped shipper);
-  g "repl_acked_records" acked_records;
-  g "repl_retransmits" (Replica.Shipper.retransmits shipper);
-  g "repl_max_lag" (Replica.Shipper.max_lag shipper);
-  g "repl_backup_applied" (Replica.Applier.applied applier);
-  g "repl_link_dropped" link_dropped;
-  g "repl_link_duplicated" link_duplicated;
-  g "repl_tail_replayed" !tail_replayed;
-  g "repl_indoubt_aborted" !indoubt_aborted;
-  Hist.merge ~into:(Obs.Metrics.log_histogram ~scope "repl_lag_ns") repl_lag_h;
+  Hist.merge
+    ~into:(Obs.Metrics.log_histogram ~scope:cfg.scope "repl_lag_ns")
+    repl_lag_h;
 
   { base;
     shipped = Replica.Shipper.shipped shipper;

@@ -153,9 +153,15 @@ val run :
   result
 (** Builds the heap via [make], preloads, runs traffic, optionally
     crashes and re-attaches via [reattach], verifies the ledger and
-    publishes metrics (counters, gauges and p50/p99/p999 log
-    histograms) under [config.scope] in the default obs registry.
-    Raises [Invalid_argument] on nonsensical configs. *)
+    returns the counts in [result].  Under [config.scope] in the
+    {!Obs.Metrics} registry it publishes only what [result] lacks:
+    the [handled], [reply_drops], [topup_waiters], [vindex_*],
+    [mvcc_truncated_reads], [tcache_*] and [rcache_*] gauges, the
+    per-shard [mvcc_chains], [mvcc_chain_versions],
+    [apply_after_reply_ns] and [idle_topup_ns] gauges under
+    [<scope>/shard<i>], and the latency, service, txn, read, write
+    and scan log histograms (p50/p99/p999).  Raises
+    [Invalid_argument] on nonsensical configs. *)
 
 (** {2 Replicated serving}
 
@@ -247,10 +253,9 @@ val run_replicated :
     twice (primary, backup), both machines of
     {!Machine.Config.default} on one engine, and the replication pump
     runs on the primary's last CPU.  Metrics go under [config.scope]:
-    the {!run} set plus [repl_shipped], [repl_acked_records],
-    [repl_retransmits], [repl_max_lag], [repl_backup_applied],
-    [repl_tail_replayed], link fault counters and the [repl_lag_ns]
-    histogram (ship→applied latency seen at the backup). *)
+    the {!run} set plus the [repl_lag_ns] histogram (ship→applied
+    latency seen at the backup); the replication counts are in the
+    [repl_result]. *)
 
 (** {2 JSON}
 

@@ -209,18 +209,6 @@ let test_scenario_table () =
   check "an unknown name is no scenario" true
     (C.scenario_by_name "kv-commit-brokn" = None)
 
-let test_obs_counters_advance () =
-  let get name =
-    Option.value ~default:0
-      (Obs.Metrics.get_counter ~scope:"crashcheck" name)
-  in
-  let p0 = get "points_explored" and v0 = get "recoveries_verified" in
-  let r = C.run ~max_points:4 ~subsets_per_point:1 (C.scn_tx_commit ()) in
-  check_int "points counted" (p0 + r.C.points_explored) (get "points_explored");
-  check_int "verifications counted"
-    (v0 + r.C.recoveries_verified)
-    (get "recoveries_verified")
-
 let () =
   Alcotest.run "crashcheck"
     [ ( "sweeps",
@@ -256,7 +244,4 @@ let () =
       ( "kv driver",
         [ Alcotest.test_case "prefix oracle sees an acked delete" `Quick
             test_prefix_oracle_sees_acked_delete;
-          Alcotest.test_case "scenario table names" `Quick test_scenario_table ] );
-      ( "obs",
-        [ Alcotest.test_case "counters advance" `Quick
-            test_obs_counters_advance ] ) ]
+          Alcotest.test_case "scenario table names" `Quick test_scenario_table ] ) ]

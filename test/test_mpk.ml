@@ -117,17 +117,6 @@ let test_free_key_clears () =
   check_int "range gone" 0 (Mpk.key_of_addr m 0);
   Mpk.check m ~thread:3 0 Mpk.Write
 
-let test_disable_enable () =
-  let m = Mpk.create () in
-  let k = Mpk.alloc_key m in
-  Mpk.assign_range m k ~base:0 ~size:page;
-  Mpk.set_default_perm m k Mpk.No_access;
-  Mpk.set_enabled m false;
-  Mpk.check m ~thread:1 0 Mpk.Write; (* everything passes *)
-  Mpk.set_enabled m true;
-  check "re-enabled faults" true
-    (try Mpk.check m ~thread:1 0 Mpk.Write; false with Mpk.Fault _ -> true)
-
 let test_fault_counter () =
   let m = Mpk.create () in
   let k = Mpk.alloc_key m in
@@ -204,7 +193,6 @@ let () =
           Alcotest.test_case "no-access" `Quick test_no_access;
           Alcotest.test_case "per-thread isolation" `Quick test_per_thread_isolation;
           Alcotest.test_case "reset thread" `Quick test_reset_thread;
-          Alcotest.test_case "disable/enable" `Quick test_disable_enable;
           Alcotest.test_case "fault counter" `Quick test_fault_counter ] );
       ( "lockdown",
         [ Alcotest.test_case "seal blocks loosening" `Quick

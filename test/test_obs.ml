@@ -1,6 +1,7 @@
 (* Observability layer: tracer ordering guarantees, Chrome-trace
-   export well-formedness, metrics cross-checks against the machine's
-   own accounting, and the zero-cost-when-disabled contract. *)
+   export well-formedness, cross-checks of the trace and the machine's
+   own accounting, what the metrics registry holds, and the
+   zero-cost-when-disabled contract. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -110,23 +111,27 @@ let test_trace_chrome_export () =
 (* ---------- metrics ---------- *)
 
 let test_metrics_cross_check () =
-  Obs.Metrics.reset ();
   Obs.Trace.clear ();
+  Obs.Trace.start ();
   (* Deterministic single-thread micro run: ops_per_thread = 2000, so
      10 rounds of 100 batched pairs -> 1000 allocs + 1000 frees, plus
-     the one warm-up object per thread. *)
+     the one warm-up object per thread.  The run raises on a failed
+     allocation. *)
   ignore (micro ~threads:1 ~total_ops:2_000 ());
-  let counter name =
-    Option.value ~default:(-1)
-      (Obs.Metrics.get_counter ~scope:"heap1" name)
-  in
-  check_int "allocs" 1_001 (counter "allocs");
-  check_int "frees" 1_001 (counter "frees");
-  check_int "alloc_fails" 0 (counter "alloc_fails");
-  check_int "tx_allocs" 0 (counter "tx_allocs")
+  Obs.Trace.stop ();
+  check_int "nothing dropped" 0 (Obs.Trace.dropped ());
+  let counts = Hashtbl.create 16 in
+  Obs.Trace.iter
+    (fun ~ts:_ ~dur:_ ~tid:_ ~cpu:_ ~node:_ ~kind ~a1:_ ~a2:_ ~name:_ ->
+      Hashtbl.replace counts kind
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind)));
+  let count k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
+  check_int "allocs" 1_001 (count Obs.Event.Alloc);
+  check_int "frees" 1_001 (count Obs.Event.Free);
+  check_int "tx_allocs" 0 (count Obs.Event.Tx_alloc);
+  Obs.Trace.clear ()
 
 let test_metrics_vs_profile () =
-  Obs.Metrics.reset ();
   let mach = Machine.create () in
   let base = 1 lsl 30 in
   Machine.add_region mach ~base ~size:(1 lsl 20) ~kind:Nvmm.Memdev.Nvmm
@@ -146,22 +151,11 @@ let test_metrics_vs_profile () =
     (Machine.sim_fences mach * sfence_ns)
     p.Machine.p_fence;
   check_int "404 fences" 404 (Machine.sim_fences mach);
-  Machine.publish_metrics mach;
-  let gauge name =
-    Option.value ~default:(-1.) (Obs.Metrics.get_gauge ~scope:"machine" name)
-  in
-  check "published fence_ns" true
-    (gauge "profile/fence_ns" = float_of_int p.Machine.p_fence);
-  check "published sim_fences" true
-    (gauge "sim_fences" = float_of_int (Machine.sim_fences mach));
   let c = Nvmm.Memdev.counters (Machine.dev mach) in
-  check "published device fences" true
-    (gauge "device/fences" = float_of_int c.Nvmm.Memdev.fences);
   check "device agrees with machine" true
     (c.Nvmm.Memdev.fences = Machine.sim_fences mach)
 
 let test_lock_stats () =
-  Obs.Metrics.reset ();
   let mach = Machine.create () in
   let l = Machine.Lock.create mach ~name:"test-lock" () in
   let shared = ref 0 in
@@ -179,11 +173,61 @@ let test_lock_stats () =
   check "wait time recorded" true (s.Machine.Lock.wait_ns > 0);
   check "named" true (Machine.Lock.name l = "test-lock");
   check "listed on machine" true
-    (List.mem_assoc "test-lock" (Machine.lock_stats mach));
-  Machine.publish_metrics mach;
-  check "per-lock gauge" true
-    (Obs.Metrics.get_gauge ~scope:"lock/test-lock" "acquisitions"
-     = Some 100.)
+    (List.mem_assoc "test-lock" (Machine.lock_stats mach))
+
+(* The registry holds only what a run publishes beyond its typed
+   result.  An allocator run, a crash and a recovery publish nothing:
+   their counts live in Heap.stats, the device counters and the trace.
+   A serving run publishes its own gauges and histograms, but none of
+   the counts Server.result already holds. *)
+let test_registry_holds_no_copies () =
+  Obs.Metrics.reset ();
+  let module H = Poseidon.Heap in
+  let mach = Machine.create () in
+  let base = Workloads.Factories.heap_base in
+  let h =
+    H.create mach ~base ~size:Workloads.Factories.default_window ~heap_id:1 ()
+  in
+  ignore
+    (Machine.parallel mach ~threads:2 (fun _ ->
+         for _ = 1 to 50 do
+           match H.alloc h 256 with
+           | Some p -> H.free h p
+           | None -> Alcotest.fail "out of memory"
+         done;
+         ignore (H.tx_alloc h 64 ~is_end:false);
+         H.tx_abort h));
+  Nvmm.Memdev.crash (Machine.dev mach) `Strict;
+  ignore (H.attach mach ~base ());
+  check "allocator run, crash and re-attach publish nothing" true
+    (Obs.Metrics.snapshot () = Obs.Json.Obj []);
+  let module S = Service.Server in
+  let factory = Workloads.Factories.poseidon () in
+  let scope = "test/obs/serve" in
+  let r =
+    S.run
+      ~make:(fun () -> factory.Workloads.Factories.make ())
+      ~reattach:(fun _ -> assert false)
+      { S.default_config with
+        S.shards = 2;
+        clients = 4;
+        rate = 30_000.;
+        duration = 0.004;
+        keyspace = 256;
+        preload = 64;
+        scope }
+  in
+  check "requests offered" true (r.S.offered > 0);
+  check "handled gauge" true (Obs.Metrics.get_gauge ~scope "handled" <> None);
+  check "latency histogram" true
+    (Obs.Metrics.get_log_histogram ~scope "latency_ns" <> None);
+  List.iter
+    (fun name ->
+      check ("no " ^ name ^ " gauge") true
+        (Obs.Metrics.get_gauge ~scope name = None))
+    [ "offered"; "admitted"; "shed"; "completed"; "acked_mutations";
+      "queue_max_depth"; "rto_ns"; "txn_committed"; "txn_aborted";
+      "ops_read"; "ops_write"; "ops_scan" ]
 
 (* ---------- log-linear histogram ---------- *)
 
@@ -363,8 +407,9 @@ let () =
             test_metrics_cross_check;
           Alcotest.test_case "fence accounting vs profile" `Quick
             test_metrics_vs_profile;
-          Alcotest.test_case "lock stats and per-lock gauges" `Quick
-            test_lock_stats ] );
+          Alcotest.test_case "lock stats" `Quick test_lock_stats;
+          Alcotest.test_case "registry holds no copied count" `Quick
+            test_registry_holds_no_copies ] );
       ( "hist",
         [ Alcotest.test_case "bucket midpoint error <= 3.3%" `Quick
             test_hist_bucket_accuracy;

@@ -711,16 +711,6 @@ let test_insert_skips_full_levels () =
       offs
   in
   agree "full levels";
-  (* the gauges report the level count and the skipped levels *)
-  let registry = Obs.Metrics.create () in
-  H.publish_metrics ~registry h;
-  let gauge name =
-    Obs.Metrics.get_gauge ~m:registry ~scope:"heap1/subheap0" name
-  in
-  check "hash_levels gauge" true
-    (gauge "hash_levels" = Some (float_of_int (Ht.levels ht)));
-  check "hash_full_levels gauge" true
-    (gauge "hash_full_levels" = Some (float_of_int (Ht.full_levels ht)));
   (* one tombstone in level 1: no longer full, so it must be probed.
      A real merge makes it: two adjacent 32 B blocks, the right one's
      record in level 1, are freed, and a request for the whole region
@@ -854,11 +844,6 @@ let test_slot_reads_per_insert () =
   let reads = (H.stats h).H.hash_slot_reads - before in
   check "without the summary: >= 4 reads per insert" true (!probes >= 4 * inserts);
   check "with it: <= 1.5 reads per insert" true (2 * reads <= 3 * inserts);
-  let registry = Obs.Metrics.create () in
-  H.publish_metrics ~registry h;
-  check "hash_slot_reads gauge" true
-    (Obs.Metrics.get_gauge ~m:registry ~scope:"heap1/subheap0" "hash_slot_reads"
-     = Some (float_of_int (Ht.slot_reads ht)));
   check_int "stats sum the sub-heaps" (Ht.slot_reads ht) (H.stats h).H.hash_slot_reads
 
 (* Also on a 512 B data region, which the carve uses up exactly. *)
