@@ -41,9 +41,13 @@ let default_base_buckets = 1024
 let with_metadata_access h f =
   if h.protect then begin
     Machine.wrpkru ?cap:h.cap h.mach h.pkey Mpk.Read_write;
-    Fun.protect
-      ~finally:(fun () -> Machine.wrpkru ?cap:h.cap h.mach h.pkey Mpk.Read_only)
-      f
+    match f () with
+    | r ->
+      Machine.wrpkru ?cap:h.cap h.mach h.pkey Mpk.Read_only;
+      r
+    | exception e ->
+      Machine.wrpkru ?cap:h.cap h.mach h.pkey Mpk.Read_only;
+      raise e
   end
   else f ()
 

@@ -32,6 +32,7 @@ type t = {
   (* volatile free-slot stack of the thread-cache reclaim ledger,
      rebuilt lazily from the persistent area (all-zero after recovery) *)
   mutable tc_free_slots : int list;
+  mutable tc_free_count : int; (* length of [tc_free_slots] *)
   mutable tc_slots_ready : bool;
 }
 
@@ -100,6 +101,7 @@ let make mach ~heap_id ~index ~cpu ~meta_base ~data_base ~data_size ~base_bucket
     stat_hint_misses = 0;
     hints = add_hint_region mach ~numa ~meta_base ~data_size;
     tc_free_slots = [];
+    tc_free_count = 0;
     tc_slots_ready = false }
 
 let attach mach ~heap_id ~index ~meta_base =
@@ -526,12 +528,15 @@ let tc_ledger_addr sh slot =
 
 let tc_init_slots sh =
   if not sh.tc_slots_ready then begin
-    let free = ref [] in
+    let free = ref [] and count = ref 0 in
     for slot = Layout.tc_ledger_cap - 1 downto 0 do
-      if Machine.read_u64 sh.mach (tc_ledger_addr sh slot) = 0 then
-        free := slot :: !free
+      if Machine.read_u64 sh.mach (tc_ledger_addr sh slot) = 0 then begin
+        free := slot :: !free;
+        incr count
+      end
     done;
     sh.tc_free_slots <- !free;
+    sh.tc_free_count <- !count;
     sh.tc_slots_ready <- true
   end
 
@@ -541,11 +546,13 @@ let tc_slot_acquire sh =
   | [] -> None
   | slot :: rest ->
     sh.tc_free_slots <- rest;
+    sh.tc_free_count <- sh.tc_free_count - 1;
     Some slot
 
 let tc_slot_release sh slot =
   tc_init_slots sh;
-  sh.tc_free_slots <- slot :: sh.tc_free_slots
+  sh.tc_free_slots <- slot :: sh.tc_free_slots;
+  sh.tc_free_count <- sh.tc_free_count + 1
 
 (** Durably records "offset [off] must be deallocated on recovery" in
     ledger slot [slot] — the write-ahead a magazine free publishes
@@ -575,7 +582,7 @@ let carve sh ~rsize ~count =
     op sh (fun ctx ->
         tc_init_slots sh;
         let rec fill need acc rejects =
-          let want = min need (List.length sh.tc_free_slots) in
+          let want = min need sh.tc_free_count in
           match if want = 0 then [] else alloc_run ctx sh rsize ~count:want with
           | [] -> (acc, rejects)
           | blocks ->
@@ -691,6 +698,7 @@ let recover sh =
     sh.stat_recovery_replays <- sh.stat_recovery_replays + !tc_replayed
   end;
   sh.tc_free_slots <- [];
+  sh.tc_free_count <- 0;
   sh.tc_slots_ready <- false
 
 (* ---------- introspection & invariants (tests, reporting) ---------- *)

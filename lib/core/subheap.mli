@@ -46,6 +46,7 @@ type t = {
   mutable tc_free_slots : int list;
       (** volatile free-slot stack of the thread-cache reclaim ledger
           (maintained by the heap layer under the sub-heap lock) *)
+  mutable tc_free_count : int;  (** length of [tc_free_slots] *)
   mutable tc_slots_ready : bool;
 }
 

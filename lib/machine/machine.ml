@@ -6,6 +6,14 @@ type addr = int
 
 let main_thread = -1
 
+(* Line numbers hash to themselves: [line_state] is only ever looked
+   up, never iterated, so no order hangs on its hash. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash line = line land max_int
+end)
+
 type cache = {
   tags : int array; (* line number; -1 = empty *)
   vers : int array; (* packed version the copy was read at *)
@@ -30,7 +38,7 @@ type t = {
   dev_ : Memdev.t;
   mpk_ : Mpk.t;
   caches : cache array;
-  line_state : (int, int) Hashtbl.t;
+  line_state : int Lines.t;
     (* line number -> (version lsl 8) lor (last writer cpu + 1) *)
   node_backlog : int array array;
     (* per-(node, DIMM) queued service ns (bandwidth queue) *)
@@ -65,7 +73,7 @@ let create ?(cfg = Config.default) ?engine () =
     dev_ = Memdev.create ();
     mpk_ = Mpk.create ();
     caches = Array.init cfg.num_cpus mk_cache;
-    line_state = Hashtbl.create 65536;
+    line_state = Lines.create 65536;
     node_backlog =
       Array.init cfg.numa_domains (fun _ -> Array.make cfg.nvmm_dimms_per_node 0);
     node_last_time =
@@ -152,11 +160,21 @@ let maybe_yield t =
 let critical t f =
   let saved = t.no_yield in
   t.no_yield <- true;
-  Fun.protect ~finally:(fun () -> t.no_yield <- saved) f
+  match f () with
+  | r ->
+    t.no_yield <- saved;
+    r
+  | exception e ->
+    t.no_yield <- saved;
+    raise e
+
+(* (version lsl 8) lor (last writer cpu + 1) of [line]; 0 if never written *)
+let line_version t line =
+  match Lines.find t.line_state line with v -> v | exception Not_found -> 0
 
 let charge_read t cpu a =
   let line = line_of a in
-  let cur = match Hashtbl.find_opt t.line_state line with Some v -> v | None -> 0 in
+  let cur = line_version t line in
   let cache = t.caches.(cpu) in
   let idx = line land cache.mask in
   if cache.tags.(idx) = line && cache.vers.(idx) = cur then begin
@@ -183,10 +201,10 @@ let charge_read t cpu a =
 
 let charge_write t cpu a =
   let line = line_of a in
-  let cur = match Hashtbl.find_opt t.line_state line with Some v -> v | None -> 0 in
+  let cur = line_version t line in
   let writer = (cur land 0xff) - 1 in
   let next = (((cur lsr 8) + 1) lsl 8) lor (cpu + 1) in
-  Hashtbl.replace t.line_state line next;
+  Lines.replace t.line_state line next;
   let kind, numa = Memdev.region_info t.dev_ a in
   let base =
     match kind with
@@ -400,7 +418,13 @@ module Lock = struct
 
   let with_lock l f =
     acquire l;
-    Fun.protect ~finally:(fun () -> release l) f
+    match f () with
+    | r ->
+      release l;
+      r
+    | exception e ->
+      release l;
+      raise e
 
   let name l = Sched.Mutex.name l.m
 

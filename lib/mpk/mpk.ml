@@ -14,26 +14,48 @@ type capability = { cap_key : pkey }
 
 exception Wrpkru_denied of pkey
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   mutable ranges : range array; (* sorted by rbase; page-aligned *)
   mutable key_used : bool array;
   defaults : perm array;
-  threads : (int, perm array) Hashtbl.t; (* thread id -> PKRU *)
+  threads : perm array Itbl.t; (* thread id -> PKRU *)
   mutable faults : int;
-  mutable memo : range option; (* hot-path lookup memo *)
+  (* Hot-path memos, none allocating; [forget] drops all three. *)
+  mutable memo : range; (* the last range an address fell in *)
+  mutable gap_lo : int; (* the last key-0 gap between ranges: [gap_lo, gap_hi) *)
+  mutable gap_hi : int;
+  mutable memo_thread : int; (* the last thread asked about ... *)
+  mutable memo_pkru : perm array; (* ... and its PKRU ([defaults] if it has none) *)
   guarded : bool array; (* keys under wrpkru lockdown *)
   mutable sealed_ : bool;
 }
 
+(* [no_range] holds no address, and [no_thread] is no thread's id. *)
+let no_range = { rbase = 0; rsize = 0; rkey = 0 }
+let no_thread = min_int
+
+let forget t =
+  t.memo <- no_range;
+  t.gap_lo <- 0;
+  t.gap_hi <- 0;
+  t.memo_thread <- no_thread
+
 let create () =
   let key_used = Array.make num_keys false in
   key_used.(0) <- true;
+  let defaults = Array.make num_keys Read_write in
   { ranges = [||];
     key_used;
-    defaults = Array.make num_keys Read_write;
-    threads = Hashtbl.create 64;
+    defaults;
+    threads = Itbl.create 64;
     faults = 0;
-    memo = None;
+    memo = no_range;
+    gap_lo = 0;
+    gap_hi = 0;
+    memo_thread = no_thread;
+    memo_pkru = defaults;
     guarded = Array.make num_keys false;
     sealed_ = false }
 
@@ -53,10 +75,10 @@ let free_key t k =
   t.key_used.(k) <- false;
   t.guarded.(k) <- false; (* a recycled key starts unguarded *)
   t.defaults.(k) <- Read_write;
-  Hashtbl.iter (fun _ pkru -> pkru.(k) <- Read_write) t.threads;
+  Itbl.iter (fun _ pkru -> pkru.(k) <- Read_write) t.threads;
   t.ranges <- Array.of_list
       (List.filter (fun r -> r.rkey <> k) (Array.to_list t.ranges));
-  t.memo <- None
+  forget t
 
 let check_key k =
   if k < 0 || k >= num_keys then invalid_arg "Mpk: key out of range"
@@ -81,45 +103,58 @@ let assign_range t k ~base ~size =
      let ranges = Array.append t.ranges [| { rbase = base; rsize = size; rkey = k } |] in
      Array.sort (fun a b -> compare a.rbase b.rbase) ranges;
      t.ranges <- ranges);
-  t.memo <- None
+  forget t
 
-let find_range t a =
-  match t.memo with
-  | Some r when a >= r.rbase && a < r.rbase + r.rsize -> Some r
-  | _ ->
+(* The key of [a]: the memoized range or key-0 gap, else a binary
+   search that memoizes what it finds. *)
+let key_of_addr t a =
+  let r = t.memo in
+  if a >= r.rbase && a < r.rbase + r.rsize then r.rkey
+  else if a >= t.gap_lo && a < t.gap_hi then 0
+  else
     let rec search lo hi =
-      if lo > hi then None
+      if lo > hi then begin
+        (* ranges below [lo] end at or before [a]; from [lo] on they
+           start after it *)
+        let n = Array.length t.ranges in
+        t.gap_lo <- (if hi >= 0 then t.ranges.(hi).rbase + t.ranges.(hi).rsize else min_int);
+        t.gap_hi <- (if lo < n then t.ranges.(lo).rbase else max_int);
+        0
+      end
       else
         let mid = (lo + hi) / 2 in
         let r = t.ranges.(mid) in
         if a < r.rbase then search lo (mid - 1)
         else if a >= r.rbase + r.rsize then search (mid + 1) hi
         else begin
-          t.memo <- Some r;
-          Some r
+          t.memo <- r;
+          r.rkey
         end
     in
     search 0 (Array.length t.ranges - 1)
-
-let key_of_addr t a =
-  match find_range t a with Some r -> r.rkey | None -> 0
 
 let set_default_perm t k p =
   check_key k;
   t.defaults.(k) <- p
 
 let pkru_of t thread =
-  match Hashtbl.find_opt t.threads thread with
-  | Some pkru -> pkru
-  | None ->
+  match Itbl.find t.threads thread with
+  | pkru -> pkru
+  | exception Not_found ->
     let pkru = Array.copy t.defaults in
-    Hashtbl.replace t.threads thread pkru;
+    Itbl.replace t.threads thread pkru;
+    if thread = t.memo_thread then t.memo_thread <- no_thread;
     pkru
 
 let get_perm_unchecked t ~thread k =
-  match Hashtbl.find_opt t.threads thread with
-  | Some pkru -> pkru.(k)
-  | None -> t.defaults.(k)
+  if thread <> t.memo_thread then begin
+    t.memo_pkru <-
+      (match Itbl.find t.threads thread with
+       | pkru -> pkru
+       | exception Not_found -> t.defaults);
+    t.memo_thread <- thread
+  end;
+  t.memo_pkru.(k)
 
 let get_perm t ~thread k =
   check_key k;
@@ -148,12 +183,14 @@ let guard t k =
 let seal t = t.sealed_ <- true
 let sealed t = t.sealed_
 
-let reset_thread t ~thread = Hashtbl.remove t.threads thread
+let reset_thread t ~thread =
+  Itbl.remove t.threads thread;
+  forget t
 
 let check t ~thread a access =
   let k = key_of_addr t a in
   if k <> 0 then begin
-    let p = get_perm t ~thread k in
+    let p = get_perm_unchecked t ~thread k in
     let ok =
       match p, access with
       | Read_write, _ -> true

@@ -15,7 +15,13 @@
 
     Key 0 is the default key; freshly tagged memory and untagged pages
     carry it, and its default permission is read-write, matching
-    hardware behaviour. *)
+    hardware behaviour.
+
+    {!check} runs on every simulated access, so it allocates nothing
+    and hashes nothing on a hit: it memoizes the last range an address
+    fell in, the last key-0 gap between ranges, and the last thread's
+    PKRU.  {!assign_range}, {!free_key} and {!reset_thread} drop all
+    three, and a thread's first {!set_perm} drops the PKRU memo. *)
 
 type t
 

@@ -17,7 +17,18 @@
     written cost almost nothing in real memory.
 
     The device performs no cost accounting and no protection checks;
-    those belong to the [machine] and [mpk] layers. *)
+    those belong to the [machine] and [mpk] layers.
+
+    Host-side caches, which hold no simulated state: a direct-mapped
+    cache from chunk index to chunk (never-written chunks included) in
+    front of the chunk table, which {!punch} evicts when it releases a
+    whole chunk; a memo of the last region found; and one staging slot
+    per {!clwb}'d line, so an {!sfence} visits only the staged lines
+    and costs O(1) when none is.  {!punch} drops the slots in its
+    range.  An 8-byte access inside a chunk allocates nothing.  The
+    order in which a [`Adversarial] {!crash} draws its bits is that of
+    the chunk table and of a line-to-snapshot [Hashtbl] built since
+    the last fence, and is kept exactly. *)
 
 type t
 
@@ -68,10 +79,12 @@ val fill : t -> addr -> int -> char -> unit
 val clwb : t -> addr -> unit
 (** Stages the cache line containing [addr] for write-back.  The staged
     data is the line's content {e at this point}; it reaches the
-    persistent image at the next {!sfence}. *)
+    persistent image at the next {!sfence}.  A clean line is not
+    staged; a line staged again takes the newer snapshot. *)
 
 val sfence : t -> unit
-(** Commits every staged line to the persistent image. *)
+(** Commits every staged line to the persistent image, visiting only
+    those lines. *)
 
 val persist : t -> addr -> int -> unit
 (** [persist t addr len]: [clwb] every line covering
@@ -84,7 +97,9 @@ val drain : t -> unit
 val punch : t -> addr -> int -> unit
 (** Hole-punches (zeroes, in both images, and releases backing where
     whole chunks are covered) the given range — the [fallocate]
-    trick of paper §5.6. *)
+    trick of paper §5.6.  Staged lines whose base lies in
+    [[line base of addr, addr+len)] are dropped: no later fence or
+    crash writes them back. *)
 
 val has_region : t -> addr -> bool
 (** Whether the address falls inside a declared region. *)

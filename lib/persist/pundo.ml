@@ -50,28 +50,40 @@ let checksum ~gen addr value =
 (* entry [i] of the log whose count word is at [count_addr] *)
 let entry_addr count_addr i = count_addr + word + (i * entry_size)
 
+(* Int-keyed, with the generic table's hash: [persist_dirty] writes
+   the dirty lines back in bucket order, which is simulated state. *)
+module Itbl = Hashtbl.Make (Int)
+
 type log = {
   mach : Machine.t;
   count_addr : int;
   cap : int;
   mutable next_gen : int; (* DRAM only: never read from the count word per op *)
+  (* DRAM only: the address and line tables an operation borrows while
+     [busy]; an operation begun meanwhile gets tables of its own *)
+  logged : unit Itbl.t;
+  dirty : unit Itbl.t;
+  mutable busy : bool;
 }
 
-let create mach ~count_addr ~cap = { mach; count_addr; cap; next_gen = 1 }
+let make mach ~count_addr ~cap ~next_gen =
+  { mach; count_addr; cap; next_gen;
+    logged = Itbl.create 32; dirty = Itbl.create 32; busy = false }
+
+let create mach ~count_addr ~cap = make mach ~count_addr ~cap ~next_gen:1
 
 (* A first barrier torn before its count word persisted may have left
    entries at the persisted generation + 1, so that one is skipped. *)
 let attach mach ~count_addr ~cap =
-  { mach;
-    count_addr;
-    cap;
-    next_gen = gen_of (Machine.read_u64 mach count_addr) + 2 }
+  make mach ~count_addr ~cap
+    ~next_gen:(gen_of (Machine.read_u64 mach count_addr) + 2)
 
 type ctx = {
   log : log;
   gen : int;
-  logged : (int, unit) Hashtbl.t;
-  dirty : (int, unit) Hashtbl.t;
+  logged : unit Itbl.t;
+  dirty : unit Itbl.t;
+  borrowed : bool; (* [logged] and [dirty] are the log's *)
   mutable count : int;
 }
 
@@ -79,31 +91,48 @@ exception Overflow
 
 let machine ctx = ctx.log.mach
 
+(* A reset table lays out and iterates exactly like a fresh one. *)
 let begin_op log =
   let gen = log.next_gen in
   log.next_gen <- gen + 1;
-  { log; gen; logged = Hashtbl.create 32; dirty = Hashtbl.create 32; count = 0 }
+  if log.busy then
+    { log; gen; logged = Itbl.create 32; dirty = Itbl.create 32;
+      borrowed = false; count = 0 }
+  else begin
+    log.busy <- true;
+    Itbl.reset log.logged;
+    Itbl.reset log.dirty;
+    { log; gen; logged = log.logged; dirty = log.dirty; borrowed = true; count = 0 }
+  end
 
 let line_of a = a land lnot (cache_line - 1)
 
 (** Marks a line dirty without logging — for freshly initialised words
     whose old value is semantically dead (the caller guarantees a
     rollback of some *other* logged word kills them). *)
-let mark_dirty ctx addr = Hashtbl.replace ctx.dirty (line_of addr) ()
+let mark_dirty ctx addr = Itbl.replace ctx.dirty (line_of addr) ()
 
 let write_all ctx writes =
   let log = ctx.log and mach = ctx.log.mach in
+  (* the batch's addresses not logged yet, newest first, each entered
+     in [logged] as it is met *)
   let fresh =
     List.fold_left
       (fun acc (addr, _) ->
-        if Hashtbl.mem ctx.logged addr || List.mem addr acc then acc
-        else addr :: acc)
+        if Itbl.mem ctx.logged addr then acc
+        else begin
+          Itbl.replace ctx.logged addr ();
+          addr :: acc
+        end)
       [] writes
   in
   if fresh <> [] then begin
     let first = ctx.count in
     let n = List.length fresh in
-    if first + n > log.cap then raise Overflow;
+    if first + n > log.cap then begin
+      List.iter (Itbl.remove ctx.logged) fresh;
+      raise Overflow
+    end;
     ctx.count <- first + n;
     let count = count_word ~gen:ctx.gen ctx.count in
     (* the new entries as one image, led by the count on the first batch *)
@@ -117,8 +146,7 @@ let write_all ctx writes =
         let o = lead + (i * entry_size) in
         set o addr;
         set (o + 8) old;
-        set (o + 16) (checksum ~gen:ctx.gen addr old);
-        Hashtbl.add ctx.logged addr ())
+        set (o + 16) (checksum ~gen:ctx.gen addr old))
       (List.rev fresh);
     let start = entry_addr log.count_addr first - lead in
     Machine.write_bytes mach start img;
@@ -138,15 +166,15 @@ let write_all ctx writes =
   List.iter
     (fun (addr, value) ->
       Machine.write_u64 mach addr value;
-      Hashtbl.replace ctx.dirty (line_of addr) ())
+      Itbl.replace ctx.dirty (line_of addr) ())
     writes
 
 let write ctx addr value = write_all ctx [ (addr, value) ]
 
 let persist_dirty ctx =
-  Hashtbl.iter (fun line () -> Machine.clwb ctx.log.mach line) ctx.dirty;
+  Itbl.iter (fun line () -> Machine.clwb ctx.log.mach line) ctx.dirty;
   Machine.sfence ctx.log.mach;
-  Hashtbl.reset ctx.dirty
+  Itbl.reset ctx.dirty
 
 let commit ?before_truncate ctx =
   let log = ctx.log in
@@ -155,7 +183,8 @@ let commit ?before_truncate ctx =
   Machine.write_u64 log.mach log.count_addr (count_word ~gen:ctx.gen 0);
   Machine.persist log.mach log.count_addr word;
   ctx.count <- 0;
-  Hashtbl.reset ctx.logged
+  Itbl.reset ctx.logged;
+  if ctx.borrowed then log.busy <- false
 
 let recover mach ~count_addr =
   let w = Machine.read_u64 mach count_addr in

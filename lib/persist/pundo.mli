@@ -43,7 +43,8 @@
     recovery is safe.  Both keep the generation in the count word. *)
 
 type log
-(** One log area and the next generation of its operations (DRAM). *)
+(** One log area, the next generation of its operations, and the
+    address and line tables one operation at a time borrows (DRAM). *)
 
 type ctx
 (** One in-flight operation. *)
@@ -63,6 +64,8 @@ val attach : Machine.t -> count_addr:int -> cap:int -> log
     word once. *)
 
 val begin_op : log -> ctx
+(** Starts an operation on the log's reset tables, or on fresh ones
+    while another operation on the log is open (not yet committed). *)
 
 val write_all : ctx -> (int * int) list -> unit
 (** [write_all ctx [(addr, value); ...]]: logs the old value of every

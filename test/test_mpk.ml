@@ -127,6 +127,64 @@ let test_fault_counter () =
   (try Mpk.check m ~thread:1 64 Mpk.Write with Mpk.Fault _ -> ());
   check_int "fault count" (before + 2) (Mpk.faults_observed m)
 
+(* ---------- lookup memos ---------- *)
+
+(* [check] memoizes the last range, the last key-0 gap between ranges
+   and the last thread's PKRU.  Each case warms one memo, changes what
+   it caches, and checks that the next lookup sees the change. *)
+
+let faults m ~thread a access =
+  try Mpk.check m ~thread a access; false with Mpk.Fault _ -> true
+
+let test_gap_memo_vs_assign_range () =
+  let m = Mpk.create () in
+  let k0 = Mpk.alloc_key m in
+  Mpk.assign_range m k0 ~base:(16 * page) ~size:page;
+  (* an untagged page below the range: its gap is memoized *)
+  check_int "untagged" 0 (Mpk.key_of_addr m (3 * page));
+  check "key-0 write passes" false (faults m ~thread:1 (3 * page) Mpk.Write);
+  let k = Mpk.alloc_key m in
+  Mpk.set_default_perm m k Mpk.No_access;
+  Mpk.assign_range m k ~base:(3 * page) ~size:page;
+  check_int "tagged" k (Mpk.key_of_addr m (3 * page));
+  check "read of the newly tagged page faults" true
+    (faults m ~thread:1 ((3 * page) + 8) Mpk.Read);
+  check "the rest of the gap stays key 0" false
+    (faults m ~thread:1 (5 * page) Mpk.Write)
+
+let test_range_memo_vs_free_key () =
+  let m = Mpk.create () in
+  let k = Mpk.alloc_key m in
+  Mpk.set_default_perm m k Mpk.No_access;
+  Mpk.assign_range m k ~base:(3 * page) ~size:page;
+  (* the range is memoized by the faulting check *)
+  check "tagged page faults" true (faults m ~thread:1 (3 * page) Mpk.Read);
+  Mpk.free_key m k;
+  check_int "key 0 again" 0 (Mpk.key_of_addr m (3 * page));
+  check "freed page writable" false (faults m ~thread:1 (3 * page) Mpk.Write)
+
+let test_pkru_memo_vs_reset_thread () =
+  let m = Mpk.create () in
+  let k = Mpk.alloc_key m in
+  Mpk.assign_range m k ~base:0 ~size:page;
+  Mpk.set_default_perm m k Mpk.Read_only;
+  Mpk.set_perm m ~thread:1 k Mpk.Read_write;
+  (* thread 1's PKRU is memoized by the passing check *)
+  check "granted write passes" false (faults m ~thread:1 0 Mpk.Write);
+  Mpk.reset_thread m ~thread:1;
+  check "default read-only after reset" true (faults m ~thread:1 0 Mpk.Write)
+
+let test_pkru_memo_vs_first_set_perm () =
+  let m = Mpk.create () in
+  let k = Mpk.alloc_key m in
+  Mpk.assign_range m k ~base:0 ~size:page;
+  Mpk.set_default_perm m k Mpk.Read_only;
+  (* thread 1 has no PKRU yet: the defaults are memoized for it *)
+  check "default write faults" true (faults m ~thread:1 0 Mpk.Write);
+  Mpk.set_perm m ~thread:1 k Mpk.Read_write;
+  check "own PKRU after first wrpkru" false (faults m ~thread:1 0 Mpk.Write);
+  check "defaults untouched" true (faults m ~thread:2 0 Mpk.Write)
+
 (* ---------- wrpkru lockdown (paper 8) ---------- *)
 
 let test_seal_blocks_loosening () =
@@ -194,6 +252,15 @@ let () =
           Alcotest.test_case "per-thread isolation" `Quick test_per_thread_isolation;
           Alcotest.test_case "reset thread" `Quick test_reset_thread;
           Alcotest.test_case "fault counter" `Quick test_fault_counter ] );
+      ( "memos",
+        [ Alcotest.test_case "gap memo vs assign_range" `Quick
+            test_gap_memo_vs_assign_range;
+          Alcotest.test_case "range memo vs free_key" `Quick
+            test_range_memo_vs_free_key;
+          Alcotest.test_case "PKRU memo vs reset_thread" `Quick
+            test_pkru_memo_vs_reset_thread;
+          Alcotest.test_case "PKRU memo vs first wrpkru" `Quick
+            test_pkru_memo_vs_first_set_perm ] );
       ( "lockdown",
         [ Alcotest.test_case "seal blocks loosening" `Quick
             test_seal_blocks_loosening;

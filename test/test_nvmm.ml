@@ -166,6 +166,41 @@ let test_adversarial_crash_subsets () =
     check "line1 zero or evicted" true (v1 = 0 || v1 = 9)
   done
 
+(* An adversarial crash draws one bit per dirty line, in line order
+   within a chunk, then one per staged line in the order in which a
+   [Hashtbl] from line base to snapshot, created with 64 buckets at the
+   last fence, iterates.  Crashcheck's subsets rest on that order.  300
+   staged lines take such a table through two resizes, and a punch
+   then drops 100 of them: the table keeps the buckets it grew to. *)
+let test_adversarial_staged_order () =
+  let n = 300 and dropped i = i >= 100 && i < 200 in
+  let seed = 5 in
+  let d = mkdev () in
+  for i = 0 to n - 1 do
+    Memdev.write_u64 d (i * 64) (i + 1);
+    Memdev.clwb d (i * 64);
+    Memdev.write_u64 d (i * 64) (i + 1001) (* after the snapshot *)
+  done;
+  Memdev.punch d (100 * 64) (100 * 64);
+  Memdev.crash d (`Adversarial (Prng.create seed));
+  let rng = Prng.create seed in
+  let evicted = Array.init n (fun i -> (not (dropped i)) && Prng.bool rng) in
+  let tbl = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    Hashtbl.replace tbl (i * 64) i
+  done;
+  for i = 100 to 199 do
+    Hashtbl.remove tbl (i * 64)
+  done;
+  let landed = Array.make n false in
+  Hashtbl.iter (fun _ i -> landed.(i) <- Prng.bool rng) tbl;
+  for i = 0 to n - 1 do
+    let want =
+      if landed.(i) then i + 1 else if evicted.(i) then i + 1001 else 0
+    in
+    check_int (Printf.sprintf "line %d" i) want (Memdev.read_u64 d (i * 64))
+  done
+
 let test_crash_idempotent () =
   let d = mkdev () in
   Memdev.write_u64 d 0 5;
@@ -201,6 +236,97 @@ let test_punch_partial () =
   Memdev.punch d 0 4096;
   check_int "punched part zero" 0 (Memdev.read_u64 d 0);
   check_int "other part intact" 2 (Memdev.read_u64 d 4096)
+
+(* A punch drops the lines staged in its range: the next fence must
+   not write them back, and a crash must not persist them either. *)
+let test_punch_drops_staged () =
+  let chunk = 65536 in
+  let lines = ref [] in
+  let d = mkdev ~size:(1 lsl 20) () in
+  Memdev.set_persistence_hook d
+    (Some (fun i -> lines := i.Memdev.lines_committed :: !lines));
+  Memdev.write_u64 d 64 42;               (* inside a chunk, partial punch *)
+  Memdev.write_u64 d (chunk + 128) 43;    (* whole-chunk punch *)
+  Memdev.write_u64 d 4096 44;             (* outside both punches *)
+  List.iter (Memdev.clwb d) [ 64; chunk + 128; 4096 ];
+  Memdev.punch d 0 128;
+  Memdev.punch d chunk chunk;
+  Memdev.sfence d;
+  check "fence wrote back only the unpunched line" true (!lines = [ 1 ]);
+  check_int "partial punch reads zero" 0 (Memdev.read_u64 d 64);
+  check_int "whole-chunk punch reads zero" 0 (Memdev.read_u64 d (chunk + 128));
+  Memdev.crash d `Strict;
+  check_int "partial punch not persisted" 0 (Memdev.read_u64 d 64);
+  check_int "whole-chunk punch not persisted" 0 (Memdev.read_u64 d (chunk + 128));
+  check_int "unpunched line persisted" 44 (Memdev.read_u64 d 4096);
+  (* staged, punched, then crashed before any fence: an adversarial
+     crash draws only from what is still at risk *)
+  let rng = Prng.create 7 in
+  for _ = 1 to 16 do
+    let d = mkdev ~size:(1 lsl 20) () in
+    Memdev.write_u64 d 64 42;
+    Memdev.write_u64 d (chunk + 128) 43;
+    Memdev.clwb d 64;
+    Memdev.clwb d (chunk + 128);
+    Memdev.punch d 0 128;
+    Memdev.punch d chunk chunk;
+    Memdev.crash d (`Adversarial rng);
+    check_int "partial punch survives no crash" 0 (Memdev.read_u64 d 64);
+    check_int "whole-chunk punch survives no crash" 0
+      (Memdev.read_u64 d (chunk + 128))
+  done
+
+(* A line staged again after a punch dropped its first snapshot
+   commits the newer one. *)
+let test_restage_after_punch () =
+  let d = mkdev () in
+  Memdev.write_u64 d 0 1;
+  Memdev.clwb d 0;
+  Memdev.punch d 0 64;
+  Memdev.write_u64 d 8 2;
+  Memdev.clwb d 0;
+  Memdev.write_u64 d 16 3;
+  Memdev.clwb d 0; (* re-snapshot of the same staged line *)
+  Memdev.sfence d;
+  Memdev.crash d `Strict;
+  check_int "punched word" 0 (Memdev.read_u64 d 0);
+  check_int "restaged word" 2 (Memdev.read_u64 d 8);
+  check_int "resnapshot word" 3 (Memdev.read_u64 d 16)
+
+(* Reads cache the chunk they hit; a whole-chunk punch must not leave
+   the released chunk visible through that cache. *)
+let test_punch_after_read () =
+  let chunk = 65536 in
+  let d = mkdev ~size:(1 lsl 20) () in
+  Memdev.write_u64 d (chunk + 8) 7;
+  Memdev.write_u64 d (chunk + 24) 8;
+  Memdev.persist d chunk 64;
+  check_int "read before punch" 7 (Memdev.read_u64 d (chunk + 8));
+  Memdev.punch d chunk chunk;
+  check_int "read after punch" 0 (Memdev.read_u64 d (chunk + 8));
+  Memdev.write_u64 d (chunk + 16) 9;
+  check_int "new word" 9 (Memdev.read_u64 d (chunk + 16));
+  check_int "zero before it" 0 (Memdev.read_u64 d (chunk + 8));
+  check_int "zero after it" 0 (Memdev.read_u64 d (chunk + 24));
+  check "rest of the chunk zero" true
+    (Bytes.for_all (( = ) '\000') (Memdev.read_bytes d (chunk + 64) (chunk - 64)));
+  Memdev.persist d (chunk + 16) 8;
+  Memdev.crash d `Strict;
+  check_int "new word persisted" 9 (Memdev.read_u64 d (chunk + 16));
+  check_int "old word gone" 0 (Memdev.read_u64 d (chunk + 8))
+
+(* Chunks 1 and 1 + 1024 share a slot of the device's chunk cache. *)
+let test_chunk_cache_collision () =
+  let chunk = 65536 in
+  let d = mkdev ~size:(1 lsl 27) () in
+  let a = chunk + 8 and b = (1025 * chunk) + 8 in
+  Memdev.write_u64 d a 1;
+  Memdev.write_u64 d b 2;
+  check_int "first chunk" 1 (Memdev.read_u64 d a);
+  check_int "second chunk" 2 (Memdev.read_u64 d b);
+  Memdev.punch d (1025 * chunk) chunk;
+  check_int "first chunk kept" 1 (Memdev.read_u64 d a);
+  check_int "second chunk released" 0 (Memdev.read_u64 d b)
 
 (* ---------- counters ---------- *)
 
@@ -259,10 +385,17 @@ let () =
           Alcotest.test_case "drain" `Quick test_drain;
           Alcotest.test_case "adversarial subsets" `Quick
             test_adversarial_crash_subsets;
+          Alcotest.test_case "adversarial draw order" `Quick
+            test_adversarial_staged_order;
           Alcotest.test_case "crash idempotent" `Quick test_crash_idempotent ]
         @ qsuite );
       ( "punch",
         [ Alcotest.test_case "zeroes" `Quick test_punch_zeroes;
           Alcotest.test_case "whole chunk" `Quick test_punch_whole_chunk;
-          Alcotest.test_case "partial" `Quick test_punch_partial ] );
+          Alcotest.test_case "partial" `Quick test_punch_partial;
+          Alcotest.test_case "drops staged lines" `Quick test_punch_drops_staged;
+          Alcotest.test_case "restage after punch" `Quick test_restage_after_punch;
+          Alcotest.test_case "whole chunk after read" `Quick test_punch_after_read;
+          Alcotest.test_case "chunk cache collision" `Quick
+            test_chunk_cache_collision ] );
       ("counters", [ Alcotest.test_case "basic" `Quick test_counters ]) ]
