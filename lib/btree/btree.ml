@@ -9,6 +9,11 @@
     one), and node splits write the new sibling completely, with one
     fence, before publishing it (FAIR-style failure atomicity).
 
+    A split halves its node (15/16), except an append at the right
+    edge of a level, which keeps 27 of 31 entries on the left: an
+    ascending load leaves nodes 27 full instead of 15, at the price of
+    longer shifts later in those nodes (see [split_node]).
+
     Concurrency: searches traverse without locks (reads of a node are
     atomic at simulated-thread granularity); writers lock the leaf,
     and structure modifications (splits) additionally take a global
@@ -18,7 +23,7 @@
     Node layout (little-endian u64 words):
     {v
     0   meta: (count lsl 1) lor is_leaf
-    8   sibling (packed nvmptr; leaf level only)
+    8   sibling (packed nvmptr of the right neighbour; null at a level's end)
     16  entries: fanout x {key, value}   — value = child ptr in inner
     v}
     fanout 31 -> node size = 16 + 31*16 = 512 bytes. *)
@@ -311,11 +316,29 @@ let insert_into t addr ~leaf ~key ~value =
 
 (* split [addr] into itself plus [right_ptr] (pre-allocated by the
    caller: no allocation inside the critical section); returns the
-   separator key.  Caller holds the SMO lock and the node's lock. *)
-let split_node t addr ~leaf ~right_ptr =
+   separator key.  [key] is the key whose insert forced the split.
+   Caller holds the SMO lock and the node's lock.
+
+   Where to split.  An append at the right edge — [addr] is the last
+   node of its level (null sibling) and [key] sorts after its last
+   entry — keeps 9/10 of the entries (27 of 31) on the left: an
+   ascending load then fills each node it leaves behind to 27 instead
+   of 15, and its right neighbour takes only the appends that follow.
+   Every other split halves the node (15/16), as random inserts land
+   anywhere.  The four free slots absorb stragglers that arrive just
+   below the edge; keeping 30 saves a little more space but makes the
+   next few of them split again.  The price of fuller nodes is longer
+   FAST shifts: a delete or an insert in the middle of a node moves
+   about twice as many lines, each with its own fence. *)
+let split_node t addr ~leaf ~key ~right_ptr =
   Machine.critical t.mach (fun () ->
       let count = count_of (read_meta t.mach addr) in
-      let half = count / 2 in
+      let sibling = Machine.read_u64 t.mach (addr + sibling_off) in
+      let keep =
+        if sibling = Alloc_intf.packed_null && key > key_at t.mach addr (count - 1)
+        then count * 9 / 10
+        else count / 2
+      in
       let right = raw_of t right_ptr in
       (* write the complete right node — entries, sibling, count — and
          persist it with one fence: nothing points at it yet, so its
@@ -323,19 +346,18 @@ let split_node t addr ~leaf ~right_ptr =
          every level (FAST-FAIR): a reader that arrives at a node whose
          keys moved right follows the sibling, so a crash between
          sibling publication and the parent update loses nothing *)
-      for i = half to count - 1 do
-        Machine.write_u64 t.mach (right + entry_off (i - half)) (key_at t.mach addr i);
-        Machine.write_u64 t.mach (right + entry_off (i - half) + 8) (value_at t.mach addr i)
+      for i = keep to count - 1 do
+        Machine.write_u64 t.mach (right + entry_off (i - keep)) (key_at t.mach addr i);
+        Machine.write_u64 t.mach (right + entry_off (i - keep) + 8) (value_at t.mach addr i)
       done;
-      Machine.write_u64 t.mach (right + sibling_off)
-        (Machine.read_u64 t.mach (addr + sibling_off));
-      Machine.write_u64 t.mach (right + meta_off) (meta_word ~count:(count - half) ~leaf);
-      Machine.persist t.mach right (entry_off (count - half));
+      Machine.write_u64 t.mach (right + sibling_off) sibling;
+      Machine.write_u64 t.mach (right + meta_off) (meta_word ~count:(count - keep) ~leaf);
+      Machine.persist t.mach right (entry_off (count - keep));
       (* publish: link the sibling, then shrink the left count — each
          an atomic 8-byte persisted store (FAIR) *)
       Machine.write_u64 t.mach (addr + sibling_off) (Alloc_intf.pack right_ptr);
       Machine.persist t.mach (addr + sibling_off) 8;
-      write_meta t addr ~count:half ~leaf;
+      write_meta t addr ~count:keep ~leaf;
       key_at t.mach right 0)
 
 (* root-to-leaf path for [k], root first *)
@@ -379,7 +401,7 @@ let split_one t key =
         let lock = node_lock t addr in
         let sep =
           Machine.Lock.with_lock lock (fun () ->
-              split_node t addr ~leaf ~right_ptr)
+              split_node t addr ~leaf ~key ~right_ptr)
         in
         (match parent with
          | Some parent ->

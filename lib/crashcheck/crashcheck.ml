@@ -980,6 +980,19 @@ let scn_kv_split () =
       (List.filter_map (fun k -> if k = mid then None else Some (k, 850 + k)) keys)
     ~plan:[ Kput (mid, 951) ]
 
+(* A FAIR split at the right edge: a put past the last key of a full
+   rightmost leaf (31 keys on one shard) splits it 27 / 4.  Then a put
+   just below that append shifts inside the new right leaf, a second
+   append lands there, and a delete of the first key shifts across the
+   whole left leaf, which the split left 27 full. *)
+let scn_kv_append_split () =
+  let keys = Array.of_list (shard0_keys 34) in
+  kv_repair_sweep ~kname:"kv-append-split"
+    ~preload:(List.init 31 (fun i -> (keys.(i), 850 + keys.(i))))
+    ~plan:
+      [ Kput (keys.(32), 952); Kput (keys.(31), 953); Kput (keys.(33), 954);
+        Kdel keys.(0) ]
+
 (* Cross-shard transactions through 2PC on the shards' own slots.  Key
    shard map for [shards:2]: keys 2, 3, 7, 9 and 99 hash to shard 0;
    keys 1, 4, 5, 6, 11 and 17 to shard 1 — asserted below so a hash
@@ -1526,6 +1539,7 @@ let scenarios =
     ("kv-delete", scn_kv_delete, false);
     ("kv-shift", scn_kv_shift, false);
     ("kv-split", scn_kv_split, false);
+    ("kv-append-split", scn_kv_append_split, false);
     ("kv-txn", scn_kv_txn, false);
     ("kv-snapshot", scn_kv_snapshot, false);
     ("kv-rcache-put", scn_kv_rcache_put, false);

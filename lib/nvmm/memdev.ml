@@ -460,23 +460,34 @@ let punch t a len =
       if c != no_chunk then begin
         Bytes.fill c.vol off n '\000';
         Bytes.fill c.pers off n '\000';
+        (* a line the range covers only in part stays dirty while its
+           other bytes hold unflushed stores *)
         let first = off / cache_line and last = (off + n - 1) / cache_line in
         for line = first to last do
-          Bitset.clear c.dirty line
+          let loff = line * cache_line in
+          if same_line c.vol loff c.pers loff 0 then Bitset.clear c.dirty line
         done
       end
     end;
     pos := !pos + n
   done;
-  (* drop the staged lines in the punched range *)
+  (* drop the staged lines the range covers whole; zero the punched
+     bytes in the snapshot of a line it covers in part *)
   if len > 0 then begin
     let lo = line_base a and hi = a + len in
     for i = 0 to t.n_staged - 1 do
       let base = t.st_base.(i) and c = t.st_chunk.(i) in
       if c != no_chunk && base >= lo && base < hi then begin
-        Bitset.clear c.staged_lines (line_of_base base);
-        t.st_chunk.(i) <- no_chunk;
-        log_staging t (-1 - i)
+        if base >= a && base + cache_line <= hi then begin
+          Bitset.clear c.staged_lines (line_of_base base);
+          t.st_chunk.(i) <- no_chunk;
+          log_staging t (-1 - i)
+        end
+        else begin
+          let from = max a base in
+          Bytes.fill t.stage_buf ((i * cache_line) + from - base)
+            (min hi (base + cache_line) - from) '\000'
+        end
       end
     done
   end

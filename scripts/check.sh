@@ -69,11 +69,13 @@ step="crashcheck kv-put sweep"
 dune exec bin/main.exe -- crashcheck --scenario kv-put --max-points 8 \
   --subsets 1 --seed "$CRASH_SEED" > /dev/null
 # B+-tree crash-repair sweeps, EXHAUSTIVE: a put that shifts a whole
-# leaf and its delete (kv-shift), and a put that splits a full leaf
-# (kv-split).  After recovery the oracle deletes every key and none
-# may survive: a duplicate or stale leaf entry left by a crash inside
-# the shift or the split's publish would outlive its delete.
-for scn in kv-shift kv-split; do
+# leaf and its delete (kv-shift), a put that splits a full leaf
+# (kv-split), and an append that splits a full rightmost leaf 27 / 4,
+# then shifts in both halves (kv-append-split).  After recovery the
+# oracle deletes every key and none may survive: a duplicate or stale
+# leaf entry left by a crash inside the shift or the split's publish
+# would outlive its delete.
+for scn in kv-shift kv-split kv-append-split; do
   step="crashcheck $scn exhaustive sweep"
   dune exec bin/main.exe -- crashcheck --scenario "$scn" \
     --seed "$CRASH_SEED" > /dev/null

@@ -276,6 +276,40 @@ let test_punch_drops_staged () =
       (Memdev.read_u64 d (chunk + 128))
   done
 
+(* A punch that covers part of a line keeps the unflushed stores to
+   the line's other bytes: the line stays dirty, and a staged snapshot
+   of it stays staged with the punched bytes zeroed. *)
+let test_punch_part_of_line () =
+  let crashed_after f =
+    let d = mkdev () in
+    f d;
+    Memdev.crash d `Strict;
+    (Memdev.read_u64 d 0, Memdev.read_u64 d 32, Memdev.read_u64 d 40)
+  in
+  List.iter
+    (fun (name, f) ->
+      let w0, w32, w40 = crashed_after f in
+      check_int (name ^ ": the unpunched word persisted") 7 w0;
+      check_int (name ^ ": the punched bytes read zero") 0 (w32 lor w40))
+    [ ( "drain",
+        fun d ->
+          Memdev.write_u64 d 0 7;
+          Memdev.punch d 32 32;
+          Memdev.drain d );
+      ( "clwb + sfence",
+        fun d ->
+          Memdev.write_u64 d 0 7;
+          Memdev.punch d 32 32;
+          Memdev.clwb d 0;
+          Memdev.sfence d );
+      ( "staged before the punch",
+        fun d ->
+          Memdev.write_u64 d 0 7;
+          Memdev.write_u64 d 40 9;
+          Memdev.clwb d 0;
+          Memdev.punch d 32 32;
+          Memdev.sfence d ) ]
+
 (* A line staged again after a punch dropped its first snapshot
    commits the newer one. *)
 let test_restage_after_punch () =
@@ -394,6 +428,7 @@ let () =
           Alcotest.test_case "whole chunk" `Quick test_punch_whole_chunk;
           Alcotest.test_case "partial" `Quick test_punch_partial;
           Alcotest.test_case "drops staged lines" `Quick test_punch_drops_staged;
+          Alcotest.test_case "part of a line" `Quick test_punch_part_of_line;
           Alcotest.test_case "restage after punch" `Quick test_restage_after_punch;
           Alcotest.test_case "whole chunk after read" `Quick test_punch_after_read;
           Alcotest.test_case "chunk cache collision" `Quick

@@ -333,9 +333,10 @@ let test_crashcheck_kv () =
         (List.length r.Crashcheck.counterexamples))
     [ "kv-put"; "kv-delete" ]
 
-(* every crash point of a whole-leaf shift and of a leaf split: after
-   recovery, deleting every key leaves none behind (a duplicate or
-   stale entry a crash left would survive) *)
+(* every crash point of a whole-leaf shift, of a leaf split and of an
+   append that splits a full rightmost leaf 27 / 4: after recovery,
+   deleting every key leaves none behind (a duplicate or stale entry a
+   crash left would survive) *)
 let test_crashcheck_shift_split () =
   List.iter
     (fun name ->
@@ -346,7 +347,7 @@ let test_crashcheck_shift_split () =
         (fun cx ->
           Alcotest.failf "%s" (Format.asprintf "%a" Crashcheck.pp_counterexample cx))
         r.Crashcheck.counterexamples)
-    [ "kv-shift"; "kv-split" ]
+    [ "kv-shift"; "kv-split"; "kv-append-split" ]
 
 (* the seeded chunk-commit bug — the decided word rides the slot's
    fence, ahead of the allocator commit — is flagged, and by the
